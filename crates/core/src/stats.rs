@@ -34,7 +34,6 @@ pub struct UtilizationTracker {
     cols: u32,
     col_bandwidth: u32,
     exec_counts: Vec<u64>,
-    busy_slots: Vec<u64>,
     stress_counts: Vec<u64>,
     executions: u64,
     total_col_slots: u64,
@@ -51,7 +50,6 @@ impl UtilizationTracker {
             cols: fabric.cols,
             col_bandwidth: fabric.col_bandwidth,
             exec_counts: vec![0; n],
-            busy_slots: vec![0; n],
             stress_counts: vec![0; n],
             executions: 0,
             total_col_slots: 0,
@@ -81,7 +79,6 @@ impl UtilizationTracker {
             assert!(r < self.rows && c < self.cols, "cell ({r},{c}) outside fabric");
             let i = (r * self.cols + c) as usize;
             self.exec_counts[i] += 1;
-            self.busy_slots[i] += 1;
             let stress = if self.col_bandwidth == 0 {
                 1
             } else {
@@ -110,9 +107,6 @@ impl UtilizationTracker {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "geometry mismatch");
         assert_eq!(self.col_bandwidth, other.col_bandwidth, "bandwidth budget mismatch");
         for (a, b) in self.exec_counts.iter_mut().zip(&other.exec_counts) {
-            *a += b;
-        }
-        for (a, b) in self.busy_slots.iter_mut().zip(&other.busy_slots) {
             *a += b;
         }
         for (a, b) in self.stress_counts.iter_mut().zip(&other.stress_counts) {
@@ -225,7 +219,7 @@ impl UtilizationTracker {
         UtilizationGrid {
             rows: self.rows,
             cols: self.cols,
-            values: self.busy_slots.iter().map(|c| *c as f64 / denom).collect(),
+            values: self.exec_counts.iter().map(|c| *c as f64 / denom).collect(),
         }
     }
 }

@@ -17,10 +17,9 @@
 //!   nondeterministic, so the profile is excluded from the CI determinism
 //!   diff.
 //!
-//! The histogram buckets are the same logarithmic scheme as `transrec`'s
-//! `LatencyHistogram` (exact below 8, then 8 sub-buckets per power of two);
-//! [`log_bucket`]/[`log_bucket_floor`] are exported so both crates share
-//! one implementation.
+//! [`LogHistogram`] is the workspace's one log-bucketed histogram (exact
+//! below 8, then 8 sub-buckets per power of two): registry histograms and
+//! `transrec::traffic`'s request-latency distributions are both this type.
 
 #![warn(missing_docs)]
 
@@ -34,8 +33,8 @@ use serde::{Deserialize, Serialize};
 use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
 
 /// The logarithmic bucket index of a `u64` observation: exact below 8,
-/// then 8 sub-buckets per power of two (≤ 12.5% relative error). This is
-/// the bucketing `transrec::LatencyHistogram` uses (DESIGN.md §13, §16).
+/// then 8 sub-buckets per power of two (≤ 12.5% relative error) — the
+/// bucketing of [`LogHistogram`] (DESIGN.md §13, §16).
 pub fn log_bucket(value: u64) -> u32 {
     if value < 8 {
         return value as u32;
@@ -560,6 +559,23 @@ mod tests {
             assert!(b >= last);
             last = b;
         }
+    }
+
+    #[test]
+    fn log_histogram_percentiles_and_scaling() {
+        let mut h = LogHistogram::new();
+        for v in [1u64, 2, 3, 4, 100, 200, 100_000] {
+            h.record(v);
+        }
+        assert_eq!(h.total(), 7);
+        assert_eq!(h.percentile(0.0), 1);
+        assert_eq!(h.percentile(0.5), 4, "rank ceil(q·total) picks the 4th sample");
+        assert_eq!(h.percentile(1.0), log_bucket_floor(log_bucket(100_000)));
+        assert_eq!(LogHistogram::new().percentile(0.99), 0, "empty histograms report 0");
+        let mut tripled = LogHistogram::new();
+        tripled.add_scaled(&h, 3);
+        assert_eq!(tripled.total(), 3 * h.total());
+        assert_eq!(tripled.percentile(0.5), h.percentile(0.5), "scaling preserves quantiles");
     }
 
     #[test]

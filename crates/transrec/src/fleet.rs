@@ -32,10 +32,10 @@
 //!    merge monoid, so shard partials aggregate exactly regardless of the
 //!    split. Memory stays bounded by one shard, never the population.
 //!
-//! A campaign with a checkpoint path ([`CampaignOptions`]) persists a
-//! versioned [`run_fleet_campaign`] checkpoint after phase 1 and after
-//! every wave of shards, so a killed run resumes where it stopped and
-//! still produces byte-identical `results/survival.json`.
+//! Both phases run on the shared [`campaign`] engine: with a checkpoint
+//! path ([`CampaignOptions`]) it persists a versioned checkpoint after
+//! phase 1 and after every wave of shards, so a killed run resumes where
+//! it stopped and still produces byte-identical `results/survival.json`.
 //!
 //! # Examples
 //!
@@ -60,19 +60,20 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::fmt::Debug;
 
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve, WearBatch};
 use mibench::Workload;
 use nbti::CalibratedAging;
 use obs::Registry;
 use serde::{Deserialize, Serialize};
-use threadpool::ThreadPool;
-use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
+use crate::campaign::{self, Campaign, Kind, Status};
 use crate::sweep::SuiteSpec;
 use crate::system::{BuildError, System, SystemConfig, SystemError};
+
+pub use crate::campaign::CampaignOptions;
 
 /// Default deployment time one mission (one pass of the suite) models.
 pub const DEFAULT_MISSION_YEARS: f64 = 0.5;
@@ -487,242 +488,197 @@ fn simulate_trajectory(
     Ok(ClassTrajectory { segments, died, simulated_missions: simulated })
 }
 
-/// One (policy × shard) cell's partial result, ready to merge in shard
-/// order.
-struct ShardCell {
-    accum: FleetAccum,
+/// One policy's streaming aggregate over the completed shards: a merge
+/// monoid, so shard partials fold exactly regardless of the split.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+struct PolicyAccum {
+    /// Death and first-failure observations.
+    fleet: FleetAccum,
+    /// Missions lived across the folded devices (simulated or replayed).
     total_missions: u64,
-    details: Vec<DeviceOutcome>,
-    /// Weight-scaled metrics of the shard's class replays (empty unless
-    /// [`CampaignOptions::collect_metrics`] is set).
-    metrics: Registry,
+    /// Detailed outcomes of the folded devices below
+    /// [`FleetPlan::detail_devices`], in device order.
+    devices: Vec<DeviceOutcome>,
 }
 
-/// Replays one shard of devices for one policy on the columnar wear slab
-/// (DESIGN.md §12): group the shard's devices by class, advance each class
-/// through its trajectory with [`WearBatch::advance_class`], and fold the
-/// per-device observations into a shard-local [`FleetAccum`].
-fn run_shard_cell(
-    plan: &FleetPlan,
-    classes: &ClassMap,
-    trajectories: &[ClassTrajectory],
-    policy: usize,
-    shard: usize,
-    collect_metrics: bool,
-) -> ShardCell {
-    let start = shard * plan.shard_devices;
-    let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
-    let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, end - start);
-    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for device in start..end {
-        groups.entry(classes.class_of[device]).or_default().push(device - start);
+/// The fleet engine's plug-in to the shared [`campaign`] driver: the plan
+/// plus its class partition.
+struct FleetCampaign<'a> {
+    plan: &'a FleetPlan,
+    classes: ClassMap,
+}
+
+impl Campaign for FleetCampaign<'_> {
+    /// One per (policy × class).
+    type Trajectory = ClassTrajectory;
+    /// One cell per policy.
+    type Accum = PolicyAccum;
+    type Report = FleetReport;
+
+    const KIND: Kind = Kind {
+        magic: "uaware-fleet-checkpoint",
+        noun: "fleet",
+        trajectories_span: "fleet.trajectories",
+        shards_span: "fleet.shards",
+        checkpoint_span: "fleet.checkpoint",
+    };
+
+    fn plan(&self) -> &dyn Debug {
+        self.plan
     }
-    let mut accum = FleetAccum::new();
-    let mut total_missions = 0u64;
-    let mut details = Vec::new();
-    let mut metrics = Registry::new();
-    for (&class, lanes) in &groups {
-        let trajectory = &trajectories[policy * classes.count() + class as usize];
-        let mut failures: Vec<FuFailed> = Vec::new();
-        {
-            // One replay stands for `lanes.len()` devices, so its registry
-            // folds in weight-scaled — the same equivalence-class fast path
-            // as `FleetAccum::observe_weighted`. Class replays emit
-            // member-count-independent events only, which is what makes
-            // the scaled fold shard-split invariant (DESIGN.md §16).
-            let mut replay = || {
-                for (duty, count) in &trajectory.segments {
-                    for _ in 0..*count {
-                        failures.extend(batch.advance_class(lanes, duty, plan.mission_years));
+
+    fn lanes(&self) -> usize {
+        self.plan.effective_lanes()
+    }
+
+    fn workloads(&self, lane: usize) -> Vec<Workload> {
+        self.plan.suite.workloads(derive_cell_seed(self.plan.base_seed, lane as u64))
+    }
+
+    fn cell_count(&self) -> usize {
+        self.plan.policies.len()
+    }
+
+    fn classes(&self) -> usize {
+        self.classes.count()
+    }
+
+    fn simulate(
+        &self,
+        policy: usize,
+        class: usize,
+        workloads: &[Vec<Workload>],
+    ) -> Result<ClassTrajectory, SystemError> {
+        let (lane, defects) = &self.classes.keys[class];
+        simulate_trajectory(self.plan, &self.plan.policies[policy], &workloads[*lane], defects)
+    }
+
+    fn shard_count(&self) -> usize {
+        self.plan.devices.div_ceil(self.plan.shard_devices)
+    }
+
+    /// Replays one shard of devices for one policy on the columnar wear
+    /// slab (DESIGN.md §12): group the shard's devices by class, advance
+    /// each class through its trajectory with [`WearBatch::advance_class`],
+    /// and fold the per-device observations into a shard-local accumulator.
+    fn run_shard(
+        &self,
+        trajectories: &[ClassTrajectory],
+        shard: usize,
+        collect_metrics: bool,
+    ) -> (PolicyAccum, Registry) {
+        let (plan, classes) = (self.plan, &self.classes);
+        let start = shard * plan.shard_devices;
+        let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
+        let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, end - start);
+        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for device in start..end {
+            groups.entry(classes.class_of[device]).or_default().push(device - start);
+        }
+        let mut accum = PolicyAccum::default();
+        let mut metrics = Registry::new();
+        for (&class, lanes) in &groups {
+            let trajectory = &trajectories[class as usize];
+            let mut failures: Vec<FuFailed> = Vec::new();
+            {
+                // One replay stands for `lanes.len()` devices, so its
+                // registry folds in weight-scaled — the same
+                // equivalence-class fast path as
+                // `FleetAccum::observe_weighted`. Class replays emit
+                // member-count-independent events only, which is what
+                // makes the scaled fold shard-split invariant
+                // (DESIGN.md §16).
+                let mut replay = || {
+                    for (duty, count) in &trajectory.segments {
+                        for _ in 0..*count {
+                            failures.extend(batch.advance_class(lanes, duty, plan.mission_years));
+                        }
                     }
+                };
+                if collect_metrics {
+                    let ((), reg) = obs::collect(replay);
+                    metrics.add_scaled(&reg, lanes.len() as u64);
+                } else {
+                    replay();
                 }
-            };
-            if collect_metrics {
-                let ((), reg) = obs::collect(replay);
-                metrics.add_scaled(&reg, lanes.len() as u64);
-            } else {
-                replay();
+            }
+            let rep_lane = lanes[0];
+            let death_years = trajectory.died.then(|| batch.elapsed_years(rep_lane));
+            let first_failure_years = failures.first().map(|f| f.at_years);
+            accum.fleet.observe_weighted(death_years, first_failure_years, lanes.len() as u64);
+            accum.total_missions += batch.missions(rep_lane) * lanes.len() as u64;
+            for &lane in lanes {
+                let device = start + lane;
+                if device < plan.detail_devices {
+                    accum.devices.push(DeviceOutcome {
+                        device,
+                        seed: plan.device_seed(device),
+                        death_years,
+                        first_failure_years,
+                        missions: batch.missions(lane),
+                        simulated_missions: if classes.representatives[class as usize] == device {
+                            trajectory.simulated_missions
+                        } else {
+                            0
+                        },
+                        failures: failures.clone(),
+                    });
+                }
             }
         }
-        let rep_lane = lanes[0];
-        let death_years = trajectory.died.then(|| batch.elapsed_years(rep_lane));
-        let first_failure_years = failures.first().map(|f| f.at_years);
-        accum.observe_weighted(death_years, first_failure_years, lanes.len() as u64);
-        total_missions += batch.missions(rep_lane) * lanes.len() as u64;
-        for &lane in lanes {
-            let device = start + lane;
-            if device < plan.detail_devices {
-                details.push(DeviceOutcome {
-                    device,
-                    seed: plan.device_seed(device),
-                    death_years,
-                    first_failure_years,
-                    missions: batch.missions(lane),
-                    simulated_missions: if classes.representatives[class as usize] == device {
-                        trajectory.simulated_missions
-                    } else {
-                        0
-                    },
-                    failures: failures.clone(),
-                });
-            }
+        accum.devices.sort_by_key(|d| d.device);
+        (accum, metrics)
+    }
+
+    fn merge(accum: &mut PolicyAccum, partial: PolicyAccum) {
+        accum.fleet.merge(&partial.fleet);
+        accum.total_missions += partial.total_missions;
+        accum.devices.extend(partial.devices);
+    }
+
+    fn report(&self, cells: Vec<(PolicyAccum, &[ClassTrajectory])>) -> FleetReport {
+        let plan = self.plan;
+        let policies = plan
+            .policies
+            .iter()
+            .zip(cells)
+            .map(|(spec, (accum, trajectories))| PolicyFleet {
+                policy: spec.to_string(),
+                stats: accum.fleet.stats(plan.horizon_years, plan.histogram_bins),
+                survival: accum.fleet.survival(plan.horizon_years),
+                classes: self.classes.count(),
+                simulated_missions: trajectories.iter().map(|t| t.simulated_missions).sum(),
+                total_missions: accum.total_missions,
+                devices: accum.devices,
+            })
+            .collect();
+        FleetReport {
+            base_seed: plan.base_seed,
+            rows: plan.config.fabric.rows,
+            cols: plan.config.fabric.cols,
+            suite: plan.suite.name.clone(),
+            devices: plan.devices,
+            lanes: plan.effective_lanes(),
+            detail_devices: plan.detail_devices,
+            mission_years: plan.mission_years,
+            horizon_years: plan.horizon_years,
+            inject_faults: plan.inject_faults,
+            policies,
         }
     }
-    details.sort_by_key(|d| d.device);
-    ShardCell { accum, total_missions, details, metrics }
-}
-
-/// Checkpoint format version; bumped on any layout change so stale files
-/// are rejected instead of misread (DESIGN.md §12). v2 added the metrics
-/// registry (DESIGN.md §16).
-const CHECKPOINT_VERSION: u32 = 2;
-
-/// Checkpoint file magic.
-const CHECKPOINT_MAGIC: &str = "uaware-fleet-checkpoint";
-
-/// A campaign's persisted mid-run state: the phase-1 trajectories plus
-/// every completed shard's merged partials (DESIGN.md §12). Shards are
-/// deterministic functions of (plan, trajectories), so an interrupted
-/// shard simply re-runs on resume — the checkpoint only ever stores
-/// *completed* work, which is what makes resume byte-identical.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct FleetCheckpoint {
-    /// File magic: [`CHECKPOINT_MAGIC`].
-    magic: String,
-    /// Format version: [`CHECKPOINT_VERSION`].
-    version: u32,
-    /// FNV-1a hash of the plan's debug form; a resume under a different
-    /// plan (or shard split) is rejected.
-    fingerprint: u64,
-    /// Phase-1 replay scripts, policy-major (`p * classes + c`).
-    trajectories: Vec<ClassTrajectory>,
-    /// Completed shard indices, always the prefix `0..k`.
-    completed_shards: Vec<usize>,
-    /// Per-policy streaming aggregates over the completed shards.
-    accums: Vec<FleetAccum>,
-    /// Per-policy fleet-wide mission totals over the completed shards.
-    total_missions: Vec<u64>,
-    /// Per-policy detailed outcomes collected so far, in device order.
-    details: Vec<Vec<DeviceOutcome>>,
-    /// The metrics registry folded over phase 1 and the completed shards
-    /// (empty unless [`CampaignOptions::collect_metrics`] was set).
-    /// Persisting it is what keeps `results/metrics.json` byte-identical
-    /// across kill/resume points (DESIGN.md §16).
-    metrics: Registry,
-}
-
-/// FNV-1a 64-bit over `bytes` (also fingerprints serving checkpoints).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// The plan fingerprint a checkpoint is bound to. `f64` debug formatting
-/// is shortest-roundtrip, so two plans fingerprint equal iff every knob
-/// (including the shard split) is bit-identical.
-fn plan_fingerprint(plan: &FleetPlan) -> u64 {
-    fnv1a64(format!("v{CHECKPOINT_VERSION}:{plan:?}").as_bytes())
-}
-
-/// Atomically persists `checkpoint` (write-then-rename, so a kill mid-save
-/// leaves the previous checkpoint intact).
-///
-/// # Panics
-///
-/// Panics on IO failure — checkpoints exist to make kills safe; silently
-/// losing one would defeat them.
-fn save_checkpoint(path: &Path, checkpoint: &FleetCheckpoint) {
-    let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename to {}: {e}", path.display()));
-}
-
-/// Loads and validates a checkpoint, if one exists at `path`.
-///
-/// # Panics
-///
-/// Panics on unreadable/corrupt files, version mismatches, or a
-/// fingerprint that does not match `plan` — resuming someone else's
-/// campaign must fail loudly, not produce silently different numbers.
-fn load_checkpoint(path: &Path, plan: &FleetPlan) -> Option<FleetCheckpoint> {
-    if !path.exists() {
-        return None;
-    }
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read checkpoint {}: {e}", path.display()));
-    let checkpoint: FleetCheckpoint = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("corrupt checkpoint {}: {e:?}", path.display()));
-    assert_eq!(checkpoint.magic, CHECKPOINT_MAGIC, "not a fleet checkpoint: {}", path.display());
-    assert_eq!(
-        checkpoint.version,
-        CHECKPOINT_VERSION,
-        "checkpoint {} has unsupported version",
-        path.display()
-    );
-    assert_eq!(
-        checkpoint.fingerprint,
-        plan_fingerprint(plan),
-        "checkpoint {} belongs to a different plan",
-        path.display()
-    );
-    assert!(
-        checkpoint.completed_shards.iter().copied().eq(0..checkpoint.completed_shards.len()),
-        "checkpoint {} has a non-prefix shard set",
-        path.display()
-    );
-    Some(checkpoint)
-}
-
-/// Campaign-level controls of [`run_fleet_campaign`]: checkpointing and
-/// cooperative early stop (DESIGN.md §12).
-#[derive(Clone, Debug, Default)]
-pub struct CampaignOptions {
-    /// Persist progress to this path (and resume from it if it exists).
-    pub checkpoint: Option<PathBuf>,
-    /// Checkpoint after every wave of this many shards (`0` acts as `1`).
-    /// Only meaningful with a checkpoint path; also the parallel wave
-    /// width, so raise it to at least the worker count on big campaigns.
-    pub checkpoint_every_shards: usize,
-    /// Stop (with a checkpoint, if configured) once this many shards have
-    /// completed, returning [`CampaignStatus::Paused`] — the hook the
-    /// kill/resume regression tests and the CI resume leg drive.
-    pub stop_after_shards: Option<usize>,
-    /// Collect the deterministic metrics registry while the campaign runs
-    /// and fold it into [`obs::global`] on completion (DESIGN.md §16). Off
-    /// by default: per-event collection has a real cost on the phase-1
-    /// simulation hot paths, and most callers (tests, benches) do not read
-    /// the registry.
-    pub collect_metrics: bool,
 }
 
 /// What [`run_fleet_campaign`] came back with.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CampaignStatus {
-    /// The campaign ran to the horizon; here is the full report.
-    Complete(Box<FleetReport>),
-    /// The campaign stopped early at a shard boundary
-    /// ([`CampaignOptions::stop_after_shards`]); re-run with the same
-    /// checkpoint path to continue.
-    Paused {
-        /// Shards completed so far (also the resume point).
-        completed_shards: usize,
-        /// Total shards in the campaign.
-        total_shards: usize,
-    },
-}
+pub type CampaignStatus = Status<FleetReport>;
 
 /// Runs every (policy × device) cell of `plan` — [`run_fleet`] with
-/// checkpoint/resume and early-stop control. Sharded across `jobs` workers
-/// (`0` = all cores, `1` = sequential); the report is **byte-identical for
-/// every worker count, every shard split, and every kill/resume point**:
-/// trajectories are deterministic per class, shard replay is a pure
-/// function of (plan, trajectories), and the per-policy aggregates merge
-/// through [`FleetAccum`]'s canonical monoid in shard order.
+/// checkpoint/resume and early-stop control on the shared [`campaign`]
+/// engine. Sharded across `jobs` workers (`0` = all cores, `1` =
+/// sequential); the report is **byte-identical for every worker count,
+/// every shard split, and every kill/resume point**: trajectories are
+/// deterministic per class, shard replay is a pure function of (plan,
+/// trajectories), and the per-policy aggregates merge through
+/// [`FleetAccum`]'s canonical monoid in shard order.
 ///
 /// # Errors
 ///
@@ -771,179 +727,7 @@ pub fn run_fleet_campaign(
             return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
         }
     }
-    let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
-    let classes = ClassMap::build(plan);
-    let total_shards = plan.devices.div_ceil(plan.shard_devices);
-
-    // Phase 1 (or resume): one reference simulation per (policy × class).
-    let resumed = options.checkpoint.as_deref().and_then(|path| load_checkpoint(path, plan));
-    let (trajectories, mut completed, mut accums, mut total_missions, mut details, mut metrics) =
-        match resumed {
-            Some(ck) => (
-                ck.trajectories,
-                ck.completed_shards.len(),
-                ck.accums,
-                ck.total_missions,
-                ck.details,
-                ck.metrics,
-            ),
-            None => {
-                let _phase = span!(Level::INFO, "fleet.trajectories").entered();
-                // Each lane's workload mix is built once and shared across
-                // policies, so every policy faces the identical population.
-                let lanes = plan.effective_lanes();
-                let lane_workloads: Vec<Vec<Workload>> = pool
-                    .par_map((0..lanes).collect(), |_, lane| {
-                        plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64))
-                    });
-                let cells: Vec<(usize, usize)> = (0..plan.policies.len())
-                    .flat_map(|p| (0..classes.count()).map(move |c| (p, c)))
-                    .collect();
-                let collect_metrics = options.collect_metrics;
-                let outcomes: Vec<(Result<ClassTrajectory, SystemError>, Registry)> =
-                    pool.par_map(cells, |_, (p, c)| {
-                        let (lane, defects) = &classes.keys[c];
-                        let work = || {
-                            simulate_trajectory(
-                                plan,
-                                &plan.policies[p],
-                                &lane_workloads[*lane],
-                                defects,
-                            )
-                        };
-                        if collect_metrics {
-                            obs::collect(work)
-                        } else {
-                            (work(), Registry::new())
-                        }
-                    });
-                let mut trajectories = Vec::with_capacity(outcomes.len());
-                let mut metrics = Registry::new();
-                for (outcome, registry) in outcomes {
-                    trajectories.push(outcome?);
-                    metrics.merge(&registry);
-                }
-                let fresh = (
-                    trajectories,
-                    0,
-                    vec![FleetAccum::new(); plan.policies.len()],
-                    vec![0u64; plan.policies.len()],
-                    vec![Vec::new(); plan.policies.len()],
-                    metrics,
-                );
-                if let Some(path) = options.checkpoint.as_deref() {
-                    let _save = span!(Level::INFO, "fleet.checkpoint").entered();
-                    save_checkpoint(
-                        path,
-                        &FleetCheckpoint {
-                            magic: CHECKPOINT_MAGIC.to_string(),
-                            version: CHECKPOINT_VERSION,
-                            fingerprint: plan_fingerprint(plan),
-                            trajectories: fresh.0.clone(),
-                            completed_shards: Vec::new(),
-                            accums: fresh.2.clone(),
-                            total_missions: fresh.3.clone(),
-                            details: fresh.4.clone(),
-                            metrics: fresh.5.clone(),
-                        },
-                    );
-                }
-                fresh
-            }
-        };
-
-    // Phase 2: stream device shards through the columnar replay, merging
-    // each wave's partials in (shard, policy) order.
-    let wave_shards = if options.checkpoint.is_some() {
-        options.checkpoint_every_shards.max(1)
-    } else {
-        usize::MAX
-    };
-    while completed < total_shards {
-        if options.stop_after_shards.is_some_and(|stop| completed >= stop) {
-            return Ok(CampaignStatus::Paused { completed_shards: completed, total_shards });
-        }
-        let mut wave_end = completed.saturating_add(wave_shards).min(total_shards);
-        if let Some(stop) = options.stop_after_shards {
-            wave_end = wave_end.min(stop.max(completed + 1));
-        }
-        let _wave = span!(Level::INFO, "fleet.shards").entered();
-        let cells: Vec<(usize, usize)> = (completed..wave_end)
-            .flat_map(|s| (0..plan.policies.len()).map(move |p| (s, p)))
-            .collect();
-        let collect_metrics = options.collect_metrics;
-        let results: Vec<ShardCell> = pool.par_map(cells, |_, (s, p)| {
-            run_shard_cell(plan, &classes, &trajectories, p, s, collect_metrics)
-        });
-        for (cell, (_, p)) in results
-            .into_iter()
-            .zip((completed..wave_end).flat_map(|s| (0..plan.policies.len()).map(move |p| (s, p))))
-        {
-            accums[p].merge(&cell.accum);
-            total_missions[p] += cell.total_missions;
-            details[p].extend(cell.details);
-            metrics.merge(&cell.metrics);
-        }
-        completed = wave_end;
-        if let Some(path) = options.checkpoint.as_deref() {
-            let _save = span!(Level::INFO, "fleet.checkpoint").entered();
-            save_checkpoint(
-                path,
-                &FleetCheckpoint {
-                    magic: CHECKPOINT_MAGIC.to_string(),
-                    version: CHECKPOINT_VERSION,
-                    fingerprint: plan_fingerprint(plan),
-                    trajectories: trajectories.clone(),
-                    completed_shards: (0..completed).collect(),
-                    accums: accums.clone(),
-                    total_missions: total_missions.clone(),
-                    details: details.clone(),
-                    metrics: metrics.clone(),
-                },
-            );
-        }
-    }
-
-    let policies = plan
-        .policies
-        .iter()
-        .enumerate()
-        .map(|(p, spec)| {
-            let count = classes.count();
-            let simulated_missions =
-                trajectories[p * count..(p + 1) * count].iter().map(|t| t.simulated_missions).sum();
-            PolicyFleet {
-                policy: spec.to_string(),
-                stats: accums[p].stats(plan.horizon_years, plan.histogram_bins),
-                survival: accums[p].survival(plan.horizon_years),
-                classes: count,
-                simulated_missions,
-                total_missions: total_missions[p],
-                devices: details[p].clone(),
-            }
-        })
-        .collect();
-
-    // The registry reaches the global accumulator only on completion:
-    // a paused campaign must emit no metrics at all, so a stop/resume
-    // pair folds exactly once — like the report itself (DESIGN.md §16).
-    if options.collect_metrics {
-        obs::global::fold(&metrics);
-    }
-
-    Ok(CampaignStatus::Complete(Box::new(FleetReport {
-        base_seed: plan.base_seed,
-        rows: plan.config.fabric.rows,
-        cols: plan.config.fabric.cols,
-        suite: plan.suite.name.clone(),
-        devices: plan.devices,
-        lanes: plan.effective_lanes(),
-        detail_devices: plan.detail_devices,
-        mission_years: plan.mission_years,
-        horizon_years: plan.horizon_years,
-        inject_faults: plan.inject_faults,
-        policies,
-    })))
+    campaign::run(&FleetCampaign { plan, classes: ClassMap::build(plan) }, jobs, options)
 }
 
 /// Runs every (policy × device) cell of `plan`, sharded across `jobs`
@@ -962,8 +746,8 @@ pub fn run_fleet_campaign(
 /// See [`run_fleet_campaign`].
 pub fn run_fleet(plan: &FleetPlan, jobs: usize) -> Result<FleetReport, SystemError> {
     match run_fleet_campaign(plan, jobs, &CampaignOptions::default())? {
-        CampaignStatus::Complete(report) => Ok(*report),
-        CampaignStatus::Paused { .. } => unreachable!("no stop was requested"),
+        Status::Complete(report) => Ok(*report),
+        Status::Paused { .. } => unreachable!("no stop was requested"),
     }
 }
 
@@ -1079,9 +863,10 @@ mod tests {
     #[test]
     fn fingerprint_tracks_every_plan_knob() {
         let plan = mini_plan();
-        assert_eq!(plan_fingerprint(&plan), plan_fingerprint(&plan.clone()));
-        assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&plan.clone().devices(3)));
-        assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&plan.clone().shard_devices(1)));
-        assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&plan.clone().defect(0, 0, 0)));
+        let fingerprint = |plan: &FleetPlan| campaign::fingerprint(plan);
+        assert_eq!(fingerprint(&plan), fingerprint(&plan.clone()));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().devices(3)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().shard_devices(1)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().defect(0, 0, 0)));
     }
 }

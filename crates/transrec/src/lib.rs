@@ -27,6 +27,9 @@
 //!   diurnal / heavy-tailed), per-device request queues with
 //!   utilization-aware backpressure, and replacement economics
 //!   (DESIGN.md §13).
+//! * [`campaign`] — the one two-phase campaign engine both drive:
+//!   trajectories, sharded waves, kill-safe checkpoints
+//!   ([`campaign::CampaignOptions`], [`campaign::Status`]) (DESIGN.md §12).
 //! * [`scenario`] — the paper's BE/BP/BU design points.
 //!
 //! # Examples
@@ -57,6 +60,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod dse;
 pub mod energy;
 pub mod fleet;
@@ -84,6 +88,6 @@ pub use system::{
 pub use telemetry::{Observer, ProbeReport, ProbeSpec, SimEvent};
 pub use traffic::{
     probe_service_day, run_serving, run_serving_campaign, BackpressureSpec, DayServeReport,
-    LatencyHistogram, ReplacementPolicy, ReplacementSpec, ServeCell, ServePlan, ServeReport,
-    ServeStatus, TrafficSpec,
+    ReplacementPolicy, ReplacementSpec, ServeCell, ServePlan, ServeReport, ServeStatus,
+    TrafficSpec,
 };

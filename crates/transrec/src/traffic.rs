@@ -15,7 +15,7 @@
 //! with retirement, replacement and cost accounting rather than a fixed
 //! cohort.
 //!
-//! The engine keeps the fleet-scale guarantees of
+//! The engine runs on the same [`campaign`] driver as
 //! [`run_fleet_campaign`](crate::fleet::run_fleet_campaign): phase 1
 //! simulates one serving trajectory per (traffic × policy × lane)
 //! equivalence class, phase 2 streams device shards through a weighted
@@ -45,24 +45,22 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
-use std::path::Path;
+use std::fmt::{self, Debug};
 use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats};
 use mibench::Workload;
 use nbti::CalibratedAging;
-use obs::Registry;
+use obs::{LogHistogram, Registry};
 use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use threadpool::ThreadPool;
-use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::fleet::{fnv1a64, CampaignOptions, DEFAULT_SHARD_DEVICES};
+use crate::campaign::{self, Campaign, CampaignOptions, Kind, Status};
+use crate::fleet::DEFAULT_SHARD_DEVICES;
 use crate::sweep::SuiteSpec;
 use crate::system::{run_gpp_only, BuildError, System, SystemConfig, SystemError};
 use crate::telemetry::{EventCtx, Observer, ProbeReport, ProbeSpec, SimEvent};
@@ -328,93 +326,6 @@ pub fn day_traffic(
         }
     }
     arrivals
-}
-
-/// A mergeable latency histogram with logarithmic buckets: exact below 8
-/// cycles, then 8 sub-buckets per power of two (≤ 12.5% relative error).
-/// Counts are integers keyed by bucket index, so merging and scaling are
-/// exact — partial histograms aggregate byte-identically regardless of
-/// the shard split (DESIGN.md §13).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// Sorted `(bucket, count)` pairs; buckets with zero count are absent.
-    buckets: Vec<(u32, u64)>,
-    /// Total recorded observations (the sum of all counts).
-    total: u64,
-}
-
-/// The bucket index of a latency observation — [`obs::log_bucket`], the
-/// workspace's one logarithmic bucketing scheme (DESIGN.md §16).
-fn bucket_of(cycles: u64) -> u32 {
-    obs::log_bucket(cycles)
-}
-
-/// The smallest latency that falls in `bucket` — the value percentiles
-/// report (a conservative lower bound).
-fn bucket_floor(bucket: u32) -> u64 {
-    obs::log_bucket_floor(bucket)
-}
-
-impl LatencyHistogram {
-    /// An empty histogram (the merge identity).
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records one end-to-end latency observation (cycles from arrival to
-    /// service completion).
-    pub fn record(&mut self, cycles: u64) {
-        self.add(bucket_of(cycles), 1);
-    }
-
-    /// Adds `count` observations to `bucket`.
-    fn add(&mut self, bucket: u32, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let at = self.buckets.partition_point(|&(b, _)| b < bucket);
-        match self.buckets.get_mut(at) {
-            Some(entry) if entry.0 == bucket => entry.1 += count,
-            _ => self.buckets.insert(at, (bucket, count)),
-        }
-        self.total += count;
-    }
-
-    /// Absorbs `other` scaled by `weight` — the equivalence-class fast
-    /// path: one class histogram stands for `weight` identical devices.
-    pub fn add_scaled(&mut self, other: &LatencyHistogram, weight: u64) {
-        for &(bucket, count) in &other.buckets {
-            self.add(bucket, count * weight);
-        }
-    }
-
-    /// Absorbs `other`: the monoid operation (associative, commutative,
-    /// [`LatencyHistogram::new`] as identity).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.add_scaled(other, 1);
-    }
-
-    /// The latency (in cycles, as the containing bucket's lower bound) at
-    /// quantile `q ∈ [0, 1]`; `0` for an empty histogram.
-    pub fn percentile_cycles(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for &(bucket, count) in &self.buckets {
-            seen += count;
-            if seen >= rank {
-                return bucket_floor(bucket);
-            }
-        }
-        bucket_floor(self.buckets.last().expect("total > 0 implies buckets").0)
-    }
 }
 
 /// Utilization-aware backpressure knobs (DESIGN.md §13). The queue sheds
@@ -796,7 +707,7 @@ struct DayOutcome {
     served_cgra: u64,
     served_gpp: u64,
     shed: u64,
-    latency: LatencyHistogram,
+    latency: LogHistogram,
     /// The day's per-FU stress duty: busy cycles over day cycles.
     duty: UtilizationGrid,
     /// A request hit a workload with no placement: the device died.
@@ -862,7 +773,7 @@ fn run_service_day(
     let mut served_cgra = 0u64;
     let mut served_gpp = 0u64;
     let mut shed = 0u64;
-    let mut latency = LatencyHistogram::new();
+    let mut latency = LogHistogram::new();
     let mut died = false;
     let mut fatal_fraction = 1.0;
     let watched = !observers.is_empty();
@@ -987,12 +898,12 @@ struct Generation {
 /// One (traffic × policy × lane) equivalence class's full serving
 /// history: every class member reproduces it exactly, so phase 2 only
 /// weights it by the member count (DESIGN.md §13).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct ServeTrajectory {
     /// Device generations in deployment order (the last is censored).
     generations: Vec<Generation>,
     /// End-to-end latency of every served request.
-    latency: LatencyHistogram,
+    latency: LogHistogram,
     /// Requests served on the fabric.
     served_cgra: u64,
     /// Requests deferred to the GPP by backpressure.
@@ -1062,17 +973,7 @@ fn simulate_serving(
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, true);
     let mut pre_age = 0.0f64;
     let mut generation_start = 0u64;
-    let mut out = ServeTrajectory {
-        generations: Vec::new(),
-        latency: LatencyHistogram::new(),
-        served_cgra: 0,
-        served_gpp: 0,
-        shed: 0,
-        total_requests: 0,
-        replacements: 0,
-        simulated_days: 0,
-        simulated_services: 0,
-    };
+    let mut out = ServeTrajectory::default();
     for day in 0..plan.horizon_days {
         let pattern_day = day % plan.pattern_days;
         let arrivals = pattern[pattern_day as usize].get_or_insert_with(|| {
@@ -1124,10 +1025,10 @@ fn simulate_serving(
 
 /// One (traffic × policy) cell's streaming aggregate: a merge monoid, so
 /// shard partials fold exactly regardless of the split (DESIGN.md §13).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct ServeAccum {
     fleet: FleetAccum,
-    latency: LatencyHistogram,
+    latency: LogHistogram,
     served_cgra: u64,
     served_gpp: u64,
     shed: u64,
@@ -1136,18 +1037,6 @@ struct ServeAccum {
 }
 
 impl ServeAccum {
-    fn new() -> ServeAccum {
-        ServeAccum {
-            fleet: FleetAccum::new(),
-            latency: LatencyHistogram::new(),
-            served_cgra: 0,
-            served_gpp: 0,
-            shed: 0,
-            total_requests: 0,
-            replacements: 0,
-        }
-    }
-
     /// Folds `count` devices sharing `trajectory` into the aggregate.
     /// Every device generation enters the fleet accumulator as one
     /// observation, censored at the campaign horizon.
@@ -1162,133 +1051,6 @@ impl ServeAccum {
         self.total_requests += trajectory.total_requests * count;
         self.replacements += trajectory.replacements * count;
     }
-
-    /// Absorbs `other`: the monoid operation.
-    fn merge(&mut self, other: &ServeAccum) {
-        self.fleet.merge(&other.fleet);
-        self.latency.merge(&other.latency);
-        self.served_cgra += other.served_cgra;
-        self.served_gpp += other.served_gpp;
-        self.shed += other.shed;
-        self.total_requests += other.total_requests;
-        self.replacements += other.replacements;
-    }
-}
-
-/// Weights one shard of devices into one (traffic × policy) cell's
-/// partial aggregate. Class members are byte-identical, so the "replay"
-/// is a weighted fold of the class trajectory (DESIGN.md §13).
-fn run_serve_shard(
-    plan: &ServePlan,
-    trajectories: &[ServeTrajectory],
-    cell: usize,
-    shard: usize,
-) -> ServeAccum {
-    let lanes = plan.effective_lanes().max(1);
-    let start = shard * plan.shard_devices;
-    let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
-    let mut members = vec![0u64; lanes];
-    for device in start..end {
-        members[device % lanes] += 1;
-    }
-    let mut accum = ServeAccum::new();
-    for (lane, &count) in members.iter().enumerate() {
-        if count > 0 {
-            accum.observe_class(&trajectories[cell * lanes + lane], count);
-        }
-    }
-    accum
-}
-
-/// Serving checkpoint format version. v2 added the metrics registry
-/// (DESIGN.md §16).
-const SERVE_CHECKPOINT_VERSION: u32 = 2;
-
-/// Serving checkpoint file magic.
-const SERVE_CHECKPOINT_MAGIC: &str = "uaware-serve-checkpoint";
-
-/// A serving campaign's persisted mid-run state, mirroring the fleet
-/// checkpoint (DESIGN.md §12, §13): phase-1 trajectories plus the merged
-/// partials of every *completed* shard — interrupted shards re-run on
-/// resume, which is what keeps resume byte-identical.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct ServeCheckpoint {
-    /// File magic: [`SERVE_CHECKPOINT_MAGIC`].
-    magic: String,
-    /// Format version: [`SERVE_CHECKPOINT_VERSION`].
-    version: u32,
-    /// FNV-1a hash of the plan's debug form; a resume under a different
-    /// plan (or shard split) is rejected.
-    fingerprint: u64,
-    /// Phase-1 trajectories, cell-major
-    /// (`(traffic * policies + policy) * lanes + lane`).
-    trajectories: Vec<ServeTrajectory>,
-    /// Completed shard indices, always the prefix `0..k`.
-    completed_shards: Vec<usize>,
-    /// Per-cell streaming aggregates over the completed shards.
-    accums: Vec<ServeAccum>,
-    /// The metrics registry folded over the phase-1 trajectories (empty
-    /// unless [`CampaignOptions::collect_metrics`] was set). The phase-2
-    /// shard fold is pure arithmetic and emits nothing, so this is the
-    /// campaign's whole registry (DESIGN.md §16).
-    metrics: Registry,
-}
-
-/// The plan fingerprint a serving checkpoint is bound to.
-fn serve_fingerprint(plan: &ServePlan) -> u64 {
-    fnv1a64(format!("v{SERVE_CHECKPOINT_VERSION}:{plan:?}").as_bytes())
-}
-
-/// Atomically persists `checkpoint` (write-then-rename).
-///
-/// # Panics
-///
-/// Panics on IO failure — losing a checkpoint silently would defeat it.
-fn save_serve_checkpoint(path: &Path, checkpoint: &ServeCheckpoint) {
-    let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename to {}: {e}", path.display()));
-}
-
-/// Loads and validates a serving checkpoint, if one exists at `path`.
-///
-/// # Panics
-///
-/// Panics on unreadable/corrupt files, version mismatches, a fingerprint
-/// of a different plan, or a non-prefix shard set.
-fn load_serve_checkpoint(path: &Path, plan: &ServePlan) -> Option<ServeCheckpoint> {
-    if !path.exists() {
-        return None;
-    }
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read checkpoint {}: {e}", path.display()));
-    let checkpoint: ServeCheckpoint = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("corrupt checkpoint {}: {e:?}", path.display()));
-    assert_eq!(
-        checkpoint.magic,
-        SERVE_CHECKPOINT_MAGIC,
-        "not a serving checkpoint: {}",
-        path.display()
-    );
-    assert_eq!(
-        checkpoint.version,
-        SERVE_CHECKPOINT_VERSION,
-        "checkpoint {} has unsupported version",
-        path.display()
-    );
-    assert_eq!(
-        checkpoint.fingerprint,
-        serve_fingerprint(plan),
-        "checkpoint {} belongs to a different plan",
-        path.display()
-    );
-    assert!(
-        checkpoint.completed_shards.iter().copied().eq(0..checkpoint.completed_shards.len()),
-        "checkpoint {} has a non-prefix shard set",
-        path.display()
-    );
-    Some(checkpoint)
 }
 
 /// One (traffic × policy) cell of a serving report.
@@ -1364,24 +1126,156 @@ impl ServeReport {
 }
 
 /// What [`run_serving_campaign`] came back with.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ServeStatus {
-    /// The campaign ran to the horizon; here is the full report.
-    Complete(Box<ServeReport>),
-    /// The campaign stopped early at a shard boundary
-    /// ([`CampaignOptions::stop_after_shards`]); re-run with the same
-    /// checkpoint path to continue.
-    Paused {
-        /// Shards completed so far (also the resume point).
-        completed_shards: usize,
-        /// Total shards in the campaign.
-        total_shards: usize,
-    },
+pub type ServeStatus = Status<ServeReport>;
+
+/// The serving engine's plug-in to the shared [`campaign`] driver.
+struct ServeCampaign<'a> {
+    plan: &'a ServePlan,
+    /// The plan's lanes, at least one (an empty fleet still simulates).
+    lanes: usize,
+}
+
+impl Campaign for ServeCampaign<'_> {
+    /// One per (traffic × policy × lane): the lanes are the classes.
+    type Trajectory = ServeTrajectory;
+    /// One cell per (traffic × policy).
+    type Accum = ServeAccum;
+    type Report = ServeReport;
+
+    const KIND: Kind = Kind {
+        magic: "uaware-serve-checkpoint",
+        noun: "serving",
+        trajectories_span: "serve.trajectories",
+        shards_span: "serve.shards",
+        checkpoint_span: "serve.checkpoint",
+    };
+
+    fn plan(&self) -> &dyn Debug {
+        self.plan
+    }
+
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn workloads(&self, lane: usize) -> Vec<Workload> {
+        self.plan.suite.workloads(derive_cell_seed(self.plan.base_seed, lane as u64))
+    }
+
+    fn cell_count(&self) -> usize {
+        self.plan.traffic.len() * self.plan.policies.len()
+    }
+
+    fn classes(&self) -> usize {
+        self.lanes
+    }
+
+    fn simulate(
+        &self,
+        cell: usize,
+        lane: usize,
+        workloads: &[Vec<Workload>],
+    ) -> Result<ServeTrajectory, SystemError> {
+        let policies = self.plan.policies.len();
+        let (traffic, policy) = (cell / policies, cell % policies);
+        simulate_serving(
+            self.plan,
+            &self.plan.policies[policy],
+            &self.plan.traffic[traffic],
+            &workloads[lane],
+            lane,
+        )
+    }
+
+    fn shard_count(&self) -> usize {
+        self.plan.devices.div_ceil(self.plan.shard_devices)
+    }
+
+    /// Weights one shard of devices into one cell's partial aggregate.
+    /// Class members are byte-identical, so the "replay" is a weighted
+    /// fold of the class trajectory (DESIGN.md §13). Pure arithmetic: it
+    /// emits no metrics.
+    fn run_shard(
+        &self,
+        trajectories: &[ServeTrajectory],
+        shard: usize,
+        _collect_metrics: bool,
+    ) -> (ServeAccum, Registry) {
+        let plan = self.plan;
+        let start = shard * plan.shard_devices;
+        let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
+        let mut members = vec![0u64; self.lanes];
+        for device in start..end {
+            members[device % self.lanes] += 1;
+        }
+        let mut accum = ServeAccum::default();
+        for (lane, &count) in members.iter().enumerate() {
+            if count > 0 {
+                accum.observe_class(&trajectories[lane], count);
+            }
+        }
+        (accum, Registry::new())
+    }
+
+    fn merge(accum: &mut ServeAccum, partial: ServeAccum) {
+        accum.fleet.merge(&partial.fleet);
+        accum.latency.merge(&partial.latency);
+        accum.served_cgra += partial.served_cgra;
+        accum.served_gpp += partial.served_gpp;
+        accum.shed += partial.shed;
+        accum.total_requests += partial.total_requests;
+        accum.replacements += partial.replacements;
+    }
+
+    fn report(&self, cells: Vec<(ServeAccum, &[ServeTrajectory])>) -> ServeReport {
+        let plan = self.plan;
+        let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / plan.clock_hz as f64;
+        let axes = plan.traffic.iter().flat_map(|t| plan.policies.iter().map(move |p| (t, p)));
+        let cells = axes
+            .zip(cells)
+            .map(|((traffic, policy), (accum, lanes))| ServeCell {
+                traffic: traffic.to_string(),
+                policy: policy.to_string(),
+                stats: accum.fleet.stats(plan.horizon_years(), plan.histogram_bins),
+                p50_ms: to_ms(accum.latency.percentile(0.50)),
+                p95_ms: to_ms(accum.latency.percentile(0.95)),
+                p99_ms: to_ms(accum.latency.percentile(0.99)),
+                served_cgra: accum.served_cgra,
+                served_gpp: accum.served_gpp,
+                shed: accum.shed,
+                total_requests: accum.total_requests,
+                shed_rate: if accum.total_requests == 0 {
+                    0.0
+                } else {
+                    accum.shed as f64 / accum.total_requests as f64
+                },
+                replacements: accum.replacements,
+                replacement_cost_cents: accum.replacements * plan.replacement.unit_cost_cents,
+                simulated_days: lanes.iter().map(|t| t.simulated_days).sum(),
+                simulated_services: lanes.iter().map(|t| t.simulated_services).sum(),
+            })
+            .collect();
+        ServeReport {
+            base_seed: plan.base_seed,
+            rows: plan.config.fabric.rows,
+            cols: plan.config.fabric.cols,
+            suite: plan.suite.name.clone(),
+            devices: plan.devices,
+            lanes: self.lanes,
+            horizon_days: plan.horizon_days,
+            pattern_days: plan.pattern_days,
+            clock_hz: plan.clock_hz,
+            years_per_day: plan.years_per_day,
+            horizon_years: plan.horizon_years(),
+            cells,
+        }
+    }
 }
 
 /// Runs every (traffic × policy × device) cell of `plan` with
-/// checkpoint/resume and early-stop control, sharded across `jobs`
-/// workers (`0` = all cores, `1` = sequential). Like
+/// checkpoint/resume and early-stop control on the shared [`campaign`]
+/// engine, sharded across `jobs` workers (`0` = all cores, `1` =
+/// sequential). Like
 /// [`run_fleet_campaign`](crate::fleet::run_fleet_campaign), the report
 /// is **byte-identical for every worker count, every shard split, and
 /// every kill/resume point**: trajectories are deterministic per class,
@@ -1433,164 +1327,7 @@ pub fn run_serving_campaign(
             return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
         }
     }
-    let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
-    let lanes = plan.effective_lanes().max(1);
-    let cell_count = plan.traffic.len() * plan.policies.len();
-    let total_shards = plan.devices.div_ceil(plan.shard_devices);
-
-    // Phase 1 (or resume): one reference serving simulation per
-    // (traffic × policy × lane) class.
-    let resumed = options.checkpoint.as_deref().and_then(|path| load_serve_checkpoint(path, plan));
-    let (trajectories, mut completed, mut accums, metrics) = match resumed {
-        Some(ck) => (ck.trajectories, ck.completed_shards.len(), ck.accums, ck.metrics),
-        None => {
-            let _phase = span!(Level::INFO, "serve.trajectories").entered();
-            let lane_workloads: Vec<Vec<Workload>> = pool
-                .par_map((0..lanes).collect(), |_, lane| {
-                    plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64))
-                });
-            let cells: Vec<(usize, usize, usize)> = (0..plan.traffic.len())
-                .flat_map(|t| {
-                    (0..plan.policies.len()).flat_map(move |p| (0..lanes).map(move |l| (t, p, l)))
-                })
-                .collect();
-            let collect_metrics = options.collect_metrics;
-            let outcomes: Vec<(Result<ServeTrajectory, SystemError>, Registry)> =
-                pool.par_map(cells, |_, (t, p, l)| {
-                    let work = || {
-                        simulate_serving(
-                            plan,
-                            &plan.policies[p],
-                            &plan.traffic[t],
-                            &lane_workloads[l],
-                            l,
-                        )
-                    };
-                    if collect_metrics {
-                        obs::collect(work)
-                    } else {
-                        (work(), Registry::new())
-                    }
-                });
-            let mut trajectories = Vec::with_capacity(outcomes.len());
-            let mut metrics = Registry::new();
-            for (outcome, registry) in outcomes {
-                trajectories.push(outcome?);
-                metrics.merge(&registry);
-            }
-            let fresh = (trajectories, 0, vec![ServeAccum::new(); cell_count], metrics);
-            if let Some(path) = options.checkpoint.as_deref() {
-                let _save = span!(Level::INFO, "serve.checkpoint").entered();
-                save_serve_checkpoint(
-                    path,
-                    &ServeCheckpoint {
-                        magic: SERVE_CHECKPOINT_MAGIC.to_string(),
-                        version: SERVE_CHECKPOINT_VERSION,
-                        fingerprint: serve_fingerprint(plan),
-                        trajectories: fresh.0.clone(),
-                        completed_shards: Vec::new(),
-                        accums: fresh.2.clone(),
-                        metrics: fresh.3.clone(),
-                    },
-                );
-            }
-            fresh
-        }
-    };
-
-    // Phase 2: stream device shards through the weighted class fold,
-    // merging each wave's partials in (shard, cell) order.
-    let wave_shards = if options.checkpoint.is_some() {
-        options.checkpoint_every_shards.max(1)
-    } else {
-        usize::MAX
-    };
-    while completed < total_shards {
-        if options.stop_after_shards.is_some_and(|stop| completed >= stop) {
-            return Ok(ServeStatus::Paused { completed_shards: completed, total_shards });
-        }
-        let mut wave_end = completed.saturating_add(wave_shards).min(total_shards);
-        if let Some(stop) = options.stop_after_shards {
-            wave_end = wave_end.min(stop.max(completed + 1));
-        }
-        let _wave = span!(Level::INFO, "serve.shards").entered();
-        let cells: Vec<(usize, usize)> =
-            (completed..wave_end).flat_map(|s| (0..cell_count).map(move |c| (s, c))).collect();
-        let results: Vec<ServeAccum> =
-            pool.par_map(cells.clone(), |_, (s, c)| run_serve_shard(plan, &trajectories, c, s));
-        for (partial, (_, c)) in results.into_iter().zip(cells) {
-            accums[c].merge(&partial);
-        }
-        completed = wave_end;
-        if let Some(path) = options.checkpoint.as_deref() {
-            let _save = span!(Level::INFO, "serve.checkpoint").entered();
-            save_serve_checkpoint(
-                path,
-                &ServeCheckpoint {
-                    magic: SERVE_CHECKPOINT_MAGIC.to_string(),
-                    version: SERVE_CHECKPOINT_VERSION,
-                    fingerprint: serve_fingerprint(plan),
-                    trajectories: trajectories.clone(),
-                    completed_shards: (0..completed).collect(),
-                    accums: accums.clone(),
-                    metrics: metrics.clone(),
-                },
-            );
-        }
-    }
-
-    let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / plan.clock_hz as f64;
-    let mut cells = Vec::with_capacity(cell_count);
-    for (t, traffic) in plan.traffic.iter().enumerate() {
-        for (p, policy) in plan.policies.iter().enumerate() {
-            let cell = t * plan.policies.len() + p;
-            let accum = &accums[cell];
-            let lane_slice = &trajectories[cell * lanes..(cell + 1) * lanes];
-            cells.push(ServeCell {
-                traffic: traffic.to_string(),
-                policy: policy.to_string(),
-                stats: accum.fleet.stats(plan.horizon_years(), plan.histogram_bins),
-                p50_ms: to_ms(accum.latency.percentile_cycles(0.50)),
-                p95_ms: to_ms(accum.latency.percentile_cycles(0.95)),
-                p99_ms: to_ms(accum.latency.percentile_cycles(0.99)),
-                served_cgra: accum.served_cgra,
-                served_gpp: accum.served_gpp,
-                shed: accum.shed,
-                total_requests: accum.total_requests,
-                shed_rate: if accum.total_requests == 0 {
-                    0.0
-                } else {
-                    accum.shed as f64 / accum.total_requests as f64
-                },
-                replacements: accum.replacements,
-                replacement_cost_cents: accum.replacements * plan.replacement.unit_cost_cents,
-                simulated_days: lane_slice.iter().map(|t| t.simulated_days).sum(),
-                simulated_services: lane_slice.iter().map(|t| t.simulated_services).sum(),
-            });
-        }
-    }
-
-    // Like the fleet campaign, metrics reach the global accumulator only
-    // on completion, so a stop/resume pair folds exactly once
-    // (DESIGN.md §16).
-    if options.collect_metrics {
-        obs::global::fold(&metrics);
-    }
-
-    Ok(ServeStatus::Complete(Box::new(ServeReport {
-        base_seed: plan.base_seed,
-        rows: plan.config.fabric.rows,
-        cols: plan.config.fabric.cols,
-        suite: plan.suite.name.clone(),
-        devices: plan.devices,
-        lanes,
-        horizon_days: plan.horizon_days,
-        pattern_days: plan.pattern_days,
-        clock_hz: plan.clock_hz,
-        years_per_day: plan.years_per_day,
-        horizon_years: plan.horizon_years(),
-        cells,
-    })))
+    campaign::run(&ServeCampaign { plan, lanes: plan.effective_lanes().max(1) }, jobs, options)
 }
 
 /// Runs every (traffic × policy × device) cell of `plan`, sharded across
@@ -1607,8 +1344,8 @@ pub fn run_serving_campaign(
 /// See [`run_serving_campaign`].
 pub fn run_serving(plan: &ServePlan, jobs: usize) -> Result<ServeReport, SystemError> {
     match run_serving_campaign(plan, jobs, &CampaignOptions::default())? {
-        ServeStatus::Complete(report) => Ok(*report),
-        ServeStatus::Paused { .. } => unreachable!("no stop was requested"),
+        Status::Complete(report) => Ok(*report),
+        Status::Paused { .. } => unreachable!("no stop was requested"),
     }
 }
 
@@ -1683,9 +1420,9 @@ pub fn probe_service_day(
         served_cgra: outcome.served_cgra,
         served_gpp: outcome.served_gpp,
         shed: outcome.shed,
-        p50_ms: to_ms(outcome.latency.percentile_cycles(0.50)),
-        p95_ms: to_ms(outcome.latency.percentile_cycles(0.95)),
-        p99_ms: to_ms(outcome.latency.percentile_cycles(0.99)),
+        p50_ms: to_ms(outcome.latency.percentile(0.50)),
+        p95_ms: to_ms(outcome.latency.percentile(0.95)),
+        p99_ms: to_ms(outcome.latency.percentile(0.99)),
     };
     Ok((report, observers.iter().filter_map(|o| o.report()).collect()))
 }
@@ -1776,41 +1513,42 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_exact_then_logarithmic() {
+        use obs::{log_bucket, log_bucket_floor};
         for v in 0..8u64 {
-            assert_eq!(bucket_floor(bucket_of(v)), v, "small values are exact");
+            assert_eq!(log_bucket_floor(log_bucket(v)), v, "small values are exact");
         }
         for v in [8u64, 100, 1_000, 65_535, 1 << 40] {
-            let floor = bucket_floor(bucket_of(v));
+            let floor = log_bucket_floor(log_bucket(v));
             assert!(floor <= v, "floor {floor} must not exceed {v}");
             assert!(v - floor <= v / 8, "bucket of {v} is wider than 12.5% ({floor})");
         }
-        let mut h = LatencyHistogram::new();
+        let mut h = LogHistogram::new();
         for v in [1u64, 2, 3, 4, 100, 200, 100_000] {
             h.record(v);
         }
         assert_eq!(h.total(), 7);
-        assert_eq!(h.percentile_cycles(0.0), 1);
-        assert_eq!(h.percentile_cycles(0.5), 4);
-        assert_eq!(h.percentile_cycles(1.0), bucket_floor(bucket_of(100_000)));
-        assert_eq!(LatencyHistogram::new().percentile_cycles(0.99), 0);
+        assert_eq!(h.percentile(0.0), 1);
+        assert_eq!(h.percentile(0.5), 4);
+        assert_eq!(h.percentile(1.0), log_bucket_floor(log_bucket(100_000)));
+        assert_eq!(LogHistogram::new().percentile(0.99), 0);
     }
 
     #[test]
     fn histogram_merge_equals_scaled_add() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
         for v in [5u64, 50, 500] {
             a.record(v);
             b.record(v * 3);
         }
         let mut merged = a.clone();
         merged.merge(&b);
-        let mut tripled = LatencyHistogram::new();
+        let mut tripled = LogHistogram::new();
         tripled.add_scaled(&merged, 3);
         assert_eq!(tripled.total(), 3 * merged.total());
         assert_eq!(
-            tripled.percentile_cycles(0.5),
-            merged.percentile_cycles(0.5),
+            tripled.percentile(0.5),
+            merged.percentile(0.5),
             "scaling preserves quantiles"
         );
     }
@@ -1894,12 +1632,10 @@ mod tests {
     #[test]
     fn serve_fingerprint_tracks_every_plan_knob() {
         let plan = mini_plan();
-        assert_eq!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone()));
-        assert_ne!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone().devices(4)));
-        assert_ne!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone().clock_hz(999)));
-        assert_ne!(
-            serve_fingerprint(&plan),
-            serve_fingerprint(&plan.clone().traffic(TrafficSpec::heavy()))
-        );
+        let fingerprint = |plan: &ServePlan| campaign::fingerprint(plan);
+        assert_eq!(fingerprint(&plan), fingerprint(&plan.clone()));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().devices(4)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().clock_hz(999)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().traffic(TrafficSpec::heavy())));
     }
 }
