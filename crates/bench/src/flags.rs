@@ -5,8 +5,8 @@
 //! (`--jobs`, `--devices`, …) and a path flag (`--checkpoint`) — all in
 //! both `--flag value` and `--flag=value` forms, with unknown arguments
 //! ignored so the flags compose with whatever else a binary accepts. One
-//! scanner ([`flag_values`]) implements the grammar; every public parser
-//! is a thin typed wrapper over it.
+//! private scanner (`flag_values`) implements the grammar; every public
+//! parser is a thin typed wrapper over it.
 
 use std::path::PathBuf;
 

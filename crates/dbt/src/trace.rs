@@ -6,22 +6,8 @@
 use rv32::cpu::Retired;
 
 use cgra::Fabric;
-use serde::{Deserialize, Serialize};
 
 use crate::translate::{is_supported, translate_trace, CachedConfig, TranslatorParams};
-
-/// Counters describing the translator's behaviour.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TranslatorStats {
-    /// Retired instructions observed.
-    pub observed: u64,
-    /// Traces finalized into configurations.
-    pub configs_built: u64,
-    /// Traces dropped for being shorter than the minimum.
-    pub traces_too_short: u64,
-    /// Instructions covered by built configurations.
-    pub instrs_covered: u64,
-}
 
 /// The hardware DBT's trace builder: feed it retired instructions, get
 /// cache-ready configurations out.
@@ -59,7 +45,6 @@ pub struct Translator {
     fabric: Fabric,
     params: TranslatorParams,
     forming: Option<Forming>,
-    stats: TranslatorStats,
 }
 
 #[derive(Clone, Debug)]
@@ -77,17 +62,12 @@ impl Translator {
 
     /// Creates a translator with explicit parameters.
     pub fn with_params(fabric: Fabric, params: TranslatorParams) -> Translator {
-        Translator { fabric, params, forming: None, stats: TranslatorStats::default() }
+        Translator { fabric, params, forming: None }
     }
 
     /// The translator's parameters.
     pub fn params(&self) -> &TranslatorParams {
         &self.params
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &TranslatorStats {
-        &self.stats
     }
 
     /// Observes one retired instruction. Returns the configurations
@@ -98,7 +78,6 @@ impl Translator {
     /// holds an entry for this PC, so starting a new trace there would be
     /// wasted work.
     pub fn observe(&mut self, retired: &Retired, already_cached: bool) -> Vec<CachedConfig> {
-        self.stats.observed += 1;
         let supported = is_supported(&retired.instr);
 
         // Continue the forming trace if this instruction follows it.
@@ -158,18 +137,13 @@ impl Translator {
             let rest = &forming.instrs[done..];
             match translate_trace(&self.fabric, &self.params, start_pc, rest, terminator) {
                 Ok(cfg) => {
-                    self.stats.configs_built += 1;
-                    self.stats.instrs_covered += cfg.instr_count as u64;
                     // A fabric-resolved terminator is only attached to the
                     // final chunk; `covered` then exceeds the body slice.
                     let body_covered = (cfg.instr_count as usize).min(rest.len());
                     done += body_covered.max(1);
                     built.push(cfg);
                 }
-                Err(_) => {
-                    self.stats.traces_too_short += 1;
-                    break;
-                }
+                Err(_) => break,
             }
         }
         built

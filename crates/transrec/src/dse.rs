@@ -132,8 +132,7 @@ fn geo_mean(values: impl Iterator<Item = f64>) -> f64 {
 /// The policy-and-telemetry half of a suite evaluation, as one value —
 /// what varies between cells of a sweep while the [`SystemConfig`] and
 /// workloads stay fixed. [`run_suite_with_options`] is the single suite
-/// entrypoint; the positional `run_suite*` functions are thin wrappers
-/// over it.
+/// entrypoint; [`run_suite`] is a thin positional wrapper over it.
 #[derive(Copy, Clone, Debug)]
 pub struct SuiteOptions<'a> {
     /// The allocation policy (one fresh instance per benchmark).
@@ -271,21 +270,6 @@ pub fn run_suite(
     run_suite_with_options(&SystemConfig::new(fabric), workloads, energy, SuiteOptions::new(*spec))
 }
 
-/// [`run_suite`] with an explicit [`SystemConfig`] — the historical
-/// positional wrapper over [`run_suite_with_options`].
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`].
-pub fn run_suite_with(
-    base_config: SystemConfig,
-    workloads: &[Workload],
-    energy: &EnergyParams,
-    spec: &PolicySpec,
-) -> Result<SuiteRun, SystemError> {
-    run_suite_with_options(&base_config, workloads, energy, SuiteOptions::new(*spec))
-}
-
 /// The stand-alone GPP reference cycles for `workloads` under `config`'s
 /// memory/timing/step parameters — the policy-independent half of a suite
 /// run, computed once per (GPP parameters × workloads) and reused across
@@ -306,49 +290,4 @@ pub fn gpp_reference(
                 .map_err(SystemError::Cpu)
         })
         .collect()
-}
-
-/// [`run_suite_with`] against a precomputed [`gpp_reference`] — the
-/// historical positional wrapper over [`run_suite_with_options`].
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`]; rejects a movement spec on a
-/// movement-less configuration before anything runs.
-///
-/// # Panics
-///
-/// Panics if `gpp_cycles` and `workloads` have different lengths.
-pub fn run_suite_with_baseline(
-    base_config: &SystemConfig,
-    workloads: &[Workload],
-    energy: &EnergyParams,
-    spec: &PolicySpec,
-    gpp_cycles: &[u64],
-    probes: &[ProbeSpec],
-) -> Result<SuiteRun, SystemError> {
-    let options = SuiteOptions { policy: *spec, probes, gpp_reference: Some(gpp_cycles) };
-    run_suite_with_options(base_config, workloads, energy, options)
-}
-
-/// Runs the paper's full DSE grid (Fig. 6) with one policy spec, sharded
-/// across `jobs` workers via [`run_sweep`](crate::sweep::run_sweep)
-/// (`jobs = 0` means all cores, `jobs = 1` is the sequential path; the
-/// results are byte-identical either way). Workloads are built from
-/// `seed` exactly as `mibench::suite(seed)` would.
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`] in grid order.
-pub fn run_dse(
-    seed: u64,
-    energy: &EnergyParams,
-    spec: &PolicySpec,
-    jobs: usize,
-) -> Result<Vec<SuiteRun>, SystemError> {
-    let mut plan = crate::sweep::SweepPlan::new(seed).energy(*energy).policy(*spec);
-    for (l, w) in dse_grid() {
-        plan = plan.fabric(Fabric::new(w, l));
-    }
-    crate::sweep::run_sweep(&plan, jobs)
 }

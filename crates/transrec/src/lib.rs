@@ -71,8 +71,8 @@ pub mod telemetry;
 pub mod traffic;
 
 pub use dse::{
-    dse_grid, gpp_reference, run_dse, run_suite, run_suite_with, run_suite_with_baseline,
-    run_suite_with_options, BenchmarkRun, SuiteOptions, SuiteRun,
+    dse_grid, gpp_reference, run_suite, run_suite_with_options, BenchmarkRun, SuiteOptions,
+    SuiteRun,
 };
 pub use energy::{gpp_only_energy, system_energy, EnergyBreakdown, EnergyParams};
 pub use fleet::{

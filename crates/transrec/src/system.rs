@@ -14,8 +14,8 @@
 //! ([`Session::step`]), by cycle budget ([`Session::run_for`]) or to
 //! completion ([`Session::finish`]); [`System::run`] is the run-to-exit
 //! convenience wrapper. Every decision is published to the attached
-//! [`Observer`]s as [`SimEvent`]s — the built-in counters are themselves
-//! one observer over that stream ([`telemetry::StatsObserver`](crate::telemetry::StatsObserver)).
+//! [`Observer`]s as [`SimEvent`]s, and counted exactly once, by the
+//! built-in [`SystemStats`] fold.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,9 +33,7 @@ use rv32::Program;
 use serde::{Deserialize, Serialize};
 use uaware::{AllocRequest, AllocationPolicy, PolicySpec, UtilizationTracker};
 
-use crate::telemetry::{
-    EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent, StatsObserver,
-};
+use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent};
 
 /// Static system parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -141,6 +139,72 @@ impl SystemStats {
     /// Dynamic instructions (GPP-retired + offloaded).
     pub fn total_instrs(&self) -> u64 {
         self.gpp_retired + self.offloaded_instrs
+    }
+
+    /// Folds one event into the counters — the one place a [`SimEvent`]
+    /// is counted (DESIGN.md §10) — and mirrors it into the active tracing
+    /// dispatch as its `system.*` counter, so a
+    /// [`MetricsCollector`](obs::MetricsCollector) sees exactly this fold
+    /// (DESIGN.md §16). The mirror costs one relaxed atomic load when no
+    /// subscriber is installed.
+    ///
+    /// `cache_lookups` has no event of its own: every scheduling decision
+    /// begins with exactly one configuration-cache lookup and ends in
+    /// either an offload or a GPP step, so it advances on
+    /// [`SimEvent::OffloadStarted`] and [`SimEvent::GppRetired`]. The
+    /// traffic `Request*` events never pass through a [`System`]; the
+    /// serving queue meters them at its own decision sites.
+    pub(crate) fn record(&mut self, event: &SimEvent) {
+        let key = match *event {
+            SimEvent::GppRetired { cycles, .. } => {
+                self.gpp_cycles += cycles;
+                self.gpp_retired += 1;
+                self.cache_lookups += 1;
+                "system.gpp_retired"
+            }
+            SimEvent::OffloadStarted { .. } => {
+                self.cache_lookups += 1;
+                "system.offloads"
+            }
+            SimEvent::OffloadCompleted {
+                instr_count,
+                exec_cycles,
+                overheads,
+                loads,
+                stores,
+                active_fus,
+                cols_used,
+                ..
+            } => {
+                self.cgra_exec_cycles += exec_cycles;
+                self.reconfig_cycles += overheads.reconfig_extra;
+                self.rotate_cycles += overheads.rotate;
+                self.transfer_cycles += overheads.input + overheads.out_drain;
+                self.offloads += 1;
+                self.offloaded_instrs += instr_count as u64;
+                self.cgra_loads += loads;
+                self.cgra_stores += stores;
+                self.cgra_active_fu_slots += active_fus;
+                self.cgra_columns += cols_used as u64;
+                "system.offloads_completed"
+            }
+            SimEvent::OffloadSkipped { .. } => {
+                self.offloads_skipped += 1;
+                "system.offloads_skipped"
+            }
+            SimEvent::AllocationStarved { .. } => {
+                self.offloads_starved += 1;
+                "system.offloads_starved"
+            }
+            SimEvent::ConfigLoaded { .. } => "system.config_loads",
+            SimEvent::Rotated { .. } => "system.rotations",
+            SimEvent::CacheInserted { .. } => "system.cache_inserted",
+            SimEvent::CacheEvicted { .. } => "system.cache_evicted",
+            SimEvent::RequestArrived { .. }
+            | SimEvent::RequestServed { .. }
+            | SimEvent::RequestShed { .. } => return,
+        };
+        tracing::event!(tracing::Level::TRACE, key, "add" = 1);
     }
 }
 
@@ -295,8 +359,8 @@ pub struct System {
     /// still valid and skips the transfer).
     gpp_dirty: bool,
     gpp_estimates: HashMap<u32, u64>,
-    /// The built-in stats fold over the event stream (DESIGN.md §10).
-    stats: StatsObserver,
+    /// The built-in fold over the event stream (DESIGN.md §10).
+    stats: SystemStats,
     /// Attached telemetry probes; each sees the identical stream.
     probes: Vec<Box<dyn Observer>>,
     /// Ensures `on_finish` fires exactly once per session.
@@ -308,7 +372,7 @@ impl fmt::Debug for System {
         f.debug_struct("System")
             .field("fabric", &self.config.fabric)
             .field("policy", &self.policy.name())
-            .field("stats", self.stats.stats())
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -486,7 +550,7 @@ impl System {
             resident: None,
             gpp_dirty: true,
             gpp_estimates: HashMap::new(),
-            stats: StatsObserver::new(),
+            stats: SystemStats::default(),
             probes: Vec::new(),
             finish_notified: false,
             config,
@@ -511,10 +575,9 @@ impl System {
         &self.cpu
     }
 
-    /// Run statistics so far — the fold of the built-in
-    /// [`StatsObserver`] over the event stream.
+    /// Run statistics so far — the built-in fold over the event stream.
     pub fn stats(&self) -> &SystemStats {
-        self.stats.stats()
+        &self.stats
     }
 
     /// The utilization tracker (per-FU stress observations).
@@ -547,11 +610,6 @@ impl System {
         self.faults.as_ref()
     }
 
-    /// Configuration-cache statistics.
-    pub fn cache_stats(&self) -> &dbt::CacheStats {
-        self.cache.stats()
-    }
-
     /// The allocation policy's instance-level name (pattern, granularity
     /// and seed included, e.g. `rotation:snake@per-load`).
     pub fn policy_name(&self) -> String {
@@ -579,12 +637,11 @@ impl System {
             .sum::<u64>()
     }
 
-    /// Publishes one event to the built-in stats fold and every attached
-    /// probe (identical stream, attachment order).
+    /// Counts one event in the built-in fold and publishes it to every
+    /// attached probe (identical stream, attachment order).
     fn emit(&mut self, event: SimEvent) {
-        crate::telemetry::emit_metric(&event);
+        self.stats.record(&event);
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
-        self.stats.on_event(&ctx, &event);
         for probe in &mut self.probes {
             probe.on_event(&ctx, &event);
         }
@@ -598,7 +655,6 @@ impl System {
         }
         self.finish_notified = true;
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
-        self.stats.on_finish(&ctx);
         for probe in &mut self.probes {
             probe.on_finish(&ctx);
         }

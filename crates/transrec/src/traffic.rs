@@ -1546,11 +1546,7 @@ mod tests {
         let mut tripled = LogHistogram::new();
         tripled.add_scaled(&merged, 3);
         assert_eq!(tripled.total(), 3 * merged.total());
-        assert_eq!(
-            tripled.percentile(0.5),
-            merged.percentile(0.5),
-            "scaling preserves quantiles"
-        );
+        assert_eq!(tripled.percentile(0.5), merged.percentile(0.5), "scaling preserves quantiles");
     }
 
     /// A deliberately tiny serving plan that stays fast in debug builds:

@@ -1,7 +1,8 @@
 //! The flight recorder's determinism contract (DESIGN.md §16): with
 //! collection enabled, the folded metrics registry is byte-identical
-//! across worker counts, shard splits and kill/resume points, and its
-//! counters agree exactly with the typed event stream the observers see.
+//! across worker counts, shard splits, kill/resume points and attached
+//! probes, and its counters agree exactly with the typed counters of the
+//! one event fold.
 //! These are the facts CI's `results/metrics.json` byte-identity gate
 //! rides on.
 
@@ -10,8 +11,9 @@ use std::path::{Path, PathBuf};
 use cgra::Fabric;
 use transrec::fleet::{run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
 use transrec::sweep::{run_sweep, run_sweep_observed, SuiteSpec, SweepPlan};
-use transrec::telemetry::{EventCounts, ProbeSpec};
+use transrec::telemetry::ProbeSpec;
 use transrec::traffic::{run_serving_campaign, ServePlan, ServeStatus, TrafficSpec};
+use transrec::SystemStats;
 use uaware::PolicySpec;
 
 /// A 2-policy × 2-workload × 2-fabric plan, mirroring the sweep
@@ -99,10 +101,10 @@ fn sweep_registry_is_invariant_under_worker_count_and_observation() {
 
 #[test]
 fn registry_counters_match_the_typed_event_stream() {
-    // Every policy family under one observed sweep, with the EventCounts
-    // probe riding along: the registry's bridged counters must agree
-    // *exactly* with what the typed observers saw — two independent
-    // consumers of the same decision sites.
+    // Every policy family under one observed sweep: the registry's
+    // `system.*` counters must agree *exactly* with the typed counters the
+    // runs report, because both come out of the same fold
+    // (`SystemStats::record`, DESIGN.md §10, §16).
     let plan = SweepPlan::new(0xDAC2020)
         .fabric(Fabric::be())
         .policy(PolicySpec::Baseline)
@@ -110,38 +112,35 @@ fn registry_counters_match_the_typed_event_stream() {
         .policy(PolicySpec::Random { seed: 7 })
         .policy(PolicySpec::HealthAware)
         .policy(PolicySpec::Exact { every: 1 })
-        .suites(vec![SuiteSpec::full()])
-        .probe(ProbeSpec::EventCounts);
+        .suites(vec![SuiteSpec::full()]);
     let (runs, reg) = run_sweep_observed(&plan, 4).expect("observed sweep runs");
 
-    let mut fold = EventCounts::default();
-    for run in &runs {
-        for bench in &run.benchmarks {
-            let counts = bench
-                .probes
-                .iter()
-                .find_map(|p| p.as_event_counts())
-                .expect("EventCounts probe reports");
-            fold.gpp_retired += counts.gpp_retired;
-            fold.offloads_started += counts.offloads_started;
-            fold.offloads_completed += counts.offloads_completed;
-            fold.offloads_skipped += counts.offloads_skipped;
-            fold.allocations_starved += counts.allocations_starved;
-            fold.config_loads += counts.config_loads;
-            fold.rotations += counts.rotations;
-            fold.cache_insertions += counts.cache_insertions;
-            fold.cache_evictions += counts.cache_evictions;
-        }
+    let mut total = SystemStats::default();
+    for stats in runs.iter().flat_map(|run| run.benchmarks.iter().map(|b| &b.stats)) {
+        total.gpp_retired += stats.gpp_retired;
+        total.offloads += stats.offloads;
+        total.offloads_skipped += stats.offloads_skipped;
+        total.offloads_starved += stats.offloads_starved;
+        total.cache_lookups += stats.cache_lookups;
     }
-    assert_eq!(reg.counter("system.gpp_retired"), fold.gpp_retired);
-    assert_eq!(reg.counter("system.offloads"), fold.offloads_started);
-    assert_eq!(reg.counter("system.offloads_completed"), fold.offloads_completed);
-    assert_eq!(reg.counter("system.offloads_skipped"), fold.offloads_skipped);
-    assert_eq!(reg.counter("system.offloads_starved"), fold.allocations_starved);
-    assert_eq!(reg.counter("system.config_loads"), fold.config_loads);
-    assert_eq!(reg.counter("system.rotations"), fold.rotations);
-    assert_eq!(reg.counter("system.cache_inserted"), fold.cache_insertions);
-    assert_eq!(reg.counter("system.cache_evicted"), fold.cache_evictions);
+    assert_eq!(reg.counter("system.gpp_retired"), total.gpp_retired);
+    assert_eq!(reg.counter("system.offloads"), total.offloads);
+    assert_eq!(reg.counter("system.offloads_skipped"), total.offloads_skipped);
+    assert_eq!(reg.counter("system.offloads_starved"), total.offloads_starved);
+    assert!(reg.counter("system.config_loads") > 0);
+    assert!(reg.counter("system.rotations") > 0, "rotation must move resident configs");
+
+    // One fact, several names: every started offload completes and is
+    // recorded by the tracker, and every cache movement the system reports
+    // is the one the DBT cache metered.
+    assert_eq!(reg.counter("system.offloads_completed"), total.offloads);
+    assert_eq!(reg.counter("tracker.executions"), total.offloads);
+    assert_eq!(reg.counter("system.cache_inserted"), reg.counter("dbt.cache.insert"));
+    assert_eq!(reg.counter("system.cache_evicted"), reg.counter("dbt.cache.evict"));
+    assert!(reg.counter("system.cache_inserted") > 0);
+    // Every scheduling decision begins with exactly one cache lookup.
+    assert_eq!(total.cache_lookups, total.gpp_retired + total.offloads);
+    assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), total.cache_lookups);
 
     // Each policy fires exactly one decision event per next_offset call,
     // and the system calls next_offset once per offload attempt.
@@ -149,7 +148,7 @@ fn registry_counters_match_the_typed_event_stream() {
         .iter()
         .map(|p| reg.counter(&format!("alloc.{p}.decisions")))
         .sum();
-    assert_eq!(decisions, fold.offloads_started + fold.allocations_starved);
+    assert_eq!(decisions, total.offloads + total.offloads_starved);
     for policy in ["baseline", "rotation", "random", "health-aware", "exact"] {
         assert!(
             reg.counter(&format!("alloc.{policy}.decisions")) > 0,
@@ -159,10 +158,24 @@ fn registry_counters_match_the_typed_event_stream() {
     // The exact oracle's solver leaves its search statistics behind.
     assert!(reg.counter("solve.calls") > 0, "exact policy must invoke the solver");
     assert!(reg.counter("solve.expanded") > 0);
-    // The DBT and tracker hot paths are metered too.
     assert!(reg.counter("dbt.translate.calls") > 0);
-    assert!(reg.counter("dbt.cache.miss") > 0);
-    assert!(reg.counter("tracker.executions") > 0);
+}
+
+#[test]
+fn probes_never_count_into_the_registry() {
+    // Counting happens only in the built-in fold, never per observer: the
+    // same plan with and without probes attached must fold byte-identical
+    // registries.
+    let plain = sweep_plan();
+    let probed = sweep_plan().probe(ProbeSpec::util_trace(1_000)).probe(ProbeSpec::util_trace(7));
+    let (_, reg_plain) = run_sweep_observed(&plain, 2).expect("plain sweep runs");
+    let (runs, reg_probed) = run_sweep_observed(&probed, 2).expect("probed sweep runs");
+    assert!(runs.iter().all(|r| r.benchmarks.iter().all(|b| b.probes.len() == 2)));
+    assert_eq!(
+        serde_json::to_string(&reg_plain).unwrap(),
+        serde_json::to_string(&reg_probed).unwrap(),
+        "attaching probes changed the registry"
+    );
 }
 
 #[test]

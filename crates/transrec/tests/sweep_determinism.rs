@@ -1,11 +1,11 @@
 //! The sweep engine's determinism contract: results must be byte-identical
 //! regardless of worker count, and identical to the sequential
-//! [`run_suite_with`] path cell by cell.
+//! [`run_suite_with_options`] path cell by cell.
 
 use cgra::Fabric;
 use transrec::telemetry::{ProbeReport, ProbeSpec};
 use transrec::{
-    run_dse, run_suite_with, run_sweep, EnergyParams, SuiteSpec, SweepPlan, SystemConfig,
+    run_suite_with_options, run_sweep, SuiteOptions, SuiteSpec, SweepPlan, SystemConfig,
 };
 use uaware::PolicySpec;
 
@@ -35,14 +35,15 @@ fn sweep_json_is_identical_across_worker_counts() {
 #[test]
 fn sweep_cells_match_the_sequential_suite_path() {
     // The sweep's memoized GPP baseline and derived lane-0 seed must not
-    // change what a cell computes: each cell equals run_suite_with on the
-    // same inputs.
+    // change what a cell computes: each cell equals a plain
+    // run_suite_with_options on the same inputs.
     let plan = mini_plan();
     let runs = run_sweep(&plan, 4).expect("sweep runs");
     let workloads = plan.suites[0].workloads(plan.suite_seed(0));
     for (ci, config) in plan.configs.iter().enumerate() {
         for (pi, spec) in plan.policies.iter().enumerate() {
-            let reference = run_suite_with(config.clone(), &workloads, &plan.energy, spec)
+            let options = SuiteOptions::new(*spec);
+            let reference = run_suite_with_options(config, &workloads, &plan.energy, options)
                 .expect("sequential suite runs");
             let cell = &runs[plan.index_of(ci, 0, pi)];
             assert_eq!(cell, &reference, "cell ({ci}, 0, {pi}) diverged");
@@ -51,26 +52,13 @@ fn sweep_cells_match_the_sequential_suite_path() {
 }
 
 #[test]
-fn run_dse_covers_the_paper_grid_in_order() {
-    // run_dse is a thin SweepPlan wrapper now; pin its geometry mapping
-    // ((l, w) -> Fabric::new(w, l): rows = W, cols = L) and grid order.
-    let runs =
-        run_dse(0xDAC2020, &EnergyParams::default(), &PolicySpec::Baseline, 2).expect("dse runs");
-    let grid = transrec::dse_grid();
-    assert_eq!(runs.len(), grid.len());
-    for ((l, w), run) in grid.into_iter().zip(&runs) {
-        assert_eq!((run.cols, run.rows), (l, w), "grid point (L{l},W{w}) out of place");
-        assert_eq!(run.policy, "baseline");
-        assert!(run.all_verified());
-    }
-}
-
-#[test]
 fn sweep_with_probes_is_identical_across_worker_counts() {
     // Telemetry rides the plan as data (fresh observers per cell), so the
     // probe-bearing output must stay byte-identical for every worker
     // count, exactly like the counters.
-    let plan = mini_plan().probe(ProbeSpec::util_trace(10_000)).probe(ProbeSpec::EventCounts);
+    let plan = mini_plan()
+        .probe(ProbeSpec::util_trace(10_000))
+        .probe(ProbeSpec::QueueDepth { every: 10_000 });
     let sequential = run_sweep(&plan, 1).expect("jobs=1 sweep runs");
     let parallel = run_sweep(&plan, 4).expect("jobs=4 sweep runs");
     let a = serde_json::to_string_pretty(&sequential).expect("serialize");
@@ -81,7 +69,7 @@ fn sweep_with_probes_is_identical_across_worker_counts() {
         for bench in &run.benchmarks {
             assert_eq!(bench.probes.len(), 2, "{}/{}", run.policy, bench.name);
             assert!(matches!(bench.probes[0], ProbeReport::UtilTrace(_)));
-            assert!(matches!(bench.probes[1], ProbeReport::EventCounts(_)));
+            assert!(matches!(bench.probes[1], ProbeReport::QueueDepth(_)));
             let trace = bench.probes[0].as_util_trace().unwrap();
             assert_eq!(trace.total_cycles(), bench.stats.total_cycles());
         }

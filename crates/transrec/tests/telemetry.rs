@@ -1,15 +1,15 @@
 //! The telemetry layer's core contracts (DESIGN.md §10):
 //!
-//! * `SystemStats` is *just one observer* over the event stream — an
-//!   independently attached `stats` probe replaying the identical stream
-//!   must reproduce the built-in counters struct-equal, across the full
-//!   mibench suite and every evaluated policy class;
+//! * `SystemStats` is the one fold over the event stream — the registry's
+//!   `system.*` counters, mirrored from that fold, must agree with the
+//!   typed counters across the full mibench suite and every evaluated
+//!   policy class;
 //! * sessions are step-equivalent to `run()` and resumable;
 //! * epoch snapshots end on the run's exact final state.
 
 use cgra::Fabric;
 use transrec::telemetry::{ProbeReport, ProbeSpec};
-use transrec::{SessionStatus, System, SystemStats};
+use transrec::{SessionStatus, System};
 use uaware::PolicySpec;
 
 /// The four policy classes of the acceptance matrix.
@@ -22,32 +22,34 @@ fn policy_matrix() -> [PolicySpec; 4] {
     ]
 }
 
-/// Runs one workload under `spec` with an external `stats` probe attached
-/// and returns (built-in stats, replayed stats).
-fn dual_stats(spec: PolicySpec, workload: &mibench::Workload) -> (SystemStats, SystemStats) {
-    let mut sys =
-        System::builder(Fabric::be()).policy(spec).probe(ProbeSpec::Stats).build().unwrap();
-    sys.run(workload.program()).unwrap();
-    workload.verify(sys.cpu()).unwrap();
-    let built_in = *sys.stats();
-    let reports = sys.probe_reports();
-    let [ProbeReport::Stats(replayed)] = reports.as_slice() else {
-        panic!("stats probe must report");
-    };
-    (built_in, *replayed)
+/// Runs `program` under `spec` with a metrics collector installed and
+/// returns the finished system and the registry it filled.
+fn collected_run(spec: PolicySpec, program: &rv32::Program) -> (System, obs::Registry) {
+    obs::collect(|| {
+        let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+        sys.run(program).unwrap();
+        sys
+    })
 }
 
 #[test]
 fn stats_stream_equivalence_across_the_full_suite() {
-    // The acceptance criterion: counters derived from the event stream are
-    // byte-identical (struct-equal) to the system's own, on every mibench
+    // The registry's `system.*` counters are mirrored by the same fold
+    // that produces `SystemStats`, so they agree exactly on every mibench
     // workload × {baseline, rotation, random, health-aware}.
     for spec in policy_matrix() {
         for workload in &mibench::suite(0xDAC2020) {
-            let (built_in, replayed) = dual_stats(spec, workload);
-            assert_eq!(built_in, replayed, "{spec} on {} diverged", workload.name());
-            // And the stream accounts for every cycle the CPU saw.
-            assert!(built_in.total_cycles() > 0);
+            let (sys, reg) = collected_run(spec, workload.program());
+            workload.verify(sys.cpu()).unwrap();
+            let stats = sys.stats();
+            let name = workload.name();
+            assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired, "{spec} on {name}");
+            assert_eq!(reg.counter("system.offloads"), stats.offloads, "{spec} on {name}");
+            assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
+            assert_eq!(reg.counter("system.offloads_skipped"), stats.offloads_skipped);
+            assert_eq!(reg.counter("system.offloads_starved"), stats.offloads_starved);
+            // And the fold accounts for every cycle the CPU saw.
+            assert_eq!(stats.total_cycles(), sys.cpu().cycles(), "{spec} on {name}");
         }
     }
 }
@@ -191,30 +193,21 @@ fn epoch_trace_ends_on_the_final_tracker_state() {
 
 #[test]
 fn event_counts_agree_with_stats() {
-    let program = toy_program();
-    let mut sys = System::builder(Fabric::be())
-        .policy(PolicySpec::rotation())
-        .probe(ProbeSpec::EventCounts)
-        .build()
-        .unwrap();
-    sys.run(&program).unwrap();
-    let reports = sys.probe_reports();
-    let [ProbeReport::EventCounts(counts)] = reports.as_slice() else {
-        panic!("event-counts probe must report");
-    };
+    let (sys, reg) = collected_run(PolicySpec::rotation(), &toy_program());
     let stats = sys.stats();
-    assert_eq!(counts.gpp_retired, stats.gpp_retired);
-    assert_eq!(counts.offloads_started, stats.offloads);
-    assert_eq!(counts.offloads_completed, stats.offloads);
-    assert_eq!(counts.offloads_skipped, stats.offloads_skipped);
-    assert_eq!(counts.cache_insertions, sys.cache_stats().insertions);
-    assert_eq!(counts.cache_evictions, sys.cache_stats().evictions);
-    // The derived lookup identity behind StatsObserver (DESIGN.md §10).
+    assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired);
+    assert_eq!(reg.counter("system.offloads"), stats.offloads);
+    assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
+    assert_eq!(reg.counter("system.offloads_skipped"), stats.offloads_skipped);
+    assert_eq!(reg.counter("system.cache_inserted"), reg.counter("dbt.cache.insert"));
+    assert_eq!(reg.counter("system.cache_evicted"), reg.counter("dbt.cache.evict"));
+    // The derived lookup identity behind `cache_lookups` (DESIGN.md §10).
     assert_eq!(stats.cache_lookups, stats.offloads + stats.gpp_retired);
+    assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), stats.cache_lookups);
     // Rotation at per-exec granularity actually rotates the resident
     // configuration.
-    assert!(counts.rotations > 0);
-    assert!(counts.config_loads > 0);
+    assert!(reg.counter("system.rotations") > 0);
+    assert!(reg.counter("system.config_loads") > 0);
 }
 
 #[test]
@@ -222,14 +215,15 @@ fn probes_accumulate_across_sessions() {
     // Telemetry follows the system, not the session: two programs on one
     // system produce one continuous stream.
     let program = toy_program();
-    let mut sys = System::builder(Fabric::be()).probe(ProbeSpec::Stats).build().unwrap();
+    let mut sys = System::builder(Fabric::be()).probe(ProbeSpec::util_trace(500)).build().unwrap();
     sys.run(&program).unwrap();
     let after_first = *sys.stats();
     sys.run(&program).unwrap();
     let reports = sys.probe_reports();
-    let [ProbeReport::Stats(replayed)] = reports.as_slice() else {
-        panic!("stats probe must report");
+    let [ProbeReport::UtilTrace(trace)] = reports.as_slice() else {
+        panic!("util-trace probe must report");
     };
-    assert_eq!(replayed, sys.stats());
-    assert!(replayed.offloads > after_first.offloads, "second session extends the stream");
+    let last = trace.samples.last().expect("trace sampled");
+    assert_eq!(last.executions, sys.stats().offloads, "one trace across both sessions");
+    assert!(sys.stats().offloads > after_first.offloads, "second session extends the stream");
 }

@@ -12,7 +12,7 @@
 //! on the same worst-FU lifetime.
 //!
 //! The policy loop shares one precomputed GPP reference
-//! ([`transrec::gpp_reference`] + [`transrec::run_suite_with_baseline`]):
+//! ([`transrec::gpp_reference`] fed to [`transrec::run_suite_with_options`]):
 //! the stand-alone GPP baseline is policy-independent, so it is simulated
 //! once, not once per policy.
 //!
@@ -24,7 +24,7 @@ use cgra::Fabric;
 use lifetime::DeviceLifetime;
 use nbti::CalibratedAging;
 use transrec::telemetry::ProbeSpec;
-use transrec::{gpp_reference, run_suite_with_baseline, EnergyParams, SystemConfig};
+use transrec::{gpp_reference, run_suite_with_options, EnergyParams, SuiteOptions, SystemConfig};
 use uaware::{evaluate_aging, PolicySpec};
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,8 +47,9 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The whole standard sweep, enumerated as data — every policy ×
     // pattern × granularity point the workspace knows about.
     for spec in PolicySpec::all_specs(&fabric) {
-        let run =
-            run_suite_with_baseline(&config, &workloads, &energy, &spec, &gpp_cycles, &probes)?;
+        let options =
+            SuiteOptions { policy: spec, probes: &probes, gpp_reference: Some(&gpp_cycles) };
+        let run = run_suite_with_options(&config, &workloads, &energy, options)?;
         assert!(run.all_verified(), "oracle failure under {spec}");
         let grid = run.tracker.utilization();
         let eval = evaluate_aging(&aging, &grid, 10.0, 101);

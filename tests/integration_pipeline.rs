@@ -89,13 +89,14 @@ fn config_cache_thrash_is_correct() {
     let cfg =
         transrec::SystemConfig { cache_capacity: 2, ..transrec::SystemConfig::new(Fabric::be()) };
     let mut sys = transrec::System::new(cfg, Box::new(uaware::BaselinePolicy));
-    sys.run(w.program()).unwrap();
+    let (result, reg) = obs::collect(|| sys.run(w.program()));
+    result.unwrap();
     w.verify(sys.cpu()).unwrap();
-    assert!(sys.cache_stats().evictions > 0, "tiny cache must evict");
+    assert!(reg.counter("system.cache_evicted") > 0, "tiny cache must evict");
 }
 
 #[test]
-fn translator_stats_are_consistent() {
+fn translator_builds_never_exceed_the_retired_stream() {
     let fabric = Fabric::be();
     let w = &mibench::suite(1)[0];
     let mut cpu = Cpu::new(1 << 20);
@@ -106,11 +107,11 @@ fn translator_stats_are_consistent() {
     while cpu.exit().is_none() {
         let r = cpu.step().unwrap();
         for b in dbt.observe(&r, false) {
+            assert!(b.instr_count > 0, "empty configuration built at {:#x}", b.start_pc);
             builds += 1;
             built_instrs += b.instr_count as u64;
         }
     }
-    assert_eq!(dbt.stats().configs_built, builds);
-    assert_eq!(dbt.stats().instrs_covered, built_instrs);
-    assert!(dbt.stats().observed >= built_instrs, "cannot cover more than retired");
+    assert!(builds > 0, "a hot workload must yield configurations");
+    assert!(built_instrs <= cpu.retired(), "cannot cover more than retired");
 }
