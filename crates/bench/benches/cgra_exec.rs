@@ -1,10 +1,13 @@
 //! Fabric execution speed: simulator throughput for configurations of
-//! growing depth, at the origin and at a wrapped offset.
+//! growing depth, at the origin and at a wrapped offset through
+//! `Executor::execute`, and at the wrapped offset through `Executor::run`
+//! on one reused `ExecScratch` — the path every offload of the system
+//! simulator takes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cgra::{ArrayMem, Executor, Fabric, Offset};
+use cgra::{ArrayMem, ExecScratch, Executor, Fabric, Offset};
 use dbt::translate::{translate_prefix, TranslatorParams};
 use rv32::isa::{AluOp, Instr, Reg};
 
@@ -29,6 +32,14 @@ fn bench_execute(c: &mut Criterion) {
                 b.iter(|| exec.execute(black_box(&cc.config), off, &inputs, &mut mem).unwrap())
             });
         }
+        group.bench_with_input(BenchmarkId::new("scratch", len), &cc, |b, cc| {
+            let (mut mem, mut scratch) = (ArrayMem::new(64), ExecScratch::new());
+            let off = Offset::new(3, 29);
+            b.iter(|| {
+                exec.run(black_box(&cc.config), off, &inputs, &mut mem, &mut scratch).unwrap();
+                black_box(scratch.outputs()[0])
+            })
+        });
     }
     group.finish();
 }

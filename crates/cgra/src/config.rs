@@ -215,8 +215,11 @@ pub struct Configuration {
 impl Configuration {
     /// Validates and constructs a configuration.
     ///
-    /// Operations are normalized (sorted by `(col, row)`; loads get a
-    /// canonical unused `b` operand, stores a canonical `None` destination).
+    /// Operations are normalized: loads get a canonical unused `b`
+    /// operand, stores a canonical `None` destination, and the ops are
+    /// sorted by `(col, row)`. The sort is a guarantee every configuration
+    /// built here keeps: [`Executor::run`](crate::Executor::run) walks the
+    /// ops with a single column cursor that depends on it.
     ///
     /// # Errors
     ///
@@ -397,7 +400,8 @@ impl Configuration {
         self.cols_used
     }
 
-    /// The placed operations, sorted by `(col, row)`.
+    /// The placed operations, guaranteed sorted by `(col, row)` (see
+    /// [`Configuration::new`]).
     pub fn ops(&self) -> &[PlacedOp] {
         &self.ops
     }

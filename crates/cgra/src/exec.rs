@@ -166,6 +166,45 @@ pub struct ExecOutcome {
     pub stores: u32,
 }
 
+/// Memory operations one [`Executor::run`] performed.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct MemOps {
+    /// Number of loads performed.
+    pub loads: u32,
+    /// Number of stores performed.
+    pub stores: u32,
+}
+
+/// Reusable working memory for [`Executor::run`]: the context lines, the
+/// results and stores still in flight, and the outputs.
+///
+/// Every run clears and refills all of it before reading any of it, so
+/// nothing a run leaves behind — including a run that failed part-way,
+/// e.g. on a memory fault — can reach the next one. Only the capacity is
+/// reused, which is what makes a warm run allocation-free.
+#[derive(Clone, Debug, Default)]
+pub struct ExecScratch {
+    ctx: Vec<Option<u32>>,
+    /// `(completion_col, dst_line, value)` for in-flight producers.
+    in_flight: Vec<(u32, u16, u32)>,
+    /// `(completion_col, addr, func, value)` for in-flight stores.
+    pending_stores: Vec<(u32, u32, StoreFunc, u32)>,
+    outputs: Vec<u32>,
+}
+
+impl ExecScratch {
+    /// Empty scratch; the first run sizes it.
+    pub fn new() -> ExecScratch {
+        ExecScratch::default()
+    }
+
+    /// The outputs the last run produced, in the order of the
+    /// configuration's output bindings (incomplete if that run failed).
+    pub fn outputs(&self) -> &[u32] {
+        &self.outputs
+    }
+}
+
 /// Executes validated configurations on a fabric.
 #[derive(Copy, Clone, Debug)]
 pub struct Executor<'f> {
@@ -181,6 +220,9 @@ impl<'f> Executor<'f> {
     /// Executes `config` anchored at `offset`, with `inputs` deposited on the
     /// input context, against `mem`.
     ///
+    /// The convenience form of [`run`](Executor::run): it allocates its own
+    /// scratch and also reports the sorted physical cells the run occupied.
+    ///
     /// # Errors
     ///
     /// See [`ExecError`]. On a memory fault the `MemBus` may have absorbed a
@@ -193,6 +235,42 @@ impl<'f> Executor<'f> {
         inputs: &[u32],
         mem: &mut dyn MemBus,
     ) -> Result<ExecOutcome, ExecError> {
+        let mut scratch = ExecScratch::new();
+        let MemOps { loads, stores } = self.run(config, offset, inputs, mem, &mut scratch)?;
+        let mut active_cells: Vec<(u32, u32)> =
+            config.cells().map(|(r, c)| offset.apply(self.fabric, r, c)).collect();
+        active_cells.sort_unstable();
+        Ok(ExecOutcome {
+            outputs: scratch.outputs,
+            cycles: self.fabric.exec_cycles(config.cols_used()),
+            active_cells,
+            loads,
+            stores,
+        })
+    }
+
+    /// Executes `config` anchored at `offset` like
+    /// [`execute`](Executor::execute), but into `scratch`: the outputs are
+    /// left in [`ExecScratch::outputs`], and a run on warm scratch
+    /// allocates nothing. The cycle count is
+    /// [`Fabric::exec_cycles`]`(config.cols_used())` and the physical cells
+    /// are the configuration's cells under `offset`, so neither depends on
+    /// the run and the caller derives them when it needs them.
+    ///
+    /// The ops are walked with one cursor, column by column, which relies
+    /// on the `(col, row)` order [`Configuration::new`] guarantees.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](Executor::execute).
+    pub fn run(
+        &self,
+        config: &Configuration,
+        offset: Offset,
+        inputs: &[u32],
+        mem: &mut dyn MemBus,
+        scratch: &mut ExecScratch,
+    ) -> Result<MemOps, ExecError> {
         if inputs.len() != config.inputs().len() {
             return Err(ExecError::InputCountMismatch {
                 expected: config.inputs().len(),
@@ -203,7 +281,12 @@ impl<'f> Executor<'f> {
             return Err(ExecError::OffsetOutOfRange { offset });
         }
 
-        let mut ctx: Vec<Option<u32>> = vec![None; self.fabric.ctx_lines as usize];
+        let ExecScratch { ctx, in_flight, pending_stores, outputs } = scratch;
+        ctx.clear();
+        ctx.resize(self.fabric.ctx_lines as usize, None);
+        in_flight.clear();
+        pending_stores.clear();
+        outputs.clear();
         for (line, value) in config.inputs().iter().zip(inputs) {
             ctx[line.0 as usize] = Some(*value);
         }
@@ -215,84 +298,61 @@ impl<'f> Executor<'f> {
             }
         };
 
-        let mut loads = 0u32;
-        let mut stores = 0u32;
-        // (completion_col, dst_line, value) for in-flight producers, and
-        // (completion_col, addr, func, value) for in-flight stores.
-        let mut in_flight: Vec<(u32, u16, u32)> = Vec::new();
-        let mut pending_stores: Vec<(u32, u32, StoreFunc, u32)> = Vec::new();
-
+        let mut counts = MemOps::default();
+        let ops = config.ops();
+        debug_assert!(ops.is_sorted_by_key(|o| (o.col, o.row)), "ops sorted by (col, row)");
+        let mut next = 0;
         for col in 0..config.cols_used() {
             // Ops starting at this column capture operands and compute.
-            for op in config.ops().iter().filter(|o| o.col == col) {
+            while let Some(op) = ops.get(next).filter(|o| o.col == col) {
+                next += 1;
                 match op.kind {
                     OpKind::Alu(func) => {
-                        let a = read(&ctx, op.a)?;
-                        let b = read(&ctx, op.b)?;
-                        let v = func.eval(a, b);
+                        let v = func.eval(read(ctx, op.a)?, read(ctx, op.b)?);
                         if let Some(dst) = op.dst {
                             in_flight.push((op.end_col(), dst.0, v));
                         }
                     }
                     OpKind::Mul(func) => {
-                        let a = read(&ctx, op.a)?;
-                        let b = read(&ctx, op.b)?;
-                        let v = func.eval(a, b);
+                        let v = func.eval(read(ctx, op.a)?, read(ctx, op.b)?);
                         if let Some(dst) = op.dst {
                             in_flight.push((op.end_col(), dst.0, v));
                         }
                     }
                     OpKind::Load { func, offset: moff } => {
-                        let base = read(&ctx, op.a)?;
-                        let addr = base.wrapping_add(moff as u32);
+                        let addr = read(ctx, op.a)?.wrapping_add(moff as u32);
                         let v = mem.load(addr, func)?;
-                        loads += 1;
+                        counts.loads += 1;
                         if let Some(dst) = op.dst {
                             in_flight.push((op.end_col(), dst.0, v));
                         }
                     }
                     OpKind::Store { func, offset: moff } => {
-                        let base = read(&ctx, op.a)?;
-                        let addr = base.wrapping_add(moff as u32);
-                        let v = read(&ctx, op.b)?;
+                        let addr = read(ctx, op.a)?.wrapping_add(moff as u32);
+                        let v = read(ctx, op.b)?;
                         pending_stores.push((op.end_col(), addr, func, v));
                     }
                 }
             }
             // Completions at the end of this column become visible.
-            for &(end, line, v) in in_flight.iter().filter(|(end, _, _)| *end == col) {
-                debug_assert_eq!(end, col);
-                ctx[line as usize] = Some(v);
-            }
-            in_flight.retain(|(end, _, _)| *end != col);
-            for &(_, addr, func, v) in pending_stores.iter().filter(|(end, _, _, _)| *end == col) {
+            in_flight.retain(|&(end, line, v)| {
+                if end == col {
+                    ctx[line as usize] = Some(v);
+                }
+                end != col
+            });
+            // Every store completes at exactly one column, visited once, so
+            // no completed entry needs removing before the next run.
+            for &(_, addr, func, v) in pending_stores.iter().filter(|s| s.0 == col) {
                 mem.store(addr, func, v)?;
-                stores += 1;
+                counts.stores += 1;
             }
-            pending_stores.retain(|(end, _, _, _)| *end != col);
         }
 
-        let outputs = config
-            .outputs()
-            .iter()
-            .map(|l| ctx[l.0 as usize].ok_or(ExecError::UndefinedValue { line: l.0 }))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let mut active_cells: Vec<(u32, u32)> = config
-            .ops()
-            .iter()
-            .flat_map(|o| o.cells())
-            .map(|(r, c)| offset.apply(self.fabric, r, c))
-            .collect();
-        active_cells.sort_unstable();
-
-        Ok(ExecOutcome {
-            outputs,
-            cycles: self.fabric.exec_cycles(config.cols_used()),
-            active_cells,
-            loads,
-            stores,
-        })
+        for l in config.outputs() {
+            outputs.push(ctx[l.0 as usize].ok_or(ExecError::UndefinedValue { line: l.0 })?);
+        }
+        Ok(counts)
     }
 }
 
@@ -488,6 +548,57 @@ mod tests {
             .execute(&cfg, Offset::ORIGIN, &[1 << 20], &mut ArrayMem::new(8))
             .unwrap_err();
         assert_eq!(e, ExecError::Mem(MemFault { addr: 1 << 20 }));
+    }
+
+    #[test]
+    fn a_faulted_run_leaves_nothing_for_the_next() {
+        let f = Fabric::bp();
+        let op = |row, col, kind, a, b, dst: Option<u16>| PlacedOp {
+            row,
+            col,
+            span: f.latency(kind),
+            kind,
+            a,
+            b,
+            dst: dst.map(CtxLine),
+        };
+        let add = OpKind::Alu(AluFunc::Add);
+        let ctx = |l| Operand::Ctx(CtxLine(l));
+        // Column 0: an add in flight to line 5, a store pending until
+        // column 3, then a load that faults before either lands.
+        let faulting = Configuration::new(
+            &f,
+            vec![
+                op(0, 0, add, ctx(0), Operand::Imm(1), Some(5)),
+                op(1, 0, OpKind::Store { func: StoreFunc::W, offset: 0 }, ctx(0), ctx(1), None),
+                op(2, 0, OpKind::Load { func: LoadFunc::W, offset: 0 }, ctx(2), ctx(2), Some(6)),
+            ],
+            vec![CtxLine(0), CtxLine(1), CtxLine(2)],
+            vec![CtxLine(5)],
+        )
+        .unwrap();
+        // Reads its input on line 5 after column 0 and runs past column 3.
+        let next = Configuration::new(
+            &f,
+            vec![
+                op(0, 1, add, ctx(5), Operand::Imm(1), Some(6)),
+                op(0, 3, add, ctx(6), Operand::Imm(1), Some(7)),
+            ],
+            vec![CtxLine(5)],
+            vec![CtxLine(7)],
+        )
+        .unwrap();
+        let exec = Executor::new(&f);
+        let mut scratch = ExecScratch::new();
+        let mut mem = ArrayMem::new(64);
+        let e = exec
+            .run(&faulting, Offset::ORIGIN, &[8, 0xdead, 1 << 20], &mut mem, &mut scratch)
+            .unwrap_err();
+        assert_eq!(e, ExecError::Mem(MemFault { addr: 1 << 20 }));
+        let ops = exec.run(&next, Offset::new(3, 30), &[40], &mut mem, &mut scratch).unwrap();
+        assert_eq!(scratch.outputs(), [42]);
+        assert_eq!(ops, MemOps::default());
+        assert_eq!(mem.bytes(), ArrayMem::new(64).bytes(), "the pending store never lands");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`config`] — validated virtual configurations ([`Configuration`]) and
 //!   the pivot [`Offset`] with wrap-around arithmetic.
 //! * [`exec`] — functional + timing execution at any pivot offset
-//!   ([`Executor`], [`MemBus`]).
+//!   ([`Executor`], [`MemBus`]), allocation-free on reused
+//!   [`ExecScratch`].
 //! * [`bitstream`] — the bit-level configuration encoding the
 //!   reconfiguration logic moves around.
 //! * [`reconfig`] — the reconfiguration unit (paper Fig. 5), baseline and
@@ -74,7 +75,7 @@ pub mod sram;
 pub use area::{AreaModel, AreaReport, CellLibrary};
 pub use bitstream::{Bitstream, BitstreamError};
 pub use config::{ConfigError, Configuration, Offset};
-pub use exec::{ArrayMem, ExecError, ExecOutcome, Executor, MemBus, MemFault};
+pub use exec::{ArrayMem, ExecError, ExecOutcome, ExecScratch, Executor, MemBus, MemFault, MemOps};
 pub use fabric::{CellClass, ClassMap, Fabric, FabricError, OpLatencies};
 pub use fault::FaultMask;
 pub use reconfig::{LoadedFabric, ReconfigError, ReconfigUnit, RESIDENT_ROTATE_CYCLES};

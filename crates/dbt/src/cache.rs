@@ -2,10 +2,15 @@
 //! configuration cache and indexed by the PC of the first instruction").
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::translate::CachedConfig;
 
 /// An LRU cache of translated configurations, keyed by start PC.
+///
+/// Entries are shared handles: a hit hands out the cached
+/// [`Arc<CachedConfig>`] itself, so executing a configuration never copies
+/// it — the translation is decoded once and executed many times.
 ///
 /// Hits, misses, insertions and evictions are metered as `dbt.cache.*`
 /// tracing counters (DESIGN.md §16); the cache itself keeps no counters.
@@ -27,7 +32,7 @@ pub struct ConfigCache {
 
 #[derive(Clone, Debug)]
 struct Entry {
-    config: CachedConfig,
+    config: Arc<CachedConfig>,
     last_used: u64,
 }
 
@@ -63,8 +68,8 @@ impl ConfigCache {
     }
 
     /// Looks up the configuration starting at `pc`, updating LRU order and
-    /// metering the hit or miss.
-    pub fn lookup(&mut self, pc: u32) -> Option<&CachedConfig> {
+    /// metering the hit or miss. A hit returns the shared handle.
+    pub fn lookup(&mut self, pc: u32) -> Option<&Arc<CachedConfig>> {
         self.tick += 1;
         match self.entries.get_mut(&pc) {
             Some(e) => {
@@ -85,7 +90,7 @@ impl ConfigCache {
     /// Returns the start PC of the evicted entry, if one was displaced —
     /// event-stream consumers (`transrec`'s telemetry layer) turn it into a
     /// `CacheEvicted` event.
-    pub fn insert(&mut self, config: CachedConfig) -> Option<u32> {
+    pub fn insert(&mut self, config: Arc<CachedConfig>) -> Option<u32> {
         self.tick += 1;
         let pc = config.start_pc;
         let mut evicted = None;
@@ -110,7 +115,7 @@ impl ConfigCache {
 
     /// Iterates over the cached configurations in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &CachedConfig> {
-        self.entries.values().map(|e| &e.config)
+        self.entries.values().map(|e| &*e.config)
     }
 }
 
@@ -126,7 +131,7 @@ mod tests {
         use super::*;
         use crate::translate::StopReason;
 
-        pub fn dummy(pc: u32) -> CachedConfig {
+        pub fn dummy(pc: u32) -> Arc<CachedConfig> {
             let fabric = Fabric::be();
             let config = Configuration::new(
                 &fabric,
@@ -143,7 +148,7 @@ mod tests {
                 vec![CtxLine(1)],
             )
             .unwrap();
-            CachedConfig {
+            Arc::new(CachedConfig {
                 start_pc: pc,
                 instr_count: 1,
                 config,
@@ -152,7 +157,7 @@ mod tests {
                 exit: crate::translate::TraceExit::Sequential,
                 cond_output_index: None,
                 stop: StopReason::Complete,
-            }
+            })
         }
     }
 

@@ -1,12 +1,15 @@
 //! The DBT's central correctness property: a translated configuration,
 //! executed on the fabric at *any* pivot offset, produces exactly the
-//! architectural effects of the sequential instruction trace it came from.
+//! architectural effects of the sequential instruction trace it came from —
+//! also when one [`ExecScratch`] serves a whole sequence of executions, as
+//! it does inside the system simulator.
 
 use proptest::prelude::*;
 
-use cgra::{Executor, Fabric, Offset};
+use cgra::{ExecError, ExecOutcome, ExecScratch, Executor, Fabric, MemOps, Offset};
 use dbt::membus::MemoryBus;
 use dbt::translate::{translate_prefix, TranslatorParams};
+use dbt::CachedConfig;
 use rv32::cpu::Cpu;
 use rv32::isa::{AluOp, Instr, LoadWidth, MulOp, Reg, StoreWidth};
 
@@ -106,6 +109,21 @@ fn run_reference(instrs: &[Instr], count: usize, seed: u32) -> Cpu {
     cpu
 }
 
+/// A fresh data memory holding the reference's initial contents.
+fn data_memory() -> rv32::mem::Memory {
+    let mut mem = rv32::mem::Memory::new(MEM_SIZE);
+    for i in 0..256u32 {
+        mem.write_u8(DATA_BASE + i, (i as u8).wrapping_mul(31).wrapping_add(7)).unwrap();
+    }
+    mem
+}
+
+/// The data region every generated memory op addresses (word offsets
+/// below 64 from `BASE`, plus a word's width).
+fn data_bytes(mem: &rv32::mem::Memory) -> Vec<u8> {
+    (0..260u32).map(|i| mem.read_u8(DATA_BASE + i).unwrap()).collect()
+}
+
 fn check_equivalence(fabric: &Fabric, instrs: &[Instr], seed: u32, offsets: &[Offset]) {
     let params = TranslatorParams { min_instrs: 1, max_instrs: 512 };
     let cached = match translate_prefix(fabric, &params, TEXT_BASE, instrs) {
@@ -118,10 +136,7 @@ fn check_equivalence(fabric: &Fabric, instrs: &[Instr], seed: u32, offsets: &[Of
 
     for &offset in offsets {
         // Fresh memory image identical to the reference's starting state.
-        let mut mem = rv32::mem::Memory::new(MEM_SIZE);
-        for i in 0..256u32 {
-            mem.write_u8(DATA_BASE + i, (i as u8).wrapping_mul(31).wrapping_add(7)).unwrap();
-        }
+        let mut mem = data_memory();
         let inputs: Vec<u32> = cached.input_regs.iter().map(|r| reg_value(*r, seed)).collect();
         let out = Executor::new(fabric)
             .execute(&cached.config, offset, &inputs, &mut MemoryBus::new(&mut mem))
@@ -210,6 +225,98 @@ proptest! {
             .collect();
         expected.sort_by_key(|o| (o.col, o.row));
         prop_assert_eq!(physical, expected);
+    }
+}
+
+/// What [`run_both`] observed, after both paths agreed.
+struct Run {
+    cached: CachedConfig,
+    result: Result<ExecOutcome, ExecError>,
+    /// The data region afterwards.
+    mem: Vec<u8>,
+}
+
+/// Runs `instrs`' translation at `offset` twice from the reference's
+/// starting memory, with `BASE` bound to `base`: once through
+/// [`Executor::run`] on the shared `scratch`, once through a fresh
+/// [`Executor::execute`]. The two must agree on the result (outputs and
+/// memory-op counts, or the error) and on every data byte.
+fn run_both(
+    fabric: &Fabric,
+    scratch: &mut ExecScratch,
+    instrs: &[Instr],
+    seed: u32,
+    offset: Offset,
+    base: u32,
+) -> Result<Run, TestCaseError> {
+    let params = TranslatorParams { min_instrs: 1, max_instrs: 512 };
+    let cached = translate_prefix(fabric, &params, TEXT_BASE, instrs).unwrap();
+    let inputs: Vec<u32> = cached
+        .input_regs
+        .iter()
+        .map(|r| if *r == BASE { base } else { reg_value(*r, seed) })
+        .collect();
+    let exec = Executor::new(fabric);
+    let mut shared_mem = data_memory();
+    let shared =
+        exec.run(&cached.config, offset, &inputs, &mut MemoryBus::new(&mut shared_mem), scratch);
+    let mut fresh_mem = data_memory();
+    let fresh = exec.execute(&cached.config, offset, &inputs, &mut MemoryBus::new(&mut fresh_mem));
+    match (&shared, &fresh) {
+        (Ok(ops), Ok(out)) => {
+            prop_assert_eq!(scratch.outputs(), out.outputs.as_slice());
+            prop_assert_eq!(*ops, MemOps { loads: out.loads, stores: out.stores });
+        }
+        _ => prop_assert_eq!(shared.as_ref().err(), fresh.as_ref().err()),
+    }
+    prop_assert_eq!(data_bytes(&shared_mem), data_bytes(&fresh_mem));
+    Ok(Run { cached, result: fresh, mem: data_bytes(&fresh_mem) })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn shared_scratch_matches_fresh_execution_and_the_cpu(
+        runs in proptest::collection::vec(
+            (proptest::collection::vec(any_supported_instr(), 1..24), any::<u32>(), 0u32..4, 0u32..32),
+            1..6,
+        ),
+        fault_before in 0usize..6,
+        fault_tail in proptest::collection::vec(any_supported_instr(), 0..16),
+    ) {
+        let fabric = Fabric::bp();
+        let mut scratch = ExecScratch::new();
+        // The faulting trace opens with a store, so its covered prefix
+        // always touches memory through an out-of-range base. It runs just
+        // before one of the normal runs, which must see none of the
+        // context lines, in-flight results or pending stores it left.
+        let store = Instr::Store { width: StoreWidth::W, rs2: Reg::A0, rs1: BASE, offset: 0 };
+        let fault_trace: Vec<Instr> = std::iter::once(store).chain(fault_tail).collect();
+        let fault_before = fault_before % runs.len();
+        for (i, (instrs, seed, row, col)) in runs.iter().enumerate() {
+            let offset = Offset::new(*row, *col);
+            if i == fault_before {
+                let fault =
+                    run_both(&fabric, &mut scratch, &fault_trace, *seed, offset, 0xffff_0000)?;
+                prop_assert!(matches!(fault.result, Err(ExecError::Mem(_))), "{:?}", fault.result);
+            }
+            let Run { cached, result, mem } =
+                run_both(&fabric, &mut scratch, instrs, *seed, offset, DATA_BASE)?;
+            let out = result.expect("in-range memory ops execute");
+
+            // The sequential CPU over the covered prefix: registers, memory
+            // bytes, and one fabric load/store per load/store instruction.
+            let covered = &instrs[..cached.instr_count as usize];
+            let reference = run_reference(instrs, covered.len(), *seed);
+            for (reg, value) in cached.output_regs.iter().zip(&out.outputs) {
+                prop_assert_eq!(reference.reg(*reg), *value, "register {} at {}", reg, offset);
+            }
+            prop_assert_eq!(data_bytes(&reference.mem), mem);
+            let loads = covered.iter().filter(|i| matches!(i, Instr::Load { .. })).count();
+            let stores = covered.iter().filter(|i| matches!(i, Instr::Store { .. })).count();
+            prop_assert_eq!((out.loads as usize, out.stores as usize), (loads, stores));
+        }
     }
 }
 

@@ -19,10 +19,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use cgra::op::OpKind;
 use cgra::{
-    ExecError, Executor, Fabric, FabricError, FaultMask, Offset, ReconfigUnit,
+    ExecError, ExecScratch, Executor, Fabric, FabricError, FaultMask, Offset, ReconfigUnit,
     RESIDENT_ROTATE_CYCLES,
 };
 use dbt::membus::MemoryBus;
@@ -114,7 +115,7 @@ pub struct SystemStats {
     /// Cached configurations kept on the GPP because no pivot satisfied
     /// their capability demands on this fabric's class mix (DESIGN.md §14).
     pub offloads_starved: u64,
-    /// Loads/stores performed by the fabric.
+    /// Loads performed by the fabric.
     pub cgra_loads: u64,
     /// Stores performed by the fabric.
     pub cgra_stores: u64,
@@ -341,6 +342,21 @@ enum ResidentTransition {
     },
 }
 
+/// What every offload of a cached configuration needs, derived once when
+/// the DBT installs it (DESIGN.md §10): the hardware decodes a trace into
+/// the configuration cache once and executes it many times, and so does
+/// the simulator.
+struct Decoded {
+    /// The shared cache entry.
+    cc: Arc<CachedConfig>,
+    /// What the covered instructions would cost on the GPP.
+    gpp_estimate: u64,
+    /// Virtual cells the configuration occupies (`Configuration::cells`).
+    footprint: Vec<(u32, u32)>,
+    /// Anchor-capability demands (`Configuration::demands`).
+    demands: Vec<(u32, u32, OpKind)>,
+}
+
 /// The TransRec system simulator.
 pub struct System {
     config: SystemConfig,
@@ -358,7 +374,14 @@ pub struct System {
     /// a re-execution of the resident configuration finds its input context
     /// still valid and skips the transfer).
     gpp_dirty: bool,
-    gpp_estimates: HashMap<u32, u64>,
+    /// One record per cached start PC, kept in step with the cache.
+    decoded: HashMap<u32, Arc<Decoded>>,
+    /// Offload buffers, reused so an offload allocates nothing: the input
+    /// context, the executor's working memory, and the physical cells
+    /// handed to the tracker.
+    inputs: Vec<u32>,
+    scratch: ExecScratch,
+    cells: Vec<(u32, u32)>,
     /// The built-in fold over the event stream (DESIGN.md §10).
     stats: SystemStats,
     /// Attached telemetry probes; each sees the identical stream.
@@ -549,7 +572,10 @@ impl System {
             reconfig_unit,
             resident: None,
             gpp_dirty: true,
-            gpp_estimates: HashMap::new(),
+            decoded: HashMap::new(),
+            inputs: Vec::new(),
+            scratch: ExecScratch::new(),
+            cells: Vec::new(),
             stats: SystemStats::default(),
             probes: Vec::new(),
             finish_notified: false,
@@ -637,6 +663,16 @@ impl System {
             .sum::<u64>()
     }
 
+    /// Derives the per-offload record of a freshly built configuration.
+    fn decode(&self, cc: CachedConfig) -> Decoded {
+        Decoded {
+            gpp_estimate: self.estimate_gpp_cycles(&cc),
+            footprint: cc.config.cells().collect(),
+            demands: cc.config.demands().collect(),
+            cc: Arc::new(cc),
+        }
+    }
+
     /// Counts one event in the built-in fold and publishes it to every
     /// attached probe (identical stream, attachment order).
     fn emit(&mut self, event: SimEvent) {
@@ -712,18 +748,17 @@ impl System {
     /// no pivot satisfies the configuration's non-ALU demands on this
     /// fabric's class mix although a fault-free placement still exists, so
     /// the configuration must stay on the GPP (DESIGN.md §14).
-    fn offload(&mut self, cc: &CachedConfig) -> Result<bool, SystemError> {
+    fn offload(&mut self, decoded: &Decoded) -> Result<bool, SystemError> {
+        let Decoded { cc, footprint, demands, .. } = decoded;
         let fabric = self.config.fabric;
-        let footprint: Vec<(u32, u32)> = cc.config.cells().collect();
-        let demands: Vec<(u32, u32, OpKind)> = cc.config.demands().collect();
         let config_switch = !matches!(self.resident, Some((pc, _)) if pc == cc.start_pc);
         let offset = self.policy.next_offset(&AllocRequest {
             fabric: &fabric,
             config_switch,
-            footprint: &footprint,
+            footprint,
             tracker: &self.tracker,
             faults: self.faults.as_ref(),
-            demands: &demands,
+            demands,
         });
         let Some(offset) = offset else {
             // Genuine fault exhaustion — no offset fits the footprint on
@@ -731,7 +766,7 @@ impl System {
             // Anything else the policy gave up on is the class mix's fault,
             // not the silicon's: keep the configuration on the GPP.
             let fault_placeable =
-                self.faults.as_ref().is_none_or(|m| m.any_placement(&fabric, &footprint));
+                self.faults.as_ref().is_none_or(|m| m.any_placement(&fabric, footprint));
             if fault_placeable && !fabric.is_uniform() && !demands.is_empty() {
                 self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
                 return Ok(false);
@@ -752,20 +787,23 @@ impl System {
         let (ov, transition) = self.offload_overheads(cc, offset);
         self.emit(SimEvent::OffloadStarted { pc: cc.start_pc, offset, config_switch });
 
-        let inputs: Vec<u32> = cc.input_regs.iter().map(|r| self.cpu.reg(*r)).collect();
-        let outcome = Executor::new(&fabric).execute(
+        self.inputs.clear();
+        self.inputs.extend(cc.input_regs.iter().map(|r| self.cpu.reg(*r)));
+        let mem_ops = Executor::new(&fabric).run(
             &cc.config,
             offset,
-            &inputs,
+            &self.inputs,
             &mut MemoryBus::new(&mut self.cpu.mem),
+            &mut self.scratch,
         )?;
-        for (reg, value) in cc.output_regs.iter().zip(&outcome.outputs) {
+        let outputs = self.scratch.outputs();
+        for (reg, value) in cc.output_regs.iter().zip(outputs) {
             self.cpu.set_reg(*reg, *value);
         }
         let next_pc = match cc.exit {
             dbt::TraceExit::Branch { taken, not_taken } => {
                 let idx = cc.cond_output_index.expect("branch exit carries a condition");
-                if outcome.outputs[idx] != 0 {
+                if outputs[idx] != 0 {
                     taken
                 } else {
                     not_taken
@@ -776,8 +814,13 @@ impl System {
         self.cpu.set_pc(next_pc);
         self.resident = Some((cc.start_pc, offset));
 
-        self.tracker.record_execution(&outcome.active_cells, cc.config.cols_used());
-        self.cpu.add_cycles(outcome.cycles + ov.total());
+        // The tracker's accounting is order-independent, so the physical
+        // cells go in footprint order, unsorted.
+        self.cells.clear();
+        self.cells.extend(footprint.iter().map(|&(r, c)| offset.apply(&fabric, r, c)));
+        self.tracker.record_execution(&self.cells, cc.config.cols_used());
+        let exec_cycles = fabric.exec_cycles(cc.config.cols_used());
+        self.cpu.add_cycles(exec_cycles + ov.total());
         match transition {
             ResidentTransition::None => {}
             ResidentTransition::Rotated { from } => self.emit(SimEvent::Rotated {
@@ -797,11 +840,11 @@ impl System {
             pc: cc.start_pc,
             offset,
             instr_count: cc.instr_count,
-            exec_cycles: outcome.cycles,
+            exec_cycles,
             overheads: ov,
-            loads: outcome.loads as u64,
-            stores: outcome.stores as u64,
-            active_fus: outcome.active_cells.len() as u64,
+            loads: mem_ops.loads as u64,
+            stores: mem_ops.stores as u64,
+            active_fus: footprint.len() as u64,
             cols_used: cc.config.cols_used(),
         });
         self.gpp_dirty = false;
@@ -812,8 +855,8 @@ impl System {
     /// fresh step budget.
     ///
     /// Loading a program is a context switch for the DBT: the PC-indexed
-    /// configuration cache, the in-flight trace and the profitability
-    /// estimates are flushed (translations of a previous program at
+    /// configuration cache, the in-flight trace and the per-PC offload
+    /// records are flushed (translations of a previous program at
     /// overlapping addresses must never execute against the new one), and
     /// the fabric's resident configuration is dropped. *Wear* state —
     /// statistics, per-FU utilization and attached probes — persists
@@ -827,7 +870,7 @@ impl System {
         self.cpu.load_program(program)?;
         self.cache.clear();
         self.translator = Translator::with_params(self.config.fabric, self.config.translator);
-        self.gpp_estimates.clear();
+        self.decoded.clear();
         self.resident = None;
         self.gpp_dirty = true;
         self.finish_notified = false;
@@ -950,14 +993,15 @@ impl Session<'_> {
             return Err(SystemError::StepLimit { limit: sys.config.max_steps });
         }
         let pc = sys.cpu.pc();
-        // Step 4: check the configuration cache for this PC.
-        if let Some(cc) = sys.cache.lookup(pc) {
-            let cc = cc.clone();
+        // Step 4: check the configuration cache for this PC. A hit shares
+        // the record decoded at insertion; nothing is copied.
+        if let Some(decoded) = sys.cache.lookup(pc).and_then(|_| sys.decoded.get(&pc)).cloned() {
+            let cc = &decoded.cc;
             // Steady-state estimate (resident configuration with a warm
             // input context): the regime that matters for hot code.
             let mut skip = None;
             if sys.config.offload_heuristic {
-                let gpp_est = *sys.gpp_estimates.get(&pc).expect("estimate recorded at insertion");
+                let gpp_est = decoded.gpp_estimate;
                 let wpc = sys.config.transfer_words_per_cycle as u64;
                 let exec = sys.config.fabric.exec_cycles(cc.config.cols_used());
                 let out_drain = (cc.output_regs.len() as u64).div_ceil(wpc).saturating_sub(exec);
@@ -967,7 +1011,7 @@ impl Session<'_> {
             }
             match skip {
                 None => {
-                    if sys.offload(&cc)? {
+                    if sys.offload(&decoded)? {
                         self.steps_left = self.steps_left.saturating_sub(cc.instr_count as u64);
                         return Ok(self.status());
                     }
@@ -988,10 +1032,13 @@ impl Session<'_> {
         sys.emit(SimEvent::GppRetired { pc: retired.pc, cycles });
         let cached = sys.cache.contains(retired.pc);
         for built in sys.translator.observe(&retired, cached) {
-            // Step 3: install into the configuration cache.
-            sys.gpp_estimates.insert(built.start_pc, sys.estimate_gpp_cycles(&built));
+            // Step 3: install into the configuration cache, decoded once.
             let (insert_pc, instr_count) = (built.start_pc, built.instr_count);
-            if let Some(evicted) = sys.cache.insert(built) {
+            let decoded = sys.decode(built);
+            let evicted = sys.cache.insert(Arc::clone(&decoded.cc));
+            sys.decoded.insert(insert_pc, Arc::new(decoded));
+            if let Some(evicted) = evicted {
+                sys.decoded.remove(&evicted);
                 sys.emit(SimEvent::CacheEvicted { pc: evicted });
             }
             sys.emit(SimEvent::CacheInserted { pc: insert_pc, instr_count });
