@@ -1,15 +1,18 @@
 //! Per-decision cost of each allocation policy — the "lightweight yet
 //! effective" argument of paper §III quantified: the rotation policy is a
 //! counter plus index math, while the health-aware oracle scans every pivot.
+//!
+//! Each group builds the configuration's [`LegalPivots`] once, outside the
+//! timed loop, exactly as `transrec::System` does at insertion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cgra::op::{MulFunc, OpKind};
-use cgra::{CellClass, ClassMap, Fabric};
+use cgra::{CellClass, ClassMap, Fabric, FabricSpec, FaultMask};
 use uaware::{
-    AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, RandomPolicy,
-    RotationPolicy, Snake, UtilizationTracker,
+    AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, LegalPivots,
+    RandomPolicy, RotationPolicy, Snake, UtilizationTracker,
 };
 
 fn bench_policies(c: &mut Criterion) {
@@ -19,6 +22,7 @@ fn bench_policies(c: &mut Criterion) {
     for i in 0..1000u32 {
         tracker.record_execution(&[(i % 8, i % 32)], 4);
     }
+    let legal = LegalPivots::new(&fabric, &footprint, &[], None);
 
     let mut group = c.benchmark_group("policy_decision");
     let mut bench_one = |name: &str, policy: &mut dyn AllocationPolicy| {
@@ -28,9 +32,8 @@ fn bench_policies(c: &mut Criterion) {
                     fabric: &fabric,
                     config_switch: false,
                     footprint: black_box(&footprint),
-                    demands: &[],
                     tracker: &tracker,
-                    faults: None,
+                    legal: &legal,
                 };
                 policy.next_offset(&req)
             })
@@ -44,8 +47,8 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 /// Per-decision cost on a heterogeneous fabric (DESIGN.md §14): the class
-/// checker halves the capable anchors, so every policy pays the
-/// capability filter on top of its scan.
+/// checker halves the capable anchors, so every policy draws from or scans
+/// the legal-pivot table instead of the whole fabric.
 fn bench_policies_heterogeneous(c: &mut Criterion) {
     let mut fabric = Fabric::bu();
     fabric.classes = ClassMap::Checker;
@@ -57,6 +60,7 @@ fn bench_policies_heterogeneous(c: &mut Criterion) {
     for i in 0..1000u32 {
         tracker.record_execution(&[(i % 8, i % 32)], 4);
     }
+    let legal = LegalPivots::new(&fabric, &footprint, &demands, None);
 
     let mut group = c.benchmark_group("policy_decision_het");
     let mut bench_one = |name: &str, policy: &mut dyn AllocationPolicy| {
@@ -66,9 +70,8 @@ fn bench_policies_heterogeneous(c: &mut Criterion) {
                     fabric: &fabric,
                     config_switch: false,
                     footprint: black_box(&footprint),
-                    demands: black_box(&demands),
                     tracker: &tracker,
-                    faults: None,
+                    legal: black_box(&legal),
                 };
                 policy.next_offset(&req)
             })
@@ -81,5 +84,46 @@ fn bench_policies_heterogeneous(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_policies_heterogeneous);
+/// Per-decision cost on a faulted, bandwidth-budgeted `gap` cell
+/// (`4x8+bw-2`, 4 of 32 FUs dead — the 12.5% density): every policy,
+/// the exact oracle included, routes a multi-cell footprint around the
+/// dead FUs through the legal-pivot table.
+fn bench_policies_faulted(c: &mut Criterion) {
+    let fabric = "4x8+bw-2".parse::<FabricSpec>().unwrap().build().unwrap();
+    let mut mask = FaultMask::healthy(&fabric);
+    for (r, c) in [(0, 3), (1, 6), (2, 1), (3, 4)] {
+        mask.mark_dead(r, c);
+    }
+    let footprint = [(0u32, 0u32), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)];
+    let mut tracker = UtilizationTracker::new(&fabric);
+    for i in 0..1000u32 {
+        tracker.record_execution(&[(i % 4, i % 8)], 3);
+    }
+    let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
+    assert!(legal.count().is_some_and(|n| n > 0 && n < 32));
+
+    let mut group = c.benchmark_group("policy_decision_faulted");
+    let mut bench_one = |name: &str, policy: &mut dyn AllocationPolicy| {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let req = AllocRequest {
+                    fabric: &fabric,
+                    config_switch: false,
+                    footprint: black_box(&footprint),
+                    tracker: &tracker,
+                    legal: black_box(&legal),
+                };
+                policy.next_offset(&req)
+            })
+        });
+    };
+    bench_one("baseline_faulted", &mut BaselinePolicy);
+    bench_one("rotation_snake_faulted", &mut RotationPolicy::new(Snake));
+    bench_one("random_faulted", &mut RandomPolicy::seeded(3));
+    bench_one("health_aware_faulted", &mut HealthAwarePolicy);
+    bench_one("exact_faulted", &mut ExactPolicy::new(1));
+    group.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_policies_heterogeneous, bench_policies_faulted);
 criterion_main!(benches);

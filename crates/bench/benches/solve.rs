@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use cgra::Fabric;
 use solve::{OffsetProblem, TableProblem};
-use uaware::{AllocRequest, AllocationPolicy, ExactPolicy, UtilizationTracker};
+use uaware::{AllocRequest, AllocationPolicy, ExactPolicy, LegalPivots, UtilizationTracker};
 
 fn bench_solve(c: &mut Criterion) {
     let fabric = Fabric::fig1();
@@ -45,14 +45,14 @@ fn bench_solve(c: &mut Criterion) {
     });
     group.bench_function("policy_decision_exact", |b| {
         let mut policy = ExactPolicy::new(1);
+        let legal = LegalPivots::new(&fabric, &footprint, &[], None);
         b.iter(|| {
             let req = AllocRequest {
                 fabric: &fabric,
                 config_switch: false,
                 footprint: black_box(&footprint),
-                demands: &[],
                 tracker: &tracker,
-                faults: None,
+                legal: &legal,
             };
             policy.next_offset(&req)
         })

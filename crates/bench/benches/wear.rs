@@ -11,8 +11,8 @@ use cgra::{Fabric, FaultMask};
 use lifetime::{WearBatch, WearGrid};
 use nbti::CalibratedAging;
 use uaware::{
-    AllocRequest, AllocationPolicy, HealthAwarePolicy, RotationPolicy, Snake, UtilizationGrid,
-    UtilizationTracker,
+    AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, RotationPolicy, Snake,
+    UtilizationGrid, UtilizationTracker,
 };
 
 fn bench_wear_update(c: &mut Criterion) {
@@ -56,6 +56,8 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
         mask.mark_dead(i / fabric.cols, i % fabric.cols);
     }
 
+    let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
+
     let mut group = c.benchmark_group("fault_masked_allocation");
     let mut bench_one = |name: &str, policy: &mut dyn AllocationPolicy| {
         group.bench_function(name, |b| {
@@ -64,9 +66,8 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
                     fabric: &fabric,
                     config_switch: false,
                     footprint: black_box(&footprint),
-                    demands: &[],
                     tracker: &tracker,
-                    faults: Some(&mask),
+                    legal: &legal,
                 };
                 policy.next_offset(&req)
             })

@@ -21,10 +21,10 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 /// The exact-mapping oracle: per allocation epoch, a deterministic
 /// branch-and-bound solve of the wear-optimal placement — minimize the
 /// maximum post-epoch per-FU stress count over all assignments of the
-/// epoch's executions to legal pivots (fault mask, capability demands and
-/// column bandwidth included via the shared
-/// [`placement_ok`](AllocRequest::placement_ok) predicate and the
-/// tracker's stress rule).
+/// epoch's executions to legal pivots (fault mask and capability demands
+/// via the request's [`LegalPivots`](crate::LegalPivots) table, column
+/// bandwidth via the tracker's stress rule). The oracle keeps one
+/// [`OffsetProblem`] and refills it on every re-solve.
 ///
 /// With `every == 1` the oracle re-solves on every allocation (a greedy
 /// optimal step against the live counters); larger epochs plan that many
@@ -37,7 +37,7 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 ///
 /// ```
 /// use cgra::Fabric;
-/// use uaware::{AllocationPolicy, AllocRequest, ExactPolicy, UtilizationTracker};
+/// use uaware::{AllocationPolicy, AllocRequest, ExactPolicy, LegalPivots, UtilizationTracker};
 ///
 /// let fabric = Fabric::be();
 /// let mut tracker = UtilizationTracker::new(&fabric);
@@ -48,8 +48,7 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 ///     config_switch: false,
 ///     footprint: &[(0, 0)],
 ///     tracker: &tracker,
-///     faults: None,
-///     demands: &[],
+///     legal: &LegalPivots::default(),
 /// };
 /// let off = oracle.next_offset(&req).unwrap();
 /// assert_ne!(off, cgra::Offset::ORIGIN, "the oracle dodges the warm corner");
@@ -59,13 +58,19 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 pub struct ExactPolicy {
     every: u32,
     plan: VecDeque<Offset>,
+    /// The problem of the latest re-solve, refilled in place by the next.
+    problem: OffsetProblem,
 }
 
 impl ExactPolicy {
     /// Creates the oracle with an epoch of `every` jointly-planned
     /// executions (clamped to at least 1).
     pub fn new(every: u32) -> ExactPolicy {
-        ExactPolicy { every: every.max(1), plan: VecDeque::new() }
+        ExactPolicy {
+            every: every.max(1),
+            plan: VecDeque::new(),
+            problem: OffsetProblem::default(),
+        }
     }
 
     /// The configured epoch length.
@@ -88,7 +93,9 @@ impl AllocationPolicy for ExactPolicy {
             // no longer exists — drop it and re-solve.
             self.plan.clear();
         }
-        let problem = OffsetProblem::new(
+        // Solved even with no legal pivot: the solver counts the
+        // infeasible call (`solve.infeasible`).
+        self.problem.refill(
             req.fabric,
             req.footprint,
             req.tracker.stress_counts(),
@@ -96,12 +103,9 @@ impl AllocationPolicy for ExactPolicy {
             |o| req.placement_ok(o),
         );
         let _solve_span = span!(Level::DEBUG, "solve.bnb").entered();
-        let solution = solve::solve(&problem)?;
-        let mut offsets: VecDeque<Offset> =
-            solution.choices.iter().map(|&c| problem.offset(c)).collect();
-        let first = offsets.pop_front().expect("an epoch plans at least one slot");
-        self.plan = offsets;
-        Some(first)
+        let solution = solve::solve(&self.problem)?;
+        self.plan.extend(solution.choices.iter().map(|&c| self.problem.offset(c)));
+        Some(self.plan.pop_front().expect("an epoch plans at least one slot"))
     }
 
     fn name(&self) -> String {
@@ -119,6 +123,7 @@ mod tests {
     use cgra::op::{MulFunc, OpKind};
     use cgra::{ClassMap, Fabric, FaultMask};
 
+    use crate::policy::LegalPivots;
     use crate::stats::UtilizationTracker;
 
     fn req<'a>(
@@ -126,15 +131,10 @@ mod tests {
         tracker: &'a UtilizationTracker,
         footprint: &'a [(u32, u32)],
     ) -> AllocRequest<'a> {
-        AllocRequest {
-            fabric,
-            config_switch: false,
-            footprint,
-            tracker,
-            faults: None,
-            demands: &[],
-        }
+        AllocRequest { fabric, config_switch: false, footprint, tracker, legal: &ANYWHERE }
     }
+
+    static ANYWHERE: LegalPivots = LegalPivots::ANYWHERE;
 
     #[test]
     fn epoch_one_matches_single_slot_optimum() {
@@ -185,7 +185,8 @@ mod tests {
         let next_planned = *p.plan.front().unwrap();
         let mut mask = FaultMask::healthy(&fabric);
         mask.mark_dead(next_planned.row, next_planned.col);
-        let masked = AllocRequest { faults: Some(&mask), ..bare };
+        let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
+        let masked = AllocRequest { legal: &legal, ..bare };
         let moved = p.next_offset(&masked).unwrap();
         assert_ne!(moved, next_planned, "the dead pivot is never played back");
     }
@@ -202,20 +203,21 @@ mod tests {
             }
         }
         let r = req(&fabric, &tracker, &footprint);
-        let dead = AllocRequest { faults: Some(&all_dead), ..r };
+        let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&all_dead));
+        let dead = AllocRequest { legal: &legal, ..r };
         assert_eq!(ExactPolicy::new(1).next_offset(&dead), None);
         // Capability starvation: no mul-capable cell on an all-ALU fabric.
         let mut bare_alu = Fabric::fig1();
         bare_alu.classes = ClassMap::Uniform(cgra::CellClass::Alu);
         let t2 = UtilizationTracker::new(&bare_alu);
         let demands = [(0u32, 0u32, OpKind::Mul(MulFunc::Mul))];
+        let legal = LegalPivots::new(&bare_alu, &footprint, &demands, None);
         let starved = AllocRequest {
             fabric: &bare_alu,
             config_switch: false,
             footprint: &footprint,
             tracker: &t2,
-            faults: None,
-            demands: &demands,
+            legal: &legal,
         };
         assert_eq!(ExactPolicy::new(1).next_offset(&starved), None);
     }

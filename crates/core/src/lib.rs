@@ -35,12 +35,13 @@
 //! ```
 //! use cgra::Fabric;
 //! use uaware::{
-//!     AllocationPolicy, AllocRequest, BaselinePolicy, RotationPolicy, Snake,
+//!     AllocationPolicy, AllocRequest, BaselinePolicy, LegalPivots, RotationPolicy, Snake,
 //!     UtilizationTracker,
 //! };
 //!
 //! let fabric = Fabric::be();
 //! let footprint = [(0, 0), (0, 1)];
+//! let legal = LegalPivots::new(&fabric, &footprint, &[], None); // pristine: every pivot
 //!
 //! let run = |policy: &mut dyn AllocationPolicy| {
 //!     let mut tracker = UtilizationTracker::new(&fabric);
@@ -50,8 +51,7 @@
 //!             config_switch: false,
 //!             footprint: &footprint,
 //!             tracker: &tracker,
-//!             faults: None,
-//!             demands: &[],
+//!             legal: &legal,
 //!         };
 //!         let off = policy.next_offset(&req).expect("pristine fabric always allocates");
 //!         let cells: Vec<_> =
@@ -81,8 +81,8 @@ pub use exact::ExactPolicy;
 pub use lifetime::{evaluate_aging, lifetime_improvement, AgingEvaluation};
 pub use pattern::{ColumnMajor, Fixed, MovementPattern, Raster, Snake};
 pub use policy::{
-    AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, MovementGranularity,
-    RandomPolicy, RotationPolicy,
+    AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, LegalPivots,
+    MovementGranularity, RandomPolicy, RotationPolicy,
 };
 pub use seed::derive_cell_seed;
 pub use spec::{ParseSpecError, PatternSpec, PolicySpec, DEFAULT_RANDOM_SEED};

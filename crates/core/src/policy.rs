@@ -63,6 +63,162 @@ impl FromStr for MovementGranularity {
     }
 }
 
+/// The legal pivots of one configuration on one fabric (DESIGN.md §14):
+/// the offsets at which every footprint cell lands on a live FU and every
+/// capability-demanding anchor lands on a capable cell.
+///
+/// Legality only changes when a configuration is installed or the fault
+/// mask is swapped, so the table is built once per configuration
+/// (`transrec::System` does it at insertion and on every mask swap) and
+/// every allocation decision reads it.
+///
+/// On unconstrained inputs — a uniform pristine fabric, or no demands and
+/// no dead FU — the table stores nothing and every pivot is legal, keeping
+/// each policy on its historical fast path. Otherwise it stores one bit
+/// per pivot, row-major, and the number of legal pivots; the row-major
+/// list of legal pivots is walked from the bits, so a cached
+/// configuration costs a few bytes, not a list.
+///
+/// # Examples
+///
+/// ```
+/// use cgra::{Fabric, FaultMask, Offset};
+/// use uaware::LegalPivots;
+///
+/// let fabric = Fabric::new(2, 4);
+/// assert_eq!(LegalPivots::new(&fabric, &[(0, 0)], &[], None).count(), None);
+/// let mut mask = FaultMask::healthy(&fabric);
+/// mask.mark_dead(0, 1);
+/// let legal = LegalPivots::new(&fabric, &[(0, 0)], &[], Some(&mask));
+/// assert!(!legal.allows(Offset::new(0, 1)));
+/// assert_eq!(legal.count(), Some(7));
+/// assert_eq!(legal.nth(1), Some(Offset::new(0, 2)));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LegalPivots {
+    /// `None` when every pivot is legal.
+    table: Option<PivotTable>,
+}
+
+/// The stored form of a constrained [`LegalPivots`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PivotTable {
+    cols: u32,
+    /// Number of set bits.
+    count: u32,
+    /// One bit per pivot, row-major.
+    bits: Box<[u64]>,
+}
+
+impl LegalPivots {
+    /// Every pivot legal: what [`LegalPivots::default`] builds, as a
+    /// constant tests can put in a `static`.
+    #[cfg(test)]
+    pub(crate) const ANYWHERE: LegalPivots = LegalPivots { table: None };
+
+    /// Computes the legal pivots of `footprint` with capability `demands`
+    /// (`Configuration::demands`) on `fabric` under the permanent-failure
+    /// map `faults` (`None` for a pristine fabric, DESIGN.md §11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-pristine mask's geometry does not match `fabric`.
+    pub fn new(
+        fabric: &Fabric,
+        footprint: &[(u32, u32)],
+        demands: &[(u32, u32, OpKind)],
+        faults: Option<&FaultMask>,
+    ) -> LegalPivots {
+        let faults = faults.filter(|mask| !mask.is_pristine());
+        let demanding = !fabric.is_uniform() && !demands.is_empty();
+        if faults.is_none() && !demanding {
+            return LegalPivots::default();
+        }
+        let mut bits = vec![0u64; (fabric.fu_count() as usize).div_ceil(64)];
+        let mut count = 0;
+        for row in 0..fabric.rows {
+            for col in 0..fabric.cols {
+                let o = Offset::new(row, col);
+                let capable = !demanding
+                    || demands.iter().all(|&(r, c, kind)| {
+                        let (pr, pc) = o.apply(fabric, r, c);
+                        fabric.supports(pr, pc, kind)
+                    });
+                if capable && faults.is_none_or(|mask| mask.placement_ok(fabric, footprint, o)) {
+                    let bit = (row * fabric.cols + col) as usize;
+                    bits[bit / 64] |= 1 << (bit % 64);
+                    count += 1;
+                }
+            }
+        }
+        LegalPivots { table: Some(PivotTable { cols: fabric.cols, count, bits: bits.into() }) }
+    }
+
+    /// `true` if the footprint may be anchored at `offset`.
+    pub fn allows(&self, offset: Offset) -> bool {
+        self.table.as_ref().is_none_or(|t| {
+            let bit = (offset.row * t.cols + offset.col) as usize;
+            offset.col < t.cols
+                && t.bits.get(bit / 64).is_some_and(|word| word >> (bit % 64) & 1 == 1)
+        })
+    }
+
+    /// The number of legal pivots, or `None` when unconstrained: every
+    /// pivot is legal and nothing is stored. `None` is the fast-path guard
+    /// that keeps each policy's decision stream on uniform pristine fabrics
+    /// bit-identical to the historical one (DESIGN.md §14).
+    pub fn count(&self) -> Option<usize> {
+        self.table.as_ref().map(|t| t.count as usize)
+    }
+
+    /// The legal pivot at index `k` of the row-major legal list, or `None`
+    /// when unconstrained or `k` is past the end.
+    pub fn nth(&self, mut k: usize) -> Option<Offset> {
+        let t = self.table.as_ref()?;
+        for (w, &word) in t.bits.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let mut word = word;
+                for _ in 0..k {
+                    word &= word - 1; // drop the lowest set bit
+                }
+                let bit = (w * 64) as u32 + word.trailing_zeros();
+                return Some(Offset::new(bit / t.cols, bit % t.cols));
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// The legal pivots in row-major order, or `None` when unconstrained.
+    pub fn iter(&self) -> Option<impl Iterator<Item = Offset> + '_> {
+        let table = self.table.as_ref()?;
+        Some(SetBits { table, word: 0, bits: table.bits.first().copied().unwrap_or(0) })
+    }
+}
+
+/// Row-major walk over the set bits of a [`PivotTable`]: `bits` holds the
+/// not yet visited bits of word `word`.
+struct SetBits<'a> {
+    table: &'a PivotTable,
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = Offset;
+
+    fn next(&mut self) -> Option<Offset> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.table.bits.get(self.word)?;
+        }
+        let bit = self.word as u32 * 64 + self.bits.trailing_zeros();
+        self.bits &= self.bits - 1; // drop the lowest set bit
+        Some(Offset::new(bit / self.table.cols, bit % self.table.cols))
+    }
+}
+
 /// Context handed to a policy for one upcoming configuration execution.
 #[derive(Clone, Copy, Debug)]
 pub struct AllocRequest<'a> {
@@ -76,58 +232,18 @@ pub struct AllocRequest<'a> {
     pub footprint: &'a [(u32, u32)],
     /// Live utilization state (for health-aware policies).
     pub tracker: &'a UtilizationTracker,
-    /// Permanent-failure map of the fabric, if the deployment has one
-    /// (DESIGN.md §11). `None` means a pristine fabric; policies must never
-    /// place a footprint cell on a dead FU.
-    pub faults: Option<&'a FaultMask>,
-    /// Anchor-capability demands of the configuration (DESIGN.md §14): the
-    /// virtual cells that must land on a mem-/mul-capable FU, with the op
-    /// kind each anchors (`Configuration::demands`). Empty for pure-ALU
-    /// configurations; ignored entirely on uniform fabrics.
-    pub demands: &'a [(u32, u32, OpKind)],
+    /// The configuration's legal pivots under the fabric's fault mask and
+    /// class mix (DESIGN.md §11, §14); policies must never return a pivot
+    /// outside it.
+    pub legal: &'a LegalPivots,
 }
 
 impl AllocRequest<'_> {
     /// `true` if anchoring the request's footprint at `offset` touches only
-    /// live FUs (trivially true on a pristine fabric) *and* lands every
-    /// capability-demanding anchor on a capable cell (trivially true on a
-    /// uniform fabric, DESIGN.md §14).
+    /// live FUs *and* lands every capability-demanding anchor on a capable
+    /// cell — a lookup in [`AllocRequest::legal`].
     pub fn placement_ok(&self, offset: Offset) -> bool {
-        self.capable(offset)
-            && match self.faults {
-                Some(mask) if !mask.is_pristine() => {
-                    mask.placement_ok(self.fabric, self.footprint, offset)
-                }
-                _ => true,
-            }
-    }
-
-    /// `true` if every capability-demanding anchor lands on a capable cell
-    /// when the footprint is pivoted to `offset` (DESIGN.md §14).
-    fn capable(&self, offset: Offset) -> bool {
-        if self.fabric.is_uniform() || self.demands.is_empty() {
-            return true;
-        }
-        self.demands.iter().all(|&(r, c, kind)| {
-            let (pr, pc) = offset.apply(self.fabric, r, c);
-            self.fabric.supports(pr, pc, kind)
-        })
-    }
-
-    /// `true` if the request carries a mask with at least one dead FU —
-    /// the slow-path guard every policy uses to keep its pristine-fabric
-    /// decision stream bit-identical to the historical (mask-less) one.
-    fn degraded(&self) -> bool {
-        self.faults.is_some_and(|mask| !mask.is_pristine())
-    }
-
-    /// `true` if some offsets may be illegal — dead FUs under the mask, or
-    /// capability demands on a heterogeneous fabric. The widened slow-path
-    /// guard (DESIGN.md §14): on uniform pristine fabrics it stays `false`,
-    /// keeping every policy's decision stream bit-identical to the
-    /// historical one no matter what demands the configuration carries.
-    fn constrained(&self) -> bool {
-        self.degraded() || (!self.fabric.is_uniform() && !self.demands.is_empty())
+        self.legal.allows(offset)
     }
 }
 
@@ -138,10 +254,10 @@ impl AllocRequest<'_> {
 /// [`PolicySpec::build`](crate::PolicySpec::build) — instead of passing
 /// factory closures around.
 pub trait AllocationPolicy: std::fmt::Debug {
-    /// Chooses the pivot for the next execution, or `None` when every
-    /// placement the policy can express touches a dead FU
-    /// ([`AllocRequest::faults`]) — the device's end of life (DESIGN.md
-    /// §11).
+    /// Chooses the pivot for the next execution, or `None` when no
+    /// placement the policy can express is legal ([`AllocRequest::legal`]):
+    /// every one touches a dead FU — the device's end of life (DESIGN.md
+    /// §11) — or misses a capable anchor cell (DESIGN.md §14).
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset>;
 
     /// Instance-level name for reports: includes the configured pattern,
@@ -186,7 +302,9 @@ impl AllocationPolicy for BaselinePolicy {
 ///
 /// ```
 /// use cgra::{Fabric, Offset};
-/// use uaware::{AllocationPolicy, AllocRequest, RotationPolicy, Snake, UtilizationTracker};
+/// use uaware::{
+///     AllocationPolicy, AllocRequest, LegalPivots, RotationPolicy, Snake, UtilizationTracker,
+/// };
 ///
 /// let fabric = Fabric::be();
 /// let tracker = UtilizationTracker::new(&fabric);
@@ -196,8 +314,7 @@ impl AllocationPolicy for BaselinePolicy {
 ///     config_switch: false,
 ///     footprint: &[],
 ///     tracker: &tracker,
-///     faults: None,
-///     demands: &[],
+///     legal: &LegalPivots::default(),
 /// };
 /// assert_eq!(policy.next_offset(&req), Some(Offset::new(0, 0)));
 /// assert_eq!(policy.next_offset(&req), Some(Offset::new(0, 1)));
@@ -298,29 +415,22 @@ impl RandomPolicy {
 impl AllocationPolicy for RandomPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
         event!(Level::TRACE, "alloc.random.decisions", "add" = 1);
-        if !req.constrained() {
+        let Some(count) = req.legal.count() else {
             // Unconstrained fast path: two draws, bit-identical to the
             // historical mask-less stream.
             return Some(Offset::new(
                 self.rng.random_range(0..req.fabric.rows),
                 self.rng.random_range(0..req.fabric.cols),
             ));
-        }
+        };
         // Constrained fabric: draw uniformly among the legal pivots —
         // complete (never misses a surviving placement) and still a pure
-        // function of the seed. Like the health-aware scan, this runs once
-        // per offload, so it stays allocation-free: count the legal pivots
-        // in one row-major pass, draw an index, and walk to it in a second.
-        let pivots = |req: &AllocRequest<'_>| {
-            let cols = req.fabric.cols;
-            (0..req.fabric.rows).flat_map(move |r| (0..cols).map(move |c| Offset::new(r, c)))
-        };
-        let legal = pivots(req).filter(|o| req.placement_ok(*o)).count();
-        if legal == 0 {
+        // function of the seed. One draw indexes the row-major legal list;
+        // with no legal pivot nothing is drawn.
+        if count == 0 {
             return None;
         }
-        let pick = self.rng.random_range(0..legal);
-        pivots(req).filter(|o| req.placement_ok(*o)).nth(pick)
+        req.legal.nth(self.rng.random_range(0..count))
     }
 
     fn name(&self) -> String {
@@ -329,9 +439,11 @@ impl AllocationPolicy for RandomPolicy {
 }
 
 /// The paper's future-work policy: use run-time aging information to adapt
-/// the allocation. For each execution it scans all `rows × cols` pivots and
-/// picks the one minimizing the maximum projected stress count over the
-/// configuration's footprint (ties break towards the smallest offset).
+/// the allocation. For each execution it scans the legal pivots
+/// ([`AllocRequest::legal`]; all `rows × cols` of them on an unconstrained
+/// fabric) and picks the one minimizing the maximum projected stress count
+/// over the configuration's footprint (ties break towards the smallest
+/// offset).
 ///
 /// This is the "detecting the optimal allocation at run time" option the
 /// paper calls prohibitively expensive in hardware — implemented here as an
@@ -347,42 +459,61 @@ impl AllocationPolicy for HealthAwarePolicy {
         // normalized utilization), prune a pivot as soon as it matches the
         // incumbent, and stop outright on a zero-stress pivot — nothing can
         // beat it, and ties break towards the smallest offset anyway.
-        // Pivots whose placement straddles a dead FU or an incapable anchor
-        // cell are skipped outright (DESIGN.md §11, §14); with every pivot
+        // On a constrained fabric only the legal pivots are scanned, in the
+        // same row-major order (DESIGN.md §11, §14); with every pivot
         // illegal the scan reports `None`.
-        let fabric = req.fabric;
-        let tracker = req.tracker;
-        let constrained = req.constrained();
-        let mut best = None;
-        let mut best_cost = u64::MAX;
-        for row in 0..fabric.rows {
-            for col in 0..fabric.cols {
-                let off = Offset::new(row, col);
-                if constrained && !req.placement_ok(off) {
-                    continue;
-                }
-                let mut cost = 0u64;
-                for &(r, c) in req.footprint {
-                    let (pr, pc) = off.apply(fabric, r, c);
-                    cost = cost.max(tracker.exec_count(pr, pc));
-                    if cost >= best_cost {
+        let mut scan = LeastStressed { best: None, best_cost: u64::MAX };
+        match req.legal.iter() {
+            Some(legal) => {
+                for off in legal {
+                    if scan.visit(req, off) {
                         break;
                     }
                 }
-                if cost < best_cost || best.is_none() {
-                    best_cost = cost;
-                    best = Some(off);
-                    if cost == 0 {
-                        return best;
+            }
+            None => {
+                'rows: for row in 0..req.fabric.rows {
+                    for col in 0..req.fabric.cols {
+                        if scan.visit(req, Offset::new(row, col)) {
+                            break 'rows;
+                        }
                     }
                 }
             }
         }
-        best
+        scan.best
     }
 
     fn name(&self) -> String {
         "health-aware".to_string()
+    }
+}
+
+/// The health-aware scan's incumbent: the first pivot visited whose
+/// footprint's hottest FU is coolest.
+struct LeastStressed {
+    best: Option<Offset>,
+    best_cost: u64,
+}
+
+impl LeastStressed {
+    /// Considers `off`; `true` once a zero-stress pivot is found, which
+    /// nothing later can beat.
+    fn visit(&mut self, req: &AllocRequest<'_>, off: Offset) -> bool {
+        let mut cost = 0u64;
+        for &(r, c) in req.footprint {
+            let (pr, pc) = off.apply(req.fabric, r, c);
+            cost = cost.max(req.tracker.exec_count(pr, pc));
+            if cost >= self.best_cost {
+                break;
+            }
+        }
+        if cost < self.best_cost || self.best.is_none() {
+            self.best_cost = cost;
+            self.best = Some(off);
+            return cost == 0;
+        }
+        false
     }
 }
 
@@ -399,18 +530,17 @@ mod tests {
         footprint: &'a [(u32, u32)],
         config_switch: bool,
     ) -> AllocRequest<'a> {
-        AllocRequest { fabric, config_switch, footprint, tracker, faults: None, demands: &[] }
+        AllocRequest { fabric, config_switch, footprint, tracker, legal: &ANYWHERE }
     }
 
-    fn masked<'a>(base: &AllocRequest<'a>, mask: &'a FaultMask) -> AllocRequest<'a> {
-        AllocRequest { faults: Some(mask), ..*base }
+    static ANYWHERE: LegalPivots = LegalPivots::ANYWHERE;
+
+    fn masked(base: &AllocRequest<'_>, mask: &FaultMask) -> LegalPivots {
+        LegalPivots::new(base.fabric, base.footprint, &[], Some(mask))
     }
 
-    fn demanding<'a>(
-        base: &AllocRequest<'a>,
-        demands: &'a [(u32, u32, OpKind)],
-    ) -> AllocRequest<'a> {
-        AllocRequest { demands, ..*base }
+    fn demanding(base: &AllocRequest<'_>, demands: &[(u32, u32, OpKind)]) -> LegalPivots {
+        LegalPivots::new(base.fabric, base.footprint, demands, None)
     }
 
     const MUL: OpKind = OpKind::Mul(MulFunc::Mul);
@@ -424,7 +554,8 @@ mod tests {
         let footprint = [(0u32, 0u32), (0, 1), (0, 2), (0, 3)];
         let demands = [(0u32, 0u32, MUL)];
         let base = req(&fabric, &tracker, &footprint, false);
-        let r = demanding(&base, &demands);
+        let legal = demanding(&base, &demands);
+        let r = AllocRequest { legal: &legal, ..base };
         assert!(r.placement_ok(Offset::new(0, 0)), "anchor lands on a full row");
         assert!(!r.placement_ok(Offset::new(1, 0)), "anchor lands on a bare-ALU row");
         assert!(r.placement_ok(Offset::new(2, 3)), "wrapping keeps the anchor capable");
@@ -440,7 +571,8 @@ mod tests {
         let footprint = [(0u32, 0u32)];
         let demands = [(0u32, 0u32, MUL)];
         let base = req(&fabric, &tracker, &footprint, false);
-        let r = demanding(&base, &demands);
+        let legal = demanding(&base, &demands);
+        let r = AllocRequest { legal: &legal, ..base };
         // Column-major rotation visits rows in order; odd rows are skipped.
         let mut p = RotationPolicy::new(crate::pattern::ColumnMajor);
         assert_eq!(p.next_offset(&r), Some(Offset::new(0, 0)));
@@ -450,7 +582,8 @@ mod tests {
         let mut shifted = fabric;
         shifted.classes = ClassMap::Checker;
         let odd_anchor = [(0u32, 1u32, MUL)];
-        let stuck = AllocRequest { fabric: &shifted, demands: &odd_anchor, ..base };
+        let stuck_legal = LegalPivots::new(&shifted, &footprint, &odd_anchor, None);
+        let stuck = AllocRequest { fabric: &shifted, legal: &stuck_legal, ..base };
         assert_eq!(BaselinePolicy.next_offset(&stuck), None);
     }
 
@@ -463,7 +596,8 @@ mod tests {
         let footprint = [(0u32, 0u32), (0, 1)];
         let demands = [(0u32, 0u32, MUL)];
         let base = req(&fabric, &tracker, &footprint, false);
-        let r = demanding(&base, &demands);
+        let legal = demanding(&base, &demands);
+        let r = AllocRequest { legal: &legal, ..base };
         let mut rnd = RandomPolicy::seeded(7);
         for _ in 0..100 {
             let o = rnd.next_offset(&r).unwrap();
@@ -483,7 +617,8 @@ mod tests {
         let footprint = [(0u32, 0u32)];
         let demands = [(0u32, 0u32, MUL)];
         let base = req(&fabric, &tracker, &footprint, false);
-        let r = demanding(&base, &demands);
+        let legal = demanding(&base, &demands);
+        let r = AllocRequest { legal: &legal, ..base };
         assert_eq!(BaselinePolicy.next_offset(&r), None);
         assert_eq!(RotationPolicy::new(Snake).next_offset(&r), None);
         assert_eq!(RandomPolicy::seeded(7).next_offset(&r), None);
@@ -501,7 +636,8 @@ mod tests {
         let demands =
             [(0u32, 0u32, MUL), (0, 1, OpKind::Load { func: cgra::op::LoadFunc::W, offset: 0 })];
         let bare = req(&fabric, &tracker, &footprint, false);
-        let with_demands = demanding(&bare, &demands);
+        let legal = demanding(&bare, &demands);
+        let with_demands = AllocRequest { legal: &legal, ..bare };
         let mut a = RandomPolicy::seeded(42);
         let mut b = RandomPolicy::seeded(42);
         for _ in 0..50 {
@@ -603,7 +739,8 @@ mod tests {
         let footprint = [(0u32, 0u32), (0, 1)];
         let mask = FaultMask::healthy(&fabric);
         let bare = req(&fabric, &tracker, &footprint, false);
-        let with_mask = masked(&bare, &mask);
+        let legal = masked(&bare, &mask);
+        let with_mask = AllocRequest { legal: &legal, ..bare };
         let mut a = RandomPolicy::seeded(42);
         let mut b = RandomPolicy::seeded(42);
         for _ in 0..50 {
@@ -624,11 +761,14 @@ mod tests {
         let mut mask = FaultMask::healthy(&fabric);
         mask.mark_dead(0, 0);
         let r = req(&fabric, &tracker, &footprint, false);
-        assert_eq!(BaselinePolicy.next_offset(&masked(&r, &mask)), None);
+        let legal = masked(&r, &mask);
+        assert_eq!(BaselinePolicy.next_offset(&AllocRequest { legal: &legal, ..r }), None);
         // A failure elsewhere leaves the baseline untouched.
         let mut elsewhere = FaultMask::healthy(&fabric);
         elsewhere.mark_dead(1, 9);
-        assert_eq!(BaselinePolicy.next_offset(&masked(&r, &elsewhere)), Some(Offset::ORIGIN));
+        let legal = masked(&r, &elsewhere);
+        let m = AllocRequest { legal: &legal, ..r };
+        assert_eq!(BaselinePolicy.next_offset(&m), Some(Offset::ORIGIN));
     }
 
     #[test]
@@ -640,7 +780,8 @@ mod tests {
         mask.mark_dead(0, 1); // the raster pattern's second stop
         let mut p = RotationPolicy::new(Raster);
         let r = req(&fabric, &tracker, &footprint, false);
-        let m = masked(&r, &mask);
+        let legal = masked(&r, &mask);
+        let m = AllocRequest { legal: &legal, ..r };
         assert_eq!(p.next_offset(&m), Some(Offset::new(0, 0)));
         assert_eq!(p.next_offset(&m), Some(Offset::new(0, 2)), "skips the dead pivot");
         // Kill everything: the walk exhausts a full period and gives up.
@@ -650,7 +791,8 @@ mod tests {
                 all_dead.mark_dead(row, col);
             }
         }
-        assert_eq!(p.next_offset(&masked(&r, &all_dead)), None);
+        let legal = masked(&r, &all_dead);
+        assert_eq!(p.next_offset(&AllocRequest { legal: &legal, ..r }), None);
     }
 
     #[test]
@@ -666,7 +808,8 @@ mod tests {
         // even without a configuration switch.
         let mut mask = FaultMask::healthy(&fabric);
         mask.mark_dead(resident.row, resident.col);
-        let moved = p.next_offset(&masked(&stay, &mask)).unwrap();
+        let legal = masked(&stay, &mask);
+        let moved = p.next_offset(&AllocRequest { legal: &legal, ..stay }).unwrap();
         assert_ne!(moved, resident, "dead resident pivot forces a move");
     }
 
@@ -682,14 +825,17 @@ mod tests {
         }
         let mut p = RandomPolicy::seeded(7);
         let r = req(&fabric, &tracker, &footprint, false);
-        let m = masked(&r, &mask);
+        let legal = masked(&r, &mask);
+        let m = AllocRequest { legal: &legal, ..r };
         for _ in 0..100 {
             let o = p.next_offset(&m).unwrap();
             assert!(!mask.is_dead(o.apply(&fabric, 0, 0).0, o.apply(&fabric, 0, 0).1));
         }
         mask.mark_dead(0, 3);
         mask.mark_dead(1, 3);
-        assert_eq!(p.next_offset(&masked(&r, &mask)), None, "no legal placement left");
+        let legal = masked(&r, &mask);
+        let m = AllocRequest { legal: &legal, ..r };
+        assert_eq!(p.next_offset(&m), None, "no legal placement left");
     }
 
     #[test]
@@ -714,7 +860,8 @@ mod tests {
         mask.mark_dead(1, 3);
         let footprint = [(0u32, 0u32)];
         let r = req(&fabric, &tracker, &footprint, false);
-        let o = HealthAwarePolicy.next_offset(&masked(&r, &mask)).unwrap();
+        let legal = masked(&r, &mask);
+        let o = HealthAwarePolicy.next_offset(&AllocRequest { legal: &legal, ..r }).unwrap();
         assert_eq!(o.apply(&fabric, 0, 0), (1, 2), "coolest *live* cell wins");
         // All cells dead: even the oracle is out of options.
         let mut all_dead = FaultMask::healthy(&fabric);
@@ -723,6 +870,7 @@ mod tests {
                 all_dead.mark_dead(row, col);
             }
         }
-        assert_eq!(HealthAwarePolicy.next_offset(&masked(&r, &all_dead)), None);
+        let legal = masked(&r, &all_dead);
+        assert_eq!(HealthAwarePolicy.next_offset(&AllocRequest { legal: &legal, ..r }), None);
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use cgra::{Fabric, Offset};
 use uaware::{
-    AllocRequest, AllocationPolicy, BaselinePolicy, ColumnMajor, HealthAwarePolicy,
+    AllocRequest, AllocationPolicy, BaselinePolicy, ColumnMajor, HealthAwarePolicy, LegalPivots,
     MovementPattern, Raster, RotationPolicy, Snake, UtilizationTracker,
 };
 
@@ -29,6 +29,7 @@ fn drive(
     executions: u64,
 ) -> UtilizationTracker {
     let mut tracker = UtilizationTracker::new(fabric);
+    let legal = LegalPivots::new(fabric, footprint, &[], None);
     for _ in 0..executions {
         let off = {
             let req = AllocRequest {
@@ -36,8 +37,7 @@ fn drive(
                 config_switch: false,
                 footprint,
                 tracker: &tracker,
-                faults: None,
-                demands: &[],
+                legal: &legal,
             };
             policy.next_offset(&req).expect("pristine fabric always allocates")
         };
@@ -120,13 +120,13 @@ proptest! {
             tracker.record_execution(&[hot], 1);
         }
         let footprint = [(0u32, 0u32)];
+        let legal = LegalPivots::new(&fabric, &footprint, &[], None);
         let req = AllocRequest {
             fabric: &fabric,
             config_switch: false,
             footprint: &footprint,
             tracker: &tracker,
-            faults: None,
-            demands: &[],
+            legal: &legal,
         };
         let off = HealthAwarePolicy.next_offset(&req).unwrap();
         prop_assert_ne!(off.apply(&fabric, 0, 0), hot,
@@ -151,14 +151,14 @@ proptest! {
     fn baseline_is_stateless(fabric in any_fabric(), n in 1usize..50) {
         let tracker = UtilizationTracker::new(&fabric);
         let mut p = BaselinePolicy;
+        let legal = LegalPivots::new(&fabric, &[], &[], None);
         for _ in 0..n {
             let req = AllocRequest {
                 fabric: &fabric,
                 config_switch: true,
                 footprint: &[],
                 tracker: &tracker,
-                faults: None,
-                demands: &[],
+                legal: &legal,
             };
             prop_assert_eq!(p.next_offset(&req), Some(Offset::ORIGIN));
         }

@@ -11,7 +11,9 @@ use proptest::prelude::*;
 use cgra::op::{MulFunc, OpKind};
 use cgra::{CellClass, ClassMap, Fabric, FaultMask, Offset};
 use solve::{solve, MinimaxProblem, OffsetProblem};
-use uaware::{AllocRequest, AllocationPolicy, ExactPolicy, PolicySpec, UtilizationTracker};
+use uaware::{
+    AllocRequest, AllocationPolicy, ExactPolicy, LegalPivots, PolicySpec, UtilizationTracker,
+};
 
 fn any_small_fabric() -> impl Strategy<Value = Fabric> {
     // Four columns is the geometry floor (memory ops span four columns).
@@ -31,6 +33,23 @@ fn any_class_map() -> impl Strategy<Value = ClassMap> {
         Just(ClassMap::RowStripes),
         Just(ClassMap::ColStripes),
     ]
+}
+
+/// Legality computed from first principles, independent of
+/// [`LegalPivots`]: every footprint cell on a live FU, every demand on a
+/// capable cell.
+fn brute_force_legal(
+    fabric: &Fabric,
+    mask: &FaultMask,
+    footprint: &[(u32, u32)],
+    demands: &[(u32, u32, OpKind)],
+    o: Offset,
+) -> bool {
+    mask.placement_ok(fabric, footprint, o)
+        && demands.iter().all(|&(r, c, kind)| {
+            let (pr, pc) = o.apply(fabric, r, c);
+            fabric.supports(pr, pc, kind)
+        })
 }
 
 /// Evaluates every `choices^slots` assignment tuple and returns the true
@@ -85,17 +104,10 @@ proptest! {
         let footprint = [(0u32, 0u32), (0, 1)];
         let demands = [(0u32, 0u32, OpKind::Mul(MulFunc::Mul))];
         let demands: &[(u32, u32, OpKind)] = if with_demand == 1 { &demands } else { &[] };
-        let tracker = UtilizationTracker::new(&fabric);
-        let req = AllocRequest {
-            fabric: &fabric,
-            config_switch: true,
-            footprint: &footprint,
-            tracker: &tracker,
-            faults: Some(&mask),
-            demands,
-        };
         let loads = &initial[..fabric.fu_count() as usize];
-        let p = OffsetProblem::new(&fabric, &footprint, loads, slots, |o| req.placement_ok(o));
+        let p = OffsetProblem::new(&fabric, &footprint, loads, slots, |o| {
+            brute_force_legal(&fabric, &mask, &footprint, demands, o)
+        });
         match solve(&p) {
             None => prop_assert!(!p.is_feasible(), "solver gave up on a feasible instance"),
             Some(s) => {
@@ -133,6 +145,7 @@ proptest! {
         if !mask.any_placement(&fabric, &footprint) {
             return Ok(()); // nothing to compare: every policy must starve
         }
+        let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
         let run = |policy: &mut dyn AllocationPolicy| -> Option<u64> {
             let mut tracker = UtilizationTracker::new(&fabric);
             for _ in 0..epoch {
@@ -142,8 +155,7 @@ proptest! {
                         config_switch: true,
                         footprint: &footprint,
                         tracker: &tracker,
-                        faults: Some(&mask),
-                        demands: &[],
+                        legal: &legal,
                     };
                     policy.next_offset(&req)?
                 };
@@ -184,13 +196,14 @@ fn oracle_dodges_warm_cells_deterministically() {
     let mut tracker = UtilizationTracker::new(&fabric);
     tracker.record_execution(&[(0, 0), (0, 1)], 2);
     let mut oracle = ExactPolicy::new(1);
+    let footprint = [(0, 0), (0, 1)];
+    let legal = LegalPivots::new(&fabric, &footprint, &[], None);
     let req = AllocRequest {
         fabric: &fabric,
         config_switch: true,
-        footprint: &[(0, 0), (0, 1)],
+        footprint: &footprint,
         tracker: &tracker,
-        faults: None,
-        demands: &[],
+        legal: &legal,
     };
     let off = oracle.next_offset(&req).expect("pristine 3×3 allocates");
     assert_ne!(off, Offset::ORIGIN);

@@ -8,8 +8,8 @@
 use cgra::op::{LoadFunc, MulFunc, OpKind};
 use cgra::{Fabric, FaultMask};
 use uaware::{
-    AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, RandomPolicy,
-    RotationPolicy, Snake, UtilizationTracker,
+    AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, LegalPivots,
+    RandomPolicy, RotationPolicy, Snake, UtilizationTracker,
 };
 
 /// The decision stream captured on the pre-heterogeneity implementation:
@@ -69,13 +69,13 @@ fn uniform_pristine_streams_match_the_pre_heterogeneity_capture() {
     let fabric = Fabric::be();
     let tracker = warmed_tracker(&fabric);
     let footprint = [(0u32, 0u32), (0, 1), (1, 0)];
+    let no_constraints = LegalPivots::new(&fabric, &footprint, &[], None);
     let bare = AllocRequest {
         fabric: &fabric,
         config_switch: false,
         footprint: &footprint,
         tracker: &tracker,
-        faults: None,
-        demands: &[],
+        legal: &no_constraints,
     };
     assert_pinned(&bare, "bare request");
 
@@ -85,16 +85,16 @@ fn uniform_pristine_streams_match_the_pre_heterogeneity_capture() {
         (0u32, 0u32, OpKind::Mul(MulFunc::Mul)),
         (1, 0, OpKind::Load { func: LoadFunc::W, offset: 0 }),
     ];
-    assert_pinned(&AllocRequest { demands: &demands, ..bare }, "with demands");
+    let with_demands = LegalPivots::new(&fabric, &footprint, &demands, None);
+    assert_pinned(&AllocRequest { legal: &with_demands, ..bare }, "with demands");
 
     // Neither must a healthy fault mask (the PR-5 guarantee), alone or
     // combined with demands.
     let mask = FaultMask::healthy(&fabric);
-    assert_pinned(&AllocRequest { faults: Some(&mask), ..bare }, "with healthy mask");
-    assert_pinned(
-        &AllocRequest { faults: Some(&mask), demands: &demands, ..bare },
-        "with healthy mask and demands",
-    );
+    let with_mask = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
+    assert_pinned(&AllocRequest { legal: &with_mask, ..bare }, "with healthy mask");
+    let with_both = LegalPivots::new(&fabric, &footprint, &demands, Some(&mask));
+    assert_pinned(&AllocRequest { legal: &with_both, ..bare }, "with healthy mask and demands");
 }
 
 /// The exact oracle's decision stream on the same warmed fixture, captured
@@ -121,13 +121,13 @@ fn exact_streams_match_the_branch_and_bound_capture() {
     let fabric = Fabric::be();
     let tracker = warmed_tracker(&fabric);
     let footprint = [(0u32, 0u32), (0, 1), (1, 0)];
+    let no_constraints = LegalPivots::new(&fabric, &footprint, &[], None);
     let bare = AllocRequest {
         fabric: &fabric,
         config_switch: false,
         footprint: &footprint,
         tracker: &tracker,
-        faults: None,
-        demands: &[],
+        legal: &no_constraints,
     };
     let assert_exact = |req: &AllocRequest<'_>, label: &str| {
         // Re-solving against a static tracker is a fixed point: the greedy
@@ -151,11 +151,10 @@ fn exact_streams_match_the_branch_and_bound_capture() {
         (1, 0, OpKind::Load { func: LoadFunc::W, offset: 0 }),
     ];
     let mask = FaultMask::healthy(&fabric);
-    assert_exact(&AllocRequest { demands: &demands, ..bare }, "with demands");
-    assert_exact(
-        &AllocRequest { faults: Some(&mask), demands: &demands, ..bare },
-        "with healthy mask and demands",
-    );
+    let with_demands = LegalPivots::new(&fabric, &footprint, &demands, None);
+    assert_exact(&AllocRequest { legal: &with_demands, ..bare }, "with demands");
+    let with_both = LegalPivots::new(&fabric, &footprint, &demands, Some(&mask));
+    assert_exact(&AllocRequest { legal: &with_both, ..bare }, "with healthy mask and demands");
 }
 
 #[test]
@@ -166,13 +165,13 @@ fn fabric_uniform_streams_match_fabric_new() {
     assert_eq!(fabric, Fabric::be());
     let tracker = warmed_tracker(&fabric);
     let footprint = [(0u32, 0u32), (0, 1), (1, 0)];
+    let legal = LegalPivots::new(&fabric, &footprint, &[], None);
     let req = AllocRequest {
         fabric: &fabric,
         config_switch: false,
         footprint: &footprint,
         tracker: &tracker,
-        faults: None,
-        demands: &[],
+        legal: &legal,
     };
     assert_pinned(&req, "Fabric::uniform");
 }

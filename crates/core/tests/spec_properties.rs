@@ -4,9 +4,11 @@
 
 use proptest::prelude::*;
 
-use cgra::op::{LoadFunc, MulFunc, OpKind};
-use cgra::{CellClass, ClassMap, Fabric, FabricSpec, Offset};
-use uaware::{AllocRequest, MovementGranularity, PatternSpec, PolicySpec, UtilizationTracker};
+use cgra::op::{AluFunc, LoadFunc, MulFunc, OpKind, StoreFunc};
+use cgra::{CellClass, ClassMap, Fabric, FabricSpec, FaultMask, Offset};
+use uaware::{
+    AllocRequest, LegalPivots, MovementGranularity, PatternSpec, PolicySpec, UtilizationTracker,
+};
 
 fn any_fabric() -> impl Strategy<Value = Fabric> {
     ((1u32..=8), (4u32..=32)).prop_map(|(r, c)| Fabric::new(r, c))
@@ -44,6 +46,15 @@ fn any_het_fabric() -> impl Strategy<Value = Fabric> {
         fabric.col_bandwidth = bw;
         fabric
     })
+}
+
+fn any_op_kind() -> impl Strategy<Value = OpKind> {
+    prop_oneof![
+        Just(OpKind::Alu(AluFunc::Add)),
+        Just(OpKind::Mul(MulFunc::Mul)),
+        Just(OpKind::Load { func: LoadFunc::W, offset: 0 }),
+        Just(OpKind::Store { func: StoreFunc::W, offset: 0 }),
+    ]
 }
 
 fn any_granularity() -> impl Strategy<Value = MovementGranularity> {
@@ -90,6 +101,7 @@ proptest! {
         prop_assert_eq!(policy.needs_movement(), spec.needs_movement());
         let mut tracker = UtilizationTracker::new(&fabric);
         let footprint = [(0u32, 0u32), (0, 1 % fabric.cols), (1 % fabric.rows, 0)];
+        let legal = LegalPivots::new(&fabric, &footprint, &[], None);
         for cs in switches {
             let off = {
                 let req = AllocRequest {
@@ -97,8 +109,7 @@ proptest! {
                     config_switch: cs == 1,
                     footprint: &footprint,
                     tracker: &tracker,
-                    faults: None,
-                    demands: &[],
+                    legal: &legal,
                 };
                 policy.next_offset(&req).expect("pristine fabric always allocates")
             };
@@ -125,6 +136,7 @@ proptest! {
         let mut policy = spec.build();
         let mut tracker = UtilizationTracker::new(&fabric);
         let footprint = [(0u32, 0u32), (0, 1 % fabric.cols)];
+        let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
         for cs in switches {
             let off = {
                 let req = AllocRequest {
@@ -132,8 +144,7 @@ proptest! {
                     config_switch: cs == 1,
                     footprint: &footprint,
                     tracker: &tracker,
-                    faults: Some(&mask),
-                    demands: &[],
+                    legal: &legal,
                 };
                 policy.next_offset(&req)
             };
@@ -209,6 +220,7 @@ proptest! {
         };
         let mut policy = spec.build();
         let mut tracker = UtilizationTracker::new(&fabric);
+        let table = LegalPivots::new(&fabric, &footprint, &demands, Some(&mask));
         for cs in switches {
             let off = {
                 let req = AllocRequest {
@@ -216,8 +228,7 @@ proptest! {
                     config_switch: cs == 1,
                     footprint: &footprint,
                     tracker: &tracker,
-                    faults: Some(&mask),
-                    demands: &demands,
+                    legal: &table,
                 };
                 policy.next_offset(&req)
             };
@@ -244,6 +255,61 @@ proptest! {
                         "{}: baseline gave up although its origin is legal", spec);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn legal_pivots_match_the_brute_force_predicate(
+        fabric in any_het_fabric(),
+        dead in proptest::collection::vec((0u32..8, 0u32..32), 0..=10),
+        footprint in proptest::collection::vec((0u32..8, 0u32..32), 0..=6),
+        demands in proptest::collection::vec((0u32..8, 0u32..32, any_op_kind()), 0..=3),
+        with_mask in 0u8..=1,
+    ) {
+        // The table `System` builds at insertion must agree with the
+        // predicate it replaces at every pivot, and walk and index exactly
+        // the legal pivots in row-major order (DESIGN.md §11, §14).
+        let mut mask = FaultMask::healthy(&fabric);
+        for (r, c) in dead {
+            mask.mark_dead(r % fabric.rows, c % fabric.cols);
+        }
+        let footprint: Vec<(u32, u32)> =
+            footprint.into_iter().map(|(r, c)| (r % fabric.rows, c % fabric.cols)).collect();
+        let demands: Vec<(u32, u32, OpKind)> = demands
+            .into_iter()
+            .map(|(r, c, kind)| (r % fabric.rows, c % fabric.cols, kind))
+            .collect();
+        let faults = (with_mask == 1).then_some(&mask);
+        let brute_force = |o: Offset| {
+            faults.is_none_or(|m| m.placement_ok(&fabric, &footprint, o))
+                && demands.iter().all(|&(r, c, kind)| {
+                    let (pr, pc) = o.apply(&fabric, r, c);
+                    fabric.supports(pr, pc, kind)
+                })
+        };
+        let legal = LegalPivots::new(&fabric, &footprint, &demands, faults);
+        let expected: Vec<Offset> = (0..fabric.rows)
+            .flat_map(|r| (0..fabric.cols).map(move |c| Offset::new(r, c)))
+            .filter(|&o| brute_force(o))
+            .collect();
+        for row in 0..fabric.rows {
+            for col in 0..fabric.cols {
+                let o = Offset::new(row, col);
+                prop_assert_eq!(legal.allows(o), brute_force(o), "pivot {}", o);
+            }
+        }
+        let walked: Option<Vec<Offset>> = legal.iter().map(Iterator::collect);
+        match walked {
+            Some(list) => {
+                prop_assert_eq!(&list, &expected);
+                prop_assert_eq!(legal.count(), Some(expected.len()));
+                for (k, &o) in expected.iter().enumerate() {
+                    prop_assert_eq!(legal.nth(k), Some(o), "index {}", k);
+                }
+                prop_assert_eq!(legal.nth(expected.len()), None);
+            }
+            None => prop_assert_eq!(expected.len() as u32, fabric.fu_count(),
+                "an unconstrained table must mean every pivot is legal"),
         }
     }
 

@@ -167,8 +167,9 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
     let mut inc_loads = initial.clone();
     let mut inc_choices = Vec::with_capacity(n);
     let mut scratch: Vec<u64> = Vec::with_capacity(r);
+    let mut best_sorted: Vec<u64> = Vec::with_capacity(r);
     for s in 0..n {
-        let mut best: Option<(Vec<u64>, usize)> = None;
+        let mut best = None;
         for c in 0..p.choices() {
             if !p.legal(s, c) {
                 continue;
@@ -179,11 +180,12 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
                 scratch[res as usize] += d;
             }
             scratch.sort_unstable_by(|a, b| b.cmp(a));
-            if best.as_ref().is_none_or(|(bv, _)| scratch < *bv) {
-                best = Some((scratch.clone(), c));
+            if best.is_none() || scratch < best_sorted {
+                std::mem::swap(&mut scratch, &mut best_sorted);
+                best = Some(c);
             }
         }
-        let (_, c) = best.expect("feasibility was established per slot");
+        let c = best.expect("feasibility was established per slot");
         for &(res, d) in p.deltas(s, c) {
             inc_loads[res as usize] += d;
         }
@@ -211,28 +213,40 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
         if lb >= ub {
             break; // every open node is at least as bad as the incumbent
         }
-        let node = nodes[idx].take().expect("frontier nodes are popped once");
+        let mut node = nodes[idx].take().expect("frontier nodes are popped once");
         stats.expanded += 1;
+        let depth = node.depth + 1;
+        // Loads only grow, so a leaf's objective is the larger of the
+        // parent's maximum and the resources the leaf touches: score each
+        // leaf on the parent's own vector, then take its deltas back out.
+        let node_max = if depth == n { node.loads.iter().copied().max().unwrap_or(0) } else { 0 };
         for c in node.floor..p.choices() {
             if !p.legal(node.depth, c) {
                 continue;
             }
             stats.generated += 1;
-            let mut loads = node.loads.clone();
-            let mut sum = node.sum;
-            for &(res, d) in p.deltas(node.depth, c) {
-                loads[res as usize] += d;
-                sum += d;
-            }
-            let depth = node.depth + 1;
             if depth == n {
-                let obj = loads.iter().copied().max().unwrap_or(0);
+                let deltas = p.deltas(node.depth, c);
+                for &(res, d) in deltas {
+                    node.loads[res as usize] += d;
+                }
+                let obj =
+                    deltas.iter().fold(node_max, |m, &(res, _)| m.max(node.loads[res as usize]));
+                for &(res, d) in deltas {
+                    node.loads[res as usize] -= d;
+                }
                 if obj < ub {
                     ub = obj;
                     best_choices = node.choices.clone();
                     best_choices.push(c);
                 }
                 continue;
+            }
+            let mut loads = node.loads.clone();
+            let mut sum = node.sum;
+            for &(res, d) in p.deltas(node.depth, c) {
+                loads[res as usize] += d;
+                sum += d;
             }
             let child_lb = lb_of(depth, &loads, sum);
             if child_lb >= ub {

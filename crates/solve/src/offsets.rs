@@ -16,6 +16,10 @@ use crate::bnb::MinimaxProblem;
 /// fabric: minimize the maximum post-epoch per-FU stress count over all
 /// assignments of the next `slots` executions to legal offsets.
 ///
+/// A problem can be [`refill`](OffsetProblem::refill)ed in place, so a
+/// caller that re-solves on every allocation (the exact oracle) keeps one
+/// and reuses its buffers instead of building a new one per solve.
+///
 /// # Examples
 ///
 /// ```
@@ -28,24 +32,24 @@ use crate::bnb::MinimaxProblem;
 /// let s = solve(&p).unwrap();
 /// assert_eq!(s.objective, 1); // one execution, one stress on a cold FU
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OffsetProblem {
     slots: usize,
     initial: Vec<u64>,
     offsets: Vec<Offset>,
-    deltas: Vec<Vec<(u32, u64)>>,
+    /// Every choice's merged deltas, back to back; choice `k` owns
+    /// `deltas[starts[k]..starts[k + 1]]`.
+    deltas: Vec<(u32, u64)>,
+    starts: Vec<usize>,
+    /// Refill scratch: the footprint reduced into the fabric with each
+    /// cell's stress weight, and the per-column occupancy behind it.
+    cells: Vec<(u32, u32, u64)>,
+    occupancy: Vec<u64>,
 }
 
 impl OffsetProblem {
-    /// Builds the problem: enumerate pivots in row-major order, keep those
-    /// `legal` accepts (pass the request's `placement_ok`), and precompute
-    /// each survivor's per-FU stress deltas — `ceil(occupancy / bandwidth)`
-    /// per covered cell on budgeted fabrics, 1 otherwise, matching the
-    /// tracker's accounting (DESIGN.md §14).
-    ///
-    /// `initial_loads` are the live row-major stress counters
-    /// (`UtilizationTracker::stress_counts`); `slots` is the epoch length
-    /// being planned.
+    /// Builds the problem: an empty problem [`refill`](Self::refill)ed
+    /// with these arguments.
     ///
     /// # Panics
     ///
@@ -55,52 +59,104 @@ impl OffsetProblem {
         footprint: &[(u32, u32)],
         initial_loads: &[u64],
         slots: usize,
-        mut legal: impl FnMut(Offset) -> bool,
+        legal: impl FnMut(Offset) -> bool,
     ) -> OffsetProblem {
+        let mut problem = OffsetProblem::default();
+        problem.refill(fabric, footprint, initial_loads, slots, legal);
+        problem
+    }
+
+    /// Replaces the problem in place, reusing its buffers: enumerate pivots
+    /// in row-major order, keep those `legal` accepts (pass the request's
+    /// `placement_ok`), and precompute each survivor's per-FU stress deltas
+    /// — `ceil(occupancy / bandwidth)` per covered cell on budgeted
+    /// fabrics, 1 otherwise, matching the tracker's accounting
+    /// (DESIGN.md §14).
+    ///
+    /// `initial_loads` are the live row-major stress counters
+    /// (`UtilizationTracker::stress_counts`); `slots` is the epoch length
+    /// being planned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial_loads` does not match the fabric's FU count.
+    pub fn refill(
+        &mut self,
+        fabric: &Fabric,
+        footprint: &[(u32, u32)],
+        initial_loads: &[u64],
+        slots: usize,
+        mut legal: impl FnMut(Offset) -> bool,
+    ) {
         assert_eq!(
             initial_loads.len(),
             fabric.fu_count() as usize,
             "initial loads must be row-major per-FU counters"
         );
-        let mut offsets = Vec::new();
-        let mut deltas = Vec::new();
-        for row in 0..fabric.rows {
-            for col in 0..fabric.cols {
+        let (rows, cols) = (fabric.rows, fabric.cols);
+        self.slots = slots;
+        self.initial.clear();
+        self.initial.extend_from_slice(initial_loads);
+        self.offsets.clear();
+        self.deltas.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        if rows == 0 || cols == 0 {
+            return; // no pivot at all
+        }
+
+        // A pivot shifts every cell by the same amount, so two cells share
+        // a physical column exactly when they share one modulo `cols`: the
+        // column occupancy, and with it each cell's stress, is the same at
+        // every pivot.
+        self.occupancy.clear();
+        self.occupancy.resize(cols as usize, 0);
+        for &(_, c) in footprint {
+            self.occupancy[(c % cols) as usize] += 1;
+        }
+        self.cells.clear();
+        self.cells.extend(footprint.iter().map(|&(r, c)| {
+            let (r, c) = (r % rows, c % cols);
+            let stress = match fabric.col_bandwidth {
+                0 => 1,
+                bw => self.occupancy[c as usize].div_ceil(bw as u64),
+            };
+            (r, c, stress)
+        }));
+
+        for row in 0..rows {
+            for col in 0..cols {
                 let o = Offset::new(row, col);
                 if !legal(o) {
                     continue;
                 }
-                let cells: Vec<(u32, u32)> =
-                    footprint.iter().map(|&(r, c)| o.apply(fabric, r, c)).collect();
-                let mut d: Vec<(u32, u64)> = cells
-                    .iter()
-                    .map(|&(pr, pc)| {
-                        let stress = if fabric.col_bandwidth == 0 {
-                            1
-                        } else {
-                            let occupancy = cells.iter().filter(|&&(_, c)| c == pc).count() as u64;
-                            occupancy.div_ceil(fabric.col_bandwidth as u64)
-                        };
-                        (pr * fabric.cols + pc, stress)
-                    })
-                    .collect();
+                let start = self.deltas.len();
+                self.deltas.extend(self.cells.iter().map(|&(r, c, stress)| {
+                    // Both coordinates are already reduced, so one
+                    // subtraction wraps them.
+                    let pr = if r + row >= rows { r + row - rows } else { r + row };
+                    let pc = if c + col >= cols { c + col - cols } else { c + col };
+                    (pr * cols + pc, stress)
+                }));
                 // Merge repeated cells (overlapping ops) so each resource
                 // appears once; the summed delta matches the tracker's
                 // per-occurrence accrual.
-                d.sort_unstable();
-                d.dedup_by(|next, acc| {
-                    if acc.0 == next.0 {
-                        acc.1 += next.1;
-                        true
+                let choice = &mut self.deltas[start..];
+                choice.sort_unstable();
+                let mut kept = 0;
+                for i in 0..choice.len() {
+                    if kept > 0 && choice[kept - 1].0 == choice[i].0 {
+                        choice[kept - 1].1 += choice[i].1;
                     } else {
-                        false
+                        choice[kept] = choice[i];
+                        kept += 1;
                     }
-                });
-                offsets.push(o);
-                deltas.push(d);
+                }
+                self.deltas.truncate(start + kept);
+                self.offsets.push(o);
+                self.starts.push(self.deltas.len());
             }
         }
-        OffsetProblem { slots, initial: initial_loads.to_vec(), offsets, deltas }
     }
 
     /// `false` when no pivot survived the legality predicate — solving
@@ -142,7 +198,7 @@ impl MinimaxProblem for OffsetProblem {
     }
 
     fn deltas(&self, _slot: usize, choice: usize) -> &[(u32, u64)] {
-        &self.deltas[choice]
+        &self.deltas[self.starts[choice]..self.starts[choice + 1]]
     }
 
     fn exchangeable(&self) -> bool {

@@ -32,7 +32,7 @@ use rv32::cpu::{Cpu, CpuError, Exit, TimingModel};
 use rv32::mem::MemError;
 use rv32::Program;
 use serde::{Deserialize, Serialize};
-use uaware::{AllocRequest, AllocationPolicy, PolicySpec, UtilizationTracker};
+use uaware::{AllocRequest, AllocationPolicy, LegalPivots, PolicySpec, UtilizationTracker};
 
 use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent};
 
@@ -345,7 +345,9 @@ enum ResidentTransition {
 /// What every offload of a cached configuration needs, derived once when
 /// the DBT installs it (DESIGN.md §10): the hardware decodes a trace into
 /// the configuration cache once and executes it many times, and so does
-/// the simulator.
+/// the simulator. Only the legal pivots depend on the fault mask; a mask
+/// swap rebuilds them in place.
+#[derive(Clone)]
 struct Decoded {
     /// The shared cache entry.
     cc: Arc<CachedConfig>,
@@ -355,6 +357,9 @@ struct Decoded {
     footprint: Vec<(u32, u32)>,
     /// Anchor-capability demands (`Configuration::demands`).
     demands: Vec<(u32, u32, OpKind)>,
+    /// Pivots the footprint may take under the installed fault mask and
+    /// the fabric's class mix (DESIGN.md §11, §14).
+    legal: LegalPivots,
 }
 
 /// The TransRec system simulator.
@@ -374,7 +379,8 @@ pub struct System {
     /// a re-execution of the resident configuration finds its input context
     /// still valid and skips the transfer).
     gpp_dirty: bool,
-    /// One record per cached start PC, kept in step with the cache.
+    /// One record per cached start PC, kept in step with the cache and
+    /// with the fault mask.
     decoded: HashMap<u32, Arc<Decoded>>,
     /// Offload buffers, reused so an offload allocates nothing: the input
     /// context, the executor's working memory, and the physical cells
@@ -615,7 +621,9 @@ impl System {
     /// must route around (DESIGN.md §11). The lifetime engine updates the
     /// mask between missions as FUs cross their end of life; once no legal
     /// placement remains, runs fail with
-    /// [`SystemError::AllocationExhausted`].
+    /// [`SystemError::AllocationExhausted`]. The legal pivots of every
+    /// cached configuration are rebuilt against the new mask, so the swap
+    /// takes effect at the next offload, also in a resumed session.
     ///
     /// # Panics
     ///
@@ -629,6 +637,11 @@ impl System {
             );
         }
         self.faults = mask;
+        let (fabric, faults) = (&self.config.fabric, self.faults.as_ref());
+        for record in self.decoded.values_mut() {
+            let record = Arc::make_mut(record);
+            record.legal = LegalPivots::new(fabric, &record.footprint, &record.demands, faults);
+        }
     }
 
     /// The installed permanent-failure map, if any.
@@ -665,10 +678,15 @@ impl System {
 
     /// Derives the per-offload record of a freshly built configuration.
     fn decode(&self, cc: CachedConfig) -> Decoded {
+        let footprint: Vec<(u32, u32)> = cc.config.cells().collect();
+        let demands: Vec<(u32, u32, OpKind)> = cc.config.demands().collect();
+        let legal =
+            LegalPivots::new(&self.config.fabric, &footprint, &demands, self.faults.as_ref());
         Decoded {
             gpp_estimate: self.estimate_gpp_cycles(&cc),
-            footprint: cc.config.cells().collect(),
-            demands: cc.config.demands().collect(),
+            footprint,
+            demands,
+            legal,
             cc: Arc::new(cc),
         }
     }
@@ -749,7 +767,7 @@ impl System {
     /// fabric's class mix although a fault-free placement still exists, so
     /// the configuration must stay on the GPP (DESIGN.md §14).
     fn offload(&mut self, decoded: &Decoded) -> Result<bool, SystemError> {
-        let Decoded { cc, footprint, demands, .. } = decoded;
+        let Decoded { cc, footprint, demands, legal, .. } = decoded;
         let fabric = self.config.fabric;
         let config_switch = !matches!(self.resident, Some((pc, _)) if pc == cc.start_pc);
         let offset = self.policy.next_offset(&AllocRequest {
@@ -757,8 +775,7 @@ impl System {
             config_switch,
             footprint,
             tracker: &self.tracker,
-            faults: self.faults.as_ref(),
-            demands,
+            legal,
         });
         let Some(offset) = offset else {
             // Genuine fault exhaustion — no offset fits the footprint on
