@@ -43,6 +43,11 @@ pub fn log_bucket(value: u64) -> u32 {
     8 * (e - 2) + ((value >> (e - 3)) & 7) as u32
 }
 
+/// The number of [`log_bucket`] buckets: every `u64` observation lands
+/// below this index, so a dense `[u64; LOG_BUCKETS]` tally can count any
+/// value without a search.
+pub const LOG_BUCKETS: usize = 496;
+
 /// The smallest value that falls in `bucket` — the value percentile
 /// queries report (a conservative lower bound).
 pub fn log_bucket_floor(bucket: u32) -> u64 {
@@ -92,6 +97,15 @@ impl LogHistogram {
             _ => self.buckets.insert(at, (bucket, count)),
         }
         self.total += count;
+    }
+
+    /// Absorbs a dense tally: `counts[b]` observations of bucket `b`. A
+    /// hot loop can count into a `[u64; LOG_BUCKETS]` array and fold it
+    /// here once; the result equals recording each observation.
+    pub fn add_dense(&mut self, counts: &[u64]) {
+        for (bucket, &count) in counts.iter().enumerate() {
+            self.add(bucket as u32, count);
+        }
     }
 
     /// Absorbs `other` scaled by `weight` — the equivalence-class fast
@@ -559,6 +573,28 @@ mod tests {
             assert!(b >= last);
             last = b;
         }
+        assert_eq!(
+            log_bucket(u64::MAX) as usize,
+            LOG_BUCKETS - 1,
+            "the last bucket holds u64::MAX"
+        );
+    }
+
+    #[test]
+    fn dense_tallies_fold_like_records() {
+        let values = [0u64, 3, 3, 9, 100, 100_000, 7, u64::MAX, 100];
+        let mut recorded = LogHistogram::new();
+        let mut dense = [0u64; LOG_BUCKETS];
+        for &v in &values {
+            recorded.record(v);
+            dense[log_bucket(v) as usize] += 1;
+        }
+        let mut folded = LogHistogram::new();
+        folded.add_dense(&dense);
+        assert_eq!(folded, recorded);
+        folded.add_dense(&dense);
+        recorded.merge(&recorded.clone());
+        assert_eq!(folded, recorded, "a second fold adds to the first");
     }
 
     #[test]

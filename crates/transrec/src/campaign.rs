@@ -1,6 +1,7 @@
 //! The one campaign engine behind [`fleet`](crate::fleet) and
 //! [`traffic`](crate::traffic) (DESIGN.md §12): phase 1 simulates one
-//! trajectory per equivalence class, phase 2 folds device shards into
+//! trajectory per (cell × equivalence class) in tasks that may each cover
+//! several trajectories, phase 2 folds device shards into
 //! per-cell monoid accumulators in waves, and an optional checkpoint —
 //! one versioned envelope for every kind — makes the campaign kill-safe.
 //! A kind plugs in through the crate-private `Campaign` trait.
@@ -100,14 +101,18 @@ pub(crate) trait Campaign: Sync {
     /// Equivalence classes per cell: phase 1 simulates one trajectory per
     /// (cell × class).
     fn classes(&self) -> usize;
-    /// Simulates `cell`'s class `class` against the per-lane workload
-    /// mixes.
+    /// Phase-1 tasks. Together they simulate every trajectory exactly
+    /// once; a task that covers several lets them share work such as
+    /// generated inputs.
+    fn tasks(&self) -> usize;
+    /// Runs phase-1 task `task` against the per-lane workload mixes: each
+    /// of its trajectories with its cell-major index
+    /// `cell * classes + class`.
     fn simulate(
         &self,
-        cell: usize,
-        class: usize,
+        task: usize,
         workloads: &[Vec<Workload>],
-    ) -> Result<Self::Trajectory, SystemError>;
+    ) -> Vec<(usize, Result<Self::Trajectory, SystemError>)>;
     /// Device shards phase 2 streams.
     fn shard_count(&self) -> usize;
     /// Folds `shard`'s devices into one cell's partial, given that cell's
@@ -278,20 +283,30 @@ pub(crate) fn run<C: Campaign>(
             // cells, so every policy faces the identical population.
             let workloads: Vec<Vec<Workload>> =
                 pool.par_map((0..campaign.lanes()).collect(), |_, lane| campaign.workloads(lane));
-            let outcomes = pool.par_map((0..cells * classes).collect(), |_, index| {
-                let work = || campaign.simulate(index / classes, index % classes, &workloads);
+            let outcomes = pool.par_map((0..campaign.tasks()).collect(), |_, task| {
+                let work = || campaign.simulate(task, &workloads);
                 if options.collect_metrics {
                     obs::collect(work)
                 } else {
                     (work(), Registry::new())
                 }
             });
-            let mut trajectories = Vec::with_capacity(outcomes.len());
+            // Scatter the tasks' trajectories back into cell-major order.
+            // Registries are monoids, so folding them per task instead of
+            // per trajectory leaves the metrics unchanged.
+            let mut slots: Vec<Option<Result<C::Trajectory, SystemError>>> =
+                (0..cells * classes).map(|_| None).collect();
             let mut metrics = Registry::new();
-            for (outcome, registry) in outcomes {
-                trajectories.push(outcome?);
+            for (simulated, registry) in outcomes {
+                for (index, outcome) in simulated {
+                    slots[index] = Some(outcome);
+                }
                 metrics.merge(&registry);
             }
+            let trajectories = slots
+                .into_iter()
+                .map(|slot| slot.expect("phase-1 tasks cover every trajectory"))
+                .collect::<Result<Vec<_>, _>>()?;
             let accums = (0..cells).map(|_| C::Accum::default()).collect();
             let state = Checkpoint {
                 magic: kind.magic,

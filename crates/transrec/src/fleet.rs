@@ -543,14 +543,20 @@ impl Campaign for FleetCampaign<'_> {
         self.classes.count()
     }
 
+    /// One trajectory per task.
+    fn tasks(&self) -> usize {
+        self.plan.policies.len() * self.classes.count()
+    }
+
     fn simulate(
         &self,
-        policy: usize,
-        class: usize,
+        task: usize,
         workloads: &[Vec<Workload>],
-    ) -> Result<ClassTrajectory, SystemError> {
+    ) -> Vec<(usize, Result<ClassTrajectory, SystemError>)> {
+        let (policy, class) = (task / self.classes.count(), task % self.classes.count());
         let (lane, defects) = &self.classes.keys[class];
-        simulate_trajectory(self.plan, &self.plan.policies[policy], &workloads[*lane], defects)
+        let spec = &self.plan.policies[policy];
+        vec![(task, simulate_trajectory(self.plan, spec, &workloads[*lane], defects))]
     }
 
     fn shard_count(&self) -> usize {

@@ -18,10 +18,12 @@
 //! The engine runs on the same [`campaign`] driver as
 //! [`run_fleet_campaign`](crate::fleet::run_fleet_campaign): phase 1
 //! simulates one serving trajectory per (traffic × policy × lane)
-//! equivalence class, phase 2 streams device shards through a weighted
-//! merge of class outcomes, and a checkpointed campaign resumes
-//! byte-identically after any kill — `results/serving.json` is identical
-//! for every `--jobs` value, shard split, and stop/resume point.
+//! equivalence class — one task per (traffic × lane) generates that
+//! lane's arrival streams once and serves every policy from them — phase
+//! 2 streams device shards through a weighted merge of class outcomes,
+//! and a checkpointed campaign resumes byte-identically after any kill —
+//! `results/serving.json` is identical for every `--jobs` value, shard
+//! split, and stop/resume point.
 //!
 //! # Examples
 //!
@@ -52,7 +54,7 @@ use cgra::{Fabric, FaultMask};
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats};
 use mibench::Workload;
 use nbti::CalibratedAging;
-use obs::{LogHistogram, Registry};
+use obs::{log_bucket, LogHistogram, Registry, LOG_BUCKETS};
 use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -285,7 +287,14 @@ pub fn day_traffic(
     let day_cycles = (clock_hz * SECONDS_PER_DAY) as f64;
     // Mean inter-arrival gap in cycles; per_hour > 0 keeps it finite.
     let mean_gap = (clock_hz * 3_600) as f64 / spec.per_hour() as f64;
-    let mut arrivals = Vec::new();
+    // Reserve the expected count (`per_hour × 24`) plus slack, so the
+    // pattern buffer is allocated once instead of doubling into up to
+    // twice the space it needs. A sixteenth covers the default profiles'
+    // day-to-day spread (within 4% of the expectation); the cap keeps an
+    // absurd rate from reserving gigabytes up front.
+    let expected = spec.per_hour().saturating_mul(24);
+    let reserve = expected.saturating_add(expected / 16 + 64).min(1 << 24);
+    let mut arrivals = Vec::with_capacity(reserve as usize);
     let mut push = |rng: &mut SmallRng, t: f64| {
         arrivals.push(Arrival { cycle: t as u64, workload: rng.random_range(0..workloads) });
     };
@@ -585,20 +594,23 @@ impl ServePlan {
 struct CgraCost {
     /// End-to-end service cycles (GPP phases + offloads).
     cycles: u64,
-    /// Execution-weighted per-FU utilization of one service.
-    util: UtilizationGrid,
-    /// The raw tracker of one service, merged into the day tracker the
-    /// backpressure rule reads.
+    /// Busy cycles one service adds to each FU: its execution-weighted
+    /// utilization times `cycles`, precomputed so the day fold adds one
+    /// float per FU.
+    busy: Vec<f64>,
+    /// The raw tracker of one service: its per-FU execution counts feed
+    /// the backpressure rule, and observers see it merged into the day
+    /// tracker.
     tracker: UtilizationTracker,
 }
 
-/// Per-workload service costs under one fault mask.
-struct MaskCosts {
-    /// `None` = no placement avoids the mask's dead FUs: a request for
-    /// this workload kills the device.
-    cgra: Vec<Option<CgraCost>>,
-    /// GPP-only service cycles (the deferral path; mask-independent).
-    gpp: Vec<u64>,
+impl CgraCost {
+    /// The cost of a service that ran `cycles` and recorded `tracker`.
+    fn new(cycles: u64, tracker: UtilizationTracker) -> CgraCost {
+        let util = tracker.duty_cycles(cycles);
+        let busy = util.values().iter().map(|u| u * cycles as f64).collect();
+        CgraCost { cycles, busy, tracker }
+    }
 }
 
 /// Measures one workload's fabric service under `mask`: a fresh system
@@ -633,67 +645,54 @@ fn measure_cgra(
         "oracle failure under {spec} with {} dead FUs",
         mask.dead_count()
     );
-    let cycles = system.stats().total_cycles();
-    Ok(Some(CgraCost {
-        cycles,
-        util: system.tracker().duty_cycles(cycles),
-        tracker: system.tracker().clone(),
-    }))
+    Ok(Some(CgraCost::new(system.stats().total_cycles(), system.tracker().clone())))
 }
 
-/// Lazy service-cost cache of one trajectory simulation. The fault mask
-/// is monotone within a generation and replacement generations repeat the
-/// same mask sequence (same duty history from a uniform wear offset), so
-/// the dead-FU count keys each distinct mask exactly (DESIGN.md §13).
+/// GPP-only service cycles per workload: the deferral path. They depend
+/// on neither the policy nor the fault mask, so one (traffic × lane) task
+/// measures them once for all its policies.
+fn gpp_cycles(config: &SystemConfig, workloads: &[Workload]) -> Result<Vec<u64>, SystemError> {
+    workloads
+        .iter()
+        .map(|w| {
+            run_gpp_only(w.program(), config.mem_size, config.timing, config.max_steps)
+                .map(|cpu| cpu.cycles())
+                .map_err(SystemError::Cpu)
+        })
+        .collect()
+}
+
+/// Lazy fabric service-cost cache of one trajectory simulation: per fault
+/// mask, each workload's [`CgraCost`], or `None` when no placement avoids
+/// the mask's dead FUs (a request for it kills the device). The fault
+/// mask is monotone within a generation and replacement generations
+/// repeat the same mask sequence (same duty history from a uniform wear
+/// offset), so the dead-FU count keys each distinct mask exactly
+/// (DESIGN.md §13).
 struct ServiceTable<'a> {
     config: &'a SystemConfig,
     spec: &'a PolicySpec,
     workloads: &'a [Workload],
-    gpp: Option<Vec<u64>>,
-    masks: BTreeMap<u32, MaskCosts>,
+    masks: BTreeMap<u32, Vec<Option<CgraCost>>>,
     simulated_services: u64,
 }
 
 impl<'a> ServiceTable<'a> {
     fn new(config: &'a SystemConfig, spec: &'a PolicySpec, workloads: &'a [Workload]) -> Self {
-        ServiceTable {
-            config,
-            spec,
-            workloads,
-            gpp: None,
-            masks: BTreeMap::new(),
-            simulated_services: 0,
-        }
+        ServiceTable { config, spec, workloads, masks: BTreeMap::new(), simulated_services: 0 }
     }
 
-    /// The per-workload costs under `mask`, measuring them on first use.
-    fn costs(&mut self, mask: &FaultMask) -> Result<&MaskCosts, SystemError> {
+    /// The per-workload fabric costs under `mask`, measuring them on
+    /// first use.
+    fn costs(&mut self, mask: &FaultMask) -> Result<&[Option<CgraCost>], SystemError> {
         let key = mask.dead_count();
         if !self.masks.contains_key(&key) {
-            let gpp = match &self.gpp {
-                Some(g) => g.clone(),
-                None => {
-                    let mut g = Vec::with_capacity(self.workloads.len());
-                    for w in self.workloads {
-                        let cpu = run_gpp_only(
-                            w.program(),
-                            self.config.mem_size,
-                            self.config.timing,
-                            self.config.max_steps,
-                        )
-                        .map_err(SystemError::Cpu)?;
-                        g.push(cpu.cycles());
-                    }
-                    self.gpp = Some(g.clone());
-                    g
-                }
-            };
             let mut cgra = Vec::with_capacity(self.workloads.len());
             for w in self.workloads {
                 self.simulated_services += 1;
                 cgra.push(measure_cgra(self.config, self.spec, mask, w)?);
             }
-            self.masks.insert(key, MaskCosts { cgra, gpp });
+            self.masks.insert(key, cgra);
         }
         Ok(self.masks.get(&key).expect("inserted above"))
     }
@@ -725,17 +724,6 @@ struct Pending {
     deferred: bool,
 }
 
-/// `true` when the day tracker's busiest FU holds at least
-/// `hot_share_pct` percent of all executions (integer math — exact).
-fn fabric_is_hot(tracker: &UtilizationTracker, hot_share_pct: u32) -> bool {
-    let executions = tracker.executions();
-    if executions == 0 {
-        return false;
-    }
-    let worst = tracker.exec_counts().iter().copied().max().unwrap_or(0);
-    worst * 100 >= executions * hot_share_pct as u64
-}
-
 /// Delivers `event` to every observer with the day tracker as context.
 fn emit(
     observers: &mut [Box<dyn Observer>],
@@ -750,52 +738,61 @@ fn emit(
 }
 
 /// Simulates one device-day: a FIFO single-server queue over `arrivals`
-/// with utilization-aware backpressure (DESIGN.md §13). Pure function of
+/// with utilization-aware backpressure (DESIGN.md §13). `cgra` and `gpp`
+/// are the per-workload fabric and GPP service costs. Pure function of
 /// its inputs — the day cache and the shard replay both rely on that.
 ///
 /// Served requests stress the fabric for their service window at the
 /// workload's execution-weighted utilization; deferred (GPP) services and
 /// idle time exert none. Service tails past midnight are charged to the
 /// day that admitted them; the queue drains at the day boundary.
+///
+/// Each request pays only for what it needs: backpressure reads per-FU
+/// execution counts, and scans them for the busiest FU only when the
+/// queue is deep enough for the answer to matter; latencies are tallied
+/// densely and folded into the histogram at midnight; the day tracker
+/// exists only while observers are attached.
 fn run_service_day(
     arrivals: &[Arrival],
-    costs: &MaskCosts,
+    cgra: &[Option<CgraCost>],
+    gpp: &[u64],
     bp: &BackpressureSpec,
     day_cycles: u64,
     fabric: &Fabric,
     observers: &mut [Box<dyn Observer>],
 ) -> DayOutcome {
-    let fu_count = (fabric.rows * fabric.cols) as usize;
-    let mut day_tracker = UtilizationTracker::new(fabric);
+    let fu_count = fabric.fu_count() as usize;
+    let mut day_tracker = (!observers.is_empty()).then(|| UtilizationTracker::new(fabric));
+    let mut day_counts = vec![0u64; fu_count];
+    let mut day_executions = 0u64;
     let mut busy = vec![0.0f64; fu_count];
+    let mut latency_tally = [0u64; LOG_BUCKETS];
     let mut in_flight: VecDeque<Pending> = VecDeque::new();
     let mut free_at = 0u64;
     let mut served_cgra = 0u64;
     let mut served_gpp = 0u64;
     let mut shed = 0u64;
-    let mut latency = LogHistogram::new();
     let mut died = false;
     let mut fatal_fraction = 1.0;
-    let watched = !observers.is_empty();
     for (i, arrival) in arrivals.iter().enumerate() {
         while in_flight.front().is_some_and(|p| p.finish <= arrival.cycle) {
             let done = in_flight.pop_front().expect("front exists");
-            if watched {
+            if let Some(tracker) = &day_tracker {
                 let event = SimEvent::RequestServed {
                     request: done.request,
                     wait_cycles: done.wait,
                     service_cycles: done.service,
                     deferred: done.deferred,
                 };
-                emit(observers, &day_tracker, done.finish, &event);
+                emit(observers, tracker, done.finish, &event);
             }
         }
         let depth = in_flight.len() as u32;
         // Queue decisions are metered unconditionally (not gated on
-        // `watched`): metrics must not depend on probe attachment
+        // observers): metrics must not depend on probe attachment
         // (DESIGN.md §16). Disabled, each is one relaxed atomic load.
         tracing::event!(tracing::Level::TRACE, "traffic.requests.arrived", "add" = 1);
-        let Some(cost) = &costs.cgra[arrival.workload as usize] else {
+        let Some(cost) = &cgra[arrival.workload as usize] else {
             // The request needs a workload with no placement left: the
             // device is dead; the rest of the day's requests go unserved.
             died = true;
@@ -806,30 +803,37 @@ fn run_service_day(
                 "traffic.requests.shed",
                 "add" = arrivals.len() - i,
             );
-            if watched {
+            if let Some(tracker) = &day_tracker {
                 let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                emit(observers, &day_tracker, arrival.cycle, &event);
+                emit(observers, tracker, arrival.cycle, &event);
             }
             break;
         };
         if bp.shed_depth > 0 && depth >= bp.shed_depth {
             shed += 1;
             tracing::event!(tracing::Level::TRACE, "traffic.requests.shed", "add" = 1);
-            if watched {
+            if let Some(tracker) = &day_tracker {
                 let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                emit(observers, &day_tracker, arrival.cycle, &event);
+                emit(observers, tracker, arrival.cycle, &event);
             }
             continue;
         }
-        let hot = served_cgra + served_gpp >= bp.warmup_requests
-            && fabric_is_hot(&day_tracker, bp.hot_share_pct);
-        let deferred = hot && depth >= bp.defer_depth;
-        let service = if deferred { costs.gpp[arrival.workload as usize] } else { cost.cycles };
+        // A hot fabric (the busiest FU holds at least `hot_share_pct`% of
+        // the day's executions; integer math, exact) defers to the GPP,
+        // but only once the queue is backed up and the estimate warm.
+        let deferred = depth >= bp.defer_depth
+            && served_cgra + served_gpp >= bp.warmup_requests
+            && day_executions > 0
+            && day_counts
+                .iter()
+                .max()
+                .is_some_and(|&worst| worst * 100 >= day_executions * bp.hot_share_pct as u64);
+        let service = if deferred { gpp[arrival.workload as usize] } else { cost.cycles };
         let start = free_at.max(arrival.cycle);
         let wait = start - arrival.cycle;
         let finish = start + service;
         free_at = finish;
-        latency.record(wait + service);
+        latency_tally[log_bucket(wait + service) as usize] += 1;
         tracing::event!(tracing::Level::TRACE, "traffic.latency.cycles", "record" = wait + service);
         tracing::event!(tracing::Level::TRACE, "traffic.queue.depth", "set" = depth + 1);
         if deferred {
@@ -838,40 +842,48 @@ fn run_service_day(
         } else {
             served_cgra += 1;
             tracing::event!(tracing::Level::TRACE, "traffic.requests.served_cgra", "add" = 1);
-            for (b, &u) in busy.iter_mut().zip(cost.util.values()) {
-                *b += u * cost.cycles as f64;
+            for (b, &add) in busy.iter_mut().zip(&cost.busy) {
+                *b += add;
             }
-            day_tracker.merge(&cost.tracker);
+            for (n, &add) in day_counts.iter_mut().zip(cost.tracker.exec_counts()) {
+                *n += add;
+            }
+            day_executions += cost.tracker.executions();
+            if let Some(tracker) = &mut day_tracker {
+                tracker.merge(&cost.tracker);
+            }
         }
-        if watched {
+        if let Some(tracker) = &day_tracker {
             let event = SimEvent::RequestArrived {
                 request: i as u64,
                 workload: arrival.workload,
                 queue_depth: depth + 1,
             };
-            emit(observers, &day_tracker, arrival.cycle, &event);
+            emit(observers, tracker, arrival.cycle, &event);
         }
         in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
     }
     let mut end_cycle = day_cycles;
     while let Some(done) = in_flight.pop_front() {
         end_cycle = end_cycle.max(done.finish);
-        if watched {
+        if let Some(tracker) = &day_tracker {
             let event = SimEvent::RequestServed {
                 request: done.request,
                 wait_cycles: done.wait,
                 service_cycles: done.service,
                 deferred: done.deferred,
             };
-            emit(observers, &day_tracker, done.finish, &event);
+            emit(observers, tracker, done.finish, &event);
         }
     }
-    if watched {
-        let ctx = EventCtx { cycle: end_cycle, tracker: &day_tracker };
+    if let Some(tracker) = &day_tracker {
+        let ctx = EventCtx { cycle: end_cycle, tracker };
         for observer in observers.iter_mut() {
             observer.on_finish(&ctx);
         }
     }
+    let mut latency = LogHistogram::new();
+    latency.add_dense(&latency_tally);
     let denom = day_cycles as f64;
     let values: Vec<f64> = busy.iter().map(|b| (b / denom).min(1.0)).collect();
     DayOutcome {
@@ -951,24 +963,46 @@ fn replacement_device(plan: &ServePlan) -> (DeviceLifetime, f64) {
     }
 }
 
-/// Simulates one (traffic × policy × lane) class's serving deployment on
-/// the reference path: generate (or replay) the day's arrivals, run the
-/// queue against the current mask's measured costs, fold the day's duty
-/// into wear, inject failures, replace the device when it dies
-/// (DESIGN.md §13). Day outcomes are cached per
-/// `(dead FU count, pattern day)`, so the cost is bounded by distinct
-/// mask states — not by the horizon.
+/// Simulates one (traffic × lane) pair's serving deployment under every
+/// policy of the plan, in plan order. The pair's pattern-day arrival
+/// streams are generated once and its GPP-only service cycles measured
+/// once; every policy then serves the same streams, and both are dropped
+/// when the pair is done (DESIGN.md §13).
 fn simulate_serving(
     plan: &ServePlan,
-    spec: &PolicySpec,
     traffic: &TrafficSpec,
     workloads: &[Workload],
     lane: usize,
-) -> Result<ServeTrajectory, SystemError> {
+) -> Vec<Result<ServeTrajectory, SystemError>> {
     let stream_seed = derive_cell_seed(plan.base_seed, lane as u64);
+    let pattern: Vec<Vec<Arrival>> = (0..plan.pattern_days.min(plan.horizon_days))
+        .map(|day| day_traffic(traffic, stream_seed, day, plan.clock_hz, workloads.len() as u32))
+        .collect();
+    let gpp = gpp_cycles(&plan.config, workloads);
+    plan.policies
+        .iter()
+        .map(|spec| {
+            let gpp = gpp.as_ref().map_err(Clone::clone)?;
+            serve_policy(plan, spec, workloads, &pattern, gpp)
+        })
+        .collect()
+}
+
+/// Simulates one (traffic × policy × lane) class's serving deployment on
+/// the reference path: replay the pattern day's arrivals, run the queue
+/// against the current mask's measured costs, fold the day's duty into
+/// wear, inject failures, replace the device when it dies (DESIGN.md
+/// §13). Day outcomes are cached per `(dead FU count, pattern day)`, so
+/// the cost is bounded by distinct mask states — not by the horizon.
+fn serve_policy(
+    plan: &ServePlan,
+    spec: &PolicySpec,
+    workloads: &[Workload],
+    pattern: &[Vec<Arrival>],
+    gpp: &[u64],
+) -> Result<ServeTrajectory, SystemError> {
     let day_cycles = plan.day_cycles();
     let mut table = ServiceTable::new(&plan.config, spec, workloads);
-    let mut pattern: Vec<Option<Vec<Arrival>>> = vec![None; plan.pattern_days as usize];
     let mut day_cache: BTreeMap<(u32, u64), DayOutcome> = BTreeMap::new();
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, true);
     let mut pre_age = 0.0f64;
@@ -976,17 +1010,16 @@ fn simulate_serving(
     let mut out = ServeTrajectory::default();
     for day in 0..plan.horizon_days {
         let pattern_day = day % plan.pattern_days;
-        let arrivals = pattern[pattern_day as usize].get_or_insert_with(|| {
-            day_traffic(traffic, stream_seed, pattern_day, plan.clock_hz, workloads.len() as u32)
-        });
+        let arrivals = &pattern[pattern_day as usize];
         let key = (life.fault_mask().dead_count(), pattern_day);
         let outcome = match day_cache.get(&key) {
             Some(outcome) => outcome.clone(),
             None => {
-                let costs = table.costs(life.fault_mask())?;
+                let cgra = table.costs(life.fault_mask())?;
                 let outcome = run_service_day(
                     arrivals,
-                    costs,
+                    cgra,
+                    gpp,
                     &plan.backpressure,
                     day_cycles,
                     &plan.config.fabric,
@@ -1170,21 +1203,24 @@ impl Campaign for ServeCampaign<'_> {
         self.lanes
     }
 
+    /// One task per (traffic × lane): every policy serves the pair's
+    /// streams.
+    fn tasks(&self) -> usize {
+        self.plan.traffic.len() * self.lanes
+    }
+
     fn simulate(
         &self,
-        cell: usize,
-        lane: usize,
+        task: usize,
         workloads: &[Vec<Workload>],
-    ) -> Result<ServeTrajectory, SystemError> {
+    ) -> Vec<(usize, Result<ServeTrajectory, SystemError>)> {
+        let (traffic, lane) = (task / self.lanes, task % self.lanes);
         let policies = self.plan.policies.len();
-        let (traffic, policy) = (cell / policies, cell % policies);
-        simulate_serving(
-            self.plan,
-            &self.plan.policies[policy],
-            &self.plan.traffic[traffic],
-            &workloads[lane],
-            lane,
-        )
+        let trajectories =
+            simulate_serving(self.plan, &self.plan.traffic[traffic], &workloads[lane], lane);
+        // Cell `traffic × policies + policy`, class `lane`.
+        let index = |policy: usize| (traffic * policies + policy) * self.lanes + lane;
+        trajectories.into_iter().enumerate().map(|(policy, t)| (index(policy), t)).collect()
     }
 
     fn shard_count(&self) -> usize {
@@ -1395,9 +1431,9 @@ pub fn probe_service_day(
     assert!(lane < plan.effective_lanes().max(1), "lane {lane} outside the plan's lanes");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
+    let gpp = gpp_cycles(&plan.config, &workloads)?;
     let mut table = ServiceTable::new(&plan.config, policy, &workloads);
-    let mask = FaultMask::healthy(&plan.config.fabric);
-    let costs = table.costs(&mask)?;
+    let cgra = table.costs(&FaultMask::healthy(&plan.config.fabric))?;
     let arrivals = day_traffic(
         traffic,
         derive_cell_seed(plan.base_seed, lane as u64),
@@ -1408,7 +1444,8 @@ pub fn probe_service_day(
     let mut observers: Vec<Box<dyn Observer>> = probes.iter().map(|p| p.build()).collect();
     let outcome = run_service_day(
         &arrivals,
-        costs,
+        cgra,
+        &gpp,
         &plan.backpressure,
         plan.day_cycles(),
         &plan.config.fabric,
@@ -1430,6 +1467,225 @@ pub fn probe_service_day(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `true` when the day tracker's busiest FU holds at least
+    /// `hot_share_pct` percent of all executions — the reference fold's
+    /// per-admission scan.
+    fn fabric_is_hot(tracker: &UtilizationTracker, hot_share_pct: u32) -> bool {
+        let executions = tracker.executions();
+        if executions == 0 {
+            return false;
+        }
+        let worst = tracker.exec_counts().iter().copied().max().unwrap_or(0);
+        worst * 100 >= executions * hot_share_pct as u64
+    }
+
+    /// The day fold as it was before per-FU counts: every served request
+    /// merges its tracker into a day tracker and folds its utilization
+    /// times its cycles into `busy`, every admission scans the tracker
+    /// with [`fabric_is_hot`], and latencies are recorded one by one. The
+    /// differential oracle for [`run_service_day`].
+    fn reference_service_day(
+        arrivals: &[Arrival],
+        cgra: &[Option<CgraCost>],
+        gpp: &[u64],
+        bp: &BackpressureSpec,
+        day_cycles: u64,
+        fabric: &Fabric,
+        observers: &mut [Box<dyn Observer>],
+    ) -> DayOutcome {
+        let fu_count = (fabric.rows * fabric.cols) as usize;
+        let mut day_tracker = UtilizationTracker::new(fabric);
+        let mut busy = vec![0.0f64; fu_count];
+        let mut in_flight: VecDeque<Pending> = VecDeque::new();
+        let mut free_at = 0u64;
+        let (mut served_cgra, mut served_gpp, mut shed) = (0u64, 0u64, 0u64);
+        let mut latency = LogHistogram::new();
+        let mut died = false;
+        let mut fatal_fraction = 1.0;
+        let watched = !observers.is_empty();
+        let served = |done: &Pending| SimEvent::RequestServed {
+            request: done.request,
+            wait_cycles: done.wait,
+            service_cycles: done.service,
+            deferred: done.deferred,
+        };
+        for (i, arrival) in arrivals.iter().enumerate() {
+            while in_flight.front().is_some_and(|p| p.finish <= arrival.cycle) {
+                let done = in_flight.pop_front().expect("front exists");
+                if watched {
+                    emit(observers, &day_tracker, done.finish, &served(&done));
+                }
+            }
+            let depth = in_flight.len() as u32;
+            let Some(cost) = &cgra[arrival.workload as usize] else {
+                died = true;
+                fatal_fraction = arrival.cycle as f64 / day_cycles as f64;
+                shed += (arrivals.len() - i) as u64;
+                if watched {
+                    let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
+                    emit(observers, &day_tracker, arrival.cycle, &event);
+                }
+                break;
+            };
+            if bp.shed_depth > 0 && depth >= bp.shed_depth {
+                shed += 1;
+                if watched {
+                    let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
+                    emit(observers, &day_tracker, arrival.cycle, &event);
+                }
+                continue;
+            }
+            let hot = served_cgra + served_gpp >= bp.warmup_requests
+                && fabric_is_hot(&day_tracker, bp.hot_share_pct);
+            let deferred = hot && depth >= bp.defer_depth;
+            let service = if deferred { gpp[arrival.workload as usize] } else { cost.cycles };
+            let start = free_at.max(arrival.cycle);
+            let wait = start - arrival.cycle;
+            let finish = start + service;
+            free_at = finish;
+            latency.record(wait + service);
+            if deferred {
+                served_gpp += 1;
+            } else {
+                served_cgra += 1;
+                let util = cost.tracker.duty_cycles(cost.cycles);
+                for (b, &u) in busy.iter_mut().zip(util.values()) {
+                    *b += u * cost.cycles as f64;
+                }
+                day_tracker.merge(&cost.tracker);
+            }
+            if watched {
+                let event = SimEvent::RequestArrived {
+                    request: i as u64,
+                    workload: arrival.workload,
+                    queue_depth: depth + 1,
+                };
+                emit(observers, &day_tracker, arrival.cycle, &event);
+            }
+            in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
+        }
+        let mut end_cycle = day_cycles;
+        while let Some(done) = in_flight.pop_front() {
+            end_cycle = end_cycle.max(done.finish);
+            if watched {
+                emit(observers, &day_tracker, done.finish, &served(&done));
+            }
+        }
+        if watched {
+            let ctx = EventCtx { cycle: end_cycle, tracker: &day_tracker };
+            for observer in observers.iter_mut() {
+                observer.on_finish(&ctx);
+            }
+        }
+        let values: Vec<f64> = busy.iter().map(|b| (b / day_cycles as f64).min(1.0)).collect();
+        DayOutcome {
+            served_cgra,
+            served_gpp,
+            shed,
+            latency,
+            duty: UtilizationGrid::from_values(fabric.rows, fabric.cols, values),
+            died,
+            fatal_fraction,
+        }
+    }
+
+    /// One workload's random service on the BE fabric: `None` (dead), or
+    /// a cost whose executions touch a sparse (1–3) or dense (18–32) set
+    /// of FUs, shifted a column per execution so counts differ per FU.
+    fn any_cost() -> impl Strategy<Value = Option<CgraCost>> {
+        let cells = proptest::collection::vec((0u32..2, 0u32..16), 1..64);
+        (0u32..3, 1u64..20_000, cells, 1u32..6, 0usize..3, 18usize..33).prop_map(
+            |(kind, cycles, mut cells, executions, sparse, dense)| {
+                if kind == 0 {
+                    return None;
+                }
+                let fabric = Fabric::be();
+                cells.sort_unstable();
+                cells.dedup();
+                let mut all: Vec<(u32, u32)> =
+                    (0..2).flat_map(|r| (0..16).map(move |c| (r, c))).collect();
+                all.retain(|cell| !cells.contains(cell));
+                cells.extend(all);
+                cells.truncate(if kind == 1 { 1 + sparse } else { dense });
+                let mut tracker = UtilizationTracker::new(&fabric);
+                for shift in 0..executions {
+                    let shifted: Vec<(u32, u32)> =
+                        cells.iter().map(|&(r, c)| (r, (c + shift) % 16)).collect();
+                    tracker.record_execution(&shifted, 16);
+                }
+                Some(CgraCost::new(cycles, tracker))
+            },
+        )
+    }
+
+    /// Backpressure thresholds over their edge values: shedding off
+    /// (`shed_depth` 0), no warm-up, and a hot share of 0 or 100%.
+    fn any_backpressure() -> impl Strategy<Value = BackpressureSpec> {
+        (
+            prop_oneof![Just(0u32), 1u32..12],
+            0u32..8,
+            prop_oneof![Just(0u32), Just(100u32), 0u32..=100],
+            prop_oneof![Just(0u64), 1u64..40],
+        )
+            .prop_map(|(shed_depth, defer_depth, hot_share_pct, warmup_requests)| {
+                BackpressureSpec { shed_depth, defer_depth, hot_share_pct, warmup_requests }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The per-FU-count fold reproduces the tracker-merging fold on
+        /// every field, bit for bit, with and without observers attached.
+        #[test]
+        fn day_fold_matches_the_tracker_merging_reference(
+            costs in proptest::collection::vec(any_cost(), 1..5),
+            raw in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..300),
+            day_cycles in 20_000u64..2_000_000,
+            bp in any_backpressure(),
+            watched in any::<bool>(),
+        ) {
+            let fabric = Fabric::be();
+            let gpp: Vec<u64> = (0..costs.len() as u64).map(|w| 500 + 3_000 * w).collect();
+            let mut arrivals: Vec<Arrival> = raw
+                .iter()
+                .map(|&(t, w)| Arrival {
+                    cycle: t % day_cycles,
+                    workload: (w % costs.len() as u64) as u32,
+                })
+                .collect();
+            arrivals.sort_by_key(|a| a.cycle);
+            let probes = || -> Vec<Box<dyn Observer>> {
+                if watched {
+                    vec!["queue-depth@every-5000".parse::<ProbeSpec>().unwrap().build()]
+                } else {
+                    Vec::new()
+                }
+            };
+            let (mut new_obs, mut ref_obs) = (probes(), probes());
+            let new =
+                run_service_day(&arrivals, &costs, &gpp, &bp, day_cycles, &fabric, &mut new_obs);
+            let old = reference_service_day(
+                &arrivals, &costs, &gpp, &bp, day_cycles, &fabric, &mut ref_obs,
+            );
+            prop_assert_eq!(new.served_cgra, old.served_cgra);
+            prop_assert_eq!(new.served_gpp, old.served_gpp);
+            prop_assert_eq!(new.shed, old.shed);
+            prop_assert_eq!(&new.latency, &old.latency);
+            let bits = |d: &UtilizationGrid| {
+                d.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(bits(&new.duty), bits(&old.duty));
+            prop_assert_eq!(new.died, old.died);
+            prop_assert_eq!(new.fatal_fraction.to_bits(), old.fatal_fraction.to_bits());
+            let reports = |obs: &[Box<dyn Observer>]| {
+                obs.iter().filter_map(|o| o.report()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(reports(&new_obs), reports(&ref_obs));
+        }
+    }
 
     #[test]
     fn traffic_specs_round_trip_and_validate() {

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use transrec::fleet::CampaignOptions;
 use transrec::sweep::SuiteSpec;
 use transrec::traffic::{
-    day_traffic, run_serving, run_serving_campaign, ServePlan, ServeStatus, TrafficSpec,
+    day_traffic, run_serving, run_serving_campaign, BackpressureSpec, ServePlan, ServeStatus,
+    TrafficSpec,
 };
 use uaware::PolicySpec;
 
@@ -161,4 +162,71 @@ fn checkpoint_rejects_a_different_plan() {
     let result = run_serving_campaign(&other, 1, &options);
     std::fs::remove_file(&path).ok();
     drop(result);
+}
+
+/// FNV-1a 64 over `text`'s bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, b| (hash ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A two-traffic plan that exercises every branch of the day fold: fast
+/// wear kills baseline devices mid-day (so replacements and death-day
+/// sheds happen), and tight backpressure both sheds on depth and defers
+/// hot requests to the GPP.
+fn pinned_plan() -> ServePlan {
+    ServePlan::new(0xDAC2020, Fabric::be())
+        .policy(PolicySpec::Baseline)
+        .policy(PolicySpec::rotation())
+        .traffic_mix([
+            TrafficSpec::Diurnal { per_hour: 300, swing_pct: 60 },
+            TrafficSpec::Heavy { per_hour: 300, alpha_milli: 1_200 },
+        ])
+        .suite(SuiteSpec::subset("crc", vec![1]))
+        .devices(5)
+        .lanes(2)
+        .shard_devices(2)
+        .clock_hz(1_000)
+        .horizon_days(12)
+        .pattern_days(2)
+        .years_per_day(8.0)
+        .backpressure(BackpressureSpec {
+            shed_depth: 6,
+            defer_depth: 2,
+            hot_share_pct: 40,
+            warmup_requests: 4,
+        })
+}
+
+/// FNV-1a of the pinned plan's report JSON, captured before the service
+/// day fold and the phase-1 grouping were rewritten.
+const PINNED_REPORT_FNV: u64 = 0x4ab5_ecce_f28e_a34a;
+/// FNV-1a of the pinned plan's metrics registry JSON, same capture.
+const PINNED_METRICS_FNV: u64 = 0x8e0c_a635_9006_5e27;
+
+/// The serving report and its metrics registry are pinned byte for byte:
+/// any refactor of arrival generation, the day fold or the campaign's
+/// phase-1 scheduling must reproduce the capture exactly.
+#[test]
+fn serving_bytes_match_the_pinned_capture() {
+    let path = scratch("pinned");
+    let options = CampaignOptions {
+        checkpoint: Some(path.clone()),
+        collect_metrics: true,
+        ..CampaignOptions::default()
+    };
+    let status = run_serving_campaign(&pinned_plan(), 2, &options).expect("serving runs");
+    let text = std::fs::read_to_string(&path).expect("checkpoint readable");
+    std::fs::remove_file(&path).ok();
+    let ServeStatus::Complete(report) = status else { panic!("no stop was requested") };
+    assert!(report.cells.iter().all(|c| c.replacements > 0), "no device died");
+    assert!(report.cells.iter().all(|c| c.served_gpp > 0), "nothing was deferred");
+    assert!(report.cells.iter().all(|c| c.shed > 0), "nothing was shed");
+    let checkpoint: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let metrics = checkpoint.get("metrics").expect("the checkpoint carries the registry");
+    let metrics = serde_json::to_string(metrics).unwrap();
+    assert!(metrics.contains("traffic.requests.served_gpp"));
+    let report = serde_json::to_string(&*report).unwrap();
+    assert_eq!(fnv1a(&report), PINNED_REPORT_FNV, "serving report bytes changed:\n{report}");
+    assert_eq!(fnv1a(&metrics), PINNED_METRICS_FNV, "metrics registry bytes changed:\n{metrics}");
 }
