@@ -19,19 +19,11 @@ use tracing::{span, Level};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     ctx.collect_metrics = true;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let devices = match parse_devices_flag(&args) {
-        Ok(d) => d.unwrap_or(8),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let devices = or_exit(parse_devices_flag(&args)).unwrap_or(8);
+    let options = transrec::CampaignOptions { collect_metrics: true, ..Default::default() };
     obs::global::reset();
     let profiler = obs::Profiler::new();
     tracing::with_default(profiler.dispatch(), || {
@@ -76,11 +68,15 @@ fn main() {
         }
         {
             let _p = phase("survival");
-            save_json("survival", &fig_lifetime(&ctx, devices));
+            let status =
+                fig_lifetime_campaign(&ctx, devices, default_lanes(devices), None, &options);
+            save_json("survival", &status.unwrap_complete());
         }
         {
             let _p = phase("serving");
-            save_json("serving", &fleet_serve(&ctx, devices, 30));
+            let lanes = default_serve_lanes(devices);
+            let status = fleet_serve_campaign(&ctx, devices, lanes, 30, None, None, &options);
+            save_json("serving", &status.unwrap_complete());
         }
     });
     save_json("metrics", &obs::global::snapshot());

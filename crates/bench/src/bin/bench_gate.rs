@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use bench::gate::{
     baseline_files, compare, default_baseline_dir, load_snapshots, rebaseline, DEFAULT_TOLERANCE,
 };
+use bench::or_exit;
 
 struct Cli {
     fresh: Vec<PathBuf>,
@@ -64,10 +65,7 @@ fn parse_cli() -> Result<Cli, String> {
 }
 
 fn main() {
-    let cli = parse_cli().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cli = or_exit(parse_cli());
     if cli.rebaseline {
         if let Err(e) = rebaseline(&cli.baseline_dir, &cli.fresh) {
             eprintln!("error: {e}");
@@ -80,18 +78,9 @@ fn main() {
         );
         return;
     }
-    let base_paths = baseline_files(&cli.baseline_dir).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let baseline = load_snapshots(&base_paths).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let fresh = load_snapshots(&cli.fresh).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let base_paths = or_exit(baseline_files(&cli.baseline_dir));
+    let baseline = or_exit(load_snapshots(&base_paths));
+    let fresh = or_exit(load_snapshots(&cli.fresh));
     let outcome = compare(&baseline, &fresh, cli.tolerance);
     print!("{}", outcome.render_table());
     if outcome.passed() {

@@ -9,31 +9,19 @@
 //! `--jobs <n>` to size the sweep pool (one cell, so the flag only
 //! matters for the GPP-reference phase).
 
-use bench::{parse_fabric_flags, parse_jobs_flag, parse_policy_flags};
+use bench::{or_exit, parse_fabric_flags, parse_jobs_flag, parse_policy_flags};
 use cgra::Fabric;
 use transrec::{run_sweep_observed, SweepPlan};
 use uaware::PolicySpec;
 
 fn flags_from_args() -> (PolicySpec, Fabric, usize) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let specs = parse_policy_flags(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let fabrics = parse_fabric_flags(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let fabric = fabrics.first().map_or_else(Fabric::be, |s| {
-        s.build().unwrap_or_else(|e| {
-            eprintln!("error: --fabric {s}: {e}");
-            std::process::exit(2);
-        })
-    });
-    let jobs = parse_jobs_flag(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let specs = or_exit(parse_policy_flags(&args));
+    let fabrics = or_exit(parse_fabric_flags(&args));
+    let fabric = fabrics
+        .first()
+        .map_or_else(Fabric::be, |s| or_exit(s.build().map_err(|e| format!("--fabric {s}: {e}"))));
+    let jobs = or_exit(parse_jobs_flag(&args));
     (specs.first().copied().unwrap_or(PolicySpec::Baseline), fabric, jobs.unwrap_or(0))
 }
 

@@ -4,14 +4,11 @@
 //! Accepts the shared `--jobs <n>` flag for symmetry with the other
 //! runners (a single-cell sweep gains nothing from it).
 
-use bench::{apply_cli_flags, fig1, save_json, ExperimentContext};
+use bench::{apply_cli_flags, fig1, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = fig1(&ctx);
     println!("== Fig. 1: utilization of a {} fabric, baseline allocation ==", r.fabric);
     println!("{}", r.heatmap);

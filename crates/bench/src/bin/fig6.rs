@@ -4,14 +4,11 @@
 //! Pass `--jobs <n>` to shard the 12 design points across n workers
 //! (default: all cores; `--jobs 1` is sequential, same bytes either way).
 
-use bench::{apply_cli_flags, fig6, save_json, ExperimentContext};
+use bench::{apply_cli_flags, fig6, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = fig6(&ctx);
     println!("== Fig. 6: design-space exploration (relative to stand-alone GPP) ==");
     println!(

@@ -5,14 +5,11 @@
 //! `fig7 -- --policy rotation:column-major@per-load`, and `--jobs <n>` to
 //! size the sweep pool (default: all cores).
 
-use bench::{apply_cli_flags, fig7, save_json, ExperimentContext};
+use bench::{apply_cli_flags, fig7, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = fig7(&ctx);
     println!("== Fig. 7: BE (16x2) utilization, baseline vs proposed ==");
     println!("-- baseline --");

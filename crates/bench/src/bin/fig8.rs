@@ -8,14 +8,11 @@
 //! e.g. `fig8 -- --policy rotation:raster --policy health-aware`, and
 //! `--jobs <n>` to shard the scenario x policy grid (default: all cores).
 
-use bench::{apply_cli_flags, convergence, fig8, save_json, ExperimentContext};
+use bench::{apply_cli_flags, convergence, fig8, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = fig8(&ctx);
     println!("== Fig. 8 (top): utilization PDFs ==");
     for s in &r.series {

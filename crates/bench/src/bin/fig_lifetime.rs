@@ -18,63 +18,31 @@
 //! point — CI diffs them all.
 
 use bench::{
-    apply_cli_flags, default_lanes, fig_lifetime_campaign, parse_checkpoint_every_flag,
-    parse_checkpoint_flag, parse_devices_flag, parse_lanes_flag, parse_shard_flag,
-    parse_stop_after_flag, save_json, ExperimentContext,
+    apply_cli_flags, default_lanes, fig_lifetime_campaign, finish_campaign, or_exit,
+    parse_campaign_flags, parse_devices_flag, parse_lanes_flag, parse_shard_flag,
+    ExperimentContext,
 };
-use transrec::{CampaignOptions, CampaignStatus, FleetReport};
+use transrec::FleetReport;
 
 /// Default device instances per policy.
 const DEFAULT_DEVICES: usize = 8;
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_devices_flag(&args).and_then(|devices| {
+    let parsed = apply_cli_flags(&mut ctx).and_then(|()| {
         Ok((
-            devices.unwrap_or(DEFAULT_DEVICES),
+            parse_devices_flag(&args)?.unwrap_or(DEFAULT_DEVICES),
             parse_lanes_flag(&args)?,
             parse_shard_flag(&args)?,
-            CampaignOptions {
-                checkpoint: parse_checkpoint_flag(&args)?,
-                checkpoint_every_shards: parse_checkpoint_every_flag(&args)?.unwrap_or(0),
-                stop_after_shards: parse_stop_after_flag(&args)?,
-                collect_metrics: ctx.collect_metrics,
-            },
+            parse_campaign_flags(&args)?,
         ))
     });
-    let (devices, lanes, shard, options) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (devices, lanes, shard, options) = or_exit(parsed);
     let lanes = lanes.unwrap_or_else(|| default_lanes(devices));
     obs::global::reset();
-
-    match fig_lifetime_campaign(&ctx, devices, lanes, shard, &options) {
-        CampaignStatus::Complete(report) => {
-            print_report(&report);
-            save_json("survival", &*report);
-            // Paused campaigns fold nothing into the global registry, so
-            // metrics.json — like survival.json — only exists once the
-            // campaign completes (the CI resume leg asserts both).
-            if ctx.collect_metrics {
-                save_json("metrics", &obs::global::snapshot());
-            }
-        }
-        CampaignStatus::Paused { completed_shards, total_shards } => {
-            println!(
-                "== fleet campaign paused: {completed_shards}/{total_shards} shards complete \
-                 (resume with the same --checkpoint) =="
-            );
-        }
-    }
+    let status = fig_lifetime_campaign(&ctx, devices, lanes, shard, &options);
+    finish_campaign(status, "survival", "fleet", options.collect_metrics, print_report);
 }
 
 fn print_report(r: &FleetReport) {

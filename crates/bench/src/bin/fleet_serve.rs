@@ -22,11 +22,11 @@
 //! point — CI diffs them all.
 
 use bench::{
-    apply_cli_flags, default_serve_lanes, fleet_serve_campaign, parse_checkpoint_every_flag,
-    parse_checkpoint_flag, parse_devices_flag, parse_horizon_days_flag, parse_lanes_flag,
-    parse_shard_flag, parse_stop_after_flag, parse_traffic_flags, save_json, ExperimentContext,
+    apply_cli_flags, default_serve_lanes, finish_campaign, fleet_serve_campaign, or_exit,
+    parse_campaign_flags, parse_devices_flag, parse_horizon_days_flag, parse_lanes_flag,
+    parse_shard_flag, parse_traffic_flags, ExperimentContext,
 };
-use transrec::{CampaignOptions, ServeReport, ServeStatus};
+use transrec::ServeReport;
 
 /// Default device instances per (traffic × policy) cell.
 const DEFAULT_DEVICES: usize = 8;
@@ -36,55 +36,23 @@ const DEFAULT_HORIZON_DAYS: usize = 30;
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_devices_flag(&args).and_then(|devices| {
+    let parsed = apply_cli_flags(&mut ctx).and_then(|()| {
         Ok((
-            devices.unwrap_or(DEFAULT_DEVICES),
+            parse_devices_flag(&args)?.unwrap_or(DEFAULT_DEVICES),
             parse_horizon_days_flag(&args)?.unwrap_or(DEFAULT_HORIZON_DAYS) as u64,
             parse_traffic_flags(&args)?,
             parse_lanes_flag(&args)?,
             parse_shard_flag(&args)?,
-            CampaignOptions {
-                checkpoint: parse_checkpoint_flag(&args)?,
-                checkpoint_every_shards: parse_checkpoint_every_flag(&args)?.unwrap_or(0),
-                stop_after_shards: parse_stop_after_flag(&args)?,
-                collect_metrics: ctx.collect_metrics,
-            },
+            parse_campaign_flags(&args)?,
         ))
     });
-    let (devices, horizon_days, traffic, lanes, shard, options) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (devices, horizon_days, traffic, lanes, shard, options) = or_exit(parsed);
     let lanes = lanes.unwrap_or_else(|| default_serve_lanes(devices));
     let traffic = if traffic.is_empty() { None } else { Some(traffic) };
     obs::global::reset();
-
-    match fleet_serve_campaign(&ctx, devices, lanes, horizon_days, traffic, shard, &options) {
-        ServeStatus::Complete(report) => {
-            print_report(&report);
-            save_json("serving", &*report);
-            // Paused campaigns fold nothing into the global registry, so
-            // metrics.json — like serving.json — only exists once the
-            // campaign completes (the CI resume leg asserts both).
-            if ctx.collect_metrics {
-                save_json("metrics", &obs::global::snapshot());
-            }
-        }
-        ServeStatus::Paused { completed_shards, total_shards } => {
-            println!(
-                "== serving campaign paused: {completed_shards}/{total_shards} shards complete \
-                 (resume with the same --checkpoint) =="
-            );
-        }
-    }
+    let status = fleet_serve_campaign(&ctx, devices, lanes, horizon_days, traffic, shard, &options);
+    finish_campaign(status, "serving", "serving", options.collect_metrics, print_report);
 }
 
 fn print_report(r: &ServeReport) {

@@ -7,14 +7,11 @@
 //! per-cell table and writing `results/gap.json`. `--jobs <n>` shards
 //! the sweep; the output is byte-identical for every worker count.
 
-use bench::{apply_cli_flags, gap, save_json, ExperimentContext};
+use bench::{apply_cli_flags, gap, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = gap(&ctx);
     println!("== Optimality gap: policies vs the {} oracle ==", r.exact_policy);
     println!(

@@ -7,14 +7,11 @@
 //! `results/layout.json`. `--jobs <n>` shards the sweep; the output is
 //! byte-identical for every worker count.
 
-use bench::{apply_cli_flags, layout, save_json, ExperimentContext};
+use bench::{apply_cli_flags, layout, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = layout(&ctx);
     println!("== Layout explorer: fabric mixes x policies (proposed: {}) ==", r.proposed_policy);
     println!(

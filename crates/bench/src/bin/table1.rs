@@ -6,14 +6,11 @@
 //! `--jobs <n>` to shard the scenario x policy grid (default: all cores;
 //! `--jobs 1` and `--jobs 4` produce byte-identical JSON).
 
-use bench::{apply_cli_flags, save_json, table1, ExperimentContext};
+use bench::{apply_cli_flags, or_exit, save_json, table1, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
-    if let Err(e) = apply_cli_flags(&mut ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    or_exit(apply_cli_flags(&mut ctx));
     let r = table1(&ctx);
     println!("== Table I: utilization and lifetime improvements ==");
     println!(

@@ -12,10 +12,10 @@ use nbti::CalibratedAging;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use transrec::fleet::{
-    run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan, FleetReport,
+    run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan, DEFAULT_SHARD_DEVICES,
 };
 use transrec::telemetry::{settle_cycle, ProbeSpec, UtilTrace, DEFAULT_EPOCH_CYCLES};
-use transrec::traffic::{run_serving_campaign, ServePlan, ServeReport, ServeStatus, TrafficSpec};
+use transrec::traffic::{run_serving_campaign, ServePlan, ServeStatus, TrafficSpec};
 use transrec::{run_sweep, run_sweep_observed, EnergyParams, SuiteRun, SweepPlan, SystemConfig};
 use uaware::{derive_cell_seed, MovementGranularity, PatternSpec, PolicySpec};
 
@@ -89,6 +89,12 @@ impl ExperimentContext {
     /// [`Self::policies`]), falling back to the paper's snake rotation.
     pub fn proposed(&self) -> PolicySpec {
         self.policies.first().copied().unwrap_or_else(PolicySpec::rotation)
+    }
+
+    /// The policy series every multi-policy experiment runs: the baseline
+    /// reference followed by [`Self::policies`].
+    pub fn series(&self) -> Vec<PolicySpec> {
+        std::iter::once(PolicySpec::Baseline).chain(self.policies.iter().copied()).collect()
     }
 
     /// The scenario lineup the multi-fabric figures ([`fig8`], [`table1`])
@@ -248,8 +254,7 @@ fn epoch_delay_curve(
 /// (`util-trace` probes riding the sweep); the analytic extrapolation
 /// from the final utilization is kept per series as a cross-check.
 pub fn fig8(ctx: &ExperimentContext) -> Fig8Report {
-    let specs: Vec<PolicySpec> =
-        std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
+    let specs = ctx.series();
     let probes = [ProbeSpec::util_trace(ctx.epoch_cycles)];
     let scenarios = ctx.scenario_fabrics();
     let runs = sweep_on(ctx, scenarios.iter().map(|(_, f)| *f), specs.clone(), &probes);
@@ -312,8 +317,7 @@ pub fn convergence(report: &Fig8Report) -> ConvergenceReport {
 /// Table I — utilization and lifetime improvements for BE/BP/BU, one row
 /// per scenario × context policy (each against the scenario's baseline).
 pub fn table1(ctx: &ExperimentContext) -> Table1Report {
-    let specs: Vec<PolicySpec> =
-        std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
+    let specs = ctx.series();
     let scenarios = ctx.scenario_fabrics();
     let runs = sweep_on(ctx, scenarios.iter().map(|(_, f)| *f), specs.clone(), &[]);
     let per_scenario = specs.len();
@@ -360,9 +364,7 @@ pub fn default_layouts() -> Vec<FabricSpec> {
 /// byte-identical for every `--jobs` value.
 pub fn layout(ctx: &ExperimentContext) -> LayoutReport {
     let layouts = if ctx.fabrics.is_empty() { default_layouts() } else { ctx.fabrics.clone() };
-    let specs: Vec<PolicySpec> =
-        std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
-    let runs = sweep_on(ctx, layouts.iter().map(build_spec), specs, &[]);
+    let runs = sweep_on(ctx, layouts.iter().map(build_spec), ctx.series(), &[]);
     let rows = runs
         .iter()
         .map(|run| {
@@ -433,8 +435,9 @@ pub fn gap(ctx: &ExperimentContext) -> GapReport {
     let layouts = if ctx.fabrics.is_empty() { default_gap_layouts() } else { ctx.fabrics.clone() };
     let densities = default_gap_densities();
     let exact = PolicySpec::Exact { every: 1 };
-    let specs: Vec<PolicySpec> = std::iter::once(PolicySpec::Baseline)
-        .chain(ctx.policies.iter().copied())
+    let specs: Vec<PolicySpec> = ctx
+        .series()
+        .into_iter()
         .filter(|s| !matches!(s, PolicySpec::Exact { .. }))
         .chain(std::iter::once(exact))
         .collect();
@@ -499,24 +502,6 @@ pub fn gap(ctx: &ExperimentContext) -> GapReport {
     GapReport { exact_policy: exact.to_string(), rows }
 }
 
-/// The closed-loop fleet lifetime experiment behind
-/// `results/survival.json` (DESIGN.md §11): `devices` instances of the BE
-/// scenario per policy (baseline plus every context policy), each running
-/// its seed-derived mibench mix mission after mission while per-FU wear
-/// accumulates, end-of-life FUs drop out of the allocatable fabric, and
-/// the device dies when no legal placement remains. The report carries
-/// per-policy survival curves, (horizon-censored) MTTF and first-failure
-/// histograms; like every sweep it is byte-identical for every `--jobs`
-/// value.
-pub fn fig_lifetime(ctx: &ExperimentContext, devices: usize) -> FleetReport {
-    let options =
-        CampaignOptions { collect_metrics: ctx.collect_metrics, ..CampaignOptions::default() };
-    match fig_lifetime_campaign(ctx, devices, default_lanes(devices), None, &options) {
-        CampaignStatus::Complete(report) => *report,
-        CampaignStatus::Paused { .. } => unreachable!("no stop was requested"),
-    }
-}
-
 /// The workload lanes `fig_lifetime` uses when `--lanes` is absent: one
 /// lane per device up to 8 devices (the legacy per-device-seed population),
 /// 8 shared lanes beyond — so `--devices 100000` costs ~8 reference
@@ -526,10 +511,17 @@ pub fn default_lanes(devices: usize) -> usize {
     devices.min(8)
 }
 
-/// [`fig_lifetime`] with the fleet-scale knobs exposed: explicit workload
-/// `lanes`, an optional shard-size override, and campaign
-/// checkpoint/early-stop `options` (the `fig_lifetime` binary's
-/// `--lanes/--shard/--checkpoint/--checkpoint-every/--stop-after` flags).
+/// The closed-loop fleet lifetime experiment behind
+/// `results/survival.json` (DESIGN.md §11): `devices` instances of the BE
+/// scenario per policy (baseline plus every context policy) over `lanes`
+/// workload lanes, each running its seed-derived mibench mix mission
+/// after mission while per-FU wear accumulates, end-of-life FUs drop out
+/// of the allocatable fabric, and the device dies when no legal placement
+/// remains. The report carries per-policy survival curves,
+/// (horizon-censored) MTTF and first-failure histograms; like every sweep
+/// it is byte-identical for every `--jobs` value. `shard_devices`
+/// overrides the shard size and `options` controls checkpointing and
+/// early stop (the `fig_lifetime` binary's flags).
 pub fn fig_lifetime_campaign(
     ctx: &ExperimentContext,
     devices: usize,
@@ -537,16 +529,12 @@ pub fn fig_lifetime_campaign(
     shard_devices: Option<usize>,
     options: &CampaignOptions,
 ) -> CampaignStatus {
-    let specs: Vec<PolicySpec> =
-        std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
-    let mut plan = FleetPlan::new(ctx.seed, Fabric::be())
-        .policies(specs)
+    let plan = FleetPlan::new(ctx.seed, Fabric::be())
+        .policies(ctx.series())
         .devices(devices)
         .aging(ctx.aging)
-        .lanes(lanes);
-    if let Some(shard) = shard_devices {
-        plan = plan.shard_devices(shard);
-    }
+        .lanes(lanes)
+        .shard_devices(shard_devices.unwrap_or(DEFAULT_SHARD_DEVICES));
     run_fleet_campaign(&plan, ctx.jobs, options).expect("fleet runs")
 }
 
@@ -560,30 +548,13 @@ pub fn default_serve_lanes(devices: usize) -> usize {
 }
 
 /// The live-serving fleet experiment behind `results/serving.json`
-/// (DESIGN.md §13): baseline plus the context's policy series, each
-/// serving the same seeded request streams (diurnal and heavy-tailed by
-/// default) over `horizon_days` days with utilization-aware backpressure,
-/// death-triggered replacement and cost accounting.
-pub fn fleet_serve(ctx: &ExperimentContext, devices: usize, horizon_days: u64) -> ServeReport {
-    let options =
-        CampaignOptions { collect_metrics: ctx.collect_metrics, ..CampaignOptions::default() };
-    match fleet_serve_campaign(
-        ctx,
-        devices,
-        default_serve_lanes(devices),
-        horizon_days,
-        None,
-        None,
-        &options,
-    ) {
-        ServeStatus::Complete(report) => *report,
-        ServeStatus::Paused { .. } => unreachable!("no stop was requested"),
-    }
-}
-
-/// [`fleet_serve`] with the campaign knobs exposed: explicit lanes, an
-/// optional traffic mix and shard-size override, and checkpoint/early-stop
-/// `options` (the `fleet_serve` binary's flags).
+/// (DESIGN.md §13): baseline plus the context's policy series, `devices`
+/// per cell over `lanes` lanes, each serving the same seeded request
+/// streams (the `traffic` mix, or diurnal and heavy-tailed by default)
+/// over `horizon_days` days with utilization-aware backpressure,
+/// death-triggered replacement and cost accounting. `shard_devices`
+/// overrides the shard size and `options` controls checkpointing and
+/// early stop (the `fleet_serve` binary's flags).
 pub fn fleet_serve_campaign(
     ctx: &ExperimentContext,
     devices: usize,
@@ -593,19 +564,15 @@ pub fn fleet_serve_campaign(
     shard_devices: Option<usize>,
     options: &CampaignOptions,
 ) -> ServeStatus {
-    let specs: Vec<PolicySpec> =
-        std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
     let mut plan = ServePlan::new(ctx.seed, Fabric::be())
-        .policies(specs)
+        .policies(ctx.series())
         .devices(devices)
         .aging(ctx.aging)
         .lanes(lanes)
-        .horizon_days(horizon_days);
+        .horizon_days(horizon_days)
+        .shard_devices(shard_devices.unwrap_or(DEFAULT_SHARD_DEVICES));
     if let Some(traffic) = traffic {
         plan = plan.traffic_mix(traffic);
-    }
-    if let Some(shard) = shard_devices {
-        plan = plan.shard_devices(shard);
     }
     run_serving_campaign(&plan, ctx.jobs, options).expect("serving runs")
 }

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use cgra::FabricSpec;
-use transrec::TrafficSpec;
+use transrec::{CampaignOptions, TrafficSpec};
 use uaware::PolicySpec;
 
 use crate::experiments::ExperimentContext;
@@ -211,18 +211,6 @@ pub fn parse_shard_flag(args: &[String]) -> Result<Option<usize>, String> {
     parse_count_flag(args, "--shard", "devices per streaming shard")
 }
 
-/// Extracts the last `--stop-after <n>` / `--stop-after=<n>` occurrence
-/// from `args` (`None` when the flag is absent) — pause the fleet campaign
-/// after that many shards (the CI resume leg's kill stand-in).
-///
-/// # Errors
-///
-/// Returns a description for a malformed count or a trailing
-/// `--stop-after` with no value.
-pub fn parse_stop_after_flag(args: &[String]) -> Result<Option<usize>, String> {
-    parse_count_flag(args, "--stop-after", "shards to complete before pausing")
-}
-
 /// Extracts the last `--horizon-days <n>` / `--horizon-days=<n>`
 /// occurrence from `args` (`None` when the flag is absent) — the serving
 /// horizon of the `fleet_serve` binary (DESIGN.md §13).
@@ -235,27 +223,34 @@ pub fn parse_horizon_days_flag(args: &[String]) -> Result<Option<usize>, String>
     parse_count_flag(args, "--horizon-days", "serving days")
 }
 
-/// Extracts the last `--checkpoint-every <n>` / `--checkpoint-every=<n>`
-/// occurrence from `args` (`None` when the flag is absent) — shards per
-/// checkpointed wave.
+/// Parses the campaign-control flags of the `fig_lifetime` and
+/// `fleet_serve` binaries from `args` into [`CampaignOptions`]: the last
+/// `--checkpoint <path>` is where the campaign persists (and resumes) its
+/// progress, `--checkpoint-every <n>` sets the shards per checkpointed
+/// wave, `--stop-after <n>` pauses after that many shards (the CI resume
+/// leg's kill stand-in), and `--metrics` collects the metrics registry.
 ///
 /// # Errors
 ///
-/// Returns a description for a malformed count or a trailing
-/// `--checkpoint-every` with no value.
-pub fn parse_checkpoint_every_flag(args: &[String]) -> Result<Option<usize>, String> {
-    parse_count_flag(args, "--checkpoint-every", "shards per checkpointed wave")
-}
-
-/// Extracts the last `--checkpoint <path>` / `--checkpoint=<path>`
-/// occurrence from `args` (`None` when the flag is absent) — where the
-/// fleet campaign persists (and resumes) its progress.
-///
-/// # Errors
-///
-/// Returns a description for a trailing `--checkpoint` with no value.
-pub fn parse_checkpoint_flag(args: &[String]) -> Result<Option<PathBuf>, String> {
-    Ok(flag_values(args, "--checkpoint", "a file path")?.into_iter().next_back().map(PathBuf::from))
+/// Returns a description for a malformed count or a trailing flag with no
+/// value.
+pub fn parse_campaign_flags(args: &[String]) -> Result<CampaignOptions, String> {
+    let checkpoint = flag_values(args, "--checkpoint", "a file path")?.into_iter().next_back();
+    Ok(CampaignOptions {
+        checkpoint: checkpoint.map(PathBuf::from),
+        checkpoint_every_shards: parse_count_flag(
+            args,
+            "--checkpoint-every",
+            "shards per checkpointed wave",
+        )?
+        .unwrap_or(0),
+        stop_after_shards: parse_count_flag(
+            args,
+            "--stop-after",
+            "shards to complete before pausing",
+        )?,
+        collect_metrics: parse_metrics_flag(args),
+    })
 }
 
 #[cfg(test)]
@@ -288,7 +283,7 @@ mod tests {
     fn count_flags_take_the_last_occurrence() {
         let a = args(&["--devices", "8", "--devices=100", "--checkpoint", "x", "--checkpoint=y"]);
         assert_eq!(parse_devices_flag(&a).unwrap(), Some(100));
-        assert_eq!(parse_checkpoint_flag(&a).unwrap(), Some(PathBuf::from("y")));
+        assert_eq!(parse_campaign_flags(&a).unwrap().checkpoint, Some(PathBuf::from("y")));
     }
 
     #[test]

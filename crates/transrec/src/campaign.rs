@@ -4,18 +4,25 @@
 //! several trajectories, phase 2 folds device shards into
 //! per-cell monoid accumulators in waves, and an optional checkpoint —
 //! one versioned envelope for every kind — makes the campaign kill-safe.
-//! A kind plugs in through the crate-private `Campaign` trait.
+//! A kind plugs in through the crate-private `Campaign` trait and keeps
+//! only its physics; the engine owns what both kinds do the same way: the
+//! entry checks, each lane's workload mix, the shard split, and the suite
+//! pass on a faulted fabric (`run_masked`).
 
 use std::fmt::Debug;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use cgra::FaultMask;
 use mibench::Workload;
 use obs::Registry;
 use serde::{Deserialize, Serialize, Value};
 use threadpool::ThreadPool;
 use tracing::{span, Level};
+use uaware::{derive_cell_seed, PolicySpec};
 
-use crate::system::SystemError;
+use crate::sweep::SuiteSpec;
+use crate::system::{check_movement, System, SystemConfig, SystemError};
 
 /// Checkpoint format version of every campaign kind; bumped on any layout
 /// change so stale files are rejected instead of misread. v2 added the
@@ -61,6 +68,86 @@ pub enum Status<R> {
     },
 }
 
+impl<R> Status<R> {
+    /// The report of a campaign that was run without a stop request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the campaign paused.
+    pub fn unwrap_complete(self) -> R {
+        match self {
+            Status::Complete(report) => *report,
+            Status::Paused { .. } => unreachable!("no stop was requested"),
+        }
+    }
+}
+
+/// The device population both kinds' plans describe the same way,
+/// borrowed from the plan: the policy axis on one system configuration,
+/// and `devices` per cell spread round-robin over workload lanes and
+/// streamed in shards of `shard_devices` (DESIGN.md §12).
+pub(crate) struct Population<'a> {
+    /// Base experiment seed; lane `l` draws its workloads from
+    /// [`derive_cell_seed`]`(base_seed, l)`.
+    pub base_seed: u64,
+    /// The system configuration every device ships with.
+    pub config: &'a SystemConfig,
+    /// The policy axis.
+    pub policies: &'a [PolicySpec],
+    /// The workload mix each lane draws from.
+    pub suite: &'a SuiteSpec,
+    /// Devices per cell.
+    pub devices: usize,
+    /// Distinct workload lanes: the plan's setting clamped to `devices`.
+    pub lanes: usize,
+    /// Devices per streaming shard.
+    pub shard_devices: usize,
+}
+
+impl Population<'_> {
+    /// Lane `lane`'s workload mix (lane 0 keeps the base seed).
+    fn workloads(&self, lane: usize) -> Vec<Workload> {
+        self.suite.workloads(derive_cell_seed(self.base_seed, lane as u64))
+    }
+
+    /// The devices of shard `shard`.
+    fn shard(&self, shard: usize) -> Range<usize> {
+        shard * self.shard_devices..((shard + 1) * self.shard_devices).min(self.devices)
+    }
+}
+
+/// Runs each of `workloads` to exit on a fresh system of `config` whose
+/// fabric carries `mask`: the suite pass both kinds simulate against a
+/// worn device. Lazy, so fleet stops at the first dead workload while
+/// serving measures every one. An item is `Ok(None)` when the allocation
+/// is exhausted (the device is dead), else the finished system.
+///
+/// # Panics
+///
+/// Panics when a workload's oracle rejects the run.
+pub(crate) fn run_masked<'a>(
+    config: &'a SystemConfig,
+    spec: &'a PolicySpec,
+    mask: &'a FaultMask,
+    workloads: &'a [Workload],
+) -> impl Iterator<Item = Result<Option<System>, SystemError>> + 'a {
+    workloads.iter().map(move |w| {
+        let mut system = System::new(config.clone(), spec.build());
+        system.set_fault_mask(Some(mask.clone()));
+        match system.run(w.program()) {
+            Ok(_) => {}
+            Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        assert!(
+            w.verify(system.cpu()).is_ok(),
+            "oracle failure under {spec} with {} dead FUs",
+            mask.dead_count()
+        );
+        Ok(Some(system))
+    })
+}
+
 /// The names one campaign kind goes by: its checkpoint magic and its
 /// profiler spans.
 pub(crate) struct Kind {
@@ -92,10 +179,11 @@ pub(crate) trait Campaign: Sync {
 
     /// The plan, fingerprinted through its `Debug` form.
     fn plan(&self) -> &dyn Debug;
-    /// Workload lanes phase 1 builds.
+    /// The plan's device population.
+    fn population(&self) -> Population<'_>;
+    /// Workload lanes phase 1 builds: the population's, except that an
+    /// empty serving fleet still simulates one.
     fn lanes(&self) -> usize;
-    /// The workload mix of `lane`.
-    fn workloads(&self, lane: usize) -> Vec<Workload>;
     /// Accumulator cells each shard folds into.
     fn cell_count(&self) -> usize;
     /// Equivalence classes per cell: phase 1 simulates one trajectory per
@@ -113,15 +201,13 @@ pub(crate) trait Campaign: Sync {
         task: usize,
         workloads: &[Vec<Workload>],
     ) -> Vec<(usize, Result<Self::Trajectory, SystemError>)>;
-    /// Device shards phase 2 streams.
-    fn shard_count(&self) -> usize;
-    /// Folds `shard`'s devices into one cell's partial, given that cell's
-    /// trajectories (one per class), plus the shard's metrics (empty
-    /// unless `collect_metrics`).
+    /// Folds one shard's `devices` into one cell's partial, given that
+    /// cell's trajectories (one per class), plus the shard's metrics
+    /// (empty unless `collect_metrics`).
     fn run_shard(
         &self,
         trajectories: &[Self::Trajectory],
-        shard: usize,
+        devices: Range<usize>,
         collect_metrics: bool,
     ) -> (Self::Accum, Registry);
     /// Absorbs a shard partial into a cell's aggregate.
@@ -251,17 +337,27 @@ fn field<T: Deserialize>(path: &Path, fields: &[(String, Value)], key: &str) -> 
 ///
 /// # Errors
 ///
-/// The error of the lowest-indexed failing trajectory.
+/// A movement policy on a movement-less configuration is rejected before
+/// anything runs; otherwise the error of the lowest-indexed failing
+/// trajectory.
 ///
 /// # Panics
 ///
-/// Panics on checkpoint IO failures or a checkpoint that does not belong
-/// to this plan.
+/// Panics on a zero `shard_devices`, a populated fleet without lanes,
+/// checkpoint IO failures or a checkpoint that does not belong to this
+/// plan.
 pub(crate) fn run<C: Campaign>(
     campaign: &C,
     jobs: usize,
     options: &CampaignOptions,
 ) -> Result<Status<C::Report>, SystemError> {
+    let population = campaign.population();
+    assert!(population.shard_devices > 0, "shard_devices must be positive");
+    assert!(
+        population.devices == 0 || population.lanes > 0,
+        "a populated fleet needs at least one workload lane"
+    );
+    check_movement(population.policies, population.config.movement_hardware)?;
     let kind = &C::KIND;
     let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
     let fingerprint = fingerprint(campaign.plan());
@@ -282,7 +378,7 @@ pub(crate) fn run<C: Campaign>(
             // Each lane's workload mix is built once and shared across
             // cells, so every policy faces the identical population.
             let workloads: Vec<Vec<Workload>> =
-                pool.par_map((0..campaign.lanes()).collect(), |_, lane| campaign.workloads(lane));
+                pool.par_map((0..campaign.lanes()).collect(), |_, lane| population.workloads(lane));
             let outcomes = pool.par_map((0..campaign.tasks()).collect(), |_, task| {
                 let work = || campaign.simulate(task, &workloads);
                 if options.collect_metrics {
@@ -323,7 +419,7 @@ pub(crate) fn run<C: Campaign>(
 
     // Phase 2: stream device shards in waves, merging each wave's
     // partials in (shard, cell) order.
-    let total_shards = campaign.shard_count();
+    let total_shards = population.devices.div_ceil(population.shard_devices);
     let wave_shards =
         if path.is_some() { options.checkpoint_every_shards.max(1) } else { usize::MAX };
     while state.completed < total_shards {
@@ -340,7 +436,7 @@ pub(crate) fn run<C: Campaign>(
             (completed..wave_end).flat_map(|s| (0..cells).map(move |c| (s, c))).collect();
         let partials = pool.par_map(work, |_, (shard, cell)| {
             let trajectories = &state.trajectories[cell * classes..(cell + 1) * classes];
-            campaign.run_shard(trajectories, shard, options.collect_metrics)
+            campaign.run_shard(trajectories, population.shard(shard), options.collect_metrics)
         });
         for (cell, (partial, registry)) in
             (completed..wave_end).flat_map(|_| 0..cells).zip(partials)

@@ -8,7 +8,7 @@ use mibench::Workload;
 use uaware::{PolicySpec, UtilizationTracker};
 
 use crate::energy::{gpp_only_energy, system_energy, EnergyParams};
-use crate::system::{run_gpp_only, System, SystemConfig, SystemError, SystemStats};
+use crate::system::{check_movement, run_gpp_only, System, SystemConfig, SystemError, SystemStats};
 use crate::telemetry::{ProbeReport, ProbeSpec, UtilTrace};
 
 /// The paper's exploration grid: length L ∈ {8,16,24,32} columns ×
@@ -193,11 +193,7 @@ pub fn run_suite_with_options(
     let spec = options.policy;
     // Fail fast on an invalid spec/hardware pairing before spending time on
     // the GPP reference simulations.
-    if spec.needs_movement() && !base_config.movement_hardware {
-        return Err(
-            crate::system::BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into()
-        );
-    }
+    check_movement([&spec], base_config.movement_hardware)?;
     let computed;
     let gpp_cycles: &[u64] = match options.gpp_reference {
         Some(cycles) => cycles,

@@ -1,6 +1,6 @@
 //! Fleet-scale closed-loop lifetime simulation (DESIGN.md §11, §12).
 //!
-//! One *device* is a [`System`] deployed for years: its workload mix runs
+//! One *device* is a [`System`](crate::System) deployed for years: its workload mix runs
 //! as a sequence of *missions* (one pass of the suite, modeling
 //! [`FleetPlan::mission_years`] of deployment), each mission's per-FU
 //! stress folds into persistent wear, FUs that cross end of life flip dead
@@ -61,6 +61,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::ops::Range;
 
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve, WearBatch};
 use mibench::Workload;
@@ -69,9 +70,9 @@ use obs::Registry;
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, Campaign, Kind, Status};
+use crate::campaign::{self, run_masked, Campaign, Kind, Population, Status};
 use crate::sweep::SuiteSpec;
-use crate::system::{BuildError, System, SystemConfig, SystemError};
+use crate::system::{SystemConfig, SystemError};
 
 pub use crate::campaign::CampaignOptions;
 
@@ -344,36 +345,6 @@ impl FleetReport {
     }
 }
 
-/// Runs the suite once against the device's current fault mask and
-/// returns the duty-cycle grid its executions exerted. `Ok(None)` means
-/// the allocation is exhausted — the device is dead.
-fn run_mission(
-    config: &SystemConfig,
-    spec: &PolicySpec,
-    workloads: &[Workload],
-    mask: &cgra::FaultMask,
-) -> Result<Option<UtilizationGrid>, SystemError> {
-    let mut merged = UtilizationTracker::new(&config.fabric);
-    let mut cycles = 0u64;
-    for w in workloads {
-        let mut system = System::new(config.clone(), spec.build());
-        system.set_fault_mask(Some(mask.clone()));
-        match system.run(w.program()) {
-            Ok(_) => {}
-            Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        assert!(
-            w.verify(system.cpu()).is_ok(),
-            "oracle failure under {spec} with {} dead FUs",
-            mask.dead_count()
-        );
-        cycles += system.stats().total_cycles();
-        merged.merge(system.tracker());
-    }
-    Ok(Some(merged.duty_cycles(cycles)))
-}
-
 /// One equivalence class's recorded deployment: the closed loop as a
 /// replay script of `(duty grid, missions)` segments, simulated once on
 /// the reference [`DeviceLifetime`] path and replayed on the columnar
@@ -448,9 +419,11 @@ impl ClassMap {
 }
 
 /// Simulates one (policy × class) cell's whole deployment on the reference
-/// path: run a mission, fold its duty into the wear state, inject
-/// failures, repeat — re-simulating only when the fault mask changed — and
-/// record the replay script (DESIGN.md §11, §12).
+/// path: run a mission (one suite pass against the current fault mask),
+/// fold its duty into the wear state, inject failures, repeat —
+/// re-simulating only when the fault mask changed — and record the replay
+/// script (DESIGN.md §11, §12). The device dies at the first workload
+/// that finds no legal placement.
 fn simulate_trajectory(
     plan: &FleetPlan,
     spec: &PolicySpec,
@@ -464,28 +437,33 @@ fn simulate_trajectory(
     let mut cached: Option<(u32, UtilizationGrid)> = None;
     let mut segments: Vec<(UtilizationGrid, u64)> = Vec::new();
     let mut simulated = 0u64;
-    let mut died = false;
     while life.elapsed_years() < plan.horizon_years {
         // The mask is monotone, so its dead count keys the cached mission.
         let key = life.fault_mask().dead_count();
         if cached.as_ref().is_none_or(|(k, _)| *k != key) {
             simulated += 1;
-            match run_mission(&plan.config, spec, workloads, life.fault_mask())? {
-                Some(duty) => {
-                    segments.push((duty.clone(), 0));
-                    cached = Some((key, duty));
-                }
-                None => {
-                    died = true;
-                    break;
-                }
+            let mut merged = UtilizationTracker::new(&plan.config.fabric);
+            let mut cycles = 0u64;
+            for run in run_masked(&plan.config, spec, life.fault_mask(), workloads) {
+                let Some(system) = run? else {
+                    return Ok(ClassTrajectory {
+                        segments,
+                        died: true,
+                        simulated_missions: simulated,
+                    });
+                };
+                cycles += system.stats().total_cycles();
+                merged.merge(system.tracker());
             }
+            let duty = merged.duty_cycles(cycles);
+            segments.push((duty.clone(), 0));
+            cached = Some((key, duty));
         }
         let (_, duty) = cached.as_ref().expect("mission cached above");
         life.advance_mission(duty, plan.mission_years);
         segments.last_mut().expect("segment pushed above").1 += 1;
     }
-    Ok(ClassTrajectory { segments, died, simulated_missions: simulated })
+    Ok(ClassTrajectory { segments, died: false, simulated_missions: simulated })
 }
 
 /// One policy's streaming aggregate over the completed shards: a merge
@@ -527,12 +505,21 @@ impl Campaign for FleetCampaign<'_> {
         self.plan
     }
 
-    fn lanes(&self) -> usize {
-        self.plan.effective_lanes()
+    fn population(&self) -> Population<'_> {
+        let plan = self.plan;
+        Population {
+            base_seed: plan.base_seed,
+            config: &plan.config,
+            policies: &plan.policies,
+            suite: &plan.suite,
+            devices: plan.devices,
+            lanes: plan.effective_lanes(),
+            shard_devices: plan.shard_devices,
+        }
     }
 
-    fn workloads(&self, lane: usize) -> Vec<Workload> {
-        self.plan.suite.workloads(derive_cell_seed(self.plan.base_seed, lane as u64))
+    fn lanes(&self) -> usize {
+        self.plan.effective_lanes()
     }
 
     fn cell_count(&self) -> usize {
@@ -559,10 +546,6 @@ impl Campaign for FleetCampaign<'_> {
         vec![(task, simulate_trajectory(self.plan, spec, &workloads[*lane], defects))]
     }
 
-    fn shard_count(&self) -> usize {
-        self.plan.devices.div_ceil(self.plan.shard_devices)
-    }
-
     /// Replays one shard of devices for one policy on the columnar wear
     /// slab (DESIGN.md §12): group the shard's devices by class, advance
     /// each class through its trajectory with [`WearBatch::advance_class`],
@@ -570,15 +553,14 @@ impl Campaign for FleetCampaign<'_> {
     fn run_shard(
         &self,
         trajectories: &[ClassTrajectory],
-        shard: usize,
+        devices: Range<usize>,
         collect_metrics: bool,
     ) -> (PolicyAccum, Registry) {
         let (plan, classes) = (self.plan, &self.classes);
-        let start = shard * plan.shard_devices;
-        let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
-        let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, end - start);
+        let start = devices.start;
+        let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, devices.len());
         let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for device in start..end {
+        for device in devices {
             groups.entry(classes.class_of[device]).or_default().push(device - start);
         }
         let mut accum = PolicyAccum::default();
@@ -715,11 +697,6 @@ pub fn run_fleet_campaign(
         "horizon_years must be positive and finite, got {}",
         plan.horizon_years
     );
-    assert!(plan.shard_devices > 0, "shard_devices must be positive");
-    assert!(
-        plan.devices == 0 || plan.effective_lanes() > 0,
-        "a populated fleet needs at least one workload lane"
-    );
     for d in &plan.defects {
         assert!(
             d.device < plan.devices
@@ -727,11 +704,6 @@ pub fn run_fleet_campaign(
                 && d.col < plan.config.fabric.cols,
             "defect {d:?} outside the fleet"
         );
-    }
-    for spec in &plan.policies {
-        if spec.needs_movement() && !plan.config.movement_hardware {
-            return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
-        }
     }
     campaign::run(&FleetCampaign { plan, classes: ClassMap::build(plan) }, jobs, options)
 }
@@ -751,15 +723,13 @@ pub fn run_fleet_campaign(
 ///
 /// See [`run_fleet_campaign`].
 pub fn run_fleet(plan: &FleetPlan, jobs: usize) -> Result<FleetReport, SystemError> {
-    match run_fleet_campaign(plan, jobs, &CampaignOptions::default())? {
-        Status::Complete(report) => Ok(*report),
-        Status::Paused { .. } => unreachable!("no stop was requested"),
-    }
+    run_fleet_campaign(plan, jobs, &CampaignOptions::default()).map(Status::unwrap_complete)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::BuildError;
     use cgra::Fabric;
 
     /// A one-benchmark mix keeps the closed loop fast in debug builds.

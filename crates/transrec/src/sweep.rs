@@ -30,7 +30,7 @@ use uaware::{derive_cell_seed, PolicySpec};
 
 use crate::dse::{gpp_reference, run_suite_with_options, SuiteOptions, SuiteRun};
 use crate::energy::EnergyParams;
-use crate::system::{BuildError, SystemConfig, SystemError};
+use crate::system::{check_movement, SystemConfig, SystemError};
 use crate::telemetry::ProbeSpec;
 
 /// A named selection of the mibench workload suite — one cell of the
@@ -283,11 +283,7 @@ fn run_sweep_inner(
 ) -> Result<(Vec<SuiteRun>, Registry), SystemError> {
     // Validate the whole grid up front: cheap, and it keeps the "rejected
     // before anything runs" contract of the sequential path.
-    for spec in &plan.policies {
-        if spec.needs_movement() && !plan.configs.iter().all(|c| c.movement_hardware) {
-            return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
-        }
-    }
+    check_movement(&plan.policies, plan.configs.iter().all(|c| c.movement_hardware))?;
     if plan.is_empty() {
         return Ok((Vec::new(), Registry::new()));
     }
@@ -368,6 +364,7 @@ fn run_sweep_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::BuildError;
 
     #[test]
     fn cells_enumerate_config_major_and_index_of_agrees() {

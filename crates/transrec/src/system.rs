@@ -17,7 +17,6 @@
 //! [`Observer`]s as [`SimEvent`]s, and counted exactly once, by the
 //! built-in [`SystemStats`] fold.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -245,6 +244,19 @@ impl From<FabricError> for BuildError {
     }
 }
 
+/// The spec-vs-hardware check every entry point runs before simulating:
+/// the first of `specs` that needs the movement extensions is rejected
+/// when `movement_hardware` is false.
+pub(crate) fn check_movement<'a>(
+    specs: impl IntoIterator<Item = &'a PolicySpec>,
+    movement_hardware: bool,
+) -> Result<(), BuildError> {
+    match specs.into_iter().find(|spec| !movement_hardware && spec.needs_movement()) {
+        Some(spec) => Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }),
+        None => Ok(()),
+    }
+}
+
 /// Errors from a system run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SystemError {
@@ -345,12 +357,12 @@ enum ResidentTransition {
 /// What every offload of a cached configuration needs, derived once when
 /// the DBT installs it (DESIGN.md §10): the hardware decodes a trace into
 /// the configuration cache once and executes it many times, and so does
-/// the simulator. Only the legal pivots depend on the fault mask; a mask
-/// swap rebuilds them in place.
+/// the simulator — the cache stores this record itself. Only the legal
+/// pivots depend on the fault mask; a mask swap rebuilds them in place.
 #[derive(Clone)]
 struct Decoded {
-    /// The shared cache entry.
-    cc: Arc<CachedConfig>,
+    /// The translated configuration.
+    cc: CachedConfig,
     /// What the covered instructions would cost on the GPP.
     gpp_estimate: u64,
     /// Virtual cells the configuration occupies (`Configuration::cells`).
@@ -367,7 +379,9 @@ pub struct System {
     config: SystemConfig,
     cpu: Cpu,
     translator: Translator,
-    cache: ConfigCache,
+    /// One decoded record per cached start PC, kept in step with the
+    /// fault mask.
+    cache: ConfigCache<Arc<Decoded>>,
     policy: Box<dyn AllocationPolicy>,
     tracker: UtilizationTracker,
     /// Permanent FU failures the allocation must route around
@@ -379,9 +393,6 @@ pub struct System {
     /// a re-execution of the resident configuration finds its input context
     /// still valid and skips the transfer).
     gpp_dirty: bool,
-    /// One record per cached start PC, kept in step with the cache and
-    /// with the fault mask.
-    decoded: HashMap<u32, Arc<Decoded>>,
     /// Offload buffers, reused so an offload allocates nothing: the input
     /// context, the executor's working memory, and the physical cells
     /// handed to the tracker.
@@ -532,9 +543,7 @@ impl SystemBuilder {
     /// construction, but `Fabric` fields are public).
     pub fn build(self) -> Result<System, BuildError> {
         self.config.fabric.validate()?;
-        if self.spec.needs_movement() && !self.config.movement_hardware {
-            return Err(BuildError::MovementHardwareAbsent { policy: self.spec.to_string() });
-        }
+        check_movement([&self.spec], self.config.movement_hardware)?;
         let mut system = System::new(self.config, self.spec.build());
         if self.faults.is_some() {
             system.set_fault_mask(self.faults);
@@ -578,7 +587,6 @@ impl System {
             reconfig_unit,
             resident: None,
             gpp_dirty: true,
-            decoded: HashMap::new(),
             inputs: Vec::new(),
             scratch: ExecScratch::new(),
             cells: Vec::new(),
@@ -638,7 +646,7 @@ impl System {
         }
         self.faults = mask;
         let (fabric, faults) = (&self.config.fabric, self.faults.as_ref());
-        for record in self.decoded.values_mut() {
+        for record in self.cache.iter_mut() {
             let record = Arc::make_mut(record);
             record.legal = LegalPivots::new(fabric, &record.footprint, &record.demands, faults);
         }
@@ -682,13 +690,7 @@ impl System {
         let demands: Vec<(u32, u32, OpKind)> = cc.config.demands().collect();
         let legal =
             LegalPivots::new(&self.config.fabric, &footprint, &demands, self.faults.as_ref());
-        Decoded {
-            gpp_estimate: self.estimate_gpp_cycles(&cc),
-            footprint,
-            demands,
-            legal,
-            cc: Arc::new(cc),
-        }
+        Decoded { gpp_estimate: self.estimate_gpp_cycles(&cc), footprint, demands, legal, cc }
     }
 
     /// Counts one event in the built-in fold and publishes it to every
@@ -872,8 +874,8 @@ impl System {
     /// fresh step budget.
     ///
     /// Loading a program is a context switch for the DBT: the PC-indexed
-    /// configuration cache, the in-flight trace and the per-PC offload
-    /// records are flushed (translations of a previous program at
+    /// configuration cache (with its decoded offload records) and the
+    /// in-flight trace are flushed (translations of a previous program at
     /// overlapping addresses must never execute against the new one), and
     /// the fabric's resident configuration is dropped. *Wear* state —
     /// statistics, per-FU utilization and attached probes — persists
@@ -887,7 +889,6 @@ impl System {
         self.cpu.load_program(program)?;
         self.cache.clear();
         self.translator = Translator::with_params(self.config.fabric, self.config.translator);
-        self.decoded.clear();
         self.resident = None;
         self.gpp_dirty = true;
         self.finish_notified = false;
@@ -1012,7 +1013,7 @@ impl Session<'_> {
         let pc = sys.cpu.pc();
         // Step 4: check the configuration cache for this PC. A hit shares
         // the record decoded at insertion; nothing is copied.
-        if let Some(decoded) = sys.cache.lookup(pc).and_then(|_| sys.decoded.get(&pc)).cloned() {
+        if let Some(decoded) = sys.cache.lookup(pc).cloned() {
             let cc = &decoded.cc;
             // Steady-state estimate (resident configuration with a warm
             // input context): the regime that matters for hot code.
@@ -1051,11 +1052,8 @@ impl Session<'_> {
         for built in sys.translator.observe(&retired, cached) {
             // Step 3: install into the configuration cache, decoded once.
             let (insert_pc, instr_count) = (built.start_pc, built.instr_count);
-            let decoded = sys.decode(built);
-            let evicted = sys.cache.insert(Arc::clone(&decoded.cc));
-            sys.decoded.insert(insert_pc, Arc::new(decoded));
-            if let Some(evicted) = evicted {
-                sys.decoded.remove(&evicted);
+            let decoded = Arc::new(sys.decode(built));
+            if let Some(evicted) = sys.cache.insert(insert_pc, decoded) {
                 sys.emit(SimEvent::CacheEvicted { pc: evicted });
             }
             sys.emit(SimEvent::CacheInserted { pc: insert_pc, instr_count });

@@ -48,6 +48,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Debug};
+use std::ops::Range;
 use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
@@ -61,10 +62,11 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, Campaign, CampaignOptions, Kind, Status};
+use crate::campaign::{self, run_masked, Campaign, CampaignOptions, Kind, Population, Status};
+use crate::dse::gpp_reference;
 use crate::fleet::DEFAULT_SHARD_DEVICES;
 use crate::sweep::SuiteSpec;
-use crate::system::{run_gpp_only, BuildError, System, SystemConfig, SystemError};
+use crate::system::{System, SystemConfig, SystemError};
 use crate::telemetry::{EventCtx, Observer, ProbeReport, ProbeSpec, SimEvent};
 
 /// Seconds in one serving day.
@@ -97,11 +99,6 @@ pub const DEFAULT_PATTERN_DAYS: u64 = 3;
 
 /// Default serving horizon in days.
 pub const DEFAULT_HORIZON_DAYS: u64 = 30;
-
-/// Cycles one [`crate::Session::run_for`] slice advances while a request
-/// is served — requests feed the system incrementally, never in one
-/// opaque run (DESIGN.md §13).
-const SERVICE_SLICE_CYCLES: u64 = 10_000;
 
 /// Salt mixed into the per-lane seed before deriving per-day arrival
 /// streams, so traffic draws never alias the workload-construction
@@ -566,16 +563,6 @@ impl ServePlan {
         self.lanes.unwrap_or(self.devices).min(self.devices)
     }
 
-    /// The lane of device `device`.
-    pub fn lane_of(&self, device: usize) -> usize {
-        device % self.effective_lanes().max(1)
-    }
-
-    /// The derived seed of device `device` (its lane's seed).
-    pub fn device_seed(&self, device: usize) -> u64 {
-        derive_cell_seed(self.base_seed, self.lane_of(device) as u64)
-    }
-
     /// The deployment years the serving horizon models
     /// (`horizon_days × years_per_day`).
     pub fn horizon_years(&self) -> f64 {
@@ -613,55 +600,6 @@ impl CgraCost {
     }
 }
 
-/// Measures one workload's fabric service under `mask`: a fresh system
-/// per request shape, fed incrementally through the session interface in
-/// [`SERVICE_SLICE_CYCLES`] slices (DESIGN.md §13). `Ok(None)` means the
-/// allocation is exhausted — the device is dead.
-fn measure_cgra(
-    config: &SystemConfig,
-    spec: &PolicySpec,
-    mask: &FaultMask,
-    workload: &Workload,
-) -> Result<Option<CgraCost>, SystemError> {
-    let mut system = System::new(config.clone(), spec.build());
-    system.set_fault_mask(Some(mask.clone()));
-    {
-        let mut session = match system.session(workload.program()) {
-            Ok(session) => session,
-            Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        loop {
-            match session.run_for(SERVICE_SLICE_CYCLES) {
-                Ok(status) if status.is_running() => continue,
-                Ok(_) => break,
-                Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    assert!(
-        workload.verify(system.cpu()).is_ok(),
-        "oracle failure under {spec} with {} dead FUs",
-        mask.dead_count()
-    );
-    Ok(Some(CgraCost::new(system.stats().total_cycles(), system.tracker().clone())))
-}
-
-/// GPP-only service cycles per workload: the deferral path. They depend
-/// on neither the policy nor the fault mask, so one (traffic × lane) task
-/// measures them once for all its policies.
-fn gpp_cycles(config: &SystemConfig, workloads: &[Workload]) -> Result<Vec<u64>, SystemError> {
-    workloads
-        .iter()
-        .map(|w| {
-            run_gpp_only(w.program(), config.mem_size, config.timing, config.max_steps)
-                .map(|cpu| cpu.cycles())
-                .map_err(SystemError::Cpu)
-        })
-        .collect()
-}
-
 /// Lazy fabric service-cost cache of one trajectory simulation: per fault
 /// mask, each workload's [`CgraCost`], or `None` when no placement avoids
 /// the mask's dead FUs (a request for it kills the device). The fault
@@ -682,16 +620,17 @@ impl<'a> ServiceTable<'a> {
         ServiceTable { config, spec, workloads, masks: BTreeMap::new(), simulated_services: 0 }
     }
 
-    /// The per-workload fabric costs under `mask`, measuring them on
-    /// first use.
+    /// The per-workload fabric costs under `mask`, measuring every
+    /// workload on first use: a fresh system per request shape, run to
+    /// exit (DESIGN.md §13).
     fn costs(&mut self, mask: &FaultMask) -> Result<&[Option<CgraCost>], SystemError> {
         let key = mask.dead_count();
         if !self.masks.contains_key(&key) {
-            let mut cgra = Vec::with_capacity(self.workloads.len());
-            for w in self.workloads {
-                self.simulated_services += 1;
-                cgra.push(measure_cgra(self.config, self.spec, mask, w)?);
-            }
+            let cost = |s: System| CgraCost::new(s.stats().total_cycles(), s.tracker().clone());
+            let cgra = run_masked(self.config, self.spec, mask, self.workloads)
+                .map(|run| Ok(run?.map(cost)))
+                .collect::<Result<Vec<_>, SystemError>>()?;
+            self.simulated_services += cgra.len() as u64;
             self.masks.insert(key, cgra);
         }
         Ok(self.masks.get(&key).expect("inserted above"))
@@ -978,7 +917,9 @@ fn simulate_serving(
     let pattern: Vec<Vec<Arrival>> = (0..plan.pattern_days.min(plan.horizon_days))
         .map(|day| day_traffic(traffic, stream_seed, day, plan.clock_hz, workloads.len() as u32))
         .collect();
-    let gpp = gpp_cycles(&plan.config, workloads);
+    // GPP-only service cycles, the deferral path: they depend on neither
+    // the policy nor the fault mask.
+    let gpp = gpp_reference(&plan.config, workloads);
     plan.policies
         .iter()
         .map(|spec| {
@@ -1187,12 +1128,21 @@ impl Campaign for ServeCampaign<'_> {
         self.plan
     }
 
-    fn lanes(&self) -> usize {
-        self.lanes
+    fn population(&self) -> Population<'_> {
+        let plan = self.plan;
+        Population {
+            base_seed: plan.base_seed,
+            config: &plan.config,
+            policies: &plan.policies,
+            suite: &plan.suite,
+            devices: plan.devices,
+            lanes: plan.effective_lanes(),
+            shard_devices: plan.shard_devices,
+        }
     }
 
-    fn workloads(&self, lane: usize) -> Vec<Workload> {
-        self.plan.suite.workloads(derive_cell_seed(self.plan.base_seed, lane as u64))
+    fn lanes(&self) -> usize {
+        self.lanes
     }
 
     fn cell_count(&self) -> usize {
@@ -1223,10 +1173,6 @@ impl Campaign for ServeCampaign<'_> {
         trajectories.into_iter().enumerate().map(|(policy, t)| (index(policy), t)).collect()
     }
 
-    fn shard_count(&self) -> usize {
-        self.plan.devices.div_ceil(self.plan.shard_devices)
-    }
-
     /// Weights one shard of devices into one cell's partial aggregate.
     /// Class members are byte-identical, so the "replay" is a weighted
     /// fold of the class trajectory (DESIGN.md §13). Pure arithmetic: it
@@ -1234,14 +1180,11 @@ impl Campaign for ServeCampaign<'_> {
     fn run_shard(
         &self,
         trajectories: &[ServeTrajectory],
-        shard: usize,
+        devices: Range<usize>,
         _collect_metrics: bool,
     ) -> (ServeAccum, Registry) {
-        let plan = self.plan;
-        let start = shard * plan.shard_devices;
-        let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
         let mut members = vec![0u64; self.lanes];
-        for device in start..end {
+        for device in devices {
             members[device % self.lanes] += 1;
         }
         let mut accum = ServeAccum::default();
@@ -1350,18 +1293,8 @@ pub fn run_serving_campaign(
         "years_per_day must be positive and finite, got {}",
         plan.years_per_day
     );
-    assert!(plan.shard_devices > 0, "shard_devices must be positive");
-    assert!(
-        plan.devices == 0 || plan.effective_lanes() > 0,
-        "a populated fleet needs at least one lane"
-    );
     if let ReplacementPolicy::Refurbished { age_pct } = plan.replacement.policy {
         assert!(age_pct < 100, "refurbished age_pct must be below 100, got {age_pct}");
-    }
-    for spec in &plan.policies {
-        if spec.needs_movement() && !plan.config.movement_hardware {
-            return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
-        }
     }
     campaign::run(&ServeCampaign { plan, lanes: plan.effective_lanes().max(1) }, jobs, options)
 }
@@ -1379,10 +1312,7 @@ pub fn run_serving_campaign(
 ///
 /// See [`run_serving_campaign`].
 pub fn run_serving(plan: &ServePlan, jobs: usize) -> Result<ServeReport, SystemError> {
-    match run_serving_campaign(plan, jobs, &CampaignOptions::default())? {
-        Status::Complete(report) => Ok(*report),
-        Status::Paused { .. } => unreachable!("no stop was requested"),
-    }
+    run_serving_campaign(plan, jobs, &CampaignOptions::default()).map(Status::unwrap_complete)
 }
 
 /// A one-day serving summary, the scalar half of what
@@ -1431,7 +1361,7 @@ pub fn probe_service_day(
     assert!(lane < plan.effective_lanes().max(1), "lane {lane} outside the plan's lanes");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
-    let gpp = gpp_cycles(&plan.config, &workloads)?;
+    let gpp = gpp_reference(&plan.config, &workloads)?;
     let mut table = ServiceTable::new(&plan.config, policy, &workloads);
     let cgra = table.costs(&FaultMask::healthy(&plan.config.fabric))?;
     let arrivals = day_traffic(

@@ -9,12 +9,13 @@
 //! 3. `run_fleet` is byte-identical for every worker count;
 //! 4. equivalence classes (DESIGN.md §12): a fleet of identical devices
 //!    shares exactly one simulation per policy, and seeded defects fork
-//!    classes without changing any per-device result versus a solo run.
+//!    classes without changing any per-device result versus a solo run;
+//! 5. the report and metrics bytes of a small defective fleet are pinned.
 
 use cgra::Fabric;
 use lifetime::DeviceLifetime;
 use nbti::CalibratedAging;
-use transrec::fleet::{run_fleet, FleetPlan};
+use transrec::fleet::{run_fleet, run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
 use transrec::sweep::SuiteSpec;
 use transrec::{System, SystemConfig};
 use uaware::{PolicySpec, UtilizationTracker};
@@ -222,4 +223,61 @@ fn seeded_defects_fork_classes_without_changing_per_device_results() {
             );
         }
     }
+}
+
+/// FNV-1a 64 of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, b| (hash ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A fleet over two lanes with one defective device, fast enough wear
+/// that devices die before the horizon, and shards that split the lanes.
+fn pinned_plan() -> FleetPlan {
+    FleetPlan::new(0xDAC2020, Fabric::be())
+        .policy(PolicySpec::Baseline)
+        .policy(PolicySpec::rotation())
+        .suite(SuiteSpec::subset("crc", vec![1]))
+        .devices(5)
+        .lanes(2)
+        .shard_devices(2)
+        .defect(1, 0, 1)
+        .mission_years(1.0)
+        .horizon_years(12.0)
+}
+
+/// FNV-1a of the pinned plan's report JSON, captured before the campaign
+/// kinds' shared steps moved into the engine.
+const PINNED_REPORT_FNV: u64 = 0x17c5_a75a_5fba_6f54;
+/// FNV-1a of the pinned plan's metrics registry JSON, same capture.
+const PINNED_METRICS_FNV: u64 = 0xb965_1f65_b7e6_3e1c;
+
+/// The fleet report and its metrics registry are pinned byte for byte:
+/// any refactor of the mission runner, the lane/shard split or the
+/// campaign engine must reproduce the capture exactly.
+#[test]
+fn fleet_bytes_match_the_pinned_capture() {
+    let dir = std::env::temp_dir().join("uaware-fleet-tests");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join(format!("pinned-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = CampaignOptions {
+        checkpoint: Some(path.clone()),
+        collect_metrics: true,
+        ..CampaignOptions::default()
+    };
+    let status = run_fleet_campaign(&pinned_plan(), 2, &options).expect("fleet runs");
+    let text = std::fs::read_to_string(&path).expect("checkpoint readable");
+    std::fs::remove_file(&path).ok();
+    let CampaignStatus::Complete(report) = status else { panic!("no stop was requested") };
+    assert_eq!(report.lanes, 2);
+    assert!(report.policies.iter().all(|p| p.classes == 3), "the defect forks one class");
+    assert!(report.policies.iter().all(|p| p.stats.deaths > 0), "no device died");
+    let checkpoint: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let metrics = checkpoint.get("metrics").expect("the checkpoint carries the registry");
+    let metrics = serde_json::to_string(metrics).unwrap();
+    assert!(metrics.contains("system.offloads"));
+    let report = serde_json::to_string(&*report).unwrap();
+    assert_eq!(fnv1a(&report), PINNED_REPORT_FNV, "fleet report bytes changed:\n{report}");
+    assert_eq!(fnv1a(&metrics), PINNED_METRICS_FNV, "metrics registry bytes changed:\n{metrics}");
 }

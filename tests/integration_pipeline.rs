@@ -15,7 +15,7 @@ fn configs_of(workload: &mibench::Workload, fabric: Fabric) -> Vec<dbt::CachedCo
     while cpu.exit().is_none() {
         let r = cpu.step().unwrap();
         for built in dbt.observe(&r, cache.contains(r.pc)) {
-            cache.insert(built.into());
+            cache.insert(built.start_pc, built);
         }
     }
     cache.iter().cloned().collect()
