@@ -1,13 +1,13 @@
 //! Cost of the exact-mapping oracle (DESIGN.md §15): a single-slot
 //! re-solve per decision (what `exact` pays on every allocation), a joint
-//! multi-slot epoch solve, and the raw branch-and-bound core on the
-//! classic makespan instance the greedy incumbent cannot close.
+//! multi-slot epoch solve, and the branch-and-bound search on a cold epoch
+//! the greedy incumbent cannot close.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cgra::Fabric;
-use solve::{OffsetProblem, TableProblem};
+use solve::OffsetProblem;
 use uaware::{AllocRequest, AllocationPolicy, ExactPolicy, LegalPivots, UtilizationTracker};
 
 fn bench_solve(c: &mut Criterion) {
@@ -57,8 +57,12 @@ fn bench_solve(c: &mut Criterion) {
             policy.next_offset(&req)
         })
     });
-    group.bench_function("makespan_5_jobs_2_machines", |b| {
-        let problem = TableProblem::machines(black_box(&[3, 3, 2, 2, 2]), 2);
+    group.bench_function("offset_epoch_greedy_gap", |b| {
+        // Three L-shaped executions on a cold 3×4 fabric: greedy stacks two
+        // (stress 2), the search proves three disjoint placements (1).
+        let gap_fabric = Fabric::new(3, 4);
+        let problem =
+            OffsetProblem::new(&gap_fabric, &[(0, 0), (0, 1), (1, 1)], &[0; 12], 3, |_| true);
         b.iter(|| solve::solve(black_box(&problem)))
     });
     group.finish();

@@ -2,13 +2,15 @@
 //!
 //! Every heuristic in [`crate::policy`] approximates the same question —
 //! where should the next execution land so the fabric wears out as late as
-//! possible? [`ExactPolicy`] answers it *optimally* for one epoch at a
-//! time: at each epoch boundary it hands the live per-FU stress counters to
-//! the vendored branch-and-bound core ([`solve`]) and plays back the
-//! proven-optimal pivot sequence. It is far too slow for hardware — that is
-//! the point: it is the upper bound that tells us how far the paper's
-//! rotation (and the health-aware scan) sit from the true wear optimum, per
-//! fabric size, fault density and layout (`results/gap.json`).
+//! possible? [`ExactPolicy`] answers it *optimally for one epoch at a
+//! time*: at each epoch boundary it hands the live per-FU stress counters
+//! to the vendored branch-and-bound core ([`solve`]) and plays back the
+//! proven-optimal pivot sequence for that epoch. `exact` (one execution
+//! per epoch) is therefore the per-decision leximin argmin against live
+//! wear — a myopic oracle, not a whole-run optimum. It is far too slow for
+//! hardware; it is the yardstick `results/gap.json` measures the paper's
+//! rotation (and the health-aware scan) against, per fabric size, fault
+//! density and layout.
 
 use std::collections::VecDeque;
 
@@ -28,10 +30,11 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 ///
 /// With `every == 1` the oracle re-solves on every allocation (a greedy
 /// optimal step against the live counters); larger epochs plan that many
-/// upcoming executions *jointly*, which can deliberately unbalance early
-/// to win later (DESIGN.md §15). Planned pivots are re-validated against
-/// the live request when played back; a pivot invalidated by a fresh fault
-/// (or changed demands) drops the rest of the plan and re-solves.
+/// upcoming executions of the requesting footprint *jointly*, which can
+/// deliberately unbalance early to win later (DESIGN.md §15). Planned
+/// pivots are re-validated against the live request when played back; a
+/// request with a different footprint, or a pivot invalidated by a fresh
+/// fault (or changed demands), drops the rest of the plan and re-solves.
 ///
 /// # Examples
 ///
@@ -58,6 +61,8 @@ use crate::policy::{AllocRequest, AllocationPolicy};
 pub struct ExactPolicy {
     every: u32,
     plan: VecDeque<Offset>,
+    /// The footprint `plan` was solved for, refilled by each re-solve.
+    footprint: Vec<(u32, u32)>,
     /// The problem of the latest re-solve, refilled in place by the next.
     problem: OffsetProblem,
 }
@@ -69,6 +74,7 @@ impl ExactPolicy {
         ExactPolicy {
             every: every.max(1),
             plan: VecDeque::new(),
+            footprint: Vec::new(),
             problem: OffsetProblem::default(),
         }
     }
@@ -83,16 +89,18 @@ impl AllocationPolicy for ExactPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
         event!(Level::TRACE, "alloc.exact.decisions", "add" = 1);
         if let Some(&planned) = self.plan.front() {
-            if req.placement_ok(planned) {
+            if self.footprint == req.footprint && req.placement_ok(planned) {
                 self.plan.pop_front();
                 event!(Level::TRACE, "alloc.exact.replayed", "add" = 1);
                 return Some(planned);
             }
-            // A planned pivot became illegal (fresh fault, different
-            // demands): the remaining plan was optimized for a world that
-            // no longer exists — drop it and re-solve.
+            // Another footprint, or a planned pivot became illegal (fresh
+            // fault, different demands): the remaining plan was optimized
+            // for a world that no longer exists — drop it and re-solve.
             self.plan.clear();
         }
+        self.footprint.clear();
+        self.footprint.extend_from_slice(req.footprint);
         // Solved even with no legal pivot: the solver counts the
         // infeasible call (`solve.infeasible`).
         self.problem.refill(
@@ -189,6 +197,26 @@ mod tests {
         let masked = AllocRequest { legal: &legal, ..bare };
         let moved = p.next_offset(&masked).unwrap();
         assert_ne!(moved, next_planned, "the dead pivot is never played back");
+    }
+
+    #[test]
+    fn another_footprint_drops_the_plan() {
+        // Stress [2,2,0,0 | 1,1,0,0] on a 2×4 fabric.
+        let fabric = Fabric::new(2, 4);
+        let mut tracker = UtilizationTracker::new(&fabric);
+        tracker.record_execution(&[(0, 0), (0, 1), (1, 0), (1, 1)], 2);
+        tracker.record_execution(&[(0, 0), (0, 1)], 2);
+        let single = [(0u32, 0u32)];
+        let l_shape = [(0u32, 0u32), (0, 1), (1, 0)];
+        let mut p = ExactPolicy::new(4);
+        p.next_offset(&req(&fabric, &tracker, &single)).unwrap();
+        assert!(!p.plan.is_empty(), "the single-cell epoch left a plan");
+        // The plan was solved for one cell; the L-shape must get the pivot
+        // a fresh oracle picks for it, not the single-cell plan's next one.
+        let replayed = p.next_offset(&req(&fabric, &tracker, &l_shape)).unwrap();
+        let fresh = ExactPolicy::new(4).next_offset(&req(&fabric, &tracker, &l_shape)).unwrap();
+        assert_eq!(fresh, Offset::new(0, 2));
+        assert_eq!(replayed, fresh);
     }
 
     #[test]

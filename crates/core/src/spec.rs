@@ -18,8 +18,8 @@
 //! | `rotation@every-8` | snake pattern, advance every 8 executions |
 //! | `random:42` | uniform-random pivots from seed 42 |
 //! | `health-aware` | the oracle scan (paper future work) |
-//! | `exact` | branch-and-bound wear optimum, re-solved per allocation |
-//! | `exact@every-8` | the optimum planned jointly over 8-execution epochs |
+//! | `exact` | leximin argmin against live wear, per allocation |
+//! | `exact@every-8` | the optimum of each 8-execution epoch, planned jointly |
 
 use std::fmt;
 use std::str::FromStr;

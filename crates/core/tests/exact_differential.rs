@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use cgra::op::{MulFunc, OpKind};
 use cgra::{CellClass, ClassMap, Fabric, FaultMask, Offset};
-use solve::{solve, MinimaxProblem, OffsetProblem};
+use solve::{solve, OffsetProblem};
 use uaware::{
     AllocRequest, AllocationPolicy, ExactPolicy, LegalPivots, PolicySpec, UtilizationTracker,
 };
@@ -63,9 +63,9 @@ fn brute_force_minimax(p: &OffsetProblem) -> Option<u64> {
     let mut best: Option<u64> = None;
     let mut tuple = vec![0usize; n];
     loop {
-        let mut loads: Vec<u64> = (0..p.resources()).map(|r| p.initial_load(r)).collect();
-        for (slot, &c) in tuple.iter().enumerate() {
-            for &(res, d) in p.deltas(slot, c) {
+        let mut loads = p.initial_loads().to_vec();
+        for &c in &tuple {
+            for &(res, d) in p.deltas(c) {
                 loads[res as usize] += d;
             }
         }
@@ -84,6 +84,21 @@ fn brute_force_minimax(p: &OffsetProblem) -> Option<u64> {
             i += 1;
         }
     }
+}
+
+/// The one-slot answer by enumeration: the legal pivot whose post-placement
+/// load vector, sorted descending, is lexicographically smallest — the
+/// lowest row-major index among equals.
+fn brute_force_leximin_argmin(p: &OffsetProblem) -> usize {
+    let sorted_after = |c: usize| {
+        let mut loads = p.initial_loads().to_vec();
+        for &(res, d) in p.deltas(c) {
+            loads[res as usize] += d;
+        }
+        loads.sort_unstable_by(|a, b| b.cmp(a));
+        loads
+    };
+    (0..p.choices()).min_by_key(|&c| sorted_after(c)).expect("a feasible problem has a pivot")
 }
 
 proptest! {
@@ -109,19 +124,25 @@ proptest! {
             brute_force_legal(&fabric, &mask, &footprint, demands, o)
         });
         match solve(&p) {
-            None => prop_assert!(!p.is_feasible(), "solver gave up on a feasible instance"),
+            None => prop_assert_eq!(p.choices(), 0, "solver gave up on a feasible instance"),
             Some(s) => {
                 // The returned tuple really achieves the claimed objective…
                 let mut achieved: Vec<u64> = loads.to_vec();
                 prop_assert_eq!(s.choices.len(), slots);
-                for (slot, &c) in s.choices.iter().enumerate() {
-                    for &(res, d) in p.deltas(slot, c) {
+                for &c in &s.choices {
+                    for &(res, d) in p.deltas(c) {
                         achieved[res as usize] += d;
                     }
                 }
                 prop_assert_eq!(achieved.into_iter().max().unwrap(), s.objective);
                 // …and the objective is the exhaustively-verified optimum.
                 prop_assert_eq!(s.objective, brute_force_minimax(&p).unwrap());
+                if slots == 1 {
+                    // One slot needs no search: the answer is the leximin
+                    // argmin over the legal pivots, and nothing is pruned.
+                    prop_assert_eq!(s.choices[0], brute_force_leximin_argmin(&p));
+                    prop_assert_eq!((s.stats.pruned_bound, s.stats.pruned_nogood), (0, 0));
+                }
             }
         }
     }

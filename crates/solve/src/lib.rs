@@ -1,13 +1,12 @@
-//! # solve — deterministic branch-and-bound for minimax assignment
+//! # solve — deterministic branch-and-bound for pivot epochs
 //!
 //! The paper's allocation policies are heuristics; this crate provides the
 //! *oracle* they are measured against (DESIGN.md §15): a registry-free,
-//! bit-reproducible branch-and-bound core over **minimax assignment
-//! problems** — assign every *slot* one *choice*, each choice adding integer
-//! load to shared *resources*, minimizing the maximum final resource load —
-//! plus the CGRA instantiation ([`OffsetProblem`]) where slots are upcoming
-//! configuration executions, choices are legal footprint pivots, and
-//! resources are the fabric's FUs accumulating NBTI stress.
+//! bit-reproducible branch-and-bound solver for one **pivot epoch** — assign
+//! each of the next `slots` executions of one configuration footprint a
+//! legal pivot offset, minimizing the maximum post-epoch per-FU stress
+//! ([`OffsetProblem`]). The slots are identical executions, so the search
+//! explores non-decreasing pivot sequences only.
 //!
 //! Everything is integer arithmetic with fixed iteration order, so two runs
 //! on the same problem return byte-identical solutions — the property the
@@ -16,13 +15,17 @@
 //! # Examples
 //!
 //! ```
-//! use solve::{solve, TableProblem};
+//! use cgra::Fabric;
+//! use solve::{solve, OffsetProblem};
 //!
-//! // Two jobs of size 3 and three of size 2 on two machines: list
-//! // scheduling gives makespan 7, the exact optimum is 6.
-//! let p = TableProblem::machines(&[3, 3, 2, 2, 2], 2);
+//! // Three executions of an L-shaped footprint on a cold 3×4 fabric: the
+//! // greedy incumbent stacks two of them (stress 2), the search finds
+//! // three disjoint placements (stress 1).
+//! let fabric = Fabric::new(3, 4);
+//! let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1), (1, 1)], &[0; 12], 3, |_| true);
 //! let s = solve(&p).unwrap();
-//! assert_eq!(s.objective, 6);
+//! assert_eq!(s.objective, 1);
+//! assert!(s.stats.expanded > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -30,5 +33,5 @@
 mod bnb;
 mod offsets;
 
-pub use bnb::{solve, DeltaTable, MinimaxProblem, Solution, SolveStats, TableProblem};
+pub use bnb::{solve, Solution, SolveStats};
 pub use offsets::OffsetProblem;

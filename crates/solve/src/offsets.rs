@@ -1,4 +1,4 @@
-//! The CGRA instantiation of the minimax core (DESIGN.md §15).
+//! The pivot-epoch problem the branch-and-bound core solves (DESIGN.md §15).
 //!
 //! Slots are the next `slots` configuration executions of one footprint;
 //! choices are the *legal* pivot offsets (legality — fault mask plus
@@ -9,8 +9,6 @@
 //! exactly, so the solved objective *is* the post-epoch worst-FU stress.
 
 use cgra::{Fabric, Offset};
-
-use crate::bnb::MinimaxProblem;
 
 /// The wear-optimal pivot-selection problem for one footprint on one
 /// fabric: minimize the maximum post-epoch per-FU stress count over all
@@ -159,50 +157,32 @@ impl OffsetProblem {
         }
     }
 
-    /// `false` when no pivot survived the legality predicate — solving
-    /// would report infeasibility (the policy's `None`).
-    pub fn is_feasible(&self) -> bool {
-        !self.offsets.is_empty()
-    }
-
     /// Maps a solver choice index back to its pivot offset.
     pub fn offset(&self, choice: usize) -> Offset {
         self.offsets[choice]
     }
 
-    /// The legal pivots, in row-major enumeration order.
-    pub fn legal_offsets(&self) -> &[Offset] {
-        &self.offsets
-    }
-}
-
-impl MinimaxProblem for OffsetProblem {
-    fn slots(&self) -> usize {
+    /// Number of executions planned jointly (the epoch length).
+    pub fn slots(&self) -> usize {
         self.slots
     }
 
-    fn choices(&self) -> usize {
+    /// Number of legal pivots; every slot may take any of them. With none,
+    /// solving a non-empty epoch reports infeasibility (the policy's
+    /// `None`).
+    pub fn choices(&self) -> usize {
         self.offsets.len()
     }
 
-    fn resources(&self) -> usize {
-        self.initial.len()
+    /// The live row-major per-FU stress counters the epoch starts from.
+    pub fn initial_loads(&self) -> &[u64] {
+        &self.initial
     }
 
-    fn initial_load(&self, resource: usize) -> u64 {
-        self.initial[resource]
-    }
-
-    fn legal(&self, _slot: usize, _choice: usize) -> bool {
-        true // illegal pivots were filtered at construction
-    }
-
-    fn deltas(&self, _slot: usize, choice: usize) -> &[(u32, u64)] {
+    /// The stress pivot `choice` adds, as `(fu, delta)` pairs sorted by FU,
+    /// one pair per FU.
+    pub fn deltas(&self, choice: usize) -> &[(u32, u64)] {
         &self.deltas[self.starts[choice]..self.starts[choice + 1]]
-    }
-
-    fn exchangeable(&self) -> bool {
-        true // every slot plans the same footprint over the same pivots
     }
 }
 
@@ -220,10 +200,10 @@ mod tests {
         assert_eq!(p.offset(0), Offset::new(0, 0));
         assert_eq!(p.offset(7), Offset::new(1, 3));
         let filtered = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |o| o.row == 1);
-        assert_eq!(filtered.legal_offsets().len(), 4);
-        assert!(filtered.is_feasible());
+        assert_eq!(filtered.choices(), 4);
+        assert_eq!(filtered.offset(0), Offset::new(1, 0));
         let none = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |_| false);
-        assert!(!none.is_feasible());
+        assert_eq!(none.choices(), 0);
         assert!(solve(&none).is_none());
     }
 
@@ -235,11 +215,11 @@ mod tests {
         fabric.col_bandwidth = 1;
         let initial = vec![0u64; 8];
         let p = OffsetProblem::new(&fabric, &[(0, 0), (1, 0)], &initial, 1, |_| true);
-        assert_eq!(p.deltas(0, 0), &[(0, 2), (4, 2)]);
+        assert_eq!(p.deltas(0), &[(0, 2), (4, 2)]);
         // The last column pivot wraps the footprint's second row cell.
         let wrap = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, 1, |_| true);
         let last = wrap.choices() - 1; // pivot (1, 3): cells (1,3) and (1,0)
-        assert_eq!(wrap.deltas(0, last), &[(4, 1), (7, 1)]);
+        assert_eq!(wrap.deltas(last), &[(4, 1), (7, 1)]);
     }
 
     #[test]
