@@ -24,8 +24,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(20);
-    group.bench_function("step_untraced", |b| b.iter(|| run_crc(crc.program())));
-    group.bench_function("step_collected", |b| {
+    group.bench_function("crc32_run_untraced", |b| b.iter(|| run_crc(crc.program())));
+    group.bench_function("crc32_run_collected", |b| {
         b.iter(|| {
             let (cycles, registry) = obs::collect(|| run_crc(crc.program()));
             assert!(!registry.is_empty(), "the collector must see the run");

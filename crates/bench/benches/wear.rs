@@ -1,8 +1,8 @@
 //! Hot paths of the closed-loop lifetime engine (DESIGN.md §11, §12): the
 //! per-mission wear update (equivalent-age composition across every FU),
-//! the columnar fleet-batch advance the shard replay runs on, and the
-//! fault-masked allocation decision policies pay once dead FUs constrain
-//! placement.
+//! the columnar fleet-batch advance, a whole fleet campaign whose cost is
+//! the phase-2 shard replay, and the fault-masked allocation decision
+//! policies pay once dead FUs constrain placement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -10,9 +10,11 @@ use std::hint::black_box;
 use cgra::{Fabric, FaultMask};
 use lifetime::{WearBatch, WearGrid};
 use nbti::CalibratedAging;
+use transrec::fleet::{run_fleet, FleetPlan};
+use transrec::sweep::SuiteSpec;
 use uaware::{
-    AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, RotationPolicy, Snake,
-    UtilizationGrid, UtilizationTracker,
+    AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, PolicySpec, RotationPolicy,
+    Snake, UtilizationGrid, UtilizationTracker,
 };
 
 fn bench_wear_update(c: &mut Criterion) {
@@ -39,6 +41,25 @@ fn bench_wear_update(c: &mut Criterion) {
         let mut batch = WearBatch::new(&fabric, aging, 256);
         let lanes: Vec<usize> = (0..256).collect();
         b.iter(|| black_box(batch.advance_class(black_box(&lanes), &duty, 0.25)))
+    });
+    group.finish();
+}
+
+fn bench_fleet_campaign(c: &mut Criterion) {
+    // 100k devices on two lanes over a horizon too short for any failure:
+    // phase 1 is two crc simulations, so the time is phase 2, the shard
+    // replay that `fig_lifetime_campaign` pays at a million devices.
+    let plan = FleetPlan::new(0xDAC2020, Fabric::be())
+        .policy(PolicySpec::Baseline)
+        .suite(SuiteSpec::subset("crc", vec![1]))
+        .devices(100_000)
+        .lanes(2)
+        .mission_years(0.25)
+        .horizon_years(2.0);
+    let mut group = c.benchmark_group("fleet_campaign");
+    group.sample_size(10);
+    group.bench_function("crc_100k_devices", |b| {
+        b.iter(|| run_fleet(black_box(&plan), 1).expect("fleet runs"))
     });
     group.finish();
 }
@@ -78,5 +99,5 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wear_update, bench_fault_masked_allocation);
+criterion_group!(benches, bench_wear_update, bench_fleet_campaign, bench_fault_masked_allocation);
 criterion_main!(benches);

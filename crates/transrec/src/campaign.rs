@@ -267,7 +267,10 @@ impl<T: Serialize, A: Serialize> Serialize for Checkpoint<T, A> {
 }
 
 /// Atomically persists `checkpoint` (write-then-rename, so a kill mid-save
-/// leaves the previous checkpoint intact), serialized in place.
+/// leaves the previous checkpoint intact), serialized in place. The
+/// temporary file appends `.tmp` to the whole file name, so it is never
+/// the checkpoint itself (`run.tmp`) nor shared by two checkpoints that
+/// differ only in extension (`a.json`, `a.ckpt`).
 ///
 /// # Panics
 ///
@@ -275,7 +278,9 @@ impl<T: Serialize, A: Serialize> Serialize for Checkpoint<T, A> {
 /// losing one would defeat them.
 fn save<T: Serialize, A: Serialize>(path: &Path, checkpoint: &Checkpoint<T, A>) {
     let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, json).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
     std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename to {}: {e}", path.display()));
 }
@@ -458,4 +463,45 @@ pub(crate) fn run<C: Campaign>(
     Ok(Status::Complete(Box::new(
         campaign.report(state.accums.into_iter().zip(per_cell).collect()),
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn checkpoint(completed: usize) -> Checkpoint<u32, u32> {
+        Checkpoint {
+            magic: "test-checkpoint",
+            fingerprint: 7,
+            trajectories: vec![1, 2],
+            completed,
+            accums: vec![3],
+            metrics: Registry::new(),
+        }
+    }
+
+    #[test]
+    fn save_never_clobbers_a_file_that_shares_the_stem() {
+        let dir = std::env::temp_dir().join(format!("uaware-campaign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        // A checkpoint named `a.tmp` sits beside `a.json`: saving the
+        // latter must neither overwrite nor move the former.
+        let (json, ckpt, tmp) = (dir.join("a.json"), dir.join("a.ckpt"), dir.join("a.tmp"));
+        save(&tmp, &checkpoint(1));
+        let before = std::fs::read_to_string(&tmp).expect("a.tmp saved");
+        save(&json, &checkpoint(2));
+        save(&ckpt, &checkpoint(3));
+        assert_eq!(std::fs::read_to_string(&tmp).ok(), Some(before), "a.tmp was clobbered");
+        let text = std::fs::read_to_string(&json).expect("a.json saved");
+        assert!(text.contains(r#""completed_shards":2"#), "{text}");
+        let text = std::fs::read_to_string(&ckpt).expect("a.ckpt saved");
+        assert!(text.contains(r#""completed_shards":3"#), "{text}");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["a.ckpt", "a.json", "a.tmp"], "no temporary file is left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

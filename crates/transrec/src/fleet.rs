@@ -23,14 +23,18 @@
 //!    the fault mask changes and recording a replay script of (duty grid,
 //!    mission count) segments: a homogeneous fleet costs one suite run per
 //!    distinct failure trajectory, not per device.
-//! 2. **Columnar replay.** Devices stream through contiguous shards of
-//!    [`FleetPlan::shard_devices`]; each shard replays its classes'
-//!    scripts on a [`lifetime::WearBatch`] slab (one contiguous `f64` row
-//!    per device, advanced by the tight `age += dt·u` loop) that is
-//!    bit-identical to the per-device path, and folds per-device death and
-//!    first-failure times into a per-policy [`lifetime::FleetAccum`] — a
-//!    merge monoid, so shard partials aggregate exactly regardless of the
-//!    split. Memory stays bounded by one shard, never the population.
+//! 2. **Class replay.** Devices stream through contiguous shards of
+//!    [`FleetPlan::shard_devices`]. Each shard counts its members per
+//!    class arithmetically (a lane's residues minus its defective
+//!    devices), replays each present class's script once on a one-lane
+//!    [`lifetime::WearBatch`] (advanced by the tight `age += dt·u` loop,
+//!    bit-identical to the per-device path), and folds that class's death
+//!    and first-failure times, weighted by its member count, into a
+//!    per-policy [`lifetime::FleetAccum`] — a merge monoid, so shard
+//!    partials aggregate exactly regardless of the split. Phase 2 costs
+//!    O(classes) per shard, and memory is O(classes + defects), never
+//!    O(devices): only the first [`FleetPlan::detail_devices`] devices are
+//!    visited one by one.
 //!
 //! Both phases run on the shared [`campaign`] engine: with a checkpoint
 //! path ([`CampaignOptions`]) it persists a versioned checkpoint after
@@ -83,8 +87,8 @@ pub const DEFAULT_MISSION_YEARS: f64 = 0.5;
 /// policy's cascade completes on the paper's BE scenario).
 pub const DEFAULT_HORIZON_YEARS: f64 = 40.0;
 
-/// Default devices per streaming shard: bounds phase-2 memory at one
-/// `shard × fu_count` wear slab (a few MB) regardless of fleet size.
+/// Default devices per streaming shard: the unit of phase-2 parallel work
+/// and checkpoint progress.
 pub const DEFAULT_SHARD_DEVICES: usize = 4096;
 
 /// Default number of leading devices whose full per-device histories are
@@ -139,8 +143,9 @@ pub struct FleetPlan {
     /// policy. `None` (the default) gives every device its own lane — the
     /// legacy per-device-seed population.
     pub lanes: Option<usize>,
-    /// Devices per streaming shard of the columnar replay phase. Never
-    /// affects results (pinned by tests) — only memory and scheduling.
+    /// Devices per streaming shard of the class-replay phase. Never
+    /// affects results (pinned by tests) — only scheduling and checkpoint
+    /// granularity.
     pub shard_devices: usize,
     /// How many leading devices keep full [`DeviceOutcome`] detail.
     pub detail_devices: usize,
@@ -231,7 +236,7 @@ impl FleetPlan {
         self
     }
 
-    /// Sets the streaming shard size of the columnar replay phase.
+    /// Sets the streaming shard size of the class-replay phase.
     pub fn shard_devices(mut self, shard: usize) -> FleetPlan {
         self.shard_devices = shard;
         self
@@ -347,8 +352,9 @@ impl FleetReport {
 
 /// One equivalence class's recorded deployment: the closed loop as a
 /// replay script of `(duty grid, missions)` segments, simulated once on
-/// the reference [`DeviceLifetime`] path and replayed on the columnar
-/// [`WearBatch`] for every class member (DESIGN.md §12).
+/// the reference [`DeviceLifetime`] path and replayed once per shard on a
+/// one-lane [`WearBatch`] that stands for every class member in the shard
+/// (DESIGN.md §12).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct ClassTrajectory {
     /// Each segment replays one simulated mission's duty grid for `count`
@@ -360,14 +366,24 @@ struct ClassTrajectory {
     simulated_missions: u64,
 }
 
+/// An equivalence class's key: the workload lane and the sorted,
+/// deduplicated defect cells its members share (DESIGN.md §12).
+type ClassKey = (usize, Vec<(u32, u32)>);
+
 /// The fleet's partition into `(lane, defects)` equivalence classes —
-/// identical for every policy, built once per campaign.
+/// identical for every policy, built once per campaign in O(lanes +
+/// defects): the defect-free majority of each lane is one class, and only
+/// defective devices are stored one by one.
 struct ClassMap {
-    /// Class index of every device.
-    class_of: Vec<u32>,
-    /// Per class: the workload lane and the (sorted, deduplicated) defect
-    /// cells its members share.
-    keys: Vec<(usize, Vec<(u32, u32)>)>,
+    /// Workload lanes the devices are spread over round-robin.
+    lanes: usize,
+    /// Per lane: the class of its defect-free devices, `None` when every
+    /// device of the lane is defective.
+    lane_class: Vec<Option<u32>>,
+    /// The class of every defective device.
+    defective: BTreeMap<usize, u32>,
+    /// Per class: its key.
+    keys: Vec<ClassKey>,
     /// Per class: its representative — the lowest member device index,
     /// which carries the class's `simulated_missions` in the report.
     representatives: Vec<usize>,
@@ -386,35 +402,100 @@ impl ClassMap {
             cells.sort_unstable();
             cells.dedup();
         }
-        let mut class_of = Vec::with_capacity(plan.devices);
-        let mut keys: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-        let mut representatives = Vec::new();
-        // Fast path for the (vast) defect-free majority: one class per lane,
-        // resolved without touching the key map.
-        let mut lane_class: Vec<Option<u32>> = vec![None; lanes];
-        let mut keyed: BTreeMap<(usize, Vec<(u32, u32)>), u32> = BTreeMap::new();
-        for device in 0..plan.devices {
-            let lane = device % lanes;
-            let class = match defects.get(&device) {
-                None => *lane_class[lane].get_or_insert_with(|| {
-                    keys.push((lane, Vec::new()));
-                    representatives.push(device);
-                    (keys.len() - 1) as u32
-                }),
-                Some(cells) => *keyed.entry((lane, cells.clone())).or_insert_with(|| {
-                    keys.push((lane, cells.clone()));
-                    representatives.push(device);
-                    (keys.len() - 1) as u32
-                }),
-            };
-            class_of.push(class);
+        // Every class keyed by its first member, so the map iterates in
+        // class order: a lane's first defect-free device (found by skipping
+        // only that lane's defective devices), and the lowest device of
+        // each defect key.
+        let mut firsts: BTreeMap<usize, ClassKey> = BTreeMap::new();
+        for lane in 0..lanes.min(plan.devices) {
+            let mut members = (lane..plan.devices).step_by(lanes);
+            if let Some(first) = members.find(|device| !defects.contains_key(device)) {
+                firsts.insert(first, (lane, Vec::new()));
+            }
         }
-        ClassMap { class_of, keys, representatives }
+        let mut keyed: BTreeMap<ClassKey, usize> = BTreeMap::new();
+        for (&device, cells) in &defects {
+            keyed.entry((device % lanes, cells.clone())).or_insert(device);
+        }
+        firsts.extend(keyed.into_iter().map(|(key, first)| (first, key)));
+        let class_of: BTreeMap<&ClassKey, u32> =
+            firsts.values().enumerate().map(|(class, key)| (key, class as u32)).collect();
+        let lane_class =
+            (0..lanes).map(|lane| class_of.get(&(lane, Vec::new())).copied()).collect();
+        let defective = defects
+            .iter()
+            .map(|(&device, cells)| (device, class_of[&(device % lanes, cells.clone())]))
+            .collect();
+        let (representatives, keys) = firsts.into_iter().unzip();
+        ClassMap { lanes, lane_class, defective, keys, representatives }
     }
 
     /// Number of distinct classes.
     fn count(&self) -> usize {
         self.keys.len()
+    }
+
+    /// The class of device `device`.
+    fn class_of(&self, device: usize) -> u32 {
+        match self.defective.get(&device) {
+            Some(&class) => class,
+            None => self.lane_class[device % self.lanes].expect("a defect-free lane has a class"),
+        }
+    }
+
+    /// How many devices of `devices` each class holds, in class order,
+    /// omitting empty classes. Counted per lane and per defective device,
+    /// never per device: a lane's members in the range are its residue
+    /// count minus the defective ones.
+    fn members(&self, devices: Range<usize>) -> Vec<(u32, u64)> {
+        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+        // Every lane with members in the range has one among its first
+        // `lanes` devices.
+        for first in devices.start..devices.end.min(devices.start + self.lanes) {
+            if let Some(class) = self.lane_class[first % self.lanes] {
+                *counts.entry(class).or_default() +=
+                    (devices.end - first).div_ceil(self.lanes) as u64;
+            }
+        }
+        for (&device, &class) in self.defective.range(devices) {
+            if let Some(lane_class) = self.lane_class[device % self.lanes] {
+                *counts.get_mut(&lane_class).expect("the defective device's lane was counted") -= 1;
+            }
+            *counts.entry(class).or_default() += 1;
+        }
+        counts.into_iter().filter(|&(_, members)| members > 0).collect()
+    }
+}
+
+/// What one class member lived through: its trajectory replayed once on
+/// a one-lane [`WearBatch`], shared by every member (DESIGN.md §12).
+struct ClassReplay {
+    /// Deployment time of death, `None` if alive at the horizon.
+    death_years: Option<f64>,
+    /// Deployment time of the first FU failure, if any FU failed.
+    first_failure_years: Option<f64>,
+    /// Missions completed before death/horizon.
+    missions: u64,
+    /// Every end-of-life crossing, in event order.
+    failures: Vec<FuFailed>,
+}
+
+/// Replays `trajectory`'s script on a one-lane [`WearBatch`]: bit-identical
+/// to advancing each member's own lane, and it emits one
+/// `wear.class.advances` per mission whatever the member count.
+fn replay_class(plan: &FleetPlan, trajectory: &ClassTrajectory) -> ClassReplay {
+    let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, 1);
+    let mut failures = Vec::new();
+    for (duty, count) in &trajectory.segments {
+        for _ in 0..*count {
+            failures.extend(batch.advance_class(&[0], duty, plan.mission_years));
+        }
+    }
+    ClassReplay {
+        death_years: trajectory.died.then(|| batch.elapsed_years(0)),
+        first_failure_years: failures.first().map(|f| f.at_years),
+        missions: batch.missions(0),
+        failures,
     }
 }
 
@@ -546,10 +627,11 @@ impl Campaign for FleetCampaign<'_> {
         vec![(task, simulate_trajectory(self.plan, spec, &workloads[*lane], defects))]
     }
 
-    /// Replays one shard of devices for one policy on the columnar wear
-    /// slab (DESIGN.md §12): group the shard's devices by class, advance
-    /// each class through its trajectory with [`WearBatch::advance_class`],
-    /// and fold the per-device observations into a shard-local accumulator.
+    /// Replays one shard of devices for one policy (DESIGN.md §12): count
+    /// the shard's members per class, replay each present class once with
+    /// [`replay_class`], and fold its observations weighted by its member
+    /// count into a shard-local accumulator. Only devices below
+    /// [`FleetPlan::detail_devices`] are visited one by one.
     fn run_shard(
         &self,
         trajectories: &[ClassTrajectory],
@@ -557,64 +639,44 @@ impl Campaign for FleetCampaign<'_> {
         collect_metrics: bool,
     ) -> (PolicyAccum, Registry) {
         let (plan, classes) = (self.plan, &self.classes);
-        let start = devices.start;
-        let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, devices.len());
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for device in devices {
-            groups.entry(classes.class_of[device]).or_default().push(device - start);
-        }
         let mut accum = PolicyAccum::default();
         let mut metrics = Registry::new();
-        for (&class, lanes) in &groups {
+        let mut replays: BTreeMap<u32, ClassReplay> = BTreeMap::new();
+        for (class, members) in classes.members(devices.clone()) {
             let trajectory = &trajectories[class as usize];
-            let mut failures: Vec<FuFailed> = Vec::new();
-            {
-                // One replay stands for `lanes.len()` devices, so its
-                // registry folds in weight-scaled — the same
-                // equivalence-class fast path as
-                // `FleetAccum::observe_weighted`. Class replays emit
-                // member-count-independent events only, which is what
-                // makes the scaled fold shard-split invariant
-                // (DESIGN.md §16).
-                let mut replay = || {
-                    for (duty, count) in &trajectory.segments {
-                        for _ in 0..*count {
-                            failures.extend(batch.advance_class(lanes, duty, plan.mission_years));
-                        }
-                    }
-                };
-                if collect_metrics {
-                    let ((), reg) = obs::collect(replay);
-                    metrics.add_scaled(&reg, lanes.len() as u64);
-                } else {
-                    replay();
-                }
-            }
-            let rep_lane = lanes[0];
-            let death_years = trajectory.died.then(|| batch.elapsed_years(rep_lane));
-            let first_failure_years = failures.first().map(|f| f.at_years);
-            accum.fleet.observe_weighted(death_years, first_failure_years, lanes.len() as u64);
-            accum.total_missions += batch.missions(rep_lane) * lanes.len() as u64;
-            for &lane in lanes {
-                let device = start + lane;
-                if device < plan.detail_devices {
-                    accum.devices.push(DeviceOutcome {
-                        device,
-                        seed: plan.device_seed(device),
-                        death_years,
-                        first_failure_years,
-                        missions: batch.missions(lane),
-                        simulated_missions: if classes.representatives[class as usize] == device {
-                            trajectory.simulated_missions
-                        } else {
-                            0
-                        },
-                        failures: failures.clone(),
-                    });
-                }
-            }
+            // One replay stands for `members` devices, so its registry
+            // folds in weight-scaled — the same equivalence-class fast
+            // path as `FleetAccum::observe_weighted`. Class replays emit
+            // member-count-independent events only, which is what makes
+            // the scaled fold shard-split invariant (DESIGN.md §16).
+            let replay = if collect_metrics {
+                let (replay, reg) = obs::collect(|| replay_class(plan, trajectory));
+                metrics.add_scaled(&reg, members);
+                replay
+            } else {
+                replay_class(plan, trajectory)
+            };
+            accum.fleet.observe_weighted(replay.death_years, replay.first_failure_years, members);
+            accum.total_missions += replay.missions * members;
+            replays.insert(class, replay);
         }
-        accum.devices.sort_by_key(|d| d.device);
+        for device in devices.start..devices.end.min(plan.detail_devices) {
+            let class = classes.class_of(device);
+            let replay = &replays[&class];
+            accum.devices.push(DeviceOutcome {
+                device,
+                seed: plan.device_seed(device),
+                death_years: replay.death_years,
+                first_failure_years: replay.first_failure_years,
+                missions: replay.missions,
+                simulated_missions: if classes.representatives[class as usize] == device {
+                    trajectories[class as usize].simulated_missions
+                } else {
+                    0
+                },
+                failures: replay.failures.clone(),
+            });
+        }
         (accum, metrics)
     }
 
@@ -831,9 +893,67 @@ mod tests {
         let plan = mini_plan().devices(4).lanes(1).defect(2, 0, 0).defect(2, 0, 0);
         let classes = ClassMap::build(&plan);
         assert_eq!(classes.count(), 2);
-        assert_eq!(classes.class_of, vec![0, 0, 1, 0]);
+        assert_eq!((0..4).map(|d| classes.class_of(d)).collect::<Vec<_>>(), vec![0, 0, 1, 0]);
         assert_eq!(classes.representatives, vec![0, 2]);
         assert_eq!(classes.keys[1].1, vec![(0, 0)], "duplicate defects deduplicate");
+    }
+
+    /// The per-device partition: every device's class, numbered by first
+    /// appearance, with each class's key and representative. The oracle
+    /// for [`ClassMap`]'s per-lane form.
+    fn enumerated_classes(plan: &FleetPlan) -> (Vec<u32>, Vec<ClassKey>, Vec<usize>) {
+        let lanes = plan.effective_lanes().max(1);
+        let (mut class_of, mut keys, mut representatives) = (Vec::new(), Vec::new(), Vec::new());
+        for device in 0..plan.devices {
+            let mut cells: Vec<(u32, u32)> = plan
+                .defects
+                .iter()
+                .filter(|d| d.device == device)
+                .map(|d| (d.row, d.col))
+                .collect();
+            cells.sort_unstable();
+            cells.dedup();
+            let key = (device % lanes, cells);
+            let class = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                representatives.push(device);
+                keys.len() - 1
+            });
+            class_of.push(class as u32);
+        }
+        (class_of, keys, representatives)
+    }
+
+    proptest::proptest! {
+        /// The class map and its per-shard member counts agree with a
+        /// device-by-device enumeration on every population and range.
+        #[test]
+        fn class_members_match_a_per_device_enumeration(
+            devices in 0usize..=40,
+            lanes in 1usize..=5,
+            defects in proptest::collection::vec((0usize..40, 0u32..2, 0u32..2), 0..8),
+            (a, b) in (0usize..=40, 0usize..=40),
+        ) {
+            let mut plan = mini_plan().devices(devices).lanes(lanes);
+            for &(device, row, col) in &defects {
+                if devices > 0 {
+                    plan = plan.defect(device % devices, row, col);
+                }
+            }
+            let (class_of, keys, representatives) = enumerated_classes(&plan);
+            let classes = ClassMap::build(&plan);
+            proptest::prop_assert_eq!(&classes.keys, &keys);
+            proptest::prop_assert_eq!(&classes.representatives, &representatives);
+            for (device, &class) in class_of.iter().enumerate() {
+                proptest::prop_assert_eq!(classes.class_of(device), class);
+            }
+            let range = a.min(b).min(devices)..a.max(b).min(devices);
+            let mut expected: BTreeMap<u32, u64> = BTreeMap::new();
+            for device in range.clone() {
+                *expected.entry(class_of[device]).or_default() += 1;
+            }
+            proptest::prop_assert_eq!(classes.members(range), expected.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!    shares exactly one simulation per policy, and seeded defects fork
 //!    classes without changing any per-device result versus a solo run;
 //! 5. the report and metrics bytes of a small defective fleet are pinned.
+//! 6. shard splits that cut through defective lanes change no byte.
 
 use cgra::Fabric;
 use lifetime::DeviceLifetime;
@@ -280,4 +281,43 @@ fn fleet_bytes_match_the_pinned_capture() {
     let report = serde_json::to_string(&*report).unwrap();
     assert_eq!(fnv1a(&report), PINNED_REPORT_FNV, "fleet report bytes changed:\n{report}");
     assert_eq!(fnv1a(&metrics), PINNED_METRICS_FNV, "metrics registry bytes changed:\n{metrics}");
+}
+
+/// Every shard split and worker count of a fleet whose class counts mix
+/// lane residues with defective devices: devices 1 and 4 share lane 1 and
+/// one defect (so lane 1 keeps no defect-free member), device 5 forks lane
+/// 2 on another cell, and lane 0 stays whole.
+#[test]
+fn defective_lanes_give_the_same_bytes_for_every_shard_split() {
+    let plan = FleetPlan::new(0xDAC2020, Fabric::be())
+        .policy(PolicySpec::Baseline)
+        .policy(PolicySpec::rotation())
+        .suite(SuiteSpec::subset("crc", vec![1]))
+        .devices(7)
+        .lanes(3)
+        .defect(1, 0, 1)
+        .defect(4, 0, 1)
+        .defect(5, 1, 3)
+        .mission_years(1.0)
+        .horizon_years(12.0);
+    let reference = run_fleet(&plan, 1).expect("fleet runs");
+    for fleet in &reference.policies {
+        assert_eq!(fleet.classes, 4, "{}: lanes 0 and 2, plus two defect keys", fleet.policy);
+        let devices = &fleet.devices;
+        assert_eq!(devices.len(), 7);
+        assert_eq!(devices[4].failures, devices[1].failures, "devices 1 and 4 share a class");
+        assert_eq!(devices[4].simulated_missions, 0, "device 1 represents the class");
+        assert_eq!(fleet.total_missions, devices.iter().map(|d| d.missions).sum::<u64>());
+    }
+    let reference = serde_json::to_string(&reference).unwrap();
+    for shard in 1..=7 {
+        for jobs in [1, 2] {
+            let report = run_fleet(&plan.clone().shard_devices(shard), jobs).expect("fleet runs");
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                reference,
+                "shard_devices {shard}, jobs {jobs}"
+            );
+        }
+    }
 }
