@@ -1,8 +1,8 @@
 //! Hot paths of the closed-loop lifetime engine (DESIGN.md §11, §12): the
 //! per-mission wear update (equivalent-age composition across every FU),
-//! the columnar fleet-batch advance, a whole fleet campaign whose cost is
-//! the phase-2 shard replay, and the fault-masked allocation decision
-//! policies pay once dead FUs constrain placement.
+//! the columnar batch advance, a whole 100k-device fleet campaign, and the
+//! fault-masked allocation decision policies pay once dead FUs constrain
+//! placement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -34,9 +34,9 @@ fn bench_wear_update(c: &mut Criterion) {
             black_box(grid.worst_delay_frac())
         })
     });
-    // The columnar fleet path (DESIGN.md §12): one mission folded into a
-    // 256-device class on the contiguous slab — per-device cost is what
-    // `fig_lifetime --devices 100000` pays per replayed mission.
+    // The columnar batch (DESIGN.md §12): one mission folded into a
+    // 256-device class on the contiguous slab, the per-device cost of
+    // advancing wear lane by lane.
     group.bench_function("batch_advance_256dev_class", |b| {
         let mut batch = WearBatch::new(&fabric, aging, 256);
         let lanes: Vec<usize> = (0..256).collect();
@@ -47,8 +47,8 @@ fn bench_wear_update(c: &mut Criterion) {
 
 fn bench_fleet_campaign(c: &mut Criterion) {
     // 100k devices on two lanes over a horizon too short for any failure:
-    // phase 1 is two crc simulations, so the time is phase 2, the shard
-    // replay that `fig_lifetime_campaign` pays at a million devices.
+    // phase 1 is two crc simulations and phase 2 weighs two classes per
+    // shard, so the time is the campaign's fixed cost at fleet scale.
     let plan = FleetPlan::new(0xDAC2020, Fabric::be())
         .policy(PolicySpec::Baseline)
         .suite(SuiteSpec::subset("crc", vec![1]))

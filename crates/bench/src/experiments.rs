@@ -505,7 +505,7 @@ pub fn gap(ctx: &ExperimentContext) -> GapReport {
 /// The workload lanes `fig_lifetime` uses when `--lanes` is absent: one
 /// lane per device up to 8 devices (the legacy per-device-seed population),
 /// 8 shared lanes beyond — so `--devices 100000` costs ~8 reference
-/// trajectories per policy plus one replay per class and shard, not
+/// trajectories per policy plus a weighted fold per class and shard, not
 /// 100 000 suite simulations (DESIGN.md §12).
 pub fn default_lanes(devices: usize) -> usize {
     devices.min(8)

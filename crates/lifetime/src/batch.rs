@@ -1,14 +1,16 @@
-//! Columnar fleet wear state: one contiguous slab for many devices
+//! Columnar wear state: one contiguous slab for many devices
 //! (DESIGN.md §12).
 //!
 //! [`crate::DeviceLifetime`] is the reference path: one device, one
-//! [`crate::WearGrid`] object graph, typed failure events. At fleet scale
-//! (10⁵–10⁶ devices) per-device object graphs dominate memory and the
-//! per-mission advance dominates time, so the fleet engine keeps wear in a
-//! [`WearBatch`] instead: a struct-of-arrays batch whose per-FU effective
-//! ages live in **one contiguous `f64` slab** (`lanes × fu_count`,
-//! lane-major), advanced by a tight `age += dt·u` loop per lane — the
-//! closed form of [`nbti::WearState::advance`]'s equivalent-age transform.
+//! [`crate::WearGrid`] object graph, typed failure events. [`WearBatch`]
+//! is its differential twin: a struct-of-arrays batch whose per-FU
+//! effective ages live in **one contiguous `f64` slab** (`lanes ×
+//! fu_count`, lane-major), advanced by a tight `age += dt·u` loop per lane
+//! — the closed form of [`nbti::WearState::advance`]'s equivalent-age
+//! transform. It is the wear kernel the benches time (`benches/wear.rs`
+//! and the benchmark's wear probe), not the fleet engine's path: a fleet
+//! reads every equivalence class's outcome straight off the
+//! [`crate::DeviceLifetime`] its phase 1 advanced.
 //!
 //! The hard contract, pinned by the differential property tests
 //! (`crates/lifetime/tests/batch_differential.rs`): a lane advanced through
@@ -30,7 +32,7 @@ use crate::device::FuFailed;
 ///
 /// Each lane mirrors one [`crate::DeviceLifetime`]'s wear, elapsed-time
 /// and mission counters; the per-FU effective ages of all lanes share one
-/// contiguous slab so a fleet shard advances with streaming memory access
+/// contiguous slab, so many devices advance with streaming memory access
 /// instead of pointer-chasing N object graphs.
 ///
 /// # Examples

@@ -16,8 +16,8 @@
 //! as the per-FU duty-cycle grid it exerted
 //! ([`uaware::UtilizationTracker::duty_cycles`]) plus the deployment time
 //! it models. The `transrec::fleet` module drives [`DeviceLifetime`] with
-//! duty grids produced by full-system runs (or replayed from recorded
-//! traces); anything else that can produce a [`uaware::UtilizationGrid`]
+//! duty grids produced by full-system runs (re-run only when the fault
+//! mask changes); anything else that can produce a [`uaware::UtilizationGrid`]
 //! can drive it too.
 //!
 //! # Examples

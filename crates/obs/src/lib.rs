@@ -6,10 +6,9 @@
 //! * [`MetricsCollector`] feeds a [`Registry`] of named counters,
 //!   high-watermark gauges and log-bucketed histograms. Everything in a
 //!   registry is integer state with an associative + commutative
-//!   [`merge`](Registry::merge) and a weighted
-//!   [`add_scaled`](Registry::add_scaled), so sharded campaigns fold
-//!   per-work-item registries exactly like `FleetAccum` folds survival
-//!   counts — the folded result (and its JSON, `results/metrics.json`) is
+//!   [`merge`](Registry::merge), so sharded campaigns fold per-work-item
+//!   registries exactly like `FleetAccum` folds survival counts — the
+//!   folded result (and its JSON, `results/metrics.json`) is
 //!   byte-identical no matter the worker count, shard split or stop/resume
 //!   point.
 //! * [`Profiler`] records wall-clock self/total times per span subtree
@@ -237,30 +236,20 @@ impl Registry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Absorbs `other` scaled by `weight`: counters and histogram counts
-    /// multiply by `weight` (one equivalence-class run stands for `weight`
-    /// identical devices, exactly like `FleetAccum`), gauges take the max
-    /// (a high-watermark does not scale with population).
-    pub fn add_scaled(&mut self, other: &Registry, weight: u64) {
-        if weight == 0 {
-            return;
-        }
+    /// Absorbs `other`: the monoid operation (associative, commutative,
+    /// [`Registry::new`] as identity). Counters and histogram counts add,
+    /// gauges take the max (a high-watermark does not add up).
+    pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v * weight;
+            *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, v) in &other.gauges {
             let g = self.gauges.entry(k.clone()).or_insert(0);
             *g = (*g).max(*v);
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().add_scaled(h, weight);
+            self.histograms.entry(k.clone()).or_default().merge(h);
         }
-    }
-
-    /// Absorbs `other`: the monoid operation (associative, commutative,
-    /// [`Registry::new`] as identity).
-    pub fn merge(&mut self, other: &Registry) {
-        self.add_scaled(other, 1);
     }
 
     /// Renders the registry as an aligned human-readable table (the `diag`
@@ -630,21 +619,6 @@ mod tests {
         let table = r.render_table();
         assert!(table.contains("a.hits"), "table renders counters:\n{table}");
         assert!(table.contains("high-watermark"), "table marks gauges:\n{table}");
-    }
-
-    #[test]
-    fn add_scaled_multiplies_counts_but_not_gauges() {
-        let mut item = Registry::new();
-        item.counter_add("c", 3);
-        item.gauge_set("g", 7);
-        item.histogram_record("h", 5);
-        let mut fold = Registry::new();
-        fold.add_scaled(&item, 1000);
-        assert_eq!(fold.counter("c"), 3000);
-        assert_eq!(fold.gauge("g"), 7);
-        assert_eq!(fold.histogram("h").unwrap().total(), 1000);
-        fold.add_scaled(&item, 0);
-        assert_eq!(fold.counter("c"), 3000, "zero weight is a no-op");
     }
 
     #[test]

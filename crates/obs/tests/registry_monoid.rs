@@ -1,10 +1,9 @@
 //! Property tests for the [`Registry`]/[`LogHistogram`] merge monoid
 //! (DESIGN.md §16): `merge` must be associative and commutative with the
-//! empty registry as identity, any shard split of an event list must fold
-//! to the byte-identical serialized registry, and `add_scaled` must equal
-//! the expanded sequence of merges. These are the algebraic facts the
-//! `results/metrics.json` byte-identity gate rides on — the mirror of
-//! `survival_monoid.rs` for the flight recorder.
+//! empty registry as identity, and any shard split of an event list must
+//! fold to the byte-identical serialized registry. These are the algebraic
+//! facts the `results/metrics.json` byte-identity gate rides on — the
+//! mirror of `survival_monoid.rs` for the flight recorder.
 
 use proptest::prelude::*;
 
@@ -104,24 +103,6 @@ proptest! {
             serde_json::to_string(&sharded).unwrap(),
             serde_json::to_string(&whole).unwrap()
         );
-    }
-
-    #[test]
-    fn add_scaled_matches_the_expanded_merges(
-        ops in any_ops(),
-        weight in 1u64..=16,
-    ) {
-        // The fleet engine's weighted per-class fold: one add_scaled by w
-        // equals merging the same registry w times (gauges are max-kept,
-        // so they are weight-invariant).
-        let unit = fold(&ops);
-        let mut weighted = Registry::new();
-        weighted.add_scaled(&unit, weight);
-        let mut expanded = Registry::new();
-        for _ in 0..weight {
-            expanded.merge(&unit);
-        }
-        prop_assert_eq!(&weighted, &expanded);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The one campaign engine behind [`fleet`](crate::fleet) and
 //! [`traffic`](crate::traffic) (DESIGN.md §12): phase 1 simulates one
 //! trajectory per (cell × equivalence class) in tasks that may each cover
-//! several trajectories, phase 2 folds device shards into
-//! per-cell monoid accumulators in waves, and an optional checkpoint —
-//! one versioned envelope for every kind — makes the campaign kill-safe.
-//! A kind plugs in through the crate-private `Campaign` trait and keeps
-//! only its physics; the engine owns what both kinds do the same way: the
-//! entry checks, each lane's workload mix, the shard split, and the suite
-//! pass on a faulted fabric (`run_masked`).
+//! several trajectories, and each trajectory *is* its class's outcome.
+//! Phase 2 is pure arithmetic: device shards stream through in waves, and
+//! each shard weights every class's trajectory by its member count into
+//! per-cell monoid accumulators. An optional checkpoint — one versioned
+//! envelope for every kind — makes the campaign kill-safe. A kind plugs in
+//! through the crate-private `Campaign` trait and keeps only its physics;
+//! the engine owns what both kinds do the same way: the entry checks, the
+//! class partition (`ClassMap`), each lane's workload mix, the shard
+//! split, and the suite pass on a faulted fabric (`run_masked`).
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -27,8 +30,9 @@ use crate::system::{check_movement, System, SystemConfig, SystemError};
 /// Checkpoint format version of every campaign kind; bumped on any layout
 /// change so stale files are rejected instead of misread. v2 added the
 /// metrics registry (DESIGN.md §16); v3 moved fleet and serving onto this
-/// module's shared envelope.
-const CHECKPOINT_VERSION: u32 = 3;
+/// module's shared envelope; v4 made a fleet trajectory its class outcome
+/// and dropped the per-device detail from the fleet accumulator.
+const CHECKPOINT_VERSION: u32 = 4;
 
 /// Campaign-level controls: checkpointing and cooperative early stop
 /// (DESIGN.md §12).
@@ -37,8 +41,7 @@ pub struct CampaignOptions {
     /// Persist progress to this path (and resume from it if it exists).
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint after every wave of this many shards (`0` acts as `1`).
-    /// Only meaningful with a checkpoint path; also the parallel wave
-    /// width, so raise it to at least the worker count on big campaigns.
+    /// Only meaningful with a checkpoint path.
     pub checkpoint_every_shards: usize,
     /// Stop (with a checkpoint, if configured) once this many shards have
     /// completed, returning [`Status::Paused`] — the hook the kill/resume
@@ -84,8 +87,9 @@ impl<R> Status<R> {
 
 /// The device population both kinds' plans describe the same way,
 /// borrowed from the plan: the policy axis on one system configuration,
-/// and `devices` per cell spread round-robin over workload lanes and
-/// streamed in shards of `shard_devices` (DESIGN.md §12).
+/// and `devices` per cell streamed in shards of `shard_devices`
+/// (DESIGN.md §12). How the devices spread over workload lanes is the
+/// kind's [`ClassMap`].
 pub(crate) struct Population<'a> {
     /// Base experiment seed; lane `l` draws its workloads from
     /// [`derive_cell_seed`]`(base_seed, l)`.
@@ -98,8 +102,6 @@ pub(crate) struct Population<'a> {
     pub suite: &'a SuiteSpec,
     /// Devices per cell.
     pub devices: usize,
-    /// Distinct workload lanes: the plan's setting clamped to `devices`.
-    pub lanes: usize,
     /// Devices per streaming shard.
     pub shard_devices: usize,
 }
@@ -113,6 +115,130 @@ impl Population<'_> {
     /// The devices of shard `shard`.
     fn shard(&self, shard: usize) -> Range<usize> {
         shard * self.shard_devices..((shard + 1) * self.shard_devices).min(self.devices)
+    }
+}
+
+/// An equivalence class's key: the workload lane and the sorted,
+/// deduplicated defect cells its members share (DESIGN.md §12).
+pub(crate) type ClassKey = (usize, Vec<(u32, u32)>);
+
+/// A population's partition into `(lane, defects)` equivalence classes,
+/// identical for every cell and built once per campaign in O(lanes +
+/// defects): devices spread round-robin over the lanes, the defect-free
+/// majority of each lane is one class, and only defective devices are
+/// stored one by one (DESIGN.md §12). Serving has no defects, so its
+/// classes are its lanes.
+pub(crate) struct ClassMap {
+    /// Workload lanes the devices are spread over round-robin.
+    lanes: usize,
+    /// Per lane: the class of its defect-free devices, `None` when every
+    /// device of the lane is defective.
+    lane_class: Vec<Option<u32>>,
+    /// The class of every defective device.
+    defective: BTreeMap<usize, u32>,
+    /// Per class: its key.
+    pub keys: Vec<ClassKey>,
+    /// Per class: its representative — the lowest member device index,
+    /// which carries the class's simulation bill in a fleet report.
+    pub representatives: Vec<usize>,
+}
+
+impl ClassMap {
+    /// Partitions `devices` devices over `lanes` workload lanes, forking
+    /// every device listed in `defects` (`(device, cell)` pairs) into the
+    /// class of its lane and defect cells. Classes are numbered in order
+    /// of first appearance (by device index), so the map is deterministic.
+    /// A lane without any device still gets a class, represented by its
+    /// own index: an empty serving fleet simulates one lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a populated fleet without lanes.
+    pub fn build(
+        devices: usize,
+        lanes: usize,
+        defects: impl IntoIterator<Item = (usize, (u32, u32))>,
+    ) -> ClassMap {
+        assert!(devices == 0 || lanes > 0, "a populated fleet needs at least one workload lane");
+        let mut cells_of: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
+        for (device, cell) in defects {
+            cells_of.entry(device).or_default().push(cell);
+        }
+        for cells in cells_of.values_mut() {
+            cells.sort_unstable();
+            cells.dedup();
+        }
+        // Every class keyed by its first member, so the map iterates in
+        // class order: a lane's first defect-free device (found by skipping
+        // only that lane's defective devices), and the lowest device of
+        // each defect key.
+        let mut firsts: BTreeMap<usize, ClassKey> = BTreeMap::new();
+        for lane in 0..lanes {
+            let first = if lane < devices {
+                (lane..devices).step_by(lanes).find(|device| !cells_of.contains_key(device))
+            } else {
+                Some(lane)
+            };
+            if let Some(first) = first {
+                firsts.insert(first, (lane, Vec::new()));
+            }
+        }
+        let mut keyed: BTreeMap<ClassKey, usize> = BTreeMap::new();
+        for (&device, cells) in &cells_of {
+            keyed.entry((device % lanes, cells.clone())).or_insert(device);
+        }
+        firsts.extend(keyed.into_iter().map(|(key, first)| (first, key)));
+        let class_of: BTreeMap<&ClassKey, u32> =
+            firsts.values().enumerate().map(|(class, key)| (key, class as u32)).collect();
+        let lane_class =
+            (0..lanes).map(|lane| class_of.get(&(lane, Vec::new())).copied()).collect();
+        let defective = cells_of
+            .iter()
+            .map(|(&device, cells)| (device, class_of[&(device % lanes, cells.clone())]))
+            .collect();
+        let (representatives, keys) = firsts.into_iter().unzip();
+        ClassMap { lanes, lane_class, defective, keys, representatives }
+    }
+
+    /// Workload lanes: phase 1 builds one workload mix per lane.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Number of distinct classes.
+    pub fn count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The class of device `device`.
+    pub fn class_of(&self, device: usize) -> u32 {
+        match self.defective.get(&device) {
+            Some(&class) => class,
+            None => self.lane_class[device % self.lanes].expect("a defect-free lane has a class"),
+        }
+    }
+
+    /// How many devices of `devices` each class holds, in class order,
+    /// omitting empty classes. Counted per lane and per defective device,
+    /// never per device: a lane's members in the range are its residue
+    /// count minus the defective ones.
+    pub fn members(&self, devices: Range<usize>) -> Vec<(u32, u64)> {
+        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+        // Every lane with members in the range has one among its first
+        // `lanes` devices.
+        for first in devices.start..devices.end.min(devices.start + self.lanes) {
+            if let Some(class) = self.lane_class[first % self.lanes] {
+                *counts.entry(class).or_default() +=
+                    (devices.end - first).div_ceil(self.lanes) as u64;
+            }
+        }
+        for (&device, &class) in self.defective.range(devices) {
+            if let Some(lane_class) = self.lane_class[device % self.lanes] {
+                *counts.get_mut(&lane_class).expect("the defective device's lane was counted") -= 1;
+            }
+            *counts.entry(class).or_default() += 1;
+        }
+        counts.into_iter().filter(|&(_, members)| members > 0).collect()
     }
 }
 
@@ -166,11 +292,13 @@ pub(crate) struct Kind {
 /// What a campaign kind supplies to [`run`]: everything the fleet and
 /// serving engines do differently.
 pub(crate) trait Campaign: Sync {
-    /// One equivalence class's phase-1 simulation.
+    /// One equivalence class's phase-1 simulation: the outcome every
+    /// member of the class shares.
     type Trajectory: Serialize + Deserialize + Send + Sync;
-    /// One cell's streaming aggregate over completed shards; a shard's
-    /// partial has the same type, and `Default` is the merge identity.
-    type Accum: Default + Serialize + Deserialize + Send;
+    /// One cell's streaming aggregate over completed shards, starting
+    /// from `Default`. Its observations must fold to the same value in
+    /// any order, so the report is invariant under the shard split.
+    type Accum: Default + Serialize + Deserialize;
     /// The finished report.
     type Report;
 
@@ -181,14 +309,11 @@ pub(crate) trait Campaign: Sync {
     fn plan(&self) -> &dyn Debug;
     /// The plan's device population.
     fn population(&self) -> Population<'_>;
-    /// Workload lanes phase 1 builds: the population's, except that an
-    /// empty serving fleet still simulates one.
-    fn lanes(&self) -> usize;
+    /// The population's equivalence classes, the same in every cell:
+    /// phase 1 simulates one trajectory per (cell × class).
+    fn classes(&self) -> &ClassMap;
     /// Accumulator cells each shard folds into.
     fn cell_count(&self) -> usize;
-    /// Equivalence classes per cell: phase 1 simulates one trajectory per
-    /// (cell × class).
-    fn classes(&self) -> usize;
     /// Phase-1 tasks. Together they simulate every trajectory exactly
     /// once; a task that covers several lets them share work such as
     /// generated inputs.
@@ -201,17 +326,9 @@ pub(crate) trait Campaign: Sync {
         task: usize,
         workloads: &[Vec<Workload>],
     ) -> Vec<(usize, Result<Self::Trajectory, SystemError>)>;
-    /// Folds one shard's `devices` into one cell's partial, given that
-    /// cell's trajectories (one per class), plus the shard's metrics
-    /// (empty unless `collect_metrics`).
-    fn run_shard(
-        &self,
-        trajectories: &[Self::Trajectory],
-        devices: Range<usize>,
-        collect_metrics: bool,
-    ) -> (Self::Accum, Registry);
-    /// Absorbs a shard partial into a cell's aggregate.
-    fn merge(accum: &mut Self::Accum, partial: Self::Accum);
+    /// Folds `members` devices that share `trajectory` into a cell's
+    /// aggregate: the whole of phase 2's per-class work.
+    fn observe(accum: &mut Self::Accum, trajectory: &Self::Trajectory, members: u64);
     /// Assembles the report from every cell's aggregate and trajectories.
     fn report(&self, cells: Vec<(Self::Accum, &[Self::Trajectory])>) -> Self::Report;
 }
@@ -231,7 +348,7 @@ pub(crate) fn fingerprint(plan: &dyn Debug) -> u64 {
 
 /// A campaign's live state, which is also its checkpoint: the kind's
 /// envelope (magic, version, plan fingerprint) around the phase-1
-/// trajectories and the merged partials of every *completed* shard.
+/// trajectories and the per-cell aggregates of every *completed* shard.
 /// Interrupted shards simply re-run on resume, which is what makes resume
 /// byte-identical.
 struct Checkpoint<T, A> {
@@ -245,10 +362,10 @@ struct Checkpoint<T, A> {
     completed: usize,
     /// Per-cell aggregates over the completed shards.
     accums: Vec<A>,
-    /// The registry folded over phase 1 and the completed shards (empty
-    /// unless [`CampaignOptions::collect_metrics`]). Persisting it keeps
-    /// `results/metrics.json` byte-identical across kill/resume points
-    /// (DESIGN.md §16).
+    /// The registry folded over phase 1 (empty unless
+    /// [`CampaignOptions::collect_metrics`]; phase 2 emits no metrics).
+    /// Persisting it keeps `results/metrics.json` byte-identical across
+    /// kill/resume points (DESIGN.md §16).
     metrics: Registry,
 }
 
@@ -348,9 +465,8 @@ fn field<T: Deserialize>(path: &Path, fields: &[(String, Value)], key: &str) -> 
 ///
 /// # Panics
 ///
-/// Panics on a zero `shard_devices`, a populated fleet without lanes,
-/// checkpoint IO failures or a checkpoint that does not belong to this
-/// plan.
+/// Panics on a zero `shard_devices`, checkpoint IO failures or a
+/// checkpoint that does not belong to this plan.
 pub(crate) fn run<C: Campaign>(
     campaign: &C,
     jobs: usize,
@@ -358,15 +474,12 @@ pub(crate) fn run<C: Campaign>(
 ) -> Result<Status<C::Report>, SystemError> {
     let population = campaign.population();
     assert!(population.shard_devices > 0, "shard_devices must be positive");
-    assert!(
-        population.devices == 0 || population.lanes > 0,
-        "a populated fleet needs at least one workload lane"
-    );
     check_movement(population.policies, population.config.movement_hardware)?;
     let kind = &C::KIND;
     let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
     let fingerprint = fingerprint(campaign.plan());
-    let (cells, classes) = (campaign.cell_count(), campaign.classes());
+    let class_map = campaign.classes();
+    let (cells, classes) = (campaign.cell_count(), class_map.count());
     let path = options.checkpoint.as_deref();
     let persist = |state: &Checkpoint<C::Trajectory, C::Accum>| {
         if let Some(path) = path {
@@ -382,8 +495,8 @@ pub(crate) fn run<C: Campaign>(
             let _phase = span!(Level::INFO, kind.trajectories_span).entered();
             // Each lane's workload mix is built once and shared across
             // cells, so every policy faces the identical population.
-            let workloads: Vec<Vec<Workload>> =
-                pool.par_map((0..campaign.lanes()).collect(), |_, lane| population.workloads(lane));
+            let workloads: Vec<Vec<Workload>> = pool
+                .par_map((0..class_map.lanes()).collect(), |_, lane| population.workloads(lane));
             let outcomes = pool.par_map((0..campaign.tasks()).collect(), |_, task| {
                 let work = || campaign.simulate(task, &workloads);
                 if options.collect_metrics {
@@ -422,8 +535,9 @@ pub(crate) fn run<C: Campaign>(
         }
     };
 
-    // Phase 2: stream device shards in waves, merging each wave's
-    // partials in (shard, cell) order.
+    // Phase 2: stream device shards in waves. Each shard weights every
+    // class it holds by its member count — pure arithmetic over the
+    // trajectories, so it runs in place and emits no metrics.
     let total_shards = population.devices.div_ceil(population.shard_devices);
     let wave_shards =
         if path.is_some() { options.checkpoint_every_shards.max(1) } else { usize::MAX };
@@ -437,17 +551,13 @@ pub(crate) fn run<C: Campaign>(
             wave_end = wave_end.min(stop.max(completed + 1));
         }
         let _wave = span!(Level::INFO, kind.shards_span).entered();
-        let work: Vec<(usize, usize)> =
-            (completed..wave_end).flat_map(|s| (0..cells).map(move |c| (s, c))).collect();
-        let partials = pool.par_map(work, |_, (shard, cell)| {
-            let trajectories = &state.trajectories[cell * classes..(cell + 1) * classes];
-            campaign.run_shard(trajectories, population.shard(shard), options.collect_metrics)
-        });
-        for (cell, (partial, registry)) in
-            (completed..wave_end).flat_map(|_| 0..cells).zip(partials)
-        {
-            C::merge(&mut state.accums[cell], partial);
-            state.metrics.merge(&registry);
+        for shard in completed..wave_end {
+            for (class, members) in class_map.members(population.shard(shard)) {
+                for (cell, accum) in state.accums.iter_mut().enumerate() {
+                    let trajectory = &state.trajectories[cell * classes + class as usize];
+                    C::observe(accum, trajectory, members);
+                }
+            }
         }
         state.completed = wave_end;
         persist(&state);

@@ -20,21 +20,21 @@
 //!    manufacturing [`Defect`]s — share one closed-loop simulation. Each
 //!    (policy × class) cell is simulated once on the reference
 //!    [`lifetime::DeviceLifetime`] path, re-running the suite only when
-//!    the fault mask changes and recording a replay script of (duty grid,
-//!    mission count) segments: a homogeneous fleet costs one suite run per
-//!    distinct failure trajectory, not per device.
-//! 2. **Class replay.** Devices stream through contiguous shards of
+//!    the fault mask changes: a homogeneous fleet costs one suite run per
+//!    distinct failure trajectory, not per device. The trajectory records
+//!    what that device lived through — death and first-failure times,
+//!    missions and failure events — which is the outcome of every member
+//!    of its class.
+//! 2. **Weighting.** Devices stream through contiguous shards of
 //!    [`FleetPlan::shard_devices`]. Each shard counts its members per
 //!    class arithmetically (a lane's residues minus its defective
-//!    devices), replays each present class's script once on a one-lane
-//!    [`lifetime::WearBatch`] (advanced by the tight `age += dt·u` loop,
-//!    bit-identical to the per-device path), and folds that class's death
-//!    and first-failure times, weighted by its member count, into a
-//!    per-policy [`lifetime::FleetAccum`] — a merge monoid, so shard
-//!    partials aggregate exactly regardless of the split. Phase 2 costs
-//!    O(classes) per shard, and memory is O(classes + defects), never
-//!    O(devices): only the first [`FleetPlan::detail_devices`] devices are
-//!    visited one by one.
+//!    devices) and folds each class's death and first-failure times,
+//!    weighted by its member count, into a per-policy
+//!    [`lifetime::FleetAccum`] — a merge monoid, so the aggregate is exact
+//!    regardless of the split. Phase 2 costs O(classes) per shard and
+//!    simulates nothing; memory is O(classes + defects), never
+//!    O(devices). The report lists the first [`FleetPlan::detail_devices`]
+//!    devices one by one, each read off its class's trajectory.
 //!
 //! Both phases run on the shared [`campaign`] engine: with a checkpoint
 //! path ([`CampaignOptions`]) it persists a versioned checkpoint after
@@ -63,18 +63,15 @@
 //! assert!(oracle.stats.mttf_years > base.stats.mttf_years);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::ops::Range;
 
-use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve, WearBatch};
+use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve};
 use mibench::Workload;
 use nbti::CalibratedAging;
-use obs::Registry;
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, run_masked, Campaign, Kind, Population, Status};
+use crate::campaign::{self, run_masked, Campaign, ClassMap, Kind, Population, Status};
 use crate::sweep::SuiteSpec;
 use crate::system::{SystemConfig, SystemError};
 
@@ -143,7 +140,7 @@ pub struct FleetPlan {
     /// policy. `None` (the default) gives every device its own lane — the
     /// legacy per-device-seed population.
     pub lanes: Option<usize>,
-    /// Devices per streaming shard of the class-replay phase. Never
+    /// Devices per streaming shard of the weighting phase. Never
     /// affects results (pinned by tests) — only scheduling and checkpoint
     /// granularity.
     pub shard_devices: usize,
@@ -236,7 +233,7 @@ impl FleetPlan {
         self
     }
 
-    /// Sets the streaming shard size of the class-replay phase.
+    /// Sets the streaming shard size of the weighting phase.
     pub fn shard_devices(mut self, shard: usize) -> FleetPlan {
         self.shard_devices = shard;
         self
@@ -271,6 +268,12 @@ impl FleetPlan {
     pub fn device_seed(&self, device: usize) -> u64 {
         derive_cell_seed(self.base_seed, self.lane_of(device) as u64)
     }
+
+    /// The population's `(lane, defects)` equivalence classes.
+    fn classes(&self) -> ClassMap {
+        let defects = self.defects.iter().map(|d| (d.device, (d.row, d.col)));
+        ClassMap::build(self.devices, self.effective_lanes(), defects)
+    }
 }
 
 /// One device's full deployment history inside a fleet report.
@@ -289,7 +292,7 @@ pub struct DeviceOutcome {
     /// Suite simulations this device's equivalence class charged to it:
     /// the class representative (its lowest device index) carries the
     /// class's full count, every other member reports 0 — missions beyond
-    /// those replayed a recorded duty grid (DESIGN.md §12).
+    /// those reused a cached duty grid (DESIGN.md §12).
     pub simulated_missions: u64,
     /// Every end-of-life crossing, in event order.
     pub failures: Vec<FuFailed>,
@@ -309,7 +312,7 @@ pub struct PolicyFleet {
     /// Suite simulations actually run across all classes (the cost the
     /// class sharing amortizes over the whole fleet).
     pub simulated_missions: u64,
-    /// Missions lived across the whole fleet (simulated or replayed).
+    /// Missions lived across the whole fleet (simulated or reused).
     pub total_missions: u64,
     /// Per-device histories of the first
     /// [`FleetReport::detail_devices`] devices, in device order.
@@ -350,126 +353,11 @@ impl FleetReport {
     }
 }
 
-/// One equivalence class's recorded deployment: the closed loop as a
-/// replay script of `(duty grid, missions)` segments, simulated once on
-/// the reference [`DeviceLifetime`] path and replayed once per shard on a
-/// one-lane [`WearBatch`] that stands for every class member in the shard
+/// One equivalence class's deployment, simulated once on the reference
+/// [`DeviceLifetime`] path: the outcome every member of the class shares
 /// (DESIGN.md §12).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct ClassTrajectory {
-    /// Each segment replays one simulated mission's duty grid for `count`
-    /// consecutive missions (until the fault mask changed).
-    segments: Vec<(UtilizationGrid, u64)>,
-    /// The device retired (allocation exhausted) after the last segment.
-    died: bool,
-    /// Suite simulations actually run for this class.
-    simulated_missions: u64,
-}
-
-/// An equivalence class's key: the workload lane and the sorted,
-/// deduplicated defect cells its members share (DESIGN.md §12).
-type ClassKey = (usize, Vec<(u32, u32)>);
-
-/// The fleet's partition into `(lane, defects)` equivalence classes —
-/// identical for every policy, built once per campaign in O(lanes +
-/// defects): the defect-free majority of each lane is one class, and only
-/// defective devices are stored one by one.
-struct ClassMap {
-    /// Workload lanes the devices are spread over round-robin.
-    lanes: usize,
-    /// Per lane: the class of its defect-free devices, `None` when every
-    /// device of the lane is defective.
-    lane_class: Vec<Option<u32>>,
-    /// The class of every defective device.
-    defective: BTreeMap<usize, u32>,
-    /// Per class: its key.
-    keys: Vec<ClassKey>,
-    /// Per class: its representative — the lowest member device index,
-    /// which carries the class's `simulated_missions` in the report.
-    representatives: Vec<usize>,
-}
-
-impl ClassMap {
-    /// Partitions `plan`'s population. Classes are numbered in order of
-    /// first appearance (by device index), so the map is deterministic.
-    fn build(plan: &FleetPlan) -> ClassMap {
-        let lanes = plan.effective_lanes().max(1);
-        let mut defects: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
-        for d in &plan.defects {
-            defects.entry(d.device).or_default().push((d.row, d.col));
-        }
-        for cells in defects.values_mut() {
-            cells.sort_unstable();
-            cells.dedup();
-        }
-        // Every class keyed by its first member, so the map iterates in
-        // class order: a lane's first defect-free device (found by skipping
-        // only that lane's defective devices), and the lowest device of
-        // each defect key.
-        let mut firsts: BTreeMap<usize, ClassKey> = BTreeMap::new();
-        for lane in 0..lanes.min(plan.devices) {
-            let mut members = (lane..plan.devices).step_by(lanes);
-            if let Some(first) = members.find(|device| !defects.contains_key(device)) {
-                firsts.insert(first, (lane, Vec::new()));
-            }
-        }
-        let mut keyed: BTreeMap<ClassKey, usize> = BTreeMap::new();
-        for (&device, cells) in &defects {
-            keyed.entry((device % lanes, cells.clone())).or_insert(device);
-        }
-        firsts.extend(keyed.into_iter().map(|(key, first)| (first, key)));
-        let class_of: BTreeMap<&ClassKey, u32> =
-            firsts.values().enumerate().map(|(class, key)| (key, class as u32)).collect();
-        let lane_class =
-            (0..lanes).map(|lane| class_of.get(&(lane, Vec::new())).copied()).collect();
-        let defective = defects
-            .iter()
-            .map(|(&device, cells)| (device, class_of[&(device % lanes, cells.clone())]))
-            .collect();
-        let (representatives, keys) = firsts.into_iter().unzip();
-        ClassMap { lanes, lane_class, defective, keys, representatives }
-    }
-
-    /// Number of distinct classes.
-    fn count(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The class of device `device`.
-    fn class_of(&self, device: usize) -> u32 {
-        match self.defective.get(&device) {
-            Some(&class) => class,
-            None => self.lane_class[device % self.lanes].expect("a defect-free lane has a class"),
-        }
-    }
-
-    /// How many devices of `devices` each class holds, in class order,
-    /// omitting empty classes. Counted per lane and per defective device,
-    /// never per device: a lane's members in the range are its residue
-    /// count minus the defective ones.
-    fn members(&self, devices: Range<usize>) -> Vec<(u32, u64)> {
-        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-        // Every lane with members in the range has one among its first
-        // `lanes` devices.
-        for first in devices.start..devices.end.min(devices.start + self.lanes) {
-            if let Some(class) = self.lane_class[first % self.lanes] {
-                *counts.entry(class).or_default() +=
-                    (devices.end - first).div_ceil(self.lanes) as u64;
-            }
-        }
-        for (&device, &class) in self.defective.range(devices) {
-            if let Some(lane_class) = self.lane_class[device % self.lanes] {
-                *counts.get_mut(&lane_class).expect("the defective device's lane was counted") -= 1;
-            }
-            *counts.entry(class).or_default() += 1;
-        }
-        counts.into_iter().filter(|&(_, members)| members > 0).collect()
-    }
-}
-
-/// What one class member lived through: its trajectory replayed once on
-/// a one-lane [`WearBatch`], shared by every member (DESIGN.md §12).
-struct ClassReplay {
     /// Deployment time of death, `None` if alive at the horizon.
     death_years: Option<f64>,
     /// Deployment time of the first FU failure, if any FU failed.
@@ -478,33 +366,16 @@ struct ClassReplay {
     missions: u64,
     /// Every end-of-life crossing, in event order.
     failures: Vec<FuFailed>,
-}
-
-/// Replays `trajectory`'s script on a one-lane [`WearBatch`]: bit-identical
-/// to advancing each member's own lane, and it emits one
-/// `wear.class.advances` per mission whatever the member count.
-fn replay_class(plan: &FleetPlan, trajectory: &ClassTrajectory) -> ClassReplay {
-    let mut batch = WearBatch::new(&plan.config.fabric, plan.aging, 1);
-    let mut failures = Vec::new();
-    for (duty, count) in &trajectory.segments {
-        for _ in 0..*count {
-            failures.extend(batch.advance_class(&[0], duty, plan.mission_years));
-        }
-    }
-    ClassReplay {
-        death_years: trajectory.died.then(|| batch.elapsed_years(0)),
-        first_failure_years: failures.first().map(|f| f.at_years),
-        missions: batch.missions(0),
-        failures,
-    }
+    /// Suite simulations actually run for this class.
+    simulated_missions: u64,
 }
 
 /// Simulates one (policy × class) cell's whole deployment on the reference
 /// path: run a mission (one suite pass against the current fault mask),
 /// fold its duty into the wear state, inject failures, repeat —
-/// re-simulating only when the fault mask changed — and record the replay
-/// script (DESIGN.md §11, §12). The device dies at the first workload
-/// that finds no legal placement.
+/// re-simulating only when the fault mask changed — until the horizon
+/// (DESIGN.md §11, §12). The device dies at the first workload that finds
+/// no legal placement.
 fn simulate_trajectory(
     plan: &FleetPlan,
     spec: &PolicySpec,
@@ -516,48 +387,46 @@ fn simulate_trajectory(
         life.seed_fault(row, col);
     }
     let mut cached: Option<(u32, UtilizationGrid)> = None;
-    let mut segments: Vec<(UtilizationGrid, u64)> = Vec::new();
     let mut simulated = 0u64;
-    while life.elapsed_years() < plan.horizon_years {
+    'life: while life.elapsed_years() < plan.horizon_years {
         // The mask is monotone, so its dead count keys the cached mission.
         let key = life.fault_mask().dead_count();
         if cached.as_ref().is_none_or(|(k, _)| *k != key) {
             simulated += 1;
             let mut merged = UtilizationTracker::new(&plan.config.fabric);
             let mut cycles = 0u64;
-            for run in run_masked(&plan.config, spec, life.fault_mask(), workloads) {
+            // A copy, because a dead workload retires `life` mid-pass.
+            let mask = life.fault_mask().clone();
+            for run in run_masked(&plan.config, spec, &mask, workloads) {
                 let Some(system) = run? else {
-                    return Ok(ClassTrajectory {
-                        segments,
-                        died: true,
-                        simulated_missions: simulated,
-                    });
+                    life.retire();
+                    break 'life;
                 };
                 cycles += system.stats().total_cycles();
                 merged.merge(system.tracker());
             }
-            let duty = merged.duty_cycles(cycles);
-            segments.push((duty.clone(), 0));
-            cached = Some((key, duty));
+            cached = Some((key, merged.duty_cycles(cycles)));
         }
         let (_, duty) = cached.as_ref().expect("mission cached above");
         life.advance_mission(duty, plan.mission_years);
-        segments.last_mut().expect("segment pushed above").1 += 1;
     }
-    Ok(ClassTrajectory { segments, died: false, simulated_missions: simulated })
+    Ok(ClassTrajectory {
+        death_years: life.death_years(),
+        first_failure_years: life.first_failure_years(),
+        missions: life.missions(),
+        failures: life.failures().to_vec(),
+        simulated_missions: simulated,
+    })
 }
 
-/// One policy's streaming aggregate over the completed shards: a merge
-/// monoid, so shard partials fold exactly regardless of the split.
+/// One policy's streaming aggregate over the completed shards: a
+/// canonical monoid, so it folds exactly regardless of the split.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct PolicyAccum {
     /// Death and first-failure observations.
     fleet: FleetAccum,
-    /// Missions lived across the folded devices (simulated or replayed).
+    /// Missions lived across the folded devices (simulated or reused).
     total_missions: u64,
-    /// Detailed outcomes of the folded devices below
-    /// [`FleetPlan::detail_devices`], in device order.
-    devices: Vec<DeviceOutcome>,
 }
 
 /// The fleet engine's plug-in to the shared [`campaign`] driver: the plan
@@ -594,21 +463,16 @@ impl Campaign for FleetCampaign<'_> {
             policies: &plan.policies,
             suite: &plan.suite,
             devices: plan.devices,
-            lanes: plan.effective_lanes(),
             shard_devices: plan.shard_devices,
         }
     }
 
-    fn lanes(&self) -> usize {
-        self.plan.effective_lanes()
+    fn classes(&self) -> &ClassMap {
+        &self.classes
     }
 
     fn cell_count(&self) -> usize {
         self.plan.policies.len()
-    }
-
-    fn classes(&self) -> usize {
-        self.classes.count()
     }
 
     /// One trajectory per task.
@@ -627,67 +491,34 @@ impl Campaign for FleetCampaign<'_> {
         vec![(task, simulate_trajectory(self.plan, spec, &workloads[*lane], defects))]
     }
 
-    /// Replays one shard of devices for one policy (DESIGN.md §12): count
-    /// the shard's members per class, replay each present class once with
-    /// [`replay_class`], and fold its observations weighted by its member
-    /// count into a shard-local accumulator. Only devices below
-    /// [`FleetPlan::detail_devices`] are visited one by one.
-    fn run_shard(
-        &self,
-        trajectories: &[ClassTrajectory],
-        devices: Range<usize>,
-        collect_metrics: bool,
-    ) -> (PolicyAccum, Registry) {
+    /// Weights one class's outcome by its member count (DESIGN.md §12).
+    fn observe(accum: &mut PolicyAccum, t: &ClassTrajectory, members: u64) {
+        accum.fleet.observe_weighted(t.death_years, t.first_failure_years, members);
+        accum.total_missions += t.missions * members;
+    }
+
+    /// Aggregates every policy and reads the detail devices off their
+    /// classes' trajectories.
+    fn report(&self, cells: Vec<(PolicyAccum, &[ClassTrajectory])>) -> FleetReport {
         let (plan, classes) = (self.plan, &self.classes);
-        let mut accum = PolicyAccum::default();
-        let mut metrics = Registry::new();
-        let mut replays: BTreeMap<u32, ClassReplay> = BTreeMap::new();
-        for (class, members) in classes.members(devices.clone()) {
-            let trajectory = &trajectories[class as usize];
-            // One replay stands for `members` devices, so its registry
-            // folds in weight-scaled — the same equivalence-class fast
-            // path as `FleetAccum::observe_weighted`. Class replays emit
-            // member-count-independent events only, which is what makes
-            // the scaled fold shard-split invariant (DESIGN.md §16).
-            let replay = if collect_metrics {
-                let (replay, reg) = obs::collect(|| replay_class(plan, trajectory));
-                metrics.add_scaled(&reg, members);
-                replay
-            } else {
-                replay_class(plan, trajectory)
-            };
-            accum.fleet.observe_weighted(replay.death_years, replay.first_failure_years, members);
-            accum.total_missions += replay.missions * members;
-            replays.insert(class, replay);
-        }
-        for device in devices.start..devices.end.min(plan.detail_devices) {
-            let class = classes.class_of(device);
-            let replay = &replays[&class];
-            accum.devices.push(DeviceOutcome {
+        let outcome = |trajectories: &[ClassTrajectory], device: usize| {
+            let class = classes.class_of(device) as usize;
+            let t = &trajectories[class];
+            DeviceOutcome {
                 device,
                 seed: plan.device_seed(device),
-                death_years: replay.death_years,
-                first_failure_years: replay.first_failure_years,
-                missions: replay.missions,
-                simulated_missions: if classes.representatives[class as usize] == device {
-                    trajectories[class as usize].simulated_missions
+                death_years: t.death_years,
+                first_failure_years: t.first_failure_years,
+                missions: t.missions,
+                simulated_missions: if classes.representatives[class] == device {
+                    t.simulated_missions
                 } else {
                     0
                 },
-                failures: replay.failures.clone(),
-            });
-        }
-        (accum, metrics)
-    }
-
-    fn merge(accum: &mut PolicyAccum, partial: PolicyAccum) {
-        accum.fleet.merge(&partial.fleet);
-        accum.total_missions += partial.total_missions;
-        accum.devices.extend(partial.devices);
-    }
-
-    fn report(&self, cells: Vec<(PolicyAccum, &[ClassTrajectory])>) -> FleetReport {
-        let plan = self.plan;
+                failures: t.failures.clone(),
+            }
+        };
+        let detail = 0..plan.detail_devices.min(plan.devices);
         let policies = plan
             .policies
             .iter()
@@ -696,10 +527,10 @@ impl Campaign for FleetCampaign<'_> {
                 policy: spec.to_string(),
                 stats: accum.fleet.stats(plan.horizon_years, plan.histogram_bins),
                 survival: accum.fleet.survival(plan.horizon_years),
-                classes: self.classes.count(),
+                classes: classes.count(),
                 simulated_missions: trajectories.iter().map(|t| t.simulated_missions).sum(),
                 total_missions: accum.total_missions,
-                devices: accum.devices,
+                devices: detail.clone().map(|device| outcome(trajectories, device)).collect(),
             })
             .collect();
         FleetReport {
@@ -726,9 +557,9 @@ pub type CampaignStatus = Status<FleetReport>;
 /// engine. Sharded across `jobs` workers (`0` = all cores, `1` =
 /// sequential); the report is **byte-identical for every worker count,
 /// every shard split, and every kill/resume point**: trajectories are
-/// deterministic per class, shard replay is a pure function of (plan,
-/// trajectories), and the per-policy aggregates merge through
-/// [`FleetAccum`]'s canonical monoid in shard order.
+/// deterministic per class, a shard's member counts are a pure function
+/// of the plan, and the per-policy aggregates fold through
+/// [`FleetAccum`]'s canonical monoid.
 ///
 /// # Errors
 ///
@@ -741,9 +572,9 @@ pub type CampaignStatus = Status<FleetReport>;
 /// # Panics
 ///
 /// Panics on a non-positive (or non-finite) `mission_years` or
-/// `horizon_years`, a zero `shard_devices` or `lanes`, an out-of-range
-/// [`Defect`] — plan-construction bugs — and on checkpoint IO failures or
-/// a checkpoint that does not match the plan.
+/// `horizon_years`, a zero `histogram_bins`, `shard_devices` or `lanes`,
+/// an out-of-range [`Defect`] — plan-construction bugs — and on
+/// checkpoint IO failures or a checkpoint that does not match the plan.
 pub fn run_fleet_campaign(
     plan: &FleetPlan,
     jobs: usize,
@@ -759,6 +590,7 @@ pub fn run_fleet_campaign(
         "horizon_years must be positive and finite, got {}",
         plan.horizon_years
     );
+    assert!(plan.histogram_bins > 0, "histogram_bins must be positive");
     for d in &plan.defects {
         assert!(
             d.device < plan.devices
@@ -767,7 +599,7 @@ pub fn run_fleet_campaign(
             "defect {d:?} outside the fleet"
         );
     }
-    campaign::run(&FleetCampaign { plan, classes: ClassMap::build(plan) }, jobs, options)
+    campaign::run(&FleetCampaign { plan, classes: plan.classes() }, jobs, options)
 }
 
 /// Runs every (policy × device) cell of `plan`, sharded across `jobs`
@@ -790,7 +622,10 @@ pub fn run_fleet(plan: &FleetPlan, jobs: usize) -> Result<FleetReport, SystemErr
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::campaign::ClassKey;
     use crate::system::BuildError;
     use cgra::Fabric;
 
@@ -820,7 +655,7 @@ mod tests {
             assert!(!device.failures.is_empty());
             assert!(
                 device.simulated_missions < device.missions,
-                "unchanged-mask missions must replay, not re-simulate"
+                "unchanged-mask missions must reuse their duty, not re-simulate"
             );
         }
         assert_eq!(fleet.stats.deaths, 2);
@@ -891,7 +726,7 @@ mod tests {
     #[test]
     fn class_map_forks_on_defects() {
         let plan = mini_plan().devices(4).lanes(1).defect(2, 0, 0).defect(2, 0, 0);
-        let classes = ClassMap::build(&plan);
+        let classes = plan.classes();
         assert_eq!(classes.count(), 2);
         assert_eq!((0..4).map(|d| classes.class_of(d)).collect::<Vec<_>>(), vec![0, 0, 1, 0]);
         assert_eq!(classes.representatives, vec![0, 2]);
@@ -941,7 +776,7 @@ mod tests {
                 }
             }
             let (class_of, keys, representatives) = enumerated_classes(&plan);
-            let classes = ClassMap::build(&plan);
+            let classes = plan.classes();
             proptest::prop_assert_eq!(&classes.keys, &keys);
             proptest::prop_assert_eq!(&classes.representatives, &representatives);
             for (device, &class) in class_of.iter().enumerate() {

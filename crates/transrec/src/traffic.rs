@@ -48,21 +48,22 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Debug};
-use std::ops::Range;
 use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats};
 use mibench::Workload;
 use nbti::CalibratedAging;
-use obs::{log_bucket, LogHistogram, Registry, LOG_BUCKETS};
+use obs::{log_bucket, LogHistogram, LOG_BUCKETS};
 use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, run_masked, Campaign, CampaignOptions, Kind, Population, Status};
+use crate::campaign::{
+    self, run_masked, Campaign, CampaignOptions, ClassMap, Kind, Population, Status,
+};
 use crate::dse::gpp_reference;
 use crate::fleet::DEFAULT_SHARD_DEVICES;
 use crate::sweep::SuiteSpec;
@@ -679,7 +680,7 @@ fn emit(
 /// Simulates one device-day: a FIFO single-server queue over `arrivals`
 /// with utilization-aware backpressure (DESIGN.md §13). `cgra` and `gpp`
 /// are the per-workload fabric and GPP service costs. Pure function of
-/// its inputs — the day cache and the shard replay both rely on that.
+/// its inputs — the day cache and the class sharing both rely on that.
 ///
 /// Served requests stress the fabric for their service window at the
 /// workload's execution-weighted utilization; deferred (GPP) services and
@@ -997,8 +998,8 @@ fn serve_policy(
     Ok(out)
 }
 
-/// One (traffic × policy) cell's streaming aggregate: a merge monoid, so
-/// shard partials fold exactly regardless of the split (DESIGN.md §13).
+/// One (traffic × policy) cell's streaming aggregate: a canonical monoid,
+/// so it folds exactly regardless of the split (DESIGN.md §13).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct ServeAccum {
     fleet: FleetAccum,
@@ -1008,23 +1009,6 @@ struct ServeAccum {
     shed: u64,
     total_requests: u64,
     replacements: u64,
-}
-
-impl ServeAccum {
-    /// Folds `count` devices sharing `trajectory` into the aggregate.
-    /// Every device generation enters the fleet accumulator as one
-    /// observation, censored at the campaign horizon.
-    fn observe_class(&mut self, trajectory: &ServeTrajectory, count: u64) {
-        for g in &trajectory.generations {
-            self.fleet.observe_weighted(g.death_years, g.first_failure_years, count);
-        }
-        self.latency.add_scaled(&trajectory.latency, count);
-        self.served_cgra += trajectory.served_cgra * count;
-        self.served_gpp += trajectory.served_gpp * count;
-        self.shed += trajectory.shed * count;
-        self.total_requests += trajectory.total_requests * count;
-        self.replacements += trajectory.replacements * count;
-    }
 }
 
 /// One (traffic × policy) cell of a serving report.
@@ -1105,8 +1089,8 @@ pub type ServeStatus = Status<ServeReport>;
 /// The serving engine's plug-in to the shared [`campaign`] driver.
 struct ServeCampaign<'a> {
     plan: &'a ServePlan,
-    /// The plan's lanes, at least one (an empty fleet still simulates).
-    lanes: usize,
+    /// The plan's lanes, which are its classes: serving has no defects.
+    classes: ClassMap,
 }
 
 impl Campaign for ServeCampaign<'_> {
@@ -1136,27 +1120,22 @@ impl Campaign for ServeCampaign<'_> {
             policies: &plan.policies,
             suite: &plan.suite,
             devices: plan.devices,
-            lanes: plan.effective_lanes(),
             shard_devices: plan.shard_devices,
         }
     }
 
-    fn lanes(&self) -> usize {
-        self.lanes
+    fn classes(&self) -> &ClassMap {
+        &self.classes
     }
 
     fn cell_count(&self) -> usize {
         self.plan.traffic.len() * self.plan.policies.len()
     }
 
-    fn classes(&self) -> usize {
-        self.lanes
-    }
-
     /// One task per (traffic × lane): every policy serves the pair's
     /// streams.
     fn tasks(&self) -> usize {
-        self.plan.traffic.len() * self.lanes
+        self.plan.traffic.len() * self.classes.lanes()
     }
 
     fn simulate(
@@ -1164,46 +1143,30 @@ impl Campaign for ServeCampaign<'_> {
         task: usize,
         workloads: &[Vec<Workload>],
     ) -> Vec<(usize, Result<ServeTrajectory, SystemError>)> {
-        let (traffic, lane) = (task / self.lanes, task % self.lanes);
+        let lanes = self.classes.lanes();
+        let (traffic, lane) = (task / lanes, task % lanes);
         let policies = self.plan.policies.len();
         let trajectories =
             simulate_serving(self.plan, &self.plan.traffic[traffic], &workloads[lane], lane);
         // Cell `traffic × policies + policy`, class `lane`.
-        let index = |policy: usize| (traffic * policies + policy) * self.lanes + lane;
+        let index = |policy: usize| (traffic * policies + policy) * lanes + lane;
         trajectories.into_iter().enumerate().map(|(policy, t)| (index(policy), t)).collect()
     }
 
-    /// Weights one shard of devices into one cell's partial aggregate.
-    /// Class members are byte-identical, so the "replay" is a weighted
-    /// fold of the class trajectory (DESIGN.md §13). Pure arithmetic: it
-    /// emits no metrics.
-    fn run_shard(
-        &self,
-        trajectories: &[ServeTrajectory],
-        devices: Range<usize>,
-        _collect_metrics: bool,
-    ) -> (ServeAccum, Registry) {
-        let mut members = vec![0u64; self.lanes];
-        for device in devices {
-            members[device % self.lanes] += 1;
+    /// Class members are byte-identical, so phase 2 is a weighted fold of
+    /// the class trajectory (DESIGN.md §13). Every device generation
+    /// enters the fleet accumulator as one observation, censored at the
+    /// campaign horizon.
+    fn observe(accum: &mut ServeAccum, trajectory: &ServeTrajectory, members: u64) {
+        for g in &trajectory.generations {
+            accum.fleet.observe_weighted(g.death_years, g.first_failure_years, members);
         }
-        let mut accum = ServeAccum::default();
-        for (lane, &count) in members.iter().enumerate() {
-            if count > 0 {
-                accum.observe_class(&trajectories[lane], count);
-            }
-        }
-        (accum, Registry::new())
-    }
-
-    fn merge(accum: &mut ServeAccum, partial: ServeAccum) {
-        accum.fleet.merge(&partial.fleet);
-        accum.latency.merge(&partial.latency);
-        accum.served_cgra += partial.served_cgra;
-        accum.served_gpp += partial.served_gpp;
-        accum.shed += partial.shed;
-        accum.total_requests += partial.total_requests;
-        accum.replacements += partial.replacements;
+        accum.latency.add_scaled(&trajectory.latency, members);
+        accum.served_cgra += trajectory.served_cgra * members;
+        accum.served_gpp += trajectory.served_gpp * members;
+        accum.shed += trajectory.shed * members;
+        accum.total_requests += trajectory.total_requests * members;
+        accum.replacements += trajectory.replacements * members;
     }
 
     fn report(&self, cells: Vec<(ServeAccum, &[ServeTrajectory])>) -> ServeReport {
@@ -1240,7 +1203,7 @@ impl Campaign for ServeCampaign<'_> {
             cols: plan.config.fabric.cols,
             suite: plan.suite.name.clone(),
             devices: plan.devices,
-            lanes: self.lanes,
+            lanes: self.classes.lanes(),
             horizon_days: plan.horizon_days,
             pattern_days: plan.pattern_days,
             clock_hz: plan.clock_hz,
@@ -1259,8 +1222,7 @@ impl Campaign for ServeCampaign<'_> {
 /// is **byte-identical for every worker count, every shard split, and
 /// every kill/resume point**: trajectories are deterministic per class,
 /// shard weighting is a pure function of (plan, trajectories), and the
-/// per-cell aggregates merge through exact integer/multiset monoids in
-/// shard order.
+/// per-cell aggregates fold through exact integer/multiset monoids.
 ///
 /// # Errors
 ///
@@ -1273,9 +1235,9 @@ impl Campaign for ServeCampaign<'_> {
 ///
 /// Panics on plan-construction bugs — an empty traffic axis, an invalid
 /// [`TrafficSpec`], a zero `horizon_days`/`pattern_days`/`clock_hz`/
-/// `shard_devices`, a non-positive `years_per_day`, a refurbished
-/// `age_pct` outside `0..100` — and on checkpoint IO failures or a
-/// checkpoint that does not match the plan.
+/// `histogram_bins`/`shard_devices`/`lanes`, a non-positive
+/// `years_per_day`, a refurbished `age_pct` outside `0..100` — and on
+/// checkpoint IO failures or a checkpoint that does not match the plan.
 pub fn run_serving_campaign(
     plan: &ServePlan,
     jobs: usize,
@@ -1288,6 +1250,7 @@ pub fn run_serving_campaign(
     assert!(plan.horizon_days > 0, "horizon_days must be positive");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
     assert!(plan.clock_hz > 0, "clock_hz must be positive");
+    assert!(plan.histogram_bins > 0, "histogram_bins must be positive");
     assert!(
         plan.years_per_day > 0.0 && plan.years_per_day.is_finite(),
         "years_per_day must be positive and finite, got {}",
@@ -1296,7 +1259,10 @@ pub fn run_serving_campaign(
     if let ReplacementPolicy::Refurbished { age_pct } = plan.replacement.policy {
         assert!(age_pct < 100, "refurbished age_pct must be below 100, got {age_pct}");
     }
-    campaign::run(&ServeCampaign { plan, lanes: plan.effective_lanes().max(1) }, jobs, options)
+    // An empty fleet still simulates one lane.
+    let lanes = if plan.devices == 0 { 1 } else { plan.effective_lanes() };
+    let classes = ClassMap::build(plan.devices, lanes, []);
+    campaign::run(&ServeCampaign { plan, classes }, jobs, options)
 }
 
 /// Runs every (traffic × policy × device) cell of `plan`, sharded across

@@ -2,7 +2,8 @@
 //! campaigns write the same envelope under distinct magics, so a
 //! checkpoint of one kind must be refused by the other, and a checkpoint
 //! of another format version must be refused by both — before any payload
-//! is decoded.
+//! is decoded. A plan that could never report is refused before it
+//! writes a checkpoint at all.
 
 use std::path::{Path, PathBuf};
 
@@ -91,8 +92,41 @@ fn a_checkpoint_of_another_version_is_refused() {
     let path = scratch("old-version");
     write_fleet_checkpoint(&path);
     let json = std::fs::read_to_string(&path).expect("read checkpoint");
-    let current = "\"version\":3";
-    assert!(json.contains(current), "checkpoint must carry format version 3");
+    let current = "\"version\":4";
+    assert!(json.contains(current), "checkpoint must carry format version 4");
     std::fs::write(&path, json.replacen(current, "\"version\":2", 1)).expect("rewrite checkpoint");
     let _ = run_fleet_campaign(&fleet_plan(), 1, &pause_after_phase1(&path));
+}
+
+/// Runs `run`, which must panic, and returns its panic message.
+fn panic_message(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("the plan must be refused");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(String::new, |m| m.to_string()),
+    }
+}
+
+/// Zero histogram bins fail only when the report is built, so a campaign
+/// that ran first would leave a completed checkpoint behind that panics on
+/// every resume: both kinds must refuse the plan at entry instead.
+#[test]
+fn zero_histogram_bins_are_refused_before_a_checkpoint_is_written() {
+    let options = |path: &Path| CampaignOptions {
+        checkpoint: Some(path.to_path_buf()),
+        ..CampaignOptions::default()
+    };
+    let fleet = scratch("fleet-no-bins");
+    let mut plan = fleet_plan();
+    plan.histogram_bins = 0;
+    let message = panic_message(|| drop(run_fleet_campaign(&plan, 1, &options(&fleet))));
+    assert!(message.contains("histogram_bins"), "fleet panicked with {message:?}");
+    assert!(!fleet.exists(), "a refused fleet plan left a checkpoint behind");
+
+    let serve = scratch("serve-no-bins");
+    let plan = serve_plan().histogram_bins(0);
+    let message = panic_message(|| drop(run_serving_campaign(&plan, 1, &options(&serve))));
+    assert!(message.contains("histogram_bins"), "serving panicked with {message:?}");
+    assert!(!serve.exists(), "a refused serving plan left a checkpoint behind");
 }

@@ -155,7 +155,7 @@ fn identical_devices_share_exactly_one_simulation_per_policy() {
     // 40 identical devices on one workload lane collapse into one
     // equivalence class: one reference simulation per policy, with the
     // simulation count pinned *exactly* — not "at most" — in the report,
-    // and every replayed device landing where the solo device lands.
+    // and every member device landing where the solo device lands.
     let solo = run_fleet(&solo_plan(None), 1).expect("solo fleet");
     let fleet_plan = solo_plan(None).devices(40).detail_devices(40);
     let fleet = run_fleet(&fleet_plan, 4).expect("shared-class fleet");
@@ -250,8 +250,11 @@ fn pinned_plan() -> FleetPlan {
 /// FNV-1a of the pinned plan's report JSON, captured before the campaign
 /// kinds' shared steps moved into the engine.
 const PINNED_REPORT_FNV: u64 = 0x17c5_a75a_5fba_6f54;
-/// FNV-1a of the pinned plan's metrics registry JSON, same capture.
-const PINNED_METRICS_FNV: u64 = 0xb965_1f65_b7e6_3e1c;
+/// FNV-1a of the pinned plan's metrics registry JSON, re-captured when
+/// phase 2 stopped replaying wear and with it the `wear.class.advances`
+/// counter (the earlier capture is this registry plus
+/// `"wear.class.advances":40`).
+const PINNED_METRICS_FNV: u64 = 0xab32_7903_50cf_f1da;
 
 /// The fleet report and its metrics registry are pinned byte for byte:
 /// any refactor of the mission runner, the lane/shard split or the
@@ -286,7 +289,8 @@ fn fleet_bytes_match_the_pinned_capture() {
 /// Every shard split and worker count of a fleet whose class counts mix
 /// lane residues with defective devices: devices 1 and 4 share lane 1 and
 /// one defect (so lane 1 keeps no defect-free member), device 5 forks lane
-/// 2 on another cell, and lane 0 stays whole.
+/// 2 on another cell, and lane 0 stays whole. The detail count only
+/// trims the per-device list the report reads off the class trajectories.
 #[test]
 fn defective_lanes_give_the_same_bytes_for_every_shard_split() {
     let plan = FleetPlan::new(0xDAC2020, Fabric::be())
@@ -308,6 +312,15 @@ fn defective_lanes_give_the_same_bytes_for_every_shard_split() {
         assert_eq!(devices[4].failures, devices[1].failures, "devices 1 and 4 share a class");
         assert_eq!(devices[4].simulated_missions, 0, "device 1 represents the class");
         assert_eq!(fleet.total_missions, devices.iter().map(|d| d.missions).sum::<u64>());
+    }
+    for detail in [0, 3, 100] {
+        let report = run_fleet(&plan.clone().detail_devices(detail), 2).expect("fleet runs");
+        for (fleet, full) in report.policies.iter().zip(&reference.policies) {
+            assert_eq!(fleet.stats, full.stats, "detail_devices {detail}");
+            assert_eq!(fleet.survival, full.survival, "detail_devices {detail}");
+            assert_eq!(fleet.total_missions, full.total_missions, "detail_devices {detail}");
+            assert_eq!(fleet.devices[..], full.devices[..detail.min(7)], "detail_devices {detail}");
+        }
     }
     let reference = serde_json::to_string(&reference).unwrap();
     for shard in 1..=7 {

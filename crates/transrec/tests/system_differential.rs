@@ -1,0 +1,173 @@
+//! Whole-system differential: a random program run on [`System`] — the
+//! DBT translating its hot loop, the CGRA executing the configurations at
+//! whatever pivots the policy picks — must leave exactly the architectural
+//! state of a plain GPP run ([`run_gpp_only`]): every register, the data
+//! buffer the program loads from and stores to, and the exit. Checked
+//! under every policy family on a uniform, a heterogeneous and a faulted
+//! fabric (DESIGN.md §10, §15).
+//!
+//! The generator mirrors `crates/dbt/tests/equivalence.rs`: ALU and
+//! multiply ops over a register pool, and loads/stores through a reserved
+//! base register, here wrapped in a counted loop so the body turns hot.
+
+use std::collections::HashMap;
+
+use cgra::{Fabric, FabricSpec, FaultMask};
+use proptest::prelude::*;
+use rv32::isa::{AluOp, BranchOp, Instr, LoadWidth, MulOp, Reg, StoreWidth};
+use rv32::Program;
+use transrec::{run_gpp_only, System, SystemConfig};
+use uaware::PolicySpec;
+
+const TEXT_BASE: u32 = 0x1000;
+const DATA_BASE: u32 = 0x8000;
+/// The data buffer: word offsets below 64 from `BASE`, plus a word's width.
+const DATA_BYTES: u32 = 260;
+
+/// Registers random programs may read/write.
+const POOL: [u8; 8] = [10, 11, 12, 13, 14, 5, 6, 7]; // a0-a4, t0-t2
+/// The data buffer's base pointer (`s0`), never written by the body.
+const BASE: Reg = Reg::x(8);
+/// The loop counter (`s1`), never written by the body.
+const COUNTER: Reg = Reg::x(9);
+
+const POLICIES: [&str; 5] = ["baseline", "rotation", "random", "health-aware", "exact"];
+
+fn any_pool_reg() -> impl Strategy<Value = Reg> {
+    (0usize..POOL.len()).prop_map(|i| Reg::x(POOL[i]))
+}
+
+fn any_alu() -> impl Strategy<Value = AluOp> {
+    prop_oneof![
+        Just(AluOp::Add),
+        Just(AluOp::Sub),
+        Just(AluOp::Sll),
+        Just(AluOp::Slt),
+        Just(AluOp::Sltu),
+        Just(AluOp::Xor),
+        Just(AluOp::Srl),
+        Just(AluOp::Sra),
+        Just(AluOp::Or),
+        Just(AluOp::And),
+    ]
+}
+
+/// One loop-body instruction: the DBT equivalence test's mix.
+fn any_body_instr() -> impl Strategy<Value = Instr> {
+    prop_oneof![
+        4 => (any_alu(), any_pool_reg(), any_pool_reg(), any_pool_reg())
+            .prop_map(|(op, rd, rs1, rs2)| Instr::Op { op, rd, rs1, rs2 }),
+        4 => (any_alu().prop_filter("no subi", |o| *o != AluOp::Sub),
+              any_pool_reg(), any_pool_reg(), -64i32..64)
+            .prop_map(|(op, rd, rs1, imm)| {
+                let imm = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
+                    imm.rem_euclid(32)
+                } else {
+                    imm
+                };
+                Instr::OpImm { op, rd, rs1, imm }
+            }),
+        1 => (any_pool_reg(), 0i32..0x1000)
+            .prop_map(|(rd, v)| Instr::Lui { rd, imm: v << 12 }),
+        1 => (any_pool_reg(), any_pool_reg(), any_pool_reg(), 0usize..4)
+            .prop_map(|(rd, rs1, rs2, w)| {
+                let ops = [MulOp::Mul, MulOp::Mulh, MulOp::Mulhsu, MulOp::Mulhu];
+                Instr::MulDiv { op: ops[w], rd, rs1, rs2 }
+            }),
+        2 => (any_pool_reg(), 0i32..64, 0usize..5).prop_map(|(rd, word, w)| {
+            let widths = [LoadWidth::B, LoadWidth::Bu, LoadWidth::H, LoadWidth::Hu, LoadWidth::W];
+            Instr::Load { width: widths[w], rd, rs1: BASE, offset: word * 4 }
+        }),
+        2 => (any_pool_reg(), 0i32..64, 0usize..3).prop_map(|(rs2, word, w)| {
+            let widths = [StoreWidth::B, StoreWidth::H, StoreWidth::W];
+            Instr::Store { width: widths[w], rs2, rs1: BASE, offset: word * 4 }
+        }),
+    ]
+}
+
+/// `lui` + `addi` loading the 32-bit constant `value` into `rd`.
+fn load_constant(rd: Reg, value: u32) -> [Instr; 2] {
+    let upper = value.wrapping_add(0x800) & 0xffff_f000;
+    let lower = value.wrapping_sub(upper) as i32;
+    [Instr::Lui { rd, imm: upper as i32 }, Instr::OpImm { op: AluOp::Add, rd, rs1: rd, imm: lower }]
+}
+
+/// The program: seed the pool registers, the base pointer and the
+/// counter, run `body` `iterations` times, then `ebreak`.
+fn program(body: &[Instr], iterations: u32, seed: u32) -> Program {
+    let mut instrs = Vec::new();
+    for (i, &reg) in POOL.iter().enumerate() {
+        let value =
+            seed.wrapping_mul(0x9e37_79b9).wrapping_add((i as u32).wrapping_mul(0x85eb_ca6b));
+        instrs.extend(load_constant(Reg::x(reg), value));
+    }
+    instrs.extend(load_constant(BASE, DATA_BASE));
+    instrs.extend(load_constant(COUNTER, iterations));
+    instrs.extend_from_slice(body);
+    instrs.push(Instr::OpImm { op: AluOp::Add, rd: COUNTER, rs1: COUNTER, imm: -1 });
+    let back = -4 * (body.len() as i32 + 1);
+    instrs.push(Instr::Branch { op: BranchOp::Ne, rs1: COUNTER, rs2: Reg::ZERO, offset: back });
+    instrs.push(Instr::Ebreak);
+    Program {
+        text_base: TEXT_BASE,
+        text: instrs.iter().map(|i| rv32::encode(i).expect("generated instr encodes")).collect(),
+        data_base: DATA_BASE,
+        data: (0..DATA_BYTES).map(|i| (i as u8).wrapping_mul(31).wrapping_add(7)).collect(),
+        entry: TEXT_BASE,
+        symbols: HashMap::new(),
+    }
+}
+
+/// The three fabrics every program runs on: the paper's uniform BE, a
+/// heterogeneous checkerboard, and BE with dead FUs — the baseline's only
+/// pivot among them — that degrade to the GPP instead of failing.
+fn configs() -> Vec<(&'static str, SystemConfig)> {
+    let het = "4x8:het-checker".parse::<FabricSpec>().unwrap().build().unwrap();
+    let mut faulted = SystemConfig::new(Fabric::be());
+    let mut mask = FaultMask::healthy(&faulted.fabric);
+    for (row, col) in [(0, 0), (1, 3), (0, 9)] {
+        mask.mark_dead(row, col);
+    }
+    faulted.faults = Some(mask);
+    faulted.fault_fallback = true;
+    vec![
+        ("be", SystemConfig::new(Fabric::be())),
+        ("4x8:het-checker", SystemConfig::new(het)),
+        ("be+faults", faulted),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn every_policy_and_fabric_matches_the_gpp(
+        body in proptest::collection::vec(any_body_instr(), 1..24),
+        iterations in 8u32..40,
+        seed in any::<u32>(),
+    ) {
+        let program = program(&body, iterations, seed);
+        for (fabric, config) in configs() {
+            let gpp = run_gpp_only(&program, config.mem_size, config.timing, config.max_steps)
+                .expect("the GPP runs the program");
+            for policy in POLICIES {
+                let spec: PolicySpec = policy.parse().unwrap();
+                let mut system = System::new(config.clone(), spec.build());
+                let exit = system.run(&program);
+                prop_assert!(exit.is_ok(), "{policy} on {fabric}: {exit:?}");
+                prop_assert_eq!(exit.ok(), gpp.exit(), "{} on {}: exit", policy, fabric);
+                let cpu = system.cpu();
+                for reg in Reg::all() {
+                    prop_assert_eq!(cpu.reg(reg), gpp.reg(reg), "{} on {}: {}", policy, fabric, reg);
+                }
+                for addr in DATA_BASE..DATA_BASE + DATA_BYTES {
+                    prop_assert_eq!(
+                        cpu.mem.read_u8(addr).unwrap(),
+                        gpp.mem.read_u8(addr).unwrap(),
+                        "{} on {}: data byte {:#x}", policy, fabric, addr
+                    );
+                }
+            }
+        }
+    }
+}
