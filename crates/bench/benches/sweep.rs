@@ -9,7 +9,7 @@ use cgra::Fabric;
 use transrec::{run_sweep, SuiteSpec, SweepPlan};
 use uaware::PolicySpec;
 
-/// 2 fabrics × 4 policies × 1 two-benchmark suite lane = 8 cells.
+/// 2 fabrics × 4 policies on one two-benchmark suite = 8 cells.
 fn mini_plan() -> SweepPlan {
     SweepPlan::new(0xDAC2020)
         .fabric(Fabric::be())
@@ -20,7 +20,7 @@ fn mini_plan() -> SweepPlan {
             PolicySpec::Random { seed: uaware::DEFAULT_RANDOM_SEED },
             PolicySpec::HealthAware,
         ])
-        .suites(vec![SuiteSpec::subset("mini", vec![0, 1])]) // bitcount, crc32
+        .suite(SuiteSpec::subset("mini", vec![0, 1])) // bitcount, crc32
 }
 
 fn bench_sweep(c: &mut Criterion) {

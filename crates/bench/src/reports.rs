@@ -151,7 +151,8 @@ pub struct LayoutReport {
 }
 
 /// One optimality-gap row: one (fabric layout × fault density) cell under
-/// one policy, measured against the exact-mapping oracle (DESIGN.md §15).
+/// one policy, measured against the per-decision (myopic) `exact` oracle
+/// (DESIGN.md §15).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GapRow {
     /// Canonical fabric spec string (`FabricSpec` grammar).
@@ -172,10 +173,12 @@ pub struct GapRow {
     /// Projected lifetime in years (worst FU crossing end-of-life;
     /// `null` when the policy never offloaded and nothing wears).
     pub lifetime_years: f64,
-    /// Worst-FU duty relative to the oracle's on the same cell (`1.0` is
-    /// optimal; `null` when the oracle itself never offloaded).
+    /// Worst-FU duty relative to the oracle's on the same cell (`1.0`
+    /// matches the per-decision oracle, which is not a whole-run optimum;
+    /// `null` when the oracle itself never offloaded).
     pub duty_gap: f64,
-    /// Oracle lifetime over this policy's (`1.0` is optimal).
+    /// Oracle lifetime over this policy's (`1.0` matches the per-decision
+    /// oracle).
     pub lifetime_gap: f64,
     /// Configuration executions the policy actually placed on the fabric.
     pub offloads: u64,
@@ -187,8 +190,8 @@ pub struct GapRow {
 }
 
 /// The optimality-gap experiment (`results/gap.json`) — every heuristic
-/// policy measured against the exact branch-and-bound oracle over fabric
-/// layouts × injected fault densities (DESIGN.md §15).
+/// policy measured against the per-decision (myopic) `exact` oracle over
+/// fabric layouts × injected fault densities (DESIGN.md §15).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GapReport {
     /// The oracle's spec string (the yardstick policy).

@@ -189,21 +189,39 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Adds `v` to counter `name`.
+    /// Adds `v` to counter `name`. Like [`Registry::gauge_set`] and
+    /// [`Registry::histogram_record`], it looks the name up by `&str` and
+    /// allocates the key only on its first event.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Raises gauge `name` to at least `v` (high-watermark semantics keep
     /// the merge a monoid).
     pub fn gauge_set(&mut self, name: &str, v: u64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(0);
-        *g = (*g).max(v);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = (*g).max(v),
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Records `v` into histogram `name`.
     pub fn histogram_record(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().record(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(v),
+            None => {
+                let mut h = LogHistogram::default();
+                h.record(v);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// The value of counter `name` (0 if absent).

@@ -1,15 +1,18 @@
 //! The one campaign engine behind [`fleet`](crate::fleet) and
-//! [`traffic`](crate::traffic) (DESIGN.md §12): phase 1 simulates one
-//! trajectory per (cell × equivalence class) in tasks that may each cover
-//! several trajectories, and each trajectory *is* its class's outcome.
-//! Phase 2 is pure arithmetic: device shards stream through in waves, and
-//! each shard weights every class's trajectory by its member count into
-//! per-cell monoid accumulators. An optional checkpoint — one versioned
-//! envelope for every kind — makes the campaign kill-safe. A kind plugs in
-//! through the crate-private `Campaign` trait and keeps only its physics;
-//! the engine owns what both kinds do the same way: the entry checks, the
-//! class partition (`ClassMap`), each lane's workload mix, the shard
-//! split, and the suite pass on a faulted fabric (`run_masked`).
+//! [`traffic`](crate::traffic) (DESIGN.md §12). A campaign's cells are
+//! groups × policies (serving's groups are its traffic profiles; fleet has
+//! one). Phase 1 runs one task per (group × equivalence class), which
+//! simulates that class under every policy; each trajectory *is* its
+//! class's outcome in its cell. Phase 2 is pure arithmetic: device shards
+//! stream through in waves, and each shard weights every class's
+//! trajectory by its member count into per-cell monoid accumulators. An
+//! optional checkpoint — one versioned envelope for every kind — makes the
+//! campaign kill-safe. A kind plugs in through the crate-private
+//! `Campaign` trait and keeps only its physics (simulate, observe,
+//! report); the engine owns everything else: the entry checks, the class
+//! partition (`ClassMap`), each lane's workload mix, the task shape, the
+//! trajectory slots, the shard split, and the suite pass on a faulted
+//! fabric (`run_masked`).
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -24,7 +27,7 @@ use threadpool::ThreadPool;
 use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec};
 
-use crate::sweep::SuiteSpec;
+use crate::sweep::{par_map_observed, SuiteSpec};
 use crate::system::{check_movement, System, SystemConfig, SystemError};
 
 /// Checkpoint format version of every campaign kind; bumped on any layout
@@ -85,11 +88,11 @@ impl<R> Status<R> {
     }
 }
 
-/// The device population both kinds' plans describe the same way,
-/// borrowed from the plan: the policy axis on one system configuration,
-/// and `devices` per cell streamed in shards of `shard_devices`
-/// (DESIGN.md §12). How the devices spread over workload lanes is the
-/// kind's [`ClassMap`].
+/// Everything [`run`] needs besides a kind's physics: the device
+/// population both kinds' plans describe the same way — the policy axis on
+/// one system configuration, `devices` per cell streamed in shards of
+/// `shard_devices` — its equivalence classes, and the groups the policy
+/// axis repeats over (DESIGN.md §12).
 pub(crate) struct Population<'a> {
     /// Base experiment seed; lane `l` draws its workloads from
     /// [`derive_cell_seed`]`(base_seed, l)`.
@@ -104,6 +107,11 @@ pub(crate) struct Population<'a> {
     pub devices: usize,
     /// Devices per streaming shard.
     pub shard_devices: usize,
+    /// The population's equivalence classes, the same in every cell.
+    pub classes: ClassMap,
+    /// Groups of cells: cell `group × policies + policy`. Serving's groups
+    /// are its traffic profiles; fleet has one.
+    pub groups: usize,
 }
 
 impl Population<'_> {
@@ -289,11 +297,12 @@ pub(crate) struct Kind {
     pub checkpoint_span: &'static str,
 }
 
-/// What a campaign kind supplies to [`run`]: everything the fleet and
+/// What a campaign kind supplies to [`run`]: its plan (fingerprinted
+/// through its `Debug` form) and its physics — everything the fleet and
 /// serving engines do differently.
-pub(crate) trait Campaign: Sync {
-    /// One equivalence class's phase-1 simulation: the outcome every
-    /// member of the class shares.
+pub(crate) trait Campaign: Debug + Sync {
+    /// One equivalence class's phase-1 simulation under one policy: the
+    /// outcome every member of the class shares.
     type Trajectory: Serialize + Deserialize + Send + Sync;
     /// One cell's streaming aggregate over completed shards, starting
     /// from `Default`. Its observations must fold to the same value in
@@ -305,32 +314,26 @@ pub(crate) trait Campaign: Sync {
     /// The kind's checkpoint magic and span names.
     const KIND: Kind;
 
-    /// The plan, fingerprinted through its `Debug` form.
-    fn plan(&self) -> &dyn Debug;
-    /// The plan's device population.
-    fn population(&self) -> Population<'_>;
-    /// The population's equivalence classes, the same in every cell:
-    /// phase 1 simulates one trajectory per (cell × class).
-    fn classes(&self) -> &ClassMap;
-    /// Accumulator cells each shard folds into.
-    fn cell_count(&self) -> usize;
-    /// Phase-1 tasks. Together they simulate every trajectory exactly
-    /// once; a task that covers several lets them share work such as
-    /// generated inputs.
-    fn tasks(&self) -> usize;
-    /// Runs phase-1 task `task` against the per-lane workload mixes: each
-    /// of its trajectories with its cell-major index
-    /// `cell * classes + class`.
+    /// Phase-1 task (`group`, `class`): simulates the class whose key is
+    /// `class` against its lane's `workloads` under every policy, returning
+    /// one trajectory per policy in plan order. A task covers every policy
+    /// so they can share work such as generated inputs.
     fn simulate(
         &self,
-        task: usize,
-        workloads: &[Vec<Workload>],
-    ) -> Vec<(usize, Result<Self::Trajectory, SystemError>)>;
+        group: usize,
+        class: &ClassKey,
+        workloads: &[Workload],
+    ) -> Vec<Result<Self::Trajectory, SystemError>>;
     /// Folds `members` devices that share `trajectory` into a cell's
     /// aggregate: the whole of phase 2's per-class work.
     fn observe(accum: &mut Self::Accum, trajectory: &Self::Trajectory, members: u64);
-    /// Assembles the report from every cell's aggregate and trajectories.
-    fn report(&self, cells: Vec<(Self::Accum, &[Self::Trajectory])>) -> Self::Report;
+    /// Assembles the report from every cell's aggregate and per-class
+    /// trajectories.
+    fn report(
+        &self,
+        classes: &ClassMap,
+        cells: Vec<(Self::Accum, &[Self::Trajectory])>,
+    ) -> Self::Report;
 }
 
 /// The plan fingerprint a checkpoint is bound to: FNV-1a 64 over the
@@ -450,7 +453,7 @@ fn field<T: Deserialize>(path: &Path, fields: &[(String, Value)], key: &str) -> 
         .unwrap_or_else(|e| panic!("corrupt checkpoint {}: {e:?}", path.display()))
 }
 
-/// Runs `campaign` to completion (or to
+/// Runs `campaign` over `population` to completion (or to
 /// [`CampaignOptions::stop_after_shards`]) on `jobs` workers (`0` = all
 /// cores, `1` = sequential), resuming from and checkpointing to
 /// [`CampaignOptions::checkpoint`] if set (DESIGN.md §12). The report is
@@ -469,17 +472,18 @@ fn field<T: Deserialize>(path: &Path, fields: &[(String, Value)], key: &str) -> 
 /// checkpoint that does not belong to this plan.
 pub(crate) fn run<C: Campaign>(
     campaign: &C,
+    population: Population<'_>,
     jobs: usize,
     options: &CampaignOptions,
 ) -> Result<Status<C::Report>, SystemError> {
-    let population = campaign.population();
     assert!(population.shard_devices > 0, "shard_devices must be positive");
     check_movement(population.policies, population.config.movement_hardware)?;
     let kind = &C::KIND;
     let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
-    let fingerprint = fingerprint(campaign.plan());
-    let class_map = campaign.classes();
-    let (cells, classes) = (campaign.cell_count(), class_map.count());
+    let fingerprint = fingerprint(campaign);
+    let class_map = &population.classes;
+    let (policies, classes) = (population.policies.len(), class_map.count());
+    let cells = population.groups * policies;
     let path = options.checkpoint.as_deref();
     let persist = |state: &Checkpoint<C::Trajectory, C::Accum>| {
         if let Some(path) = path {
@@ -497,29 +501,24 @@ pub(crate) fn run<C: Campaign>(
             // cells, so every policy faces the identical population.
             let workloads: Vec<Vec<Workload>> = pool
                 .par_map((0..class_map.lanes()).collect(), |_, lane| population.workloads(lane));
-            let outcomes = pool.par_map((0..campaign.tasks()).collect(), |_, task| {
-                let work = || campaign.simulate(task, &workloads);
-                if options.collect_metrics {
-                    obs::collect(work)
-                } else {
-                    (work(), Registry::new())
-                }
-            });
-            // Scatter the tasks' trajectories back into cell-major order.
-            // Registries are monoids, so folding them per task instead of
-            // per trajectory leaves the metrics unchanged.
-            let mut slots: Vec<Option<Result<C::Trajectory, SystemError>>> =
-                (0..cells * classes).map(|_| None).collect();
-            let mut metrics = Registry::new();
-            for (simulated, registry) in outcomes {
-                for (index, outcome) in simulated {
-                    slots[index] = Some(outcome);
-                }
-                metrics.merge(&registry);
-            }
-            let trajectories = slots
-                .into_iter()
-                .map(|slot| slot.expect("phase-1 tasks cover every trajectory"))
+            let tasks = (0..population.groups)
+                .flat_map(|group| (0..classes).map(move |class| (group, class)))
+                .collect();
+            let (simulated, metrics) =
+                par_map_observed(&pool, tasks, options.collect_metrics, |(group, class)| {
+                    let key = &class_map.keys[class];
+                    campaign.simulate(group, key, &workloads[key.0])
+                });
+            // Lay the trajectories out cell-major, `cell * classes + class`:
+            // task (`group`, `class`) yields cell `group * policies +
+            // policy`'s trajectories in policy order.
+            let mut simulated: Vec<_> = simulated.into_iter().map(Vec::into_iter).collect();
+            let trajectories = (0..cells * classes)
+                .map(|slot| {
+                    let (cell, class) = (slot / classes, slot % classes);
+                    let task = &mut simulated[cell / policies * classes + class];
+                    task.next().expect("a phase-1 task simulates every policy")
+                })
                 .collect::<Result<Vec<_>, _>>()?;
             let accums = (0..cells).map(|_| C::Accum::default()).collect();
             let state = Checkpoint {
@@ -571,7 +570,7 @@ pub(crate) fn run<C: Campaign>(
     }
     let per_cell = (0..cells).map(|cell| &state.trajectories[cell * classes..(cell + 1) * classes]);
     Ok(Status::Complete(Box::new(
-        campaign.report(state.accums.into_iter().zip(per_cell).collect()),
+        campaign.report(class_map, state.accums.into_iter().zip(per_cell).collect()),
     )))
 }
 

@@ -17,14 +17,14 @@
 //! 1. **Trajectories.** Missions are deterministic given (configuration,
 //!    policy, workloads, fault mask), so devices in the same *equivalence
 //!    class* — same workload-seed lane ([`FleetPlan::lanes`]), same
-//!    manufacturing [`Defect`]s — share one closed-loop simulation. Each
-//!    (policy × class) cell is simulated once on the reference
+//!    manufacturing [`Defect`]s — share one closed-loop simulation. One
+//!    task per class simulates it under every policy on the reference
 //!    [`lifetime::DeviceLifetime`] path, re-running the suite only when
 //!    the fault mask changes: a homogeneous fleet costs one suite run per
-//!    distinct failure trajectory, not per device. The trajectory records
-//!    what that device lived through — death and first-failure times,
-//!    missions and failure events — which is the outcome of every member
-//!    of its class.
+//!    distinct failure trajectory, not per device. Each (policy × class)
+//!    trajectory records what that device lived through — death and
+//!    first-failure times, missions and failure events — which is the
+//!    outcome of every member of its class.
 //! 2. **Weighting.** Devices stream through contiguous shards of
 //!    [`FleetPlan::shard_devices`]. Each shard counts its members per
 //!    class arithmetically (a lane's residues minus its defective
@@ -63,15 +63,13 @@
 //! assert!(oracle.stats.mttf_years > base.stats.mttf_years);
 //! ```
 
-use std::fmt::Debug;
-
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve};
 use mibench::Workload;
 use nbti::CalibratedAging;
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, run_masked, Campaign, ClassMap, Kind, Population, Status};
+use crate::campaign::{self, run_masked, Campaign, ClassKey, ClassMap, Kind, Population, Status};
 use crate::sweep::SuiteSpec;
 use crate::system::{SystemConfig, SystemError};
 
@@ -357,7 +355,7 @@ impl FleetReport {
 /// [`DeviceLifetime`] path: the outcome every member of the class shares
 /// (DESIGN.md §12).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct ClassTrajectory {
+pub(crate) struct ClassTrajectory {
     /// Deployment time of death, `None` if alive at the horizon.
     death_years: Option<f64>,
     /// Deployment time of the first FU failure, if any FU failed.
@@ -370,7 +368,7 @@ struct ClassTrajectory {
     simulated_missions: u64,
 }
 
-/// Simulates one (policy × class) cell's whole deployment on the reference
+/// Simulates one class's whole deployment under `spec` on the reference
 /// path: run a mission (one suite pass against the current fault mask),
 /// fold its duty into the wear state, inject failures, repeat —
 /// re-simulating only when the fault mask changed — until the horizon
@@ -422,21 +420,15 @@ fn simulate_trajectory(
 /// One policy's streaming aggregate over the completed shards: a
 /// canonical monoid, so it folds exactly regardless of the split.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-struct PolicyAccum {
+pub(crate) struct PolicyAccum {
     /// Death and first-failure observations.
     fleet: FleetAccum,
     /// Missions lived across the folded devices (simulated or reused).
     total_missions: u64,
 }
 
-/// The fleet engine's plug-in to the shared [`campaign`] driver: the plan
-/// plus its class partition.
-struct FleetCampaign<'a> {
-    plan: &'a FleetPlan,
-    classes: ClassMap,
-}
-
-impl Campaign for FleetCampaign<'_> {
+/// The fleet engine's physics on the shared [`campaign`] driver.
+impl Campaign for FleetPlan {
     /// One per (policy × class).
     type Trajectory = ClassTrajectory;
     /// One cell per policy.
@@ -451,44 +443,17 @@ impl Campaign for FleetCampaign<'_> {
         checkpoint_span: "fleet.checkpoint",
     };
 
-    fn plan(&self) -> &dyn Debug {
-        self.plan
-    }
-
-    fn population(&self) -> Population<'_> {
-        let plan = self.plan;
-        Population {
-            base_seed: plan.base_seed,
-            config: &plan.config,
-            policies: &plan.policies,
-            suite: &plan.suite,
-            devices: plan.devices,
-            shard_devices: plan.shard_devices,
-        }
-    }
-
-    fn classes(&self) -> &ClassMap {
-        &self.classes
-    }
-
-    fn cell_count(&self) -> usize {
-        self.plan.policies.len()
-    }
-
-    /// One trajectory per task.
-    fn tasks(&self) -> usize {
-        self.plan.policies.len() * self.classes.count()
-    }
-
+    /// One class's deployment under every policy; fleet has one group.
     fn simulate(
         &self,
-        task: usize,
-        workloads: &[Vec<Workload>],
-    ) -> Vec<(usize, Result<ClassTrajectory, SystemError>)> {
-        let (policy, class) = (task / self.classes.count(), task % self.classes.count());
-        let (lane, defects) = &self.classes.keys[class];
-        let spec = &self.plan.policies[policy];
-        vec![(task, simulate_trajectory(self.plan, spec, &workloads[*lane], defects))]
+        _group: usize,
+        (_, defects): &ClassKey,
+        workloads: &[Workload],
+    ) -> Vec<Result<ClassTrajectory, SystemError>> {
+        self.policies
+            .iter()
+            .map(|spec| simulate_trajectory(self, spec, workloads, defects))
+            .collect()
     }
 
     /// Weights one class's outcome by its member count (DESIGN.md §12).
@@ -499,14 +464,17 @@ impl Campaign for FleetCampaign<'_> {
 
     /// Aggregates every policy and reads the detail devices off their
     /// classes' trajectories.
-    fn report(&self, cells: Vec<(PolicyAccum, &[ClassTrajectory])>) -> FleetReport {
-        let (plan, classes) = (self.plan, &self.classes);
+    fn report(
+        &self,
+        classes: &ClassMap,
+        cells: Vec<(PolicyAccum, &[ClassTrajectory])>,
+    ) -> FleetReport {
         let outcome = |trajectories: &[ClassTrajectory], device: usize| {
             let class = classes.class_of(device) as usize;
             let t = &trajectories[class];
             DeviceOutcome {
                 device,
-                seed: plan.device_seed(device),
+                seed: self.device_seed(device),
                 death_years: t.death_years,
                 first_failure_years: t.first_failure_years,
                 missions: t.missions,
@@ -518,15 +486,15 @@ impl Campaign for FleetCampaign<'_> {
                 failures: t.failures.clone(),
             }
         };
-        let detail = 0..plan.detail_devices.min(plan.devices);
-        let policies = plan
+        let detail = 0..self.detail_devices.min(self.devices);
+        let policies = self
             .policies
             .iter()
             .zip(cells)
             .map(|(spec, (accum, trajectories))| PolicyFleet {
                 policy: spec.to_string(),
-                stats: accum.fleet.stats(plan.horizon_years, plan.histogram_bins),
-                survival: accum.fleet.survival(plan.horizon_years),
+                stats: accum.fleet.stats(self.horizon_years, self.histogram_bins),
+                survival: accum.fleet.survival(self.horizon_years),
                 classes: classes.count(),
                 simulated_missions: trajectories.iter().map(|t| t.simulated_missions).sum(),
                 total_missions: accum.total_missions,
@@ -534,16 +502,16 @@ impl Campaign for FleetCampaign<'_> {
             })
             .collect();
         FleetReport {
-            base_seed: plan.base_seed,
-            rows: plan.config.fabric.rows,
-            cols: plan.config.fabric.cols,
-            suite: plan.suite.name.clone(),
-            devices: plan.devices,
-            lanes: plan.effective_lanes(),
-            detail_devices: plan.detail_devices,
-            mission_years: plan.mission_years,
-            horizon_years: plan.horizon_years,
-            inject_faults: plan.inject_faults,
+            base_seed: self.base_seed,
+            rows: self.config.fabric.rows,
+            cols: self.config.fabric.cols,
+            suite: self.suite.name.clone(),
+            devices: self.devices,
+            lanes: self.effective_lanes(),
+            detail_devices: self.detail_devices,
+            mission_years: self.mission_years,
+            horizon_years: self.horizon_years,
+            inject_faults: self.inject_faults,
             policies,
         }
     }
@@ -599,7 +567,17 @@ pub fn run_fleet_campaign(
             "defect {d:?} outside the fleet"
         );
     }
-    campaign::run(&FleetCampaign { plan, classes: plan.classes() }, jobs, options)
+    let population = Population {
+        base_seed: plan.base_seed,
+        config: &plan.config,
+        policies: &plan.policies,
+        suite: &plan.suite,
+        devices: plan.devices,
+        shard_devices: plan.shard_devices,
+        classes: plan.classes(),
+        groups: 1,
+    };
+    campaign::run(plan, population, jobs, options)
 }
 
 /// Runs every (policy × device) cell of `plan`, sharded across `jobs`
@@ -625,7 +603,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::campaign::ClassKey;
     use crate::system::BuildError;
     use cgra::Fabric;
 

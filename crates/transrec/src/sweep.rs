@@ -1,8 +1,9 @@
 //! The parallel sweep engine (DESIGN.md §9).
 //!
 //! The paper's evaluation — and every scaling experiment on top of it — is
-//! a grid: system configurations × policy specs × workload suites. Each
-//! grid cell is an independent [`SuiteRun`], so a sweep is embarrassingly
+//! a grid: system configurations × policy specs, each cell running one
+//! workload suite. Each grid cell is an independent [`SuiteRun`], so a
+//! sweep is embarrassingly
 //! parallel; this module shards the cells across a vendored
 //! [`threadpool::ThreadPool`] and merges the results back **in
 //! deterministic cell order**, making the output byte-identical no matter
@@ -10,36 +11,38 @@
 //!
 //! Determinism comes from three rules:
 //!
-//! 1. every cell derives its inputs from the plan's base seed with
-//!    [`uaware::derive_cell_seed`] — a pure function of the cell's lane,
-//!    never of scheduling order;
+//! 1. the suite's workloads are built once from the plan's base seed —
+//!    never from scheduling order — and shared immutably by every cell;
 //! 2. no state is shared between in-flight cells (each builds its own
 //!    [`System`](crate::System) and policy instance);
 //! 3. results are collected by input index, not completion order.
 //!
 //! The policy-independent GPP-only reference is hoisted out of the cells:
-//! it is computed once per (GPP-parameter class × suite lane) block and
-//! reused by every policy, so an N-policy sweep does not redo it N times.
+//! it is computed once per distinct GPP parameter set (memory size, timing,
+//! step limit) and reused by every configuration and policy that shares
+//! it, so an N-policy sweep does not redo it N times. Both the reference
+//! and the cells run through one observed parallel fold
+//! (`par_map_observed`), which the campaign engine's phase 1 shares.
 
 use cgra::Fabric;
 use mibench::Workload;
 use obs::Registry;
 use serde::{Deserialize, Serialize};
 use threadpool::ThreadPool;
-use uaware::{derive_cell_seed, PolicySpec};
+use uaware::PolicySpec;
 
 use crate::dse::{gpp_reference, run_suite_with_options, SuiteOptions, SuiteRun};
 use crate::energy::EnergyParams;
 use crate::system::{check_movement, SystemConfig, SystemError};
 use crate::telemetry::ProbeSpec;
 
-/// A named selection of the mibench workload suite — one cell of the
-/// sweep's workload axis.
+/// A named selection of the mibench workload suite — what every cell of a
+/// sweep, and every mission or serving day of a campaign, runs.
 ///
 /// `members` are indices into the full [`mibench::suite`] (see
 /// [`mibench::NAMES`] for the ordering); the workloads themselves are
-/// rebuilt from the lane's derived seed at sweep time, so a `SuiteSpec` is
-/// pure data and can be sent across threads or serialized into a report.
+/// rebuilt from a seed at run time, so a `SuiteSpec` is pure data and can
+/// be sent across threads or serialized into a report.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuiteSpec {
     /// Label for reports (`mibench` for the full suite).
@@ -80,7 +83,7 @@ impl SuiteSpec {
     }
 }
 
-/// One cell of a sweep: indices into the plan's three axes plus the cell's
+/// One cell of a sweep: indices into the plan's two axes plus the cell's
 /// flat index (the deterministic merge order).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepCell {
@@ -88,18 +91,17 @@ pub struct SweepCell {
     pub index: usize,
     /// Index into [`SweepPlan::configs`].
     pub config: usize,
-    /// Index into [`SweepPlan::suites`].
-    pub suite: usize,
     /// Index into [`SweepPlan::policies`].
     pub policy: usize,
 }
 
-/// The cross product of system configurations × policy specs × workload
-/// suites — everything [`run_sweep`] needs, as plain data.
+/// The cross product of system configurations × policy specs, every cell
+/// running one workload suite — everything [`run_sweep`] needs, as plain
+/// data.
 ///
-/// Cells are enumerated configuration-major, then suite, then policy
-/// (see [`SweepPlan::cells`]); [`SweepPlan::index_of`] maps axis indices
-/// back to the flat result index.
+/// Cells are enumerated configuration-major, then policy (see
+/// [`SweepPlan::cells`]); [`SweepPlan::index_of`] maps axis indices back
+/// to the flat result index.
 ///
 /// # Examples
 ///
@@ -112,16 +114,15 @@ pub struct SweepCell {
 ///     .fabric(Fabric::be())
 ///     .policy(PolicySpec::Baseline)
 ///     .policy(PolicySpec::rotation())
-///     .suites(vec![SuiteSpec::subset("mini", vec![1])]); // crc32 only
+///     .suite(SuiteSpec::subset("mini", vec![1])); // crc32 only
 /// let runs = run_sweep(&plan, 2).unwrap();
 /// assert_eq!(runs.len(), 2);
 /// assert!(runs.iter().all(|r| r.all_verified()));
-/// assert_eq!(runs[plan.index_of(0, 0, 1)].policy, "rotation:snake@per-exec");
+/// assert_eq!(runs[plan.index_of(0, 1)].policy, "rotation:snake@per-exec");
 /// ```
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
-    /// Base experiment seed; suite lane `l` builds its workloads from
-    /// [`derive_cell_seed`]`(base_seed, l)` (lane 0 keeps the base seed).
+    /// Base experiment seed, from which the suite builds its workloads.
     pub base_seed: u64,
     /// Energy model shared by every cell.
     pub energy: EnergyParams,
@@ -129,8 +130,8 @@ pub struct SweepPlan {
     pub configs: Vec<SystemConfig>,
     /// The policy axis.
     pub policies: Vec<PolicySpec>,
-    /// The workload-suite axis (defaults to the single full suite).
-    pub suites: Vec<SuiteSpec>,
+    /// The workload suite every cell runs (defaults to the full suite).
+    pub suite: SuiteSpec,
     /// Telemetry probes attached to every cell (fresh observer instances
     /// per benchmark, DESIGN.md §10). Probes are data, so the plan stays
     /// `Send` and the results stay byte-identical for every worker count.
@@ -147,7 +148,7 @@ impl SweepPlan {
             energy: EnergyParams::default(),
             configs: Vec::new(),
             policies: Vec::new(),
-            suites: vec![SuiteSpec::full()],
+            suite: SuiteSpec::full(),
             probes: Vec::new(),
         }
     }
@@ -175,9 +176,9 @@ impl SweepPlan {
         self
     }
 
-    /// Replaces the workload-suite axis (the default is the full suite).
-    pub fn suites(mut self, suites: Vec<SuiteSpec>) -> SweepPlan {
-        self.suites = suites;
+    /// Replaces the workload suite (the default is the full suite).
+    pub fn suite(mut self, suite: SuiteSpec) -> SweepPlan {
+        self.suite = suite;
         self
     }
 
@@ -201,7 +202,7 @@ impl SweepPlan {
 
     /// The number of cells in the cross product.
     pub fn len(&self) -> usize {
-        self.configs.len() * self.suites.len() * self.policies.len()
+        self.configs.len() * self.policies.len()
     }
 
     /// `true` if any axis is empty (nothing to run).
@@ -210,27 +211,18 @@ impl SweepPlan {
     }
 
     /// Every cell, in deterministic order: configuration-major, then
-    /// suite, then policy.
+    /// policy.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let mut cells = Vec::with_capacity(self.len());
-        for config in 0..self.configs.len() {
-            for suite in 0..self.suites.len() {
-                for policy in 0..self.policies.len() {
-                    cells.push(SweepCell { index: cells.len(), config, suite, policy });
-                }
-            }
-        }
-        cells
+        (0..self.configs.len())
+            .flat_map(|config| (0..self.policies.len()).map(move |policy| (config, policy)))
+            .enumerate()
+            .map(|(index, (config, policy))| SweepCell { index, config, policy })
+            .collect()
     }
 
-    /// The flat result index of cell (`config`, `suite`, `policy`).
-    pub fn index_of(&self, config: usize, suite: usize, policy: usize) -> usize {
-        (config * self.suites.len() + suite) * self.policies.len() + policy
-    }
-
-    /// The derived workload seed of suite lane `lane` (DESIGN.md §9).
-    pub fn suite_seed(&self, lane: usize) -> u64 {
-        derive_cell_seed(self.base_seed, lane as u64)
+    /// The flat result index of cell (`config`, `policy`).
+    pub fn index_of(&self, config: usize, policy: usize) -> usize {
+        config * self.policies.len() + policy
     }
 }
 
@@ -273,6 +265,35 @@ pub fn run_sweep_observed(
     Ok(out)
 }
 
+/// Applies `work` to every item on `pool`, each under its own
+/// [`obs::collect`] when `collect_metrics` is set, and returns the results
+/// in item order with the registries folded in that order (DESIGN.md §16).
+/// The fold never depends on scheduling, so neither do the bytes; callers
+/// that collect `Result`s see the lowest-indexed error first.
+pub(crate) fn par_map_observed<T: Send, U: Send>(
+    pool: &ThreadPool,
+    items: Vec<T>,
+    collect_metrics: bool,
+    work: impl Fn(T) -> U + Sync,
+) -> (Vec<U>, Registry) {
+    let outcomes = pool.par_map(items, |_, item| {
+        if collect_metrics {
+            obs::collect(|| work(item))
+        } else {
+            (work(item), Registry::new())
+        }
+    });
+    let mut metrics = Registry::new();
+    let results = outcomes
+        .into_iter()
+        .map(|(result, registry)| {
+            metrics.merge(&registry);
+            result
+        })
+        .collect();
+    (results, metrics)
+}
+
 /// Shared body of [`run_sweep`]/[`run_sweep_observed`]. `collect_metrics`
 /// is a knob (not always-on) because per-event collection has a real cost
 /// on the GPP retire loop.
@@ -288,76 +309,48 @@ fn run_sweep_inner(
         return Ok((Vec::new(), Registry::new()));
     }
     let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
+    // The suite's workloads, built once and shared immutably by every cell.
+    let workloads = plan.suite.workloads(plan.base_seed);
 
-    // Phase 1: build each suite lane's workloads from its derived seed,
-    // once, and share them immutably across cells.
-    let suites: Vec<Vec<Workload>> = pool.par_map((0..plan.suites.len()).collect(), |_, lane| {
-        plan.suites[lane].workloads(plan.suite_seed(lane))
-    });
-
-    // Phase 2: the GPP-only reference is policy-independent *and*
+    // The GPP-only reference is policy-independent *and*
     // fabric-independent — it only depends on a configuration's memory,
-    // timing and step parameters — so compute it once per (GPP-parameter
-    // class × suite lane) block and let every cell look it up.
-    let same_gpp = |a: &SystemConfig, b: &SystemConfig| {
-        a.mem_size == b.mem_size && a.timing == b.timing && a.max_steps == b.max_steps
-    };
-    let rep: Vec<usize> = plan
+    // timing and step parameters — so compute it once per distinct
+    // parameter set, in order of first appearance, and let every cell look
+    // it up.
+    let mut gpp_configs: Vec<&SystemConfig> = Vec::new();
+    let gpp_of: Vec<usize> = plan
         .configs
         .iter()
-        .enumerate()
-        .map(|(i, c)| plan.configs[..i].iter().position(|prev| same_gpp(prev, c)).unwrap_or(i))
-        .collect();
-    let classes: Vec<usize> = (0..plan.configs.len()).filter(|&i| rep[i] == i).collect();
-    let class_of: Vec<usize> =
-        rep.iter().map(|r| classes.iter().position(|c| c == r).expect("rep is a class")).collect();
-    let blocks: Vec<(usize, usize)> = (0..classes.len())
-        .flat_map(|class| (0..plan.suites.len()).map(move |lane| (class, lane)))
-        .collect();
-    let gpp_blocks: Vec<(Result<Vec<u64>, SystemError>, Registry)> =
-        pool.par_map(blocks, |_, (class, lane)| {
-            let work = || gpp_reference(&plan.configs[classes[class]], &suites[lane]);
-            if collect_metrics {
-                obs::collect(work)
-            } else {
-                (work(), Registry::new())
-            }
-        });
-    let mut gpp: Vec<Vec<u64>> = Vec::with_capacity(gpp_blocks.len());
-    let mut metrics = Registry::new();
-    for (block, registry) in gpp_blocks {
-        gpp.push(block?);
-        metrics.merge(&registry);
-    }
-
-    // Phase 3: the cells themselves, merged back in index order.
-    let outcomes: Vec<(Result<SuiteRun, SystemError>, Registry)> =
-        pool.par_map(plan.cells(), |_, cell| {
-            let work = || {
-                run_suite_with_options(
-                    &plan.configs[cell.config],
-                    &suites[cell.suite],
-                    &plan.energy,
-                    SuiteOptions {
-                        policy: plan.policies[cell.policy],
-                        probes: &plan.probes,
-                        gpp_reference: Some(
-                            &gpp[class_of[cell.config] * plan.suites.len() + cell.suite],
-                        ),
-                    },
-                )
+        .map(|c| {
+            let same = |p: &&SystemConfig| {
+                p.mem_size == c.mem_size && p.timing == c.timing && p.max_steps == c.max_steps
             };
-            if collect_metrics {
-                obs::collect(work)
-            } else {
-                (work(), Registry::new())
-            }
-        });
-    let mut runs = Vec::with_capacity(outcomes.len());
-    for (run, registry) in outcomes {
-        runs.push(run?);
-        metrics.merge(&registry);
-    }
+            gpp_configs.iter().position(same).unwrap_or_else(|| {
+                gpp_configs.push(c);
+                gpp_configs.len() - 1
+            })
+        })
+        .collect();
+    let (gpp, mut metrics) = par_map_observed(&pool, gpp_configs, collect_metrics, |config| {
+        gpp_reference(config, &workloads)
+    });
+    let gpp = gpp.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    // The cells themselves, merged back in index order.
+    let (runs, cell_metrics) = par_map_observed(&pool, plan.cells(), collect_metrics, |cell| {
+        run_suite_with_options(
+            &plan.configs[cell.config],
+            &workloads,
+            &plan.energy,
+            SuiteOptions {
+                policy: plan.policies[cell.policy],
+                probes: &plan.probes,
+                gpp_reference: Some(&gpp[gpp_of[cell.config]]),
+            },
+        )
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    metrics.merge(&cell_metrics);
     Ok((runs, metrics))
 }
 
@@ -374,24 +367,17 @@ mod tests {
             .policy(PolicySpec::Baseline)
             .policy(PolicySpec::rotation())
             .policy(PolicySpec::HealthAware)
-            .suites(vec![SuiteSpec::subset("a", vec![0]), SuiteSpec::subset("b", vec![1])]);
-        assert_eq!(plan.len(), 12);
+            .suite(SuiteSpec::subset("a", vec![0]));
+        assert_eq!(plan.len(), 6);
         let cells = plan.cells();
-        assert_eq!(cells.len(), 12);
+        assert_eq!(cells.len(), 6);
         for cell in &cells {
-            assert_eq!(plan.index_of(cell.config, cell.suite, cell.policy), cell.index);
+            assert_eq!(plan.index_of(cell.config, cell.policy), cell.index);
         }
-        assert_eq!((cells[0].config, cells[0].suite, cells[0].policy), (0, 0, 0));
-        assert_eq!((cells[1].config, cells[1].suite, cells[1].policy), (0, 0, 1));
-        assert_eq!((cells[3].config, cells[3].suite, cells[3].policy), (0, 1, 0));
-        assert_eq!((cells[6].config, cells[6].suite, cells[6].policy), (1, 0, 0));
-    }
-
-    #[test]
-    fn suite_lane_zero_reproduces_the_historical_stream() {
-        let plan = SweepPlan::new(0xDAC2020);
-        assert_eq!(plan.suite_seed(0), 0xDAC2020);
-        assert_ne!(plan.suite_seed(1), 0xDAC2020);
+        assert_eq!((cells[0].config, cells[0].policy), (0, 0));
+        assert_eq!((cells[1].config, cells[1].policy), (0, 1));
+        assert_eq!((cells[3].config, cells[3].policy), (1, 0));
+        assert_eq!((cells[5].config, cells[5].policy), (1, 2));
     }
 
     #[test]

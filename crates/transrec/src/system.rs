@@ -384,9 +384,6 @@ pub struct System {
     cache: ConfigCache<Arc<Decoded>>,
     policy: Box<dyn AllocationPolicy>,
     tracker: UtilizationTracker,
-    /// Permanent FU failures the allocation must route around
-    /// (DESIGN.md §11). `None` models a pristine fabric.
-    faults: Option<FaultMask>,
     reconfig_unit: ReconfigUnit,
     resident: Option<(u32, Offset)>,
     /// Whether the GPP has retired anything since the last offload (if not,
@@ -453,7 +450,6 @@ pub struct SystemBuilder {
     config: SystemConfig,
     spec: PolicySpec,
     probes: Vec<ProbeSpec>,
-    faults: Option<FaultMask>,
 }
 
 impl SystemBuilder {
@@ -467,7 +463,7 @@ impl SystemBuilder {
     /// (DESIGN.md §11) — e.g. resuming a part-worn device. The mask can
     /// also be swapped later via [`System::set_fault_mask`].
     pub fn fault_mask(mut self, mask: FaultMask) -> SystemBuilder {
-        self.faults = Some(mask);
+        self.config.faults = Some(mask);
         self
     }
 
@@ -545,13 +541,21 @@ impl SystemBuilder {
         self.config.fabric.validate()?;
         check_movement([&self.spec], self.config.movement_hardware)?;
         let mut system = System::new(self.config, self.spec.build());
-        if self.faults.is_some() {
-            system.set_fault_mask(self.faults);
-        }
         for probe in &self.probes {
             system.attach_observer(probe.build());
         }
         Ok(system)
+    }
+}
+
+/// Panics unless `mask`, if any, has `fabric`'s geometry.
+fn assert_mask_fits(fabric: &Fabric, mask: Option<&FaultMask>) {
+    if let Some(mask) = mask {
+        assert_eq!(
+            (mask.rows(), mask.cols()),
+            (fabric.rows, fabric.cols),
+            "fault mask geometry must match the fabric"
+        );
     }
 }
 
@@ -563,7 +567,6 @@ impl System {
             config: SystemConfig::new(fabric),
             spec: PolicySpec::Baseline,
             probes: Vec::new(),
-            faults: None,
         }
     }
 
@@ -571,7 +574,13 @@ impl System {
     /// allocation policy — the unchecked escape hatch for policies that are
     /// not expressible as a [`PolicySpec`]. Prefer [`System::builder`],
     /// which validates the spec against the hardware configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration's fault mask geometry does not match
+    /// its fabric.
     pub fn new(config: SystemConfig, policy: Box<dyn AllocationPolicy>) -> System {
+        assert_mask_fits(&config.fabric, config.faults.as_ref());
         let reconfig_unit = if config.movement_hardware {
             ReconfigUnit::with_movement()
         } else {
@@ -583,7 +592,6 @@ impl System {
             cache: ConfigCache::new(config.cache_capacity),
             policy,
             tracker: UtilizationTracker::new(&config.fabric),
-            faults: config.faults.clone(),
             reconfig_unit,
             resident: None,
             gpp_dirty: true,
@@ -637,15 +645,9 @@ impl System {
     ///
     /// Panics if the mask geometry does not match the system's fabric.
     pub fn set_fault_mask(&mut self, mask: Option<FaultMask>) {
-        if let Some(mask) = &mask {
-            assert_eq!(
-                (mask.rows(), mask.cols()),
-                (self.config.fabric.rows, self.config.fabric.cols),
-                "fault mask geometry must match the fabric"
-            );
-        }
-        self.faults = mask;
-        let (fabric, faults) = (&self.config.fabric, self.faults.as_ref());
+        assert_mask_fits(&self.config.fabric, mask.as_ref());
+        self.config.faults = mask;
+        let (fabric, faults) = (&self.config.fabric, self.config.faults.as_ref());
         for record in self.cache.iter_mut() {
             let record = Arc::make_mut(record);
             record.legal = LegalPivots::new(fabric, &record.footprint, &record.demands, faults);
@@ -654,7 +656,7 @@ impl System {
 
     /// The installed permanent-failure map, if any.
     pub fn fault_mask(&self) -> Option<&FaultMask> {
-        self.faults.as_ref()
+        self.config.faults.as_ref()
     }
 
     /// The allocation policy's instance-level name (pattern, granularity
@@ -688,8 +690,8 @@ impl System {
     fn decode(&self, cc: CachedConfig) -> Decoded {
         let footprint: Vec<(u32, u32)> = cc.config.cells().collect();
         let demands: Vec<(u32, u32, OpKind)> = cc.config.demands().collect();
-        let legal =
-            LegalPivots::new(&self.config.fabric, &footprint, &demands, self.faults.as_ref());
+        let config = &self.config;
+        let legal = LegalPivots::new(&config.fabric, &footprint, &demands, config.faults.as_ref());
         Decoded { gpp_estimate: self.estimate_gpp_cycles(&cc), footprint, demands, legal, cc }
     }
 
@@ -785,7 +787,7 @@ impl System {
             // Anything else the policy gave up on is the class mix's fault,
             // not the silicon's: keep the configuration on the GPP.
             let fault_placeable =
-                self.faults.as_ref().is_none_or(|m| m.any_placement(&fabric, footprint));
+                self.config.faults.as_ref().is_none_or(|m| m.any_placement(&fabric, footprint));
             if fault_placeable && !fabric.is_uniform() && !demands.is_empty() {
                 self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
                 return Ok(false);
@@ -794,7 +796,7 @@ impl System {
             // inject faults into otherwise-healthy fabrics and want the GPP
             // to absorb whatever the policy cannot place — including the
             // immobile baseline's dead origin — not the run to die.
-            if self.config.fault_fallback && self.faults.is_some() {
+            if self.config.fault_fallback && self.config.faults.is_some() {
                 self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
                 return Ok(false);
             }
@@ -1345,6 +1347,13 @@ mod tests {
     fn fault_mask_geometry_is_validated() {
         let mut sys = System::builder(Fabric::be()).build().unwrap();
         sys.set_fault_mask(Some(FaultMask::healthy(&Fabric::bp())));
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry must match")]
+    fn builder_fault_mask_geometry_is_validated() {
+        let builder = System::builder(Fabric::be()).fault_mask(FaultMask::healthy(&Fabric::bp()));
+        let _ = builder.build();
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::{self, Debug};
+use std::fmt;
 use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
@@ -62,7 +62,7 @@ use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
 use crate::campaign::{
-    self, run_masked, Campaign, CampaignOptions, ClassMap, Kind, Population, Status,
+    self, run_masked, Campaign, CampaignOptions, ClassKey, ClassMap, Kind, Population, Status,
 };
 use crate::dse::gpp_reference;
 use crate::fleet::DEFAULT_SHARD_DEVICES;
@@ -851,7 +851,7 @@ struct Generation {
 /// history: every class member reproduces it exactly, so phase 2 only
 /// weights it by the member count (DESIGN.md §13).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-struct ServeTrajectory {
+pub(crate) struct ServeTrajectory {
     /// Device generations in deployment order (the last is censored).
     generations: Vec<Generation>,
     /// End-to-end latency of every served request.
@@ -901,33 +901,6 @@ fn replacement_device(plan: &ServePlan) -> (DeviceLifetime, f64) {
             (life, years)
         }
     }
-}
-
-/// Simulates one (traffic × lane) pair's serving deployment under every
-/// policy of the plan, in plan order. The pair's pattern-day arrival
-/// streams are generated once and its GPP-only service cycles measured
-/// once; every policy then serves the same streams, and both are dropped
-/// when the pair is done (DESIGN.md §13).
-fn simulate_serving(
-    plan: &ServePlan,
-    traffic: &TrafficSpec,
-    workloads: &[Workload],
-    lane: usize,
-) -> Vec<Result<ServeTrajectory, SystemError>> {
-    let stream_seed = derive_cell_seed(plan.base_seed, lane as u64);
-    let pattern: Vec<Vec<Arrival>> = (0..plan.pattern_days.min(plan.horizon_days))
-        .map(|day| day_traffic(traffic, stream_seed, day, plan.clock_hz, workloads.len() as u32))
-        .collect();
-    // GPP-only service cycles, the deferral path: they depend on neither
-    // the policy nor the fault mask.
-    let gpp = gpp_reference(&plan.config, workloads);
-    plan.policies
-        .iter()
-        .map(|spec| {
-            let gpp = gpp.as_ref().map_err(Clone::clone)?;
-            serve_policy(plan, spec, workloads, &pattern, gpp)
-        })
-        .collect()
 }
 
 /// Simulates one (traffic × policy × lane) class's serving deployment on
@@ -1001,7 +974,7 @@ fn serve_policy(
 /// One (traffic × policy) cell's streaming aggregate: a canonical monoid,
 /// so it folds exactly regardless of the split (DESIGN.md §13).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-struct ServeAccum {
+pub(crate) struct ServeAccum {
     fleet: FleetAccum,
     latency: LogHistogram,
     served_cgra: u64,
@@ -1086,14 +1059,8 @@ impl ServeReport {
 /// What [`run_serving_campaign`] came back with.
 pub type ServeStatus = Status<ServeReport>;
 
-/// The serving engine's plug-in to the shared [`campaign`] driver.
-struct ServeCampaign<'a> {
-    plan: &'a ServePlan,
-    /// The plan's lanes, which are its classes: serving has no defects.
-    classes: ClassMap,
-}
-
-impl Campaign for ServeCampaign<'_> {
+/// The serving engine's physics on the shared [`campaign`] driver.
+impl Campaign for ServePlan {
     /// One per (traffic × policy × lane): the lanes are the classes.
     type Trajectory = ServeTrajectory;
     /// One cell per (traffic × policy).
@@ -1108,49 +1075,34 @@ impl Campaign for ServeCampaign<'_> {
         checkpoint_span: "serve.checkpoint",
     };
 
-    fn plan(&self) -> &dyn Debug {
-        self.plan
-    }
-
-    fn population(&self) -> Population<'_> {
-        let plan = self.plan;
-        Population {
-            base_seed: plan.base_seed,
-            config: &plan.config,
-            policies: &plan.policies,
-            suite: &plan.suite,
-            devices: plan.devices,
-            shard_devices: plan.shard_devices,
-        }
-    }
-
-    fn classes(&self) -> &ClassMap {
-        &self.classes
-    }
-
-    fn cell_count(&self) -> usize {
-        self.plan.traffic.len() * self.plan.policies.len()
-    }
-
-    /// One task per (traffic × lane): every policy serves the pair's
-    /// streams.
-    fn tasks(&self) -> usize {
-        self.plan.traffic.len() * self.classes.lanes()
-    }
-
+    /// One (traffic × lane) pair's serving deployment under every policy,
+    /// in plan order. The pair's pattern-day arrival streams are generated
+    /// once and its GPP-only service cycles measured once; every policy
+    /// then serves the same streams, and both are dropped when the pair is
+    /// done (DESIGN.md §13).
     fn simulate(
         &self,
-        task: usize,
-        workloads: &[Vec<Workload>],
-    ) -> Vec<(usize, Result<ServeTrajectory, SystemError>)> {
-        let lanes = self.classes.lanes();
-        let (traffic, lane) = (task / lanes, task % lanes);
-        let policies = self.plan.policies.len();
-        let trajectories =
-            simulate_serving(self.plan, &self.plan.traffic[traffic], &workloads[lane], lane);
-        // Cell `traffic × policies + policy`, class `lane`.
-        let index = |policy: usize| (traffic * policies + policy) * lanes + lane;
-        trajectories.into_iter().enumerate().map(|(policy, t)| (index(policy), t)).collect()
+        traffic: usize,
+        &(lane, _): &ClassKey,
+        workloads: &[Workload],
+    ) -> Vec<Result<ServeTrajectory, SystemError>> {
+        let stream_seed = derive_cell_seed(self.base_seed, lane as u64);
+        let requests = workloads.len() as u32;
+        let pattern: Vec<Vec<Arrival>> = (0..self.pattern_days.min(self.horizon_days))
+            .map(|day| {
+                day_traffic(&self.traffic[traffic], stream_seed, day, self.clock_hz, requests)
+            })
+            .collect();
+        // GPP-only service cycles, the deferral path: they depend on neither
+        // the policy nor the fault mask.
+        let gpp = gpp_reference(&self.config, workloads);
+        self.policies
+            .iter()
+            .map(|spec| {
+                let gpp = gpp.as_ref().map_err(Clone::clone)?;
+                serve_policy(self, spec, workloads, &pattern, gpp)
+            })
+            .collect()
     }
 
     /// Class members are byte-identical, so phase 2 is a weighted fold of
@@ -1169,16 +1121,19 @@ impl Campaign for ServeCampaign<'_> {
         accum.replacements += trajectory.replacements * members;
     }
 
-    fn report(&self, cells: Vec<(ServeAccum, &[ServeTrajectory])>) -> ServeReport {
-        let plan = self.plan;
-        let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / plan.clock_hz as f64;
-        let axes = plan.traffic.iter().flat_map(|t| plan.policies.iter().map(move |p| (t, p)));
+    fn report(
+        &self,
+        classes: &ClassMap,
+        cells: Vec<(ServeAccum, &[ServeTrajectory])>,
+    ) -> ServeReport {
+        let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / self.clock_hz as f64;
+        let axes = self.traffic.iter().flat_map(|t| self.policies.iter().map(move |p| (t, p)));
         let cells = axes
             .zip(cells)
             .map(|((traffic, policy), (accum, lanes))| ServeCell {
                 traffic: traffic.to_string(),
                 policy: policy.to_string(),
-                stats: accum.fleet.stats(plan.horizon_years(), plan.histogram_bins),
+                stats: accum.fleet.stats(self.horizon_years(), self.histogram_bins),
                 p50_ms: to_ms(accum.latency.percentile(0.50)),
                 p95_ms: to_ms(accum.latency.percentile(0.95)),
                 p99_ms: to_ms(accum.latency.percentile(0.99)),
@@ -1192,23 +1147,23 @@ impl Campaign for ServeCampaign<'_> {
                     accum.shed as f64 / accum.total_requests as f64
                 },
                 replacements: accum.replacements,
-                replacement_cost_cents: accum.replacements * plan.replacement.unit_cost_cents,
+                replacement_cost_cents: accum.replacements * self.replacement.unit_cost_cents,
                 simulated_days: lanes.iter().map(|t| t.simulated_days).sum(),
                 simulated_services: lanes.iter().map(|t| t.simulated_services).sum(),
             })
             .collect();
         ServeReport {
-            base_seed: plan.base_seed,
-            rows: plan.config.fabric.rows,
-            cols: plan.config.fabric.cols,
-            suite: plan.suite.name.clone(),
-            devices: plan.devices,
-            lanes: self.classes.lanes(),
-            horizon_days: plan.horizon_days,
-            pattern_days: plan.pattern_days,
-            clock_hz: plan.clock_hz,
-            years_per_day: plan.years_per_day,
-            horizon_years: plan.horizon_years(),
+            base_seed: self.base_seed,
+            rows: self.config.fabric.rows,
+            cols: self.config.fabric.cols,
+            suite: self.suite.name.clone(),
+            devices: self.devices,
+            lanes: classes.lanes(),
+            horizon_days: self.horizon_days,
+            pattern_days: self.pattern_days,
+            clock_hz: self.clock_hz,
+            years_per_day: self.years_per_day,
+            horizon_years: self.horizon_years(),
             cells,
         }
     }
@@ -1261,8 +1216,17 @@ pub fn run_serving_campaign(
     }
     // An empty fleet still simulates one lane.
     let lanes = if plan.devices == 0 { 1 } else { plan.effective_lanes() };
-    let classes = ClassMap::build(plan.devices, lanes, []);
-    campaign::run(&ServeCampaign { plan, classes }, jobs, options)
+    let population = Population {
+        base_seed: plan.base_seed,
+        config: &plan.config,
+        policies: &plan.policies,
+        suite: &plan.suite,
+        devices: plan.devices,
+        shard_devices: plan.shard_devices,
+        classes: ClassMap::build(plan.devices, lanes, []),
+        groups: plan.traffic.len(),
+    };
+    campaign::run(plan, population, jobs, options)
 }
 
 /// Runs every (traffic × policy × device) cell of `plan`, sharded across

@@ -24,7 +24,7 @@ fn sweep_plan() -> SweepPlan {
         .fabric(Fabric::bp())
         .policy(PolicySpec::Baseline)
         .policy(PolicySpec::rotation())
-        .suites(vec![SuiteSpec::subset("mini", vec![0, 1])]) // bitcount, crc32
+        .suite(SuiteSpec::subset("mini", vec![0, 1])) // bitcount, crc32
 }
 
 /// The shared small fleet campaign from the kill/resume tests.
@@ -112,7 +112,7 @@ fn registry_counters_match_the_typed_event_stream() {
         .policy(PolicySpec::Random { seed: 7 })
         .policy(PolicySpec::HealthAware)
         .policy(PolicySpec::Exact { every: 1 })
-        .suites(vec![SuiteSpec::full()]);
+        .suite(SuiteSpec::full());
     let (runs, reg) = run_sweep_observed(&plan, 4).expect("observed sweep runs");
 
     let mut total = SystemStats::default();

@@ -17,7 +17,7 @@ fn mini_plan() -> SweepPlan {
         .fabric(Fabric::bp())
         .policy(PolicySpec::Baseline)
         .policy(PolicySpec::rotation())
-        .suites(vec![SuiteSpec::subset("mini", vec![0, 1])]) // bitcount, crc32
+        .suite(SuiteSpec::subset("mini", vec![0, 1])) // bitcount, crc32
 }
 
 #[test]
@@ -34,19 +34,19 @@ fn sweep_json_is_identical_across_worker_counts() {
 
 #[test]
 fn sweep_cells_match_the_sequential_suite_path() {
-    // The sweep's memoized GPP baseline and derived lane-0 seed must not
+    // The sweep's memoized GPP baseline and shared workloads must not
     // change what a cell computes: each cell equals a plain
     // run_suite_with_options on the same inputs.
     let plan = mini_plan();
     let runs = run_sweep(&plan, 4).expect("sweep runs");
-    let workloads = plan.suites[0].workloads(plan.suite_seed(0));
+    let workloads = plan.suite.workloads(plan.base_seed);
     for (ci, config) in plan.configs.iter().enumerate() {
         for (pi, spec) in plan.policies.iter().enumerate() {
             let options = SuiteOptions::new(*spec);
             let reference = run_suite_with_options(config, &workloads, &plan.energy, options)
                 .expect("sequential suite runs");
-            let cell = &runs[plan.index_of(ci, 0, pi)];
-            assert_eq!(cell, &reference, "cell ({ci}, 0, {pi}) diverged");
+            let cell = &runs[plan.index_of(ci, pi)];
+            assert_eq!(cell, &reference, "cell ({ci}, {pi}) diverged");
         }
     }
 }
@@ -82,7 +82,7 @@ fn default_jobs_zero_resolves_to_all_cores() {
     let plan = SweepPlan::new(0xDAC2020)
         .config(SystemConfig::new(Fabric::be()))
         .policy(PolicySpec::HealthAware)
-        .suites(vec![SuiteSpec::subset("one", vec![1])]);
+        .suite(SuiteSpec::subset("one", vec![1]));
     let auto = run_sweep(&plan, 0).expect("auto-sized sweep runs");
     let one = run_sweep(&plan, 1).expect("sequential sweep runs");
     assert_eq!(serde_json::to_string(&auto).unwrap(), serde_json::to_string(&one).unwrap());

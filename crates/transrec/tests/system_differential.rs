@@ -9,6 +9,9 @@
 //! The generator mirrors `crates/dbt/tests/equivalence.rs`: ALU and
 //! multiply ops over a register pool, and loads/stores through a reserved
 //! base register, here wrapped in a counted loop so the body turns hot.
+//! The body also holds forward conditional branches on pool registers,
+//! which split it into several traces and make a trace exit early on some
+//! iterations and fall through on others.
 
 use std::collections::HashMap;
 
@@ -85,6 +88,24 @@ fn any_body_instr() -> impl Strategy<Value = Instr> {
     ]
 }
 
+/// One loop-body step: an instruction, or a forward conditional branch
+/// that skips the next `over` steps (clamped to the end of the body).
+#[derive(Clone, Debug)]
+enum Step {
+    Instr(Instr),
+    Skip { op: BranchOp, rs1: Reg, rs2: Reg, over: usize },
+}
+
+fn any_step() -> impl Strategy<Value = Step> {
+    let ops =
+        [BranchOp::Eq, BranchOp::Ne, BranchOp::Lt, BranchOp::Ge, BranchOp::Ltu, BranchOp::Geu];
+    prop_oneof![
+        6 => any_body_instr().prop_map(Step::Instr),
+        1 => (0usize..ops.len(), any_pool_reg(), any_pool_reg(), 1usize..6)
+            .prop_map(move |(op, rs1, rs2, over)| Step::Skip { op: ops[op], rs1, rs2, over }),
+    ]
+}
+
 /// `lui` + `addi` loading the 32-bit constant `value` into `rd`.
 fn load_constant(rd: Reg, value: u32) -> [Instr; 2] {
     let upper = value.wrapping_add(0x800) & 0xffff_f000;
@@ -94,7 +115,7 @@ fn load_constant(rd: Reg, value: u32) -> [Instr; 2] {
 
 /// The program: seed the pool registers, the base pointer and the
 /// counter, run `body` `iterations` times, then `ebreak`.
-fn program(body: &[Instr], iterations: u32, seed: u32) -> Program {
+fn program(body: &[Step], iterations: u32, seed: u32) -> Program {
     let mut instrs = Vec::new();
     for (i, &reg) in POOL.iter().enumerate() {
         let value =
@@ -103,7 +124,16 @@ fn program(body: &[Instr], iterations: u32, seed: u32) -> Program {
     }
     instrs.extend(load_constant(BASE, DATA_BASE));
     instrs.extend(load_constant(COUNTER, iterations));
-    instrs.extend_from_slice(body);
+    for (i, step) in body.iter().enumerate() {
+        instrs.push(match *step {
+            Step::Instr(instr) => instr,
+            Step::Skip { op, rs1, rs2, over } => {
+                // Land on a later step or on the counter decrement.
+                let target = (i + 1 + over).min(body.len());
+                Instr::Branch { op, rs1, rs2, offset: 4 * (target - i) as i32 }
+            }
+        });
+    }
     instrs.push(Instr::OpImm { op: AluOp::Add, rd: COUNTER, rs1: COUNTER, imm: -1 });
     let back = -4 * (body.len() as i32 + 1);
     instrs.push(Instr::Branch { op: BranchOp::Ne, rs1: COUNTER, rs2: Reg::ZERO, offset: back });
@@ -142,7 +172,7 @@ proptest! {
 
     #[test]
     fn every_policy_and_fabric_matches_the_gpp(
-        body in proptest::collection::vec(any_body_instr(), 1..24),
+        body in proptest::collection::vec(any_step(), 1..24),
         iterations in 8u32..40,
         seed in any::<u32>(),
     ) {

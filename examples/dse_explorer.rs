@@ -44,8 +44,8 @@ pub fn run(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (ci, spec) in specs.iter().enumerate() {
-        let base = &runs[plan.index_of(ci, 0, 0)];
-        let rot = &runs[plan.index_of(ci, 0, 1)];
+        let base = &runs[plan.index_of(ci, 0)];
+        let rot = &runs[plan.index_of(ci, 1)];
         assert!(base.all_verified() && rot.all_verified());
         let cycles = |run: &transrec::SuiteRun| -> u64 {
             run.benchmarks.iter().map(|b| b.system_cycles).sum()

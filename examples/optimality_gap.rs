@@ -1,11 +1,13 @@
 //! Optimality gap in miniature: how far do the heuristics sit from the
-//! exact branch-and-bound oracle (DESIGN.md §15)?
+//! per-decision (myopic) `exact` oracle (DESIGN.md §15)?
 //!
 //! Runs the gap experiment on a single small layout — baseline, rotation
 //! and the health-aware scan against `exact` — across the default injected
 //! fault densities, and prints each policy's worst-FU duty as a multiple
-//! of the proven optimum. `results/gap.json` (via `cargo run --release -p
-//! bench --bin gap`) is the full-grid version of this table.
+//! of the oracle's. The oracle solves each placement decision exactly; it
+//! is not a proven optimum of the whole run. `results/gap.json` (via
+//! `cargo run --release -p bench --bin gap`) is the full-grid version of
+//! this table.
 //!
 //! ```sh
 //! cargo run --release --example optimality_gap [seed]
@@ -44,8 +46,9 @@ pub fn run(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
             row.duty_gap,
             row.offloads_starved,
         );
-        // The oracle is a true bound: no policy's gap may dip below 1
-        // (modulo the degenerate all-starved rows, which report 0 duty).
+        // On this grid no policy beats the per-decision oracle: no gap may
+        // dip below 1 (modulo the degenerate all-starved rows, which
+        // report 0 duty).
         assert!(
             row.duty_gap >= 1.0 || row.worst_utilization == 0.0,
             "{} beat the exact oracle on {} at density {}",

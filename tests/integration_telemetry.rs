@@ -16,7 +16,7 @@ fn suite_trace_composition_matches_the_merged_tracker() {
     let plan = SweepPlan::new(0xDAC2020)
         .fabric(Fabric::be())
         .policy(PolicySpec::rotation())
-        .suites(vec![SuiteSpec::subset("mini", vec![0, 1, 6])]) // bitcount, crc32, stringsearch
+        .suite(SuiteSpec::subset("mini", vec![0, 1, 6])) // bitcount, crc32, stringsearch
         .probe(ProbeSpec::util_trace(25_000));
     let runs = run_sweep(&plan, 2).expect("sweep runs");
     let run = &runs[0];
@@ -49,7 +49,7 @@ fn rotation_converges_faster_than_it_finishes() {
         .fabric(Fabric::be())
         .policy(PolicySpec::Baseline)
         .policy(PolicySpec::rotation())
-        .suites(vec![SuiteSpec::subset("mini", vec![7])]) // susan_corners (longest run)
+        .suite(SuiteSpec::subset("mini", vec![7])) // susan_corners (longest run)
         .probe(ProbeSpec::util_trace(5_000));
     let runs = run_sweep(&plan, 0).expect("sweep runs");
     let worst_of = |i: usize| {
