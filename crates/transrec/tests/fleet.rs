@@ -12,8 +12,11 @@
 //!    classes without changing any per-device result versus a solo run;
 //! 5. the report and metrics bytes of a small defective fleet are pinned.
 //! 6. shard splits that cut through defective lanes change no byte.
+//! 7. the report and metrics bytes of a heterogeneous fleet, where the
+//!    baseline starves configurations the mobile policies offload, are
+//!    pinned too.
 
-use cgra::Fabric;
+use cgra::{Fabric, FabricSpec};
 use lifetime::DeviceLifetime;
 use nbti::CalibratedAging;
 use transrec::fleet::{run_fleet, run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
@@ -333,4 +336,78 @@ fn defective_lanes_give_the_same_bytes_for_every_shard_split() {
             );
         }
     }
+}
+
+/// A fleet on the heterogeneous checkerboard under the whole policy
+/// series, two lanes and one defect, with wear fast enough that devices
+/// die before the horizon. The immobile baseline starves configurations
+/// whose origin anchor lacks the capability the mobile policies find
+/// elsewhere, so its missions diverge from theirs.
+fn pinned_het_plan() -> FleetPlan {
+    let fabric = "4x8:het-checker".parse::<FabricSpec>().unwrap().build().unwrap();
+    FleetPlan::new(0xDAC2020, fabric)
+        .policies(pinned_series())
+        .suite(SuiteSpec::subset("crc+dijkstra", vec![1, 2]))
+        .devices(5)
+        .lanes(2)
+        .shard_devices(2)
+        .defect(1, 0, 1)
+        .mission_years(1.0)
+        .horizon_years(30.0)
+}
+
+/// Baseline followed by the experiments' default policy series.
+fn pinned_series() -> Vec<PolicySpec> {
+    ["baseline", "rotation", "rotation:snake@per-load", "random", "health-aware"]
+        .iter()
+        .map(|spec| spec.parse().unwrap())
+        .collect()
+}
+
+/// FNV-1a of the heterogeneous pinned plan's report JSON.
+const PINNED_HET_REPORT_FNV: u64 = 0x18a3_f4be_ea6f_3d9e;
+/// FNV-1a of the heterogeneous pinned plan's metrics registry JSON.
+const PINNED_HET_METRICS_FNV: u64 = 0xcabc_e4fa_3c05_a8d3;
+
+/// The heterogeneous fleet's report and metrics registry are pinned byte
+/// for byte, captured while every mission still ran as its own session.
+#[test]
+fn fleet_het_bytes_match_the_pinned_capture() {
+    let plan = pinned_het_plan();
+    // The premise: on this fabric the baseline keeps configurations on
+    // the GPP that rotation places (dijkstra's; crc32 starves under
+    // neither).
+    let workload = &plan.suite.workloads(plan.base_seed)[1];
+    let starved = |spec: PolicySpec| {
+        let mut system = System::new(plan.config.clone(), spec.build());
+        system.run(workload.program()).expect("the workload runs");
+        system.stats().offloads_starved
+    };
+    assert!(starved(PolicySpec::Baseline) > starved(PolicySpec::rotation()));
+    let dir = std::env::temp_dir().join("uaware-fleet-tests");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join(format!("pinned-het-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = CampaignOptions {
+        checkpoint: Some(path.clone()),
+        collect_metrics: true,
+        ..CampaignOptions::default()
+    };
+    let status = run_fleet_campaign(&plan, 2, &options).expect("fleet runs");
+    let text = std::fs::read_to_string(&path).expect("checkpoint readable");
+    std::fs::remove_file(&path).ok();
+    let CampaignStatus::Complete(report) = status else { panic!("no stop was requested") };
+    assert!(report.policies.iter().all(|p| p.classes == 3), "the defect forks one class");
+    assert!(report.policies.iter().all(|p| p.stats.deaths > 0), "no device died");
+    let checkpoint: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let metrics = checkpoint.get("metrics").expect("the checkpoint carries the registry");
+    let metrics = serde_json::to_string(metrics).unwrap();
+    assert!(metrics.contains("system.offloads_starved"));
+    let report = serde_json::to_string(&*report).unwrap();
+    assert_eq!(fnv1a(&report), PINNED_HET_REPORT_FNV, "fleet report bytes changed:\n{report}");
+    assert_eq!(
+        fnv1a(&metrics),
+        PINNED_HET_METRICS_FNV,
+        "metrics registry bytes changed:\n{metrics}"
+    );
 }
