@@ -695,6 +695,53 @@ pub fn translate_trace(
         tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
         return Err(TranslateError::Unsupported { index: 0 });
     }
+    // Placement never covers more than the supported prefix (capped at
+    // `max_instrs`). When that prefix is already too short and the fabric
+    // has room for all of it, the placer would cover it whole and reject
+    // it: say so without building one.
+    let supported = instrs.iter().take(params.max_instrs).take_while(|i| is_supported(i)).count();
+    if supported < params.min_instrs && prefix_always_fits(fabric, &instrs[..supported]) {
+        tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+        return Err(TranslateError::TooShort { placed: supported, min: params.min_instrs });
+    }
+    place_trace(fabric, params, start_pc, instrs, terminator)
+}
+
+/// Whether greedy placement of the supported ops `prefix` on an empty
+/// fabric cannot fail. Each op binds at most two input lines and one
+/// output line, so `3 × len` context lines never run out; and each op
+/// starts at most `max(cols_per_cycle, 1)` columns after the latest
+/// completion before it, so the prefix ends within its summed spans plus
+/// those gaps. A span is bounded by the op's own latency, or the ALU's
+/// when constant folding turns it into a constant generator.
+fn prefix_always_fits(fabric: &Fabric, prefix: &[Instr]) -> bool {
+    let lat = &fabric.latencies;
+    let spans: u64 = prefix
+        .iter()
+        .map(|instr| {
+            let own = match instr {
+                Instr::MulDiv { .. } => lat.mul,
+                Instr::Load { .. } | Instr::Store { .. } => lat.mem,
+                _ => lat.alu,
+            };
+            own.max(lat.alu) as u64
+        })
+        .sum();
+    let gaps = prefix.len().saturating_sub(1) as u64 * fabric.cols_per_cycle.max(1) as u64;
+    fabric.ctx_lines as usize >= 3 * prefix.len() && spans + gaps <= fabric.cols as u64
+}
+
+/// The placing half of [`translate_trace`], after the checks that need no
+/// placer: places the longest prefix of `instrs`, rejects it when it is
+/// shorter than `params.min_instrs`, and resolves `terminator` on the
+/// fabric when the whole body fits.
+fn place_trace(
+    fabric: &Fabric,
+    params: &TranslatorParams,
+    start_pc: u32,
+    instrs: &[Instr],
+    terminator: Option<&Instr>,
+) -> Result<CachedConfig, TranslateError> {
     let mut placer = Placer::new(fabric);
     let mut covered = 0usize;
     let mut stop = StopReason::Complete;
@@ -777,4 +824,129 @@ pub fn translate_trace(
         cond_output_index,
         stop,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use cgra::OpLatencies;
+    use proptest::prelude::*;
+    use rv32::isa::{AluOp, BranchOp, LoadWidth, MulOp, StoreWidth};
+    use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
+
+    use super::*;
+
+    /// [`translate_trace`] as it was before the early rejection: every
+    /// supported trace builds a placer.
+    fn translate_trace_placing_all(
+        fabric: &Fabric,
+        params: &TranslatorParams,
+        start_pc: u32,
+        instrs: &[Instr],
+        terminator: Option<&Instr>,
+    ) -> Result<CachedConfig, TranslateError> {
+        let _span = tracing::span!(tracing::Level::DEBUG, "dbt.translate").entered();
+        tracing::event!(tracing::Level::TRACE, "dbt.translate.calls", "add" = 1);
+        if instrs.first().is_none_or(|i| !is_supported(i)) {
+            tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+            return Err(TranslateError::Unsupported { index: 0 });
+        }
+        place_trace(fabric, params, start_pc, instrs, terminator)
+    }
+
+    /// Logs every event as `name=value` pairs.
+    #[derive(Default)]
+    struct EventLog(RefCell<Vec<String>>);
+
+    impl Subscriber for EventLog {
+        fn new_span(&self, _: &Metadata<'_>) -> SpanId {
+            SpanId(0)
+        }
+        fn enter(&self, _: SpanId) {}
+        fn exit(&self, _: SpanId) {}
+        fn event(&self, event: &Event<'_>) {
+            for (key, value) in event.fields {
+                self.0.borrow_mut().push(format!("{}.{key}={value}", event.metadata.name));
+            }
+        }
+    }
+
+    /// `f`'s result and the events it fired.
+    fn logged<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
+        let log = Rc::new(EventLog::default());
+        let out = tracing::with_default(Dispatch::from_rc(log.clone()), f);
+        let events = log.0.take();
+        (out, events)
+    }
+
+    fn any_reg() -> impl Strategy<Value = Reg> {
+        (0u8..12).prop_map(Reg::x)
+    }
+
+    /// Supported fabric ops and the control instructions that end a trace.
+    fn any_instr() -> impl Strategy<Value = Instr> {
+        prop_oneof![
+            4 => (any_reg(), any_reg(), any_reg())
+                .prop_map(|(rd, rs1, rs2)| Instr::Op { op: AluOp::Xor, rd, rs1, rs2 }),
+            3 => (any_reg(), any_reg(), -8i32..8)
+                .prop_map(|(rd, rs1, imm)| Instr::OpImm { op: AluOp::Add, rd, rs1, imm }),
+            1 => (any_reg(), 0i32..16).prop_map(|(rd, v)| Instr::Lui { rd, imm: v << 12 }),
+            2 => (any_reg(), any_reg(), any_reg())
+                .prop_map(|(rd, rs1, rs2)| Instr::MulDiv { op: MulOp::Mul, rd, rs1, rs2 }),
+            1 => (any_reg(), any_reg(), any_reg())
+                .prop_map(|(rd, rs1, rs2)| Instr::MulDiv { op: MulOp::Div, rd, rs1, rs2 }),
+            2 => (any_reg(), any_reg(), 0i32..8).prop_map(|(rd, rs1, w)| {
+                Instr::Load { width: LoadWidth::W, rd, rs1, offset: 4 * w }
+            }),
+            2 => (any_reg(), any_reg(), 0i32..8).prop_map(|(rs2, rs1, w)| {
+                Instr::Store { width: StoreWidth::W, rs2, rs1, offset: 4 * w }
+            }),
+            1 => (any_reg(), any_reg())
+                .prop_map(|(rs1, rs2)| Instr::Branch { op: BranchOp::Ne, rs1, rs2, offset: -8 }),
+            1 => Just(Instr::Ebreak),
+        ]
+    }
+
+    /// Fabrics from roomy to too small for two ops, with every latency,
+    /// issue width and context-line count in play.
+    fn any_fabric() -> impl Strategy<Value = Fabric> {
+        (1u32..4, 1u32..12, 1u16..10, 0u32..3, (1u32..4, 1u32..6, 1u32..6)).prop_map(
+            |(rows, cols, ctx_lines, cols_per_cycle, (alu, mul, mem))| {
+                let mut fabric = Fabric::new(rows, cols.max(4));
+                fabric.cols = cols;
+                fabric.ctx_lines = ctx_lines;
+                fabric.cols_per_cycle = cols_per_cycle;
+                fabric.latencies = OpLatencies { alu, mul, mem };
+                fabric
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The early rejection returns exactly what placing the whole
+        /// prefix returns, `TooShort { placed, .. }` included, and fires
+        /// the same `dbt.translate.*` counters.
+        #[test]
+        fn early_rejection_matches_placing_the_whole_prefix(
+            fabric in any_fabric(),
+            instrs in proptest::collection::vec(any_instr(), 0..7),
+            terminator in (any::<bool>(), any_instr()),
+            min_instrs in 0usize..6,
+            max_instrs in 0usize..8,
+        ) {
+            let params = TranslatorParams { min_instrs, max_instrs };
+            let terminator = terminator.0.then_some(terminator.1);
+            let args = (&fabric, &params, 0x1000, &instrs[..], terminator.as_ref());
+            let (new, new_events) =
+                logged(|| translate_trace(args.0, args.1, args.2, args.3, args.4));
+            let (old, old_events) =
+                logged(|| translate_trace_placing_all(args.0, args.1, args.2, args.3, args.4));
+            prop_assert_eq!(new, old);
+            prop_assert_eq!(new_events, old_events);
+        }
+    }
 }

@@ -69,8 +69,27 @@ impl Workload {
                 panic!("kernel `{name}` does not assemble: line {line}: {msg}")
             }
         };
+        Workload::from_program(name, program, max_steps, expected)
+    }
+
+    /// Builds a workload from an already assembled program — a generated
+    /// one, say — and oracle expectations at its symbols.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an expected symbol is missing from the program.
+    pub fn from_program(
+        name: impl Into<String>,
+        program: Program,
+        max_steps: u64,
+        expected: Vec<(String, Vec<u8>)>,
+    ) -> Workload {
+        let name = name.into();
         for (sym, _) in &expected {
-            assert!(program.symbol(sym).is_some(), "kernel `{name}` lacks expected symbol `{sym}`");
+            assert!(
+                program.symbol(sym).is_some(),
+                "program `{name}` lacks expected symbol `{sym}`"
+            );
         }
         Workload { name, program, max_steps, expected }
     }

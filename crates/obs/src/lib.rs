@@ -29,7 +29,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
+use tracing::{Dispatch, Event, Level, Metadata, SpanId, Subscriber};
 
 /// The logarithmic bucket index of a `u64` observation: exact below 8,
 /// then 8 sub-buckets per power of two (≤ 12.5% relative error) — the
@@ -270,6 +270,31 @@ impl Registry {
         }
     }
 
+    /// Re-fires every instrument into the current thread's subscriber as
+    /// events: each counter as one `add`, each gauge as one `set`, and each
+    /// histogram bucket as `record`s of its floor value. A collector that
+    /// receives them ends up as if it had seen the original events, so a
+    /// work item can collect privately and publish only once it knows its
+    /// events should count. Without a subscriber this does nothing.
+    pub fn emit(&self) {
+        if tracing::with_current(|_| ()).is_none() {
+            return;
+        }
+        for (name, &v) in &self.counters {
+            tracing::event!(Level::TRACE, name, "add" = v);
+        }
+        for (name, &v) in &self.gauges {
+            tracing::event!(Level::TRACE, name, "set" = v);
+        }
+        for (name, h) in &self.histograms {
+            for &(bucket, count) in &h.buckets {
+                for _ in 0..count {
+                    tracing::event!(Level::TRACE, name, "record" = log_bucket_floor(bucket));
+                }
+            }
+        }
+    }
+
     /// Renders the registry as an aligned human-readable table (the `diag`
     /// binary's metrics section): counters, then gauges, then histogram
     /// totals with p50/p99, in name order.
@@ -305,15 +330,23 @@ impl Registry {
 
 /// A [`Subscriber`] that folds events into a [`Registry`] (DESIGN.md §16).
 ///
-/// Spans are accepted but ignored — only [`Profiler`] times them — so a
+/// Spans never enter the registry — only [`Profiler`] times them — so a
 /// collector observes exactly the event stream, which is what keeps its
-/// registry deterministic. Install one per work item with
-/// [`tracing::with_default`] (or use [`collect`]) and fold the finished
-/// registries in a deterministic order.
+/// registry deterministic. A collector made by [`collect`] hands its
+/// phase-level (`INFO` and above) spans on to the subscriber it shadows,
+/// so a profiler around a collected work item still sees the item's
+/// phases. Install one per work item with [`tracing::with_default`] (or
+/// use [`collect`]) and fold the finished registries in a deterministic
+/// order.
 #[derive(Clone, Default)]
 pub struct MetricsCollector {
     registry: Rc<RefCell<Registry>>,
+    /// Where phase-level spans go.
+    spans: Option<Dispatch>,
 }
+
+/// The span id a collector hands out for a span it does not forward.
+const UNFORWARDED: SpanId = SpanId(u64::MAX);
 
 impl MetricsCollector {
     /// A collector over a fresh registry.
@@ -333,13 +366,28 @@ impl MetricsCollector {
 }
 
 impl Subscriber for MetricsCollector {
-    fn new_span(&self, _metadata: &Metadata<'_>) -> SpanId {
-        SpanId(0)
+    fn new_span(&self, metadata: &Metadata<'_>) -> SpanId {
+        match &self.spans {
+            Some(outer)
+                if metadata.level >= Level::INFO && outer.subscriber().enabled(metadata) =>
+            {
+                outer.subscriber().new_span(metadata)
+            }
+            _ => UNFORWARDED,
+        }
     }
 
-    fn enter(&self, _id: SpanId) {}
+    fn enter(&self, id: SpanId) {
+        if let Some(outer) = self.spans.as_ref().filter(|_| id != UNFORWARDED) {
+            outer.subscriber().enter(id);
+        }
+    }
 
-    fn exit(&self, _id: SpanId) {}
+    fn exit(&self, id: SpanId) {
+        if let Some(outer) = self.spans.as_ref().filter(|_| id != UNFORWARDED) {
+            outer.subscriber().exit(id);
+        }
+    }
 
     fn event(&self, event: &Event<'_>) {
         let mut reg = self.registry.borrow_mut();
@@ -356,7 +404,9 @@ impl Subscriber for MetricsCollector {
 }
 
 /// Runs `f` with a fresh [`MetricsCollector`] installed as this thread's
-/// subscriber, returning `f`'s result and the collected registry.
+/// subscriber, returning `f`'s result and the collected registry. The
+/// collector shadows the thread's current subscriber for events only: its
+/// phase-level spans still reach it.
 ///
 /// # Examples
 ///
@@ -371,7 +421,8 @@ impl Subscriber for MetricsCollector {
 /// assert_eq!(reg.counter("loop.iterations"), 3);
 /// ```
 pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Registry) {
-    let collector = MetricsCollector::new();
+    let collector =
+        MetricsCollector { registry: Rc::default(), spans: tracing::with_current(Dispatch::clone) };
     let out = tracing::with_default(collector.dispatch(), f);
     (out, collector.finish())
 }
@@ -653,6 +704,42 @@ mod tests {
         assert_eq!(reg.histogram("step.cycles").unwrap().total(), 1);
         assert_eq!(reg.counter("solve.expanded"), 40, "bare keys become sub-counters");
         assert_eq!(reg.counter("solve.nogoods"), 2);
+    }
+
+    #[test]
+    fn emitted_registries_collect_to_themselves() {
+        let ((), reg) = collect(|| {
+            event!(Level::TRACE, "dbt.cache.hit", "add" = 3);
+            event!(Level::TRACE, "queue.depth", "set" = 9);
+            for v in [0u64, 7, 250, 251, 1 << 40] {
+                event!(Level::TRACE, "step.cycles", "record" = v);
+            }
+            event!(Level::TRACE, "solve", "expanded" = 40);
+        });
+        let ((), again) = collect(|| reg.emit());
+        assert_eq!(again, reg);
+        // Without a subscriber nothing is observed, and nothing breaks.
+        reg.emit();
+    }
+
+    #[test]
+    fn collected_work_keeps_its_phase_spans_in_the_profile() {
+        let profiler = Profiler::new();
+        let ((), reg) = tracing::with_default(profiler.dispatch(), || {
+            let _outer = span!(Level::INFO, "outer").entered();
+            collect(|| {
+                let _phase = span!(Level::INFO, "phase").entered();
+                let _detail = span!(Level::DEBUG, "detail").entered();
+                event!(Level::TRACE, "work.done", "add" = 1);
+            })
+        });
+        assert_eq!(reg.counter("work.done"), 1);
+        let report = profiler.report();
+        let outer = &report.roots[0];
+        assert_eq!(outer.children.len(), 1);
+        let phase = &outer.children[0];
+        assert_eq!((phase.name.as_str(), phase.calls), ("phase", 1));
+        assert!(phase.children.is_empty(), "debug spans stay with the collector");
     }
 
     #[test]

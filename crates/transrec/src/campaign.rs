@@ -28,7 +28,8 @@ use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec};
 
 use crate::sweep::{par_map_observed, SuiteSpec};
-use crate::system::{check_movement, System, SystemConfig, SystemError};
+use crate::system::{check_movement, SystemConfig, SystemError};
+use crate::tape::{TapeRun, TapeStore};
 
 /// Checkpoint format version of every campaign kind; bumped on any layout
 /// change so stale files are rejected instead of misread. v2 added the
@@ -250,36 +251,24 @@ impl ClassMap {
     }
 }
 
-/// Runs each of `workloads` to exit on a fresh system of `config` whose
-/// fabric carries `mask`: the suite pass both kinds simulate against a
-/// worn device. Lazy, so fleet stops at the first dead workload while
+/// Runs each workload of the task's `store` to exit under `spec` on a
+/// fabric that carries `mask`: the suite pass both kinds simulate against
+/// a worn device. Lazy, so fleet stops at the first dead workload while
 /// serving measures every one. An item is `Ok(None)` when the allocation
-/// is exhausted (the device is dead), else the finished system.
+/// is exhausted (the device is dead), else the run's statistics and
+/// tracker — recorded by a full session the first time a workload runs in
+/// the task, replayed from its offload tape after that (DESIGN.md §17).
 ///
 /// # Panics
 ///
-/// Panics when a workload's oracle rejects the run.
-pub(crate) fn run_masked<'a>(
-    config: &'a SystemConfig,
-    spec: &'a PolicySpec,
-    mask: &'a FaultMask,
-    workloads: &'a [Workload],
-) -> impl Iterator<Item = Result<Option<System>, SystemError>> + 'a {
-    workloads.iter().map(move |w| {
-        let mut system = System::new(config.clone(), spec.build());
-        system.set_fault_mask(Some(mask.clone()));
-        match system.run(w.program()) {
-            Ok(_) => {}
-            Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        assert!(
-            w.verify(system.cpu()).is_ok(),
-            "oracle failure under {spec} with {} dead FUs",
-            mask.dead_count()
-        );
-        Ok(Some(system))
-    })
+/// Panics when a workload's oracle rejects a full session, or a replayed
+/// configuration does not reproduce its recorded execution.
+pub(crate) fn run_masked<'s, 'a>(
+    store: &'s mut TapeStore<'a>,
+    spec: &'s PolicySpec,
+    mask: &'s FaultMask,
+) -> impl Iterator<Item = Result<Option<TapeRun>, SystemError>> + use<'s, 'a> {
+    (0..store.len()).map(move |workload| store.run(spec, mask, workload))
 }
 
 /// The names one campaign kind goes by: its checkpoint magic and its

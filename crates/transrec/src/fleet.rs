@@ -72,6 +72,7 @@ use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 use crate::campaign::{self, run_masked, Campaign, ClassKey, ClassMap, Kind, Population, Status};
 use crate::sweep::SuiteSpec;
 use crate::system::{SystemConfig, SystemError};
+use crate::tape::TapeStore;
 
 pub use crate::campaign::CampaignOptions;
 
@@ -377,7 +378,7 @@ pub(crate) struct ClassTrajectory {
 fn simulate_trajectory(
     plan: &FleetPlan,
     spec: &PolicySpec,
-    workloads: &[Workload],
+    store: &mut TapeStore<'_>,
     defects: &[(u32, u32)],
 ) -> Result<ClassTrajectory, SystemError> {
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, plan.inject_faults);
@@ -395,13 +396,13 @@ fn simulate_trajectory(
             let mut cycles = 0u64;
             // A copy, because a dead workload retires `life` mid-pass.
             let mask = life.fault_mask().clone();
-            for run in run_masked(&plan.config, spec, &mask, workloads) {
-                let Some(system) = run? else {
+            for run in run_masked(store, spec, &mask) {
+                let Some(run) = run? else {
                     life.retire();
                     break 'life;
                 };
-                cycles += system.stats().total_cycles();
-                merged.merge(system.tracker());
+                cycles += run.stats.total_cycles();
+                merged.merge(&run.tracker);
             }
             cached = Some((key, merged.duty_cycles(cycles)));
         }
@@ -444,15 +445,19 @@ impl Campaign for FleetPlan {
     };
 
     /// One class's deployment under every policy; fleet has one group.
+    /// The policies share one tape store, so each workload is recorded
+    /// once and replayed for every later policy and fault mask (DESIGN.md
+    /// §17).
     fn simulate(
         &self,
         _group: usize,
         (_, defects): &ClassKey,
         workloads: &[Workload],
     ) -> Vec<Result<ClassTrajectory, SystemError>> {
+        let mut store = TapeStore::new(&self.config, workloads);
         self.policies
             .iter()
-            .map(|spec| simulate_trajectory(self, spec, workloads, defects))
+            .map(|spec| simulate_trajectory(self, spec, &mut store, defects))
             .collect()
     }
 

@@ -67,6 +67,7 @@ pub mod fleet;
 pub mod scenario;
 pub mod sweep;
 pub mod system;
+pub mod tape;
 pub mod telemetry;
 pub mod traffic;
 

@@ -33,6 +33,7 @@ use rv32::Program;
 use serde::{Deserialize, Serialize};
 use uaware::{AllocRequest, AllocationPolicy, LegalPivots, PolicySpec, UtilizationTracker};
 
+use crate::tape::{LoggingBus, Recorder, Sample};
 use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent};
 
 /// Static system parameters.
@@ -360,18 +361,39 @@ enum ResidentTransition {
 /// the simulator — the cache stores this record itself. Only the legal
 /// pivots depend on the fault mask; a mask swap rebuilds them in place.
 #[derive(Clone)]
-struct Decoded {
+pub(crate) struct Decoded {
     /// The translated configuration.
-    cc: CachedConfig,
+    pub(crate) cc: CachedConfig,
     /// What the covered instructions would cost on the GPP.
     gpp_estimate: u64,
     /// Virtual cells the configuration occupies (`Configuration::cells`).
-    footprint: Vec<(u32, u32)>,
+    pub(crate) footprint: Vec<(u32, u32)>,
     /// Anchor-capability demands (`Configuration::demands`).
-    demands: Vec<(u32, u32, OpKind)>,
+    pub(crate) demands: Vec<(u32, u32, OpKind)>,
     /// Pivots the footprint may take under the installed fault mask and
     /// the fabric's class mix (DESIGN.md §11, §14).
     legal: LegalPivots,
+}
+
+/// Whether a configuration with `footprint` and anchor `demands` that the
+/// policy found no pivot for stays on the GPP (`true`) instead of ending
+/// the run with [`SystemError::AllocationExhausted`]. Genuine fault
+/// exhaustion — no offset fits the footprint on the live FUs — is the
+/// device's end of life (DESIGN.md §11). Anything else the policy gave up
+/// on is the class mix's fault, not the silicon's: the configuration
+/// starves (DESIGN.md §14). In degraded-but-operational mode (DESIGN.md
+/// §15) the GPP also absorbs whatever the policy cannot place on a faulted
+/// fabric — including the immobile baseline's dead origin — instead of the
+/// run dying.
+pub(crate) fn starves(
+    config: &SystemConfig,
+    footprint: &[(u32, u32)],
+    demands: &[(u32, u32, OpKind)],
+) -> bool {
+    let fabric = &config.fabric;
+    let fault_placeable = config.faults.as_ref().is_none_or(|m| m.any_placement(fabric, footprint));
+    (fault_placeable && !fabric.is_uniform() && !demands.is_empty())
+        || (config.fault_fallback && config.faults.is_some())
 }
 
 /// The TransRec system simulator.
@@ -402,6 +424,8 @@ pub struct System {
     probes: Vec<Box<dyn Observer>>,
     /// Ensures `on_finish` fires exactly once per session.
     finish_notified: bool,
+    /// The offload tape being recorded, if any (DESIGN.md §17).
+    recorder: Option<Recorder>,
 }
 
 impl fmt::Debug for System {
@@ -601,6 +625,7 @@ impl System {
             stats: SystemStats::default(),
             probes: Vec::new(),
             finish_notified: false,
+            recorder: None,
             config,
         }
     }
@@ -657,6 +682,22 @@ impl System {
     /// The installed permanent-failure map, if any.
     pub fn fault_mask(&self) -> Option<&FaultMask> {
         self.config.faults.as_ref()
+    }
+
+    /// The static system parameters, fault mask included.
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
+    }
+
+    /// Starts recording every allocation decision into an offload tape
+    /// (DESIGN.md §17), replacing any recording in progress.
+    pub(crate) fn start_recording(&mut self) {
+        self.recorder = Some(Recorder::default());
+    }
+
+    /// Stops recording and hands the recorded decisions back.
+    pub(crate) fn take_recording(&mut self) -> Option<Recorder> {
+        self.recorder.take()
     }
 
     /// The allocation policy's instance-level name (pattern, granularity
@@ -766,12 +807,11 @@ impl System {
     }
 
     /// Executes one offload (paper steps 5–7). Returns `false` — without
-    /// executing anything — when the allocation is *capability-starved*:
-    /// no pivot satisfies the configuration's non-ALU demands on this
-    /// fabric's class mix although a fault-free placement still exists, so
-    /// the configuration must stay on the GPP (DESIGN.md §14).
-    fn offload(&mut self, decoded: &Decoded) -> Result<bool, SystemError> {
-        let Decoded { cc, footprint, demands, legal, .. } = decoded;
+    /// executing anything — when the configuration [`starves`]: the policy
+    /// found no pivot, but the device is not dead, so the configuration
+    /// must stay on the GPP (DESIGN.md §14, §15).
+    fn offload(&mut self, decoded: &Arc<Decoded>) -> Result<bool, SystemError> {
+        let Decoded { cc, footprint, demands, legal, .. } = &**decoded;
         let fabric = self.config.fabric;
         let config_switch = !matches!(self.resident, Some((pc, _)) if pc == cc.start_pc);
         let offset = self.policy.next_offset(&AllocRequest {
@@ -781,26 +821,16 @@ impl System {
             tracker: &self.tracker,
             legal,
         });
+        let gpp_dirty = self.gpp_dirty;
         let Some(offset) = offset else {
-            // Genuine fault exhaustion — no offset fits the footprint on
-            // the live FUs — is the device's end of life (DESIGN.md §11).
-            // Anything else the policy gave up on is the class mix's fault,
-            // not the silicon's: keep the configuration on the GPP.
-            let fault_placeable =
-                self.config.faults.as_ref().is_none_or(|m| m.any_placement(&fabric, footprint));
-            if fault_placeable && !fabric.is_uniform() && !demands.is_empty() {
-                self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
-                return Ok(false);
+            if !starves(&self.config, footprint, demands) {
+                return Err(SystemError::AllocationExhausted { pc: cc.start_pc });
             }
-            // Degraded-but-operational mode (DESIGN.md §15): gap experiments
-            // inject faults into otherwise-healthy fabrics and want the GPP
-            // to absorb whatever the policy cannot place — including the
-            // immobile baseline's dead origin — not the run to die.
-            if self.config.fault_fallback && self.config.faults.is_some() {
-                self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
-                return Ok(false);
+            if let Some(recorder) = &mut self.recorder {
+                recorder.decision(decoded, config_switch, gpp_dirty, false);
             }
-            return Err(SystemError::AllocationExhausted { pc: cc.start_pc });
+            self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
+            return Ok(false);
         };
         if offset != Offset::ORIGIN && !self.config.movement_hardware {
             return Err(SystemError::MovementUnsupported { offset });
@@ -810,13 +840,30 @@ impl System {
 
         self.inputs.clear();
         self.inputs.extend(cc.input_regs.iter().map(|r| self.cpu.reg(*r)));
-        let mem_ops = Executor::new(&fabric).run(
-            &cc.config,
-            offset,
-            &self.inputs,
-            &mut MemoryBus::new(&mut self.cpu.mem),
-            &mut self.scratch,
-        )?;
+        let executor = Executor::new(&fabric);
+        let mut bus = MemoryBus::new(&mut self.cpu.mem);
+        // A recording logs the first execution of every configuration as
+        // the sample its replays are verified against.
+        let sampled = self.recorder.as_mut().and_then(|recorder| {
+            let config = recorder.decision(decoded, config_switch, gpp_dirty, true);
+            recorder.needs_sample(config).then_some((recorder, config))
+        });
+        let mem_ops = match sampled {
+            None => executor.run(&cc.config, offset, &self.inputs, &mut bus, &mut self.scratch)?,
+            Some((recorder, config)) => {
+                let mut logging = LoggingBus::new(bus);
+                let mem_ops = executor.run(
+                    &cc.config,
+                    offset,
+                    &self.inputs,
+                    &mut logging,
+                    &mut self.scratch,
+                )?;
+                let (inputs, outputs) = (self.inputs.clone(), self.scratch.outputs().to_vec());
+                recorder.set_sample(config, Sample { inputs, mem: logging.into_log(), outputs });
+                mem_ops
+            }
+        };
         let outputs = self.scratch.outputs();
         for (reg, value) in cc.output_regs.iter().zip(outputs) {
             self.cpu.set_reg(*reg, *value);

@@ -67,7 +67,8 @@ use crate::campaign::{
 use crate::dse::gpp_reference;
 use crate::fleet::DEFAULT_SHARD_DEVICES;
 use crate::sweep::SuiteSpec;
-use crate::system::{System, SystemConfig, SystemError};
+use crate::system::{SystemConfig, SystemError};
+use crate::tape::{TapeRun, TapeStore};
 use crate::telemetry::{EventCtx, Observer, ProbeReport, ProbeSpec, SimEvent};
 
 /// Seconds in one serving day.
@@ -609,26 +610,29 @@ impl CgraCost {
 /// offset), so the dead-FU count keys each distinct mask exactly
 /// (DESIGN.md §13).
 struct ServiceTable<'a> {
-    config: &'a SystemConfig,
     spec: &'a PolicySpec,
-    workloads: &'a [Workload],
     masks: BTreeMap<u32, Vec<Option<CgraCost>>>,
     simulated_services: u64,
 }
 
 impl<'a> ServiceTable<'a> {
-    fn new(config: &'a SystemConfig, spec: &'a PolicySpec, workloads: &'a [Workload]) -> Self {
-        ServiceTable { config, spec, workloads, masks: BTreeMap::new(), simulated_services: 0 }
+    fn new(spec: &'a PolicySpec) -> Self {
+        ServiceTable { spec, masks: BTreeMap::new(), simulated_services: 0 }
     }
 
     /// The per-workload fabric costs under `mask`, measuring every
-    /// workload on first use: a fresh system per request shape, run to
-    /// exit (DESIGN.md §13).
-    fn costs(&mut self, mask: &FaultMask) -> Result<&[Option<CgraCost>], SystemError> {
+    /// workload on first use: each request shape run to exit on a fresh
+    /// system, or replayed from the task's offload tape (DESIGN.md §13,
+    /// §17).
+    fn costs(
+        &mut self,
+        store: &mut TapeStore<'_>,
+        mask: &FaultMask,
+    ) -> Result<&[Option<CgraCost>], SystemError> {
         let key = mask.dead_count();
         if !self.masks.contains_key(&key) {
-            let cost = |s: System| CgraCost::new(s.stats().total_cycles(), s.tracker().clone());
-            let cgra = run_masked(self.config, self.spec, mask, self.workloads)
+            let cost = |run: TapeRun| CgraCost::new(run.stats.total_cycles(), run.tracker);
+            let cgra = run_masked(store, self.spec, mask)
                 .map(|run| Ok(run?.map(cost)))
                 .collect::<Result<Vec<_>, SystemError>>()?;
             self.simulated_services += cgra.len() as u64;
@@ -912,12 +916,12 @@ fn replacement_device(plan: &ServePlan) -> (DeviceLifetime, f64) {
 fn serve_policy(
     plan: &ServePlan,
     spec: &PolicySpec,
-    workloads: &[Workload],
+    store: &mut TapeStore<'_>,
     pattern: &[Vec<Arrival>],
     gpp: &[u64],
 ) -> Result<ServeTrajectory, SystemError> {
     let day_cycles = plan.day_cycles();
-    let mut table = ServiceTable::new(&plan.config, spec, workloads);
+    let mut table = ServiceTable::new(spec);
     let mut day_cache: BTreeMap<(u32, u64), DayOutcome> = BTreeMap::new();
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, true);
     let mut pre_age = 0.0f64;
@@ -930,7 +934,7 @@ fn serve_policy(
         let outcome = match day_cache.get(&key) {
             Some(outcome) => outcome.clone(),
             None => {
-                let cgra = table.costs(life.fault_mask())?;
+                let cgra = table.costs(store, life.fault_mask())?;
                 let outcome = run_service_day(
                     arrivals,
                     cgra,
@@ -1096,11 +1100,12 @@ impl Campaign for ServePlan {
         // GPP-only service cycles, the deferral path: they depend on neither
         // the policy nor the fault mask.
         let gpp = gpp_reference(&self.config, workloads);
+        let mut store = TapeStore::new(&self.config, workloads);
         self.policies
             .iter()
             .map(|spec| {
                 let gpp = gpp.as_ref().map_err(Clone::clone)?;
-                serve_policy(self, spec, workloads, &pattern, gpp)
+                serve_policy(self, spec, &mut store, &pattern, gpp)
             })
             .collect()
     }
@@ -1292,8 +1297,9 @@ pub fn probe_service_day(
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
     let gpp = gpp_reference(&plan.config, &workloads)?;
-    let mut table = ServiceTable::new(&plan.config, policy, &workloads);
-    let cgra = table.costs(&FaultMask::healthy(&plan.config.fabric))?;
+    let mut store = TapeStore::new(&plan.config, &workloads);
+    let mut table = ServiceTable::new(policy);
+    let cgra = table.costs(&mut store, &FaultMask::healthy(&plan.config.fabric))?;
     let arrivals = day_traffic(
         traffic,
         derive_cell_seed(plan.base_seed, lane as u64),
