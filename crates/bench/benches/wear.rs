@@ -1,8 +1,9 @@
-//! Hot paths of the closed-loop lifetime engine (DESIGN.md §11, §12): the
-//! per-mission wear update (equivalent-age composition across every FU),
-//! the columnar batch advance, a whole 100k-device fleet campaign, and the
-//! fault-masked allocation decision policies pay once dead FUs constrain
-//! placement.
+//! Hot paths of the closed-loop lifetime engine (DESIGN.md §11, §12, §17):
+//! the per-mission wear update (equivalent-age composition across every
+//! FU), the columnar batch advance, a whole 100k-device fleet campaign
+//! under one policy and under the five-policy series, recording and
+//! replaying a suite lane's offload tapes, and the fault-masked allocation
+//! decision policies pay once dead FUs constrain placement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,6 +13,8 @@ use lifetime::{WearBatch, WearGrid};
 use nbti::CalibratedAging;
 use transrec::fleet::{run_fleet, FleetPlan};
 use transrec::sweep::SuiteSpec;
+use transrec::tape::TapeStore;
+use transrec::SystemConfig;
 use uaware::{
     AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, PolicySpec, RotationPolicy,
     Snake, UtilizationGrid, UtilizationTracker,
@@ -56,11 +59,49 @@ fn bench_fleet_campaign(c: &mut Criterion) {
         .lanes(2)
         .mission_years(0.25)
         .horizon_years(2.0);
+    // The same fleet under the experiments' five-policy series: the first
+    // policy records each lane's tape and the other four replay it.
+    let series = ["baseline", "rotation", "rotation:snake@per-load", "random", "health-aware"];
+    let series_plan =
+        plan.clone().policies(series.iter().map(|s| s.parse::<PolicySpec>().expect("spec")));
     let mut group = c.benchmark_group("fleet_campaign");
     group.sample_size(10);
     group.bench_function("crc_100k_devices", |b| {
         b.iter(|| run_fleet(black_box(&plan), 1).expect("fleet runs"))
     });
+    group.bench_function("crc_100k_devices_5_policies", |b| {
+        b.iter(|| run_fleet(black_box(&series_plan), 1).expect("fleet runs"))
+    });
+    group.finish();
+}
+
+fn bench_tape(c: &mut Criterion) {
+    // One fleet lane's mission on the pristine BE fabric: the full suite
+    // at the experiments' seed. Recording runs every workload as a full
+    // session; a replay allocates the recorded offloads under a policy.
+    let config = SystemConfig::new(Fabric::be());
+    let workloads = SuiteSpec::full().workloads(0xDAC2020);
+    let pristine = FaultMask::healthy(&config.fabric);
+    let suite = |store: &mut TapeStore, spec: &PolicySpec| {
+        (0..workloads.len())
+            .map(|w| store.run(spec, &pristine, w).expect("runs").expect("alive").stats.offloads)
+            .sum::<u64>()
+    };
+    let mut group = c.benchmark_group("tape");
+    group.sample_size(10);
+    group.bench_function("record_be_suite_lane", |b| {
+        b.iter(|| suite(&mut TapeStore::new(&config, &workloads), &PolicySpec::Baseline))
+    });
+    let mut store = TapeStore::new(&config, &workloads);
+    let offloads = suite(&mut store, &PolicySpec::Baseline);
+    println!("tape: {offloads} offloads per BE suite lane");
+    for (name, spec) in
+        [("rotation", PolicySpec::rotation()), ("health_aware", PolicySpec::HealthAware)]
+    {
+        group.bench_function(format!("replay_be_suite_lane_{name}").as_str(), |b| {
+            b.iter(|| suite(&mut store, &spec))
+        });
+    }
     group.finish();
 }
 
@@ -99,5 +140,11 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wear_update, bench_fleet_campaign, bench_fault_masked_allocation);
+criterion_group!(
+    benches,
+    bench_wear_update,
+    bench_fleet_campaign,
+    bench_tape,
+    bench_fault_masked_allocation
+);
 criterion_main!(benches);

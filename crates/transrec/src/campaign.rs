@@ -12,7 +12,9 @@
 //! report); the engine owns everything else: the entry checks, the class
 //! partition (`ClassMap`), each lane's workload mix, the task shape, the
 //! trajectory slots, the shard split, and the suite pass on a faulted
-//! fabric (`run_masked`).
+//! fabric (`run_masked`), which runs through the task's tape store: each
+//! workload is recorded once per task and replayed for every other policy
+//! and fault mask (DESIGN.md §17).
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -261,8 +263,8 @@ impl ClassMap {
 ///
 /// # Panics
 ///
-/// Panics when a workload's oracle rejects a full session, or a replayed
-/// configuration does not reproduce its recorded execution.
+/// Panics when a workload's oracle rejects a full session, or a recorded
+/// configuration does not reproduce its sample.
 pub(crate) fn run_masked<'s, 'a>(
     store: &'s mut TapeStore<'a>,
     spec: &'s PolicySpec,

@@ -21,7 +21,11 @@
 //!    task per class simulates it under every policy on the reference
 //!    [`lifetime::DeviceLifetime`] path, re-running the suite only when
 //!    the fault mask changes: a homogeneous fleet costs one suite run per
-//!    distinct failure trajectory, not per device. Each (policy × class)
+//!    distinct failure trajectory, not per device. The task's policies
+//!    share one offload tape per workload ([`crate::tape`], DESIGN.md
+//!    §17): the first mission that needs a workload runs it as a full
+//!    session and records the tape, and every later policy and fault mask
+//!    replays it through the allocator alone. Each (policy × class)
 //!    trajectory records what that device lived through — death and
 //!    first-failure times, missions and failure events — which is the
 //!    outcome of every member of its class.
@@ -288,10 +292,11 @@ pub struct DeviceOutcome {
     pub first_failure_years: Option<f64>,
     /// Missions completed before death/horizon.
     pub missions: u64,
-    /// Suite simulations this device's equivalence class charged to it:
+    /// Suite evaluations this device's equivalence class charged to it,
+    /// each recorded as a full session or replayed from an offload tape:
     /// the class representative (its lowest device index) carries the
     /// class's full count, every other member reports 0 — missions beyond
-    /// those reused a cached duty grid (DESIGN.md §12).
+    /// those reused a cached duty grid (DESIGN.md §12, §17).
     pub simulated_missions: u64,
     /// Every end-of-life crossing, in event order.
     pub failures: Vec<FuFailed>,
@@ -308,8 +313,9 @@ pub struct PolicyFleet {
     pub survival: SurvivalCurve,
     /// Distinct equivalence classes the population collapsed into.
     pub classes: usize,
-    /// Suite simulations actually run across all classes (the cost the
-    /// class sharing amortizes over the whole fleet).
+    /// Suite evaluations actually run across all classes, recorded or
+    /// replayed (the cost the class sharing amortizes over the whole
+    /// fleet).
     pub simulated_missions: u64,
     /// Missions lived across the whole fleet (simulated or reused).
     pub total_missions: u64,
@@ -365,7 +371,8 @@ pub(crate) struct ClassTrajectory {
     missions: u64,
     /// Every end-of-life crossing, in event order.
     failures: Vec<FuFailed>,
-    /// Suite simulations actually run for this class.
+    /// Suite evaluations actually run for this class, recorded or
+    /// replayed.
     simulated_missions: u64,
 }
 

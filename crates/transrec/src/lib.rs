@@ -30,6 +30,9 @@
 //! * [`campaign`] — the one two-phase campaign engine both drive:
 //!   trajectories, sharded waves, kill-safe checkpoints
 //!   ([`campaign::CampaignOptions`], [`campaign::Status`]) (DESIGN.md §12).
+//! * [`tape`] — offload tapes: a workload's offload stream recorded by one
+//!   session and replayed under every other policy and fault mask
+//!   ([`tape::TapeStore`], DESIGN.md §17).
 //! * [`scenario`] — the paper's BE/BP/BU design points.
 //!
 //! # Examples

@@ -684,11 +684,6 @@ impl System {
         self.config.faults.as_ref()
     }
 
-    /// The static system parameters, fault mask included.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Starts recording every allocation decision into an offload tape
     /// (DESIGN.md §17), replacing any recording in progress.
     pub(crate) fn start_recording(&mut self) {
@@ -843,7 +838,7 @@ impl System {
         let executor = Executor::new(&fabric);
         let mut bus = MemoryBus::new(&mut self.cpu.mem);
         // A recording logs the first execution of every configuration as
-        // the sample its replays are verified against.
+        // the sample its tape is verified against (DESIGN.md §17).
         let sampled = self.recorder.as_mut().and_then(|recorder| {
             let config = recorder.decision(decoded, config_switch, gpp_dirty, true);
             recorder.needs_sample(config).then_some((recorder, config))

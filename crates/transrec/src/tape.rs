@@ -25,8 +25,7 @@ use std::collections::HashMap;
 use std::iter;
 use std::sync::Arc;
 
-use cgra::op::OpKind;
-use cgra::op::{LoadFunc, StoreFunc};
+use cgra::op::{LoadFunc, OpKind, StoreFunc};
 use cgra::{ExecScratch, Executor, Fabric, FaultMask, MemBus, MemFault, Offset};
 use dbt::membus::MemoryBus;
 use mibench::Workload;
@@ -94,15 +93,13 @@ struct ReplayBus<'a> {
 }
 
 impl ReplayBus<'_> {
-    /// The next logged access, if it is `expected`.
-    fn take(&mut self, addr: u32, expected: impl Fn(&MemAccess) -> bool) -> Result<(), MemFault> {
-        match self.log.get(self.next) {
-            Some(access) if expected(access) => {
-                self.next += 1;
-                Ok(())
-            }
-            _ => Err(MemFault { addr }),
+    /// Consumes the next logged access if it is `access`.
+    fn take(&mut self, addr: u32, access: MemAccess) -> Result<(), MemFault> {
+        if self.log.get(self.next) != Some(&access) {
+            return Err(MemFault { addr });
         }
+        self.next += 1;
+        Ok(())
     }
 }
 
@@ -112,12 +109,12 @@ impl MemBus for ReplayBus<'_> {
             Some(&MemAccess::Load { value, .. }) => value,
             _ => 0,
         };
-        self.take(addr, |a| *a == MemAccess::Load { addr, func, value })?;
+        self.take(addr, MemAccess::Load { addr, func, value })?;
         Ok(value)
     }
 
     fn store(&mut self, addr: u32, func: StoreFunc, value: u32) -> Result<(), MemFault> {
-        self.take(addr, |a| *a == MemAccess::Store { addr, func, value })
+        self.take(addr, MemAccess::Store { addr, func, value })
     }
 }
 
@@ -219,8 +216,11 @@ pub(crate) struct Tape {
     demands: Vec<(u32, u32, OpKind)>,
     /// The decisions, each with its repeat count, in order.
     steps: Vec<(Step, u32)>,
+    /// [`Recording::stats`].
     stats: SystemStats,
+    /// [`Recording::counters`].
     counters: Registry,
+    /// [`Recording::complete`].
     complete: bool,
 }
 
@@ -334,7 +334,7 @@ impl Tape {
     /// Each configuration's legal pivots are rebuilt for that mask. The
     /// policy and the tracker fire their events as in a full session, and
     /// every rotate fires `system.rotations`; the tape's own counters are
-    /// left to the caller ([`Tape::emit_counters`]).
+    /// left to the caller.
     pub(crate) fn replay(
         &self,
         config: &SystemConfig,
@@ -342,16 +342,12 @@ impl Tape {
     ) -> Replay {
         let fabric = &config.fabric;
         let faults = config.faults.as_ref();
-        let shape = |c: &TapeConfig| {
-            let footprint = &self.cells[c.footprint.0 as usize..c.footprint.1 as usize];
-            let demands = &self.demands[c.demands.0 as usize..c.demands.1 as usize];
-            (footprint, demands)
-        };
         let configs: Vec<_> = self
             .configs
             .iter()
             .map(|c| {
-                let (footprint, demands) = shape(c);
+                let footprint = &self.cells[c.footprint.0 as usize..c.footprint.1 as usize];
+                let demands = &self.demands[c.demands.0 as usize..c.demands.1 as usize];
                 let legal = LegalPivots::new(fabric, footprint, demands, faults);
                 let starves = starves(config, footprint, demands);
                 (footprint, legal, starves, c.cols_used)
@@ -400,11 +396,6 @@ impl Tape {
             return Replay::Diverged;
         }
         Replay::Done(TapeRun { stats: SystemStats { rotate_cycles, ..self.stats }, tracker })
-    }
-
-    /// Fires the recording session's policy-independent counters once.
-    pub(crate) fn emit_counters(&self) {
-        self.counters.emit();
     }
 }
 
@@ -455,13 +446,8 @@ impl<'a> TapeStore<'a> {
     }
 
     /// The number of workloads.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.workloads.len()
-    }
-
-    /// `true` when the store has no workloads.
-    pub fn is_empty(&self) -> bool {
-        self.workloads.is_empty()
     }
 
     /// Runs workload `workload` under `spec` on a fresh system whose fabric
@@ -510,13 +496,14 @@ impl<'a> TapeStore<'a> {
             let _fallback = span!(Level::INFO, "tape.fallback").entered();
             return self.session(&config, spec, workload);
         };
-        tape.emit_counters();
+        tape.counters.emit();
         Ok(Some(run))
     }
 
-    /// Runs workload `workload` as a full, recorded session and checks it
-    /// with the workload's oracle. Its recording becomes the workload's
-    /// tape, once verified, unless a complete tape is already stored.
+    /// Runs workload `workload` as a full session and checks it with the
+    /// workload's oracle. Unless a complete tape is already stored, the
+    /// session is recorded and, once verified, its recording becomes the
+    /// workload's tape.
     fn session(
         &mut self,
         config: &SystemConfig,
@@ -526,7 +513,13 @@ impl<'a> TapeStore<'a> {
         let w = &self.workloads[workload];
         let dead = || config.faults.as_ref().map_or(0, FaultMask::dead_count);
         let mut system = System::new(config.clone(), spec.build());
-        let (result, recording) = Recording::record(&mut system, w.program());
+        let stored = self.tapes[workload].as_ref();
+        let (result, recording) = if stored.is_none_or(|tape| !tape.complete) {
+            let (result, recording) = Recording::record(&mut system, w.program());
+            (result, Some(recording))
+        } else {
+            (system.run(w.program()), None)
+        };
         let run = match result {
             Ok(_) => {
                 assert!(
@@ -541,7 +534,7 @@ impl<'a> TapeStore<'a> {
         };
         drop(system);
         let stored = &mut self.tapes[workload];
-        if stored.as_ref().is_none_or(|tape| !tape.complete && recording.complete) {
+        if let Some(recording) = recording.filter(|r| stored.is_none() || r.complete) {
             let _verify = span!(Level::INFO, "tape.verify").entered();
             let tape = recording.into_tape(&config.fabric);
             *stored =

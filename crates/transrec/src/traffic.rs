@@ -19,7 +19,9 @@
 //! [`run_fleet_campaign`](crate::fleet::run_fleet_campaign): phase 1
 //! simulates one serving trajectory per (traffic × policy × lane)
 //! equivalence class — one task per (traffic × lane) generates that
-//! lane's arrival streams once and serves every policy from them — phase
+//! lane's arrival streams once and serves every policy from them, and
+//! measures each request shape's fabric cost by replaying one offload tape
+//! per workload ([`crate::tape`], DESIGN.md §17) — phase
 //! 2 streams device shards through a weighted merge of class outcomes,
 //! and a checkpointed campaign resumes byte-identically after any kill —
 //! `results/serving.json` is identical for every `--jobs` value, shard
@@ -873,7 +875,7 @@ pub(crate) struct ServeTrajectory {
     /// Distinct device-days actually simulated (the rest replayed the
     /// day cache).
     simulated_days: u64,
-    /// Fabric service measurements actually run.
+    /// Fabric service measurements actually run, recorded or replayed.
     simulated_services: u64,
 }
 
@@ -1020,7 +1022,9 @@ pub struct ServeCell {
     pub replacement_cost_cents: u64,
     /// Distinct device-days actually simulated across the cell's lanes.
     pub simulated_days: u64,
-    /// Fabric service measurements actually run across the cell's lanes.
+    /// Fabric service measurements actually run across the cell's lanes,
+    /// each recorded as a full session or replayed from an offload tape
+    /// (DESIGN.md §17).
     pub simulated_services: u64,
 }
 
