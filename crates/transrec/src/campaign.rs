@@ -11,17 +11,16 @@
 //! `Campaign` trait and keeps only its physics (simulate, observe,
 //! report); the engine owns everything else: the entry checks, the class
 //! partition (`ClassMap`), each lane's workload mix, the task shape, the
-//! trajectory slots, the shard split, and the suite pass on a faulted
-//! fabric (`run_masked`), which runs through the task's tape store: each
-//! workload is recorded once per task and replayed for every other policy
-//! and fault mask (DESIGN.md §17).
+//! trajectory slots and the shard split. A kind runs its suite passes on a
+//! faulted fabric through the task's [`TapeStore`](crate::tape::TapeStore):
+//! each workload is recorded once per task and replayed for every other
+//! policy and fault mask (DESIGN.md §17).
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use cgra::FaultMask;
 use mibench::Workload;
 use obs::Registry;
 use serde::{Deserialize, Serialize, Value};
@@ -31,7 +30,6 @@ use uaware::{derive_cell_seed, PolicySpec};
 
 use crate::sweep::{par_map_observed, SuiteSpec};
 use crate::system::{check_movement, SystemConfig, SystemError};
-use crate::tape::{TapeRun, TapeStore};
 
 /// Checkpoint format version of every campaign kind; bumped on any layout
 /// change so stale files are rejected instead of misread. v2 added the
@@ -251,26 +249,6 @@ impl ClassMap {
         }
         counts.into_iter().filter(|&(_, members)| members > 0).collect()
     }
-}
-
-/// Runs each workload of the task's `store` to exit under `spec` on a
-/// fabric that carries `mask`: the suite pass both kinds simulate against
-/// a worn device. Lazy, so fleet stops at the first dead workload while
-/// serving measures every one. An item is `Ok(None)` when the allocation
-/// is exhausted (the device is dead), else the run's statistics and
-/// tracker — recorded by a full session the first time a workload runs in
-/// the task, replayed from its offload tape after that (DESIGN.md §17).
-///
-/// # Panics
-///
-/// Panics when a workload's oracle rejects a full session, or a recorded
-/// configuration does not reproduce its sample.
-pub(crate) fn run_masked<'s, 'a>(
-    store: &'s mut TapeStore<'a>,
-    spec: &'s PolicySpec,
-    mask: &'s FaultMask,
-) -> impl Iterator<Item = Result<Option<TapeRun>, SystemError>> + use<'s, 'a> {
-    (0..store.len()).map(move |workload| store.run(spec, mask, workload))
 }
 
 /// The names one campaign kind goes by: its checkpoint magic and its

@@ -73,7 +73,7 @@ use nbti::CalibratedAging;
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::campaign::{self, run_masked, Campaign, ClassKey, ClassMap, Kind, Population, Status};
+use crate::campaign::{self, Campaign, ClassKey, ClassMap, Kind, Population, Status};
 use crate::sweep::SuiteSpec;
 use crate::system::{SystemConfig, SystemError};
 use crate::tape::TapeStore;
@@ -403,8 +403,8 @@ fn simulate_trajectory(
             let mut cycles = 0u64;
             // A copy, because a dead workload retires `life` mid-pass.
             let mask = life.fault_mask().clone();
-            for run in run_masked(store, spec, &mask) {
-                let Some(run) = run? else {
+            for workload in 0..plan.suite.members.len() {
+                let Some(run) = store.run(spec, &mask, workload)? else {
                     life.retire();
                     break 'life;
                 };

@@ -338,28 +338,11 @@ impl From<MemError> for SystemError {
     }
 }
 
-/// How an offload changed the resident configuration (drives the
-/// [`SimEvent::ConfigLoaded`]/[`SimEvent::Rotated`] emissions).
-enum ResidentTransition {
-    /// Same configuration at the same pivot (or a warm re-execution).
-    None,
-    /// The resident configuration moved to a new pivot.
-    Rotated {
-        /// The pivot it moved away from.
-        from: Offset,
-    },
-    /// A different configuration was streamed in.
-    Loaded {
-        /// Raw streaming cost over the configuration-bus lines.
-        stream_cycles: u64,
-    },
-}
-
 /// What every offload of a cached configuration needs, derived once when
 /// the DBT installs it (DESIGN.md §10): the hardware decodes a trace into
 /// the configuration cache once and executes it many times, and so does
-/// the simulator — the cache stores this record itself. Only the legal
-/// pivots depend on the fault mask; a mask swap rebuilds them in place.
+/// the simulator — the cache stores this record itself. Only its
+/// [`Legality`] depends on the fault mask; a mask swap rebuilds it.
 #[derive(Clone)]
 pub(crate) struct Decoded {
     /// The translated configuration.
@@ -370,30 +353,136 @@ pub(crate) struct Decoded {
     pub(crate) footprint: Vec<(u32, u32)>,
     /// Anchor-capability demands (`Configuration::demands`).
     pub(crate) demands: Vec<(u32, u32, OpKind)>,
-    /// Pivots the footprint may take under the installed fault mask and
-    /// the fabric's class mix (DESIGN.md §11, §14).
-    legal: LegalPivots,
+    /// Its allocation facts under the installed fault mask.
+    legality: Legality,
 }
 
-/// Whether a configuration with `footprint` and anchor `demands` that the
-/// policy found no pivot for stays on the GPP (`true`) instead of ending
-/// the run with [`SystemError::AllocationExhausted`]. Genuine fault
-/// exhaustion — no offset fits the footprint on the live FUs — is the
-/// device's end of life (DESIGN.md §11). Anything else the policy gave up
-/// on is the class mix's fault, not the silicon's: the configuration
-/// starves (DESIGN.md §14). In degraded-but-operational mode (DESIGN.md
-/// §15) the GPP also absorbs whatever the policy cannot place on a faulted
-/// fabric — including the immobile baseline's dead origin — instead of the
-/// run dying.
-pub(crate) fn starves(
-    config: &SystemConfig,
-    footprint: &[(u32, u32)],
-    demands: &[(u32, u32, OpKind)],
-) -> bool {
-    let fabric = &config.fabric;
-    let fault_placeable = config.faults.as_ref().is_none_or(|m| m.any_placement(fabric, footprint));
-    (fault_placeable && !fabric.is_uniform() && !demands.is_empty())
-        || (config.fault_fallback && config.faults.is_some())
+/// What allocating one configuration depends on under one fault mask and
+/// class mix: built at decode, at every mask swap, and per configuration
+/// of a replayed offload tape (DESIGN.md §17).
+#[derive(Clone)]
+pub(crate) struct Legality {
+    /// The pivots its footprint may take (DESIGN.md §11, §14).
+    legal: LegalPivots,
+    /// Whether the configuration stays on the GPP when the policy finds no
+    /// pivot, instead of ending the run with
+    /// [`SystemError::AllocationExhausted`]. Fault exhaustion — no offset
+    /// fits the footprint on the live FUs — is the device's end of life
+    /// (DESIGN.md §11); anything else is the class mix's fault, and the
+    /// configuration starves (DESIGN.md §14). In degraded-but-operational
+    /// mode (DESIGN.md §15) the GPP absorbs whatever the policy cannot
+    /// place on a faulted fabric, the baseline's dead origin included.
+    starves: bool,
+}
+
+impl Legality {
+    /// The facts of a configuration with `footprint` and anchor `demands`
+    /// on `config`'s fabric and fault mask.
+    pub(crate) fn new(
+        config: &SystemConfig,
+        footprint: &[(u32, u32)],
+        demands: &[(u32, u32, OpKind)],
+    ) -> Legality {
+        let (fabric, faults) = (&config.fabric, config.faults.as_ref());
+        let demanding = !fabric.is_uniform() && !demands.is_empty();
+        let starves = (config.fault_fallback && faults.is_some())
+            || (demanding && faults.is_none_or(|m| m.any_placement(fabric, footprint)));
+        Legality { legal: LegalPivots::new(fabric, footprint, demands, faults), starves }
+    }
+}
+
+/// The policy-dependent half of an offload (DESIGN.md §17): the policy,
+/// the utilization tracker and the resident pivot. A [`System`] session
+/// and an offload-tape replay both drive this one step. Choosing the pivot
+/// and recording the execution are two calls, so a session's observers
+/// see [`SimEvent::OffloadStarted`] before the tracker changes.
+pub(crate) struct Allocator {
+    policy: Box<dyn AllocationPolicy>,
+    pub(crate) tracker: UtilizationTracker,
+    /// The pivot of the last offload: the resident configuration's.
+    resident: Offset,
+    /// The physical cells handed to the tracker, reused.
+    cells: Vec<(u32, u32)>,
+}
+
+/// Where [`Allocator::choose`] placed an offload.
+pub(crate) struct Pivot {
+    pub(crate) offset: Offset,
+    /// The resident configuration rotated here from this pivot, exposing
+    /// these cycles.
+    pub(crate) rotated: Option<(Offset, u64)>,
+}
+
+// Inlined: a tape replay calls both steps per decision (~20% faster).
+impl Allocator {
+    /// A fresh step on `fabric` under `policy`.
+    pub(crate) fn new(fabric: &Fabric, policy: Box<dyn AllocationPolicy>) -> Allocator {
+        Allocator {
+            policy,
+            tracker: UtilizationTracker::new(fabric),
+            resident: Offset::ORIGIN,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Asks the policy for the pivot of the configuration at `pc` with
+    /// `footprint` and `legality` on `config`'s fabric. `config_switch`:
+    /// it is not the resident configuration; `gpp_dirty`: the GPP retired
+    /// instructions since the last offload. `Ok(None)` when the
+    /// configuration starves and stays on the GPP.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::AllocationExhausted`] when the policy found no pivot
+    /// and the configuration does not starve;
+    /// [`SystemError::MovementUnsupported`] for a pivot off the origin
+    /// without the movement hardware.
+    #[inline]
+    pub(crate) fn choose(
+        &mut self,
+        config: &SystemConfig,
+        pc: u32,
+        footprint: &[(u32, u32)],
+        legality: &Legality,
+        config_switch: bool,
+        gpp_dirty: bool,
+    ) -> Result<Option<Pivot>, SystemError> {
+        let offset = self.policy.next_offset(&AllocRequest {
+            fabric: &config.fabric,
+            config_switch,
+            footprint,
+            tracker: &self.tracker,
+            legal: &legality.legal,
+        });
+        let Some(offset) = offset else {
+            let exhausted = SystemError::AllocationExhausted { pc };
+            return if legality.starves { Ok(None) } else { Err(exhausted) };
+        };
+        if offset != Offset::ORIGIN && !config.movement_hardware {
+            return Err(SystemError::MovementUnsupported { offset });
+        }
+        // Moving the resident configuration rotates it (DESIGN.md §4.4): the
+        // per-column barrel shift proceeds behind the previous execution's
+        // left-to-right wave, so back-to-back executions hide it completely
+        // (the paper's "no significant performance overhead"). It is only
+        // exposed after GPP activity.
+        let rotated = (!config_switch && offset != self.resident)
+            .then_some((self.resident, if gpp_dirty { RESIDENT_ROTATE_CYCLES } else { 0 }));
+        self.resident = offset;
+        Ok(Some(Pivot { offset, rotated }))
+    }
+
+    /// Records one execution of `footprint`, using `cols_used` columns, at
+    /// the pivot [`choose`](Allocator::choose) last returned.
+    #[inline]
+    pub(crate) fn record(&mut self, fabric: &Fabric, footprint: &[(u32, u32)], cols_used: u32) {
+        // The tracker's accounting is order-independent, so the physical
+        // cells go in footprint order, unsorted.
+        let offset = self.resident;
+        self.cells.clear();
+        self.cells.extend(footprint.iter().map(|&(r, c)| offset.apply(fabric, r, c)));
+        self.tracker.record_execution(&self.cells, cols_used);
+    }
 }
 
 /// The TransRec system simulator.
@@ -404,20 +493,19 @@ pub struct System {
     /// One decoded record per cached start PC, kept in step with the
     /// fault mask.
     cache: ConfigCache<Arc<Decoded>>,
-    policy: Box<dyn AllocationPolicy>,
-    tracker: UtilizationTracker,
+    /// The policy, the tracker and the resident pivot.
+    alloc: Allocator,
     reconfig_unit: ReconfigUnit,
-    resident: Option<(u32, Offset)>,
+    /// Start PC of the resident configuration.
+    resident: Option<u32>,
     /// Whether the GPP has retired anything since the last offload (if not,
     /// a re-execution of the resident configuration finds its input context
     /// still valid and skips the transfer).
     gpp_dirty: bool,
     /// Offload buffers, reused so an offload allocates nothing: the input
-    /// context, the executor's working memory, and the physical cells
-    /// handed to the tracker.
+    /// context and the executor's working memory.
     inputs: Vec<u32>,
     scratch: ExecScratch,
-    cells: Vec<(u32, u32)>,
     /// The built-in fold over the event stream (DESIGN.md §10).
     stats: SystemStats,
     /// Attached telemetry probes; each sees the identical stream.
@@ -432,7 +520,7 @@ impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
             .field("fabric", &self.config.fabric)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.alloc.policy.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -614,14 +702,12 @@ impl System {
             cpu: Cpu::with_timing(config.mem_size, config.timing),
             translator: Translator::with_params(config.fabric, config.translator),
             cache: ConfigCache::new(config.cache_capacity),
-            policy,
-            tracker: UtilizationTracker::new(&config.fabric),
+            alloc: Allocator::new(&config.fabric, policy),
             reconfig_unit,
             resident: None,
             gpp_dirty: true,
             inputs: Vec::new(),
             scratch: ExecScratch::new(),
-            cells: Vec::new(),
             stats: SystemStats::default(),
             probes: Vec::new(),
             finish_notified: false,
@@ -655,16 +741,17 @@ impl System {
 
     /// The utilization tracker (per-FU stress observations).
     pub fn tracker(&self) -> &UtilizationTracker {
-        &self.tracker
+        &self.alloc.tracker
     }
 
     /// Installs (or clears) the permanent-failure map the allocation policy
     /// must route around (DESIGN.md §11). The lifetime engine updates the
     /// mask between missions as FUs cross their end of life; once no legal
     /// placement remains, runs fail with
-    /// [`SystemError::AllocationExhausted`]. The legal pivots of every
-    /// cached configuration are rebuilt against the new mask, so the swap
-    /// takes effect at the next offload, also in a resumed session.
+    /// [`SystemError::AllocationExhausted`]. The legal pivots and the
+    /// starve flag of every cached configuration are rebuilt against the
+    /// new mask, so the swap takes effect at the next offload, also in a
+    /// resumed session.
     ///
     /// # Panics
     ///
@@ -672,10 +759,9 @@ impl System {
     pub fn set_fault_mask(&mut self, mask: Option<FaultMask>) {
         assert_mask_fits(&self.config.fabric, mask.as_ref());
         self.config.faults = mask;
-        let (fabric, faults) = (&self.config.fabric, self.config.faults.as_ref());
         for record in self.cache.iter_mut() {
             let record = Arc::make_mut(record);
-            record.legal = LegalPivots::new(fabric, &record.footprint, &record.demands, faults);
+            record.legality = Legality::new(&self.config, &record.footprint, &record.demands);
         }
     }
 
@@ -698,7 +784,7 @@ impl System {
     /// The allocation policy's instance-level name (pattern, granularity
     /// and seed included, e.g. `rotation:snake@per-load`).
     pub fn policy_name(&self) -> String {
-        self.policy.name()
+        self.alloc.policy.name()
     }
 
     /// What the covered instructions would cost on the GPP.
@@ -726,16 +812,15 @@ impl System {
     fn decode(&self, cc: CachedConfig) -> Decoded {
         let footprint: Vec<(u32, u32)> = cc.config.cells().collect();
         let demands: Vec<(u32, u32, OpKind)> = cc.config.demands().collect();
-        let config = &self.config;
-        let legal = LegalPivots::new(&config.fabric, &footprint, &demands, config.faults.as_ref());
-        Decoded { gpp_estimate: self.estimate_gpp_cycles(&cc), footprint, demands, legal, cc }
+        let legality = Legality::new(&self.config, &footprint, &demands);
+        Decoded { gpp_estimate: self.estimate_gpp_cycles(&cc), footprint, demands, legality, cc }
     }
 
     /// Counts one event in the built-in fold and publishes it to every
     /// attached probe (identical stream, attachment order).
     fn emit(&mut self, event: SimEvent) {
         self.stats.record(&event);
-        let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
+        let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.alloc.tracker };
         for probe in &mut self.probes {
             probe.on_event(&ctx, &event);
         }
@@ -748,14 +833,15 @@ impl System {
             return;
         }
         self.finish_notified = true;
-        let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
+        let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.alloc.tracker };
         for probe in &mut self.probes {
             probe.on_finish(&ctx);
         }
     }
 
     /// Offload cost components for `cc` at the current resident state,
-    /// plus how the offload changes the resident configuration.
+    /// with `rotate` exposed rotate cycles, plus the raw cycles of
+    /// streaming it in on a `config_switch`.
     ///
     /// Overlap model (DESIGN.md §4): the input-context transfer overlaps
     /// with configuration streaming (both happen before execution, on
@@ -765,87 +851,63 @@ impl System {
     fn offload_overheads(
         &self,
         cc: &CachedConfig,
-        offset: Offset,
-    ) -> (OffloadOverheads, ResidentTransition) {
+        config_switch: bool,
+        rotate: u64,
+    ) -> (OffloadOverheads, u64) {
         let wpc = self.config.transfer_words_per_cycle as u64;
-        let same_config = matches!(self.resident, Some((pc, _)) if pc == cc.start_pc);
         // A back-to-back re-execution of the resident configuration with no
         // intervening GPP activity finds the input context still valid
         // (loop-carried values feed back, invariants were already loaded).
-        let input = if same_config && !self.gpp_dirty {
+        let input = if !config_switch && !self.gpp_dirty {
             0
         } else {
             (cc.input_regs.len() as u64).div_ceil(wpc)
         };
         let exec = self.config.fabric.exec_cycles(cc.config.cols_used());
         let out_drain = (cc.output_regs.len() as u64).div_ceil(wpc).saturating_sub(exec);
-        let (reconfig_extra, rotate, transition) = match self.resident {
-            Some((pc, old)) if pc == cc.start_pc && old == offset => {
-                (0, 0, ResidentTransition::None)
-            }
-            Some((pc, old)) if pc == cc.start_pc => {
-                // Rotating the resident configuration: the per-column barrel
-                // shift proceeds behind the previous execution's
-                // left-to-right wave, so back-to-back executions hide it
-                // completely (the paper's "no significant performance
-                // overhead"). It is only exposed after GPP activity.
-                let rotate = if self.gpp_dirty { RESIDENT_ROTATE_CYCLES } else { 0 };
-                (0, rotate, ResidentTransition::Rotated { from: old })
-            }
-            _ => {
-                let load =
-                    self.reconfig_unit.load_cycles(&self.config.fabric, cc.config.cols_used());
-                (load.saturating_sub(input), 0, ResidentTransition::Loaded { stream_cycles: load })
-            }
+        let stream = if config_switch {
+            self.reconfig_unit.load_cycles(&self.config.fabric, cc.config.cols_used())
+        } else {
+            0
         };
-        (OffloadOverheads { input, out_drain, reconfig_extra, rotate }, transition)
+        let reconfig_extra = stream.saturating_sub(input);
+        (OffloadOverheads { input, out_drain, reconfig_extra, rotate }, stream)
     }
 
-    /// Executes one offload (paper steps 5–7). Returns `false` — without
-    /// executing anything — when the configuration [`starves`]: the policy
-    /// found no pivot, but the device is not dead, so the configuration
-    /// must stay on the GPP (DESIGN.md §14, §15).
+    /// Executes one offload (paper steps 5–7) at the pivot the
+    /// [`Allocator`] chose. Returns `false` — without executing anything —
+    /// when the configuration starves: the policy found no pivot, but the
+    /// device is not dead, so the configuration must stay on the GPP
+    /// (DESIGN.md §14, §15).
     fn offload(&mut self, decoded: &Arc<Decoded>) -> Result<bool, SystemError> {
-        let Decoded { cc, footprint, demands, legal, .. } = &**decoded;
+        let Decoded { cc, footprint, legality, .. } = &**decoded;
         let fabric = self.config.fabric;
-        let config_switch = !matches!(self.resident, Some((pc, _)) if pc == cc.start_pc);
-        let offset = self.policy.next_offset(&AllocRequest {
-            fabric: &fabric,
-            config_switch,
-            footprint,
-            tracker: &self.tracker,
-            legal,
-        });
+        let (pc, cols_used) = (cc.start_pc, cc.config.cols_used());
+        let config_switch = self.resident != Some(pc);
         let gpp_dirty = self.gpp_dirty;
-        let Some(offset) = offset else {
-            if !starves(&self.config, footprint, demands) {
-                return Err(SystemError::AllocationExhausted { pc: cc.start_pc });
-            }
-            if let Some(recorder) = &mut self.recorder {
-                recorder.decision(decoded, config_switch, gpp_dirty, false);
-            }
-            self.emit(SimEvent::AllocationStarved { pc: cc.start_pc });
+        let pivot =
+            self.alloc.choose(&self.config, pc, footprint, legality, config_switch, gpp_dirty)?;
+        // A recording logs every decision, and the first execution of each
+        // configuration as the sample its tape is verified against
+        // (DESIGN.md §17).
+        let sampled = self.recorder.as_mut().and_then(|recorder| {
+            let config = recorder.decision(decoded, config_switch, gpp_dirty, pivot.is_some());
+            recorder.needs_sample(config).then_some(config)
+        });
+        let Some(Pivot { offset, rotated }) = pivot else {
+            self.emit(SimEvent::AllocationStarved { pc });
             return Ok(false);
         };
-        if offset != Offset::ORIGIN && !self.config.movement_hardware {
-            return Err(SystemError::MovementUnsupported { offset });
-        }
-        let (ov, transition) = self.offload_overheads(cc, offset);
-        self.emit(SimEvent::OffloadStarted { pc: cc.start_pc, offset, config_switch });
+        let rotate = rotated.map_or(0, |(_, cycles)| cycles);
+        let (ov, stream_cycles) = self.offload_overheads(cc, config_switch, rotate);
+        self.emit(SimEvent::OffloadStarted { pc, offset, config_switch });
 
         self.inputs.clear();
         self.inputs.extend(cc.input_regs.iter().map(|r| self.cpu.reg(*r)));
         let executor = Executor::new(&fabric);
         let mut bus = MemoryBus::new(&mut self.cpu.mem);
-        // A recording logs the first execution of every configuration as
-        // the sample its tape is verified against (DESIGN.md §17).
-        let sampled = self.recorder.as_mut().and_then(|recorder| {
-            let config = recorder.decision(decoded, config_switch, gpp_dirty, true);
-            recorder.needs_sample(config).then_some((recorder, config))
-        });
-        let mem_ops = match sampled {
-            None => executor.run(&cc.config, offset, &self.inputs, &mut bus, &mut self.scratch)?,
-            Some((recorder, config)) => {
+        let mem_ops = match (sampled, &mut self.recorder) {
+            (Some(config), Some(recorder)) => {
                 let mut logging = LoggingBus::new(bus);
                 let mem_ops = executor.run(
                     &cc.config,
@@ -858,6 +920,7 @@ impl System {
                 recorder.set_sample(config, Sample { inputs, mem: logging.into_log(), outputs });
                 mem_ops
             }
+            _ => executor.run(&cc.config, offset, &self.inputs, &mut bus, &mut self.scratch)?,
         };
         let outputs = self.scratch.outputs();
         for (reg, value) in cc.output_regs.iter().zip(outputs) {
@@ -875,32 +938,20 @@ impl System {
             _ => cc.next_pc(),
         };
         self.cpu.set_pc(next_pc);
-        self.resident = Some((cc.start_pc, offset));
+        self.resident = Some(pc);
 
-        // The tracker's accounting is order-independent, so the physical
-        // cells go in footprint order, unsorted.
-        self.cells.clear();
-        self.cells.extend(footprint.iter().map(|&(r, c)| offset.apply(&fabric, r, c)));
-        self.tracker.record_execution(&self.cells, cc.config.cols_used());
-        let exec_cycles = fabric.exec_cycles(cc.config.cols_used());
+        self.alloc.record(&fabric, footprint, cols_used);
+        let exec_cycles = fabric.exec_cycles(cols_used);
         self.cpu.add_cycles(exec_cycles + ov.total());
-        match transition {
-            ResidentTransition::None => {}
-            ResidentTransition::Rotated { from } => self.emit(SimEvent::Rotated {
-                pc: cc.start_pc,
-                from,
-                to: offset,
-                cycles: ov.rotate,
-            }),
-            ResidentTransition::Loaded { stream_cycles } => self.emit(SimEvent::ConfigLoaded {
-                pc: cc.start_pc,
-                cols_used: cc.config.cols_used(),
-                stream_cycles,
-                exposed_cycles: ov.reconfig_extra,
-            }),
+        if let Some((from, cycles)) = rotated {
+            self.emit(SimEvent::Rotated { pc, from, to: offset, cycles });
+        }
+        if config_switch {
+            let exposed_cycles = ov.reconfig_extra;
+            self.emit(SimEvent::ConfigLoaded { pc, cols_used, stream_cycles, exposed_cycles });
         }
         self.emit(SimEvent::OffloadCompleted {
-            pc: cc.start_pc,
+            pc,
             offset,
             instr_count: cc.instr_count,
             exec_cycles,
@@ -908,7 +959,7 @@ impl System {
             loads: mem_ops.loads as u64,
             stores: mem_ops.stores as u64,
             active_fus: footprint.len() as u64,
-            cols_used: cc.config.cols_used(),
+            cols_used,
         });
         self.gpp_dirty = false;
         Ok(true)

@@ -12,14 +12,15 @@
 //! configuration switch, whether the GPP ran since the last offload, and
 //! whether the decision offloaded or starved — plus the session's
 //! policy-independent statistics and counters, and one execution sample
-//! per configuration. A *replay* drives only the policy, the tracker and
-//! the rotate accounting over the tape, and yields the statistics and
-//! tracker a full session would.
+//! per configuration. A session that dies leaves no tape. A *replay*
+//! walks the tape through the session's own allocation step
+//! (`system::Allocator`: the policy, the tracker and the resident
+//! rotate), and yields the statistics and tracker a full session would.
 //!
 //! [`TapeStore`] is the masked-suite runner the campaigns' phase-1 tasks
 //! use: the first policy that needs a workload runs it as a full session
 //! and records its tape; every later policy and fault mask replays it, and
-//! falls back to a full session where the replay cannot stand for one.
+//! falls back to a full session wherever the replay cannot stand for one.
 
 use std::collections::HashMap;
 use std::iter;
@@ -33,9 +34,9 @@ use obs::Registry;
 use rv32::cpu::Exit;
 use rv32::Program;
 use tracing::{span, Level};
-use uaware::{AllocRequest, AllocationPolicy, LegalPivots, PolicySpec, UtilizationTracker};
+use uaware::{AllocationPolicy, PolicySpec, UtilizationTracker};
 
-use crate::system::{starves, Decoded, System, SystemConfig, SystemError, SystemStats};
+use crate::system::{Allocator, Decoded, Legality, System, SystemConfig, SystemError, SystemStats};
 
 /// One memory access of a sampled execution, in issue order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,22 +183,22 @@ impl Recorder {
     }
 }
 
-/// A finished recording: the session's decisions, samples, statistics and
-/// counters, not yet verified.
+/// The recording of a session that ran to exit: its decisions, samples,
+/// statistics and counters, not yet verified.
 pub(crate) struct Recording {
     recorder: Recorder,
     /// The session's statistics without its rotate cycles: the fields
     /// every policy that agrees with the tape shares.
     stats: SystemStats,
     /// The session's `dbt.*` counters and its `system.*` counters other
-    /// than `system.rotations` (empty when it ran without a subscriber).
-    counters: Registry,
-    /// The session ran to exit. A run that died leaves a partial tape.
-    complete: bool,
+    /// than `system.rotations`; `None` when it ran without a subscriber.
+    counters: Option<Registry>,
 }
 
 /// What a replay needs of one configuration.
 struct TapeConfig {
+    /// Its start PC.
+    pc: u32,
     /// Its virtual cells: `Tape::cells[footprint.0..footprint.1]`.
     footprint: (u32, u32),
     /// Its anchor demands: `Tape::demands[demands.0..demands.1]`.
@@ -219,21 +220,7 @@ pub(crate) struct Tape {
     /// [`Recording::stats`].
     stats: SystemStats,
     /// [`Recording::counters`].
-    counters: Registry,
-    /// [`Recording::complete`].
-    complete: bool,
-}
-
-/// How a replay ended.
-pub(crate) enum Replay {
-    /// The policy agreed with the tape to its end: what the full session
-    /// would have reported.
-    Done(TapeRun),
-    /// The policy found no pivot where the full session dies.
-    Exhausted,
-    /// The policy disagreed with the tape on offload vs. starve, picked a
-    /// pivot the hardware cannot reach, or ran past a partial tape.
-    Diverged,
+    counters: Option<Registry>,
 }
 
 /// Whether the current thread has a subscriber that would see events.
@@ -243,13 +230,14 @@ fn subscribed() -> bool {
 
 impl Recording {
     /// Runs `program` to exit on `system` (a fresh system) and records its
-    /// decisions. With a subscriber installed the session's events are
-    /// collected and re-fired, so the subscriber sees them unchanged and
-    /// the recording keeps the policy-independent ones.
+    /// decisions; `None` for a session that did not run to exit. With a
+    /// subscriber installed the session's events are collected and
+    /// re-fired, so the subscriber sees them unchanged and the recording
+    /// keeps the policy-independent ones.
     pub(crate) fn record(
         system: &mut System,
         program: &Program,
-    ) -> (Result<Exit, SystemError>, Recording) {
+    ) -> (Result<Exit, SystemError>, Option<Recording>) {
         system.start_recording();
         let run = |system: &mut System| system.session(program).and_then(|mut s| s.finish());
         let (result, counters) = if subscribed() {
@@ -263,16 +251,16 @@ impl Recording {
                     counters.counter_add(name, value);
                 }
             }
-            (result, counters)
+            (result, Some(counters))
         } else {
-            (run(system), Registry::new())
+            (run(system), None)
         };
-        let recording = Recording {
-            recorder: system.take_recording().expect("recording started above"),
+        let recorder = system.take_recording().expect("recording started above");
+        let recording = result.is_ok().then(|| Recording {
+            recorder,
             stats: SystemStats { rotate_cycles: 0, ..*system.stats() },
             counters,
-            complete: result.is_ok(),
-        };
+        });
         (result, recording)
     }
 
@@ -313,13 +301,13 @@ impl Recording {
             steps: self.recorder.steps.clone(),
             stats: self.stats,
             counters: self.counters,
-            complete: self.complete,
         };
         for Recorded { decoded, .. } in recorded {
             let (cells, demands) = (tape.cells.len() as u32, tape.demands.len() as u32);
             tape.cells.extend_from_slice(&decoded.footprint);
             tape.demands.extend_from_slice(&decoded.demands);
             tape.configs.push(TapeConfig {
+                pc: decoded.cc.start_pc,
                 footprint: (cells, tape.cells.len() as u32),
                 demands: (demands, tape.demands.len() as u32),
                 cols_used: decoded.cc.config.cols_used(),
@@ -330,72 +318,53 @@ impl Recording {
 }
 
 impl Tape {
-    /// Replays the tape under `policy` on `config`'s fabric and fault mask.
-    /// Each configuration's legal pivots are rebuilt for that mask. The
+    /// Replays the tape under `policy` on `config`'s fabric and fault mask,
+    /// through the session's own allocation step with each
+    /// configuration's [`Legality`] built for that mask. `None` as soon as
+    /// the step disagrees with the tape on offload vs. starve, or fails
+    /// where the session would end (a dead device, or a pivot the
+    /// hardware cannot reach): only a full session reports those. The
     /// policy and the tracker fire their events as in a full session, and
     /// every rotate fires `system.rotations`; the tape's own counters are
     /// left to the caller.
     pub(crate) fn replay(
         &self,
         config: &SystemConfig,
-        policy: &mut dyn AllocationPolicy,
-    ) -> Replay {
+        policy: Box<dyn AllocationPolicy>,
+    ) -> Option<TapeRun> {
         let fabric = &config.fabric;
-        let faults = config.faults.as_ref();
         let configs: Vec<_> = self
             .configs
             .iter()
             .map(|c| {
                 let footprint = &self.cells[c.footprint.0 as usize..c.footprint.1 as usize];
                 let demands = &self.demands[c.demands.0 as usize..c.demands.1 as usize];
-                let legal = LegalPivots::new(fabric, footprint, demands, faults);
-                let starves = starves(config, footprint, demands);
-                (footprint, legal, starves, c.cols_used)
+                (c, footprint, Legality::new(config, footprint, demands))
             })
             .collect();
-        let mut tracker = UtilizationTracker::new(fabric);
-        let mut cells = Vec::new();
-        let mut resident = Offset::ORIGIN;
+        let mut alloc = Allocator::new(fabric, policy);
         let mut rotate_cycles = 0u64;
         let steps =
             self.steps.iter().flat_map(|&(step, repeats)| iter::repeat_n(step, repeats as usize));
         for step in steps {
-            let (footprint, legal, starves, cols_used) = &configs[step.config as usize];
-            let offset = policy.next_offset(&AllocRequest {
-                fabric,
-                config_switch: step.config_switch,
-                footprint,
-                tracker: &tracker,
-                legal,
-            });
-            let offset = match (offset, step.offloaded) {
-                (Some(offset), true) => offset,
-                (None, false) if *starves => continue,
-                (None, _) if !*starves => return Replay::Exhausted,
-                _ => return Replay::Diverged,
-            };
-            if offset != Offset::ORIGIN && !config.movement_hardware {
-                return Replay::Diverged;
-            }
-            // The resident-configuration transitions of a full session: a
-            // switch streams the configuration in (its cost is on the
-            // tape), and a move of the resident one rotates it, exposed
-            // only after GPP activity (DESIGN.md §4.4).
-            if !step.config_switch && offset != resident {
-                if step.gpp_dirty {
-                    rotate_cycles += cgra::RESIDENT_ROTATE_CYCLES;
+            let (c, footprint, legality) = &configs[step.config as usize];
+            let pivot = alloc
+                .choose(config, c.pc, footprint, legality, step.config_switch, step.gpp_dirty)
+                .ok()?;
+            match (pivot, step.offloaded) {
+                (Some(pivot), true) => {
+                    if let Some((_, cycles)) = pivot.rotated {
+                        rotate_cycles += cycles;
+                        tracing::event!(Level::TRACE, "system.rotations", "add" = 1);
+                    }
+                    alloc.record(fabric, footprint, c.cols_used);
                 }
-                tracing::event!(Level::TRACE, "system.rotations", "add" = 1);
+                (None, false) => {}
+                _ => return None,
             }
-            resident = offset;
-            cells.clear();
-            cells.extend(footprint.iter().map(|&(r, c)| offset.apply(fabric, r, c)));
-            tracker.record_execution(&cells, *cols_used);
         }
-        if !self.complete {
-            return Replay::Diverged;
-        }
-        Replay::Done(TapeRun { stats: SystemStats { rotate_cycles, ..self.stats }, tracker })
+        let stats = SystemStats { rotate_cycles, ..self.stats };
+        Some(TapeRun { stats, tracker: alloc.tracker })
     }
 }
 
@@ -445,17 +414,14 @@ impl<'a> TapeStore<'a> {
         TapeStore { config, workloads, tapes: workloads.iter().map(|_| None).collect() }
     }
 
-    /// The number of workloads.
-    pub(crate) fn len(&self) -> usize {
-        self.workloads.len()
-    }
-
     /// Runs workload `workload` under `spec` on a fresh system whose fabric
     /// carries `mask`, as [`System::run`] would: `Ok(None)` when the
     /// allocation is exhausted (the device is dead), else the session's
-    /// statistics and tracker. The first run of a workload records its
-    /// tape; later runs replay it, or fall back to a full session where
-    /// the policy disagrees with the tape.
+    /// statistics and tracker. The first run of a workload to reach its
+    /// exit records its tape; later runs replay it, or fall back to a full
+    /// session where the policy disagrees with the tape. Under a
+    /// subscriber, a tape recorded without one (so without its counters)
+    /// is recorded again instead of replayed.
     ///
     /// # Errors
     ///
@@ -472,51 +438,53 @@ impl<'a> TapeStore<'a> {
         workload: usize,
     ) -> Result<Option<TapeRun>, SystemError> {
         let config = SystemConfig { faults: Some(mask.clone()), ..self.config.clone() };
-        let Some(tape) = &self.tapes[workload] else {
+        let subscribed = subscribed();
+        let stored = self.tapes[workload].as_ref();
+        let Some(tape) = stored.filter(|tape| tape.counters.is_some() || !subscribed) else {
             let _record = span!(Level::INFO, "tape.record").entered();
-            return self.session(&config, spec, workload);
+            return self.session(&config, spec, workload, true);
         };
-        let mut policy = spec.build();
         let replay = {
             let _replay = span!(Level::INFO, "tape.replay").entered();
             // The policy's and the tracker's events count only if the
             // replay stands for the session, so they are held back until
             // it has.
-            if subscribed() {
-                let (replay, events) = obs::collect(|| tape.replay(&config, &mut *policy));
-                if matches!(replay, Replay::Done(_)) {
+            if subscribed {
+                let (replay, events) = obs::collect(|| tape.replay(&config, spec.build()));
+                if replay.is_some() {
                     events.emit();
                 }
                 replay
             } else {
-                tape.replay(&config, &mut *policy)
+                tape.replay(&config, spec.build())
             }
         };
-        let Replay::Done(run) = replay else {
+        let Some(run) = replay else {
             let _fallback = span!(Level::INFO, "tape.fallback").entered();
-            return self.session(&config, spec, workload);
+            return self.session(&config, spec, workload, false);
         };
-        tape.counters.emit();
+        if let Some(counters) = &tape.counters {
+            counters.emit();
+        }
         Ok(Some(run))
     }
 
     /// Runs workload `workload` as a full session and checks it with the
-    /// workload's oracle. Unless a complete tape is already stored, the
-    /// session is recorded and, once verified, its recording becomes the
-    /// workload's tape.
+    /// workload's oracle. With `record`, a session that runs to exit is
+    /// recorded and, once verified, its recording becomes the workload's
+    /// tape.
     fn session(
         &mut self,
         config: &SystemConfig,
         spec: &PolicySpec,
         workload: usize,
+        record: bool,
     ) -> Result<Option<TapeRun>, SystemError> {
         let w = &self.workloads[workload];
         let dead = || config.faults.as_ref().map_or(0, FaultMask::dead_count);
         let mut system = System::new(config.clone(), spec.build());
-        let stored = self.tapes[workload].as_ref();
-        let (result, recording) = if stored.is_none_or(|tape| !tape.complete) {
-            let (result, recording) = Recording::record(&mut system, w.program());
-            (result, Some(recording))
+        let (result, recording) = if record {
+            Recording::record(&mut system, w.program())
         } else {
             (system.run(w.program()), None)
         };
@@ -533,11 +501,10 @@ impl<'a> TapeStore<'a> {
             Err(e) => Err(e),
         };
         drop(system);
-        let stored = &mut self.tapes[workload];
-        if let Some(recording) = recording.filter(|r| stored.is_none() || r.complete) {
+        if let Some(recording) = recording {
             let _verify = span!(Level::INFO, "tape.verify").entered();
             let tape = recording.into_tape(&config.fabric);
-            *stored =
+            self.tapes[workload] =
                 Some(tape.unwrap_or_else(|| {
                     panic!("oracle failure under {spec} with {} dead FUs", dead())
                 }));
@@ -560,7 +527,7 @@ mod tests {
         let mut system = System::new(config, PolicySpec::Baseline.build());
         let (result, recording) = Recording::record(&mut system, workload.program());
         result.expect("crc32 runs");
-        recording
+        recording.expect("a session that ran to exit is recorded")
     }
 
     /// The first recorded sample `pick` selects, mutably.
@@ -576,8 +543,22 @@ mod tests {
     #[test]
     fn a_faithful_recording_becomes_a_tape() {
         let tape = recording().into_tape(&Fabric::be()).expect("it reproduces its samples");
-        assert!(tape.complete);
         assert!(tape.stats.offloads > 0);
+    }
+
+    #[test]
+    fn a_dying_first_recording_keeps_no_tape() {
+        let config = SystemConfig::new(Fabric::be());
+        let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
+        let mut mask = FaultMask::healthy(&config.fabric);
+        mask.mark_dead(0, 0);
+        let mut store = TapeStore::new(&config, &workloads);
+        let base = store.run(&PolicySpec::Baseline, &mask, 0).expect("no error");
+        assert!(base.is_none(), "the baseline's origin is dead");
+        assert!(store.tapes[0].is_none(), "a session that died leaves no tape");
+        let rot = store.run(&PolicySpec::rotation(), &mask, 0).expect("no error");
+        assert!(rot.is_some(), "rotation routes around the dead origin");
+        assert!(store.tapes[0].is_some(), "a session that ran to exit is recorded");
     }
 
     #[test]

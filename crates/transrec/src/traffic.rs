@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
 use crate::campaign::{
-    self, run_masked, Campaign, CampaignOptions, ClassKey, ClassMap, Kind, Population, Status,
+    self, Campaign, CampaignOptions, ClassKey, ClassMap, Kind, Population, Status,
 };
 use crate::dse::gpp_reference;
 use crate::fleet::DEFAULT_SHARD_DEVICES;
@@ -622,20 +622,21 @@ impl<'a> ServiceTable<'a> {
         ServiceTable { spec, masks: BTreeMap::new(), simulated_services: 0 }
     }
 
-    /// The per-workload fabric costs under `mask`, measuring every
-    /// workload on first use: each request shape run to exit on a fresh
-    /// system, or replayed from the task's offload tape (DESIGN.md §13,
-    /// §17).
+    /// The fabric costs of the store's workloads `0..workloads` under
+    /// `mask`, measuring every workload on first use: each request shape
+    /// run to exit on a fresh system, or replayed from the task's offload
+    /// tape (DESIGN.md §13, §17).
     fn costs(
         &mut self,
         store: &mut TapeStore<'_>,
+        workloads: usize,
         mask: &FaultMask,
     ) -> Result<&[Option<CgraCost>], SystemError> {
         let key = mask.dead_count();
         if !self.masks.contains_key(&key) {
             let cost = |run: TapeRun| CgraCost::new(run.stats.total_cycles(), run.tracker);
-            let cgra = run_masked(store, self.spec, mask)
-                .map(|run| Ok(run?.map(cost)))
+            let cgra = (0..workloads)
+                .map(|workload| Ok(store.run(self.spec, mask, workload)?.map(cost)))
                 .collect::<Result<Vec<_>, SystemError>>()?;
             self.simulated_services += cgra.len() as u64;
             self.masks.insert(key, cgra);
@@ -936,7 +937,7 @@ fn serve_policy(
         let outcome = match day_cache.get(&key) {
             Some(outcome) => outcome.clone(),
             None => {
-                let cgra = table.costs(store, life.fault_mask())?;
+                let cgra = table.costs(store, plan.suite.members.len(), life.fault_mask())?;
                 let outcome = run_service_day(
                     arrivals,
                     cgra,
@@ -1303,7 +1304,8 @@ pub fn probe_service_day(
     let gpp = gpp_reference(&plan.config, &workloads)?;
     let mut store = TapeStore::new(&plan.config, &workloads);
     let mut table = ServiceTable::new(policy);
-    let cgra = table.costs(&mut store, &FaultMask::healthy(&plan.config.fabric))?;
+    let cgra =
+        table.costs(&mut store, workloads.len(), &FaultMask::healthy(&plan.config.fabric))?;
     let arrivals = day_traffic(
         traffic,
         derive_cell_seed(plan.base_seed, lane as u64),

@@ -1,13 +1,18 @@
 //! System-level behavioural tests: fabric-resolved exits, warm-context
 //! accounting, energy invariants and DSE plumbing.
 
-use cgra::{Fabric, FaultMask};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cgra::{Fabric, FaultMask, Offset, RESIDENT_ROTATE_CYCLES};
 use rv32::asm::assemble;
 use rv32::Reg;
+use transrec::telemetry::EventCtx;
 use transrec::{
-    gpp_only_energy, run_gpp_only, system_energy, EnergyParams, System, SystemConfig, SystemError,
+    gpp_only_energy, run_gpp_only, system_energy, EnergyParams, Observer, SimEvent, System,
+    SystemConfig, SystemError,
 };
-use uaware::{BaselinePolicy, RotationPolicy, Snake};
+use uaware::{BaselinePolicy, PolicySpec, RotationPolicy, Snake};
 
 fn run_sys(src: &str) -> System {
     let p = assemble(src).unwrap();
@@ -113,6 +118,88 @@ fn division_runs_on_the_gpp() {
     let expect: u32 = (1..=30).map(|v: i32| (v / 7) as u32).sum();
     assert_eq!(sys.cpu().reg(Reg::from_name("s1").unwrap()), expect);
     assert!(sys.stats().gpp_retired > 30, "div must retire on the GPP");
+}
+
+/// Every event of a session, in order.
+struct Events(Rc<RefCell<Vec<SimEvent>>>);
+
+impl Observer for Events {
+    fn on_event(&mut self, _: &EventCtx<'_>, event: &SimEvent) {
+        self.0.borrow_mut().push(*event);
+    }
+}
+
+#[test]
+fn a_resident_rotate_is_exposed_only_after_gpp_activity() {
+    // The inner loop offloads back to back; the outer loop's division runs
+    // on the GPP between two of its offloads. Rotation moves the pivot at
+    // every execution, so both kinds of resident rotate occur (DESIGN.md
+    // §4.4).
+    let program = assemble(
+        "
+        li   s0, 40
+        li   a0, 0
+    outer:
+        li   s1, 12
+    inner:
+        addi t0, s1, 3
+        slli t1, t0, 2
+        xor  t2, t1, s1
+        add  a0, a0, t2
+        addi s1, s1, -1
+        bnez s1, inner
+        div  t3, a0, s0      # not a fabric op
+        addi s0, s0, -1
+        bnez s0, outer
+        ebreak
+    ",
+    )
+    .unwrap();
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let mut sys = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+    sys.attach_observer(Box::new(Events(Rc::clone(&events))));
+    sys.run(&program).unwrap();
+    // The oracle, from the stream alone: the resident pivot is the last
+    // offload's, and the GPP ran if it retired anything since.
+    let (mut resident, mut gpp_ran) = (None::<Offset>, true);
+    let (mut started, mut rotated, mut loaded) = (None, None, false);
+    let (mut exposed, mut hidden, mut rotate_cycles) = (0, 0, 0);
+    for event in events.borrow().iter() {
+        match *event {
+            SimEvent::GppRetired { .. } => gpp_ran = true,
+            SimEvent::OffloadStarted { offset, config_switch, .. } => {
+                started = Some((offset, config_switch))
+            }
+            SimEvent::Rotated { from, to, cycles, .. } => rotated = Some((from, to, cycles)),
+            SimEvent::ConfigLoaded { .. } => loaded = true,
+            SimEvent::OffloadCompleted { offset, .. } => {
+                let (at, config_switch) = started.take().expect("the offload started");
+                assert_eq!(at, offset);
+                assert_eq!(loaded, config_switch, "exactly a switch loads");
+                let expected = match resident {
+                    Some(from) if !config_switch && from != offset => {
+                        let cycles = if gpp_ran { RESIDENT_ROTATE_CYCLES } else { 0 };
+                        Some((from, offset, cycles))
+                    }
+                    _ => None,
+                };
+                let rotated = rotated.take();
+                assert_eq!(rotated, expected, "at offload {}", exposed + hidden);
+                if let Some((_, _, cycles)) = rotated {
+                    rotate_cycles += cycles;
+                    if cycles > 0 {
+                        exposed += 1;
+                    } else {
+                        hidden += 1;
+                    }
+                }
+                (resident, gpp_ran, loaded) = (Some(offset), false, false);
+            }
+            _ => {}
+        }
+    }
+    assert!(exposed > 0 && hidden > 0, "{exposed} exposed, {hidden} hidden rotates");
+    assert_eq!(sys.stats().rotate_cycles, rotate_cycles);
 }
 
 #[test]

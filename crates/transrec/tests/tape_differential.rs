@@ -9,8 +9,8 @@
 //! by a mobile policy, on the pristine fabric and on the faulted one, and
 //! replayed across both: capability starvation that only the baseline
 //! hits (`het-checker`), a dead origin with and without the GPP fallback,
-//! a run that dies (a partial tape), and legal pivots that must be rebuilt
-//! for the replaying mask.
+//! a run that dies (which keeps no tape), and legal pivots that must be
+//! rebuilt for the replaying mask.
 
 mod common;
 
@@ -179,6 +179,24 @@ fn the_mibench_suite_replays_like_full_sessions() {
             _ => 2,
         };
         assert_eq!(deaths, expected, "{policy}: {dead_origin:?}");
+    }
+}
+
+#[test]
+fn a_tape_recorded_without_a_subscriber_is_recorded_again_under_one() {
+    // The baseline records crc32 with nobody counting; every later run is
+    // collected and must count what its full session counts.
+    let config = SystemConfig::new(cgra::Fabric::be());
+    let workloads = transrec::SuiteSpec::subset("crc", vec![1]).workloads(7);
+    let pristine = FaultMask::healthy(&config.fabric);
+    let mut store = TapeStore::new(&config, &workloads);
+    store.run(&PolicySpec::Baseline, &pristine, 0).expect("no error");
+    for spec in [PolicySpec::rotation(), PolicySpec::HealthAware] {
+        let (taped, taped_metrics) = obs::collect(|| store.run(&spec, &pristine, 0));
+        let (full, full_metrics) = full_session(&config, &spec, &pristine, &workloads[0]);
+        let stats = |run: Option<TapeRun>| run.expect("alive").stats;
+        assert_eq!(stats(taped.expect("no error")), stats(full), "{spec}: stats");
+        assert_eq!(taped_metrics, full_metrics, "{spec}: metrics");
     }
 }
 
