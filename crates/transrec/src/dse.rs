@@ -8,7 +8,8 @@ use mibench::Workload;
 use uaware::{PolicySpec, UtilizationTracker};
 
 use crate::energy::{gpp_only_energy, system_energy, EnergyParams};
-use crate::system::{check_movement, run_gpp_only, System, SystemConfig, SystemError, SystemStats};
+use crate::system::{check_movement, run_gpp_only, SystemConfig, SystemError, SystemStats};
+use crate::tape::{session, TapeRun, WorkloadRun};
 use crate::telemetry::{ProbeReport, ProbeSpec, UtilTrace};
 
 /// The paper's exploration grid: length L ∈ {8,16,24,32} columns ×
@@ -141,9 +142,11 @@ pub struct SuiteOptions<'a> {
     /// (DESIGN.md §10); each probe's report lands in the corresponding
     /// [`BenchmarkRun::probes`] slot, in spec order.
     pub probes: &'a [ProbeSpec],
-    /// Precomputed [`gpp_reference`] cycles, one per workload — the sweep
-    /// engine's hot path, where the policy-independent GPP baseline must
-    /// not be recomputed per policy. `None` computes it inline.
+    /// Precomputed [`gpp_reference`] cycles, one per workload, for a
+    /// caller that runs several policies on one configuration and must
+    /// not recompute the policy-independent GPP baseline per policy (the
+    /// sweep shares it the same way, DESIGN.md §9). `None` computes it
+    /// inline.
     pub gpp_reference: Option<&'a [u64]>,
 }
 
@@ -202,18 +205,34 @@ pub fn run_suite_with_options(
             &computed
         }
     };
+    let runs = workloads.iter().map(|w| session(base_config, &spec, options.probes, w, false).0);
+    fold_suite(base_config, &spec, workloads, gpp_cycles, energy, runs)
+}
+
+/// Folds the runs of `workloads` under `spec` on `config`, in workload
+/// order, into their [`SuiteRun`] (the utilization trackers merged across
+/// the suite like the paper's aggregated utilization). The one place a
+/// [`BenchmarkRun`] is built, for [`run_suite_with_options`] and for the
+/// sweep (DESIGN.md §9). `runs` is consumed lazily and the first error
+/// wins.
+///
+/// # Panics
+///
+/// Panics if `gpp_cycles` and `workloads` have different lengths.
+pub(crate) fn fold_suite(
+    config: &SystemConfig,
+    spec: &PolicySpec,
+    workloads: &[Workload],
+    gpp_cycles: &[u64],
+    energy: &EnergyParams,
+    runs: impl IntoIterator<Item = Result<WorkloadRun, SystemError>>,
+) -> Result<SuiteRun, SystemError> {
     assert_eq!(gpp_cycles.len(), workloads.len(), "one GPP reference per workload");
-    let fabric = base_config.fabric;
+    let fabric = config.fabric;
     let mut merged = UtilizationTracker::new(&fabric);
     let mut benchmarks = Vec::with_capacity(workloads.len());
-    for (w, &gpp_cycles) in workloads.iter().zip(gpp_cycles) {
-        let mut system = System::new(base_config.clone(), spec.build());
-        for probe in options.probes {
-            system.attach_observer(probe.build());
-        }
-        system.run(w.program())?;
-        let verified = w.verify(system.cpu()).is_ok();
-        let stats = *system.stats();
+    for ((w, &gpp_cycles), run) in workloads.iter().zip(gpp_cycles).zip(runs) {
+        let WorkloadRun { run: TapeRun { stats, tracker }, verified, probes } = run?;
         benchmarks.push(BenchmarkRun {
             name: w.name().to_string(),
             system_cycles: stats.total_cycles(),
@@ -222,9 +241,9 @@ pub fn run_suite_with_options(
             gpp_energy: gpp_only_energy(energy, gpp_cycles),
             stats,
             verified,
-            probes: system.probe_reports(),
+            probes,
         });
-        merged.merge(system.tracker());
+        merged.merge(&tracker);
     }
     Ok(SuiteRun {
         cols: fabric.cols,

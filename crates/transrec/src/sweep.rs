@@ -2,26 +2,28 @@
 //!
 //! The paper's evaluation — and every scaling experiment on top of it — is
 //! a grid: system configurations × policy specs, each cell running one
-//! workload suite. Each grid cell is an independent [`SuiteRun`], so a
-//! sweep is embarrassingly
-//! parallel; this module shards the cells across a vendored
-//! [`threadpool::ThreadPool`] and merges the results back **in
-//! deterministic cell order**, making the output byte-identical no matter
-//! how many workers ran it (`--jobs 1` vs `--jobs N` is enforced by CI).
+//! workload suite into one [`SuiteRun`]. The engine runs one task per
+//! (configuration, workload) on a vendored [`threadpool::ThreadPool`]: the
+//! task runs the workload under every policy of the plan, the first
+//! recording its offload tape and the rest replaying it through the
+//! task's [`TapeStore`] (DESIGN.md §17). The per-workload runs then fold
+//! into the cells **in deterministic cell order**, making the output
+//! byte-identical no matter how many workers ran it (`--jobs 1` vs
+//! `--jobs N` is enforced by CI).
 //!
 //! Determinism comes from three rules:
 //!
 //! 1. the suite's workloads are built once from the plan's base seed —
-//!    never from scheduling order — and shared immutably by every cell;
-//! 2. no state is shared between in-flight cells (each builds its own
-//!    [`System`](crate::System) and policy instance);
+//!    never from scheduling order — and shared immutably by every task;
+//! 2. no state is shared between in-flight tasks (each builds its own
+//!    [`System`](crate::System)s, policy instances and tapes);
 //! 3. results are collected by input index, not completion order.
 //!
-//! The policy-independent GPP-only reference is hoisted out of the cells:
+//! The policy-independent GPP-only reference is hoisted out of the tasks:
 //! it is computed once per distinct GPP parameter set (memory size, timing,
 //! step limit) and reused by every configuration and policy that shares
 //! it, so an N-policy sweep does not redo it N times. Both the reference
-//! and the cells run through one observed parallel fold
+//! and the tasks run through one observed parallel fold
 //! (`par_map_observed`), which the campaign engine's phase 1 shares.
 
 use cgra::Fabric;
@@ -31,9 +33,10 @@ use serde::{Deserialize, Serialize};
 use threadpool::ThreadPool;
 use uaware::PolicySpec;
 
-use crate::dse::{gpp_reference, run_suite_with_options, SuiteOptions, SuiteRun};
+use crate::dse::{fold_suite, gpp_reference, SuiteRun};
 use crate::energy::EnergyParams;
 use crate::system::{check_movement, SystemConfig, SystemError};
+use crate::tape::{session, TapeStore, WorkloadRun};
 use crate::telemetry::ProbeSpec;
 
 /// A named selection of the mibench workload suite — what every cell of a
@@ -226,8 +229,11 @@ impl SweepPlan {
     }
 }
 
-/// Runs every cell of `plan`, sharded across `jobs` workers, and returns
-/// the [`SuiteRun`]s in [`SweepPlan::cells`] order.
+/// Runs every cell of `plan`, as one task per (configuration, workload)
+/// sharded across `jobs` workers, and returns the [`SuiteRun`]s in
+/// [`SweepPlan::cells`] order. Each cell equals a
+/// [`run_suite_with_options`](crate::run_suite_with_options) of its
+/// configuration and policy.
 ///
 /// `jobs = 0` sizes the pool with [`threadpool::default_workers`] (all
 /// cores, overridable via [`threadpool::NUM_THREADS_ENV`]); `jobs = 1`
@@ -237,21 +243,22 @@ impl SweepPlan {
 /// # Errors
 ///
 /// If any cell fails, the error of the *lowest-indexed* failing cell is
-/// returned (so error reporting is as deterministic as success); a
-/// movement spec on a movement-less configuration is rejected before
-/// anything runs.
+/// returned (so error reporting is as deterministic as success): the one
+/// a full session of its first failing workload returns. A movement spec
+/// on a movement-less configuration is rejected before anything runs.
 pub fn run_sweep(plan: &SweepPlan, jobs: usize) -> Result<Vec<SuiteRun>, SystemError> {
     Ok(run_sweep_inner(plan, jobs, false)?.0)
 }
 
 /// [`run_sweep`] with the flight recorder on: every GPP-reference block
-/// and every cell runs under a per-work-item
+/// and every task runs under a per-work-item
 /// [`MetricsCollector`](obs::MetricsCollector), and the finished
-/// registries fold in deterministic block/cell order into one
+/// registries fold in deterministic block/task order into one
 /// [`Registry`] (returned alongside the runs, and also folded into
 /// [`obs::global`]). Because the fold is a commutative monoid over
 /// integer state, the registry is byte-identical for every worker count
-/// (DESIGN.md §16).
+/// (DESIGN.md §16), and a replayed tape counts what its full session
+/// would (DESIGN.md §17).
 ///
 /// # Errors
 ///
@@ -336,22 +343,54 @@ fn run_sweep_inner(
     });
     let gpp = gpp.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    // The cells themselves, merged back in index order.
-    let (runs, cell_metrics) = par_map_observed(&pool, plan.cells(), collect_metrics, |cell| {
-        run_suite_with_options(
-            &plan.configs[cell.config],
-            &workloads,
-            &plan.energy,
-            SuiteOptions {
-                policy: plan.policies[cell.policy],
-                probes: &plan.probes,
-                gpp_reference: Some(&gpp[gpp_of[cell.config]]),
-            },
-        )
+    // One task per (configuration, workload), configuration-major: every
+    // policy runs the workload there, in plan order.
+    let tasks: Vec<(usize, usize)> = (0..plan.configs.len())
+        .flat_map(|config| (0..workloads.len()).map(move |workload| (config, workload)))
+        .collect();
+    let (outcomes, task_metrics) = par_map_observed(&pool, tasks, collect_metrics, |(c, w)| {
+        run_policies(&plan.configs[c], &workloads[w], &plan.policies, &plan.probes)
     });
-    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-    metrics.merge(&cell_metrics);
+    metrics.merge(&task_metrics);
+
+    // Each cell folds its policy's run of every workload of its
+    // configuration; cells go in index order, so each task's runs are
+    // taken in policy order.
+    let mut outcomes: Vec<_> = outcomes.into_iter().map(Vec::into_iter).collect();
+    let runs = plan
+        .cells()
+        .into_iter()
+        .map(|cell| {
+            let first = cell.config * workloads.len();
+            let runs: Vec<_> = outcomes[first..first + workloads.len()]
+                .iter_mut()
+                .map(|task| task.next().expect("one run per policy"))
+                .collect();
+            let config = &plan.configs[cell.config];
+            let gpp = &gpp[gpp_of[cell.config]];
+            fold_suite(config, &plan.policies[cell.policy], &workloads, gpp, &plan.energy, runs)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     Ok((runs, metrics))
+}
+
+/// Runs `workload` on `config` under every policy of `policies`, in order:
+/// one sweep task (DESIGN.md §9). Several policies without probes share
+/// one [`TapeStore`], so the first records the workload's offload tape and
+/// the rest replay it (DESIGN.md §17); a lone policy, whose tape nothing
+/// would replay, and probed cells run plain full sessions.
+fn run_policies(
+    config: &SystemConfig,
+    workload: &Workload,
+    policies: &[PolicySpec],
+    probes: &[ProbeSpec],
+) -> Vec<Result<WorkloadRun, SystemError>> {
+    if policies.len() > 1 && probes.is_empty() {
+        let mut store = TapeStore::new(config, std::slice::from_ref(workload));
+        policies.iter().map(|spec| store.run_cell(spec, 0)).collect()
+    } else {
+        policies.iter().map(|spec| session(config, spec, probes, workload, false).0).collect()
+    }
 }
 
 #[cfg(test)]

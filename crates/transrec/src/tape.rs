@@ -17,10 +17,12 @@
 //! (`system::Allocator`: the policy, the tracker and the resident
 //! rotate), and yields the statistics and tracker a full session would.
 //!
-//! [`TapeStore`] is the masked-suite runner the campaigns' phase-1 tasks
-//! use: the first policy that needs a workload runs it as a full session
-//! and records its tape; every later policy and fault mask replays it, and
-//! falls back to a full session wherever the replay cannot stand for one.
+//! [`TapeStore`] is the runner of the campaigns' phase-1 tasks and of the
+//! sweep's (configuration, workload) tasks: the first policy that needs a
+//! workload runs it as a full session and records its tape; every later
+//! policy and fault mask replays it, and falls back to a full session
+//! wherever the replay cannot stand for one. A full session that runs to
+//! exit, a fallback included, records the workload's tape again.
 
 use std::collections::HashMap;
 use std::iter;
@@ -37,6 +39,7 @@ use tracing::{span, Level};
 use uaware::{AllocationPolicy, PolicySpec, UtilizationTracker};
 
 use crate::system::{Allocator, Decoded, Legality, System, SystemConfig, SystemError, SystemStats};
+use crate::telemetry::{ProbeReport, ProbeSpec};
 
 /// One memory access of a sampled execution, in issue order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,17 +122,71 @@ impl MemBus for ReplayBus<'_> {
     }
 }
 
-/// One recorded decision that reached the policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Step {
-    /// Index into the tape's configurations.
-    config: u32,
-    /// The configuration differed from the resident one.
-    config_switch: bool,
-    /// The GPP retired instructions since the last offload.
-    gpp_dirty: bool,
-    /// The decision offloaded (`false`: the configuration starved).
-    offloaded: bool,
+/// Flag bits of a packed decision word (DESIGN.md §17): the configuration
+/// differed from the resident one.
+const SWITCH: u32 = 1;
+/// The GPP retired instructions since the last offload.
+const DIRTY: u32 = 1 << 1;
+/// The decision offloaded (clear: the configuration starved).
+const OFFLOADED: u32 = 1 << 2;
+/// The configuration's tape index sits above the flags.
+const CONFIG_SHIFT: u32 = 3;
+/// Set on a decision word that is followed by its repeat count.
+const REPEATED: u32 = 1 << 31;
+
+/// The decisions that reached the policy, in order, packed one `u32` word
+/// each: the configuration's tape index above three flag bits. A hot loop
+/// repeats one decision, so a decision that repeats carries
+/// [`REPEATED`] and one more word, its count.
+#[derive(Default)]
+struct Decisions {
+    words: Vec<u32>,
+    /// Index of the last decision word.
+    last: usize,
+}
+
+impl Decisions {
+    /// Appends one decision word (without [`REPEATED`]).
+    fn push(&mut self, step: u32) {
+        match self.words.get(self.last) {
+            Some(&word) if word & !REPEATED == step => {
+                if word & REPEATED == 0 {
+                    self.words[self.last] |= REPEATED;
+                    self.words.push(2);
+                    return;
+                }
+                if let Some(count) = self.words[self.last + 1].checked_add(1) {
+                    self.words[self.last + 1] = count;
+                    return;
+                }
+            }
+            _ => {}
+        }
+        self.last = self.words.len();
+        self.words.push(step);
+    }
+
+    /// Every decision word (without [`REPEATED`]) with its repeat count,
+    /// in order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let mut words = self.words.iter();
+        iter::from_fn(move || {
+            let &word = words.next()?;
+            if word & REPEATED == 0 {
+                return Some((word, 1));
+            }
+            Some((word & !REPEATED, *words.next().expect("a repeat count follows")))
+        })
+    }
+}
+
+/// Packs one decision into its word.
+fn pack(config: u32, config_switch: bool, gpp_dirty: bool, offloaded: bool) -> u32 {
+    assert!(config < REPEATED >> CONFIG_SHIFT, "a tape holds at most 2^28 configurations");
+    config << CONFIG_SHIFT
+        | if config_switch { SWITCH } else { 0 }
+        | if gpp_dirty { DIRTY } else { 0 }
+        | if offloaded { OFFLOADED } else { 0 }
 }
 
 /// A configuration a recording refers to, with the sample of its first
@@ -146,8 +203,7 @@ pub(crate) struct Recorder {
     /// Tape index of every configuration seen, by record identity.
     index: HashMap<*const Decoded, u32>,
     configs: Vec<Recorded>,
-    /// The decisions, run-length encoded: a hot loop repeats one decision.
-    steps: Vec<(Step, u32)>,
+    decisions: Decisions,
 }
 
 impl Recorder {
@@ -164,11 +220,7 @@ impl Recorder {
         if config == next {
             self.configs.push(Recorded { decoded: Arc::clone(decoded), sample: None });
         }
-        let step = Step { config, config_switch, gpp_dirty, offloaded };
-        match self.steps.last_mut() {
-            Some((last, repeats)) if *last == step => *repeats += 1,
-            _ => self.steps.push((step, 1)),
-        }
+        self.decisions.push(pack(config, config_switch, gpp_dirty, offloaded));
         config
     }
 
@@ -215,8 +267,7 @@ pub(crate) struct Tape {
     configs: Vec<TapeConfig>,
     cells: Vec<(u32, u32)>,
     demands: Vec<(u32, u32, OpKind)>,
-    /// The decisions, each with its repeat count, in order.
-    steps: Vec<(Step, u32)>,
+    decisions: Decisions,
     /// [`Recording::stats`].
     stats: SystemStats,
     /// [`Recording::counters`].
@@ -293,16 +344,17 @@ impl Recording {
                 }
             }
         }
-        let recorded = &self.recorder.configs;
+        let Recording { recorder: Recorder { configs, mut decisions, .. }, stats, counters } = self;
+        decisions.words.shrink_to_fit();
         let mut tape = Tape {
-            configs: Vec::with_capacity(recorded.len()),
-            cells: Vec::with_capacity(recorded.iter().map(|r| r.decoded.footprint.len()).sum()),
-            demands: Vec::with_capacity(recorded.iter().map(|r| r.decoded.demands.len()).sum()),
-            steps: self.recorder.steps.clone(),
-            stats: self.stats,
-            counters: self.counters,
+            configs: Vec::with_capacity(configs.len()),
+            cells: Vec::with_capacity(configs.iter().map(|r| r.decoded.footprint.len()).sum()),
+            demands: Vec::with_capacity(configs.iter().map(|r| r.decoded.demands.len()).sum()),
+            decisions,
+            stats,
+            counters,
         };
-        for Recorded { decoded, .. } in recorded {
+        for Recorded { decoded, .. } in &configs {
             let (cells, demands) = (tape.cells.len() as u32, tape.demands.len() as u32);
             tape.cells.extend_from_slice(&decoded.footprint);
             tape.demands.extend_from_slice(&decoded.demands);
@@ -344,23 +396,24 @@ impl Tape {
             .collect();
         let mut alloc = Allocator::new(fabric, policy);
         let mut rotate_cycles = 0u64;
-        let steps =
-            self.steps.iter().flat_map(|&(step, repeats)| iter::repeat_n(step, repeats as usize));
-        for step in steps {
-            let (c, footprint, legality) = &configs[step.config as usize];
-            let pivot = alloc
-                .choose(config, c.pc, footprint, legality, step.config_switch, step.gpp_dirty)
-                .ok()?;
-            match (pivot, step.offloaded) {
-                (Some(pivot), true) => {
-                    if let Some((_, cycles)) = pivot.rotated {
-                        rotate_cycles += cycles;
-                        tracing::event!(Level::TRACE, "system.rotations", "add" = 1);
+        for (step, repeats) in self.decisions.iter() {
+            let (c, footprint, legality) = &configs[(step >> CONFIG_SHIFT) as usize];
+            let (config_switch, gpp_dirty) = (step & SWITCH != 0, step & DIRTY != 0);
+            for _ in 0..repeats {
+                let pivot = alloc
+                    .choose(config, c.pc, footprint, legality, config_switch, gpp_dirty)
+                    .ok()?;
+                match (pivot, step & OFFLOADED != 0) {
+                    (Some(pivot), true) => {
+                        if let Some((_, cycles)) = pivot.rotated {
+                            rotate_cycles += cycles;
+                            tracing::event!(Level::TRACE, "system.rotations", "add" = 1);
+                        }
+                        alloc.record(fabric, footprint, c.cols_used);
                     }
-                    alloc.record(fabric, footprint, c.cols_used);
+                    (None, false) => {}
+                    _ => return None,
                 }
-                (None, false) => {}
-                _ => return None,
             }
         }
         let stats = SystemStats { rotate_cycles, ..self.stats };
@@ -378,10 +431,50 @@ pub struct TapeRun {
     pub tracker: UtilizationTracker,
 }
 
-/// The masked-suite runner of one campaign phase-1 task (DESIGN.md §17):
-/// one recorded tape per workload, replayed for every later policy and
-/// fault mask. A store lives inside one task and is dropped with it, so
-/// nothing it caches can reach a report, a checkpoint or another task.
+/// One workload's run under one policy, as a suite folds it: the session's
+/// statistics and tracker, recorded, replayed or run in full.
+pub(crate) struct WorkloadRun {
+    pub(crate) run: TapeRun,
+    /// A full session: the workload's oracle accepted its memory image. A
+    /// replay: its tape was kept, which needs both that and the per-pivot
+    /// check of [`Recording::into_tape`] (DESIGN.md §17).
+    pub(crate) verified: bool,
+    /// The reports of the probes a full session carried.
+    pub(crate) probes: Vec<ProbeReport>,
+}
+
+/// Runs `workload` under `spec` as a full session on a fresh system of
+/// `config` with `probes` attached, and checks it with the workload's
+/// oracle. With `record`, a session that runs to exit is also recorded.
+pub(crate) fn session(
+    config: &SystemConfig,
+    spec: &PolicySpec,
+    probes: &[ProbeSpec],
+    workload: &Workload,
+    record: bool,
+) -> (Result<WorkloadRun, SystemError>, Option<Recording>) {
+    let mut system = System::new(config.clone(), spec.build());
+    for probe in probes {
+        system.attach_observer(probe.build());
+    }
+    let (result, recording) = if record {
+        Recording::record(&mut system, workload.program())
+    } else {
+        (system.run(workload.program()), None)
+    };
+    let run = result.map(|_| WorkloadRun {
+        verified: workload.verify(system.cpu()).is_ok(),
+        probes: system.probe_reports(),
+        run: TapeRun { stats: *system.stats(), tracker: system.tracker().clone() },
+    });
+    (run, recording)
+}
+
+/// The masked-suite runner of one task (DESIGN.md §9, §17): one recorded
+/// tape per workload, replayed for every later policy and fault mask. A
+/// campaign phase-1 task and a sweep task each own one; a store is
+/// dropped with its task, so nothing it caches can reach a report, a
+/// checkpoint or another task.
 ///
 /// # Examples
 ///
@@ -408,20 +501,21 @@ pub struct TapeStore<'a> {
 }
 
 impl<'a> TapeStore<'a> {
-    /// An empty store for `workloads` on systems of `config` (whose own
-    /// fault mask each run replaces).
+    /// An empty store for `workloads` on systems of `config`.
     pub fn new(config: &'a SystemConfig, workloads: &'a [Workload]) -> TapeStore<'a> {
         TapeStore { config, workloads, tapes: workloads.iter().map(|_| None).collect() }
     }
 
     /// Runs workload `workload` under `spec` on a fresh system whose fabric
-    /// carries `mask`, as [`System::run`] would: `Ok(None)` when the
-    /// allocation is exhausted (the device is dead), else the session's
-    /// statistics and tracker. The first run of a workload to reach its
-    /// exit records its tape; later runs replay it, or fall back to a full
-    /// session where the policy disagrees with the tape. Under a
-    /// subscriber, a tape recorded without one (so without its counters)
-    /// is recorded again instead of replayed.
+    /// carries `mask` (in place of the store's configuration's own), as
+    /// [`System::run`] would: `Ok(None)` when the allocation is exhausted
+    /// (the device is dead), else the session's statistics and tracker.
+    /// The first run of a workload to reach its exit records its tape;
+    /// later runs replay it, or fall back to a full session where the
+    /// policy disagrees with the tape, and a fallback that reaches its
+    /// exit records the tape again. Under a subscriber, a tape recorded
+    /// without one (so without its counters) is recorded again instead of
+    /// replayed.
     ///
     /// # Errors
     ///
@@ -429,8 +523,7 @@ impl<'a> TapeStore<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the workload's oracle rejects a full session, or a
-    /// recorded configuration does not reproduce its sample.
+    /// Panics when the workload's oracle rejects a full session.
     pub fn run(
         &mut self,
         spec: &PolicySpec,
@@ -438,11 +531,42 @@ impl<'a> TapeStore<'a> {
         workload: usize,
     ) -> Result<Option<TapeRun>, SystemError> {
         let config = SystemConfig { faults: Some(mask.clone()), ..self.config.clone() };
+        match self.run_on(&config, spec, workload) {
+            Ok(WorkloadRun { run, verified, .. }) => {
+                let dead = mask.dead_count();
+                assert!(verified, "oracle failure under {spec} with {dead} dead FUs");
+                Ok(Some(run))
+            }
+            Err(SystemError::AllocationExhausted { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`run`](TapeStore::run) on the store's configuration as it is, for
+    /// a sweep cell: exhaustion is an error, and a session the oracle
+    /// rejects is reported unverified.
+    pub(crate) fn run_cell(
+        &mut self,
+        spec: &PolicySpec,
+        workload: usize,
+    ) -> Result<WorkloadRun, SystemError> {
+        let config = self.config;
+        self.run_on(config, spec, workload)
+    }
+
+    /// [`run`](TapeStore::run) and [`run_cell`](TapeStore::run_cell) on
+    /// `config`.
+    fn run_on(
+        &mut self,
+        config: &SystemConfig,
+        spec: &PolicySpec,
+        workload: usize,
+    ) -> Result<WorkloadRun, SystemError> {
         let subscribed = subscribed();
         let stored = self.tapes[workload].as_ref();
         let Some(tape) = stored.filter(|tape| tape.counters.is_some() || !subscribed) else {
             let _record = span!(Level::INFO, "tape.record").entered();
-            return self.session(&config, spec, workload, true);
+            return self.session(config, spec, workload);
         };
         let replay = {
             let _replay = span!(Level::INFO, "tape.replay").entered();
@@ -450,72 +574,54 @@ impl<'a> TapeStore<'a> {
             // replay stands for the session, so they are held back until
             // it has.
             if subscribed {
-                let (replay, events) = obs::collect(|| tape.replay(&config, spec.build()));
+                let (replay, events) = obs::collect(|| tape.replay(config, spec.build()));
                 if replay.is_some() {
                     events.emit();
                 }
                 replay
             } else {
-                tape.replay(&config, spec.build())
+                tape.replay(config, spec.build())
             }
         };
         let Some(run) = replay else {
             let _fallback = span!(Level::INFO, "tape.fallback").entered();
-            return self.session(&config, spec, workload, false);
+            return self.session(config, spec, workload);
         };
         if let Some(counters) = &tape.counters {
             counters.emit();
         }
-        Ok(Some(run))
+        Ok(WorkloadRun { run, verified: true, probes: Vec::new() })
     }
 
-    /// Runs workload `workload` as a full session and checks it with the
-    /// workload's oracle. With `record`, a session that runs to exit is
-    /// recorded and, once verified, its recording becomes the workload's
-    /// tape.
+    /// Runs workload `workload` as a full, recorded session. One that runs
+    /// to exit replaces the workload's tape with its own.
     fn session(
         &mut self,
         config: &SystemConfig,
         spec: &PolicySpec,
         workload: usize,
-        record: bool,
-    ) -> Result<Option<TapeRun>, SystemError> {
-        let w = &self.workloads[workload];
-        let dead = || config.faults.as_ref().map_or(0, FaultMask::dead_count);
-        let mut system = System::new(config.clone(), spec.build());
-        let (result, recording) = if record {
-            Recording::record(&mut system, w.program())
-        } else {
-            (system.run(w.program()), None)
-        };
-        let run = match result {
-            Ok(_) => {
-                assert!(
-                    w.verify(system.cpu()).is_ok(),
-                    "oracle failure under {spec} with {} dead FUs",
-                    dead()
-                );
-                Ok(Some(TapeRun { stats: *system.stats(), tracker: system.tracker().clone() }))
-            }
-            Err(SystemError::AllocationExhausted { .. }) => Ok(None),
-            Err(e) => Err(e),
-        };
-        drop(system);
-        if let Some(recording) = recording {
-            let _verify = span!(Level::INFO, "tape.verify").entered();
-            let tape = recording.into_tape(&config.fabric);
-            self.tapes[workload] =
-                Some(tape.unwrap_or_else(|| {
-                    panic!("oracle failure under {spec} with {} dead FUs", dead())
-                }));
+    ) -> Result<WorkloadRun, SystemError> {
+        let (run, recording) = session(config, spec, &[], &self.workloads[workload], true);
+        if let (Ok(WorkloadRun { verified, .. }), Some(recording)) = (&run, recording) {
+            self.keep(workload, &config.fabric, *verified, recording);
         }
         run
+    }
+
+    /// Makes `recording` the tape of workload `workload`, if its session
+    /// passed the oracle (`verified`) and it passes
+    /// [`Recording::into_tape`] on `fabric`; else the workload keeps no
+    /// tape.
+    fn keep(&mut self, workload: usize, fabric: &Fabric, verified: bool, recording: Recording) {
+        let _verify = span!(Level::INFO, "tape.verify").entered();
+        self.tapes[workload] = if verified { recording.into_tape(fabric) } else { None };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use cgra::Fabric;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::sweep::SuiteSpec;
@@ -575,5 +681,104 @@ mod tests {
         let (MemAccess::Load { value, .. } | MemAccess::Store { value, .. }) = &mut sample.mem[0];
         *value ^= 1;
         assert!(recording.into_tape(&Fabric::be()).is_none());
+    }
+
+    proptest! {
+        #[test]
+        fn packed_decisions_decode_to_what_was_pushed(
+            runs in proptest::collection::vec((0u32..6, 0u32..8, 1u32..5), 0..40),
+        ) {
+            let mut decisions = Decisions::default();
+            let mut pushed = Vec::new();
+            for &(config, flags, repeats) in &runs {
+                let step = pack(config, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                for _ in 0..repeats {
+                    decisions.push(step);
+                    pushed.push(step);
+                }
+            }
+            let decoded: Vec<u32> = decisions
+                .iter()
+                .flat_map(|(step, repeats)| iter::repeat_n(step, repeats as usize))
+                .collect();
+            prop_assert_eq!(decoded, pushed);
+            // A decision word only where the decision changes, plus a count
+            // word where it repeats.
+            let changes = (0..pushed.len()).filter(|&i| i == 0 || pushed[i] != pushed[i - 1]);
+            let repeated = decisions.iter().filter(|&(_, n)| n > 1).count();
+            prop_assert_eq!(decisions.words.len(), changes.count() + repeated);
+        }
+    }
+
+    #[test]
+    fn a_repeat_count_that_would_overflow_starts_a_new_word() {
+        let step = pack(3, true, false, true);
+        let mut decisions = Decisions::default();
+        decisions.push(step);
+        decisions.push(step);
+        decisions.words[1] = u32::MAX;
+        decisions.push(step);
+        assert_eq!(decisions.iter().collect::<Vec<_>>(), [(step, u32::MAX), (step, 1)]);
+    }
+
+    /// BE with its origin dead and the GPP fallback on: the baseline's
+    /// tape starves every configuration, so a mobile policy falls back.
+    fn dead_origin_with_fallback() -> SystemConfig {
+        let mut config = SystemConfig::new(Fabric::be());
+        let mut mask = FaultMask::healthy(&config.fabric);
+        mask.mark_dead(0, 0);
+        config.faults = Some(mask);
+        config.fault_fallback = true;
+        config
+    }
+
+    #[test]
+    fn a_fallback_the_oracle_rejects_keeps_no_tape() {
+        let config = dead_origin_with_fallback();
+        let good = SuiteSpec::subset("crc", vec![1]).workloads(7);
+        let mut expected = good[0].expected().to_vec();
+        expected[0].1[0] ^= 1;
+        let program = good[0].program().clone();
+        let bad = [Workload::from_program("crc32", program, good[0].max_steps(), expected)];
+        // The baseline's tape of the program, recorded where the oracle
+        // holds, in a store whose oracle rejects every full session.
+        let mut recorded = TapeStore::new(&config, &good);
+        assert!(recorded.run_cell(&PolicySpec::Baseline, 0).expect("no error").verified);
+        let mut store = TapeStore::new(&config, &bad);
+        store.tapes[0] = recorded.tapes[0].take();
+        let rot = store.run_cell(&PolicySpec::rotation(), 0).expect("no error");
+        assert!(!rot.verified, "the fallback is a full session the oracle rejects");
+        assert!(store.tapes[0].is_none(), "it replaces the tape with none");
+        let ha = store.run_cell(&PolicySpec::HealthAware, 0).expect("no error");
+        assert!(!ha.verified, "with no tape, health-aware runs a full session too");
+    }
+
+    #[test]
+    fn a_refused_recording_leaves_no_tape_to_replay() {
+        let config = SystemConfig::new(Fabric::be());
+        let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
+        let mut recording = recording();
+        sample_where(&mut recording, |s| !s.outputs.is_empty()).outputs[0] ^= 1;
+        let mut store = TapeStore::new(&config, &workloads);
+        store.keep(0, &config.fabric, true, recording);
+        assert!(store.tapes[0].is_none(), "a refused recording is no tape");
+        let rot = store.run_cell(&PolicySpec::rotation(), 0).expect("no error");
+        assert!(rot.verified, "the oracle accepts the full session");
+        assert!(store.tapes[0].is_some(), "which records the tape again");
+    }
+
+    #[test]
+    fn a_sweep_cell_reports_exhaustion_as_the_sessions_error() {
+        let mut config = dead_origin_with_fallback();
+        config.fault_fallback = false;
+        let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
+        let mut store = TapeStore::new(&config, &workloads);
+        assert!(store.run_cell(&PolicySpec::rotation(), 0).expect("alive").verified);
+        let err = store.run_cell(&PolicySpec::Baseline, 0).err().expect("the origin is dead");
+        let session = System::new(config.clone(), PolicySpec::Baseline.build())
+            .run(workloads[0].program())
+            .expect_err("the origin is dead");
+        assert!(matches!(err, SystemError::AllocationExhausted { .. }));
+        assert_eq!(err, session);
     }
 }
