@@ -4,14 +4,17 @@
 //! with utilization-aware backpressure over it. `probe_day_unobserved` is
 //! the campaign's path (no observers, so no day tracker);
 //! `probe_day_queue_depth` attaches a queue-depth probe, which also
-//! builds the day tracker observers read.
+//! builds the day tracker observers read. `lane_task_2_traffic_5_policies`
+//! is one campaign phase-1 task through the public `run_serving`: one
+//! device on one lane, so one task serves the diurnal and heavy profiles
+//! under the experiments' five-policy series from one tape store.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cgra::Fabric;
 use transrec::telemetry::ProbeSpec;
-use transrec::traffic::{probe_service_day, ServePlan, TrafficSpec};
+use transrec::traffic::{probe_service_day, run_serving, ServePlan, TrafficSpec};
 use uaware::PolicySpec;
 
 fn bench_serving_day(c: &mut Criterion) {
@@ -34,6 +37,16 @@ fn bench_serving_day(c: &mut Criterion) {
             let (day, reports) = probe_service_day(&plan, &policy, &traffic, 0, 0, probes).unwrap();
             black_box((day.served_cgra, reports.len()))
         })
+    });
+    let series = ["baseline", "rotation", "rotation:snake@per-load", "random", "health-aware"];
+    let lane = ServePlan::new(0xDAC2020, Fabric::be())
+        .policies(series.iter().map(|s| s.parse::<PolicySpec>().expect("spec")))
+        .traffic_mix([TrafficSpec::diurnal(), TrafficSpec::heavy()])
+        .devices(1)
+        .lanes(1)
+        .horizon_days(3);
+    group.bench_function("lane_task_2_traffic_5_policies", |b| {
+        b.iter(|| black_box(run_serving(&lane, 1).unwrap().cells.len()))
     });
     group.finish();
 }

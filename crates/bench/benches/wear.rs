@@ -80,19 +80,19 @@ fn bench_tape(c: &mut Criterion) {
     // at the experiments' seed. Recording runs every workload as a full
     // session; a replay allocates the recorded offloads under a policy.
     let config = SystemConfig::new(Fabric::be());
+    let config = SystemConfig { faults: Some(FaultMask::healthy(&config.fabric)), ..config };
     let workloads = SuiteSpec::full().workloads(0xDAC2020);
-    let pristine = FaultMask::healthy(&config.fabric);
     let suite = |store: &mut TapeStore, spec: &PolicySpec| {
         (0..workloads.len())
-            .map(|w| store.run(spec, &pristine, w).expect("runs").expect("alive").stats.offloads)
+            .map(|w| store.run(&config, spec, w).expect("alive").run.stats.offloads)
             .sum::<u64>()
     };
     let mut group = c.benchmark_group("tape");
     group.sample_size(10);
     group.bench_function("record_be_suite_lane", |b| {
-        b.iter(|| suite(&mut TapeStore::new(&config, &workloads), &PolicySpec::Baseline))
+        b.iter(|| suite(&mut TapeStore::new(&workloads), &PolicySpec::Baseline))
     });
-    let mut store = TapeStore::new(&config, &workloads);
+    let mut store = TapeStore::new(&workloads);
     let offloads = suite(&mut store, &PolicySpec::Baseline);
     println!("tape: {offloads} offloads per BE suite lane");
     for (name, spec) in

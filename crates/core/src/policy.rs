@@ -67,9 +67,9 @@ impl FromStr for MovementGranularity {
 /// the offsets at which every footprint cell lands on a live FU and every
 /// capability-demanding anchor lands on a capable cell.
 ///
-/// Legality only changes when a configuration is installed or the fault
-/// mask is swapped, so the table is built once per configuration
-/// (`transrec::System` does it at insertion and on every mask swap) and
+/// Legality depends only on the configuration and the fault mask, so the
+/// table is built once per configuration and mask (`transrec::System`
+/// does it at insertion, a tape replay per replayed configuration) and
 /// every allocation decision reads it.
 ///
 /// On unconstrained inputs — a uniform pristine fabric, or no demands and

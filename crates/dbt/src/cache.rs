@@ -116,12 +116,6 @@ impl<T> ConfigCache<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries.values().map(|e| &e.record)
     }
-
-    /// Iterates mutably over the cached records in unspecified order
-    /// (does not touch LRU state or counters).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.entries.values_mut().map(|e| &mut e.record)
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,20 @@
 //! The one campaign engine behind [`fleet`](crate::fleet) and
-//! [`traffic`](crate::traffic) (DESIGN.md §12). A campaign's cells are
-//! groups × policies (serving's groups are its traffic profiles; fleet has
-//! one). Phase 1 runs one task per (group × equivalence class), which
-//! simulates that class under every policy; each trajectory *is* its
-//! class's outcome in its cell. Phase 2 is pure arithmetic: device shards
-//! stream through in waves, and each shard weights every class's
-//! trajectory by its member count into per-cell monoid accumulators. An
-//! optional checkpoint — one versioned envelope for every kind — makes the
-//! campaign kill-safe. A kind plugs in through the crate-private
-//! `Campaign` trait and keeps only its physics (simulate, observe,
-//! report); the engine owns everything else: the entry checks, the class
-//! partition (`ClassMap`), each lane's workload mix, the task shape, the
-//! trajectory slots and the shard split. A kind runs its suite passes on a
-//! faulted fabric through the task's [`TapeStore`](crate::tape::TapeStore):
-//! each workload is recorded once per task and replayed for every other
-//! policy and fault mask (DESIGN.md §17).
+//! [`traffic`](crate::traffic) (DESIGN.md §12). Phase 1 runs one task per
+//! equivalence class, which simulates that class in every cell (fleet's
+//! cells are its policies, serving's its traffic profiles × policies);
+//! each trajectory *is* its class's outcome in its cell. Phase 2 is pure
+//! arithmetic: device shards stream through in waves, and each shard
+//! weights every class's trajectory by its member count into per-cell
+//! monoid accumulators. An optional checkpoint — one versioned envelope
+//! for every kind — makes the campaign kill-safe. A kind plugs in through
+//! the crate-private `Campaign` trait and keeps only its physics
+//! (simulate, observe, report); the engine owns everything else: the
+//! entry checks, the class partition (`ClassMap`), each lane's workload
+//! mix, the task's [`TapeStore`], the trajectory slots and the shard
+//! split. A task runs its suite passes through that store, each on the
+//! configuration of the fault mask it faces: each workload is recorded
+//! once per task and replayed for every other policy and fault mask
+//! (DESIGN.md §17).
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -30,6 +30,7 @@ use uaware::{derive_cell_seed, PolicySpec};
 
 use crate::sweep::{par_map_observed, SuiteSpec};
 use crate::system::{check_movement, SystemConfig, SystemError};
+use crate::tape::{TapeRun, TapeStore, WorkloadRun};
 
 /// Checkpoint format version of every campaign kind; bumped on any layout
 /// change so stale files are rejected instead of misread. v2 added the
@@ -92,8 +93,8 @@ impl<R> Status<R> {
 /// Everything [`run`] needs besides a kind's physics: the device
 /// population both kinds' plans describe the same way — the policy axis on
 /// one system configuration, `devices` per cell streamed in shards of
-/// `shard_devices` — its equivalence classes, and the groups the policy
-/// axis repeats over (DESIGN.md §12).
+/// `shard_devices` — its equivalence classes, and its cell count
+/// (DESIGN.md §12).
 pub(crate) struct Population<'a> {
     /// Base experiment seed; lane `l` draws its workloads from
     /// [`derive_cell_seed`]`(base_seed, l)`.
@@ -110,9 +111,9 @@ pub(crate) struct Population<'a> {
     pub shard_devices: usize,
     /// The population's equivalence classes, the same in every cell.
     pub classes: ClassMap,
-    /// Groups of cells: cell `group × policies + policy`. Serving's groups
-    /// are its traffic profiles; fleet has one.
-    pub groups: usize,
+    /// Cells, each simulated by every class: fleet has one per policy,
+    /// serving one per (traffic profile × policy).
+    pub cells: usize,
 }
 
 impl Population<'_> {
@@ -283,15 +284,14 @@ pub(crate) trait Campaign: Debug + Sync {
     /// The kind's checkpoint magic and span names.
     const KIND: Kind;
 
-    /// Phase-1 task (`group`, `class`): simulates the class whose key is
-    /// `class` against its lane's `workloads` under every policy, returning
-    /// one trajectory per policy in plan order. A task covers every policy
-    /// so they can share work such as generated inputs.
+    /// Phase-1 task `class`: simulates the class whose key is `class` in
+    /// every cell, in cell order, running its lane's workloads through
+    /// `store`. A task covers every cell so they can share work such as
+    /// recorded tapes and measured references.
     fn simulate(
         &self,
-        group: usize,
         class: &ClassKey,
-        workloads: &[Workload],
+        store: &mut TapeStore<'_>,
     ) -> Vec<Result<Self::Trajectory, SystemError>>;
     /// Folds `members` devices that share `trajectory` into a cell's
     /// aggregate: the whole of phase 2's per-class work.
@@ -303,6 +303,34 @@ pub(crate) trait Campaign: Debug + Sync {
         classes: &ClassMap,
         cells: Vec<(Self::Accum, &[Self::Trajectory])>,
     ) -> Self::Report;
+}
+
+/// Runs workload `workload` under `spec` on a device of `config` through
+/// the task's `store`: `Ok(None)` when the allocation is exhausted (the
+/// device is dead), else the session's statistics and tracker.
+///
+/// # Errors
+///
+/// The session's error other than exhaustion.
+///
+/// # Panics
+///
+/// Panics when the workload's oracle rejects the run.
+pub(crate) fn device_run(
+    store: &mut TapeStore<'_>,
+    config: &SystemConfig,
+    spec: &PolicySpec,
+    workload: usize,
+) -> Result<Option<TapeRun>, SystemError> {
+    match store.run(config, spec, workload) {
+        Ok(WorkloadRun { run, verified, .. }) => {
+            let dead = config.faults.as_ref().map_or(0, |mask| mask.dead_count());
+            assert!(verified, "oracle failure under {spec} with {dead} dead FUs");
+            Ok(Some(run))
+        }
+        Err(SystemError::AllocationExhausted { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// The plan fingerprint a checkpoint is bound to: FNV-1a 64 over the
@@ -451,8 +479,7 @@ pub(crate) fn run<C: Campaign>(
     let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
     let fingerprint = fingerprint(campaign);
     let class_map = &population.classes;
-    let (policies, classes) = (population.policies.len(), class_map.count());
-    let cells = population.groups * policies;
+    let (cells, classes) = (population.cells, class_map.count());
     let path = options.checkpoint.as_deref();
     let persist = |state: &Checkpoint<C::Trajectory, C::Accum>| {
         if let Some(path) = path {
@@ -470,23 +497,19 @@ pub(crate) fn run<C: Campaign>(
             // cells, so every policy faces the identical population.
             let workloads: Vec<Vec<Workload>> = pool
                 .par_map((0..class_map.lanes()).collect(), |_, lane| population.workloads(lane));
-            let tasks = (0..population.groups)
-                .flat_map(|group| (0..classes).map(move |class| (group, class)))
-                .collect();
+            let tasks = (0..classes).collect();
             let (simulated, metrics) =
-                par_map_observed(&pool, tasks, options.collect_metrics, |(group, class)| {
+                par_map_observed(&pool, tasks, options.collect_metrics, |class| {
                     let key = &class_map.keys[class];
-                    campaign.simulate(group, key, &workloads[key.0])
+                    campaign.simulate(key, &mut TapeStore::new(&workloads[key.0]))
                 });
             // Lay the trajectories out cell-major, `cell * classes + class`:
-            // task (`group`, `class`) yields cell `group * policies +
-            // policy`'s trajectories in policy order.
+            // task `class` yields its trajectories in cell order.
             let mut simulated: Vec<_> = simulated.into_iter().map(Vec::into_iter).collect();
             let trajectories = (0..cells * classes)
                 .map(|slot| {
-                    let (cell, class) = (slot / classes, slot % classes);
-                    let task = &mut simulated[cell / policies * classes + class];
-                    task.next().expect("a phase-1 task simulates every policy")
+                    let task = &mut simulated[slot % classes];
+                    task.next().expect("a phase-1 task simulates every cell")
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             let accums = (0..cells).map(|_| C::Accum::default()).collect();

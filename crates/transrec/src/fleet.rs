@@ -21,11 +21,12 @@
 //!    task per class simulates it under every policy on the reference
 //!    [`lifetime::DeviceLifetime`] path, re-running the suite only when
 //!    the fault mask changes: a homogeneous fleet costs one suite run per
-//!    distinct failure trajectory, not per device. The task's policies
-//!    share one offload tape per workload ([`crate::tape`], DESIGN.md
-//!    §17): the first mission that needs a workload runs it as a full
-//!    session and records the tape, and every later policy and fault mask
-//!    replays it through the allocator alone. Each (policy × class)
+//!    distinct failure trajectory, not per device. A mission runs on one
+//!    [`SystemConfig`] that carries its fault mask, through the tape store
+//!    the engine builds for the task ([`crate::tape`], DESIGN.md §17): the
+//!    first mission that needs a workload runs it as a full session and
+//!    records the tape, and every later policy and fault mask replays it
+//!    through the allocator alone. Each (policy × class)
 //!    trajectory records what that device lived through — death and
 //!    first-failure times, missions and failure events — which is the
 //!    outcome of every member of its class.
@@ -68,7 +69,6 @@
 //! ```
 
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats, FuFailed, SurvivalCurve};
-use mibench::Workload;
 use nbti::CalibratedAging;
 use serde::{Deserialize, Serialize};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
@@ -401,10 +401,10 @@ fn simulate_trajectory(
             simulated += 1;
             let mut merged = UtilizationTracker::new(&plan.config.fabric);
             let mut cycles = 0u64;
-            // A copy, because a dead workload retires `life` mid-pass.
-            let mask = life.fault_mask().clone();
+            let config =
+                SystemConfig { faults: Some(life.fault_mask().clone()), ..plan.config.clone() };
             for workload in 0..plan.suite.members.len() {
-                let Some(run) = store.run(spec, &mask, workload)? else {
+                let Some(run) = campaign::device_run(store, &config, spec, workload)? else {
                     life.retire();
                     break 'life;
                 };
@@ -451,21 +451,16 @@ impl Campaign for FleetPlan {
         checkpoint_span: "fleet.checkpoint",
     };
 
-    /// One class's deployment under every policy; fleet has one group.
-    /// The policies share one tape store, so each workload is recorded
+    /// One class's deployment under every policy: a cell per policy. The
+    /// policies share the task's tape store, so each workload is recorded
     /// once and replayed for every later policy and fault mask (DESIGN.md
     /// §17).
     fn simulate(
         &self,
-        _group: usize,
         (_, defects): &ClassKey,
-        workloads: &[Workload],
+        store: &mut TapeStore<'_>,
     ) -> Vec<Result<ClassTrajectory, SystemError>> {
-        let mut store = TapeStore::new(&self.config, workloads);
-        self.policies
-            .iter()
-            .map(|spec| simulate_trajectory(self, spec, &mut store, defects))
-            .collect()
+        self.policies.iter().map(|spec| simulate_trajectory(self, spec, store, defects)).collect()
     }
 
     /// Weights one class's outcome by its member count (DESIGN.md §12).
@@ -587,7 +582,7 @@ pub fn run_fleet_campaign(
         devices: plan.devices,
         shard_devices: plan.shard_devices,
         classes: plan.classes(),
-        groups: 1,
+        cells: plan.policies.len(),
     };
     campaign::run(plan, population, jobs, options)
 }

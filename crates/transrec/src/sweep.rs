@@ -386,8 +386,8 @@ fn run_policies(
     probes: &[ProbeSpec],
 ) -> Vec<Result<WorkloadRun, SystemError>> {
     if policies.len() > 1 && probes.is_empty() {
-        let mut store = TapeStore::new(config, std::slice::from_ref(workload));
-        policies.iter().map(|spec| store.run_cell(spec, 0)).collect()
+        let mut store = TapeStore::new(std::slice::from_ref(workload));
+        policies.iter().map(|spec| store.run(config, spec, 0)).collect()
     } else {
         policies.iter().map(|spec| session(config, spec, probes, workload, false).0).collect()
     }

@@ -342,8 +342,7 @@ impl From<MemError> for SystemError {
 /// the DBT installs it (DESIGN.md §10): the hardware decodes a trace into
 /// the configuration cache once and executes it many times, and so does
 /// the simulator — the cache stores this record itself. Only its
-/// [`Legality`] depends on the fault mask; a mask swap rebuilds it.
-#[derive(Clone)]
+/// [`Legality`] depends on the fault mask, which a session never changes.
 pub(crate) struct Decoded {
     /// The translated configuration.
     pub(crate) cc: CachedConfig,
@@ -358,9 +357,8 @@ pub(crate) struct Decoded {
 }
 
 /// What allocating one configuration depends on under one fault mask and
-/// class mix: built at decode, at every mask swap, and per configuration
-/// of a replayed offload tape (DESIGN.md §17).
-#[derive(Clone)]
+/// class mix: built at decode and per configuration of a replayed offload
+/// tape (DESIGN.md §17).
 pub(crate) struct Legality {
     /// The pivots its footprint may take (DESIGN.md §11, §14).
     legal: LegalPivots,
@@ -572,8 +570,8 @@ impl SystemBuilder {
     }
 
     /// Starts the system with permanent FU failures already present
-    /// (DESIGN.md §11) — e.g. resuming a part-worn device. The mask can
-    /// also be swapped later via [`System::set_fault_mask`].
+    /// (DESIGN.md §11) — e.g. resuming a part-worn device. This sets
+    /// [`SystemConfig::faults`], the only way a mask reaches a system.
     pub fn fault_mask(mut self, mask: FaultMask) -> SystemBuilder {
         self.config.faults = Some(mask);
         self
@@ -660,17 +658,6 @@ impl SystemBuilder {
     }
 }
 
-/// Panics unless `mask`, if any, has `fabric`'s geometry.
-fn assert_mask_fits(fabric: &Fabric, mask: Option<&FaultMask>) {
-    if let Some(mask) = mask {
-        assert_eq!(
-            (mask.rows(), mask.cols()),
-            (fabric.rows, fabric.cols),
-            "fault mask geometry must match the fabric"
-        );
-    }
-}
-
 impl System {
     /// Starts a [`SystemBuilder`] with [`SystemConfig::new`] defaults for
     /// `fabric` and the baseline policy.
@@ -692,7 +679,13 @@ impl System {
     /// Panics if the configuration's fault mask geometry does not match
     /// its fabric.
     pub fn new(config: SystemConfig, policy: Box<dyn AllocationPolicy>) -> System {
-        assert_mask_fits(&config.fabric, config.faults.as_ref());
+        if let Some(mask) = &config.faults {
+            assert_eq!(
+                (mask.rows(), mask.cols()),
+                (config.fabric.rows, config.fabric.cols),
+                "fault mask geometry must match the fabric"
+            );
+        }
         let reconfig_unit = if config.movement_hardware {
             ReconfigUnit::with_movement()
         } else {
@@ -744,28 +737,7 @@ impl System {
         &self.alloc.tracker
     }
 
-    /// Installs (or clears) the permanent-failure map the allocation policy
-    /// must route around (DESIGN.md §11). The lifetime engine updates the
-    /// mask between missions as FUs cross their end of life; once no legal
-    /// placement remains, runs fail with
-    /// [`SystemError::AllocationExhausted`]. The legal pivots and the
-    /// starve flag of every cached configuration are rebuilt against the
-    /// new mask, so the swap takes effect at the next offload, also in a
-    /// resumed session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask geometry does not match the system's fabric.
-    pub fn set_fault_mask(&mut self, mask: Option<FaultMask>) {
-        assert_mask_fits(&self.config.fabric, mask.as_ref());
-        self.config.faults = mask;
-        for record in self.cache.iter_mut() {
-            let record = Arc::make_mut(record);
-            record.legality = Legality::new(&self.config, &record.footprint, &record.demands);
-        }
-    }
-
-    /// The installed permanent-failure map, if any.
+    /// The permanent-failure map of the system's configuration, if any.
     pub fn fault_mask(&self) -> Option<&FaultMask> {
         self.config.faults.as_ref()
     }
@@ -1433,13 +1405,6 @@ mod tests {
         // No execution ever touched the dead FU.
         assert_eq!(sys.tracker().exec_count(0, 0), 0, "dead corner must stay idle");
         assert!(sys.stats().offloads > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry must match")]
-    fn fault_mask_geometry_is_validated() {
-        let mut sys = System::builder(Fabric::be()).build().unwrap();
-        sys.set_fault_mask(Some(FaultMask::healthy(&Fabric::bp())));
     }
 
     #[test]

@@ -17,19 +17,22 @@
 //! (`system::Allocator`: the policy, the tracker and the resident
 //! rotate), and yields the statistics and tracker a full session would.
 //!
-//! [`TapeStore`] is the runner of the campaigns' phase-1 tasks and of the
-//! sweep's (configuration, workload) tasks: the first policy that needs a
-//! workload runs it as a full session and records its tape; every later
-//! policy and fault mask replays it, and falls back to a full session
-//! wherever the replay cannot stand for one. A full session that runs to
-//! exit, a fallback included, records the workload's tape again.
+//! [`TapeStore`] is the runner of the campaigns' phase-1 tasks (the
+//! campaign engine builds one per task over its class's workloads) and of
+//! the sweep's (configuration, workload) tasks. It holds only workloads
+//! and tapes, and runs whatever configuration it is handed, fault mask
+//! included: the first policy that needs a workload runs it as a full
+//! session and records its tape; every later policy and fault mask
+//! replays it, and falls back to a full session wherever the replay
+//! cannot stand for one. A full session that runs to exit, a fallback
+//! included, records the workload's tape again.
 
 use std::collections::HashMap;
 use std::iter;
 use std::sync::Arc;
 
 use cgra::op::{LoadFunc, OpKind, StoreFunc};
-use cgra::{ExecScratch, Executor, Fabric, FaultMask, MemBus, MemFault, Offset};
+use cgra::{ExecScratch, Executor, Fabric, MemBus, MemFault, Offset};
 use dbt::membus::MemoryBus;
 use mibench::Workload;
 use obs::Registry;
@@ -433,14 +436,16 @@ pub struct TapeRun {
 
 /// One workload's run under one policy, as a suite folds it: the session's
 /// statistics and tracker, recorded, replayed or run in full.
-pub(crate) struct WorkloadRun {
-    pub(crate) run: TapeRun,
+#[derive(Debug)]
+pub struct WorkloadRun {
+    /// The session's statistics and per-FU utilization.
+    pub run: TapeRun,
     /// A full session: the workload's oracle accepted its memory image. A
     /// replay: its tape was kept, which needs both that and the per-pivot
-    /// check of [`Recording::into_tape`] (DESIGN.md §17).
-    pub(crate) verified: bool,
+    /// check of `Recording::into_tape` (DESIGN.md §17).
+    pub verified: bool,
     /// The reports of the probes a full session carried.
-    pub(crate) probes: Vec<ProbeReport>,
+    pub probes: Vec<ProbeReport>,
 }
 
 /// Runs `workload` under `spec` as a full session on a fresh system of
@@ -470,93 +475,62 @@ pub(crate) fn session(
     (run, recording)
 }
 
-/// The masked-suite runner of one task (DESIGN.md §9, §17): one recorded
-/// tape per workload, replayed for every later policy and fault mask. A
-/// campaign phase-1 task and a sweep task each own one; a store is
-/// dropped with its task, so nothing it caches can reach a report, a
-/// checkpoint or another task.
+/// The suite runner of one task (DESIGN.md §9, §17): one recorded tape
+/// per workload, replayed for every later policy and fault mask. A
+/// campaign phase-1 task and a sweep task each own one; a store is dropped
+/// with its task, so nothing it caches can reach a report, a checkpoint or
+/// another task. A tape depends on everything in a configuration but its
+/// fault mask, so the configurations one store is handed may differ only
+/// in [`SystemConfig::faults`].
 ///
 /// # Examples
 ///
 /// ```
-/// use cgra::{Fabric, FaultMask};
+/// use cgra::Fabric;
 /// use transrec::tape::TapeStore;
 /// use transrec::SystemConfig;
 /// use uaware::PolicySpec;
 ///
 /// let config = SystemConfig::new(Fabric::be());
 /// let workloads = transrec::sweep::SuiteSpec::subset("crc", vec![1]).workloads(7);
-/// let mut store = TapeStore::new(&config, &workloads);
-/// let pristine = FaultMask::healthy(&config.fabric);
+/// let mut store = TapeStore::new(&workloads);
 /// // The first policy records the workload; rotation replays it.
-/// let base = store.run(&PolicySpec::Baseline, &pristine, 0).unwrap().unwrap();
-/// let rot = store.run(&PolicySpec::rotation(), &pristine, 0).unwrap().unwrap();
-/// assert_eq!(base.stats.offloads, rot.stats.offloads);
-/// assert!(rot.tracker.utilization().max() < base.tracker.utilization().max());
+/// let base = store.run(&config, &PolicySpec::Baseline, 0).unwrap();
+/// let rot = store.run(&config, &PolicySpec::rotation(), 0).unwrap();
+/// assert!(base.verified && rot.verified);
+/// assert_eq!(base.run.stats.offloads, rot.run.stats.offloads);
+/// assert!(rot.run.tracker.utilization().max() < base.run.tracker.utilization().max());
 /// ```
 pub struct TapeStore<'a> {
-    config: &'a SystemConfig,
     workloads: &'a [Workload],
     tapes: Vec<Option<Tape>>,
 }
 
 impl<'a> TapeStore<'a> {
-    /// An empty store for `workloads` on systems of `config`.
-    pub fn new(config: &'a SystemConfig, workloads: &'a [Workload]) -> TapeStore<'a> {
-        TapeStore { config, workloads, tapes: workloads.iter().map(|_| None).collect() }
+    /// An empty store for `workloads`.
+    pub fn new(workloads: &'a [Workload]) -> TapeStore<'a> {
+        TapeStore { workloads, tapes: workloads.iter().map(|_| None).collect() }
     }
 
-    /// Runs workload `workload` under `spec` on a fresh system whose fabric
-    /// carries `mask` (in place of the store's configuration's own), as
-    /// [`System::run`] would: `Ok(None)` when the allocation is exhausted
-    /// (the device is dead), else the session's statistics and tracker.
-    /// The first run of a workload to reach its exit records its tape;
-    /// later runs replay it, or fall back to a full session where the
-    /// policy disagrees with the tape, and a fallback that reaches its
-    /// exit records the tape again. Under a subscriber, a tape recorded
-    /// without one (so without its counters) is recorded again instead of
-    /// replayed.
+    /// The workloads the store runs.
+    pub fn workloads(&self) -> &'a [Workload] {
+        self.workloads
+    }
+
+    /// Runs workload `workload` under `spec` on a fresh system of `config`,
+    /// as a full session would, with the workload's oracle verdict in
+    /// [`WorkloadRun::verified`]. The first run of a workload to reach its
+    /// exit records its tape; later runs replay it, or fall back to a full
+    /// session where the policy disagrees with the tape, and a fallback
+    /// that reaches its exit records the tape again. Under a subscriber, a
+    /// tape recorded without one (so without its counters) is recorded
+    /// again instead of replayed.
     ///
     /// # Errors
     ///
-    /// The full session's error other than exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the workload's oracle rejects a full session.
+    /// The full session's error, [`SystemError::AllocationExhausted`]
+    /// included.
     pub fn run(
-        &mut self,
-        spec: &PolicySpec,
-        mask: &FaultMask,
-        workload: usize,
-    ) -> Result<Option<TapeRun>, SystemError> {
-        let config = SystemConfig { faults: Some(mask.clone()), ..self.config.clone() };
-        match self.run_on(&config, spec, workload) {
-            Ok(WorkloadRun { run, verified, .. }) => {
-                let dead = mask.dead_count();
-                assert!(verified, "oracle failure under {spec} with {dead} dead FUs");
-                Ok(Some(run))
-            }
-            Err(SystemError::AllocationExhausted { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`run`](TapeStore::run) on the store's configuration as it is, for
-    /// a sweep cell: exhaustion is an error, and a session the oracle
-    /// rejects is reported unverified.
-    pub(crate) fn run_cell(
-        &mut self,
-        spec: &PolicySpec,
-        workload: usize,
-    ) -> Result<WorkloadRun, SystemError> {
-        let config = self.config;
-        self.run_on(config, spec, workload)
-    }
-
-    /// [`run`](TapeStore::run) and [`run_cell`](TapeStore::run_cell) on
-    /// `config`.
-    fn run_on(
         &mut self,
         config: &SystemConfig,
         spec: &PolicySpec,
@@ -620,7 +594,7 @@ impl<'a> TapeStore<'a> {
 
 #[cfg(test)]
 mod tests {
-    use cgra::Fabric;
+    use cgra::{Fabric, FaultMask};
     use proptest::prelude::*;
 
     use super::*;
@@ -654,16 +628,18 @@ mod tests {
 
     #[test]
     fn a_dying_first_recording_keeps_no_tape() {
-        let config = SystemConfig::new(Fabric::be());
+        let mut config = dead_origin_with_fallback();
+        config.fault_fallback = false;
         let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
-        let mut mask = FaultMask::healthy(&config.fabric);
-        mask.mark_dead(0, 0);
-        let mut store = TapeStore::new(&config, &workloads);
-        let base = store.run(&PolicySpec::Baseline, &mask, 0).expect("no error");
-        assert!(base.is_none(), "the baseline's origin is dead");
+        let mut store = TapeStore::new(&workloads);
+        let base = store.run(&config, &PolicySpec::Baseline, 0);
+        assert!(
+            matches!(base, Err(SystemError::AllocationExhausted { .. })),
+            "the baseline's origin is dead"
+        );
         assert!(store.tapes[0].is_none(), "a session that died leaves no tape");
-        let rot = store.run(&PolicySpec::rotation(), &mask, 0).expect("no error");
-        assert!(rot.is_some(), "rotation routes around the dead origin");
+        let rot = store.run(&config, &PolicySpec::rotation(), 0).expect("no error");
+        assert!(rot.verified, "rotation routes around the dead origin");
         assert!(store.tapes[0].is_some(), "a session that ran to exit is recorded");
     }
 
@@ -742,14 +718,14 @@ mod tests {
         let bad = [Workload::from_program("crc32", program, good[0].max_steps(), expected)];
         // The baseline's tape of the program, recorded where the oracle
         // holds, in a store whose oracle rejects every full session.
-        let mut recorded = TapeStore::new(&config, &good);
-        assert!(recorded.run_cell(&PolicySpec::Baseline, 0).expect("no error").verified);
-        let mut store = TapeStore::new(&config, &bad);
+        let mut recorded = TapeStore::new(&good);
+        assert!(recorded.run(&config, &PolicySpec::Baseline, 0).expect("no error").verified);
+        let mut store = TapeStore::new(&bad);
         store.tapes[0] = recorded.tapes[0].take();
-        let rot = store.run_cell(&PolicySpec::rotation(), 0).expect("no error");
+        let rot = store.run(&config, &PolicySpec::rotation(), 0).expect("no error");
         assert!(!rot.verified, "the fallback is a full session the oracle rejects");
         assert!(store.tapes[0].is_none(), "it replaces the tape with none");
-        let ha = store.run_cell(&PolicySpec::HealthAware, 0).expect("no error");
+        let ha = store.run(&config, &PolicySpec::HealthAware, 0).expect("no error");
         assert!(!ha.verified, "with no tape, health-aware runs a full session too");
     }
 
@@ -759,10 +735,10 @@ mod tests {
         let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
         let mut recording = recording();
         sample_where(&mut recording, |s| !s.outputs.is_empty()).outputs[0] ^= 1;
-        let mut store = TapeStore::new(&config, &workloads);
+        let mut store = TapeStore::new(&workloads);
         store.keep(0, &config.fabric, true, recording);
         assert!(store.tapes[0].is_none(), "a refused recording is no tape");
-        let rot = store.run_cell(&PolicySpec::rotation(), 0).expect("no error");
+        let rot = store.run(&config, &PolicySpec::rotation(), 0).expect("no error");
         assert!(rot.verified, "the oracle accepts the full session");
         assert!(store.tapes[0].is_some(), "which records the tape again");
     }
@@ -772,9 +748,9 @@ mod tests {
         let mut config = dead_origin_with_fallback();
         config.fault_fallback = false;
         let workloads = SuiteSpec::subset("crc", vec![1]).workloads(7);
-        let mut store = TapeStore::new(&config, &workloads);
-        assert!(store.run_cell(&PolicySpec::rotation(), 0).expect("alive").verified);
-        let err = store.run_cell(&PolicySpec::Baseline, 0).err().expect("the origin is dead");
+        let mut store = TapeStore::new(&workloads);
+        assert!(store.run(&config, &PolicySpec::rotation(), 0).expect("alive").verified);
+        let err = store.run(&config, &PolicySpec::Baseline, 0).expect_err("the origin is dead");
         let session = System::new(config.clone(), PolicySpec::Baseline.build())
             .run(workloads[0].program())
             .expect_err("the origin is dead");

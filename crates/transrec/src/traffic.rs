@@ -17,15 +17,15 @@
 //!
 //! The engine runs on the same [`campaign`] driver as
 //! [`run_fleet_campaign`](crate::fleet::run_fleet_campaign): phase 1
-//! simulates one serving trajectory per (traffic × policy × lane)
-//! equivalence class — one task per (traffic × lane) generates that
-//! lane's arrival streams once and serves every policy from them, and
-//! measures each request shape's fabric cost by replaying one offload tape
-//! per workload ([`crate::tape`], DESIGN.md §17) — phase
-//! 2 streams device shards through a weighted merge of class outcomes,
-//! and a checkpointed campaign resumes byte-identically after any kill —
-//! `results/serving.json` is identical for every `--jobs` value, shard
-//! split, and stop/resume point.
+//! simulates one serving trajectory per (traffic × policy × lane) — one
+//! task per lane, its equivalence class, measures the lane's GPP reference
+//! once, generates each traffic profile's arrival streams in turn and
+//! serves every policy from them, measuring each request shape's fabric
+//! cost through one offload tape per workload in the task's store
+//! ([`crate::tape`], DESIGN.md §17) — phase 2 streams device shards
+//! through a weighted merge of class outcomes, and a checkpointed campaign
+//! resumes byte-identically after any kill — `results/serving.json` is
+//! identical for every `--jobs` value, shard split, and stop/resume point.
 //!
 //! # Examples
 //!
@@ -54,7 +54,6 @@ use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats};
-use mibench::Workload;
 use nbti::CalibratedAging;
 use obs::{log_bucket, LogHistogram, LOG_BUCKETS};
 use rand::distr::{Distribution, Exp, Pareto};
@@ -218,12 +217,16 @@ impl FromStr for TrafficSpec {
             let (key, value) = part
                 .split_once('-')
                 .ok_or_else(|| format!("malformed traffic parameter {part:?} (want key-value)"))?;
-            let value: u64 =
+            let parsed: u64 =
                 value.parse().map_err(|_| format!("malformed traffic value {value:?}"))?;
+            let narrow = || {
+                u32::try_from(parsed)
+                    .map_err(|_| format!("traffic value {value:?} out of range for {key}"))
+            };
             match key {
-                "rph" => per_hour = value,
-                "swing" => swing_pct = Some(value as u32),
-                "alpha" => alpha_milli = Some(value as u32),
+                "rph" => per_hour = parsed,
+                "swing" => swing_pct = Some(narrow()?),
+                "alpha" => alpha_milli = Some(narrow()?),
                 _ => return Err(format!("unknown traffic parameter {key:?}")),
             }
         }
@@ -622,21 +625,24 @@ impl<'a> ServiceTable<'a> {
         ServiceTable { spec, masks: BTreeMap::new(), simulated_services: 0 }
     }
 
-    /// The fabric costs of the store's workloads `0..workloads` under
-    /// `mask`, measuring every workload on first use: each request shape
-    /// run to exit on a fresh system, or replayed from the task's offload
-    /// tape (DESIGN.md §13, §17).
+    /// The fabric costs of the store's workloads on `config` with `mask`,
+    /// measuring every workload on first use: each request shape run to
+    /// exit on a fresh system, or replayed from the task's offload tape
+    /// (DESIGN.md §13, §17).
     fn costs(
         &mut self,
         store: &mut TapeStore<'_>,
-        workloads: usize,
+        config: &SystemConfig,
         mask: &FaultMask,
     ) -> Result<&[Option<CgraCost>], SystemError> {
         let key = mask.dead_count();
         if !self.masks.contains_key(&key) {
+            let config = SystemConfig { faults: Some(mask.clone()), ..config.clone() };
             let cost = |run: TapeRun| CgraCost::new(run.stats.total_cycles(), run.tracker);
-            let cgra = (0..workloads)
-                .map(|workload| Ok(store.run(self.spec, mask, workload)?.map(cost)))
+            let cgra = (0..store.workloads().len())
+                .map(|workload| {
+                    Ok(campaign::device_run(store, &config, self.spec, workload)?.map(cost))
+                })
                 .collect::<Result<Vec<_>, SystemError>>()?;
             self.simulated_services += cgra.len() as u64;
             self.masks.insert(key, cgra);
@@ -937,7 +943,7 @@ fn serve_policy(
         let outcome = match day_cache.get(&key) {
             Some(outcome) => outcome.clone(),
             None => {
-                let cgra = table.costs(store, plan.suite.members.len(), life.fault_mask())?;
+                let cgra = table.costs(store, &plan.config, life.fault_mask())?;
                 let outcome = run_service_day(
                     arrivals,
                     cgra,
@@ -1070,7 +1076,8 @@ pub type ServeStatus = Status<ServeReport>;
 
 /// The serving engine's physics on the shared [`campaign`] driver.
 impl Campaign for ServePlan {
-    /// One per (traffic × policy × lane): the lanes are the classes.
+    /// One per (traffic × policy × lane): the lanes are the classes, and
+    /// each lane's task yields every cell's.
     type Trajectory = ServeTrajectory;
     /// One cell per (traffic × policy).
     type Accum = ServeAccum;
@@ -1084,35 +1091,32 @@ impl Campaign for ServePlan {
         checkpoint_span: "serve.checkpoint",
     };
 
-    /// One (traffic × lane) pair's serving deployment under every policy,
-    /// in plan order. The pair's pattern-day arrival streams are generated
-    /// once and its GPP-only service cycles measured once; every policy
-    /// then serves the same streams, and both are dropped when the pair is
-    /// done (DESIGN.md §13).
+    /// One lane's serving deployment in every (traffic × policy) cell, in
+    /// plan order. The lane's GPP-only service cycles are measured once
+    /// and its tapes recorded once, in the task's store; each traffic
+    /// profile's pattern-day arrival streams are generated in turn, served
+    /// under every policy, and dropped (DESIGN.md §13).
     fn simulate(
         &self,
-        traffic: usize,
         &(lane, _): &ClassKey,
-        workloads: &[Workload],
+        store: &mut TapeStore<'_>,
     ) -> Vec<Result<ServeTrajectory, SystemError>> {
         let stream_seed = derive_cell_seed(self.base_seed, lane as u64);
-        let requests = workloads.len() as u32;
-        let pattern: Vec<Vec<Arrival>> = (0..self.pattern_days.min(self.horizon_days))
-            .map(|day| {
-                day_traffic(&self.traffic[traffic], stream_seed, day, self.clock_hz, requests)
-            })
-            .collect();
+        let requests = store.workloads().len() as u32;
         // GPP-only service cycles, the deferral path: they depend on neither
-        // the policy nor the fault mask.
-        let gpp = gpp_reference(&self.config, workloads);
-        let mut store = TapeStore::new(&self.config, workloads);
-        self.policies
-            .iter()
-            .map(|spec| {
+        // the traffic, the policy nor the fault mask.
+        let gpp = gpp_reference(&self.config, store.workloads());
+        let mut trajectories = Vec::with_capacity(self.traffic.len() * self.policies.len());
+        for traffic in &self.traffic {
+            let pattern: Vec<Vec<Arrival>> = (0..self.pattern_days.min(self.horizon_days))
+                .map(|day| day_traffic(traffic, stream_seed, day, self.clock_hz, requests))
+                .collect();
+            trajectories.extend(self.policies.iter().map(|spec| {
                 let gpp = gpp.as_ref().map_err(Clone::clone)?;
-                serve_policy(self, spec, &mut store, &pattern, gpp)
-            })
-            .collect()
+                serve_policy(self, spec, store, &pattern, gpp)
+            }));
+        }
+        trajectories
     }
 
     /// Class members are byte-identical, so phase 2 is a weighted fold of
@@ -1234,7 +1238,7 @@ pub fn run_serving_campaign(
         devices: plan.devices,
         shard_devices: plan.shard_devices,
         classes: ClassMap::build(plan.devices, lanes, []),
-        groups: plan.traffic.len(),
+        cells: plan.traffic.len() * plan.policies.len(),
     };
     campaign::run(plan, population, jobs, options)
 }
@@ -1302,10 +1306,9 @@ pub fn probe_service_day(
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
     let gpp = gpp_reference(&plan.config, &workloads)?;
-    let mut store = TapeStore::new(&plan.config, &workloads);
+    let mut store = TapeStore::new(&workloads);
     let mut table = ServiceTable::new(policy);
-    let cgra =
-        table.costs(&mut store, workloads.len(), &FaultMask::healthy(&plan.config.fabric))?;
+    let cgra = table.costs(&mut store, &plan.config, &FaultMask::healthy(&plan.config.fabric))?;
     let arrivals = day_traffic(
         traffic,
         derive_cell_seed(plan.base_seed, lane as u64),
@@ -1589,6 +1592,8 @@ mod tests {
             "steady@rph",
             "steady@rph-x",
             "diurnal@tide-3",
+            "diurnal@rph-6000+swing-4294967376",
+            "heavy@alpha-4294968796",
         ] {
             assert!(bad.parse::<TrafficSpec>().is_err(), "{bad:?} must not parse");
         }

@@ -339,53 +339,3 @@ fn stats_instruction_conservation() {
     sys.run(w.program()).unwrap();
     assert_eq!(sys.stats().total_instrs(), gpp.retired());
 }
-
-#[test]
-fn a_mask_swap_between_session_slices_reaches_cached_configurations() {
-    // Cached configurations keep their legal pivots across
-    // `session_resume`, so a mask installed between slices must rebuild
-    // them: rotation may never walk a cached footprint onto a freshly
-    // dead FU (DESIGN.md §11).
-    let program = assemble(
-        "
-        li   a0, 0
-        li   a1, 4000
-    loop:
-        addi t0, a1, 3
-        slli t1, t0, 2
-        xor  t2, t1, a1
-        add  a0, a0, t2
-        addi a1, a1, -1
-        bnez a1, loop
-        ebreak
-    ",
-    )
-    .unwrap();
-    let fabric = Fabric::be();
-    let mut mask = FaultMask::healthy(&fabric);
-    mask.mark_dead(1, 15);
-    let builder =
-        System::builder(fabric).policy(uaware::PolicySpec::rotation()).fault_mask(mask.clone());
-    let mut sys = builder.build().unwrap();
-    let mut session = sys.session(&program).unwrap();
-    while session.system().stats().offloads < 200 {
-        assert!(session.run_for(500).unwrap().is_running(), "the loop outlives the first slice");
-    }
-    // Kill FUs the cached loop body has already run on.
-    let tracker = sys.tracker();
-    let victims: Vec<(u32, u32)> = [(0, 4), (0, 9), (1, 2)]
-        .into_iter()
-        .filter(|&(r, c)| tracker.exec_count(r, c) > 0)
-        .collect();
-    assert_eq!(victims.len(), 3, "rotation has visited every victim before the swap");
-    let before: Vec<u64> = victims.iter().map(|&(r, c)| tracker.exec_count(r, c)).collect();
-    let offloads_before = sys.stats().offloads;
-    for &(r, c) in &victims {
-        mask.mark_dead(r, c);
-    }
-    sys.set_fault_mask(Some(mask));
-    sys.session_resume().finish().unwrap();
-    assert!(sys.stats().offloads > offloads_before + 200, "the cached loop kept offloading");
-    let after: Vec<u64> = victims.iter().map(|&(r, c)| sys.tracker().exec_count(r, c)).collect();
-    assert_eq!(after, before, "a freshly dead FU hosted an execution after the swap");
-}

@@ -21,7 +21,7 @@ use common::{any_step, program, DATA_BASE, DATA_BYTES};
 use mibench::Workload;
 use obs::Registry;
 use proptest::prelude::*;
-use transrec::tape::{TapeRun, TapeStore};
+use transrec::tape::{TapeRun, TapeStore, WorkloadRun};
 use transrec::{run_gpp_only, System, SystemConfig, SystemError};
 use uaware::PolicySpec;
 
@@ -56,16 +56,27 @@ fn fabrics() -> Vec<(&'static str, SystemConfig, FaultMask)> {
 /// A full session's outcome (`None`: exhausted) and registry.
 type Reference = (Option<TapeRun>, Registry);
 
+/// `config` with `mask` installed.
+fn masked(config: &SystemConfig, mask: &FaultMask) -> SystemConfig {
+    SystemConfig { faults: Some(mask.clone()), ..config.clone() }
+}
+
+/// A store run's outcome (`None`: exhausted), which must pass the oracle.
+fn taped(run: Result<WorkloadRun, SystemError>) -> Option<TapeRun> {
+    match run {
+        Ok(WorkloadRun { run, verified, .. }) => {
+            assert!(verified, "the store's run passes the oracle");
+            Some(run)
+        }
+        Err(SystemError::AllocationExhausted { .. }) => None,
+        Err(e) => panic!("no error: {e:?}"),
+    }
+}
+
 /// The full session the store must stand for, with its registry.
-fn full_session(
-    config: &SystemConfig,
-    spec: &PolicySpec,
-    mask: &FaultMask,
-    workload: &Workload,
-) -> Reference {
+fn full_session(config: &SystemConfig, spec: &PolicySpec, workload: &Workload) -> Reference {
     let (run, registry) = obs::collect(|| {
         let mut system = System::new(config.clone(), spec.build());
-        system.set_fault_mask(Some(mask.clone()));
         match system.run(workload.program()) {
             Ok(_) => {}
             Err(SystemError::AllocationExhausted { .. }) => return Ok(None),
@@ -88,18 +99,18 @@ fn check_store(
     order: &[(&FaultMask, &'static str)],
     references: &mut BTreeMap<(u32, &'static str, usize), Reference>,
 ) -> Result<Vec<&'static str>, TestCaseError> {
-    let mut store = TapeStore::new(config, workloads);
+    let mut store = TapeStore::new(workloads);
     let mut exhausted = Vec::new();
     for &(mask, policy) in order {
         let spec: PolicySpec = policy.parse().unwrap();
+        let config = masked(config, mask);
         for (i, workload) in workloads.iter().enumerate() {
             let at =
                 format!("{label}: {policy} with {} dead, {}", mask.dead_count(), workload.name());
-            let (taped, taped_metrics) = obs::collect(|| store.run(&spec, mask, i));
-            let taped = taped.expect("no error");
+            let (taped, taped_metrics) = obs::collect(|| taped(store.run(&config, &spec, i)));
             let (full, full_metrics) = references
                 .entry((mask.dead_count(), policy, i))
-                .or_insert_with(|| full_session(config, &spec, mask, workload));
+                .or_insert_with(|| full_session(&config, &spec, workload));
             prop_assert_eq!(taped.is_none(), full.is_none(), "{}: exhaustion", at);
             if let (Some(taped), Some(full)) = (taped, full) {
                 prop_assert_eq!(taped.stats, full.stats, "{}: stats", at);
@@ -188,14 +199,14 @@ fn a_tape_recorded_without_a_subscriber_is_recorded_again_under_one() {
     // collected and must count what its full session counts.
     let config = SystemConfig::new(cgra::Fabric::be());
     let workloads = transrec::SuiteSpec::subset("crc", vec![1]).workloads(7);
-    let pristine = FaultMask::healthy(&config.fabric);
-    let mut store = TapeStore::new(&config, &workloads);
-    store.run(&PolicySpec::Baseline, &pristine, 0).expect("no error");
+    let config = masked(&config, &FaultMask::healthy(&config.fabric));
+    let mut store = TapeStore::new(&workloads);
+    taped(store.run(&config, &PolicySpec::Baseline, 0));
     for spec in [PolicySpec::rotation(), PolicySpec::HealthAware] {
-        let (taped, taped_metrics) = obs::collect(|| store.run(&spec, &pristine, 0));
-        let (full, full_metrics) = full_session(&config, &spec, &pristine, &workloads[0]);
+        let (taped, taped_metrics) = obs::collect(|| taped(store.run(&config, &spec, 0)));
+        let (full, full_metrics) = full_session(&config, &spec, &workloads[0]);
         let stats = |run: Option<TapeRun>| run.expect("alive").stats;
-        assert_eq!(stats(taped.expect("no error")), stats(full), "{spec}: stats");
+        assert_eq!(stats(taped), stats(full), "{spec}: stats");
         assert_eq!(taped_metrics, full_metrics, "{spec}: metrics");
     }
 }

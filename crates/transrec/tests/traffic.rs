@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use transrec::fleet::CampaignOptions;
 use transrec::sweep::SuiteSpec;
 use transrec::traffic::{
-    day_traffic, run_serving, run_serving_campaign, BackpressureSpec, ServePlan, ServeStatus,
-    TrafficSpec,
+    day_traffic, run_serving, run_serving_campaign, BackpressureSpec, ServeCell, ServePlan,
+    ServeStatus, TrafficSpec,
 };
 use uaware::PolicySpec;
 
@@ -229,4 +229,58 @@ fn serving_bytes_match_the_pinned_capture() {
     let report = serde_json::to_string(&*report).unwrap();
     assert_eq!(fnv1a(&report), PINNED_REPORT_FNV, "serving report bytes changed:\n{report}");
     assert_eq!(fnv1a(&metrics), PINNED_METRICS_FNV, "metrics registry bytes changed:\n{metrics}");
+}
+
+/// Runs `plan` with metrics and a checkpoint: its cells and the registry
+/// its checkpoint carries.
+fn cells_and_metrics(plan: &ServePlan, name: &str) -> (Vec<ServeCell>, obs::Registry) {
+    let path = scratch(name);
+    let options = CampaignOptions {
+        checkpoint: Some(path.clone()),
+        collect_metrics: true,
+        ..CampaignOptions::default()
+    };
+    let status = run_serving_campaign(plan, 2, &options).expect("serving runs");
+    let text = std::fs::read_to_string(&path).expect("checkpoint readable");
+    std::fs::remove_file(&path).ok();
+    let ServeStatus::Complete(report) = status else { panic!("no stop was requested") };
+    let checkpoint: serde::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let metrics = checkpoint.get("metrics").expect("the checkpoint carries the registry");
+    let metrics = serde::Deserialize::from_value(metrics).expect("the registry decodes");
+    (report.cells, metrics)
+}
+
+/// A lane's phase-1 task serves every traffic profile from one tape store
+/// and one GPP reference: a three-profile plan must report exactly the
+/// cells of its three one-profile plans, in order, and count exactly the
+/// merge of their metrics.
+#[test]
+fn one_lane_task_serves_every_traffic_profile() {
+    let profiles = [
+        TrafficSpec::Steady { per_hour: 300 },
+        TrafficSpec::Diurnal { per_hour: 300, swing_pct: 60 },
+        TrafficSpec::Heavy { per_hour: 300, alpha_milli: 1_200 },
+    ];
+    let plan = |traffic: &[TrafficSpec]| {
+        pinned_plan()
+            .policy(PolicySpec::HealthAware)
+            .traffic_mix(traffic.iter().copied())
+            .devices(3)
+            .lanes(1)
+    };
+    let (cells, metrics) = cells_and_metrics(&plan(&profiles), "every-profile");
+    assert!(cells.iter().any(|c| c.replacements > 0), "no device died");
+    let mut expected_cells = Vec::new();
+    let mut expected_metrics = obs::Registry::new();
+    for (i, profile) in profiles.iter().enumerate() {
+        let (cells, metrics) = cells_and_metrics(&plan(&[*profile]), &format!("profile-{i}"));
+        expected_cells.extend(cells);
+        expected_metrics.merge(&metrics);
+    }
+    assert_eq!(cells.len(), profiles.len() * 3);
+    let json = |cells: &[ServeCell]| {
+        cells.iter().map(|c| serde_json::to_string(c).unwrap()).collect::<Vec<_>>()
+    };
+    assert_eq!(json(&cells), json(&expected_cells));
+    assert_eq!(metrics, expected_metrics);
 }
