@@ -104,8 +104,8 @@ pub fn apply_cli_flags(ctx: &mut ExperimentContext) -> Result<(), String> {
 
 /// `true` when the valueless `--metrics` flag is present in `args` — the
 /// opt-in for metric collection ([`ExperimentContext::collect_metrics`]).
-/// Collection is off by default because the hottest counter
-/// (`system.gpp_retired`) fires once per retired GPP instruction.
+/// Collection is off by default because every policy decision still fires
+/// its events into the collector (DESIGN.md §16).
 pub fn parse_metrics_flag(args: &[String]) -> bool {
     args.iter().any(|a| a == "--metrics")
 }

@@ -71,7 +71,6 @@ impl UtilizationTracker {
     ///
     /// Panics if a cell lies outside the tracked geometry.
     pub fn record_execution(&mut self, active_cells: &[(u32, u32)], cols_used: u32) {
-        event!(Level::TRACE, "tracker.executions", "add" = 1);
         self.executions += 1;
         self.total_col_slots += cols_used as u64;
         let mut oversub_cells = 0u64;

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 /// built once at insertion — so one map serves lookup, LRU order and
 /// eviction.
 ///
-/// Hits, misses, insertions and evictions are metered as `dbt.cache.*`
-/// tracing counters (DESIGN.md §16); the cache itself keeps no counters.
+/// The cache neither counts nor meters: its owner counts lookups, hits,
+/// insertions and evictions where it calls it (DESIGN.md §16).
 ///
 /// # Examples
 ///
@@ -61,26 +61,17 @@ impl<T> ConfigCache<T> {
         self.entries.is_empty()
     }
 
-    /// `true` if `pc` has an entry (does not touch LRU state or counters).
+    /// `true` if `pc` has an entry (does not touch LRU state).
     pub fn contains(&self, pc: u32) -> bool {
         self.entries.contains_key(&pc)
     }
 
-    /// Looks up the record starting at `pc`, updating LRU order and
-    /// metering the hit or miss.
+    /// Looks up the record starting at `pc`, updating LRU order.
     pub fn lookup(&mut self, pc: u32) -> Option<&T> {
         self.tick += 1;
-        match self.entries.get_mut(&pc) {
-            Some(e) => {
-                e.last_used = self.tick;
-                tracing::event!(tracing::Level::TRACE, "dbt.cache.hit", "add" = 1);
-                Some(&e.record)
-            }
-            None => {
-                tracing::event!(tracing::Level::TRACE, "dbt.cache.miss", "add" = 1);
-                None
-            }
-        }
+        let e = self.entries.get_mut(&pc)?;
+        e.last_used = self.tick;
+        Some(&e.record)
     }
 
     /// Inserts the record of the translation starting at `pc`, evicting
@@ -96,11 +87,9 @@ impl<T> ConfigCache<T> {
         if !self.entries.contains_key(&pc) && self.entries.len() >= self.capacity {
             if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
                 self.entries.remove(&victim);
-                tracing::event!(tracing::Level::TRACE, "dbt.cache.evict", "add" = 1);
                 evicted = Some(victim);
             }
         }
-        tracing::event!(tracing::Level::TRACE, "dbt.cache.insert", "add" = 1);
         self.entries.insert(pc, Entry { record, last_used: self.tick });
         evicted
     }

@@ -61,5 +61,5 @@ pub use cache::ConfigCache;
 pub use trace::Translator;
 pub use translate::{
     is_supported, translate_prefix, translate_trace, CachedConfig, StopReason, TraceExit,
-    TranslateError, TranslatorParams,
+    TranslateCounts, TranslateError, TranslatorParams,
 };

@@ -7,10 +7,14 @@ use rv32::cpu::Retired;
 
 use cgra::Fabric;
 
-use crate::translate::{is_supported, translate_trace, CachedConfig, TranslatorParams};
+use crate::translate::{
+    is_supported, translate_counted, CachedConfig, TranslateCounts, TranslatorParams,
+};
 
 /// The hardware DBT's trace builder: feed it retired instructions, get
-/// cache-ready configurations out.
+/// cache-ready configurations out. It counts its translations in
+/// [`TranslateCounts`] and fires no tracing events; its owner publishes
+/// them (DESIGN.md §16).
 ///
 /// # Examples
 ///
@@ -45,6 +49,7 @@ pub struct Translator {
     fabric: Fabric,
     params: TranslatorParams,
     forming: Option<Forming>,
+    counts: TranslateCounts,
 }
 
 #[derive(Clone, Debug)]
@@ -62,12 +67,23 @@ impl Translator {
 
     /// Creates a translator with explicit parameters.
     pub fn with_params(fabric: Fabric, params: TranslatorParams) -> Translator {
-        Translator { fabric, params, forming: None }
+        Translator { fabric, params, forming: None, counts: TranslateCounts::default() }
     }
 
     /// The translator's parameters.
     pub fn params(&self) -> &TranslatorParams {
         &self.params
+    }
+
+    /// What every translation so far did.
+    pub fn counts(&self) -> TranslateCounts {
+        self.counts
+    }
+
+    /// Drops the trace being formed without translating it — the DBT flush
+    /// on a program switch. The counts stay.
+    pub fn discard(&mut self) {
+        self.forming = None;
     }
 
     /// Observes one retired instruction. Returns the configurations
@@ -135,7 +151,9 @@ impl Translator {
         while done < forming.instrs.len() {
             let start_pc = forming.start_pc + 4 * done as u32;
             let rest = &forming.instrs[done..];
-            match translate_trace(&self.fabric, &self.params, start_pc, rest, terminator) {
+            let counts = &mut self.counts;
+            match translate_counted(&self.fabric, &self.params, start_pc, rest, terminator, counts)
+            {
                 Ok(cfg) => {
                     // A fabric-resolved terminator is only attached to the
                     // final chunk; `covered` then exceeds the body slice.

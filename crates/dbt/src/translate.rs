@@ -155,6 +155,18 @@ impl From<PlaceFail> for StopReason {
     }
 }
 
+/// What a DBT's translations did: the `dbt.translate.*` counters a
+/// session publishes (DESIGN.md §16).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct TranslateCounts {
+    /// Traces handed to the translator.
+    pub calls: u64,
+    /// Traces rejected as unsupported or too short.
+    pub rejected: u64,
+    /// Body instructions placed by the traces that were not rejected.
+    pub placed_instrs: u64,
+}
+
 /// Translation failure for a whole trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TranslateError {
@@ -689,10 +701,22 @@ pub fn translate_trace(
     instrs: &[Instr],
     terminator: Option<&Instr>,
 ) -> Result<CachedConfig, TranslateError> {
+    translate_counted(fabric, params, start_pc, instrs, terminator, &mut TranslateCounts::default())
+}
+
+/// [`translate_trace`], counting the call into `counts`.
+pub(crate) fn translate_counted(
+    fabric: &Fabric,
+    params: &TranslatorParams,
+    start_pc: u32,
+    instrs: &[Instr],
+    terminator: Option<&Instr>,
+    counts: &mut TranslateCounts,
+) -> Result<CachedConfig, TranslateError> {
     let _span = tracing::span!(tracing::Level::DEBUG, "dbt.translate").entered();
-    tracing::event!(tracing::Level::TRACE, "dbt.translate.calls", "add" = 1);
+    counts.calls += 1;
     if instrs.first().is_none_or(|i| !is_supported(i)) {
-        tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+        counts.rejected += 1;
         return Err(TranslateError::Unsupported { index: 0 });
     }
     // Placement never covers more than the supported prefix (capped at
@@ -701,10 +725,10 @@ pub fn translate_trace(
     // it: say so without building one.
     let supported = instrs.iter().take(params.max_instrs).take_while(|i| is_supported(i)).count();
     if supported < params.min_instrs && prefix_always_fits(fabric, &instrs[..supported]) {
-        tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+        counts.rejected += 1;
         return Err(TranslateError::TooShort { placed: supported, min: params.min_instrs });
     }
-    place_trace(fabric, params, start_pc, instrs, terminator)
+    place_trace(fabric, params, start_pc, instrs, terminator, counts)
 }
 
 /// Whether greedy placement of the supported ops `prefix` on an empty
@@ -741,6 +765,7 @@ fn place_trace(
     start_pc: u32,
     instrs: &[Instr],
     terminator: Option<&Instr>,
+    counts: &mut TranslateCounts,
 ) -> Result<CachedConfig, TranslateError> {
     let mut placer = Placer::new(fabric);
     let mut covered = 0usize;
@@ -762,10 +787,10 @@ fn place_trace(
         }
     }
     if covered < params.min_instrs {
-        tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+        counts.rejected += 1;
         return Err(TranslateError::TooShort { placed: covered, min: params.min_instrs });
     }
-    tracing::event!(tracing::Level::TRACE, "dbt.translate.placed_instrs", "add" = covered as u64);
+    counts.placed_instrs += covered as u64;
 
     // Try to resolve the terminator on the fabric.
     let mut exit = TraceExit::Sequential;
@@ -828,17 +853,13 @@ fn place_trace(
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     use cgra::OpLatencies;
     use proptest::prelude::*;
     use rv32::isa::{AluOp, BranchOp, LoadWidth, MulOp, StoreWidth};
-    use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
 
     use super::*;
 
-    /// [`translate_trace`] as it was before the early rejection: every
+    /// [`translate_counted`] as it was before the early rejection: every
     /// supported trace builds a placer.
     fn translate_trace_placing_all(
         fabric: &Fabric,
@@ -846,39 +867,14 @@ mod tests {
         start_pc: u32,
         instrs: &[Instr],
         terminator: Option<&Instr>,
+        counts: &mut TranslateCounts,
     ) -> Result<CachedConfig, TranslateError> {
-        let _span = tracing::span!(tracing::Level::DEBUG, "dbt.translate").entered();
-        tracing::event!(tracing::Level::TRACE, "dbt.translate.calls", "add" = 1);
+        counts.calls += 1;
         if instrs.first().is_none_or(|i| !is_supported(i)) {
-            tracing::event!(tracing::Level::TRACE, "dbt.translate.rejected", "add" = 1);
+            counts.rejected += 1;
             return Err(TranslateError::Unsupported { index: 0 });
         }
-        place_trace(fabric, params, start_pc, instrs, terminator)
-    }
-
-    /// Logs every event as `name=value` pairs.
-    #[derive(Default)]
-    struct EventLog(RefCell<Vec<String>>);
-
-    impl Subscriber for EventLog {
-        fn new_span(&self, _: &Metadata<'_>) -> SpanId {
-            SpanId(0)
-        }
-        fn enter(&self, _: SpanId) {}
-        fn exit(&self, _: SpanId) {}
-        fn event(&self, event: &Event<'_>) {
-            for (key, value) in event.fields {
-                self.0.borrow_mut().push(format!("{}.{key}={value}", event.metadata.name));
-            }
-        }
-    }
-
-    /// `f`'s result and the events it fired.
-    fn logged<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
-        let log = Rc::new(EventLog::default());
-        let out = tracing::with_default(Dispatch::from_rc(log.clone()), f);
-        let events = log.0.take();
-        (out, events)
+        place_trace(fabric, params, start_pc, instrs, terminator, counts)
     }
 
     fn any_reg() -> impl Strategy<Value = Reg> {
@@ -928,7 +924,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
         /// The early rejection returns exactly what placing the whole
-        /// prefix returns, `TooShort { placed, .. }` included, and fires
+        /// prefix returns, `TooShort { placed, .. }` included, and counts
         /// the same `dbt.translate.*` counters.
         #[test]
         fn early_rejection_matches_placing_the_whole_prefix(
@@ -941,12 +937,12 @@ mod tests {
             let params = TranslatorParams { min_instrs, max_instrs };
             let terminator = terminator.0.then_some(terminator.1);
             let args = (&fabric, &params, 0x1000, &instrs[..], terminator.as_ref());
-            let (new, new_events) =
-                logged(|| translate_trace(args.0, args.1, args.2, args.3, args.4));
-            let (old, old_events) =
-                logged(|| translate_trace_placing_all(args.0, args.1, args.2, args.3, args.4));
+            let (mut new_n, mut old_n) = Default::default();
+            let new = translate_counted(args.0, args.1, args.2, args.3, args.4, &mut new_n);
+            let old =
+                translate_trace_placing_all(args.0, args.1, args.2, args.3, args.4, &mut old_n);
             prop_assert_eq!(new, old);
-            prop_assert_eq!(new_events, old_events);
+            prop_assert_eq!(new_n, old_n);
         }
     }
 }

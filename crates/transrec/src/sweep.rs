@@ -302,8 +302,9 @@ pub(crate) fn par_map_observed<T: Send, U: Send>(
 }
 
 /// Shared body of [`run_sweep`]/[`run_sweep_observed`]. `collect_metrics`
-/// is a knob (not always-on) because per-event collection has a real cost
-/// on the GPP retire loop.
+/// is a knob (not always-on) because collection still costs every policy
+/// decision's events; sessions publish their own counters once per session
+/// call (DESIGN.md §16).
 fn run_sweep_inner(
     plan: &SweepPlan,
     jobs: usize,

@@ -14,8 +14,9 @@
 //! ([`Session::step`]), by cycle budget ([`Session::run_for`]) or to
 //! completion ([`Session::finish`]); [`System::run`] is the run-to-exit
 //! convenience wrapper. Every decision is published to the attached
-//! [`Observer`]s as [`SimEvent`]s, and counted exactly once, by the
-//! built-in [`SystemStats`] fold.
+//! [`Observer`]s as [`SimEvent`]s and counted exactly once, in the
+//! session's typed tally; each session call publishes what the tally gained
+//! to the tracing layer as it returns (DESIGN.md §16).
 
 use std::fmt;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use cgra::{
     RESIDENT_ROTATE_CYCLES,
 };
 use dbt::membus::MemoryBus;
-use dbt::{CachedConfig, ConfigCache, Translator, TranslatorParams};
+use dbt::{CachedConfig, ConfigCache, TranslateCounts, Translator, TranslatorParams};
 use rv32::cpu::{Cpu, CpuError, Exit, TimingModel};
 use rv32::mem::MemError;
 use rv32::Program;
@@ -143,29 +144,17 @@ impl SystemStats {
     }
 
     /// Folds one event into the counters — the one place a [`SimEvent`]
-    /// is counted (DESIGN.md §10) — and mirrors it into the active tracing
-    /// dispatch as its `system.*` counter, so a
-    /// [`MetricsCollector`](obs::MetricsCollector) sees exactly this fold
-    /// (DESIGN.md §16). The mirror costs one relaxed atomic load when no
-    /// subscriber is installed.
+    /// is counted into them (DESIGN.md §10). It fires nothing: a session
+    /// publishes its counts when a session call returns (DESIGN.md §16).
     ///
-    /// `cache_lookups` has no event of its own: every scheduling decision
-    /// begins with exactly one configuration-cache lookup and ends in
-    /// either an offload or a GPP step, so it advances on
-    /// [`SimEvent::OffloadStarted`] and [`SimEvent::GppRetired`]. The
-    /// traffic `Request*` events never pass through a [`System`]; the
-    /// serving queue meters them at its own decision sites.
+    /// `cache_lookups` has no event of its own; the session counts it at
+    /// the lookup. The traffic `Request*` events never pass through a
+    /// [`System`]; the serving queue meters them at its own decision sites.
     pub(crate) fn record(&mut self, event: &SimEvent) {
-        let key = match *event {
+        match *event {
             SimEvent::GppRetired { cycles, .. } => {
                 self.gpp_cycles += cycles;
                 self.gpp_retired += 1;
-                self.cache_lookups += 1;
-                "system.gpp_retired"
-            }
-            SimEvent::OffloadStarted { .. } => {
-                self.cache_lookups += 1;
-                "system.offloads"
             }
             SimEvent::OffloadCompleted {
                 instr_count,
@@ -187,25 +176,63 @@ impl SystemStats {
                 self.cgra_stores += stores;
                 self.cgra_active_fu_slots += active_fus;
                 self.cgra_columns += cols_used as u64;
-                "system.offloads_completed"
             }
-            SimEvent::OffloadSkipped { .. } => {
-                self.offloads_skipped += 1;
-                "system.offloads_skipped"
-            }
-            SimEvent::AllocationStarved { .. } => {
-                self.offloads_starved += 1;
-                "system.offloads_starved"
-            }
-            SimEvent::ConfigLoaded { .. } => "system.config_loads",
-            SimEvent::Rotated { .. } => "system.rotations",
-            SimEvent::CacheInserted { .. } => "system.cache_inserted",
-            SimEvent::CacheEvicted { .. } => "system.cache_evicted",
-            SimEvent::RequestArrived { .. }
-            | SimEvent::RequestServed { .. }
-            | SimEvent::RequestShed { .. } => return,
-        };
-        tracing::event!(tracing::Level::TRACE, key, "add" = 1);
+            SimEvent::OffloadSkipped { .. } => self.offloads_skipped += 1,
+            SimEvent::AllocationStarved { .. } => self.offloads_starved += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Every count a session publishes (DESIGN.md §16): its [`SystemStats`]
+/// and the counts they do not keep, each counted once where it happens.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) stats: SystemStats,
+    /// Offloads started, one whose execution faulted included.
+    offloads_started: u64,
+    config_loads: u64,
+    /// Resident configurations rotated to a new pivot.
+    pub(crate) rotations: u64,
+    cache_hits: u64,
+    cache_inserted: u64,
+    cache_evicted: u64,
+    /// The DBT's counts; [`System::tally`] reads them from the translator.
+    translate: TranslateCounts,
+}
+
+/// Fires what each session counter gained from `before` to `now` as one
+/// `"add"` event, and nothing for a counter that gained nothing: the one
+/// place the `system.*`, `dbt.*` and `tracker.executions` counters are
+/// named (DESIGN.md §16). `tracker.executions` is the count behind
+/// `system.offloads_completed`, and misses are lookups minus hits.
+pub(crate) fn publish(now: &Tally, before: &Tally) {
+    let counters = |t: &Tally| {
+        let (s, dbt) = (&t.stats, &t.translate);
+        [
+            ("system.gpp_retired", s.gpp_retired),
+            ("system.offloads", t.offloads_started),
+            ("system.offloads_completed", s.offloads),
+            ("tracker.executions", s.offloads),
+            ("system.offloads_skipped", s.offloads_skipped),
+            ("system.offloads_starved", s.offloads_starved),
+            ("system.config_loads", t.config_loads),
+            ("system.rotations", t.rotations),
+            ("system.cache_inserted", t.cache_inserted),
+            ("system.cache_evicted", t.cache_evicted),
+            ("dbt.cache.hit", t.cache_hits),
+            ("dbt.cache.miss", s.cache_lookups - t.cache_hits),
+            ("dbt.cache.insert", t.cache_inserted),
+            ("dbt.cache.evict", t.cache_evicted),
+            ("dbt.translate.calls", dbt.calls),
+            ("dbt.translate.rejected", dbt.rejected),
+            ("dbt.translate.placed_instrs", dbt.placed_instrs),
+        ]
+    };
+    for ((name, now), (_, before)) in counters(now).into_iter().zip(counters(before)) {
+        if now != before {
+            tracing::event!(tracing::Level::TRACE, name, "add" = now - before);
+        }
     }
 }
 
@@ -504,8 +531,8 @@ pub struct System {
     /// context and the executor's working memory.
     inputs: Vec<u32>,
     scratch: ExecScratch,
-    /// The built-in fold over the event stream (DESIGN.md §10).
-    stats: SystemStats,
+    /// The session counts (DESIGN.md §10, §16).
+    tally: Tally,
     /// Attached telemetry probes; each sees the identical stream.
     probes: Vec<Box<dyn Observer>>,
     /// Ensures `on_finish` fires exactly once per session.
@@ -519,7 +546,7 @@ impl fmt::Debug for System {
         f.debug_struct("System")
             .field("fabric", &self.config.fabric)
             .field("policy", &self.alloc.policy.name())
-            .field("stats", &self.stats)
+            .field("stats", &self.tally.stats)
             .finish()
     }
 }
@@ -701,7 +728,7 @@ impl System {
             gpp_dirty: true,
             inputs: Vec::new(),
             scratch: ExecScratch::new(),
-            stats: SystemStats::default(),
+            tally: Tally::default(),
             probes: Vec::new(),
             finish_notified: false,
             recorder: None,
@@ -729,7 +756,12 @@ impl System {
 
     /// Run statistics so far — the built-in fold over the event stream.
     pub fn stats(&self) -> &SystemStats {
-        &self.stats
+        &self.tally.stats
+    }
+
+    /// Every count of the system so far.
+    pub(crate) fn tally(&self) -> Tally {
+        Tally { translate: self.translator.counts(), ..self.tally }
     }
 
     /// The utilization tracker (per-FU stress observations).
@@ -791,7 +823,7 @@ impl System {
     /// Counts one event in the built-in fold and publishes it to every
     /// attached probe (identical stream, attachment order).
     fn emit(&mut self, event: SimEvent) {
-        self.stats.record(&event);
+        self.tally.stats.record(&event);
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.alloc.tracker };
         for probe in &mut self.probes {
             probe.on_event(&ctx, &event);
@@ -872,6 +904,7 @@ impl System {
         };
         let rotate = rotated.map_or(0, |(_, cycles)| cycles);
         let (ov, stream_cycles) = self.offload_overheads(cc, config_switch, rotate);
+        self.tally.offloads_started += 1;
         self.emit(SimEvent::OffloadStarted { pc, offset, config_switch });
 
         self.inputs.clear();
@@ -916,9 +949,11 @@ impl System {
         let exec_cycles = fabric.exec_cycles(cols_used);
         self.cpu.add_cycles(exec_cycles + ov.total());
         if let Some((from, cycles)) = rotated {
+            self.tally.rotations += 1;
             self.emit(SimEvent::Rotated { pc, from, to: offset, cycles });
         }
         if config_switch {
+            self.tally.config_loads += 1;
             let exposed_cycles = ov.reconfig_extra;
             self.emit(SimEvent::ConfigLoaded { pc, cols_used, stream_cycles, exposed_cycles });
         }
@@ -955,7 +990,7 @@ impl System {
     pub fn session(&mut self, program: &Program) -> Result<Session<'_>, SystemError> {
         self.cpu.load_program(program)?;
         self.cache.clear();
-        self.translator = Translator::with_params(self.config.fabric, self.config.translator);
+        self.translator.discard();
         self.resident = None;
         self.gpp_dirty = true;
         self.finish_notified = false;
@@ -1064,11 +1099,35 @@ impl Session<'_> {
     /// Calling `step` on a halted program is a no-op returning
     /// [`SessionStatus::Exited`].
     ///
+    /// Like [`run_for`](Session::run_for) and [`finish`](Session::finish),
+    /// it publishes what it counted as it returns, errors included
+    /// (DESIGN.md §16).
+    ///
     /// # Errors
     ///
     /// Propagates GPP/fabric faults; returns [`SystemError::StepLimit`]
     /// once the session's budget is exhausted.
     pub fn step(&mut self) -> Result<SessionStatus, SystemError> {
+        self.published(Session::decide)
+    }
+
+    /// Runs `drive` and publishes what the system counted in it. Counts
+    /// change only inside a session call, so the tally at its start is the
+    /// one the last call left; with nobody listening, nothing is taken.
+    fn published<T>(
+        &mut self,
+        drive: impl FnOnce(&mut Self) -> Result<T, SystemError>,
+    ) -> Result<T, SystemError> {
+        let before = tracing::dispatch_active().then(|| self.system.tally());
+        let out = drive(self);
+        if let Some(before) = before {
+            publish(&self.system.tally(), &before);
+        }
+        out
+    }
+
+    /// [`step`](Session::step) without publishing.
+    fn decide(&mut self) -> Result<SessionStatus, SystemError> {
         let sys = &mut *self.system;
         if let Some(exit) = sys.cpu.exit() {
             sys.notify_finish();
@@ -1080,7 +1139,9 @@ impl Session<'_> {
         let pc = sys.cpu.pc();
         // Step 4: check the configuration cache for this PC. A hit shares
         // the record decoded at insertion; nothing is copied.
+        sys.tally.stats.cache_lookups += 1;
         if let Some(decoded) = sys.cache.lookup(pc).cloned() {
+            sys.tally.cache_hits += 1;
             let cc = &decoded.cc;
             // Steady-state estimate (resident configuration with a warm
             // input context): the regime that matters for hot code.
@@ -1121,8 +1182,10 @@ impl Session<'_> {
             let (insert_pc, instr_count) = (built.start_pc, built.instr_count);
             let decoded = Arc::new(sys.decode(built));
             if let Some(evicted) = sys.cache.insert(insert_pc, decoded) {
+                sys.tally.cache_evicted += 1;
                 sys.emit(SimEvent::CacheEvicted { pc: evicted });
             }
+            sys.tally.cache_inserted += 1;
             sys.emit(SimEvent::CacheInserted { pc: insert_pc, instr_count });
         }
         Ok(self.status())
@@ -1139,15 +1202,18 @@ impl Session<'_> {
     /// Same as [`step`](Session::step).
     pub fn run_for(&mut self, cycles: u64) -> Result<SessionStatus, SystemError> {
         let _loop_span = tracing::span!(tracing::Level::INFO, "system.session").entered();
-        let target = self.system.cpu.cycles().saturating_add(cycles);
-        while self.system.cpu.cycles() < target {
-            if let SessionStatus::Exited(exit) = self.step()? {
-                return Ok(SessionStatus::Exited(exit));
+        self.published(|session| {
+            let target = session.system.cpu.cycles().saturating_add(cycles);
+            while session.system.cpu.cycles() < target {
+                if let SessionStatus::Exited(exit) = session.decide()? {
+                    return Ok(SessionStatus::Exited(exit));
+                }
             }
-        }
-        // A halted program reports Exited even when the cycle target is
-        // already met (`run_for(0)`), so status polling can never spin.
-        Ok(self.status())
+            // A halted program reports Exited even when the cycle target
+            // is already met (`run_for(0)`), so status polling can never
+            // spin.
+            Ok(session.status())
+        })
     }
 
     /// Runs to completion and returns the program's exit.
@@ -1157,11 +1223,11 @@ impl Session<'_> {
     /// Same as [`step`](Session::step).
     pub fn finish(&mut self) -> Result<Exit, SystemError> {
         let _loop_span = tracing::span!(tracing::Level::INFO, "system.session").entered();
-        loop {
-            if let SessionStatus::Exited(exit) = self.step()? {
+        self.published(|session| loop {
+            if let SessionStatus::Exited(exit) = session.decide()? {
                 return Ok(exit);
             }
-        }
+        })
     }
 
     /// Current status without advancing, notifying observers if the halt

@@ -11,8 +11,8 @@
 //! reached the policy — which configuration, whether it was a
 //! configuration switch, whether the GPP ran since the last offload, and
 //! whether the decision offloaded or starved — plus the session's
-//! policy-independent statistics and counters, and one execution sample
-//! per configuration. A session that dies leaves no tape. A *replay*
+//! policy-independent statistics and counts, and one execution sample per
+//! configuration. A session that dies leaves no tape. A *replay*
 //! walks the tape through the session's own allocation step
 //! (`system::Allocator`: the policy, the tracker and the resident
 //! rotate), and yields the statistics and tracker a full session would.
@@ -25,7 +25,9 @@
 //! session and records its tape; every later policy and fault mask
 //! replays it, and falls back to a full session wherever the replay
 //! cannot stand for one. A full session that runs to exit, a fallback
-//! included, records the workload's tape again.
+//! included, records the workload's tape again. A replay publishes the
+//! tape's counts as its session would have (DESIGN.md §16), so a tape
+//! serves whoever is listening.
 
 use std::collections::HashMap;
 use std::iter;
@@ -35,13 +37,14 @@ use cgra::op::{LoadFunc, OpKind, StoreFunc};
 use cgra::{ExecScratch, Executor, Fabric, MemBus, MemFault, Offset};
 use dbt::membus::MemoryBus;
 use mibench::Workload;
-use obs::Registry;
 use rv32::cpu::Exit;
 use rv32::Program;
 use tracing::{span, Level};
 use uaware::{AllocationPolicy, PolicySpec, UtilizationTracker};
 
-use crate::system::{Allocator, Decoded, Legality, System, SystemConfig, SystemError, SystemStats};
+use crate::system::{
+    publish, Allocator, Decoded, Legality, System, SystemConfig, SystemError, SystemStats, Tally,
+};
 use crate::telemetry::{ProbeReport, ProbeSpec};
 
 /// One memory access of a sampled execution, in issue order.
@@ -238,16 +241,13 @@ impl Recorder {
     }
 }
 
-/// The recording of a session that ran to exit: its decisions, samples,
-/// statistics and counters, not yet verified.
+/// The recording of a session that ran to exit: its decisions, samples
+/// and counts, not yet verified.
 pub(crate) struct Recording {
     recorder: Recorder,
-    /// The session's statistics without its rotate cycles: the fields
-    /// every policy that agrees with the tape shares.
-    stats: SystemStats,
-    /// The session's `dbt.*` counters and its `system.*` counters other
-    /// than `system.rotations`; `None` when it ran without a subscriber.
-    counters: Option<Registry>,
+    /// The session's counts without its rotations and rotate cycles: the
+    /// ones every policy that agrees with the tape shares.
+    tally: Tally,
 }
 
 /// What a replay needs of one configuration.
@@ -271,49 +271,24 @@ pub(crate) struct Tape {
     cells: Vec<(u32, u32)>,
     demands: Vec<(u32, u32, OpKind)>,
     decisions: Decisions,
-    /// [`Recording::stats`].
-    stats: SystemStats,
-    /// [`Recording::counters`].
-    counters: Option<Registry>,
-}
-
-/// Whether the current thread has a subscriber that would see events.
-fn subscribed() -> bool {
-    tracing::with_current(|_| ()).is_some()
+    /// [`Recording::tally`].
+    tally: Tally,
 }
 
 impl Recording {
     /// Runs `program` to exit on `system` (a fresh system) and records its
-    /// decisions; `None` for a session that did not run to exit. With a
-    /// subscriber installed the session's events are collected and
-    /// re-fired, so the subscriber sees them unchanged and the recording
-    /// keeps the policy-independent ones.
+    /// decisions; `None` for a session that did not run to exit.
     pub(crate) fn record(
         system: &mut System,
         program: &Program,
     ) -> (Result<Exit, SystemError>, Option<Recording>) {
         system.start_recording();
-        let run = |system: &mut System| system.session(program).and_then(|mut s| s.finish());
-        let (result, counters) = if subscribed() {
-            let (result, registry) = obs::collect(|| run(system));
-            registry.emit();
-            let mut counters = Registry::new();
-            for (name, value) in registry.counters() {
-                if name.starts_with("dbt.")
-                    || (name.starts_with("system.") && name != "system.rotations")
-                {
-                    counters.counter_add(name, value);
-                }
-            }
-            (result, Some(counters))
-        } else {
-            (run(system), None)
-        };
+        let result = system.session(program).and_then(|mut session| session.finish());
         let recorder = system.take_recording().expect("recording started above");
-        let recording = result.is_ok().then(|| Recording {
-            recorder,
-            stats: SystemStats { rotate_cycles: 0, ..*system.stats() },
-            counters,
+        let recording = result.is_ok().then(|| {
+            let mut tally = system.tally();
+            (tally.rotations, tally.stats.rotate_cycles) = (0, 0);
+            Recording { recorder, tally }
         });
         (result, recording)
     }
@@ -347,15 +322,14 @@ impl Recording {
                 }
             }
         }
-        let Recording { recorder: Recorder { configs, mut decisions, .. }, stats, counters } = self;
+        let Recording { recorder: Recorder { configs, mut decisions, .. }, tally } = self;
         decisions.words.shrink_to_fit();
         let mut tape = Tape {
             configs: Vec::with_capacity(configs.len()),
             cells: Vec::with_capacity(configs.iter().map(|r| r.decoded.footprint.len()).sum()),
             demands: Vec::with_capacity(configs.iter().map(|r| r.decoded.demands.len()).sum()),
             decisions,
-            stats,
-            counters,
+            tally,
         };
         for Recorded { decoded, .. } in &configs {
             let (cells, demands) = (tape.cells.len() as u32, tape.demands.len() as u32);
@@ -379,14 +353,14 @@ impl Tape {
     /// the step disagrees with the tape on offload vs. starve, or fails
     /// where the session would end (a dead device, or a pivot the
     /// hardware cannot reach): only a full session reports those. The
-    /// policy and the tracker fire their events as in a full session, and
-    /// every rotate fires `system.rotations`; the tape's own counters are
-    /// left to the caller.
+    /// policy and the tracker fire their events as in a full session; the
+    /// replay's counts, its rotations included, are left to the caller to
+    /// publish.
     pub(crate) fn replay(
         &self,
         config: &SystemConfig,
         policy: Box<dyn AllocationPolicy>,
-    ) -> Option<TapeRun> {
+    ) -> Option<(Tally, UtilizationTracker)> {
         let fabric = &config.fabric;
         let configs: Vec<_> = self
             .configs
@@ -398,7 +372,7 @@ impl Tape {
             })
             .collect();
         let mut alloc = Allocator::new(fabric, policy);
-        let mut rotate_cycles = 0u64;
+        let mut tally = self.tally;
         for (step, repeats) in self.decisions.iter() {
             let (c, footprint, legality) = &configs[(step >> CONFIG_SHIFT) as usize];
             let (config_switch, gpp_dirty) = (step & SWITCH != 0, step & DIRTY != 0);
@@ -409,8 +383,8 @@ impl Tape {
                 match (pivot, step & OFFLOADED != 0) {
                     (Some(pivot), true) => {
                         if let Some((_, cycles)) = pivot.rotated {
-                            rotate_cycles += cycles;
-                            tracing::event!(Level::TRACE, "system.rotations", "add" = 1);
+                            tally.rotations += 1;
+                            tally.stats.rotate_cycles += cycles;
                         }
                         alloc.record(fabric, footprint, c.cols_used);
                     }
@@ -419,8 +393,7 @@ impl Tape {
                 }
             }
         }
-        let stats = SystemStats { rotate_cycles, ..self.stats };
-        Some(TapeRun { stats, tracker: alloc.tracker })
+        Some((tally, alloc.tracker))
     }
 }
 
@@ -522,9 +495,9 @@ impl<'a> TapeStore<'a> {
     /// [`WorkloadRun::verified`]. The first run of a workload to reach its
     /// exit records its tape; later runs replay it, or fall back to a full
     /// session where the policy disagrees with the tape, and a fallback
-    /// that reaches its exit records the tape again. Under a subscriber, a
-    /// tape recorded without one (so without its counters) is recorded
-    /// again instead of replayed.
+    /// that reaches its exit records the tape again. A replay publishes
+    /// the counters its full session would have, whoever listened when the
+    /// tape was recorded.
     ///
     /// # Errors
     ///
@@ -536,18 +509,16 @@ impl<'a> TapeStore<'a> {
         spec: &PolicySpec,
         workload: usize,
     ) -> Result<WorkloadRun, SystemError> {
-        let subscribed = subscribed();
-        let stored = self.tapes[workload].as_ref();
-        let Some(tape) = stored.filter(|tape| tape.counters.is_some() || !subscribed) else {
+        let Some(tape) = &self.tapes[workload] else {
             let _record = span!(Level::INFO, "tape.record").entered();
             return self.session(config, spec, workload);
         };
         let replay = {
             let _replay = span!(Level::INFO, "tape.replay").entered();
             // The policy's and the tracker's events count only if the
-            // replay stands for the session, so they are held back until
-            // it has.
-            if subscribed {
+            // replay stands for the session, so a subscriber's are held
+            // back until it has.
+            if tracing::with_current(|_| ()).is_some() {
                 let (replay, events) = obs::collect(|| tape.replay(config, spec.build()));
                 if replay.is_some() {
                     events.emit();
@@ -557,14 +528,16 @@ impl<'a> TapeStore<'a> {
                 tape.replay(config, spec.build())
             }
         };
-        let Some(run) = replay else {
+        let Some((tally, tracker)) = replay else {
             let _fallback = span!(Level::INFO, "tape.fallback").entered();
             return self.session(config, spec, workload);
         };
-        if let Some(counters) = &tape.counters {
-            counters.emit();
-        }
-        Ok(WorkloadRun { run, verified: true, probes: Vec::new() })
+        publish(&tally, &Tally::default());
+        Ok(WorkloadRun {
+            run: TapeRun { stats: tally.stats, tracker },
+            verified: true,
+            probes: Vec::new(),
+        })
     }
 
     /// Runs workload `workload` as a full, recorded session. One that runs
@@ -623,7 +596,7 @@ mod tests {
     #[test]
     fn a_faithful_recording_becomes_a_tape() {
         let tape = recording().into_tape(&Fabric::be()).expect("it reproduces its samples");
-        assert!(tape.stats.offloads > 0);
+        assert!(tape.tally.stats.offloads > 0);
     }
 
     #[test]

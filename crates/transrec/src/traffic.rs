@@ -276,7 +276,9 @@ pub struct Arrival {
 /// # Panics
 ///
 /// Panics on an invalid `spec` ([`TrafficSpec::validate`]), a zero
-/// `clock_hz`, or a zero `workloads` count — plan-construction bugs.
+/// `clock_hz` or one above `u64::MAX / SECONDS_PER_DAY` (whose day
+/// overflows a cycle count), or a zero `workloads` count —
+/// plan-construction bugs.
 pub fn day_traffic(
     spec: &TrafficSpec,
     stream_seed: u64,
@@ -285,7 +287,7 @@ pub fn day_traffic(
     workloads: u32,
 ) -> Vec<Arrival> {
     spec.validate().unwrap_or_else(|e| panic!("invalid traffic spec {spec}: {e}"));
-    assert!(clock_hz > 0, "clock_hz must be positive");
+    check_clock(clock_hz);
     assert!(workloads > 0, "a serving day needs at least one workload to request");
     let mut rng = SmallRng::seed_from_u64(derive_cell_seed(stream_seed ^ TRAFFIC_STREAM_SALT, day));
     let day_cycles = (clock_hz * SECONDS_PER_DAY) as f64;
@@ -339,6 +341,12 @@ pub fn day_traffic(
         }
     }
     arrivals
+}
+
+/// Panics on a clock whose day has no cycles, or more than a `u64` holds.
+fn check_clock(clock_hz: u64) {
+    assert!(clock_hz > 0, "clock_hz must be positive");
+    assert!(clock_hz <= u64::MAX / SECONDS_PER_DAY, "clock_hz {clock_hz} overflows a day's cycles");
 }
 
 /// Utilization-aware backpressure knobs (DESIGN.md §13). The queue sheds
@@ -1204,9 +1212,10 @@ impl Campaign for ServePlan {
 ///
 /// Panics on plan-construction bugs — an empty traffic axis, an invalid
 /// [`TrafficSpec`], a zero `horizon_days`/`pattern_days`/`clock_hz`/
-/// `histogram_bins`/`shard_devices`/`lanes`, a non-positive
-/// `years_per_day`, a refurbished `age_pct` outside `0..100` — and on
-/// checkpoint IO failures or a checkpoint that does not match the plan.
+/// `histogram_bins`/`shard_devices`/`lanes`, a `clock_hz` above
+/// `u64::MAX / SECONDS_PER_DAY`, a non-positive `years_per_day`, a
+/// refurbished `age_pct` outside `0..100` — and on checkpoint IO failures
+/// or a checkpoint that does not match the plan.
 pub fn run_serving_campaign(
     plan: &ServePlan,
     jobs: usize,
@@ -1218,7 +1227,7 @@ pub fn run_serving_campaign(
     }
     assert!(plan.horizon_days > 0, "horizon_days must be positive");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
-    assert!(plan.clock_hz > 0, "clock_hz must be positive");
+    check_clock(plan.clock_hz);
     assert!(plan.histogram_bins > 0, "histogram_bins must be positive");
     assert!(
         plan.years_per_day > 0.0 && plan.years_per_day.is_finite(),
@@ -1304,6 +1313,7 @@ pub fn probe_service_day(
 ) -> Result<(DayServeReport, Vec<ProbeReport>), SystemError> {
     assert!(lane < plan.effective_lanes().max(1), "lane {lane} outside the plan's lanes");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
+    check_clock(plan.clock_hz);
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
     let gpp = gpp_reference(&plan.config, &workloads)?;
     let mut store = TapeStore::new(&workloads);

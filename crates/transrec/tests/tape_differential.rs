@@ -194,21 +194,29 @@ fn the_mibench_suite_replays_like_full_sessions() {
 }
 
 #[test]
-fn a_tape_recorded_without_a_subscriber_is_recorded_again_under_one() {
+fn a_tape_recorded_without_a_subscriber_replays_under_one() {
     // The baseline records crc32 with nobody counting; every later run is
-    // collected and must count what its full session counts.
+    // collected, replays the tape and must count what its full session
+    // counts.
     let config = SystemConfig::new(cgra::Fabric::be());
     let workloads = transrec::SuiteSpec::subset("crc", vec![1]).workloads(7);
     let config = masked(&config, &FaultMask::healthy(&config.fabric));
     let mut store = TapeStore::new(&workloads);
     taped(store.run(&config, &PolicySpec::Baseline, 0));
+    let profiler = obs::Profiler::new();
     for spec in [PolicySpec::rotation(), PolicySpec::HealthAware] {
-        let (taped, taped_metrics) = obs::collect(|| taped(store.run(&config, &spec, 0)));
+        let (taped, taped_metrics) = tracing::with_default(profiler.dispatch(), || {
+            obs::collect(|| taped(store.run(&config, &spec, 0)))
+        });
         let (full, full_metrics) = full_session(&config, &spec, &workloads[0]);
         let stats = |run: Option<TapeRun>| run.expect("alive").stats;
         assert_eq!(stats(taped), stats(full), "{spec}: stats");
         assert_eq!(taped_metrics, full_metrics, "{spec}: metrics");
     }
+    let roots = profiler.report().roots;
+    let calls = |name: &str| roots.iter().filter(|r| r.name == name).map(|r| r.calls).sum::<u64>();
+    assert_eq!(calls("tape.record"), 0, "{roots:?}");
+    assert_eq!(calls("tape.replay"), 2, "one replay per run: {roots:?}");
 }
 
 proptest! {

@@ -4,12 +4,14 @@
 //!   `system.*` counters, mirrored from that fold, must agree with the
 //!   typed counters across the full mibench suite and every evaluated
 //!   policy class;
+//! * a session publishes the same counters however it is driven, and a
+//!   session that dies publishes what it counted (DESIGN.md §16);
 //! * sessions are step-equivalent to `run()` and resumable;
 //! * epoch snapshots end on the run's exact final state.
 
-use cgra::Fabric;
+use cgra::{Fabric, FaultMask};
 use transrec::telemetry::{ProbeReport, ProbeSpec};
-use transrec::{SessionStatus, System};
+use transrec::{SessionStatus, System, SystemError};
 use uaware::PolicySpec;
 
 /// The four policy classes of the acceptance matrix.
@@ -52,6 +54,64 @@ fn stats_stream_equivalence_across_the_full_suite() {
             assert_eq!(stats.total_cycles(), sys.cpu().cycles(), "{spec} on {name}");
         }
     }
+}
+
+#[test]
+fn a_session_publishes_the_same_counters_however_it_is_driven() {
+    let workload = &mibench::suite(0xDAC2020)[0];
+    let program = workload.program();
+    // A small cache, so the session evicts as well as inserts.
+    let build = || {
+        let builder = System::builder(Fabric::be()).policy(PolicySpec::rotation());
+        builder.cache_capacity(4).build().unwrap()
+    };
+    let (finished, by_finish) = obs::collect(|| {
+        let mut sys = build();
+        sys.run(program).unwrap();
+        *sys.stats()
+    });
+    let (sliced, by_slices) = obs::collect(|| {
+        let mut sys = build();
+        let mut session = sys.session(program).unwrap();
+        for _ in 0..3 {
+            assert!(session.run_for(finished.total_cycles() / 4).unwrap().is_running());
+        }
+        sys.session_resume().finish().unwrap();
+        *sys.stats()
+    });
+    let (stepped, by_step) = obs::collect(|| {
+        let mut sys = build();
+        let mut session = sys.session(program).unwrap();
+        while session.step().unwrap().is_running() {}
+        *sys.stats()
+    });
+    assert_eq!((sliced, stepped), (finished, finished));
+    assert_eq!(by_slices, by_finish, "run_for slices and finish");
+    assert_eq!(by_step, by_finish, "step and finish");
+    for counter in ["system.rotations", "dbt.cache.evict", "dbt.translate.rejected"] {
+        assert!(by_finish.counter(counter) > 0, "{counter}");
+    }
+    assert_eq!(by_finish.counter("tracker.executions"), finished.offloads);
+}
+
+#[test]
+fn a_session_that_dies_publishes_what_it_counted() {
+    // The baseline's origin is dead: its first offload ends the run, on a
+    // decision that hit the cache but never executed.
+    let mut mask = FaultMask::healthy(&Fabric::be());
+    mask.mark_dead(0, 0);
+    let (sys, reg) = obs::collect(|| {
+        let mut sys = System::builder(Fabric::be()).fault_mask(mask).build().unwrap();
+        let err = sys.run(&toy_program()).unwrap_err();
+        assert!(matches!(err, SystemError::AllocationExhausted { .. }), "{err}");
+        sys
+    });
+    let stats = sys.stats();
+    assert!(stats.gpp_retired > 0);
+    assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired);
+    assert_eq!(reg.counter("system.offloads"), 0);
+    assert!(reg.counter("dbt.cache.insert") > 0);
+    assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), stats.cache_lookups);
 }
 
 fn toy_program() -> rv32::Program {

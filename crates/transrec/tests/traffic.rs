@@ -13,9 +13,9 @@ use transrec::fleet::CampaignOptions;
 use transrec::sweep::SuiteSpec;
 use transrec::traffic::{
     day_traffic, run_serving, run_serving_campaign, BackpressureSpec, ServeCell, ServePlan,
-    ServeStatus, TrafficSpec,
+    ServeReport, ServeStatus, TrafficSpec,
 };
-use uaware::PolicySpec;
+use uaware::{derive_cell_seed, PolicySpec};
 
 /// The shared tiny-but-real serving campaign: 5 devices over 2 lanes,
 /// 2-device shards (3 shards), two policies, a slow clock so each day
@@ -283,4 +283,53 @@ fn one_lane_task_serves_every_traffic_profile() {
     };
     assert_eq!(json(&cells), json(&expected_cells));
     assert_eq!(metrics, expected_metrics);
+}
+
+/// Each lane's task serves its own lane's workloads. Bitcount's service
+/// cycles depend on the lane seed, and the queue is overloaded so the
+/// shed and deferred counts follow them: a two-lane plan must count
+/// exactly what its lanes count as one-device plans (lane 0 keeps the
+/// base seed).
+#[test]
+fn each_lane_serves_its_own_lanes_workloads() {
+    let plan = |seed: u64, devices: usize| {
+        ServePlan::new(seed, Fabric::be())
+            .policy(PolicySpec::Baseline)
+            .policy(PolicySpec::rotation())
+            .traffic(TrafficSpec::Steady { per_hour: 600 })
+            .suite(SuiteSpec::subset("bitcount", vec![0]))
+            .devices(devices)
+            .lanes(devices)
+            .clock_hz(1_000)
+            .horizon_days(2)
+            .pattern_days(2)
+            .backpressure(BackpressureSpec {
+                shed_depth: 6,
+                defer_depth: 2,
+                hot_share_pct: 40,
+                warmup_requests: 4,
+            })
+    };
+    let counts = |seed: u64, devices: usize| {
+        let report: ServeReport = run_serving(&plan(seed, devices), 1).expect("serving runs");
+        let cell =
+            |c: &ServeCell| [c.served_cgra, c.served_gpp, c.shed, c.total_requests, c.replacements];
+        report.cells.iter().map(cell).collect::<Vec<_>>()
+    };
+    let lanes = counts(0xDAC2020, 2);
+    let (lane0, lane1) = (counts(0xDAC2020, 1), counts(derive_cell_seed(0xDAC2020, 1), 1));
+    assert_ne!(lane0, lane1, "the lanes serve differently");
+    let (sheds, defers) = (lane0.iter().all(|c| c[2] > 0), lane0.iter().any(|c| c[1] > 0));
+    assert!(sheds && defers, "the queue sheds and defers: {lane0:?}");
+    let summed: Vec<[u64; 5]> =
+        lane0.iter().zip(&lane1).map(|(a, b)| std::array::from_fn(|i| a[i] + b[i])).collect();
+    assert_eq!(lanes, summed);
+}
+
+/// A clock whose day overflows a `u64` cycle count is refused up front
+/// instead of serving a wrapped day.
+#[test]
+#[should_panic(expected = "clock_hz")]
+fn a_clock_whose_day_overflows_is_refused() {
+    let _ = run_serving(&plan().clock_hz(u64::MAX / 1_000), 1);
 }
