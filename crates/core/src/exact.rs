@@ -16,9 +16,9 @@ use std::collections::VecDeque;
 
 use cgra::Offset;
 use solve::OffsetProblem;
-use tracing::{event, span, Level};
+use tracing::{span, Level};
 
-use crate::policy::{AllocRequest, AllocationPolicy};
+use crate::policy::{AllocRequest, AllocationPolicy, PolicyCounts};
 
 /// The exact-mapping oracle: per allocation epoch, a deterministic
 /// branch-and-bound solve of the wear-optimal placement — minimize the
@@ -65,6 +65,7 @@ pub struct ExactPolicy {
     footprint: Vec<(u32, u32)>,
     /// The problem of the latest re-solve, refilled in place by the next.
     problem: OffsetProblem,
+    counts: PolicyCounts,
 }
 
 impl ExactPolicy {
@@ -76,6 +77,7 @@ impl ExactPolicy {
             plan: VecDeque::new(),
             footprint: Vec::new(),
             problem: OffsetProblem::default(),
+            counts: PolicyCounts::default(),
         }
     }
 
@@ -87,11 +89,10 @@ impl ExactPolicy {
 
 impl AllocationPolicy for ExactPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        event!(Level::TRACE, "alloc.exact.decisions", "add" = 1);
         if let Some(&planned) = self.plan.front() {
             if self.footprint == req.footprint && req.placement_ok(planned) {
                 self.plan.pop_front();
-                event!(Level::TRACE, "alloc.exact.replayed", "add" = 1);
+                self.counts.replayed += 1;
                 return Some(planned);
             }
             // Another footprint, or a planned pivot became illegal (fresh
@@ -101,8 +102,6 @@ impl AllocationPolicy for ExactPolicy {
         }
         self.footprint.clear();
         self.footprint.extend_from_slice(req.footprint);
-        // Solved even with no legal pivot: the solver counts the
-        // infeasible call (`solve.infeasible`).
         self.problem.refill(
             req.fabric,
             req.footprint,
@@ -111,7 +110,16 @@ impl AllocationPolicy for ExactPolicy {
             |o| req.placement_ok(o),
         );
         let _solve_span = span!(Level::DEBUG, "solve.bnb").entered();
-        let solution = solve::solve(&self.problem)?;
+        let Some(solution) = solve::solve(&self.problem) else {
+            self.counts.solve_infeasible += 1;
+            return None;
+        };
+        let (counts, stats) = (&mut self.counts, solution.stats);
+        counts.solve_calls += 1;
+        counts.solve.expanded += stats.expanded;
+        counts.solve.generated += stats.generated;
+        counts.solve.pruned_bound += stats.pruned_bound;
+        counts.solve.pruned_nogood += stats.pruned_nogood;
         self.plan.extend(solution.choices.iter().map(|&c| self.problem.offset(c)));
         Some(self.plan.pop_front().expect("an epoch plans at least one slot"))
     }
@@ -122,6 +130,10 @@ impl AllocationPolicy for ExactPolicy {
         } else {
             format!("exact@every-{}", self.every)
         }
+    }
+
+    fn counts(&self) -> PolicyCounts {
+        self.counts
     }
 }
 

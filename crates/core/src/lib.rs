@@ -82,7 +82,7 @@ pub use lifetime::{evaluate_aging, lifetime_improvement, AgingEvaluation};
 pub use pattern::{ColumnMajor, Fixed, MovementPattern, Raster, Snake};
 pub use policy::{
     AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, LegalPivots,
-    MovementGranularity, RandomPolicy, RotationPolicy,
+    MovementGranularity, PolicyCounts, RandomPolicy, RotationPolicy,
 };
 pub use seed::derive_cell_seed;
 pub use spec::{ParseSpecError, PatternSpec, PolicySpec, DEFAULT_RANDOM_SEED};

@@ -16,7 +16,7 @@ use cgra::{Fabric, FaultMask, Offset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tracing::{event, Level};
+use solve::SolveStats;
 
 use crate::pattern::MovementPattern;
 use crate::spec::ParseSpecError;
@@ -247,6 +247,21 @@ impl AllocRequest<'_> {
     }
 }
 
+/// A policy's own counts (DESIGN.md §16), beyond the decisions the
+/// allocation step counts for every policy. Only the exact oracle keeps
+/// any.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct PolicyCounts {
+    /// Decisions played back from a planned epoch.
+    pub replayed: u64,
+    /// Solver calls that returned a plan.
+    pub solve_calls: u64,
+    /// Solver calls that found no legal pivot.
+    pub solve_infeasible: u64,
+    /// The search counters of the calls that returned a plan, summed.
+    pub solve: SolveStats,
+}
+
 /// A pivot-selection policy.
 ///
 /// Runners that need to instantiate policies from data use
@@ -271,6 +286,11 @@ pub trait AllocationPolicy: std::fmt::Debug {
     fn needs_movement(&self) -> bool {
         true
     }
+
+    /// The policy's own counts so far; none by default.
+    fn counts(&self) -> PolicyCounts {
+        PolicyCounts::default()
+    }
 }
 
 /// The aging-unaware baseline: every configuration anchors at the top-left
@@ -282,7 +302,6 @@ pub struct BaselinePolicy;
 
 impl AllocationPolicy for BaselinePolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        event!(Level::TRACE, "alloc.baseline.decisions", "add" = 1);
         req.placement_ok(Offset::ORIGIN).then_some(Offset::ORIGIN)
     }
 
@@ -352,7 +371,6 @@ impl<P: MovementPattern> RotationPolicy<P> {
 
 impl<P: MovementPattern> AllocationPolicy for RotationPolicy<P> {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        event!(Level::TRACE, "alloc.rotation.decisions", "add" = 1);
         // A dead FU under the resident pivot forces a move even at coarse
         // granularities — staying put would execute on failed silicon.
         let resident_ok = self.current.is_some_and(|o| req.placement_ok(o));
@@ -414,7 +432,6 @@ impl RandomPolicy {
 
 impl AllocationPolicy for RandomPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        event!(Level::TRACE, "alloc.random.decisions", "add" = 1);
         let Some(count) = req.legal.count() else {
             // Unconstrained fast path: two draws, bit-identical to the
             // historical mask-less stream.
@@ -453,7 +470,6 @@ pub struct HealthAwarePolicy;
 
 impl AllocationPolicy for HealthAwarePolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        event!(Level::TRACE, "alloc.health-aware.decisions", "add" = 1);
         // The scan runs once per offload, so it must stay allocation-free:
         // compare raw per-FU execution counts (same ordering as the
         // normalized utilization), prune a pivot as soon as it matches the

@@ -2,7 +2,6 @@
 
 use cgra::Fabric;
 use serde::{Deserialize, Serialize};
-use tracing::{event, Level};
 
 /// Records which physical FU cells each configuration execution touched.
 ///
@@ -65,12 +64,13 @@ impl UtilizationTracker {
     /// show up as extra effective NBTI duty on the winner FUs (DESIGN.md
     /// §14). With the default unlimited budget, stress equals the execution
     /// count and every downstream number is bit-identical to the
-    /// pre-bandwidth model.
+    /// pre-bandwidth model. Returns how many of the cells were
+    /// over-subscribed that way (`cgra.bandwidth.oversub`, DESIGN.md §16).
     ///
     /// # Panics
     ///
     /// Panics if a cell lies outside the tracked geometry.
-    pub fn record_execution(&mut self, active_cells: &[(u32, u32)], cols_used: u32) {
+    pub fn record_execution(&mut self, active_cells: &[(u32, u32)], cols_used: u32) -> u64 {
         self.executions += 1;
         self.total_col_slots += cols_used as u64;
         let mut oversub_cells = 0u64;
@@ -91,9 +91,7 @@ impl UtilizationTracker {
             }
             self.stress_counts[i] += stress;
         }
-        if oversub_cells > 0 {
-            event!(Level::TRACE, "cgra.bandwidth.oversub", "add" = oversub_cells);
-        }
+        oversub_cells
     }
 
     /// Merges another tracker's observations (e.g. per-benchmark trackers

@@ -146,11 +146,10 @@ impl LogHistogram {
 /// * `"add"` — a **counter** (merge: sum, scaled by the fold weight);
 /// * `"set"` — a **gauge**, kept as a high-watermark (merge: max) so the
 ///   fold stays order-independent;
-/// * `"record"` — a **histogram** sample ([`LogHistogram`]).
+/// * `"record"` — a **histogram** sample ([`LogHistogram`]); followed by
+///   `"count" = n`, a **bulk record** of `n` equal samples at once.
 ///
-/// Any other field key `k` on an event named `n` bumps the counter `n.k`
-/// by the field value — `event!(…, "solve", "expanded" = 40)` lands in
-/// counter `solve.expanded`.
+/// An event of any other shape is not a metric, and a collector ignores it.
 ///
 /// All maps are `BTreeMap`s and all state is integer, so two registries
 /// built from the same observations in any fold order serialize to
@@ -214,13 +213,17 @@ impl Registry {
 
     /// Records `v` into histogram `name`.
     pub fn histogram_record(&mut self, name: &str, v: u64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(v),
-            None => {
-                let mut h = LogHistogram::default();
-                h.record(v);
-                self.histograms.insert(name.to_string(), h);
-            }
+        self.histogram_record_n(name, v, 1);
+    }
+
+    /// Records `count` samples of `v` into histogram `name` at once, as
+    /// `count` calls of [`Registry::histogram_record`] would.
+    pub fn histogram_record_n(&mut self, name: &str, v: u64, count: u64) {
+        if count > 0 && !self.histograms.contains_key(name) {
+            self.histograms.insert(name.to_string(), LogHistogram::default());
+        }
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.add(log_bucket(v), count);
         }
     }
 
@@ -267,31 +270,6 @@ impl Registry {
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Re-fires every instrument into the current thread's subscriber as
-    /// events: each counter as one `add`, each gauge as one `set`, and each
-    /// histogram bucket as `record`s of its floor value. A collector that
-    /// receives them ends up as if it had seen the original events, so a
-    /// work item can collect privately and publish only once it knows its
-    /// events should count. Without a subscriber this does nothing.
-    pub fn emit(&self) {
-        if tracing::with_current(|_| ()).is_none() {
-            return;
-        }
-        for (name, &v) in &self.counters {
-            tracing::event!(Level::TRACE, name, "add" = v);
-        }
-        for (name, &v) in &self.gauges {
-            tracing::event!(Level::TRACE, name, "set" = v);
-        }
-        for (name, h) in &self.histograms {
-            for &(bucket, count) in &h.buckets {
-                for _ in 0..count {
-                    tracing::event!(Level::TRACE, name, "record" = log_bucket_floor(bucket));
-                }
-            }
         }
     }
 
@@ -392,13 +370,12 @@ impl Subscriber for MetricsCollector {
     fn event(&self, event: &Event<'_>) {
         let mut reg = self.registry.borrow_mut();
         let name = event.metadata.name;
-        for &(key, value) in event.fields {
-            match key {
-                "add" => reg.counter_add(name, value),
-                "set" => reg.gauge_set(name, value),
-                "record" => reg.histogram_record(name, value),
-                sub => reg.counter_add(&format!("{name}.{sub}"), value),
-            }
+        match *event.fields {
+            [("add", v)] => reg.counter_add(name, v),
+            [("set", v)] => reg.gauge_set(name, v),
+            [("record", v)] => reg.histogram_record(name, v),
+            [("record", v), ("count", n)] => reg.histogram_record_n(name, v, n),
+            _ => {}
         }
     }
 }
@@ -697,29 +674,36 @@ mod tests {
             event!(Level::TRACE, "dbt.cache.hit", "add" = 1);
             event!(Level::TRACE, "queue.depth", "set" = 9);
             event!(Level::TRACE, "step.cycles", "record" = 250);
+            event!(Level::TRACE, "step.cycles", "record" = 9, "count" = 3);
             event!(Level::TRACE, "solve", "expanded" = 40, "nogoods" = 2);
         });
         assert_eq!(reg.counter("dbt.cache.hit"), 2);
         assert_eq!(reg.gauge("queue.depth"), 9);
-        assert_eq!(reg.histogram("step.cycles").unwrap().total(), 1);
-        assert_eq!(reg.counter("solve.expanded"), 40, "bare keys become sub-counters");
-        assert_eq!(reg.counter("solve.nogoods"), 2);
+        let cycles = reg.histogram("step.cycles").unwrap();
+        assert_eq!(cycles.total(), 4, "a bulk record counts every sample");
+        assert_eq!(cycles.percentile(0.75), 9);
+        assert_eq!(reg.counters().count(), 1, "an event of another shape is no metric");
     }
 
     #[test]
-    fn emitted_registries_collect_to_themselves() {
-        let ((), reg) = collect(|| {
-            event!(Level::TRACE, "dbt.cache.hit", "add" = 3);
-            event!(Level::TRACE, "queue.depth", "set" = 9);
-            for v in [0u64, 7, 250, 251, 1 << 40] {
-                event!(Level::TRACE, "step.cycles", "record" = v);
+    fn a_bulk_record_equals_repeated_records() {
+        let samples = [(0u64, 1u64), (7, 4), (250, 2), (251, 1), (1 << 40, 3), (9, 0)];
+        let ((), repeated) = collect(|| {
+            for (v, n) in samples {
+                for _ in 0..n {
+                    event!(Level::TRACE, "step.cycles", "record" = v);
+                }
             }
-            event!(Level::TRACE, "solve", "expanded" = 40);
         });
-        let ((), again) = collect(|| reg.emit());
-        assert_eq!(again, reg);
-        // Without a subscriber nothing is observed, and nothing breaks.
-        reg.emit();
+        let ((), bulk) = collect(|| {
+            for (v, n) in samples {
+                event!(Level::TRACE, "step.cycles", "record" = v, "count" = n);
+            }
+        });
+        assert_eq!(bulk, repeated);
+        let ((), nothing) =
+            collect(|| event!(Level::TRACE, "step.cycles", "record" = 1, "count" = 0));
+        assert!(nothing.is_empty(), "zero samples leave no histogram");
     }
 
     #[test]

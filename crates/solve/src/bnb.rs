@@ -11,26 +11,10 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use tracing::{event, Level};
-
 use crate::OffsetProblem;
 
-/// Publishes a finished search's counters as `solve.*` metric events
-/// (DESIGN.md §16) — a no-op branch when no subscriber is installed.
-fn emit_stats(stats: &SolveStats) {
-    event!(
-        Level::DEBUG,
-        "solve",
-        "calls" = 1,
-        "expanded" = stats.expanded,
-        "generated" = stats.generated,
-        "bound_cutoffs" = stats.pruned_bound,
-        "nogoods" = stats.pruned_nogood,
-    );
-}
-
-/// Search counters of one [`solve`] call (for benches and diagnostics;
-/// never part of the objective).
+/// Search counters of one [`solve`] call (for benches, diagnostics and the
+/// caller's `solve.*` metrics; never part of the objective).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Nodes popped from the frontier and branched on.
@@ -88,18 +72,13 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     let mut stats = SolveStats::default();
     if n == 0 {
         let objective = initial.iter().copied().max().unwrap_or(0);
-        emit_stats(&stats);
         return Some(Solution { objective, choices: Vec::new(), stats });
     }
 
     // Every slot plans the same footprint over the same pivots, so the
     // minimum stress mass a slot must add is one number; no pivot at all
     // is the only way to be infeasible.
-    let Some(min_mass) = (0..k).map(|c| p.deltas(c).iter().map(|&(_, d)| d).sum::<u64>()).min()
-    else {
-        event!(Level::DEBUG, "solve.infeasible", "add" = 1);
-        return None;
-    };
+    let min_mass = (0..k).map(|c| p.deltas(c).iter().map(|&(_, d)| d).sum::<u64>()).min()?;
 
     // Admissible lower bound of a partial plan: loads only grow, and the
     // final maximum is at least the ceil-average of the committed plus
@@ -215,7 +194,6 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
         }
     }
 
-    emit_stats(&stats);
     Some(Solution { objective: ub, choices: best_choices, stats })
 }
 

@@ -54,10 +54,9 @@ pub struct CampaignOptions {
     pub stop_after_shards: Option<usize>,
     /// Collect the deterministic metrics registry while the campaign runs
     /// and fold it into [`obs::global`] on completion (DESIGN.md §16). Off
-    /// by default: sessions publish their counters once per session call,
-    /// but every policy decision still fires its events into the
-    /// collector, and most callers (tests, benches) do not read the
-    /// registry.
+    /// by default: sessions and replays publish their counters once per
+    /// call and serving days once per day, which is cheap but not free,
+    /// and most callers (tests, benches) do not read the registry.
     pub collect_metrics: bool,
 }
 

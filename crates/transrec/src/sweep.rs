@@ -302,9 +302,8 @@ pub(crate) fn par_map_observed<T: Send, U: Send>(
 }
 
 /// Shared body of [`run_sweep`]/[`run_sweep_observed`]. `collect_metrics`
-/// is a knob (not always-on) because collection still costs every policy
-/// decision's events; sessions publish their own counters once per session
-/// call (DESIGN.md §16).
+/// is a knob (not always-on) because collection still costs a registry
+/// per task and a publish per session call and replay (DESIGN.md §16).
 fn run_sweep_inner(
     plan: &SweepPlan,
     jobs: usize,

@@ -142,46 +142,6 @@ impl SystemStats {
     pub fn total_instrs(&self) -> u64 {
         self.gpp_retired + self.offloaded_instrs
     }
-
-    /// Folds one event into the counters — the one place a [`SimEvent`]
-    /// is counted into them (DESIGN.md §10). It fires nothing: a session
-    /// publishes its counts when a session call returns (DESIGN.md §16).
-    ///
-    /// `cache_lookups` has no event of its own; the session counts it at
-    /// the lookup. The traffic `Request*` events never pass through a
-    /// [`System`]; the serving queue meters them at its own decision sites.
-    pub(crate) fn record(&mut self, event: &SimEvent) {
-        match *event {
-            SimEvent::GppRetired { cycles, .. } => {
-                self.gpp_cycles += cycles;
-                self.gpp_retired += 1;
-            }
-            SimEvent::OffloadCompleted {
-                instr_count,
-                exec_cycles,
-                overheads,
-                loads,
-                stores,
-                active_fus,
-                cols_used,
-                ..
-            } => {
-                self.cgra_exec_cycles += exec_cycles;
-                self.reconfig_cycles += overheads.reconfig_extra;
-                self.rotate_cycles += overheads.rotate;
-                self.transfer_cycles += overheads.input + overheads.out_drain;
-                self.offloads += 1;
-                self.offloaded_instrs += instr_count as u64;
-                self.cgra_loads += loads;
-                self.cgra_stores += stores;
-                self.cgra_active_fu_slots += active_fus;
-                self.cgra_columns += cols_used as u64;
-            }
-            SimEvent::OffloadSkipped { .. } => self.offloads_skipped += 1,
-            SimEvent::AllocationStarved { .. } => self.offloads_starved += 1,
-            _ => {}
-        }
-    }
 }
 
 /// Every count a session publishes (DESIGN.md §16): its [`SystemStats`]
@@ -199,16 +159,35 @@ pub(crate) struct Tally {
     cache_evicted: u64,
     /// The DBT's counts; [`System::tally`] reads them from the translator.
     translate: TranslateCounts,
+    /// The allocation step's counts; [`System::tally`] reads them from it.
+    pub(crate) alloc: AllocCounts,
+}
+
+/// What the allocation step counted (DESIGN.md §16).
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct AllocCounts {
+    /// Decisions asked of the policy.
+    decisions: u64,
+    /// Cells stressed past their column's bandwidth budget (DESIGN.md §14).
+    oversubscribed: u64,
+    /// The policy's own counts.
+    policy: uaware::PolicyCounts,
 }
 
 /// Fires what each session counter gained from `before` to `now` as one
-/// `"add"` event, and nothing for a counter that gained nothing: the one
-/// place the `system.*`, `dbt.*` and `tracker.executions` counters are
-/// named (DESIGN.md §16). `tracker.executions` is the count behind
-/// `system.offloads_completed`, and misses are lookups minus hits.
-pub(crate) fn publish(now: &Tally, before: &Tally) {
+/// `"add"` event, and nothing for a counter that gained nothing, except
+/// that a solver call fires all five of its counters: the one place the
+/// session's counters are named (DESIGN.md §16). `alloc.<kind>.*` takes
+/// the head of `policy`, the policy's canonical name.
+pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
+    if !tracing::dispatch_active() {
+        return;
+    }
+    let kind = policy.split([':', '@']).next().unwrap_or(policy);
+    let (decisions, replayed) =
+        (format!("alloc.{kind}.decisions"), format!("alloc.{kind}.replayed"));
     let counters = |t: &Tally| {
-        let (s, dbt) = (&t.stats, &t.translate);
+        let (s, dbt, alloc) = (&t.stats, &t.translate, &t.alloc);
         [
             ("system.gpp_retired", s.gpp_retired),
             ("system.offloads", t.offloads_started),
@@ -227,11 +206,28 @@ pub(crate) fn publish(now: &Tally, before: &Tally) {
             ("dbt.translate.calls", dbt.calls),
             ("dbt.translate.rejected", dbt.rejected),
             ("dbt.translate.placed_instrs", dbt.placed_instrs),
+            (decisions.as_str(), alloc.decisions),
+            (replayed.as_str(), alloc.policy.replayed),
+            ("cgra.bandwidth.oversub", alloc.oversubscribed),
+            ("solve.infeasible", alloc.policy.solve_infeasible),
         ]
     };
     for ((name, now), (_, before)) in counters(now).into_iter().zip(counters(before)) {
         if now != before {
             tracing::event!(tracing::Level::TRACE, name, "add" = now - before);
+        }
+    }
+    let (now, before) = (&now.alloc.policy, &before.alloc.policy);
+    if now.solve_calls != before.solve_calls {
+        let (n, b) = (now.solve, before.solve);
+        for (name, gain) in [
+            ("solve.calls", now.solve_calls - before.solve_calls),
+            ("solve.expanded", n.expanded - b.expanded),
+            ("solve.generated", n.generated - b.generated),
+            ("solve.bound_cutoffs", n.pruned_bound - b.pruned_bound),
+            ("solve.nogoods", n.pruned_nogood - b.pruned_nogood),
+        ] {
+            tracing::event!(tracing::Level::TRACE, name, "add" = gain);
         }
     }
 }
@@ -428,6 +424,8 @@ pub(crate) struct Allocator {
     resident: Offset,
     /// The physical cells handed to the tracker, reused.
     cells: Vec<(u32, u32)>,
+    /// Its decisions and oversubscribed cells; the policy keeps its own.
+    counts: AllocCounts,
 }
 
 /// Where [`Allocator::choose`] placed an offload.
@@ -447,7 +445,13 @@ impl Allocator {
             tracker: UtilizationTracker::new(fabric),
             resident: Offset::ORIGIN,
             cells: Vec::new(),
+            counts: AllocCounts::default(),
         }
+    }
+
+    /// What the step and its policy counted so far.
+    pub(crate) fn counts(&self) -> AllocCounts {
+        AllocCounts { policy: self.policy.counts(), ..self.counts }
     }
 
     /// Asks the policy for the pivot of the configuration at `pc` with
@@ -472,6 +476,7 @@ impl Allocator {
         config_switch: bool,
         gpp_dirty: bool,
     ) -> Result<Option<Pivot>, SystemError> {
+        self.counts.decisions += 1;
         let offset = self.policy.next_offset(&AllocRequest {
             fabric: &config.fabric,
             config_switch,
@@ -506,7 +511,7 @@ impl Allocator {
         let offset = self.resident;
         self.cells.clear();
         self.cells.extend(footprint.iter().map(|&(r, c)| offset.apply(fabric, r, c)));
-        self.tracker.record_execution(&self.cells, cols_used);
+        self.counts.oversubscribed += self.tracker.record_execution(&self.cells, cols_used);
     }
 }
 
@@ -754,14 +759,14 @@ impl System {
         &self.cpu
     }
 
-    /// Run statistics so far — the built-in fold over the event stream.
+    /// Run statistics so far, counted where each fact happens.
     pub fn stats(&self) -> &SystemStats {
         &self.tally.stats
     }
 
     /// Every count of the system so far.
     pub(crate) fn tally(&self) -> Tally {
-        Tally { translate: self.translator.counts(), ..self.tally }
+        Tally { translate: self.translator.counts(), alloc: self.alloc.counts(), ..self.tally }
     }
 
     /// The utilization tracker (per-FU stress observations).
@@ -820,10 +825,13 @@ impl System {
         Decoded { gpp_estimate: self.estimate_gpp_cycles(&cc), footprint, demands, legality, cc }
     }
 
-    /// Counts one event in the built-in fold and publishes it to every
-    /// attached probe (identical stream, attachment order).
-    fn emit(&mut self, event: SimEvent) {
-        self.tally.stats.record(&event);
+    /// Publishes the event `event` builds to every attached probe
+    /// (identical stream, attachment order); with none, builds nothing.
+    fn emit(&mut self, event: impl FnOnce() -> SimEvent) {
+        if self.probes.is_empty() {
+            return;
+        }
+        let event = event();
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.alloc.tracker };
         for probe in &mut self.probes {
             probe.on_event(&ctx, &event);
@@ -899,13 +907,14 @@ impl System {
             recorder.needs_sample(config).then_some(config)
         });
         let Some(Pivot { offset, rotated }) = pivot else {
-            self.emit(SimEvent::AllocationStarved { pc });
+            self.tally.stats.offloads_starved += 1;
+            self.emit(|| SimEvent::AllocationStarved { pc });
             return Ok(false);
         };
         let rotate = rotated.map_or(0, |(_, cycles)| cycles);
         let (ov, stream_cycles) = self.offload_overheads(cc, config_switch, rotate);
         self.tally.offloads_started += 1;
-        self.emit(SimEvent::OffloadStarted { pc, offset, config_switch });
+        self.emit(|| SimEvent::OffloadStarted { pc, offset, config_switch });
 
         self.inputs.clear();
         self.inputs.extend(cc.input_regs.iter().map(|r| self.cpu.reg(*r)));
@@ -950,14 +959,25 @@ impl System {
         self.cpu.add_cycles(exec_cycles + ov.total());
         if let Some((from, cycles)) = rotated {
             self.tally.rotations += 1;
-            self.emit(SimEvent::Rotated { pc, from, to: offset, cycles });
+            self.emit(|| SimEvent::Rotated { pc, from, to: offset, cycles });
         }
         if config_switch {
             self.tally.config_loads += 1;
             let exposed_cycles = ov.reconfig_extra;
-            self.emit(SimEvent::ConfigLoaded { pc, cols_used, stream_cycles, exposed_cycles });
+            self.emit(|| SimEvent::ConfigLoaded { pc, cols_used, stream_cycles, exposed_cycles });
         }
-        self.emit(SimEvent::OffloadCompleted {
+        let stats = &mut self.tally.stats;
+        stats.cgra_exec_cycles += exec_cycles;
+        stats.reconfig_cycles += ov.reconfig_extra;
+        stats.rotate_cycles += ov.rotate;
+        stats.transfer_cycles += ov.input + ov.out_drain;
+        stats.offloads += 1;
+        stats.offloaded_instrs += cc.instr_count as u64;
+        stats.cgra_loads += mem_ops.loads as u64;
+        stats.cgra_stores += mem_ops.stores as u64;
+        stats.cgra_active_fu_slots += footprint.len() as u64;
+        stats.cgra_columns += cols_used as u64;
+        self.emit(|| SimEvent::OffloadCompleted {
             pc,
             offset,
             instr_count: cc.instr_count,
@@ -1121,7 +1141,7 @@ impl Session<'_> {
         let before = tracing::dispatch_active().then(|| self.system.tally());
         let out = drive(self);
         if let Some(before) = before {
-            publish(&self.system.tally(), &before);
+            publish(&self.system.policy_name(), &self.system.tally(), &before);
         }
         out
     }
@@ -1165,7 +1185,8 @@ impl Session<'_> {
                     // the GPP path below, like a heuristic skip.
                 }
                 Some((gpp_cycles, cgra_cycles)) => {
-                    sys.emit(SimEvent::OffloadSkipped { pc, gpp_cycles, cgra_cycles })
+                    sys.tally.stats.offloads_skipped += 1;
+                    sys.emit(|| SimEvent::OffloadSkipped { pc, gpp_cycles, cgra_cycles });
                 }
             }
         }
@@ -1175,7 +1196,9 @@ impl Session<'_> {
         let cycles = sys.cpu.cycles() - before;
         self.steps_left -= 1;
         sys.gpp_dirty = true;
-        sys.emit(SimEvent::GppRetired { pc: retired.pc, cycles });
+        sys.tally.stats.gpp_cycles += cycles;
+        sys.tally.stats.gpp_retired += 1;
+        sys.emit(|| SimEvent::GppRetired { pc: retired.pc, cycles });
         let cached = sys.cache.contains(retired.pc);
         for built in sys.translator.observe(&retired, cached) {
             // Step 3: install into the configuration cache, decoded once.
@@ -1183,10 +1206,10 @@ impl Session<'_> {
             let decoded = Arc::new(sys.decode(built));
             if let Some(evicted) = sys.cache.insert(insert_pc, decoded) {
                 sys.tally.cache_evicted += 1;
-                sys.emit(SimEvent::CacheEvicted { pc: evicted });
+                sys.emit(|| SimEvent::CacheEvicted { pc: evicted });
             }
             sys.tally.cache_inserted += 1;
-            sys.emit(SimEvent::CacheInserted { pc: insert_pc, instr_count });
+            sys.emit(|| SimEvent::CacheInserted { pc: insert_pc, instr_count });
         }
         Ok(self.status())
     }

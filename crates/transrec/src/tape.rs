@@ -25,9 +25,10 @@
 //! session and records its tape; every later policy and fault mask
 //! replays it, and falls back to a full session wherever the replay
 //! cannot stand for one. A full session that runs to exit, a fallback
-//! included, records the workload's tape again. A replay publishes the
-//! tape's counts as its session would have (DESIGN.md §16), so a tape
-//! serves whoever is listening.
+//! included, records the workload's tape again. A replay fires nothing
+//! while it runs; once it stands, it publishes the tape's counts and its
+//! own as its session would have (DESIGN.md §16), so a tape serves
+//! whoever is listening.
 
 use std::collections::HashMap;
 use std::iter;
@@ -245,8 +246,9 @@ impl Recorder {
 /// and counts, not yet verified.
 pub(crate) struct Recording {
     recorder: Recorder,
-    /// The session's counts without its rotations and rotate cycles: the
-    /// ones every policy that agrees with the tape shares.
+    /// The session's counts without its rotations, rotate cycles and
+    /// allocation-step counts: the ones every policy that agrees with the
+    /// tape shares.
     tally: Tally,
 }
 
@@ -288,6 +290,7 @@ impl Recording {
         let recording = result.is_ok().then(|| {
             let mut tally = system.tally();
             (tally.rotations, tally.stats.rotate_cycles) = (0, 0);
+            tally.alloc = Default::default();
             Recording { recorder, tally }
         });
         (result, recording)
@@ -352,10 +355,9 @@ impl Tape {
     /// configuration's [`Legality`] built for that mask. `None` as soon as
     /// the step disagrees with the tape on offload vs. starve, or fails
     /// where the session would end (a dead device, or a pivot the
-    /// hardware cannot reach): only a full session reports those. The
-    /// policy and the tracker fire their events as in a full session; the
-    /// replay's counts, its rotations included, are left to the caller to
-    /// publish.
+    /// hardware cannot reach): only a full session reports those. It fires
+    /// nothing: its counts, the tape's plus its own rotations and
+    /// allocation-step counts, are left to the caller to publish.
     pub(crate) fn replay(
         &self,
         config: &SystemConfig,
@@ -393,6 +395,7 @@ impl Tape {
                 }
             }
         }
+        tally.alloc = alloc.counts();
         Some((tally, alloc.tracker))
     }
 }
@@ -495,9 +498,9 @@ impl<'a> TapeStore<'a> {
     /// [`WorkloadRun::verified`]. The first run of a workload to reach its
     /// exit records its tape; later runs replay it, or fall back to a full
     /// session where the policy disagrees with the tape, and a fallback
-    /// that reaches its exit records the tape again. A replay publishes
-    /// the counters its full session would have, whoever listened when the
-    /// tape was recorded.
+    /// that reaches its exit records the tape again. A replay fires
+    /// nothing until it stands; then it publishes the counters its full
+    /// session would have, whoever listened when the tape was recorded.
     ///
     /// # Errors
     ///
@@ -515,24 +518,13 @@ impl<'a> TapeStore<'a> {
         };
         let replay = {
             let _replay = span!(Level::INFO, "tape.replay").entered();
-            // The policy's and the tracker's events count only if the
-            // replay stands for the session, so a subscriber's are held
-            // back until it has.
-            if tracing::with_current(|_| ()).is_some() {
-                let (replay, events) = obs::collect(|| tape.replay(config, spec.build()));
-                if replay.is_some() {
-                    events.emit();
-                }
-                replay
-            } else {
-                tape.replay(config, spec.build())
-            }
+            tape.replay(config, spec.build())
         };
         let Some((tally, tracker)) = replay else {
             let _fallback = span!(Level::INFO, "tape.fallback").entered();
             return self.session(config, spec, workload);
         };
-        publish(&tally, &Tally::default());
+        publish(&spec.to_string(), &tally, &Tally::default());
         Ok(WorkloadRun {
             run: TapeRun { stats: tally.stats, tracker },
             verified: true,

@@ -8,11 +8,11 @@
 //! scheduling decision, offload, rotation and cache movement arrives as
 //! data.
 //!
-//! Counting is not an observer's job. Every event a
-//! [`System`](crate::System) emits is counted exactly once, by the built-in
-//! [`SystemStats`](crate::SystemStats) fold, which also mirrors it into the
-//! `system.*` counters of an installed metrics collector (DESIGN.md §10,
-//! §16). Probes only *sample* the stream.
+//! Counting is not an observer's job. A [`System`](crate::System) counts
+//! each fact once, where it happens, into its
+//! [`SystemStats`](crate::SystemStats) and publishes its counters when a
+//! session call returns; it builds events only for attached observers
+//! (DESIGN.md §10, §16). Probes only *sample* the stream.
 //!
 //! Probes mirror the policy-as-data design (DESIGN.md §8): a [`ProbeSpec`]
 //! is a serde-able value with a compact string form (`util-trace@every-50000`)

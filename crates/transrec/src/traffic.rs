@@ -55,11 +55,12 @@ use std::str::FromStr;
 use cgra::{Fabric, FaultMask};
 use lifetime::{DeviceLifetime, FleetAccum, FleetStats};
 use nbti::CalibratedAging;
-use obs::{log_bucket, LogHistogram, LOG_BUCKETS};
+use obs::{log_bucket, log_bucket_floor, LogHistogram, LOG_BUCKETS};
 use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use tracing::{event, Level};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
 use crate::campaign::{
@@ -685,16 +686,18 @@ struct Pending {
     deferred: bool,
 }
 
-/// Delivers `event` to every observer with the day tracker as context.
+/// Delivers the event `event` builds to every observer with the day
+/// tracker as context; with no tracker (no observers) builds nothing.
 fn emit(
     observers: &mut [Box<dyn Observer>],
-    tracker: &UtilizationTracker,
+    tracker: Option<&UtilizationTracker>,
     cycle: u64,
-    event: &SimEvent,
+    event: impl FnOnce() -> SimEvent,
 ) {
-    let ctx = EventCtx { cycle, tracker };
+    let Some(tracker) = tracker else { return };
+    let (ctx, event) = (EventCtx { cycle, tracker }, event());
     for observer in observers.iter_mut() {
-        observer.on_event(&ctx, event);
+        observer.on_event(&ctx, &event);
     }
 }
 
@@ -711,8 +714,9 @@ fn emit(
 /// Each request pays only for what it needs: backpressure reads per-FU
 /// execution counts, and scans them for the busiest FU only when the
 /// queue is deep enough for the answer to matter; latencies are tallied
-/// densely and folded into the histogram at midnight; the day tracker
-/// exists only while observers are attached.
+/// densely and folded into the histogram at midnight, when the day's
+/// `traffic.*` metrics are published once; the day tracker exists only
+/// while observers are attached.
 fn run_service_day(
     arrivals: &[Arrival],
     cgra: &[Option<CgraCost>],
@@ -733,50 +737,35 @@ fn run_service_day(
     let mut served_cgra = 0u64;
     let mut served_gpp = 0u64;
     let mut shed = 0u64;
+    let mut arrived = arrivals.len() as u64;
+    let mut peak_depth = 0u32;
     let mut died = false;
     let mut fatal_fraction = 1.0;
     for (i, arrival) in arrivals.iter().enumerate() {
         while in_flight.front().is_some_and(|p| p.finish <= arrival.cycle) {
             let done = in_flight.pop_front().expect("front exists");
-            if let Some(tracker) = &day_tracker {
-                let event = SimEvent::RequestServed {
-                    request: done.request,
-                    wait_cycles: done.wait,
-                    service_cycles: done.service,
-                    deferred: done.deferred,
-                };
-                emit(observers, tracker, done.finish, &event);
-            }
+            emit(observers, day_tracker.as_ref(), done.finish, || SimEvent::RequestServed {
+                request: done.request,
+                wait_cycles: done.wait,
+                service_cycles: done.service,
+                deferred: done.deferred,
+            });
         }
         let depth = in_flight.len() as u32;
-        // Queue decisions are metered unconditionally (not gated on
-        // observers): metrics must not depend on probe attachment
-        // (DESIGN.md §16). Disabled, each is one relaxed atomic load.
-        tracing::event!(tracing::Level::TRACE, "traffic.requests.arrived", "add" = 1);
+        let shed_event = || SimEvent::RequestShed { request: i as u64, queue_depth: depth };
         let Some(cost) = &cgra[arrival.workload as usize] else {
             // The request needs a workload with no placement left: the
             // device is dead; the rest of the day's requests go unserved.
             died = true;
             fatal_fraction = arrival.cycle as f64 / day_cycles as f64;
             shed += (arrivals.len() - i) as u64;
-            tracing::event!(
-                tracing::Level::TRACE,
-                "traffic.requests.shed",
-                "add" = arrivals.len() - i,
-            );
-            if let Some(tracker) = &day_tracker {
-                let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                emit(observers, tracker, arrival.cycle, &event);
-            }
+            arrived = i as u64 + 1;
+            emit(observers, day_tracker.as_ref(), arrival.cycle, shed_event);
             break;
         };
         if bp.shed_depth > 0 && depth >= bp.shed_depth {
             shed += 1;
-            tracing::event!(tracing::Level::TRACE, "traffic.requests.shed", "add" = 1);
-            if let Some(tracker) = &day_tracker {
-                let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                emit(observers, tracker, arrival.cycle, &event);
-            }
+            emit(observers, day_tracker.as_ref(), arrival.cycle, shed_event);
             continue;
         }
         // A hot fabric (the busiest FU holds at least `hot_share_pct`% of
@@ -795,14 +784,11 @@ fn run_service_day(
         let finish = start + service;
         free_at = finish;
         latency_tally[log_bucket(wait + service) as usize] += 1;
-        tracing::event!(tracing::Level::TRACE, "traffic.latency.cycles", "record" = wait + service);
-        tracing::event!(tracing::Level::TRACE, "traffic.queue.depth", "set" = depth + 1);
+        peak_depth = peak_depth.max(depth + 1);
         if deferred {
             served_gpp += 1;
-            tracing::event!(tracing::Level::TRACE, "traffic.requests.served_gpp", "add" = 1);
         } else {
             served_cgra += 1;
-            tracing::event!(tracing::Level::TRACE, "traffic.requests.served_cgra", "add" = 1);
             for (b, &add) in busy.iter_mut().zip(&cost.busy) {
                 *b += add;
             }
@@ -814,33 +800,49 @@ fn run_service_day(
                 tracker.merge(&cost.tracker);
             }
         }
-        if let Some(tracker) = &day_tracker {
-            let event = SimEvent::RequestArrived {
-                request: i as u64,
-                workload: arrival.workload,
-                queue_depth: depth + 1,
-            };
-            emit(observers, tracker, arrival.cycle, &event);
-        }
+        emit(observers, day_tracker.as_ref(), arrival.cycle, || SimEvent::RequestArrived {
+            request: i as u64,
+            workload: arrival.workload,
+            queue_depth: depth + 1,
+        });
         in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
     }
     let mut end_cycle = day_cycles;
     while let Some(done) = in_flight.pop_front() {
         end_cycle = end_cycle.max(done.finish);
-        if let Some(tracker) = &day_tracker {
-            let event = SimEvent::RequestServed {
-                request: done.request,
-                wait_cycles: done.wait,
-                service_cycles: done.service,
-                deferred: done.deferred,
-            };
-            emit(observers, tracker, done.finish, &event);
-        }
+        emit(observers, day_tracker.as_ref(), done.finish, || SimEvent::RequestServed {
+            request: done.request,
+            wait_cycles: done.wait,
+            service_cycles: done.service,
+            deferred: done.deferred,
+        });
     }
     if let Some(tracker) = &day_tracker {
         let ctx = EventCtx { cycle: end_cycle, tracker };
         for observer in observers.iter_mut() {
             observer.on_finish(&ctx);
+        }
+    }
+    // The day's metrics, whoever observes it (DESIGN.md §13, §16): sums,
+    // the deepest queue a served request joined, and the latency tally as
+    // bulk records of each bucket's floor.
+    if tracing::dispatch_active() {
+        for (name, n) in [
+            ("traffic.requests.arrived", arrived),
+            ("traffic.requests.shed", shed),
+            ("traffic.requests.served_gpp", served_gpp),
+            ("traffic.requests.served_cgra", served_cgra),
+        ] {
+            if n > 0 {
+                event!(Level::TRACE, name, "add" = n);
+            }
+        }
+        if peak_depth > 0 {
+            event!(Level::TRACE, "traffic.queue.depth", "set" = peak_depth);
+        }
+        for (bucket, &n) in latency_tally.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let floor = log_bucket_floor(bucket as u32);
+            event!(Level::TRACE, "traffic.latency.cycles", "record" = floor, "count" = n);
         }
     }
     let mut latency = LogHistogram::new();
@@ -1400,7 +1402,7 @@ mod tests {
             while in_flight.front().is_some_and(|p| p.finish <= arrival.cycle) {
                 let done = in_flight.pop_front().expect("front exists");
                 if watched {
-                    emit(observers, &day_tracker, done.finish, &served(&done));
+                    emit(observers, Some(&day_tracker), done.finish, || served(&done));
                 }
             }
             let depth = in_flight.len() as u32;
@@ -1410,7 +1412,7 @@ mod tests {
                 shed += (arrivals.len() - i) as u64;
                 if watched {
                     let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                    emit(observers, &day_tracker, arrival.cycle, &event);
+                    emit(observers, Some(&day_tracker), arrival.cycle, || event);
                 }
                 break;
             };
@@ -1418,7 +1420,7 @@ mod tests {
                 shed += 1;
                 if watched {
                     let event = SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-                    emit(observers, &day_tracker, arrival.cycle, &event);
+                    emit(observers, Some(&day_tracker), arrival.cycle, || event);
                 }
                 continue;
             }
@@ -1447,7 +1449,7 @@ mod tests {
                     workload: arrival.workload,
                     queue_depth: depth + 1,
                 };
-                emit(observers, &day_tracker, arrival.cycle, &event);
+                emit(observers, Some(&day_tracker), arrival.cycle, || event);
             }
             in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
         }
@@ -1455,7 +1457,7 @@ mod tests {
         while let Some(done) = in_flight.pop_front() {
             end_cycle = end_cycle.max(done.finish);
             if watched {
-                emit(observers, &day_tracker, done.finish, &served(&done));
+                emit(observers, Some(&day_tracker), done.finish, || served(&done));
             }
         }
         if watched {

@@ -103,8 +103,8 @@ fn sweep_registry_is_invariant_under_worker_count_and_observation() {
 fn registry_counters_match_the_typed_event_stream() {
     // Every policy family under one observed sweep: the registry's
     // `system.*` counters must agree *exactly* with the typed counters the
-    // runs report, because both come out of the same fold
-    // (`SystemStats::record`, DESIGN.md §10, §16).
+    // runs report, because both come out of the same tally (DESIGN.md
+    // §10, §16).
     let plan = SweepPlan::new(0xDAC2020)
         .fabric(Fabric::be())
         .policy(PolicySpec::Baseline)

@@ -1,17 +1,28 @@
-//! The telemetry layer's core contracts (DESIGN.md §10):
+//! The telemetry layer's core contracts (DESIGN.md §10, §16):
 //!
-//! * `SystemStats` is the one fold over the event stream — the registry's
-//!   `system.*` counters, mirrored from that fold, must agree with the
-//!   typed counters across the full mibench suite and every evaluated
-//!   policy class;
+//! * the event stream is complete: a reference observer that folds it
+//!   into `SystemStats` equals the session's own counts across the full
+//!   mibench suite and every evaluated policy class, and so do the
+//!   registry's `system.*` counters;
 //! * a session publishes the same counters however it is driven, and a
-//!   session that dies publishes what it counted (DESIGN.md §16);
+//!   session that dies publishes what it counted;
+//! * collection fires per session call, per tape replay and per served
+//!   day, never per decision or per request;
 //! * sessions are step-equivalent to `run()` and resumable;
 //! * epoch snapshots end on the run's exact final state.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
 use cgra::{Fabric, FaultMask};
-use transrec::telemetry::{ProbeReport, ProbeSpec};
-use transrec::{SessionStatus, System, SystemError};
+use mibench::Workload;
+use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
+use transrec::tape::TapeStore;
+use transrec::telemetry::{EventCtx, ProbeReport, ProbeSpec};
+use transrec::{
+    probe_service_day, Observer, ServePlan, SessionStatus, SimEvent, SuiteSpec, System,
+    SystemConfig, SystemError, SystemStats, TrafficSpec,
+};
 use uaware::PolicySpec;
 
 /// The four policy classes of the acceptance matrix.
@@ -34,17 +45,69 @@ fn collected_run(spec: PolicySpec, program: &rv32::Program) -> (System, obs::Reg
     })
 }
 
+/// The event stream folded into `SystemStats`, as an observer: the
+/// reference the session's counts must equal. A run that reaches its exit
+/// looks the cache up once per offload and once per retired instruction.
+struct StatsFold(Rc<Cell<SystemStats>>);
+
+impl Observer for StatsFold {
+    fn on_event(&mut self, _: &EventCtx<'_>, event: &SimEvent) {
+        let mut s = self.0.get();
+        match *event {
+            SimEvent::GppRetired { cycles, .. } => {
+                s.gpp_cycles += cycles;
+                s.gpp_retired += 1;
+                s.cache_lookups += 1;
+            }
+            SimEvent::OffloadCompleted {
+                instr_count,
+                exec_cycles,
+                overheads,
+                loads,
+                stores,
+                active_fus,
+                cols_used,
+                ..
+            } => {
+                s.cgra_exec_cycles += exec_cycles;
+                s.reconfig_cycles += overheads.reconfig_extra;
+                s.rotate_cycles += overheads.rotate;
+                s.transfer_cycles += overheads.input + overheads.out_drain;
+                s.offloads += 1;
+                s.offloaded_instrs += instr_count as u64;
+                s.cgra_loads += loads;
+                s.cgra_stores += stores;
+                s.cgra_active_fu_slots += active_fus;
+                s.cgra_columns += cols_used as u64;
+                s.cache_lookups += 1;
+            }
+            SimEvent::OffloadSkipped { .. } => s.offloads_skipped += 1,
+            SimEvent::AllocationStarved { .. } => s.offloads_starved += 1,
+            _ => {}
+        }
+        self.0.set(s);
+    }
+}
+
 #[test]
 fn stats_stream_equivalence_across_the_full_suite() {
-    // The registry's `system.*` counters are mirrored by the same fold
-    // that produces `SystemStats`, so they agree exactly on every mibench
-    // workload × {baseline, rotation, random, health-aware}.
+    // The session counts each fact where it happens and builds events only
+    // for observers; folding the stream must give back exactly its counts,
+    // and the registry's `system.*` counters, on every mibench workload ×
+    // {baseline, rotation, random, health-aware}.
     for spec in policy_matrix() {
         for workload in &mibench::suite(0xDAC2020) {
-            let (sys, reg) = collected_run(spec, workload.program());
+            let fold = Rc::new(Cell::new(SystemStats::default()));
+            let (sys, reg) = obs::collect(|| {
+                let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+                sys.attach_observer(Box::new(StatsFold(Rc::clone(&fold))));
+                sys.run(workload.program()).unwrap();
+                sys
+            });
             workload.verify(sys.cpu()).unwrap();
             let stats = sys.stats();
             let name = workload.name();
+            assert_eq!(&fold.get(), stats, "the stream of {spec} on {name}");
             assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired, "{spec} on {name}");
             assert_eq!(reg.counter("system.offloads"), stats.offloads, "{spec} on {name}");
             assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
@@ -112,6 +175,103 @@ fn a_session_that_dies_publishes_what_it_counted() {
     assert_eq!(reg.counter("system.offloads"), 0);
     assert!(reg.counter("dbt.cache.insert") > 0);
     assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), stats.cache_lookups);
+}
+
+/// A subscriber that counts the events it sees and names the spans
+/// opened under it.
+#[derive(Default)]
+struct EventCount {
+    events: Cell<u64>,
+    spans: RefCell<Vec<String>>,
+}
+
+impl Subscriber for EventCount {
+    fn new_span(&self, metadata: &Metadata<'_>) -> SpanId {
+        self.spans.borrow_mut().push(metadata.name.to_string());
+        SpanId(0)
+    }
+
+    fn enter(&self, _: SpanId) {}
+
+    fn exit(&self, _: SpanId) {}
+
+    fn event(&self, _: &Event<'_>) {
+        self.events.set(self.events.get() + 1);
+    }
+}
+
+/// What `f` returns, the events it fires and the spans it opens.
+fn fired<T>(f: impl FnOnce() -> T) -> (T, u64, Vec<String>) {
+    let count = Rc::new(EventCount::default());
+    let out = tracing::with_default(Dispatch::from_rc(count.clone()), f);
+    (out, count.events.get(), count.spans.take())
+}
+
+/// A hot loop of `iterations` passes.
+fn loop_program(iterations: u32) -> rv32::Program {
+    rv32::asm::assemble(&format!(
+        "
+        li   a0, 0
+        li   a1, {iterations}
+    loop:
+        addi t0, a1, 3
+        slli t1, t0, 2
+        xor  t2, t1, a1
+        add  a0, a0, t2
+        addi a1, a1, -1
+        bnez a1, loop
+        ebreak
+    "
+    ))
+    .unwrap()
+}
+
+#[test]
+fn collection_fires_per_session_call_and_replay_not_per_decision() {
+    let config = SystemConfig::new(Fabric::be());
+    for spec in policy_matrix().into_iter().chain([PolicySpec::Exact { every: 1 }]) {
+        let sessions = [100, 10_000].map(|iterations| {
+            let program = loop_program(iterations);
+            let (offloads, events, _) = fired(|| {
+                let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+                sys.run(&program).unwrap();
+                sys.stats().offloads
+            });
+            assert!(offloads >= iterations as u64 / 2, "{spec} offloads the loop");
+            events
+        });
+        assert!(sessions[0] > 0);
+        assert_eq!(sessions[0], sessions[1], "{spec}: a session's events");
+        let replays = [100, 10_000].map(|iterations| {
+            let program = loop_program(iterations);
+            let workloads = [Workload::from_program("loop", program, 10_000_000, Vec::new())];
+            let mut store = TapeStore::new(&workloads);
+            store.run(&config, &PolicySpec::Baseline, 0).unwrap();
+            let (run, events, spans) = fired(|| store.run(&config, &spec, 0).unwrap());
+            assert!(run.verified);
+            let phases: Vec<_> = spans.iter().filter(|s| s.starts_with("tape.")).collect();
+            assert_eq!(phases, ["tape.replay"], "{spec} replays the baseline's tape");
+            events
+        });
+        assert!(replays[0] > 0);
+        assert_eq!(replays[0], replays[1], "{spec}: a replay's events");
+    }
+}
+
+#[test]
+fn a_served_day_fires_per_day_not_per_request() {
+    // Both rates leave the queue empty, so every latency falls in one
+    // bucket: the day fires one bulk record either way.
+    let plan = ServePlan::new(0xDAC2020, Fabric::be()).suite(SuiteSpec::subset("crc", vec![1]));
+    let days = [10, 100].map(|per_hour| {
+        let traffic = TrafficSpec::Steady { per_hour };
+        let ((day, _), events, _) = fired(|| {
+            probe_service_day(&plan, &PolicySpec::rotation(), &traffic, 0, 0, &[]).unwrap()
+        });
+        assert!(day.requests > per_hour * 20, "{} requests at {per_hour}/h", day.requests);
+        events
+    });
+    assert_eq!(days[0], days[1], "a day at 10x the request rate");
 }
 
 fn toy_program() -> rv32::Program {
