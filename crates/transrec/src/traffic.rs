@@ -823,33 +823,11 @@ fn run_service_day(
             observer.on_finish(&ctx);
         }
     }
-    // The day's metrics, whoever observes it (DESIGN.md §13, §16): sums,
-    // the deepest queue a served request joined, and the latency tally as
-    // bulk records of each bucket's floor.
-    if tracing::dispatch_active() {
-        for (name, n) in [
-            ("traffic.requests.arrived", arrived),
-            ("traffic.requests.shed", shed),
-            ("traffic.requests.served_gpp", served_gpp),
-            ("traffic.requests.served_cgra", served_cgra),
-        ] {
-            if n > 0 {
-                event!(Level::TRACE, name, "add" = n);
-            }
-        }
-        if peak_depth > 0 {
-            event!(Level::TRACE, "traffic.queue.depth", "set" = peak_depth);
-        }
-        for (bucket, &n) in latency_tally.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            let floor = log_bucket_floor(bucket as u32);
-            event!(Level::TRACE, "traffic.latency.cycles", "record" = floor, "count" = n);
-        }
-    }
     let mut latency = LogHistogram::new();
     latency.add_dense(&latency_tally);
     let denom = day_cycles as f64;
     let values: Vec<f64> = busy.iter().map(|b| (b / denom).min(1.0)).collect();
-    DayOutcome {
+    let outcome = DayOutcome {
         served_cgra,
         served_gpp,
         shed,
@@ -857,6 +835,32 @@ fn run_service_day(
         duty: UtilizationGrid::from_values(fabric.rows, fabric.cols, values),
         died,
         fatal_fraction,
+    };
+    publish_day(&outcome, arrived, peak_depth, &latency_tally);
+    outcome
+}
+
+/// Publishes one simulated day's `traffic.*` metrics from its counts,
+/// whoever observes it (DESIGN.md §13, §16): the request sums, the deepest
+/// queue a served request joined, and the latency tally as one bulk record
+/// of each non-empty bucket's floor.
+fn publish_day(day: &DayOutcome, arrived: u64, peak_depth: u32, latency_tally: &[u64]) {
+    for (name, n) in [
+        ("traffic.requests.arrived", arrived),
+        ("traffic.requests.shed", day.shed),
+        ("traffic.requests.served_gpp", day.served_gpp),
+        ("traffic.requests.served_cgra", day.served_cgra),
+    ] {
+        if n > 0 {
+            event!(Level::TRACE, name, "add" = n);
+        }
+    }
+    if peak_depth > 0 {
+        event!(Level::TRACE, "traffic.queue.depth", "set" = peak_depth);
+    }
+    for (bucket, &n) in latency_tally.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let floor = log_bucket_floor(bucket as u32);
+        event!(Level::TRACE, "traffic.latency.cycles", "record" = floor, "count" = n);
     }
 }
 
