@@ -737,7 +737,6 @@ fn run_service_day(
     let mut served_cgra = 0u64;
     let mut served_gpp = 0u64;
     let mut shed = 0u64;
-    let mut arrived = arrivals.len() as u64;
     let mut peak_depth = 0u32;
     let mut died = false;
     let mut fatal_fraction = 1.0;
@@ -759,7 +758,6 @@ fn run_service_day(
             died = true;
             fatal_fraction = arrival.cycle as f64 / day_cycles as f64;
             shed += (arrivals.len() - i) as u64;
-            arrived = i as u64 + 1;
             emit(observers, day_tracker.as_ref(), arrival.cycle, shed_event);
             break;
         };
@@ -836,7 +834,7 @@ fn run_service_day(
         died,
         fatal_fraction,
     };
-    publish_day(&outcome, arrived, peak_depth, &latency_tally);
+    publish_day(&outcome, arrivals.len() as u64, peak_depth, &latency_tally);
     outcome
 }
 
@@ -1737,6 +1735,26 @@ mod tests {
             serde_json::to_string(&sharded).unwrap(),
             "jobs and shard splits must not change a byte"
         );
+    }
+
+    #[test]
+    fn a_day_the_device_dies_counts_every_arrival() {
+        // Workload 1 has no placement: its request, mid-day, kills the
+        // device, and the rest of the day is shed.
+        let fabric = Fabric::be();
+        let mut tracker = UtilizationTracker::new(&fabric);
+        tracker.record_execution(&[(0, 0)], 1);
+        let costs = [Some(CgraCost::new(100, tracker)), None];
+        let arrivals: Vec<Arrival> =
+            (0..10u64).map(|i| Arrival { cycle: 1_000 * i, workload: u32::from(i == 4) }).collect();
+        let bp = BackpressureSpec::default();
+        let (day, reg) = obs::collect(|| {
+            run_service_day(&arrivals, &costs, &[500, 500], &bp, 20_000, &fabric, &mut [])
+        });
+        assert!(day.died);
+        let count = |name: &str| reg.counter(&format!("traffic.requests.{name}"));
+        assert_eq!(count("arrived"), arrivals.len() as u64);
+        assert_eq!(count("arrived"), count("served_cgra") + count("served_gpp") + count("shed"));
     }
 
     #[test]

@@ -201,8 +201,10 @@ fn pinned_plan() -> ServePlan {
 /// FNV-1a of the pinned plan's report JSON, captured before the service
 /// day fold and the phase-1 grouping were rewritten.
 const PINNED_REPORT_FNV: u64 = 0x4ab5_ecce_f28e_a34a;
-/// FNV-1a of the pinned plan's metrics registry JSON, same capture.
-const PINNED_METRICS_FNV: u64 = 0x8e0c_a635_9006_5e27;
+/// FNV-1a of the pinned plan's metrics registry JSON: the same capture,
+/// except that `traffic.requests.arrived` counts every arrival of a day on
+/// which the device dies (207,069, where the capture had 115,679).
+const PINNED_METRICS_FNV: u64 = 0x91bc_70c0_e282_e1d2;
 
 /// The serving report and its metrics registry are pinned byte for byte:
 /// any refactor of arrival generation, the day fold or the campaign's
