@@ -1,7 +1,9 @@
 //! Cost of the exact-mapping oracle (DESIGN.md §15): a single-slot
-//! re-solve per decision (what `exact` pays on every allocation), a joint
-//! multi-slot epoch solve, and the branch-and-bound search on a cold epoch
-//! the greedy incumbent cannot close.
+//! re-solve per decision (what `exact` pays on every allocation), the
+//! oracle's repeated decision for one footprint on a balanced 4×8 fabric
+//! (the gap sweep's steady state), a joint multi-slot epoch solve, and the
+//! branch-and-bound search on a cold epoch the greedy incumbent cannot
+//! close.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,6 +58,33 @@ fn bench_solve(c: &mut Criterion) {
             };
             policy.next_offset(&req)
         })
+    });
+    group.bench_function("policy_decision_exact_4x8_repeat", |b| {
+        // The gap sweep's steady state: the same footprint again and again
+        // on a 4×8 fabric whose stress the oracle itself has balanced to a
+        // narrow spread, so the problem is reloaded, not rebuilt, and many
+        // pivots tie on their hottest touched FU.
+        let wide = Fabric::new(4, 8);
+        let mut warm = UtilizationTracker::new(&wide);
+        let legal = LegalPivots::new(&wide, &footprint, &[], None);
+        let mut policy = ExactPolicy::new(1);
+        let mut decide = |tracker: &UtilizationTracker| {
+            let req = AllocRequest {
+                fabric: &wide,
+                config_switch: false,
+                footprint: black_box(&footprint),
+                tracker,
+                legal: &legal,
+            };
+            policy.next_offset(&req)
+        };
+        for _ in 0..200 {
+            let off = decide(&warm).expect("a pristine fabric always allocates");
+            let cells: Vec<(u32, u32)> =
+                footprint.iter().map(|&(r, c)| off.apply(&wide, r, c)).collect();
+            warm.record_execution(&cells, 6);
+        }
+        b.iter(|| decide(&warm))
     });
     group.bench_function("offset_epoch_greedy_gap", |b| {
         // Three L-shaped executions on a cold 3×4 fabric: greedy stacks two

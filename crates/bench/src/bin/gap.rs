@@ -7,12 +7,16 @@
 //! policy series (`--policy`) and the `exact` oracle, printing a
 //! per-cell table and writing `results/gap.json`. `--jobs <n>` shards
 //! the sweep; the output is byte-identical for every worker count.
+//! `--metrics` turns the flight recorder on (DESIGN.md §16) and also
+//! writes `results/metrics.json`, byte-identical for every worker count
+//! too.
 
 use bench::{apply_cli_flags, gap, or_exit, save_json, ExperimentContext};
 
 fn main() {
     let mut ctx = ExperimentContext::default();
     or_exit(apply_cli_flags(&mut ctx));
+    obs::global::reset();
     let r = gap(&ctx);
     println!("== Optimality gap: policies vs the {} oracle ==", r.exact_policy);
     println!(
@@ -43,4 +47,7 @@ fn main() {
         );
     }
     save_json("gap", &r);
+    if ctx.collect_metrics {
+        save_json("metrics", &obs::global::snapshot());
+    }
 }

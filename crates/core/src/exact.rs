@@ -7,10 +7,15 @@
 //! to the vendored branch-and-bound core ([`solve`]) and plays back the
 //! proven-optimal pivot sequence for that epoch. `exact` (one execution
 //! per epoch) is therefore the per-decision leximin argmin against live
-//! wear — a myopic oracle, not a whole-run optimum. It is far too slow for
-//! hardware; it is the yardstick `results/gap.json` measures the paper's
-//! rotation (and the health-aware scan) against, per fabric size, fault
-//! density and layout.
+//! wear — a myopic oracle, not a whole-run optimum — which `solve` computes
+//! directly, without a search. It is far too slow for hardware; it is the
+//! yardstick `results/gap.json` measures the paper's rotation (and the
+//! health-aware scan) against, per fabric size, fault density and layout.
+//!
+//! The pivots and their stress deltas depend only on the footprint, the
+//! legal pivots and the fabric's geometry and bandwidth. While all of
+//! those repeat — the steady state of a sweep cell — a re-solve copies
+//! only the live stress counters into the kept [`OffsetProblem`].
 
 use std::collections::VecDeque;
 
@@ -18,15 +23,17 @@ use cgra::Offset;
 use solve::OffsetProblem;
 use tracing::{span, Level};
 
-use crate::policy::{AllocRequest, AllocationPolicy, PolicyCounts};
+use crate::policy::{AllocRequest, AllocationPolicy, LegalPivots, PolicyCounts};
 
 /// The exact-mapping oracle: per allocation epoch, a deterministic
 /// branch-and-bound solve of the wear-optimal placement — minimize the
 /// maximum post-epoch per-FU stress count over all assignments of the
 /// epoch's executions to legal pivots (fault mask and capability demands
-/// via the request's [`LegalPivots`](crate::LegalPivots) table, column
+/// via the request's [`LegalPivots`] table, column
 /// bandwidth via the tracker's stress rule). The oracle keeps one
-/// [`OffsetProblem`] and refills it on every re-solve.
+/// [`OffsetProblem`]: a re-solve reloads its stress counters when the
+/// footprint, legal pivots and fabric geometry and bandwidth match the
+/// last re-solve's, and refills it otherwise.
 ///
 /// With `every == 1` the oracle re-solves on every allocation (a greedy
 /// optimal step against the live counters); larger epochs plan that many
@@ -61,9 +68,13 @@ use crate::policy::{AllocRequest, AllocationPolicy, PolicyCounts};
 pub struct ExactPolicy {
     every: u32,
     plan: VecDeque<Offset>,
-    /// The footprint `plan` was solved for, refilled by each re-solve.
+    /// The footprint, legal pivots and fabric `(rows, cols,
+    /// col_bandwidth)` the latest re-solve built `problem` (and `plan`)
+    /// for; `geometry` is `None` before the first.
     footprint: Vec<(u32, u32)>,
-    /// The problem of the latest re-solve, refilled in place by the next.
+    legal: LegalPivots,
+    geometry: Option<(u32, u32, u32)>,
+    /// The problem of the latest re-solve, reloaded or refilled by the next.
     problem: OffsetProblem,
     counts: PolicyCounts,
 }
@@ -76,6 +87,8 @@ impl ExactPolicy {
             every: every.max(1),
             plan: VecDeque::new(),
             footprint: Vec::new(),
+            legal: LegalPivots::default(),
+            geometry: None,
             problem: OffsetProblem::default(),
             counts: PolicyCounts::default(),
         }
@@ -100,15 +113,23 @@ impl AllocationPolicy for ExactPolicy {
             // for a world that no longer exists — drop it and re-solve.
             self.plan.clear();
         }
-        self.footprint.clear();
-        self.footprint.extend_from_slice(req.footprint);
-        self.problem.refill(
-            req.fabric,
-            req.footprint,
-            req.tracker.stress_counts(),
-            self.every as usize,
-            |o| req.placement_ok(o),
-        );
+        let geometry = Some((req.fabric.rows, req.fabric.cols, req.fabric.col_bandwidth));
+        if self.geometry == geometry && self.footprint == req.footprint && self.legal == *req.legal
+        {
+            self.problem.reload(req.tracker.stress_counts());
+        } else {
+            self.geometry = geometry;
+            self.footprint.clear();
+            self.footprint.extend_from_slice(req.footprint);
+            self.legal.clone_from(req.legal);
+            self.problem.refill(
+                req.fabric,
+                req.footprint,
+                req.tracker.stress_counts(),
+                self.every as usize,
+                |o| req.placement_ok(o),
+            );
+        }
         let _solve_span = span!(Level::DEBUG, "solve.bnb").entered();
         let Some(solution) = solve::solve(&self.problem) else {
             self.counts.solve_infeasible += 1;
@@ -143,7 +164,6 @@ mod tests {
     use cgra::op::{MulFunc, OpKind};
     use cgra::{ClassMap, Fabric, FaultMask};
 
-    use crate::policy::LegalPivots;
     use crate::stats::UtilizationTracker;
 
     fn req<'a>(
@@ -229,6 +249,64 @@ mod tests {
         let fresh = ExactPolicy::new(4).next_offset(&req(&fabric, &tracker, &l_shape)).unwrap();
         assert_eq!(fresh, Offset::new(0, 2));
         assert_eq!(replayed, fresh);
+    }
+
+    #[test]
+    fn a_reused_problem_decides_like_a_rebuilt_one() {
+        // Every request is answered by an oracle that reloads its problem
+        // while footprint, legality and geometry repeat, and by one forced
+        // to rebuild it on every re-solve (for `exact`, also by a fresh
+        // oracle). Stress moves between requests, so a reload that kept
+        // stale loads, or a reuse across a changed key, would show.
+        let fabric = Fabric::new(4, 8);
+        let budgeted = Fabric { col_bandwidth: 1, ..fabric };
+        let narrow = Fabric::new(2, 8);
+        let a = [(0u32, 0u32), (0, 1), (1, 1)];
+        let b = [(0u32, 0u32), (1, 0), (2, 0), (2, 1)];
+        let mut mask = FaultMask::healthy(&fabric);
+        mask.mark_dead(0, 3);
+        mask.mark_dead(2, 6);
+        let masked = LegalPivots::new(&fabric, &a, &[], Some(&mask));
+        // (fabric, footprint, legal pivots, requests): footprint A, B, A
+        // again (B lands mid-way through an `exact@every-4` plan for A), a
+        // fresh fault mask, another bandwidth, another geometry, and back.
+        let sequence = [
+            (&fabric, &a[..], &ANYWHERE, 6),
+            (&fabric, &b[..], &ANYWHERE, 3),
+            (&fabric, &a[..], &ANYWHERE, 3),
+            (&fabric, &a[..], &masked, 3),
+            (&budgeted, &a[..], &masked, 3),
+            (&narrow, &a[..], &ANYWHERE, 3),
+            (&fabric, &a[..], &ANYWHERE, 3),
+        ];
+        for every in [1, 4] {
+            let mut reused = ExactPolicy::new(every);
+            let mut rebuilt = ExactPolicy::new(every);
+            let mut wide_tracker = UtilizationTracker::new(&fabric);
+            let mut narrow_tracker = UtilizationTracker::new(&narrow);
+            for (step, &(fabric, footprint, legal, requests)) in sequence.iter().enumerate() {
+                let tracker = if fabric.rows == narrow.rows {
+                    &mut narrow_tracker
+                } else {
+                    &mut wide_tracker
+                };
+                for _ in 0..requests {
+                    let req =
+                        AllocRequest { fabric, config_switch: false, footprint, tracker, legal };
+                    rebuilt.geometry = None;
+                    let want = rebuilt.next_offset(&req);
+                    if every == 1 {
+                        assert_eq!(ExactPolicy::new(1).next_offset(&req), want, "step {step}");
+                    }
+                    let got = reused.next_offset(&req).expect("every request has a legal pivot");
+                    assert_eq!(Some(got), want, "exact@every-{every}, step {step}");
+                    let cells: Vec<(u32, u32)> =
+                        footprint.iter().map(|&(r, c)| got.apply(fabric, r, c)).collect();
+                    tracker.record_execution(&cells, 2);
+                }
+            }
+            assert_eq!(reused.counts(), rebuilt.counts(), "exact@every-{every}");
+        }
     }
 
     #[test]

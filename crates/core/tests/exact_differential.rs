@@ -4,13 +4,16 @@
 //! branch-and-bound solve equals a brute-force enumeration of every offset
 //! tuple (the oracle really is exact), and no heuristic policy's achieved
 //! worst-FU stress ever undercuts the jointly-planned exact epoch (the gap
-//! table's denominator really is a lower bound).
+//! table's denominator really is a lower bound). The one-slot solve, which
+//! `solve` answers with a direct argmin instead of a search, is pinned on
+//! fabrics up to 4×8 against a brute-force leximin argmin, counters
+//! included.
 
 use proptest::prelude::*;
 
 use cgra::op::{MulFunc, OpKind};
 use cgra::{CellClass, ClassMap, Fabric, FaultMask, Offset};
-use solve::{solve, OffsetProblem};
+use solve::{solve, OffsetProblem, SolveStats};
 use uaware::{
     AllocRequest, AllocationPolicy, ExactPolicy, LegalPivots, PolicySpec, UtilizationTracker,
 };
@@ -18,6 +21,16 @@ use uaware::{
 fn any_small_fabric() -> impl Strategy<Value = Fabric> {
     // Four columns is the geometry floor (memory ops span four columns).
     ((2u32..=4), Just(4u32), any_class_map(), (0u32..=2)).prop_map(|(r, c, classes, bw)| {
+        let mut fabric = Fabric::new(r, c);
+        fabric.classes = classes;
+        fabric.col_bandwidth = bw;
+        fabric
+    })
+}
+
+/// Fabrics up to the gap sweep's 4×8, every class map and bandwidth.
+fn any_fabric_up_to_4x8() -> impl Strategy<Value = Fabric> {
+    ((1u32..=4), (4u32..=8), any_class_map(), (0u32..=2)).prop_map(|(r, c, classes, bw)| {
         let mut fabric = Fabric::new(r, c);
         fabric.classes = classes;
         fabric.col_bandwidth = bw;
@@ -99,6 +112,68 @@ fn brute_force_leximin_argmin(p: &OffsetProblem) -> usize {
         loads
     };
     (0..p.choices()).min_by_key(|&c| sorted_after(c)).expect("a feasible problem has a pivot")
+}
+
+/// The counters `solve` reports for a one-slot problem whose optimum is
+/// `objective`: those of the root expansion the search runs — every pivot
+/// generated as a leaf — when the root's lower bound (the hottest FU, or
+/// the placed mass spread evenly) is below the incumbent, none otherwise;
+/// nothing is ever pruned.
+fn root_expansion_stats(p: &OffsetProblem, objective: u64) -> SolveStats {
+    let loads = p.initial_loads();
+    let min_mass =
+        (0..p.choices()).map(|c| p.deltas(c).iter().map(|&(_, d)| d).sum::<u64>()).min().unwrap();
+    let spread = (loads.iter().sum::<u64>() + min_mass).div_ceil(loads.len() as u64);
+    let root_lb = loads.iter().copied().max().unwrap().max(spread);
+    if root_lb < objective {
+        SolveStats { expanded: 1, generated: p.choices() as u64, ..SolveStats::default() }
+    } else {
+        SolveStats::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn one_slot_solve_is_the_brute_force_leximin_argmin(
+        fabric in any_fabric_up_to_4x8(),
+        dead in proptest::collection::vec((0u32..4, 0u32..8), 0..=6),
+        footprint in proptest::collection::vec((0u32..4, 0u32..8), 1..=12),
+        loads in proptest::collection::vec(0u64..1000, 32),
+        narrow in 0u8..=1,
+        with_demand in 0u8..=1,
+    ) {
+        let mut mask = FaultMask::healthy(&fabric);
+        for (r, c) in dead {
+            mask.mark_dead(r % fabric.rows, c % fabric.cols);
+        }
+        // Narrow spreads (0–3) leave many pivots tied on their hottest
+        // touched FU, so the argmin's full comparison runs; wide ones
+        // settle most pivots on that key alone.
+        let loads: Vec<u64> = loads[..fabric.fu_count() as usize]
+            .iter()
+            .map(|&l| if narrow == 1 { l % 4 } else { l })
+            .collect();
+        let (r0, c0) = footprint[0];
+        let demands = [(r0, c0, OpKind::Mul(MulFunc::Mul))];
+        let demands: &[(u32, u32, OpKind)] = if with_demand == 1 { &demands } else { &[] };
+        let p = OffsetProblem::new(&fabric, &footprint, &loads, 1, |o| {
+            brute_force_legal(&fabric, &mask, &footprint, demands, o)
+        });
+        match solve(&p) {
+            None => prop_assert_eq!(p.choices(), 0, "solver gave up on a feasible instance"),
+            Some(s) => {
+                prop_assert_eq!(&s.choices, &vec![brute_force_leximin_argmin(&p)]);
+                let mut achieved = loads.clone();
+                for &(res, d) in p.deltas(s.choices[0]) {
+                    achieved[res as usize] += d;
+                }
+                prop_assert_eq!(achieved.into_iter().max().unwrap(), s.objective);
+                prop_assert_eq!(s.stats, root_expansion_stats(&p, s.objective));
+            }
+        }
+    }
 }
 
 proptest! {

@@ -7,8 +7,15 @@
 //! executions. All tie-breaks are resolved deterministically (leximin
 //! refinement in the greedy seed, then ascending choice index, FIFO among
 //! equal bounds), so solutions are bit-reproducible.
+//!
+//! One leximin argmin serves both the greedy seed (once per slot) and the
+//! one-slot epoch, which it answers outright. It never sorts a load
+//! vector: FUs two pivots leave alike cancel out of a sorted-descending
+//! comparison, so pivots are ranked by their hottest touched FU in
+//! O(footprint), and only pivots tied on it are compared further, over
+//! the loads their footprints move.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::OffsetProblem;
@@ -60,10 +67,11 @@ struct Node {
 /// bound matches the incumbent. Among optimal solutions, the greedy seed's
 /// leximin tie-refinement is preferred when it already achieves the
 /// optimum (common in balanced instances); an improving search replaces it
-/// with the first strictly better leaf found. Deterministic by
-/// construction — ascending choice order, FIFO tie-breaks on equal bounds,
-/// integer arithmetic only — so equal problems yield byte-identical
-/// solutions.
+/// with the first strictly better leaf found. A one-slot epoch needs no
+/// search: its answer is the leximin argmin itself, returned directly.
+/// Deterministic by construction — ascending choice order, FIFO
+/// tie-breaks on equal bounds, integer arithmetic only — so equal problems
+/// yield byte-identical solutions.
 pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     let n = p.slots();
     let initial = p.initial_loads();
@@ -89,33 +97,19 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
         let rem = (n - depth) as u64 * min_mass;
         cur.max((sum + rem).div_ceil(r as u64))
     };
+    let sum0: u64 = initial.iter().sum();
+    let root_lb = lb_of(0, initial, sum0);
 
-    // Greedy incumbent: per slot, the pivot minimizing the resulting load
-    // vector sorted descending (leximin: smallest maximum first, then
-    // smallest second-highest, …), final ties to the smallest choice index.
-    // Pure minimax would leave every pivot that avoids the current maximum
-    // tied, letting the incumbent pile stress onto low-index FUs; the
-    // leximin refinement keeps the returned optimum balanced without
-    // changing the minimax objective (DESIGN.md §15). It gives the search
-    // an upper bound to prune against.
+    // Greedy incumbent: per slot, the leximin argmin against the loads the
+    // earlier slots left. Pure minimax would leave every pivot that avoids
+    // the current maximum tied, letting the incumbent pile stress onto
+    // low-index FUs; the leximin refinement keeps the returned optimum
+    // balanced without changing the minimax objective (DESIGN.md §15). It
+    // gives the search an upper bound to prune against.
     let mut inc_loads = initial.to_vec();
     let mut best_choices = Vec::with_capacity(n);
-    let mut scratch: Vec<u64> = Vec::with_capacity(r);
-    let mut best_sorted: Vec<u64> = Vec::with_capacity(r);
     for _ in 0..n {
-        let mut best = 0;
-        for c in 0..k {
-            scratch.clear();
-            scratch.extend_from_slice(&inc_loads);
-            for &(res, d) in p.deltas(c) {
-                scratch[res as usize] += d;
-            }
-            scratch.sort_unstable_by(|a, b| b.cmp(a));
-            if c == 0 || scratch < best_sorted {
-                std::mem::swap(&mut scratch, &mut best_sorted);
-                best = c;
-            }
-        }
+        let best = leximin_argmin(p, &inc_loads);
         for &(res, d) in p.deltas(best) {
             inc_loads[res as usize] += d;
         }
@@ -123,17 +117,29 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     }
     let mut ub = inc_loads.iter().copied().max().unwrap_or(0);
 
+    if n == 1 {
+        // Every child of the root is a leaf, and a leaf replaces the
+        // incumbent only when its maximum is strictly lower — which the
+        // leximin argmin's (the lowest of all) never allows. So the answer
+        // is the argmin, and the counters are those of the root expansion
+        // the search would have run: all `k` leaves scanned when the root
+        // bound is below the incumbent, nothing otherwise, nothing pruned.
+        if root_lb < ub {
+            stats.expanded = 1;
+            stats.generated = k as u64;
+        }
+        return Some(Solution { objective: ub, choices: best_choices, stats });
+    }
+
     // Best-first expansion: pop the open node with the smallest lower
     // bound (FIFO among equals via a monotone sequence number), branch on
     // its next slot. Once the smallest open bound reaches the incumbent,
     // the incumbent is proven optimal.
-    let sum0: u64 = initial.iter().sum();
     let mut nodes: Vec<Option<Node>> = Vec::new();
     let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
     let mut seen: HashSet<(usize, usize, Vec<u64>)> = HashSet::new();
     let mut seq: u64 = 0;
     let root = Node { depth: 0, floor: 0, loads: initial.to_vec(), sum: sum0, choices: Vec::new() };
-    let root_lb = lb_of(0, &root.loads, root.sum);
     nodes.push(Some(root));
     heap.push(Reverse((root_lb, seq, 0)));
 
@@ -195,6 +201,84 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     }
 
     Some(Solution { objective: ub, choices: best_choices, stats })
+}
+
+/// The pivot whose post-placement load vector `loads + deltas(c)`, sorted
+/// descending, is lexicographically smallest (leximin: smallest maximum
+/// first, then smallest second-highest, …), the smallest choice index among
+/// equals. The problem must have a pivot.
+///
+/// Nothing is sorted. Two sorted-descending vectors of equal length compare
+/// by the largest value whose multiplicity differs — the vector holding
+/// fewer copies of it is smaller — so every FU both candidates leave at
+/// the same load cancels out. Placing `c` moves each touched FU from its
+/// old load to its new one, so the multiplicity difference of a value `v`
+/// between the vectors of `c` and `b` is
+///
+/// `net(v) = #new_c(v) − #old_c(v) − #new_b(v) + #old_b(v)`,
+///
+/// counted over the two footprints only. Every delta is at least 1, so a
+/// candidate's touched FUs all end at or below its hottest new load `m`
+/// and none of them sat at `m` or above before: the `(m, count)` key —
+/// `count` touched FUs reaching `m` — settles `net` at the top value, and
+/// the smaller key is the strictly smaller vector, in O(footprint). Only
+/// candidates tied on the key walk further down ([`cmp_below`]).
+fn leximin_argmin(p: &OffsetProblem, loads: &[u64]) -> usize {
+    let key = |c: usize| {
+        p.deltas(c).iter().fold((0u64, 0u32), |(hot, count), &(res, d)| {
+            let load = loads[res as usize] + d;
+            match load.cmp(&hot) {
+                Ordering::Greater => (load, 1),
+                Ordering::Equal => (hot, count + 1),
+                Ordering::Less => (hot, count),
+            }
+        })
+    };
+    let mut best = 0;
+    let mut best_key = key(0);
+    for c in 1..p.choices() {
+        let c_key = key(c);
+        let better = match c_key.cmp(&best_key) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => cmp_below(p, loads, c, best, c_key.0) == Ordering::Less,
+        };
+        if better {
+            best = c;
+            best_key = c_key;
+        }
+    }
+    best
+}
+
+/// Compares candidates `c` and `b`, known to agree on every value at or
+/// above `top`, in leximin order: one pass over both footprints per
+/// distinct old or new load below `top`, from the highest down, until
+/// `net` (see [`leximin_argmin`]) is nonzero. Narrow load spreads — where
+/// keys tie — have few distinct loads, so this ends in a few passes.
+fn cmp_below(p: &OffsetProblem, loads: &[u64], c: usize, b: usize, mut top: u64) -> Ordering {
+    loop {
+        // The highest old or new load below `top`, and `net` there.
+        let mut level: Option<(u64, i64)> = None;
+        for (choice, sign) in [(c, 1), (b, -1)] {
+            for &(res, d) in p.deltas(choice) {
+                let old = loads[res as usize];
+                for (v, s) in [(old + d, sign), (old, -sign)] {
+                    level = match level {
+                        _ if v >= top => level,
+                        Some((at, net)) if v < at => Some((at, net)),
+                        Some((at, net)) if v == at => Some((at, net + s)),
+                        _ => Some((v, s)),
+                    };
+                }
+            }
+        }
+        match level {
+            None => return Ordering::Equal,
+            Some((_, net)) if net != 0 => return net.cmp(&0),
+            Some((at, _)) => top = at,
+        }
+    }
 }
 
 #[cfg(test)]

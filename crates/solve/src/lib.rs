@@ -6,7 +6,11 @@
 //! each of the next `slots` executions of one configuration footprint a
 //! legal pivot offset, minimizing the maximum post-epoch per-FU stress
 //! ([`OffsetProblem`]). The slots are identical executions, so the search
-//! explores non-decreasing pivot sequences only.
+//! explores non-decreasing pivot sequences only. A one-slot epoch — what
+//! the `exact` oracle solves on every allocation — needs no search: its
+//! optimum is the leximin argmin over the legal pivots, which [`solve`]
+//! computes directly, comparing pivots only on the FUs they touch, and
+//! reports with the counters the search's root expansion would have.
 //!
 //! Everything is integer arithmetic with fixed iteration order, so two runs
 //! on the same problem return byte-identical solutions — the property the

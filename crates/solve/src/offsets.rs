@@ -16,7 +16,9 @@ use cgra::{Fabric, Offset};
 ///
 /// A problem can be [`refill`](OffsetProblem::refill)ed in place, so a
 /// caller that re-solves on every allocation (the exact oracle) keeps one
-/// and reuses its buffers instead of building a new one per solve.
+/// and reuses its buffers instead of building a new one per solve; when
+/// only the live stress has changed since, [`reload`](OffsetProblem::reload)
+/// swaps in the new counters and keeps the pivots and deltas.
 ///
 /// # Examples
 ///
@@ -35,13 +37,13 @@ pub struct OffsetProblem {
     slots: usize,
     initial: Vec<u64>,
     offsets: Vec<Offset>,
-    /// Every choice's merged deltas, back to back; choice `k` owns
-    /// `deltas[starts[k]..starts[k + 1]]`.
+    /// Every choice's deltas, back to back, one pair per distinct cell of
+    /// `cells`: choice `k` owns the `k`-th run of `cells.len()` pairs.
     deltas: Vec<(u32, u64)>,
-    starts: Vec<usize>,
-    /// Refill scratch: the footprint reduced into the fabric with each
-    /// cell's stress weight, and the per-column occupancy behind it.
+    /// The footprint reduced into the fabric, repeated cells merged, with
+    /// each cell's stress weight; its length is every choice's delta count.
     cells: Vec<(u32, u32, u64)>,
+    /// Refill scratch: the per-column occupancy behind the stress weights.
     occupancy: Vec<u64>,
 }
 
@@ -97,8 +99,7 @@ impl OffsetProblem {
         self.initial.extend_from_slice(initial_loads);
         self.offsets.clear();
         self.deltas.clear();
-        self.starts.clear();
-        self.starts.push(0);
+        self.cells.clear();
         if rows == 0 || cols == 0 {
             return; // no pivot at all
         }
@@ -112,7 +113,6 @@ impl OffsetProblem {
         for &(_, c) in footprint {
             self.occupancy[(c % cols) as usize] += 1;
         }
-        self.cells.clear();
         self.cells.extend(footprint.iter().map(|&(r, c)| {
             let (r, c) = (r % rows, c % cols);
             let stress = match fabric.col_bandwidth {
@@ -121,6 +121,18 @@ impl OffsetProblem {
             };
             (r, c, stress)
         }));
+        // Merge repeated cells (overlapping ops) so each FU appears once
+        // per pivot; the summed delta matches the tracker's per-occurrence
+        // accrual. A pivot maps cells to FUs one to one, so cells merged
+        // once stay distinct under every pivot.
+        self.cells.sort_unstable();
+        self.cells.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += later.2;
+            }
+            same
+        });
 
         for row in 0..rows {
             for col in 0..cols {
@@ -128,7 +140,6 @@ impl OffsetProblem {
                 if !legal(o) {
                     continue;
                 }
-                let start = self.deltas.len();
                 self.deltas.extend(self.cells.iter().map(|&(r, c, stress)| {
                     // Both coordinates are already reduced, so one
                     // subtraction wraps them.
@@ -136,25 +147,21 @@ impl OffsetProblem {
                     let pc = if c + col >= cols { c + col - cols } else { c + col };
                     (pr * cols + pc, stress)
                 }));
-                // Merge repeated cells (overlapping ops) so each resource
-                // appears once; the summed delta matches the tracker's
-                // per-occurrence accrual.
-                let choice = &mut self.deltas[start..];
-                choice.sort_unstable();
-                let mut kept = 0;
-                for i in 0..choice.len() {
-                    if kept > 0 && choice[kept - 1].0 == choice[i].0 {
-                        choice[kept - 1].1 += choice[i].1;
-                    } else {
-                        choice[kept] = choice[i];
-                        kept += 1;
-                    }
-                }
-                self.deltas.truncate(start + kept);
                 self.offsets.push(o);
-                self.starts.push(self.deltas.len());
             }
         }
+    }
+
+    /// Replaces only the live stress counters, keeping the pivots and their
+    /// deltas: what a [`refill`](Self::refill) with the same fabric
+    /// geometry and bandwidth, footprint, legality and slots would rebuild,
+    /// for the cost of one copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial_loads` does not match the problem's FU count.
+    pub fn reload(&mut self, initial_loads: &[u64]) {
+        self.initial.copy_from_slice(initial_loads);
     }
 
     /// Maps a solver choice index back to its pivot offset.
@@ -179,10 +186,12 @@ impl OffsetProblem {
         &self.initial
     }
 
-    /// The stress pivot `choice` adds, as `(fu, delta)` pairs sorted by FU,
-    /// one pair per FU.
+    /// The stress pivot `choice` adds, as `(fu, delta)` pairs: one pair per
+    /// FU, every delta at least 1, in the same footprint-cell order for
+    /// every choice.
     pub fn deltas(&self, choice: usize) -> &[(u32, u64)] {
-        &self.deltas[self.starts[choice]..self.starts[choice + 1]]
+        let m = self.cells.len();
+        &self.deltas[choice * m..(choice + 1) * m]
     }
 }
 
@@ -216,10 +225,28 @@ mod tests {
         let initial = vec![0u64; 8];
         let p = OffsetProblem::new(&fabric, &[(0, 0), (1, 0)], &initial, 1, |_| true);
         assert_eq!(p.deltas(0), &[(0, 2), (4, 2)]);
-        // The last column pivot wraps the footprint's second row cell.
+        // The last pivot wraps the footprint's second cell into column 0.
         let wrap = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, 1, |_| true);
         let last = wrap.choices() - 1; // pivot (1, 3): cells (1,3) and (1,0)
-        assert_eq!(wrap.deltas(last), &[(4, 1), (7, 1)]);
+        assert_eq!(wrap.deltas(last), &[(7, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn reload_matches_a_refill_with_the_new_loads() {
+        let mut fabric = Fabric::new(2, 4);
+        fabric.col_bandwidth = 1;
+        let footprint = [(0, 0), (1, 0), (0, 1)];
+        let legal = |o: Offset| o != Offset::new(0, 2);
+        let mut p = OffsetProblem::new(&fabric, &footprint, &[0; 8], 1, legal);
+        let hot = [4, 0, 1, 3, 0, 2, 2, 0];
+        p.reload(&hot);
+        let fresh = OffsetProblem::new(&fabric, &footprint, &hot, 1, legal);
+        assert_eq!(p.initial_loads(), fresh.initial_loads());
+        assert_eq!(p.choices(), fresh.choices());
+        for c in 0..p.choices() {
+            assert_eq!((p.offset(c), p.deltas(c)), (fresh.offset(c), fresh.deltas(c)));
+        }
+        assert_eq!(solve(&p), solve(&fresh));
     }
 
     #[test]
