@@ -58,7 +58,7 @@ fn assert_pinned(req: &AllocRequest<'_>, label: &str) {
         "random stream changed ({label})"
     );
     assert_eq!(
-        stream(&mut HealthAwarePolicy, req, 4),
+        stream(&mut HealthAwarePolicy::default(), req, 4),
         vec![(0, 7); 4],
         "health-aware stream changed ({label})"
     );
@@ -174,4 +174,139 @@ fn fabric_uniform_streams_match_fabric_new() {
         legal: &legal,
     };
     assert_pinned(&req, "Fabric::uniform");
+}
+
+/// 64-bit FNV-1a over a decision stream, a dead end (`None`) hashed as
+/// `u32::MAX` twice.
+fn fnv(stream: &[Option<(u32, u32)>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &(row, col) in stream.iter().map(|d| d.as_ref().unwrap_or(&(u32::MAX, u32::MAX))) {
+        for byte in row.to_le_bytes().into_iter().chain(col.to_le_bytes()) {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// One fabric of the closed-loop capture: a health-aware decision per
+/// round, each pick recorded into the fabric's own tracker.
+struct Loop {
+    label: &'static str,
+    fabric: Fabric,
+    tracker: UtilizationTracker,
+    footprint: Vec<(u32, u32)>,
+    legal: LegalPivots,
+    stream: Vec<Option<(u32, u32)>>,
+}
+
+impl Loop {
+    fn new(
+        label: &'static str,
+        fabric: Fabric,
+        footprint: Vec<(u32, u32)>,
+        demands: &[(u32, u32, OpKind)],
+        mask: Option<&FaultMask>,
+        warm: u32,
+    ) -> Loop {
+        // An uneven start: `warm` single-cell executions at LCG-drawn cells.
+        let mut tracker = UtilizationTracker::new(&fabric);
+        let mut x = 0x2545_f491u32;
+        for _ in 0..warm {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let cell = (x >> 8) % fabric.fu_count();
+            tracker.record_execution(&[(cell / fabric.cols, cell % fabric.cols)], 1);
+        }
+        let legal = LegalPivots::new(&fabric, &footprint, demands, mask);
+        Loop { label, fabric, tracker, footprint, legal, stream: Vec::new() }
+    }
+
+    fn decide(&mut self, policy: &mut dyn AllocationPolicy) {
+        let req = AllocRequest {
+            fabric: &self.fabric,
+            config_switch: false,
+            footprint: &self.footprint,
+            tracker: &self.tracker,
+            legal: &self.legal,
+        };
+        let pick = policy.next_offset(&req);
+        if let Some(o) = pick {
+            let placed: Vec<(u32, u32)> =
+                self.footprint.iter().map(|&(r, c)| o.apply(&self.fabric, r, c)).collect();
+            self.tracker.record_execution(&placed, 1);
+        }
+        self.stream.push(pick.map(|o| (o.row, o.col)));
+    }
+}
+
+/// Health-aware decision streams in a closed loop, captured before the
+/// scan moved to a padded stress grid (DESIGN.md §7): 64 rounds on four
+/// fabrics, one policy instance deciding for all four in turn so its
+/// scratch buffers switch geometry on every decision.
+///
+/// Each entry is the stream's FNV-1a (`fnv`) and its first eight picks.
+const PINNED_CLOSED_LOOP: [(u64, [(u32, u32); 8]); 4] = [
+    (0xae42_df99_682c_0c9a, [(0, 0), (0, 1), (0, 10), (1, 12), (0, 0), (0, 2), (0, 4), (0, 6)]),
+    (0x3a3c_f090_2b64_f78f, [(0, 19), (0, 26), (1, 28), (5, 18), (0, 0), (0, 1), (0, 2), (0, 3)]),
+    (0x8ec5_2478_b806_7091, [(1, 5), (0, 0), (1, 5), (1, 7), (3, 3), (0, 0), (0, 2), (0, 4)]),
+    (0x1483_7c35_58c6_0d62, [(0, 7), (0, 7), (0, 4), (0, 7), (1, 2), (0, 4), (0, 7), (0, 4)]),
+];
+
+/// A fabric's label, its stream's FNV-1a and its first eight picks.
+type Capture<'a> = (&'a str, u64, Vec<(u32, u32)>);
+
+#[test]
+fn health_aware_closed_loop_streams_match_the_wrapping_scan_capture() {
+    let mul = OpKind::Mul(MulFunc::Mul);
+    let mut dead = FaultMask::healthy(&Fabric::new(4, 8));
+    for (r, c) in [(0, 3), (1, 6), (2, 1), (3, 4)] {
+        dead.mark_dead(r, c);
+    }
+    let het = "4x8:het-checker".parse::<cgra::FabricSpec>().unwrap().build().unwrap();
+    let mut loops = [
+        Loop::new("be", Fabric::be(), vec![(0, 0), (0, 1), (1, 0), (1, 2), (0, 3)], &[], None, 20),
+        // 16 cells reaching the last row and column: every pivot but the
+        // origin wraps rows, columns or both.
+        Loop::new(
+            "bu",
+            Fabric::bu(),
+            (0..16u32).map(|i| ((i * 3) % 8, (i * 13 + 5) % 32)).collect(),
+            &[],
+            None,
+            300,
+        ),
+        Loop::new(
+            "4x8:het-checker",
+            het,
+            vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)],
+            &[(0, 0, mul)],
+            None,
+            40,
+        ),
+        Loop::new(
+            "4x8, 4 dead",
+            Fabric::new(4, 8),
+            vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)],
+            &[],
+            Some(&dead),
+            40,
+        ),
+    ];
+    assert!(loops[2].legal.count().is_some_and(|n| n > 0 && n < 32));
+    assert!(loops[3].legal.count().is_some_and(|n| n > 0 && n < 32));
+    let mut policy = HealthAwarePolicy::default();
+    for _ in 0..64 {
+        for l in &mut loops {
+            l.decide(&mut policy);
+        }
+    }
+    let got: Vec<Capture<'_>> = loops
+        .iter()
+        .map(|l| (l.label, fnv(&l.stream), l.stream[..8].iter().map(|d| d.unwrap()).collect()))
+        .collect();
+    let pinned: Vec<Capture<'_>> = loops
+        .iter()
+        .zip(&PINNED_CLOSED_LOOP)
+        .map(|(l, &(hash, head))| (l.label, hash, head.to_vec()))
+        .collect();
+    assert_eq!(got, pinned, "closed-loop health-aware streams changed");
 }
