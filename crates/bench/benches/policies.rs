@@ -1,6 +1,7 @@
 //! Per-decision cost of each allocation policy — the "lightweight yet
 //! effective" argument of paper §III quantified: the rotation policy is a
-//! counter plus index math, while the health-aware oracle scans every pivot.
+//! counter plus index math, while the health-aware oracle scores every legal
+//! pivot from a padded copy of the stress counts until one is free.
 //!
 //! Each group builds the configuration's [`LegalPivots`] once, outside the
 //! timed loop, exactly as `transrec::System` does at insertion.
@@ -42,8 +43,53 @@ fn bench_policies(c: &mut Criterion) {
     bench_one("baseline", &mut BaselinePolicy);
     bench_one("rotation_snake", &mut RotationPolicy::new(Snake));
     bench_one("random", &mut RandomPolicy::seeded(3));
-    bench_one("health_aware_oracle", &mut HealthAwarePolicy);
+    bench_one("health_aware_oracle", &mut HealthAwarePolicy::default());
+    // The oracle above stops at a zero-stress pivot; on a worn tracker no
+    // pivot is free, so every decision scans them all.
+    for (name, fabric) in
+        [("health_aware_worn_be", Fabric::be()), ("health_aware_worn_bu", Fabric::bu())]
+    {
+        let footprint: Vec<(u32, u32)> = (0..16u32).map(|i| (i % fabric.rows, i)).collect();
+        let tracker = worn(&fabric, &footprint);
+        let legal = LegalPivots::new(&fabric, &footprint, &[], None);
+        let mut policy = HealthAwarePolicy::default();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let req = AllocRequest {
+                    fabric: &fabric,
+                    config_switch: false,
+                    footprint: black_box(&footprint),
+                    tracker: &tracker,
+                    legal: &legal,
+                };
+                policy.next_offset(&req)
+            })
+        });
+    }
     group.finish();
+}
+
+/// A tracker worn by health-aware allocation itself: 1,000 decisions in a
+/// closed loop, each pick recorded, leave every FU used at least once.
+fn worn(fabric: &Fabric, footprint: &[(u32, u32)]) -> UtilizationTracker {
+    let mut tracker = UtilizationTracker::new(fabric);
+    let legal = LegalPivots::new(fabric, footprint, &[], None);
+    let mut policy = HealthAwarePolicy::default();
+    for _ in 0..1000 {
+        let req = AllocRequest {
+            fabric,
+            config_switch: false,
+            footprint,
+            tracker: &tracker,
+            legal: &legal,
+        };
+        let o = policy.next_offset(&req).unwrap();
+        let placed: Vec<(u32, u32)> =
+            footprint.iter().map(|&(r, c)| o.apply(fabric, r, c)).collect();
+        tracker.record_execution(&placed, 1);
+    }
+    assert!(tracker.exec_counts().iter().all(|&n| n > 0), "a free FU is left");
+    tracker
 }
 
 /// Per-decision cost on a heterogeneous fabric (DESIGN.md §14): the class
@@ -80,7 +126,7 @@ fn bench_policies_heterogeneous(c: &mut Criterion) {
     bench_one("baseline_het_checker", &mut BaselinePolicy);
     bench_one("rotation_snake_het_checker", &mut RotationPolicy::new(Snake));
     bench_one("random_het_checker", &mut RandomPolicy::seeded(3));
-    bench_one("health_aware_het_checker", &mut HealthAwarePolicy);
+    bench_one("health_aware_het_checker", &mut HealthAwarePolicy::default());
     group.finish();
 }
 
@@ -120,7 +166,7 @@ fn bench_policies_faulted(c: &mut Criterion) {
     bench_one("baseline_faulted", &mut BaselinePolicy);
     bench_one("rotation_snake_faulted", &mut RotationPolicy::new(Snake));
     bench_one("random_faulted", &mut RandomPolicy::seeded(3));
-    bench_one("health_aware_faulted", &mut HealthAwarePolicy);
+    bench_one("health_aware_faulted", &mut HealthAwarePolicy::default());
     bench_one("exact_faulted", &mut ExactPolicy::new(1));
     group.finish();
 }

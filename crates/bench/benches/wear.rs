@@ -136,7 +136,7 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
         });
     };
     bench_one("rotation_snake_masked", &mut RotationPolicy::new(Snake));
-    bench_one("health_aware_masked", &mut HealthAwarePolicy);
+    bench_one("health_aware_masked", &mut HealthAwarePolicy::default());
     group.finish();
 }
 

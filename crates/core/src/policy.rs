@@ -458,78 +458,92 @@ impl AllocationPolicy for RandomPolicy {
 /// The paper's future-work policy: use run-time aging information to adapt
 /// the allocation. For each execution it scans the legal pivots
 /// ([`AllocRequest::legal`]; all `rows × cols` of them on an unconstrained
-/// fabric) and picks the one minimizing the maximum projected stress count
-/// over the configuration's footprint (ties break towards the smallest
-/// offset).
+/// fabric) in row-major order and picks the first one minimizing the
+/// maximum execution count over the configuration's footprint.
 ///
 /// This is the "detecting the optimal allocation at run time" option the
 /// paper calls prohibitively expensive in hardware — implemented here as an
 /// oracle upper bound for the rotation policy to be compared against.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct HealthAwarePolicy;
+///
+/// The scan reads a copy of the tracker's counts tiled twice in each
+/// direction, so a footprint anchored anywhere lands in range without
+/// wrapping (DESIGN.md §7). The policy owns that grid and the footprint's
+/// offsets into it, rewritten in full on every decision: it allocates
+/// nothing once it has seen its largest fabric and footprint, and no
+/// decision depends on an earlier one.
+#[derive(Clone, Debug, Default)]
+pub struct HealthAwarePolicy {
+    /// The tracker's execution counts on a `2·rows × 2·cols` row-major
+    /// grid: cell `(r, c)` holds the count of `(r % rows, c % cols)`.
+    grid: Vec<u64>,
+    /// The footprint's cells as offsets into `grid` from a pivot's cell.
+    cells: Vec<usize>,
+}
 
 impl AllocationPolicy for HealthAwarePolicy {
+    /// # Panics
+    ///
+    /// Panics if the tracker's geometry differs from the fabric's.
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        // The scan runs once per offload, so it must stay allocation-free:
-        // compare raw per-FU execution counts (same ordering as the
-        // normalized utilization), prune a pivot as soon as it matches the
-        // incumbent, and stop outright on a zero-stress pivot — nothing can
-        // beat it, and ties break towards the smallest offset anyway.
-        // On a constrained fabric only the legal pivots are scanned, in the
-        // same row-major order (DESIGN.md §11, §14); with every pivot
-        // illegal the scan reports `None`.
-        let mut scan = LeastStressed { best: None, best_cost: u64::MAX };
-        match req.legal.iter() {
-            Some(legal) => {
-                for off in legal {
-                    if scan.visit(req, off) {
+        let (rows, cols) = (req.fabric.rows, req.fabric.cols);
+        assert_eq!(
+            (req.tracker.rows(), req.tracker.cols()),
+            (rows, cols),
+            "tracker geometry differs from the fabric"
+        );
+        if req.legal.count() == Some(0) {
+            return None;
+        }
+        let (rows, cols) = (rows as usize, cols as usize);
+        let width = 2 * cols;
+        self.grid.clear();
+        for row in req.tracker.exec_counts().chunks_exact(cols) {
+            self.grid.extend_from_slice(row);
+            self.grid.extend_from_slice(row);
+        }
+        self.grid.extend_from_within(..);
+        // Reduced exactly as `Offset::apply` reduces them, so adding a
+        // pivot's `row · width + col` lands on the wrapped cell's copy.
+        self.cells.clear();
+        self.cells.extend(
+            req.footprint.iter().map(|&(r, c)| r as usize % rows * width + c as usize % cols),
+        );
+
+        // Raw counts order pivots like the normalized utilization. A pivot
+        // is dropped as soon as its partial cost matches the incumbent, and
+        // the scan stops on a zero-stress pivot: nothing later can beat it.
+        // Only legal pivots are scored, in row-major order (DESIGN.md §11,
+        // §14).
+        let mut best = None;
+        let mut best_cost = u64::MAX;
+        for row in 0..rows {
+            for col in 0..cols {
+                let off = Offset::new(row as u32, col as u32);
+                if !req.legal.allows(off) {
+                    continue;
+                }
+                let at = &self.grid[row * width + col..];
+                let mut cost = 0;
+                for &cell in &self.cells {
+                    cost = cost.max(at[cell]);
+                    if cost >= best_cost {
                         break;
                     }
                 }
-            }
-            None => {
-                'rows: for row in 0..req.fabric.rows {
-                    for col in 0..req.fabric.cols {
-                        if scan.visit(req, Offset::new(row, col)) {
-                            break 'rows;
-                        }
+                if cost < best_cost || best.is_none() {
+                    best = Some(off);
+                    best_cost = cost;
+                    if cost == 0 {
+                        return best;
                     }
                 }
             }
         }
-        scan.best
+        best
     }
 
     fn name(&self) -> String {
         "health-aware".to_string()
-    }
-}
-
-/// The health-aware scan's incumbent: the first pivot visited whose
-/// footprint's hottest FU is coolest.
-struct LeastStressed {
-    best: Option<Offset>,
-    best_cost: u64,
-}
-
-impl LeastStressed {
-    /// Considers `off`; `true` once a zero-stress pivot is found, which
-    /// nothing later can beat.
-    fn visit(&mut self, req: &AllocRequest<'_>, off: Offset) -> bool {
-        let mut cost = 0u64;
-        for &(r, c) in req.footprint {
-            let (pr, pc) = off.apply(req.fabric, r, c);
-            cost = cost.max(req.tracker.exec_count(pr, pc));
-            if cost >= self.best_cost {
-                break;
-            }
-        }
-        if cost < self.best_cost || self.best.is_none() {
-            self.best_cost = cost;
-            self.best = Some(off);
-            return cost == 0;
-        }
-        false
     }
 }
 
@@ -539,6 +553,7 @@ mod tests {
     use crate::pattern::{Raster, Snake};
     use cgra::op::MulFunc;
     use cgra::{CellClass, ClassMap};
+    use proptest::prelude::*;
 
     fn req<'a>(
         fabric: &'a Fabric,
@@ -619,7 +634,7 @@ mod tests {
             let o = rnd.next_offset(&r).unwrap();
             assert_eq!(o.col % 2, 0, "random must only draw capable anchors, got {o}");
         }
-        let o = HealthAwarePolicy.next_offset(&r).unwrap();
+        let o = HealthAwarePolicy::default().next_offset(&r).unwrap();
         assert_eq!(o.col % 2, 0, "health-aware must only scan capable anchors, got {o}");
         assert_ne!(o, Offset::ORIGIN, "still dodges the stressed corner");
     }
@@ -638,7 +653,7 @@ mod tests {
         assert_eq!(BaselinePolicy.next_offset(&r), None);
         assert_eq!(RotationPolicy::new(Snake).next_offset(&r), None);
         assert_eq!(RandomPolicy::seeded(7).next_offset(&r), None);
-        assert_eq!(HealthAwarePolicy.next_offset(&r), None);
+        assert_eq!(HealthAwarePolicy::default().next_offset(&r), None);
     }
 
     #[test]
@@ -741,7 +756,7 @@ mod tests {
             tracker.record_execution(&[(0, 0)], 1);
         }
         let footprint = [(0u32, 0u32)];
-        let mut p = HealthAwarePolicy;
+        let mut p = HealthAwarePolicy::default();
         let o = p.next_offset(&req(&fabric, &tracker, &footprint, false)).unwrap();
         assert_ne!(o, Offset::ORIGIN, "must dodge the stressed corner");
     }
@@ -854,6 +869,172 @@ mod tests {
         assert_eq!(p.next_offset(&m), None, "no legal placement left");
     }
 
+    /// The wrapping scan the padded grid replaced, kept as the reference:
+    /// the first legal pivot, row-major, whose footprint's hottest FU is
+    /// coolest.
+    fn least_stressed(req: &AllocRequest<'_>) -> Option<Offset> {
+        let mut scan = LeastStressed { best: None, best_cost: u64::MAX };
+        match req.legal.iter() {
+            Some(legal) => {
+                for off in legal {
+                    if scan.visit(req, off) {
+                        break;
+                    }
+                }
+            }
+            None => {
+                'rows: for row in 0..req.fabric.rows {
+                    for col in 0..req.fabric.cols {
+                        if scan.visit(req, Offset::new(row, col)) {
+                            break 'rows;
+                        }
+                    }
+                }
+            }
+        }
+        scan.best
+    }
+
+    /// The reference scan's incumbent.
+    struct LeastStressed {
+        best: Option<Offset>,
+        best_cost: u64,
+    }
+
+    impl LeastStressed {
+        /// Considers `off`; `true` once a zero-stress pivot is found, which
+        /// nothing later can beat.
+        fn visit(&mut self, req: &AllocRequest<'_>, off: Offset) -> bool {
+            let mut cost = 0u64;
+            for &(r, c) in req.footprint {
+                let (pr, pc) = off.apply(req.fabric, r, c);
+                cost = cost.max(req.tracker.exec_count(pr, pc));
+                if cost >= self.best_cost {
+                    break;
+                }
+            }
+            if cost < self.best_cost || self.best.is_none() {
+                self.best_cost = cost;
+                self.best = Some(off);
+                return cost == 0;
+            }
+            false
+        }
+    }
+
+    /// One differential case: a fabric with its class map, a tracker, a
+    /// footprint with demands and a fault mask.
+    #[derive(Debug)]
+    struct ScanCase {
+        fabric: Fabric,
+        counts: Vec<u64>,
+        footprint: Vec<(u32, u32)>,
+        demands: Vec<(u32, u32, OpKind)>,
+        dead: Option<Vec<(u32, u32)>>,
+    }
+
+    fn any_scan_case() -> impl Strategy<Value = ScanCase> {
+        let kinds = [
+            MUL,
+            OpKind::Alu(cgra::op::AluFunc::Add),
+            OpKind::Load { func: cgra::op::LoadFunc::W, offset: 0 },
+            OpKind::Store { func: cgra::op::StoreFunc::W, offset: 0 },
+        ];
+        let classes = prop_oneof![
+            Just(ClassMap::Uniform(CellClass::Full)),
+            Just(ClassMap::Uniform(CellClass::AluMul)),
+            Just(ClassMap::Checker),
+            Just(ClassMap::RowStripes),
+            Just(ClassMap::ColStripes),
+        ];
+        ((1u32..=8), (4u32..=32), classes).prop_flat_map(move |(rows, cols, classes)| {
+            let n = (rows * cols) as usize;
+            // Virtual cells up to twice the geometry: `Offset::apply`
+            // reduces them like wrapped ones.
+            let cell = (0..2 * rows, 0..2 * cols);
+            // Near-balanced trackers tie a lot; wide-spread ones rarely.
+            let counts = prop_oneof![
+                (0u64..4, proptest::collection::vec(0u64..=1, n..=n))
+                    .prop_map(|(base, noise)| noise.iter().map(|x| base + x).collect()),
+                proptest::collection::vec(0u64..=60, n..=n),
+            ];
+            let footprint = (proptest::collection::vec(cell.clone(), 0..=24), 0usize..=3).prop_map(
+                |(mut cells, dups)| {
+                    for i in 0..dups.min(cells.len()) {
+                        cells.push(cells[i]);
+                    }
+                    cells
+                },
+            );
+            let demands = proptest::collection::vec((cell.clone(), 0usize..kinds.len()), 0..=2)
+                .prop_map(move |d| {
+                    d.into_iter().map(|((r, c), k)| (r, c, kinds[k])).collect::<Vec<_>>()
+                });
+            let dead = prop_oneof![
+                Just(None),
+                proptest::collection::vec((0..rows, 0..cols), 0..=12).prop_map(Some),
+                Just(Some((0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))).collect())),
+            ];
+            (counts, footprint, demands, dead).prop_map(
+                move |(counts, footprint, demands, dead)| {
+                    let mut fabric = Fabric::new(rows, cols);
+                    fabric.classes = classes;
+                    ScanCase { fabric, counts, footprint, demands, dead }
+                },
+            )
+        })
+    }
+
+    #[test]
+    fn padded_grid_scan_matches_the_wrapping_reference() {
+        use proptest::test_runner::{Config, TestRunner};
+        // One instance for every case: scratch left by a larger or
+        // differently shaped fabric must never leak into a decision.
+        let mut policy = HealthAwarePolicy::default();
+        let mut runner = TestRunner::new(Config::with_cases(2000));
+        let result = runner.run(&any_scan_case(), |case| {
+            let f = &case.fabric;
+            let mut tracker = UtilizationTracker::new(f);
+            // Level sets: level `k` records every cell counted at least `k`.
+            for k in 1..=case.counts.iter().copied().max().unwrap_or(0) {
+                let level: Vec<(u32, u32)> = (0..f.fu_count())
+                    .filter(|&i| case.counts[i as usize] >= k)
+                    .map(|i| (i / f.cols, i % f.cols))
+                    .collect();
+                tracker.record_execution(&level, 1);
+            }
+            prop_assert_eq!(tracker.exec_counts(), &case.counts[..]);
+            let mask = case.dead.as_ref().map(|dead| {
+                let mut mask = FaultMask::healthy(f);
+                for &(r, c) in dead {
+                    mask.mark_dead(r, c);
+                }
+                mask
+            });
+            let legal = LegalPivots::new(f, &case.footprint, &case.demands, mask.as_ref());
+            let r = AllocRequest { legal: &legal, ..req(f, &tracker, &case.footprint, false) };
+            let want = least_stressed(&r);
+            prop_assert_eq!(policy.next_offset(&r), want, "{:?}", case);
+            // Deciding again on the same request repeats the pick.
+            prop_assert_eq!(policy.next_offset(&r), want, "{:?}", case);
+            Ok(())
+        });
+        if let Err(message) = result {
+            panic!("{message}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tracker geometry differs from the fabric")]
+    fn health_aware_refuses_a_tracker_of_another_geometry() {
+        // A 4x16 tracker holds every cell a 2x8 fabric addresses, so only
+        // the geometry check stops it scoring the wrong cells.
+        let fabric = Fabric::new(2, 8);
+        let tracker = UtilizationTracker::new(&Fabric::new(4, 16));
+        let footprint = [(0u32, 0u32)];
+        HealthAwarePolicy::default().next_offset(&req(&fabric, &tracker, &footprint, false));
+    }
+
     #[test]
     fn health_aware_skips_dead_cells() {
         let fabric = Fabric::new(2, 4);
@@ -877,7 +1058,8 @@ mod tests {
         let footprint = [(0u32, 0u32)];
         let r = req(&fabric, &tracker, &footprint, false);
         let legal = masked(&r, &mask);
-        let o = HealthAwarePolicy.next_offset(&AllocRequest { legal: &legal, ..r }).unwrap();
+        let o =
+            HealthAwarePolicy::default().next_offset(&AllocRequest { legal: &legal, ..r }).unwrap();
         assert_eq!(o.apply(&fabric, 0, 0), (1, 2), "coolest *live* cell wins");
         // All cells dead: even the oracle is out of options.
         let mut all_dead = FaultMask::healthy(&fabric);
@@ -887,6 +1069,9 @@ mod tests {
             }
         }
         let legal = masked(&r, &all_dead);
-        assert_eq!(HealthAwarePolicy.next_offset(&AllocRequest { legal: &legal, ..r }), None);
+        assert_eq!(
+            HealthAwarePolicy::default().next_offset(&AllocRequest { legal: &legal, ..r }),
+            None
+        );
     }
 }

@@ -177,7 +177,7 @@ impl PolicySpec {
                 Box::new(RotationPolicy::with_granularity(pattern.build(), granularity))
             }
             PolicySpec::Random { seed } => Box::new(RandomPolicy::seeded(seed)),
-            PolicySpec::HealthAware => Box::new(HealthAwarePolicy),
+            PolicySpec::HealthAware => Box::new(HealthAwarePolicy::default()),
             PolicySpec::Exact { every } => Box::new(ExactPolicy::new(every)),
         }
     }

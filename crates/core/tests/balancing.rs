@@ -128,7 +128,7 @@ proptest! {
             tracker: &tracker,
             legal: &legal,
         };
-        let off = HealthAwarePolicy.next_offset(&req).unwrap();
+        let off = HealthAwarePolicy::default().next_offset(&req).unwrap();
         prop_assert_ne!(off.apply(&fabric, 0, 0), hot,
             "oracle must avoid the stressed cell");
     }
