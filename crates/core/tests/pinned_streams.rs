@@ -9,7 +9,8 @@ use cgra::op::{LoadFunc, MulFunc, OpKind};
 use cgra::{Fabric, FaultMask};
 use uaware::{
     AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, LegalPivots,
-    RandomPolicy, RotationPolicy, Snake, UtilizationTracker,
+    MovementGranularity, PatternSpec, PolicySpec, RandomPolicy, RotationPolicy, Snake,
+    UtilizationTracker,
 };
 
 /// The decision stream captured on the pre-heterogeneity implementation:
@@ -188,8 +189,8 @@ fn fnv(stream: &[Option<(u32, u32)>]) -> u64 {
     hash
 }
 
-/// One fabric of the closed-loop capture: a health-aware decision per
-/// round, each pick recorded into the fabric's own tracker.
+/// One fabric of a closed-loop capture: a policy decision per round, each
+/// pick recorded into the fabric's own tracker.
 struct Loop {
     label: &'static str,
     fabric: Fabric,
@@ -220,10 +221,10 @@ impl Loop {
         Loop { label, fabric, tracker, footprint, legal, stream: Vec::new() }
     }
 
-    fn decide(&mut self, policy: &mut dyn AllocationPolicy) {
+    fn decide(&mut self, policy: &mut dyn AllocationPolicy, config_switch: bool) {
         let req = AllocRequest {
             fabric: &self.fabric,
-            config_switch: false,
+            config_switch,
             footprint: &self.footprint,
             tracker: &self.tracker,
             legal: &self.legal,
@@ -252,7 +253,7 @@ const PINNED_CLOSED_LOOP: [(u64, [(u32, u32); 8]); 4] = [
 ];
 
 /// A fabric's label, its stream's FNV-1a and its first eight picks.
-type Capture<'a> = (&'a str, u64, Vec<(u32, u32)>);
+type Capture = (String, u64, Vec<(u32, u32)>);
 
 #[test]
 fn health_aware_closed_loop_streams_match_the_wrapping_scan_capture() {
@@ -296,17 +297,104 @@ fn health_aware_closed_loop_streams_match_the_wrapping_scan_capture() {
     let mut policy = HealthAwarePolicy::default();
     for _ in 0..64 {
         for l in &mut loops {
-            l.decide(&mut policy);
+            l.decide(&mut policy, false);
         }
     }
-    let got: Vec<Capture<'_>> = loops
+    let got: Vec<Capture> = loops
         .iter()
-        .map(|l| (l.label, fnv(&l.stream), l.stream[..8].iter().map(|d| d.unwrap()).collect()))
+        .map(|l| {
+            (
+                l.label.to_string(),
+                fnv(&l.stream),
+                l.stream[..8].iter().map(|d| d.unwrap()).collect(),
+            )
+        })
         .collect();
-    let pinned: Vec<Capture<'_>> = loops
+    let pinned: Vec<Capture> = loops
         .iter()
         .zip(&PINNED_CLOSED_LOOP)
-        .map(|(l, &(hash, head))| (l.label, hash, head.to_vec()))
+        .map(|(l, &(hash, head))| (l.label.to_string(), hash, head.to_vec()))
         .collect();
     assert_eq!(got, pinned, "closed-loop health-aware streams changed");
+}
+
+/// The BE fabric and a 4×8 fabric with four dead FUs, each with an uneven
+/// warm start: the rotation walks the first without a skip and must step
+/// past dead pivots on the second.
+fn rotation_loops() -> [Loop; 2] {
+    let mut dead = FaultMask::healthy(&Fabric::new(4, 8));
+    for (r, c) in [(0, 3), (1, 6), (2, 1), (3, 4)] {
+        dead.mark_dead(r, c);
+    }
+    let loops = [
+        Loop::new("be", Fabric::be(), vec![(0, 0), (0, 1), (1, 0), (1, 2), (0, 3)], &[], None, 20),
+        Loop::new(
+            "4x8, 4 dead",
+            Fabric::new(4, 8),
+            vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)],
+            &[],
+            Some(&dead),
+            40,
+        ),
+    ];
+    assert!(loops[1].legal.count().is_some_and(|n| n > 0 && n < 32));
+    loops
+}
+
+/// Rotation decision streams in a closed loop, captured while patterns were
+/// still trait objects: every pattern × granularity on both
+/// `rotation_loops` fabrics, two coverage periods long, with
+/// `config_switch` flipping every five decisions. Rows run pattern-major
+/// (snake, raster, column-major), then granularity (per-exec, per-load,
+/// every-3), then fabric.
+///
+/// Each entry is the stream's FNV-1a (`fnv`) and its first eight picks.
+const PINNED_ROTATION: [(u64, [(u32, u32); 8]); 18] = [
+    (0x7398_de8a_5925_5325, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
+    (0x5b08_6631_c459_4d63, [(0, 4), (0, 7), (1, 7), (1, 2), (2, 5), (2, 6), (3, 7), (3, 6)]),
+    (0x8d53_834b_f8d0_6e99, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 1), (0, 2), (0, 3)]),
+    (0x8f67_4fd0_4e00_3970, [(0, 4), (0, 4), (0, 4), (0, 4), (0, 4), (0, 7), (1, 7), (1, 2)]),
+    (0xdb98_a207_dc1e_e3d4, [(0, 0), (0, 0), (0, 0), (0, 1), (0, 1), (0, 1), (0, 2), (0, 2)]),
+    (0x8b2d_9b41_f270_9e76, [(0, 4), (0, 4), (0, 4), (0, 7), (0, 7), (0, 7), (1, 7), (1, 7)]),
+    (0xa9e4_cc31_269c_d325, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
+    (0xacb6_fba1_baf1_3ee3, [(0, 4), (0, 7), (1, 2), (1, 7), (2, 5), (2, 6), (3, 0), (3, 1)]),
+    (0xfffb_06cb_04c8_1566, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 1), (0, 2), (0, 3)]),
+    (0x92d8_279c_84ec_2af0, [(0, 4), (0, 4), (0, 4), (0, 4), (0, 4), (0, 7), (1, 2), (1, 7)]),
+    (0x7c4b_1b08_104c_0b54, [(0, 0), (0, 0), (0, 0), (0, 1), (0, 1), (0, 1), (0, 2), (0, 2)]),
+    (0x8767_ce3d_8e22_7e76, [(0, 4), (0, 4), (0, 4), (0, 7), (0, 7), (0, 7), (1, 2), (1, 2)]),
+    (0x7e6e_0b51_bf8e_6325, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+    (0xeb86_3ff4_9415_7c93, [(3, 0), (3, 1), (1, 2), (0, 4), (2, 5), (2, 6), (3, 6), (0, 7)]),
+    (0xfd78_7093_790b_691c, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (1, 1)]),
+    (0x7afa_068a_3e10_f737, [(3, 0), (3, 0), (3, 0), (3, 0), (3, 0), (3, 1), (1, 2), (0, 4)]),
+    (0x625c_a5c7_5037_1164, [(0, 0), (0, 0), (0, 0), (1, 0), (1, 0), (1, 0), (0, 1), (0, 1)]),
+    (0xddcc_f2b6_f54d_9c14, [(3, 0), (3, 0), (3, 0), (3, 1), (3, 1), (3, 1), (1, 2), (1, 2)]),
+];
+
+#[test]
+fn rotation_closed_loop_streams_match_the_trait_pattern_capture() {
+    let granularities = [
+        MovementGranularity::PerExecution,
+        MovementGranularity::PerLoad,
+        MovementGranularity::Periodic(3),
+    ];
+    let mut got: Vec<Capture> = Vec::new();
+    for pattern in PatternSpec::ALL {
+        for granularity in granularities {
+            let spec = PolicySpec::Rotation { pattern, granularity };
+            for mut l in rotation_loops() {
+                let mut policy = spec.build();
+                for i in 0..2 * l.fabric.fu_count() {
+                    l.decide(policy.as_mut(), (i / 5) % 2 == 1);
+                }
+                let head = l.stream[..8].iter().map(|d| d.unwrap()).collect::<Vec<_>>();
+                got.push((format!("{spec} on {}", l.label), fnv(&l.stream), head));
+            }
+        }
+    }
+    let pinned: Vec<Capture> = got
+        .iter()
+        .zip(&PINNED_ROTATION)
+        .map(|((label, ..), &(hash, head))| (label.clone(), hash, head.to_vec()))
+        .collect();
+    assert_eq!(got, pinned, "closed-loop rotation streams changed");
 }
