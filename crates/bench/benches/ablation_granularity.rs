@@ -7,12 +7,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cgra::Fabric;
 use transrec::{System, SystemConfig};
-use uaware::{AllocationPolicy, MovementGranularity, RotationPolicy, Snake};
+use uaware::{AllocationPolicy, MovementGranularity, PatternSpec, RotationPolicy};
 
 fn run_once(granularity: MovementGranularity) -> (f64, u64) {
     let w = &mibench::suite(0xDAC2020)[1]; // crc32
     let policy: Box<dyn AllocationPolicy> =
-        Box::new(RotationPolicy::with_granularity(Snake, granularity));
+        Box::new(RotationPolicy::with_granularity(PatternSpec::Snake, granularity));
     let mut sys = System::new(SystemConfig::new(Fabric::be()), policy);
     sys.run(w.program()).unwrap();
     w.verify(sys.cpu()).unwrap();

@@ -5,12 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cgra::Fabric;
-use transrec::System;
+use transrec::{System, SystemConfig};
 use uaware::PolicySpec;
 
 fn run_once(spec: &PolicySpec) -> (f64, f64) {
     let w = &mibench::suite(0xDAC2020)[1];
-    let mut sys = System::builder(Fabric::be()).policy(*spec).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), *spec).unwrap();
     sys.run(w.program()).unwrap();
     w.verify(sys.cpu()).unwrap();
     let grid = sys.tracker().utilization();

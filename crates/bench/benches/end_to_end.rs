@@ -20,7 +20,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     group.bench_function("system_baseline", |b| {
         b.iter(|| {
-            let mut sys = System::builder(Fabric::be()).build().unwrap();
+            let mut sys =
+                System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
             sys.run(crc.program()).unwrap();
             sys.cpu().cycles()
         })
@@ -28,7 +29,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.bench_function("system_rotation", |b| {
         b.iter(|| {
             let mut sys =
-                System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+                System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
             sys.run(crc.program()).unwrap();
             sys.cpu().cycles()
         })

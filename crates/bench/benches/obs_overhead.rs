@@ -10,10 +10,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use cgra::Fabric;
 use tracing::{event, Level};
-use transrec::System;
+use transrec::{System, SystemConfig};
+use uaware::PolicySpec;
 
 fn run_crc(program: &rv32::Program) -> u64 {
-    let mut sys = System::builder(Fabric::be()).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     sys.run(program).unwrap();
     sys.cpu().cycles()
 }

@@ -13,7 +13,7 @@ use cgra::op::{MulFunc, OpKind};
 use cgra::{CellClass, ClassMap, Fabric, FabricSpec, FaultMask};
 use uaware::{
     AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, LegalPivots,
-    RandomPolicy, RotationPolicy, Snake, UtilizationTracker,
+    PatternSpec, RandomPolicy, RotationPolicy, UtilizationTracker,
 };
 
 fn bench_policies(c: &mut Criterion) {
@@ -41,7 +41,7 @@ fn bench_policies(c: &mut Criterion) {
         });
     };
     bench_one("baseline", &mut BaselinePolicy);
-    bench_one("rotation_snake", &mut RotationPolicy::new(Snake));
+    bench_one("rotation_snake", &mut RotationPolicy::new(PatternSpec::Snake));
     bench_one("random", &mut RandomPolicy::seeded(3));
     bench_one("health_aware_oracle", &mut HealthAwarePolicy::default());
     // The oracle above stops at a zero-stress pivot; on a worn tracker no
@@ -124,7 +124,7 @@ fn bench_policies_heterogeneous(c: &mut Criterion) {
         });
     };
     bench_one("baseline_het_checker", &mut BaselinePolicy);
-    bench_one("rotation_snake_het_checker", &mut RotationPolicy::new(Snake));
+    bench_one("rotation_snake_het_checker", &mut RotationPolicy::new(PatternSpec::Snake));
     bench_one("random_het_checker", &mut RandomPolicy::seeded(3));
     bench_one("health_aware_het_checker", &mut HealthAwarePolicy::default());
     group.finish();
@@ -164,7 +164,7 @@ fn bench_policies_faulted(c: &mut Criterion) {
         });
     };
     bench_one("baseline_faulted", &mut BaselinePolicy);
-    bench_one("rotation_snake_faulted", &mut RotationPolicy::new(Snake));
+    bench_one("rotation_snake_faulted", &mut RotationPolicy::new(PatternSpec::Snake));
     bench_one("random_faulted", &mut RandomPolicy::seeded(3));
     bench_one("health_aware_faulted", &mut HealthAwarePolicy::default());
     bench_one("exact_faulted", &mut ExactPolicy::new(1));

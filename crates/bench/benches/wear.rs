@@ -16,8 +16,8 @@ use transrec::sweep::SuiteSpec;
 use transrec::tape::TapeStore;
 use transrec::SystemConfig;
 use uaware::{
-    AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, PolicySpec, RotationPolicy,
-    Snake, UtilizationGrid, UtilizationTracker,
+    AllocRequest, AllocationPolicy, HealthAwarePolicy, LegalPivots, PatternSpec, PolicySpec,
+    RotationPolicy, UtilizationGrid, UtilizationTracker,
 };
 
 fn bench_wear_update(c: &mut Criterion) {
@@ -112,13 +112,16 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
     for i in 0..1000u32 {
         tracker.record_execution(&[(i % 8, i % 32)], 4);
     }
-    // A part-worn fabric: every seventh FU has failed.
+    // A part-worn fabric: every thirteenth FU has failed, which leaves 70
+    // of the 256 pivots legal, so both policies time a decision rather
+    // than a refusal.
     let mut mask = FaultMask::healthy(&fabric);
-    for i in (0..fabric.fu_count()).step_by(7) {
+    for i in (0..fabric.fu_count()).step_by(13) {
         mask.mark_dead(i / fabric.cols, i % fabric.cols);
     }
 
     let legal = LegalPivots::new(&fabric, &footprint, &[], Some(&mask));
+    assert!(legal.count().is_some_and(|n| n > 0), "the mask must leave legal pivots");
 
     let mut group = c.benchmark_group("fault_masked_allocation");
     let mut bench_one = |name: &str, policy: &mut dyn AllocationPolicy| {
@@ -135,7 +138,7 @@ fn bench_fault_masked_allocation(c: &mut Criterion) {
             })
         });
     };
-    bench_one("rotation_snake_masked", &mut RotationPolicy::new(Snake));
+    bench_one("rotation_snake_masked", &mut RotationPolicy::new(PatternSpec::Snake));
     bench_one("health_aware_masked", &mut HealthAwarePolicy::default());
     group.finish();
 }

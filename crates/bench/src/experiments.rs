@@ -49,9 +49,10 @@ pub struct ExperimentContext {
     pub epoch_cycles: u64,
     /// Fold the flight recorder's counter registry into the process-global
     /// sink while sweeps and campaigns run (the `--metrics` CLI flag;
-    /// DESIGN.md §16). Off by default — the hottest counter fires once per
-    /// retired GPP instruction. Binaries that emit `results/metrics.json`
-    /// snapshot [`obs::global`] after their experiments complete.
+    /// DESIGN.md §16). Off by default, so that an uncollected session call
+    /// skips taking and publishing its tally. Binaries that emit
+    /// `results/metrics.json` snapshot [`obs::global`] after their
+    /// experiments complete.
     pub collect_metrics: bool,
 }
 

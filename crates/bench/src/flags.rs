@@ -104,8 +104,9 @@ pub fn apply_cli_flags(ctx: &mut ExperimentContext) -> Result<(), String> {
 
 /// `true` when the valueless `--metrics` flag is present in `args` — the
 /// opt-in for metric collection ([`ExperimentContext::collect_metrics`]).
-/// Collection is off by default because every policy decision still fires
-/// its events into the collector (DESIGN.md §16).
+/// Collection is off by default: nothing fires per decision, but a
+/// collected session call takes its tally and publishes what it gained as
+/// it returns, which an uncollected one skips (DESIGN.md §16).
 pub fn parse_metrics_flag(args: &[String]) -> bool {
     args.iter().any(|a| a == "--metrics")
 }

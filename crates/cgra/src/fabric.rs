@@ -132,7 +132,7 @@ impl ClassMap {
 
 /// A [`Fabric`] invariant was violated (DESIGN.md §14): the typed form of
 /// what used to be construction-time panics, surfaced through
-/// `System::builder`'s `BuildError` so spec-driven sweeps can reject a bad
+/// `System::with_spec`'s `BuildError` so spec-driven sweeps can reject a bad
 /// geometry without crashing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FabricError {

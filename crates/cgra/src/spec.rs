@@ -87,7 +87,7 @@ impl FabricSpec {
     ///
     /// The [`FabricError`] of an impossible geometry (zero dimension, or
     /// too few columns for a memory op) — typed, so spec-driven sweeps and
-    /// `System::builder` reject bad layouts without panicking.
+    /// `System::with_spec` reject bad layouts without panicking.
     pub fn build(&self) -> Result<Fabric, FabricError> {
         let mut fabric = Fabric::try_new(self.rows, self.cols)?;
         fabric.ctx_lines = self.ctx_lines;

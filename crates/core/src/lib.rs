@@ -9,8 +9,8 @@
 //! per-FU utilization towards the mean and stretching lifetime by the ratio
 //! of worst-case utilizations.
 //!
-//! * [`pattern`] — movement patterns (paper Fig. 3b): [`Snake`] (default),
-//!   [`Raster`], [`ColumnMajor`], [`Fixed`].
+//! * [`pattern`] — the movement patterns of paper Fig. 3b, each a
+//!   [`PatternSpec`] value: `Snake` (default), `Raster` and `ColumnMajor`.
 //! * [`policy`] — allocation policies: [`BaselinePolicy`],
 //!   [`RotationPolicy`] (the contribution), [`RandomPolicy`] and the
 //!   future-work [`HealthAwarePolicy`].
@@ -35,7 +35,7 @@
 //! ```
 //! use cgra::Fabric;
 //! use uaware::{
-//!     AllocationPolicy, AllocRequest, BaselinePolicy, LegalPivots, RotationPolicy, Snake,
+//!     AllocationPolicy, AllocRequest, BaselinePolicy, LegalPivots, PatternSpec, RotationPolicy,
 //!     UtilizationTracker,
 //! };
 //!
@@ -62,7 +62,7 @@
 //! };
 //!
 //! let baseline = run(&mut BaselinePolicy);
-//! let rotated = run(&mut RotationPolicy::new(Snake));
+//! let rotated = run(&mut RotationPolicy::new(PatternSpec::Snake));
 //! assert_eq!(baseline.max(), 1.0);            // corner FUs always active
 //! assert!(rotated.max() < 0.10);              // stress spread over 32 FUs
 //! ```
@@ -79,7 +79,6 @@ pub mod stats;
 
 pub use exact::ExactPolicy;
 pub use lifetime::{evaluate_aging, lifetime_improvement, AgingEvaluation};
-pub use pattern::{ColumnMajor, Fixed, MovementPattern, Raster, Snake};
 pub use policy::{
     AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, LegalPivots,
     MovementGranularity, PolicyCounts, RandomPolicy, RotationPolicy,

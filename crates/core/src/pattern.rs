@@ -2,114 +2,45 @@
 //!
 //! A pattern maps an execution counter to a pivot [`Offset`]; the rotation
 //! policy advances the counter and the configuration follows the pattern
-//! through the fabric, wrap-around included. All built-in patterns visit
+//! through the fabric, wrap-around included. Every [`PatternSpec`] visits
 //! every fabric cell exactly once per `rows × cols` period — the coverage
-//! property that makes long-run utilization uniform.
+//! property that makes long-run utilization uniform. Each pattern is a pure
+//! function of `(fabric, step)`, so pivot sequences are reproducible and
+//! cheap for hardware (a counter plus a little index arithmetic).
 
 use cgra::{Fabric, Offset};
-use serde::{Deserialize, Serialize};
 
-/// A deterministic pivot sequence over the fabric.
-///
-/// Implementations must be pure functions of `(fabric, step)` so that pivot
-/// sequences are reproducible and cheap for hardware (a counter plus a
-/// little index arithmetic).
-pub trait MovementPattern: std::fmt::Debug {
+use crate::PatternSpec;
+
+impl PatternSpec {
     /// The pivot for execution number `step`.
-    fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Steps after which the pattern repeats (and must have covered the
-    /// whole fabric, for balancing patterns).
-    fn period(&self, fabric: &Fabric) -> u64 {
-        (fabric.fu_count()) as u64
-    }
-}
-
-impl MovementPattern for Box<dyn MovementPattern> {
-    fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset {
-        (**self).offset_at(fabric, step)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn period(&self, fabric: &Fabric) -> u64 {
-        (**self).period(fabric)
-    }
-}
-
-/// Boustrophedon scan (the paper's Fig. 3b): sweep the columns left-to-right
-/// on even rows and right-to-left on odd rows, moving one cell per
-/// execution. The pivot never jumps more than one cell, so consecutive
-/// executions stress adjacent FUs — gentle on thermal gradients.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Snake;
-
-impl MovementPattern for Snake {
-    fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset {
+    ///
+    /// * [`Snake`](PatternSpec::Snake) sweeps the columns left-to-right on
+    ///   even rows and right-to-left on odd rows, one cell per execution, so
+    ///   consecutive executions stress adjacent FUs — gentle on thermal
+    ///   gradients.
+    /// * [`Raster`](PatternSpec::Raster) advances the column each execution
+    ///   and the row on wrap.
+    /// * [`ColumnMajor`](PatternSpec::ColumnMajor) advances the row each
+    ///   execution and the column on wrap, moving work between rows fastest.
+    pub fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset {
         let idx = (step % self.period(fabric)) as u32;
-        let row = idx / fabric.cols;
-        let within = idx % fabric.cols;
-        let col = if row.is_multiple_of(2) { within } else { fabric.cols - 1 - within };
-        Offset::new(row, col)
+        match self {
+            PatternSpec::Snake => {
+                let row = idx / fabric.cols;
+                let within = idx % fabric.cols;
+                let col = if row.is_multiple_of(2) { within } else { fabric.cols - 1 - within };
+                Offset::new(row, col)
+            }
+            PatternSpec::Raster => Offset::new(idx / fabric.cols, idx % fabric.cols),
+            PatternSpec::ColumnMajor => Offset::new(idx % fabric.rows, idx / fabric.rows),
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "snake"
-    }
-}
-
-/// Plain raster scan: column advances each execution, row advances on wrap.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Raster;
-
-impl MovementPattern for Raster {
-    fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset {
-        let idx = (step % self.period(fabric)) as u32;
-        Offset::new(idx / fabric.cols, idx % fabric.cols)
-    }
-
-    fn name(&self) -> &'static str {
-        "raster"
-    }
-}
-
-/// Column-major scan: row advances each execution, column advances on wrap.
-/// Moves work between rows fastest — useful when row counts are small.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColumnMajor;
-
-impl MovementPattern for ColumnMajor {
-    fn offset_at(&self, fabric: &Fabric, step: u64) -> Offset {
-        let idx = (step % self.period(fabric)) as u32;
-        Offset::new(idx % fabric.rows, idx / fabric.rows)
-    }
-
-    fn name(&self) -> &'static str {
-        "column-major"
-    }
-}
-
-/// A fixed offset (no movement) — degenerate pattern used for testing and
-/// as the baseline's implicit behaviour.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Fixed(pub Offset);
-
-impl MovementPattern for Fixed {
-    fn offset_at(&self, _fabric: &Fabric, _step: u64) -> Offset {
-        self.0
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn period(&self, _fabric: &Fabric) -> u64 {
-        1
+    /// Steps after which the pattern repeats, having covered the whole
+    /// fabric.
+    pub fn period(&self, fabric: &Fabric) -> u64 {
+        fabric.fu_count() as u64
     }
 }
 
@@ -118,7 +49,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn covers_all(pattern: &dyn MovementPattern, fabric: &Fabric) {
+    fn covers_all(pattern: PatternSpec, fabric: &Fabric) {
         let period = pattern.period(fabric);
         assert_eq!(period, fabric.fu_count() as u64);
         let visited: HashSet<(u32, u32)> = (0..period)
@@ -128,7 +59,7 @@ mod tests {
                 (o.row, o.col)
             })
             .collect();
-        assert_eq!(visited.len(), fabric.fu_count() as usize, "{}", pattern.name());
+        assert_eq!(visited.len(), fabric.fu_count() as usize, "{pattern}");
         // And it repeats.
         assert_eq!(pattern.offset_at(fabric, 0), pattern.offset_at(fabric, period));
     }
@@ -136,9 +67,9 @@ mod tests {
     #[test]
     fn full_coverage_on_all_scenarios() {
         for fabric in [Fabric::fig1(), Fabric::be(), Fabric::bp(), Fabric::bu()] {
-            covers_all(&Snake, &fabric);
-            covers_all(&Raster, &fabric);
-            covers_all(&ColumnMajor, &fabric);
+            for pattern in PatternSpec::ALL {
+                covers_all(pattern, &fabric);
+            }
         }
     }
 
@@ -146,8 +77,8 @@ mod tests {
     fn snake_moves_one_cell_per_step() {
         let fabric = Fabric::be();
         for s in 0..2 * fabric.fu_count() as u64 {
-            let a = Snake.offset_at(&fabric, s);
-            let b = Snake.offset_at(&fabric, s + 1);
+            let a = PatternSpec::Snake.offset_at(&fabric, s);
+            let b = PatternSpec::Snake.offset_at(&fabric, s + 1);
             let dr = (a.row as i64 - b.row as i64).abs();
             let dc = (a.col as i64 - b.col as i64).abs();
             // One step in exactly one dimension (row wrap at the period end
@@ -163,19 +94,10 @@ mod tests {
         let f = Fabric::new(2, 4);
         let seq: Vec<(u32, u32)> = (0..8)
             .map(|s| {
-                let o = Snake.offset_at(&f, s);
+                let o = PatternSpec::Snake.offset_at(&f, s);
                 (o.row, o.col)
             })
             .collect();
         assert_eq!(seq, vec![(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (1, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn fixed_never_moves() {
-        let f = Fabric::be();
-        let p = Fixed(Offset::new(1, 3));
-        for s in [0, 5, 1000] {
-            assert_eq!(p.offset_at(&f, s), Offset::new(1, 3));
-        }
     }
 }

@@ -18,8 +18,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use solve::SolveStats;
 
-use crate::pattern::MovementPattern;
-use crate::spec::ParseSpecError;
+use crate::spec::{ParseSpecError, PatternSpec};
 use crate::stats::UtilizationTracker;
 
 /// How often the rotation policy advances the pivot (DESIGN.md §4.4).
@@ -322,12 +321,13 @@ impl AllocationPolicy for BaselinePolicy {
 /// ```
 /// use cgra::{Fabric, Offset};
 /// use uaware::{
-///     AllocationPolicy, AllocRequest, LegalPivots, RotationPolicy, Snake, UtilizationTracker,
+///     AllocationPolicy, AllocRequest, LegalPivots, PatternSpec, RotationPolicy,
+///     UtilizationTracker,
 /// };
 ///
 /// let fabric = Fabric::be();
 /// let tracker = UtilizationTracker::new(&fabric);
-/// let mut policy = RotationPolicy::new(Snake);
+/// let mut policy = RotationPolicy::new(PatternSpec::Snake);
 /// let req = AllocRequest {
 ///     fabric: &fabric,
 ///     config_switch: false,
@@ -339,28 +339,31 @@ impl AllocationPolicy for BaselinePolicy {
 /// assert_eq!(policy.next_offset(&req), Some(Offset::new(0, 1)));
 /// ```
 #[derive(Clone, Debug)]
-pub struct RotationPolicy<P> {
-    pattern: P,
+pub struct RotationPolicy {
+    pattern: PatternSpec,
     granularity: MovementGranularity,
     step: u64,
     execs_since_move: u32,
     current: Option<Offset>,
 }
 
-impl<P: MovementPattern> RotationPolicy<P> {
+impl RotationPolicy {
     /// Per-execution rotation along `pattern` (the paper's default).
-    pub fn new(pattern: P) -> RotationPolicy<P> {
+    pub fn new(pattern: PatternSpec) -> RotationPolicy {
         RotationPolicy::with_granularity(pattern, MovementGranularity::PerExecution)
     }
 
     /// Rotation with an explicit movement granularity.
-    pub fn with_granularity(pattern: P, granularity: MovementGranularity) -> RotationPolicy<P> {
+    pub fn with_granularity(
+        pattern: PatternSpec,
+        granularity: MovementGranularity,
+    ) -> RotationPolicy {
         RotationPolicy { pattern, granularity, step: 0, execs_since_move: 0, current: None }
     }
 
     /// The movement pattern in use.
-    pub fn pattern(&self) -> &P {
-        &self.pattern
+    pub fn pattern(&self) -> PatternSpec {
+        self.pattern
     }
 
     /// Executions performed so far.
@@ -369,7 +372,7 @@ impl<P: MovementPattern> RotationPolicy<P> {
     }
 }
 
-impl<P: MovementPattern> AllocationPolicy for RotationPolicy<P> {
+impl AllocationPolicy for RotationPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
         // A dead FU under the resident pivot forces a move even at coarse
         // granularities — staying put would execute on failed silicon.
@@ -405,7 +408,7 @@ impl<P: MovementPattern> AllocationPolicy for RotationPolicy<P> {
     }
 
     fn name(&self) -> String {
-        format!("rotation:{}@{}", self.pattern.name(), self.granularity)
+        format!("rotation:{}@{}", self.pattern, self.granularity)
     }
 }
 
@@ -550,10 +553,10 @@ impl AllocationPolicy for HealthAwarePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{Raster, Snake};
     use cgra::op::MulFunc;
     use cgra::{CellClass, ClassMap};
     use proptest::prelude::*;
+    use PatternSpec::{Raster, Snake};
 
     fn req<'a>(
         fabric: &'a Fabric,
@@ -605,7 +608,7 @@ mod tests {
         let legal = demanding(&base, &demands);
         let r = AllocRequest { legal: &legal, ..base };
         // Column-major rotation visits rows in order; odd rows are skipped.
-        let mut p = RotationPolicy::new(crate::pattern::ColumnMajor);
+        let mut p = RotationPolicy::new(PatternSpec::ColumnMajor);
         assert_eq!(p.next_offset(&r), Some(Offset::new(0, 0)));
         assert_eq!(p.next_offset(&r), Some(Offset::new(2, 0)), "skips the bare-ALU row 1");
         // The baseline's origin stays capable here; shift the stripes so it

@@ -28,7 +28,6 @@ use cgra::Fabric;
 use serde::{Deserialize, Serialize};
 
 use crate::exact::ExactPolicy;
-use crate::pattern::{ColumnMajor, MovementPattern, Raster, Snake};
 use crate::policy::{
     AllocationPolicy, BaselinePolicy, HealthAwarePolicy, MovementGranularity, RandomPolicy,
     RotationPolicy,
@@ -38,8 +37,8 @@ use crate::policy::{
 /// workspace-wide experiment seed).
 pub const DEFAULT_RANDOM_SEED: u64 = 0xDAC2020;
 
-/// A movement pattern as data: the serializable selector for the built-in
-/// fabric-covering patterns (paper Fig. 3b).
+/// A fabric-covering movement pattern (paper Fig. 3b) as data:
+/// [`offset_at`](PatternSpec::offset_at) is its pivot sequence.
 ///
 /// # Examples
 ///
@@ -65,15 +64,6 @@ impl PatternSpec {
     /// Every built-in full-coverage pattern, in sweep order.
     pub const ALL: [PatternSpec; 3] =
         [PatternSpec::Snake, PatternSpec::Raster, PatternSpec::ColumnMajor];
-
-    /// Instantiates the pattern.
-    pub fn build(&self) -> Box<dyn MovementPattern> {
-        match self {
-            PatternSpec::Snake => Box::new(Snake),
-            PatternSpec::Raster => Box::new(Raster),
-            PatternSpec::ColumnMajor => Box::new(ColumnMajor),
-        }
-    }
 
     /// The pattern's compact name (`snake`, `raster`, `column-major`).
     pub fn name(&self) -> &'static str {
@@ -174,7 +164,7 @@ impl PolicySpec {
         match *self {
             PolicySpec::Baseline => Box::new(BaselinePolicy),
             PolicySpec::Rotation { pattern, granularity } => {
-                Box::new(RotationPolicy::with_granularity(pattern.build(), granularity))
+                Box::new(RotationPolicy::with_granularity(pattern, granularity))
             }
             PolicySpec::Random { seed } => Box::new(RandomPolicy::seeded(seed)),
             PolicySpec::HealthAware => Box::new(HealthAwarePolicy::default()),

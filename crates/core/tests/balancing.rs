@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use cgra::{Fabric, Offset};
 use uaware::{
-    AllocRequest, AllocationPolicy, BaselinePolicy, ColumnMajor, HealthAwarePolicy, LegalPivots,
-    MovementPattern, Raster, RotationPolicy, Snake, UtilizationTracker,
+    AllocRequest, AllocationPolicy, BaselinePolicy, HealthAwarePolicy, LegalPivots, PatternSpec,
+    RotationPolicy, UtilizationTracker,
 };
 
 fn any_fabric() -> impl Strategy<Value = Fabric> {
@@ -64,7 +64,7 @@ proptest! {
         // Whole number of pattern periods: every cell visited equally often.
         let periods = 3u64;
         let execs = periods * fabric.fu_count() as u64;
-        let tracker = drive(&mut RotationPolicy::new(Snake), &fabric, &footprint, execs);
+        let tracker = drive(&mut RotationPolicy::new(PatternSpec::Snake), &fabric, &footprint, execs);
         let grid = tracker.utilization();
         // One-cell footprint + full coverage => exactly uniform utilization.
         prop_assert!((grid.max() - grid.min()).abs() < 1e-9,
@@ -81,7 +81,7 @@ proptest! {
         prop_assume!((footprint.len() as u32) < fabric.fu_count());
         let execs = 4 * fabric.fu_count() as u64;
         let base = drive(&mut BaselinePolicy, &fabric, &footprint, execs).utilization();
-        let rot = drive(&mut RotationPolicy::new(Snake), &fabric, &footprint, execs)
+        let rot = drive(&mut RotationPolicy::new(PatternSpec::Snake), &fabric, &footprint, execs)
             .utilization();
         prop_assert!(rot.max() < base.max() + 1e-12,
             "rotation {} vs baseline {}", rot.max(), base.max());
@@ -97,11 +97,11 @@ proptest! {
         // distributions for a single-cell footprint.
         let footprint = vec![(0, 0)];
         let execs = 2 * fabric.fu_count() as u64;
-        let snake = drive(&mut RotationPolicy::new(Snake), &fabric, &footprint, execs)
+        let snake = drive(&mut RotationPolicy::new(PatternSpec::Snake), &fabric, &footprint, execs)
             .utilization();
-        let raster = drive(&mut RotationPolicy::new(Raster), &fabric, &footprint, execs)
+        let raster = drive(&mut RotationPolicy::new(PatternSpec::Raster), &fabric, &footprint, execs)
             .utilization();
-        let colmaj = drive(&mut RotationPolicy::new(ColumnMajor), &fabric, &footprint, execs)
+        let colmaj = drive(&mut RotationPolicy::new(PatternSpec::ColumnMajor), &fabric, &footprint, execs)
             .utilization();
         prop_assert!((snake.max() - raster.max()).abs() < 1e-12);
         prop_assert!((raster.max() - colmaj.max()).abs() < 1e-12);
@@ -136,14 +136,14 @@ proptest! {
     #[test]
     fn pattern_periods_cover_exactly_once(fabric in any_fabric(), start in 0u64..1000) {
         // Coverage holds from any starting step, not only step 0.
-        for pattern in [&Snake as &dyn MovementPattern, &Raster, &ColumnMajor] {
+        for pattern in PatternSpec::ALL {
             let period = pattern.period(&fabric);
             let mut seen = std::collections::HashSet::new();
             for s in start..start + period {
                 let o = pattern.offset_at(&fabric, s);
                 seen.insert((o.row, o.col));
             }
-            prop_assert_eq!(seen.len() as u64, period, "{}", pattern.name());
+            prop_assert_eq!(seen.len() as u64, period, "{}", pattern);
         }
     }
 

@@ -9,8 +9,7 @@ use cgra::op::{LoadFunc, MulFunc, OpKind};
 use cgra::{Fabric, FaultMask};
 use uaware::{
     AllocRequest, AllocationPolicy, BaselinePolicy, ExactPolicy, HealthAwarePolicy, LegalPivots,
-    MovementGranularity, PatternSpec, PolicySpec, RandomPolicy, RotationPolicy, Snake,
-    UtilizationTracker,
+    MovementGranularity, PatternSpec, PolicySpec, RandomPolicy, RotationPolicy, UtilizationTracker,
 };
 
 /// The decision stream captured on the pre-heterogeneity implementation:
@@ -49,7 +48,7 @@ fn assert_pinned(req: &AllocRequest<'_>, label: &str) {
         "baseline stream changed ({label})"
     );
     assert_eq!(
-        stream(&mut RotationPolicy::new(Snake), req, 12),
+        stream(&mut RotationPolicy::new(PatternSpec::Snake), req, 12),
         (0..12).map(|c| (0, c)).collect::<Vec<_>>(),
         "rotation stream changed ({label})"
     );

@@ -42,16 +42,16 @@
 //!
 //! ```
 //! use cgra::Fabric;
-//! use transrec::System;
+//! use transrec::{System, SystemConfig};
 //! use uaware::PolicySpec;
 //!
 //! let workload = &mibench::suite(7)[0]; // bitcount
-//! let mut baseline = System::builder(Fabric::be()).build().unwrap();
+//! let config = SystemConfig::new(Fabric::be());
+//! let mut baseline = System::with_spec(config.clone(), PolicySpec::Baseline).unwrap();
 //! baseline.run(workload.program()).unwrap();
 //! workload.verify(baseline.cpu()).unwrap();
 //!
-//! let mut rotated =
-//!     System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+//! let mut rotated = System::with_spec(config, PolicySpec::rotation()).unwrap();
 //! rotated.run(workload.program()).unwrap();
 //! workload.verify(rotated.cpu()).unwrap();
 //!
@@ -86,8 +86,8 @@ pub use fleet::{
 pub use scenario::{Scenario, ALL as SCENARIOS, BE, BP, BU};
 pub use sweep::{run_sweep, run_sweep_observed, SuiteSpec, SweepCell, SweepPlan};
 pub use system::{
-    run_gpp_only, BuildError, Session, SessionStatus, System, SystemBuilder, SystemConfig,
-    SystemError, SystemStats,
+    run_gpp_only, BuildError, Session, SessionStatus, System, SystemConfig, SystemError,
+    SystemStats,
 };
 pub use telemetry::{Observer, ProbeReport, ProbeSpec, SimEvent};
 pub use traffic::{

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use uaware::{AllocRequest, AllocationPolicy, LegalPivots, PolicySpec, UtilizationTracker};
 
 use crate::tape::{LoggingBus, Recorder, Sample};
-use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent};
+use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, SimEvent};
 
 /// Static system parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -62,7 +62,7 @@ pub struct SystemConfig {
     /// Permanent fault mask applied at construction (DESIGN.md §15). Putting
     /// faults in the *config* lets sweep harnesses — which clone one
     /// [`SystemConfig`] per cell — run every policy against the same damaged
-    /// fabric. [`SystemBuilder::fault_mask`] still overrides per build.
+    /// fabric. This is the only way a mask reaches a system.
     pub faults: Option<FaultMask>,
     /// Treat allocation exhaustion on a faulty fabric as starvation (the
     /// configuration stays on the GPP, `offloads_starved` counts it) instead
@@ -191,14 +191,11 @@ pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
         [
             ("system.gpp_retired", s.gpp_retired),
             ("system.offloads", t.offloads_started),
-            ("system.offloads_completed", s.offloads),
             ("tracker.executions", s.offloads),
             ("system.offloads_skipped", s.offloads_skipped),
             ("system.offloads_starved", s.offloads_starved),
             ("system.config_loads", t.config_loads),
             ("system.rotations", t.rotations),
-            ("system.cache_inserted", t.cache_inserted),
-            ("system.cache_evicted", t.cache_evicted),
             ("dbt.cache.hit", t.cache_hits),
             ("dbt.cache.miss", s.cache_lookups - t.cache_hits),
             ("dbt.cache.insert", t.cache_inserted),
@@ -232,7 +229,7 @@ pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
     }
 }
 
-/// A [`SystemBuilder`] configuration that cannot produce a runnable system.
+/// A [`SystemConfig`] and policy spec that cannot make a runnable system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The policy spec moves configurations away from the origin, but the
@@ -556,154 +553,49 @@ impl fmt::Debug for System {
     }
 }
 
-/// Fluent, validating constructor for [`System`] (DESIGN.md §8).
-///
-/// Start from [`System::builder`], override the [`SystemConfig`] knobs you
-/// care about, pick the allocation policy as a [`PolicySpec`] value, and
-/// [`build`](SystemBuilder::build). Construction fails with a typed
-/// [`BuildError`] when the spec and the hardware configuration contradict
-/// each other (a movement policy without the movement extensions), instead
-/// of the run faulting later at the first non-origin pivot.
-///
-/// # Examples
-///
-/// ```
-/// use cgra::Fabric;
-/// use transrec::{BuildError, System};
-/// use uaware::PolicySpec;
-///
-/// let sys = System::builder(Fabric::be())
-///     .policy(PolicySpec::rotation())
-///     .cache_capacity(128)
-///     .build()
-///     .unwrap();
-/// assert_eq!(sys.policy_name(), "rotation:snake@per-exec");
-///
-/// // Rotation without the movement extensions is rejected at build time.
-/// let err = System::builder(Fabric::be())
-///     .policy(PolicySpec::rotation())
-///     .movement_hardware(false)
-///     .build()
-///     .unwrap_err();
-/// assert!(matches!(err, BuildError::MovementHardwareAbsent { .. }));
-/// ```
-#[derive(Clone, Debug)]
-pub struct SystemBuilder {
-    config: SystemConfig,
-    spec: PolicySpec,
-    probes: Vec<ProbeSpec>,
-}
-
-impl SystemBuilder {
-    /// The allocation policy (defaults to [`PolicySpec::Baseline`]).
-    pub fn policy(mut self, spec: PolicySpec) -> SystemBuilder {
-        self.spec = spec;
-        self
-    }
-
-    /// Starts the system with permanent FU failures already present
-    /// (DESIGN.md §11) — e.g. resuming a part-worn device. This sets
-    /// [`SystemConfig::faults`], the only way a mask reaches a system.
-    pub fn fault_mask(mut self, mask: FaultMask) -> SystemBuilder {
-        self.config.faults = Some(mask);
-        self
-    }
-
-    /// Attaches a telemetry probe, selected as data (repeatable). The
-    /// observer is instantiated at [`build`](SystemBuilder::build) time;
-    /// its output comes back through [`System::probe_reports`].
-    pub fn probe(mut self, spec: ProbeSpec) -> SystemBuilder {
-        self.probes.push(spec);
-        self
-    }
-
-    /// Configuration-cache capacity in entries.
-    pub fn cache_capacity(mut self, entries: usize) -> SystemBuilder {
-        self.config.cache_capacity = entries;
-        self
-    }
-
-    /// Whether the movement hardware extensions (paper §III.B) are present.
-    pub fn movement_hardware(mut self, present: bool) -> SystemBuilder {
-        self.config.movement_hardware = present;
-        self
-    }
-
-    /// GPP memory size in bytes.
-    pub fn mem_size(mut self, bytes: usize) -> SystemBuilder {
-        self.config.mem_size = bytes;
-        self
-    }
-
-    /// GPP timing model.
-    pub fn timing(mut self, timing: TimingModel) -> SystemBuilder {
-        self.config.timing = timing;
-        self
-    }
-
-    /// Register words transferred to/from the context per cycle.
-    pub fn transfer_words_per_cycle(mut self, words: u32) -> SystemBuilder {
-        self.config.transfer_words_per_cycle = words;
-        self
-    }
-
-    /// Skip offloading when the fabric would be slower than the GPP.
-    pub fn offload_heuristic(mut self, enabled: bool) -> SystemBuilder {
-        self.config.offload_heuristic = enabled;
-        self
-    }
-
-    /// Safety valve for run lengths.
-    pub fn max_steps(mut self, steps: u64) -> SystemBuilder {
-        self.config.max_steps = steps;
-        self
-    }
-
-    /// The policy spec currently selected.
-    pub fn spec(&self) -> &PolicySpec {
-        &self.spec
-    }
-
-    /// The accumulated [`SystemConfig`].
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// Validates the spec against the hardware configuration and constructs
-    /// the system.
+impl System {
+    /// Builds a system from a configuration and a policy given as data,
+    /// after checking that the two agree (DESIGN.md §8). Construction fails
+    /// with a typed [`BuildError`] instead of the run faulting later at the
+    /// first non-origin pivot.
     ///
     /// # Errors
     ///
-    /// [`BuildError::MovementHardwareAbsent`] when the policy needs the
-    /// movement extensions but `movement_hardware(false)` was requested;
     /// [`BuildError::Fabric`] when the fabric value itself is invalid
     /// (hand-built or deserialized — [`Fabric::new`] rejects these at
-    /// construction, but `Fabric` fields are public).
-    pub fn build(self) -> Result<System, BuildError> {
-        self.config.fabric.validate()?;
-        check_movement([&self.spec], self.config.movement_hardware)?;
-        let mut system = System::new(self.config, self.spec.build());
-        for probe in &self.probes {
-            system.attach_observer(probe.build());
-        }
-        Ok(system)
-    }
-}
-
-impl System {
-    /// Starts a [`SystemBuilder`] with [`SystemConfig::new`] defaults for
-    /// `fabric` and the baseline policy.
-    pub fn builder(fabric: Fabric) -> SystemBuilder {
-        SystemBuilder {
-            config: SystemConfig::new(fabric),
-            spec: PolicySpec::Baseline,
-            probes: Vec::new(),
-        }
+    /// construction, but `Fabric` fields are public);
+    /// [`BuildError::MovementHardwareAbsent`] when the policy needs the
+    /// movement extensions but [`SystemConfig::movement_hardware`] is false.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::new`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cgra::Fabric;
+    /// use transrec::{BuildError, System, SystemConfig};
+    /// use uaware::PolicySpec;
+    ///
+    /// let config = SystemConfig { cache_capacity: 128, ..SystemConfig::new(Fabric::be()) };
+    /// let sys = System::with_spec(config, PolicySpec::rotation()).unwrap();
+    /// assert_eq!(sys.policy_name(), "rotation:snake@per-exec");
+    ///
+    /// // Rotation without the movement extensions is rejected up front.
+    /// let config = SystemConfig { movement_hardware: false, ..SystemConfig::new(Fabric::be()) };
+    /// let err = System::with_spec(config, PolicySpec::rotation()).unwrap_err();
+    /// assert!(matches!(err, BuildError::MovementHardwareAbsent { .. }));
+    /// ```
+    pub fn with_spec(config: SystemConfig, spec: PolicySpec) -> Result<System, BuildError> {
+        config.fabric.validate()?;
+        check_movement([&spec], config.movement_hardware)?;
+        Ok(System::new(config, spec.build()))
     }
 
     /// Builds a system from a configuration and an already-instantiated
     /// allocation policy — the unchecked escape hatch for policies that are
-    /// not expressible as a [`PolicySpec`]. Prefer [`System::builder`],
+    /// not expressible as a [`PolicySpec`]. Prefer [`System::with_spec`],
     /// which validates the spec against the hardware configuration.
     ///
     /// # Panics
@@ -741,9 +633,9 @@ impl System {
         }
     }
 
-    /// Attaches an arbitrary observer to the event stream. Prefer
-    /// [`SystemBuilder::probe`] for the built-in probes (they stay data);
-    /// this is the escape hatch for custom instrumentation.
+    /// Attaches an observer to the event stream: a built-in probe from its
+    /// [`ProbeSpec`](crate::ProbeSpec) as `attach_observer(spec.build())`,
+    /// or custom instrumentation.
     pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
         self.probes.push(observer);
     }
@@ -1068,7 +960,8 @@ impl SessionStatus {
 ///
 /// ```
 /// use cgra::Fabric;
-/// use transrec::{SessionStatus, System};
+/// use transrec::{SessionStatus, System, SystemConfig};
+/// use uaware::PolicySpec;
 ///
 /// let program = rv32::asm::assemble(
 ///     "
@@ -1085,7 +978,7 @@ impl SessionStatus {
 /// ",
 /// )
 /// .unwrap();
-/// let mut sys = System::builder(Fabric::be()).build().unwrap();
+/// let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
 /// let mut session = sys.session(&program).unwrap();
 /// // Pause mid-run, look at the machine, resume.
 /// while session.system().stats().offloads < 5 {
@@ -1286,10 +1179,10 @@ pub fn run_gpp_only(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uaware::{RotationPolicy, Snake};
+    use uaware::{PatternSpec, RotationPolicy};
 
     fn sys_with(spec: PolicySpec) -> System {
-        System::builder(Fabric::be()).policy(spec).build().expect("valid spec/config")
+        System::with_spec(SystemConfig::new(Fabric::be()), spec).expect("valid spec/config")
     }
 
     fn toy_program() -> Program {
@@ -1345,12 +1238,11 @@ mod tests {
 
     #[test]
     fn builder_rejects_movement_spec_without_hardware() {
-        // Every movement spec must be refused at construction time, before
-        // any instruction runs.
+        // `with_spec`, the checked builder, must refuse every movement spec
+        // at construction time, before any instruction runs.
+        let config = SystemConfig { movement_hardware: false, ..SystemConfig::new(Fabric::be()) };
         for spec in uaware::PolicySpec::all_specs(&Fabric::be()) {
-            let result =
-                System::builder(Fabric::be()).policy(spec).movement_hardware(false).build();
-            match result {
+            match System::with_spec(config.clone(), spec) {
                 Err(BuildError::MovementHardwareAbsent { policy }) => {
                     assert!(spec.needs_movement(), "{spec} rejected but needs no movement");
                     assert_eq!(policy, spec.to_string());
@@ -1365,36 +1257,17 @@ mod tests {
     fn movement_without_hardware_still_faults_at_runtime() {
         // The unchecked System::new escape hatch keeps the runtime guard.
         let config = SystemConfig { movement_hardware: false, ..SystemConfig::new(Fabric::be()) };
-        let mut sys = System::new(config, Box::new(RotationPolicy::new(Snake)));
+        let mut sys = System::new(config, Box::new(RotationPolicy::new(PatternSpec::Snake)));
         let err = sys.run(&toy_program()).unwrap_err();
         assert!(matches!(err, SystemError::MovementUnsupported { .. }));
     }
 
     #[test]
     fn baseline_runs_without_movement_hardware() {
-        let mut sys = System::builder(Fabric::be()).movement_hardware(false).build().unwrap();
+        let config = SystemConfig { movement_hardware: false, ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::Baseline).unwrap();
         sys.run(&toy_program()).unwrap();
         assert_eq!(sys.cpu().reg(rv32::Reg::A0), reference_result());
-    }
-
-    #[test]
-    fn builder_overrides_reach_the_config() {
-        let builder = System::builder(Fabric::bp())
-            .policy(PolicySpec::HealthAware)
-            .cache_capacity(64)
-            .mem_size(1 << 18)
-            .transfer_words_per_cycle(4)
-            .offload_heuristic(false)
-            .max_steps(1234);
-        assert_eq!(builder.spec(), &PolicySpec::HealthAware);
-        let cfg = builder.config();
-        assert_eq!(cfg.cache_capacity, 64);
-        assert_eq!(cfg.mem_size, 1 << 18);
-        assert_eq!(cfg.transfer_words_per_cycle, 4);
-        assert!(!cfg.offload_heuristic);
-        assert_eq!(cfg.max_steps, 1234);
-        let sys = builder.build().unwrap();
-        assert_eq!(sys.policy_name(), "health-aware");
     }
 
     fn mul_program() -> Program {
@@ -1436,7 +1309,7 @@ mod tests {
         // AllocationExhausted (DESIGN.md §14).
         let mut fabric = Fabric::be();
         fabric.classes = cgra::ClassMap::Uniform(cgra::CellClass::Alu);
-        let mut sys = System::builder(fabric).policy(PolicySpec::rotation()).build().unwrap();
+        let mut sys = System::with_spec(SystemConfig::new(fabric), PolicySpec::rotation()).unwrap();
         sys.run(&mul_program()).unwrap();
         assert_eq!(sys.cpu().reg(rv32::Reg::A0), mul_reference());
         assert!(sys.stats().offloads_starved > 0, "the mul config must starve");
@@ -1448,7 +1321,7 @@ mod tests {
         // still offloads, and its anchors never land on row-1 cells.
         let mut fabric = Fabric::be();
         fabric.classes = cgra::ClassMap::RowStripes;
-        let mut sys = System::builder(fabric).policy(PolicySpec::rotation()).build().unwrap();
+        let mut sys = System::with_spec(SystemConfig::new(fabric), PolicySpec::rotation()).unwrap();
         sys.run(&mul_program()).unwrap();
         assert_eq!(sys.cpu().reg(rv32::Reg::A0), mul_reference());
         assert!(sys.stats().offloads > 300, "capable rows must keep offloading");
@@ -1458,11 +1331,11 @@ mod tests {
     #[test]
     fn builder_types_an_invalid_fabric() {
         // `Fabric` fields are public, so a hand-built (or deserialized)
-        // value can be invalid; the builder rejects it with the typed
+        // value can be invalid; `with_spec` rejects it with the typed
         // error instead of a downstream panic.
         let mut fabric = Fabric::be();
         fabric.cols = 0;
-        let err = System::builder(fabric).build().unwrap_err();
+        let err = System::with_spec(SystemConfig::new(fabric), PolicySpec::Baseline).unwrap_err();
         assert!(matches!(err, BuildError::Fabric(FabricError::EmptyFabric)), "{err}");
     }
 
@@ -1470,11 +1343,8 @@ mod tests {
     fn corner_failure_kills_a_baseline_run() {
         let mut mask = FaultMask::healthy(&Fabric::be());
         mask.mark_dead(0, 0);
-        let mut sys = System::builder(Fabric::be())
-            .policy(PolicySpec::Baseline)
-            .fault_mask(mask)
-            .build()
-            .unwrap();
+        let config = SystemConfig { faults: Some(mask), ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::Baseline).unwrap();
         let err = sys.run(&toy_program()).unwrap_err();
         assert!(matches!(err, SystemError::AllocationExhausted { .. }), "{err}");
     }
@@ -1483,11 +1353,8 @@ mod tests {
     fn rotation_routes_around_a_dead_corner() {
         let mut mask = FaultMask::healthy(&Fabric::be());
         mask.mark_dead(0, 0);
-        let mut sys = System::builder(Fabric::be())
-            .policy(PolicySpec::rotation())
-            .fault_mask(mask.clone())
-            .build()
-            .unwrap();
+        let config = SystemConfig { faults: Some(mask.clone()), ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::rotation()).unwrap();
         sys.run(&toy_program()).unwrap();
         assert_eq!(sys.cpu().reg(rv32::Reg::A0), reference_result());
         assert_eq!(sys.fault_mask(), Some(&mask));
@@ -1499,8 +1366,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "geometry must match")]
     fn builder_fault_mask_geometry_is_validated() {
-        let builder = System::builder(Fabric::be()).fault_mask(FaultMask::healthy(&Fabric::bp()));
-        let _ = builder.build();
+        let faults = Some(FaultMask::healthy(&Fabric::bp()));
+        let _ = System::with_spec(
+            SystemConfig { faults, ..SystemConfig::new(Fabric::be()) },
+            PolicySpec::Baseline,
+        );
     }
 
     #[test]
@@ -1526,7 +1396,8 @@ mod tests {
 
     #[test]
     fn step_limit_detected() {
-        let mut sys = System::builder(Fabric::be()).max_steps(100).build().unwrap();
+        let config = SystemConfig { max_steps: 100, ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::Baseline).unwrap();
         let err = sys.run(&toy_program()).unwrap_err();
         assert!(matches!(err, SystemError::StepLimit { .. }));
     }

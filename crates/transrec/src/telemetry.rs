@@ -27,7 +27,7 @@
 //! ```
 //! use cgra::Fabric;
 //! use transrec::telemetry::{ProbeReport, ProbeSpec};
-//! use transrec::System;
+//! use transrec::{System, SystemConfig};
 //! use uaware::PolicySpec;
 //!
 //! let program = rv32::asm::assemble(
@@ -46,8 +46,8 @@
 //! .unwrap();
 //!
 //! let spec: ProbeSpec = "util-trace@every-500".parse().unwrap();
-//! let mut sys =
-//!     System::builder(Fabric::be()).policy(PolicySpec::rotation()).probe(spec).build().unwrap();
+//! let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
+//! sys.attach_observer(spec.build());
 //! sys.run(&program).unwrap();
 //! let reports = sys.probe_reports();
 //! let [ProbeReport::UtilTrace(trace)] = reports.as_slice() else { unreachable!() };
@@ -235,10 +235,10 @@ pub struct EventCtx<'a> {
 /// A consumer of the simulation event stream. All hooks default to no-ops,
 /// so an observer implements only what it cares about.
 ///
-/// Observers attach to a [`System`](crate::System) via
-/// [`SystemBuilder::probe`](crate::SystemBuilder::probe) (as data, through
-/// a [`ProbeSpec`]) or [`System::attach_observer`](crate::System::attach_observer)
-/// (any implementation). Hooks run synchronously inside the execution
+/// Observers attach to a [`System`](crate::System) through
+/// [`System::attach_observer`](crate::System::attach_observer): a built-in
+/// one as a [`ProbeSpec`]'s [`build`](ProbeSpec::build), or any
+/// implementation. Hooks run synchronously inside the execution
 /// loop; they must not assume anything about wall-clock time, only about
 /// `ctx.cycle` — that keeps every derived measurement byte-identical
 /// under the parallel sweep engine (DESIGN.md §10).
@@ -562,7 +562,7 @@ impl Observer for QueueDepthTrace {
 
 /// A probe as data: the serializable, parseable selector for the built-in
 /// observers, mirroring the [`PolicySpec`](uaware::PolicySpec) grammar
-/// (DESIGN.md §10). Sweep plans and builders carry `ProbeSpec` values —
+/// (DESIGN.md §10). Sweep plans carry `ProbeSpec` values —
 /// never observer instances — so telemetry crosses threads as plain data
 /// and each sweep cell instantiates its own observers.
 ///

@@ -256,8 +256,11 @@ const PINNED_REPORT_FNV: u64 = 0x17c5_a75a_5fba_6f54;
 /// FNV-1a of the pinned plan's metrics registry JSON, re-captured when
 /// phase 2 stopped replaying wear and with it the `wear.class.advances`
 /// counter (the earlier capture is this registry plus
-/// `"wear.class.advances":40`).
-const PINNED_METRICS_FNV: u64 = 0xab32_7903_50cf_f1da;
+/// `"wear.class.advances":40`), and again when the `system.*` twins of
+/// `tracker.executions` and `dbt.cache.insert` went (the earlier registry
+/// also had `"system.cache_inserted":27` and
+/// `"system.offloads_completed":2550`).
+const PINNED_METRICS_FNV: u64 = 0x34d7_7e91_09ed_1578;
 
 /// The fleet report and its metrics registry are pinned byte for byte:
 /// any refactor of the mission runner, the lane/shard split or the
@@ -366,8 +369,11 @@ fn pinned_series() -> Vec<PolicySpec> {
 
 /// FNV-1a of the heterogeneous pinned plan's report JSON.
 const PINNED_HET_REPORT_FNV: u64 = 0x18a3_f4be_ea6f_3d9e;
-/// FNV-1a of the heterogeneous pinned plan's metrics registry JSON.
-const PINNED_HET_METRICS_FNV: u64 = 0xcabc_e4fa_3c05_a8d3;
+/// FNV-1a of the heterogeneous pinned plan's metrics registry JSON,
+/// re-captured when the `system.*` twins of `tracker.executions` and
+/// `dbt.cache.insert` went (the earlier registry also had
+/// `"system.cache_inserted":458` and `"system.offloads_completed":43303`).
+const PINNED_HET_METRICS_FNV: u64 = 0xaaae_b88f_43ae_b5ae;
 
 /// The heterogeneous fleet's report and metrics registry are pinned byte
 /// for byte, captured while every mission still ran as its own session.

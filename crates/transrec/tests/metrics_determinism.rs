@@ -130,14 +130,10 @@ fn registry_counters_match_the_typed_event_stream() {
     assert!(reg.counter("system.config_loads") > 0);
     assert!(reg.counter("system.rotations") > 0, "rotation must move resident configs");
 
-    // One fact, several names: every started offload completes and is
-    // recorded by the tracker, and every cache movement the system reports
-    // is the one the DBT cache metered.
-    assert_eq!(reg.counter("system.offloads_completed"), total.offloads);
+    // Every started offload completes and is recorded by the tracker, and
+    // the sessions fill the DBT cache.
     assert_eq!(reg.counter("tracker.executions"), total.offloads);
-    assert_eq!(reg.counter("system.cache_inserted"), reg.counter("dbt.cache.insert"));
-    assert_eq!(reg.counter("system.cache_evicted"), reg.counter("dbt.cache.evict"));
-    assert!(reg.counter("system.cache_inserted") > 0);
+    assert!(reg.counter("dbt.cache.insert") > 0);
     // Every scheduling decision begins with exactly one cache lookup.
     assert_eq!(total.cache_lookups, total.gpp_retired + total.offloads);
     assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), total.cache_lookups);

@@ -12,7 +12,7 @@ use transrec::{
     gpp_only_energy, run_gpp_only, system_energy, EnergyParams, Observer, SimEvent, System,
     SystemConfig, SystemError,
 };
-use uaware::{BaselinePolicy, PolicySpec, RotationPolicy, Snake};
+use uaware::{BaselinePolicy, PatternSpec, PolicySpec, RotationPolicy};
 
 fn run_sys(src: &str) -> System {
     let p = assemble(src).unwrap();
@@ -156,7 +156,8 @@ fn a_resident_rotate_is_exposed_only_after_gpp_activity() {
     )
     .unwrap();
     let events = Rc::new(RefCell::new(Vec::new()));
-    let mut sys = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+    let mut sys =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
     sys.attach_observer(Box::new(Events(Rc::clone(&events))));
     sys.run(&program).unwrap();
     // The oracle, from the stream alone: the resident pivot is the last
@@ -206,7 +207,7 @@ fn a_resident_rotate_is_exposed_only_after_gpp_activity() {
 fn energy_accounting_is_internally_consistent() {
     let w = &mibench::suite(9)[0];
     let cfg = SystemConfig::new(Fabric::be());
-    let mut sys = System::new(cfg.clone(), Box::new(RotationPolicy::new(Snake)));
+    let mut sys = System::new(cfg.clone(), Box::new(RotationPolicy::new(PatternSpec::Snake)));
     sys.run(w.program()).unwrap();
     let params = EnergyParams::default();
     let b = system_energy(&params, &cfg.fabric, sys.stats());
@@ -245,8 +246,10 @@ fn speedup_reported_against_gpp_reference() {
 #[test]
 fn rotation_visits_many_distinct_offsets() {
     let w = &mibench::suite(4)[1];
-    let mut sys =
-        System::new(SystemConfig::new(Fabric::be()), Box::new(RotationPolicy::new(Snake)));
+    let mut sys = System::new(
+        SystemConfig::new(Fabric::be()),
+        Box::new(RotationPolicy::new(PatternSpec::Snake)),
+    );
     sys.run(w.program()).unwrap();
     let grid = sys.tracker().utilization();
     // With per-execution snake movement over a 32-FU fabric and hundreds of
@@ -256,7 +259,7 @@ fn rotation_visits_many_distinct_offsets() {
 
 #[test]
 fn unchecked_system_surfaces_movement_unsupported_at_offload_time() {
-    // The System::new escape hatch skips the builder's spec/hardware
+    // The System::new escape hatch skips `with_spec`'s spec/hardware
     // validation, so a movement policy on a movement-less configuration
     // must still be caught by the runtime guard — at the first non-origin
     // offload, not before. Driving the session step by step pins *when*
@@ -264,7 +267,7 @@ fn unchecked_system_surfaces_movement_unsupported_at_offload_time() {
     // until the policy first asks for a non-origin pivot.
     let w = &mibench::suite(4)[1]; // crc32
     let config = SystemConfig { movement_hardware: false, ..SystemConfig::new(Fabric::be()) };
-    let mut sys = System::new(config, Box::new(RotationPolicy::new(Snake)));
+    let mut sys = System::new(config, Box::new(RotationPolicy::new(PatternSpec::Snake)));
     let mut session = sys.session(w.program()).unwrap();
     let err = loop {
         match session.step() {
@@ -299,14 +302,14 @@ fn config_faults_apply_at_construction_and_fallback_degrades_gracefully() {
     assert_eq!(sys.stats().offloads, 0, "the dead origin never hosts an execution");
     assert!(sys.stats().offloads_starved > 0, "give-ups are accounted, not fatal");
     // A movable policy routes around the same mask and still offloads.
-    let mut sys = System::new(degraded, Box::new(RotationPolicy::new(Snake)));
+    let mut sys = System::new(degraded, Box::new(RotationPolicy::new(PatternSpec::Snake)));
     sys.run(w.program()).unwrap();
     assert!(sys.stats().offloads > 0, "rotation dodges the dead corner");
     assert_eq!(sys.tracker().exec_count(0, 0), 0, "nothing ran on the dead FU");
 }
 
 #[test]
-fn builder_fault_mask_overrides_config_faults() {
+fn config_fault_mask_reaches_the_system() {
     let mut origin_dead = FaultMask::healthy(&Fabric::be());
     origin_dead.mark_dead(0, 0);
     let config = SystemConfig {
@@ -314,16 +317,12 @@ fn builder_fault_mask_overrides_config_faults() {
         fault_fallback: true,
         ..SystemConfig::new(Fabric::be())
     };
-    // The builder keeps the config's mask when it has none of its own…
-    let sys = System::builder(config.fabric).policy(uaware::PolicySpec::Baseline).build().unwrap();
-    assert!(sys.fault_mask().is_none(), "builder default injects no mask");
-    // …and a builder-supplied mask wins over the config's.
-    let healthy = FaultMask::healthy(&config.fabric);
-    let mut builder = System::builder(config.fabric).fault_mask(healthy.clone());
-    builder = builder.policy(uaware::PolicySpec::Baseline);
-    let sys = builder.build().unwrap();
-    assert_eq!(sys.fault_mask(), Some(&healthy));
-    // Constructing directly from the config applies its mask.
+    // A default config injects no mask…
+    let sys = System::with_spec(SystemConfig::new(config.fabric), PolicySpec::Baseline).unwrap();
+    assert!(sys.fault_mask().is_none(), "default config injects no mask");
+    // …and both constructors apply the config's.
+    let sys = System::with_spec(config.clone(), PolicySpec::Baseline).unwrap();
+    assert_eq!(sys.fault_mask(), config.faults.as_ref());
     let sys = System::new(config.clone(), Box::new(BaselinePolicy));
     assert_eq!(sys.fault_mask(), config.faults.as_ref());
 }

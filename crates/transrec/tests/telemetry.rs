@@ -39,7 +39,7 @@ fn policy_matrix() -> [PolicySpec; 4] {
 /// returns the finished system and the registry it filled.
 fn collected_run(spec: PolicySpec, program: &rv32::Program) -> (System, obs::Registry) {
     obs::collect(|| {
-        let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+        let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), spec).unwrap();
         sys.run(program).unwrap();
         sys
     })
@@ -99,7 +99,7 @@ fn stats_stream_equivalence_across_the_full_suite() {
         for workload in &mibench::suite(0xDAC2020) {
             let fold = Rc::new(Cell::new(SystemStats::default()));
             let (sys, reg) = obs::collect(|| {
-                let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+                let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), spec).unwrap();
                 sys.attach_observer(Box::new(StatsFold(Rc::clone(&fold))));
                 sys.run(workload.program()).unwrap();
                 sys
@@ -110,7 +110,7 @@ fn stats_stream_equivalence_across_the_full_suite() {
             assert_eq!(&fold.get(), stats, "the stream of {spec} on {name}");
             assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired, "{spec} on {name}");
             assert_eq!(reg.counter("system.offloads"), stats.offloads, "{spec} on {name}");
-            assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
+            assert_eq!(reg.counter("tracker.executions"), stats.offloads);
             assert_eq!(reg.counter("system.offloads_skipped"), stats.offloads_skipped);
             assert_eq!(reg.counter("system.offloads_starved"), stats.offloads_starved);
             // And the fold accounts for every cycle the CPU saw.
@@ -125,8 +125,8 @@ fn a_session_publishes_the_same_counters_however_it_is_driven() {
     let program = workload.program();
     // A small cache, so the session evicts as well as inserts.
     let build = || {
-        let builder = System::builder(Fabric::be()).policy(PolicySpec::rotation());
-        builder.cache_capacity(4).build().unwrap()
+        let config = SystemConfig { cache_capacity: 4, ..SystemConfig::new(Fabric::be()) };
+        System::with_spec(config, PolicySpec::rotation()).unwrap()
     };
     let (finished, by_finish) = obs::collect(|| {
         let mut sys = build();
@@ -164,7 +164,8 @@ fn a_session_that_dies_publishes_what_it_counted() {
     let mut mask = FaultMask::healthy(&Fabric::be());
     mask.mark_dead(0, 0);
     let (sys, reg) = obs::collect(|| {
-        let mut sys = System::builder(Fabric::be()).fault_mask(mask).build().unwrap();
+        let config = SystemConfig { faults: Some(mask), ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::Baseline).unwrap();
         let err = sys.run(&toy_program()).unwrap_err();
         assert!(matches!(err, SystemError::AllocationExhausted { .. }), "{err}");
         sys
@@ -233,7 +234,7 @@ fn collection_fires_per_session_call_and_replay_not_per_decision() {
         let sessions = [100, 10_000].map(|iterations| {
             let program = loop_program(iterations);
             let (offloads, events, _) = fired(|| {
-                let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+                let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), spec).unwrap();
                 sys.run(&program).unwrap();
                 sys.stats().offloads
             });
@@ -297,10 +298,12 @@ fn toy_program() -> rv32::Program {
 #[test]
 fn stepped_session_is_equivalent_to_run() {
     let program = toy_program();
-    let mut whole = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+    let mut whole =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
     whole.run(&program).unwrap();
 
-    let mut stepped = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+    let mut stepped =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
     let mut session = stepped.session(&program).unwrap();
     let mut steps = 0u64;
     while session.step().unwrap().is_running() {
@@ -317,11 +320,12 @@ fn stepped_session_is_equivalent_to_run() {
 #[test]
 fn run_for_advances_by_cycle_budget_and_resumes() {
     let program = toy_program();
-    let mut reference = System::builder(Fabric::be()).build().unwrap();
+    let mut reference =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     reference.run(&program).unwrap();
     let total = reference.cpu().cycles();
 
-    let mut sys = System::builder(Fabric::be()).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     let mut session = sys.session(&program).unwrap();
     let status = session.run_for(total / 4).unwrap();
     assert!(status.is_running());
@@ -342,7 +346,7 @@ fn run_for_advances_by_cycle_budget_and_resumes() {
 #[test]
 fn finished_session_stays_exited() {
     let program = toy_program();
-    let mut sys = System::builder(Fabric::be()).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     let mut session = sys.session(&program).unwrap();
     let exit = session.finish().unwrap();
     // Stepping a halted program is a no-op reporting the same exit — even
@@ -373,11 +377,12 @@ fn new_session_flushes_stale_translations() {
     ",
     )
     .unwrap();
-    let mut fresh = System::builder(Fabric::be()).build().unwrap();
+    let mut fresh =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     fresh.run(&second).unwrap();
     let expected = fresh.cpu().reg(rv32::Reg::A0);
 
-    let mut sys = System::builder(Fabric::be()).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
     sys.run(&toy_program()).unwrap();
     sys.run(&second).unwrap();
     assert_eq!(sys.cpu().reg(rv32::Reg::A0), expected, "stale configuration executed");
@@ -389,11 +394,9 @@ fn new_session_flushes_stale_translations() {
 #[test]
 fn epoch_trace_ends_on_the_final_tracker_state() {
     let program = toy_program();
-    let mut sys = System::builder(Fabric::be())
-        .policy(PolicySpec::rotation())
-        .probe(ProbeSpec::util_trace(500))
-        .build()
-        .unwrap();
+    let mut sys =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
+    sys.attach_observer(ProbeSpec::util_trace(500).build());
     sys.run(&program).unwrap();
     let reports = sys.probe_reports();
     let [ProbeReport::UtilTrace(trace)] = reports.as_slice() else {
@@ -417,10 +420,8 @@ fn event_counts_agree_with_stats() {
     let stats = sys.stats();
     assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired);
     assert_eq!(reg.counter("system.offloads"), stats.offloads);
-    assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
+    assert_eq!(reg.counter("tracker.executions"), stats.offloads);
     assert_eq!(reg.counter("system.offloads_skipped"), stats.offloads_skipped);
-    assert_eq!(reg.counter("system.cache_inserted"), reg.counter("dbt.cache.insert"));
-    assert_eq!(reg.counter("system.cache_evicted"), reg.counter("dbt.cache.evict"));
     // The derived lookup identity behind `cache_lookups` (DESIGN.md §10).
     assert_eq!(stats.cache_lookups, stats.offloads + stats.gpp_retired);
     assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), stats.cache_lookups);
@@ -435,7 +436,8 @@ fn probes_accumulate_across_sessions() {
     // Telemetry follows the system, not the session: two programs on one
     // system produce one continuous stream.
     let program = toy_program();
-    let mut sys = System::builder(Fabric::be()).probe(ProbeSpec::util_trace(500)).build().unwrap();
+    let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::Baseline).unwrap();
+    sys.attach_observer(ProbeSpec::util_trace(500).build());
     sys.run(&program).unwrap();
     let after_first = *sys.stats();
     sys.run(&program).unwrap();

@@ -203,8 +203,11 @@ fn pinned_plan() -> ServePlan {
 const PINNED_REPORT_FNV: u64 = 0x4ab5_ecce_f28e_a34a;
 /// FNV-1a of the pinned plan's metrics registry JSON: the same capture,
 /// except that `traffic.requests.arrived` counts every arrival of a day on
-/// which the device dies (207,069, where the capture had 115,679).
-const PINNED_METRICS_FNV: u64 = 0x91bc_70c0_e282_e1d2;
+/// which the device dies (207,069, where the capture had 115,679), and that
+/// the `system.offloads_completed` and `system.cache_inserted` twins of
+/// `tracker.executions` and `dbt.cache.insert` are gone (the earlier
+/// registry had them at 4,080 and 40).
+const PINNED_METRICS_FNV: u64 = 0xd049_1aba_e45b_5b75;
 
 /// The serving report and its metrics registry are pinned byte for byte:
 /// any refactor of arrival generation, the day fold or the campaign's

@@ -7,7 +7,7 @@
 
 use cgra::Fabric;
 use mibench::Workload;
-use transrec::System;
+use transrec::{System, SystemConfig};
 use uaware::PolicySpec;
 
 /// A Fibonacci-hash mixer over an array — the "user kernel".
@@ -87,7 +87,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for s in specs {
         let spec: PolicySpec = s.parse()?;
-        let mut sys = System::builder(fabric).policy(spec).build()?;
+        let mut sys = System::with_spec(SystemConfig::new(fabric), spec)?;
         sys.run(workload.program())?;
         workload.verify(sys.cpu())?;
         let grid = sys.tracker().utilization();

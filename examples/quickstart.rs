@@ -8,7 +8,7 @@
 use cgra::Fabric;
 use nbti::CalibratedAging;
 use rv32::asm::assemble;
-use transrec::{run_gpp_only, System};
+use transrec::{run_gpp_only, System, SystemConfig};
 use uaware::PolicySpec;
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,9 +53,8 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's BE design point (16 columns x 2 rows).
     let fabric = Fabric::be();
 
-    // 1. Traditional corner-anchored allocation (the builder's default
-    // policy is `baseline`).
-    let mut baseline = System::builder(fabric).build()?;
+    // 1. Traditional corner-anchored allocation: the `baseline` policy.
+    let mut baseline = System::with_spec(SystemConfig::new(fabric), PolicySpec::Baseline)?;
     baseline.run(&program)?;
     println!(
         "TransRec (baseline):    {:>6} cycles ({:.2}x), {} offloads",
@@ -66,7 +65,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The paper's utilization-aware rotation, selected as data — the
     // same spec could come from a CLI flag or a JSON sweep file.
-    let mut rotated = System::builder(fabric).policy(PolicySpec::rotation()).build()?;
+    let mut rotated = System::with_spec(SystemConfig::new(fabric), PolicySpec::rotation())?;
     rotated.run(&program)?;
     println!(
         "TransRec (rotation):    {:>6} cycles ({:.2}x), same result: {}",

@@ -37,3 +37,9 @@ pub use nbti;
 pub use rv32;
 pub use transrec;
 pub use uaware;
+
+/// The README's `rust` snippets, compiled (and the light ones run) as
+/// doctests so that they track the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -15,7 +15,7 @@ fn suite_verifies_under_every_policy_on_be() {
     let workloads = mibench::suite(2026);
     for spec in policies() {
         for w in &workloads {
-            let mut sys = System::builder(Fabric::be()).policy(spec).build().unwrap();
+            let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), spec).unwrap();
             sys.run(w.program()).unwrap_or_else(|e| panic!("{}/{spec}: {e}", w.name()));
             w.verify(sys.cpu()).unwrap_or_else(|e| panic!("policy {spec}: {e}"));
             assert!(sys.stats().offloads > 0, "{}/{spec}: nothing offloaded", w.name());
@@ -29,7 +29,8 @@ fn suite_verifies_on_all_scenarios() {
     for scenario in transrec::SCENARIOS {
         for w in &workloads {
             let mut sys =
-                System::builder(scenario.fabric()).policy(PolicySpec::rotation()).build().unwrap();
+                System::with_spec(SystemConfig::new(scenario.fabric()), PolicySpec::rotation())
+                    .unwrap();
             sys.run(w.program()).unwrap_or_else(|e| panic!("{}/{}: {e}", w.name(), scenario.name));
             w.verify(sys.cpu()).unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         }
@@ -40,7 +41,8 @@ fn suite_verifies_on_all_scenarios() {
 fn health_aware_policy_is_also_correct() {
     // The oracle-scanning policy is the slowest; one benchmark suffices.
     let w = &mibench::suite(3)[1]; // crc32
-    let mut sys = System::builder(Fabric::be()).policy(PolicySpec::HealthAware).build().unwrap();
+    let mut sys =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::HealthAware).unwrap();
     sys.run(w.program()).unwrap();
     w.verify(sys.cpu()).unwrap();
 }
@@ -53,7 +55,8 @@ fn system_matches_gpp_architectural_state() {
     for w in mibench::suite(11) {
         let gpp =
             transrec::run_gpp_only(w.program(), cfg.mem_size, cfg.timing, cfg.max_steps).unwrap();
-        let mut sys = System::builder(cfg.fabric).policy(PolicySpec::rotation()).build().unwrap();
+        let mut sys =
+            System::with_spec(SystemConfig::new(cfg.fabric), PolicySpec::rotation()).unwrap();
         sys.run(w.program()).unwrap();
         let base = w.program().data_base;
         let len = (w.program().data.len() as u32).max(4);
@@ -70,7 +73,9 @@ fn system_matches_gpp_architectural_state() {
 fn offload_heuristic_never_changes_results() {
     let w = &mibench::suite(5)[3]; // qsort (branchy: exercises mixed execution)
     let run = |heuristic: bool| {
-        let mut sys = System::builder(Fabric::be()).offload_heuristic(heuristic).build().unwrap();
+        let config =
+            SystemConfig { offload_heuristic: heuristic, ..SystemConfig::new(Fabric::be()) };
+        let mut sys = System::with_spec(config, PolicySpec::Baseline).unwrap();
         sys.run(w.program()).unwrap();
         w.verify(sys.cpu()).unwrap();
         sys.cpu().retired() + sys.stats().offloaded_instrs

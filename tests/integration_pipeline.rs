@@ -92,7 +92,7 @@ fn config_cache_thrash_is_correct() {
     let (result, reg) = obs::collect(|| sys.run(w.program()));
     result.unwrap();
     w.verify(sys.cpu()).unwrap();
-    assert!(reg.counter("system.cache_evicted") > 0, "tiny cache must evict");
+    assert!(reg.counter("dbt.cache.evict") > 0, "tiny cache must evict");
 }
 
 #[test]

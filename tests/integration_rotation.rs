@@ -4,10 +4,7 @@
 
 use cgra::Fabric;
 use transrec::{System, SystemConfig};
-use uaware::{
-    AllocationPolicy, BaselinePolicy, ColumnMajor, MovementGranularity, Raster, RotationPolicy,
-    Snake,
-};
+use uaware::{AllocationPolicy, BaselinePolicy, MovementGranularity, PatternSpec, RotationPolicy};
 
 fn run_with(policy: Box<dyn AllocationPolicy>, seed: u64) -> System {
     let w = &mibench::suite(seed)[1]; // crc32: dense hot loop
@@ -22,8 +19,10 @@ fn rotation_flattens_utilization_on_every_benchmark() {
     for (i, w) in mibench::suite(1).iter().enumerate() {
         let mut base = System::new(SystemConfig::new(Fabric::be()), Box::new(BaselinePolicy));
         base.run(w.program()).unwrap();
-        let mut rot =
-            System::new(SystemConfig::new(Fabric::be()), Box::new(RotationPolicy::new(Snake)));
+        let mut rot = System::new(
+            SystemConfig::new(Fabric::be()),
+            Box::new(RotationPolicy::new(PatternSpec::Snake)),
+        );
         rot.run(w.program()).unwrap();
         let bg = base.tracker().utilization();
         let rg = rot.tracker().utilization();
@@ -56,9 +55,9 @@ fn baseline_pins_the_corner() {
 fn every_pattern_balances() {
     let baseline_max = run_with(Box::new(BaselinePolicy), 17).tracker().utilization().max();
     for (name, policy) in [
-        ("snake", Box::new(RotationPolicy::new(Snake)) as Box<dyn AllocationPolicy>),
-        ("raster", Box::new(RotationPolicy::new(Raster))),
-        ("column-major", Box::new(RotationPolicy::new(ColumnMajor))),
+        ("snake", Box::new(RotationPolicy::new(PatternSpec::Snake)) as Box<dyn AllocationPolicy>),
+        ("raster", Box::new(RotationPolicy::new(PatternSpec::Raster))),
+        ("column-major", Box::new(RotationPolicy::new(PatternSpec::ColumnMajor))),
     ] {
         let sys = run_with(policy, 17);
         let max = sys.tracker().utilization().max();
@@ -68,13 +67,19 @@ fn every_pattern_balances() {
 
 #[test]
 fn coarser_granularity_balances_less() {
-    let per_exec = run_with(Box::new(RotationPolicy::new(Snake)), 5);
+    let per_exec = run_with(Box::new(RotationPolicy::new(PatternSpec::Snake)), 5);
     let periodic = run_with(
-        Box::new(RotationPolicy::with_granularity(Snake, MovementGranularity::Periodic(64))),
+        Box::new(RotationPolicy::with_granularity(
+            PatternSpec::Snake,
+            MovementGranularity::Periodic(64),
+        )),
         5,
     );
     let per_load = run_with(
-        Box::new(RotationPolicy::with_granularity(Snake, MovementGranularity::PerLoad)),
+        Box::new(RotationPolicy::with_granularity(
+            PatternSpec::Snake,
+            MovementGranularity::PerLoad,
+        )),
         5,
     );
     let m_exec = per_exec.tracker().utilization().max();
@@ -88,7 +93,7 @@ fn coarser_granularity_balances_less() {
 fn rotation_overhead_is_negligible() {
     // Paper §V: "negligible performance overheads". Allow a small margin.
     let base = run_with(Box::new(BaselinePolicy), 23);
-    let rot = run_with(Box::new(RotationPolicy::new(Snake)), 23);
+    let rot = run_with(Box::new(RotationPolicy::new(PatternSpec::Snake)), 23);
     let slowdown = rot.cpu().cycles() as f64 / base.cpu().cycles() as f64;
     assert!(
         slowdown < 1.10,
@@ -102,7 +107,7 @@ fn utilization_mean_is_policy_invariant() {
     // The rotation moves work around; it does not change how much work there
     // is. Means must agree to within accounting noise.
     let base = run_with(Box::new(BaselinePolicy), 31);
-    let rot = run_with(Box::new(RotationPolicy::new(Snake)), 31);
+    let rot = run_with(Box::new(RotationPolicy::new(PatternSpec::Snake)), 31);
     let bm = base.tracker().utilization().mean();
     let rm = rot.tracker().utilization().mean();
     assert!((bm - rm).abs() < 0.02 * bm.max(1e-9), "means {bm} vs {rm}");

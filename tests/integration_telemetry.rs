@@ -5,7 +5,7 @@
 
 use cgra::Fabric;
 use transrec::telemetry::{ProbeSpec, UtilTrace};
-use transrec::{run_sweep, SuiteSpec, SweepPlan, System};
+use transrec::{run_sweep, SuiteSpec, SweepPlan, System, SystemConfig};
 use uaware::PolicySpec;
 
 #[test]
@@ -74,11 +74,12 @@ fn session_pauses_and_resumes_around_a_real_workload() {
     let suite = mibench::suite(0xDAC2020);
     let w = &suite[1]; // crc32
     let mut reference =
-        System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
     reference.run(w.program()).unwrap();
     let total = reference.cpu().cycles();
 
-    let mut sys = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
+    let mut sys =
+        System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
     let mut session = sys.session(w.program()).unwrap();
     let mut pauses = 0;
     while session.run_for(total / 8).unwrap().is_running() {
