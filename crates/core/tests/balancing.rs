@@ -64,7 +64,8 @@ proptest! {
         // Whole number of pattern periods: every cell visited equally often.
         let periods = 3u64;
         let execs = periods * fabric.fu_count() as u64;
-        let tracker = drive(&mut RotationPolicy::new(PatternSpec::Snake), &fabric, &footprint, execs);
+        let mut rotation = RotationPolicy::new(PatternSpec::Snake);
+        let tracker = drive(&mut rotation, &fabric, &footprint, execs);
         let grid = tracker.utilization();
         // One-cell footprint + full coverage => exactly uniform utilization.
         prop_assert!((grid.max() - grid.min()).abs() < 1e-9,
@@ -97,12 +98,12 @@ proptest! {
         // distributions for a single-cell footprint.
         let footprint = vec![(0, 0)];
         let execs = 2 * fabric.fu_count() as u64;
-        let snake = drive(&mut RotationPolicy::new(PatternSpec::Snake), &fabric, &footprint, execs)
-            .utilization();
-        let raster = drive(&mut RotationPolicy::new(PatternSpec::Raster), &fabric, &footprint, execs)
-            .utilization();
-        let colmaj = drive(&mut RotationPolicy::new(PatternSpec::ColumnMajor), &fabric, &footprint, execs)
-            .utilization();
+        let run = |pattern| {
+            drive(&mut RotationPolicy::new(pattern), &fabric, &footprint, execs).utilization()
+        };
+        let snake = run(PatternSpec::Snake);
+        let raster = run(PatternSpec::Raster);
+        let colmaj = run(PatternSpec::ColumnMajor);
         prop_assert!((snake.max() - raster.max()).abs() < 1e-12);
         prop_assert!((raster.max() - colmaj.max()).abs() < 1e-12);
         prop_assert!((snake.gini() - raster.gini()).abs() < 1e-9);

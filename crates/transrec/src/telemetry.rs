@@ -46,7 +46,8 @@
 //! .unwrap();
 //!
 //! let spec: ProbeSpec = "util-trace@every-500".parse().unwrap();
-//! let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), PolicySpec::rotation()).unwrap();
+//! let config = SystemConfig::new(Fabric::be());
+//! let mut sys = System::with_spec(config, PolicySpec::rotation()).unwrap();
 //! sys.attach_observer(spec.build());
 //! sys.run(&program).unwrap();
 //! let reports = sys.probe_reports();

@@ -55,8 +55,7 @@ fn system_matches_gpp_architectural_state() {
     for w in mibench::suite(11) {
         let gpp =
             transrec::run_gpp_only(w.program(), cfg.mem_size, cfg.timing, cfg.max_steps).unwrap();
-        let mut sys =
-            System::with_spec(SystemConfig::new(cfg.fabric), PolicySpec::rotation()).unwrap();
+        let mut sys = System::with_spec(cfg.clone(), PolicySpec::rotation()).unwrap();
         sys.run(w.program()).unwrap();
         let base = w.program().data_base;
         let len = (w.program().data.len() as u32).max(4);
