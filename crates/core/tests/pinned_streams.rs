@@ -397,3 +397,157 @@ fn rotation_closed_loop_streams_match_the_trait_pattern_capture() {
         .collect();
     assert_eq!(got, pinned, "closed-loop rotation streams changed");
 }
+
+/// A footprint and its legal pivots.
+type Turn = (Vec<(u32, u32)>, LegalPivots);
+
+/// A closed-loop pin: FNV-1a, first eight picks, and the policy's counts.
+type ExactPin = (u64, [(u32, u32); 8], [u64; 7]);
+
+/// The exact oracle's closed-loop fabrics: `2x8`, `4x8`, `4x8+bw-2`,
+/// `4x8:het-checker` with a mul demand on every footprint's first cell,
+/// and `4x8` with four dead FUs. Each fabric comes with ten footprints of
+/// one to six cells (repeated cells included) and their legal pivots.
+fn exact_loops() -> Vec<(Loop, Vec<Turn>)> {
+    let mul = OpKind::Mul(MulFunc::Mul);
+    let mut dead = FaultMask::healthy(&Fabric::new(4, 8));
+    for (r, c) in [(0, 3), (1, 6), (2, 1), (3, 4)] {
+        dead.mark_dead(r, c);
+    }
+    let fabric = |spec: &str| spec.parse::<cgra::FabricSpec>().unwrap().build().unwrap();
+    let fabrics = [
+        ("2x8", fabric("2x8"), false, None),
+        ("4x8", fabric("4x8"), false, None),
+        ("4x8+bw-2", fabric("4x8+bw-2"), false, None),
+        ("4x8:het-checker", fabric("4x8:het-checker"), true, None),
+        ("4x8, 4 dead", fabric("4x8"), false, Some(&dead)),
+    ];
+    let mut x = 0x9e37_79b9u32;
+    fabrics
+        .into_iter()
+        .map(|(label, fabric, demand, mask)| {
+            let footprints: Vec<_> = (0..10)
+                .map(|i| {
+                    let cells: Vec<(u32, u32)> = (0..1 + i % 6)
+                        .map(|_| {
+                            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                            let cell = (x >> 8) % (fabric.rows * 4);
+                            (cell / 4, cell % 4)
+                        })
+                        .collect();
+                    let demands: Vec<_> =
+                        if demand { vec![(cells[0].0, cells[0].1, mul)] } else { Vec::new() };
+                    let legal = LegalPivots::new(&fabric, &cells, &demands, mask);
+                    assert_ne!(legal.count(), Some(0), "{label}: footprint {i} has a pivot");
+                    (cells, legal)
+                })
+                .collect();
+            let (first, legal) = footprints[0].clone();
+            let mut l = Loop::new(label, fabric, first, &[], mask, 40);
+            l.legal = legal;
+            (l, footprints)
+        })
+        .collect()
+}
+
+/// Exact-oracle decision streams in a closed loop, captured while the
+/// oracle kept a single `OffsetProblem`: `exact` and `exact@every-4`, one
+/// policy per `exact_loops` fabric, 120 decisions each. The footprints
+/// take turns in LCG-drawn runs of one to four decisions, in an irregular
+/// order, so a kept-problem cache smaller than ten entries must evict.
+/// Rows run policy-major, then fabric.
+///
+/// Each entry is the stream's FNV-1a (`fnv`), its first eight picks, and
+/// the policy's counts: replayed, solve calls, infeasible solves, then the
+/// summed expanded, generated, bound-pruned and nogood-pruned search nodes.
+const PINNED_EXACT_LOOPS: [ExactPin; 10] = [
+    (
+        0x3218_1b4e_f167_32a1,
+        [(0, 7), (1, 5), (0, 7), (0, 1), (0, 3), (0, 0), (0, 3), (1, 1)],
+        [0, 122, 0, 16, 256, 0, 0],
+    ),
+    (
+        0xde75_1912_84b0_7ad7,
+        [(0, 4), (1, 0), (1, 5), (1, 6), (2, 1), (3, 1), (0, 0), (1, 3)],
+        [0, 122, 0, 9, 288, 0, 0],
+    ),
+    (
+        0x41cf_1267_f9cf_1bb5,
+        [(2, 5), (0, 2), (0, 4), (0, 5), (1, 1), (3, 0), (0, 2), (2, 5)],
+        [0, 122, 0, 9, 288, 0, 0],
+    ),
+    (
+        0x0780_6ca4_7f75_2135,
+        [(0, 5), (1, 0), (1, 2), (2, 5), (0, 1), (1, 0), (0, 1), (0, 3)],
+        [0, 122, 0, 13, 208, 0, 0],
+    ),
+    (
+        0x9a5e_a984_239c_cbb5,
+        [(0, 6), (1, 5), (2, 0), (0, 5), (0, 1), (0, 1), (0, 3), (1, 2)],
+        [0, 122, 0, 11, 213, 0, 0],
+    ),
+    (
+        0xcd61_3660_52de_0f76,
+        [(0, 7), (1, 5), (0, 7), (0, 1), (0, 3), (0, 0), (0, 3), (1, 1)],
+        [77, 45, 0, 255, 1742, 1327, 0],
+    ),
+    (
+        0x254f_1911_663b_f154,
+        [(0, 4), (1, 0), (1, 5), (1, 6), (2, 1), (3, 1), (0, 0), (1, 3)],
+        [77, 45, 0, 271, 3627, 3038, 0],
+    ),
+    (
+        0x04b2_273e_3683_8c45,
+        [(2, 5), (0, 2), (0, 4), (0, 5), (1, 1), (3, 0), (0, 2), (2, 5)],
+        [77, 45, 0, 128, 1644, 1385, 0],
+    ),
+    (
+        0x0780_6ca4_7f75_2135,
+        [(0, 5), (1, 0), (1, 2), (2, 5), (0, 1), (1, 0), (0, 1), (0, 3)],
+        [77, 45, 0, 197, 1437, 1159, 0],
+    ),
+    (
+        0x9a5e_a984_239c_cbb5,
+        [(0, 6), (1, 5), (2, 0), (0, 5), (0, 1), (0, 1), (0, 3), (1, 2)],
+        [77, 45, 0, 79, 712, 609, 0],
+    ),
+];
+
+#[test]
+fn exact_closed_loop_streams_match_the_single_problem_capture() {
+    let mut got = Vec::new();
+    for spec in [PolicySpec::Exact { every: 1 }, PolicySpec::Exact { every: 4 }] {
+        for (mut l, footprints) in exact_loops() {
+            let mut policy = spec.build();
+            let mut x = 0x2f6b_1d3du32;
+            while l.stream.len() < 120 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let (cells, legal) = &footprints[(x >> 8) as usize % footprints.len()];
+                l.footprint.clone_from(cells);
+                l.legal.clone_from(legal);
+                for _ in 0..1 + (x >> 20) % 4 {
+                    l.decide(policy.as_mut(), false);
+                }
+            }
+            let head: Vec<_> = l.stream[..8].iter().map(|d| d.unwrap()).collect();
+            let c = policy.counts();
+            let s = c.solve;
+            let counts = [
+                c.replayed,
+                c.solve_calls,
+                c.solve_infeasible,
+                s.expanded,
+                s.generated,
+                s.pruned_bound,
+                s.pruned_nogood,
+            ];
+            got.push((format!("{spec} on {}", l.label), fnv(&l.stream), head, counts));
+        }
+    }
+    let pinned: Vec<_> = got
+        .iter()
+        .zip(&PINNED_EXACT_LOOPS)
+        .map(|((label, ..), &(hash, head, counts))| (label.clone(), hash, head.to_vec(), counts))
+        .collect();
+    assert_eq!(got, pinned, "closed-loop exact streams changed");
+}
