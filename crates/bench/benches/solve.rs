@@ -1,9 +1,10 @@
 //! Cost of the exact-mapping oracle (DESIGN.md §15): a single-slot
 //! re-solve per decision (what `exact` pays on every allocation), the
 //! oracle's repeated decision for one footprint on a balanced 4×8 fabric
-//! (the gap sweep's steady state), a joint multi-slot epoch solve, and the
-//! branch-and-bound search on a cold epoch the greedy incumbent cannot
-//! close.
+//! (the gap sweep's steady state), its decisions for six footprints taking
+//! turns there (the sweep's refill pattern), a joint multi-slot epoch
+//! solve, and the branch-and-bound search on a cold epoch the greedy
+//! incumbent cannot close.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -85,6 +86,46 @@ fn bench_solve(c: &mut Criterion) {
             warm.record_execution(&cells, 6);
         }
         b.iter(|| decide(&warm))
+    });
+    group.bench_function("policy_decision_exact_4x8_footprints_in_turn", |b| {
+        // The gap sweep's refill pattern: a session's configurations take
+        // turns, so consecutive decisions rarely share a footprint. Six
+        // footprints decided in turn on a 4×8 fabric the oracle has
+        // balanced; one iteration is one decision.
+        let wide = Fabric::new(4, 8);
+        let mut warm = UtilizationTracker::new(&wide);
+        let footprints: Vec<(Vec<(u32, u32)>, LegalPivots)> = (0..6u32)
+            .map(|k| {
+                let cells: Vec<(u32, u32)> =
+                    (0..3 + k).map(|i| ((i * (k + 1)) % 4, (i + k) % 8)).collect();
+                let legal = LegalPivots::new(&wide, &cells, &[], None);
+                (cells, legal)
+            })
+            .collect();
+        let mut policy = ExactPolicy::new(1);
+        let mut decide = |tracker: &UtilizationTracker, turn: usize| {
+            let (footprint, legal) = &footprints[turn % footprints.len()];
+            let req = AllocRequest {
+                fabric: &wide,
+                config_switch: false,
+                footprint: black_box(footprint),
+                tracker,
+                legal,
+            };
+            (policy.next_offset(&req), footprint)
+        };
+        for turn in 0..240 {
+            let (off, footprint) = decide(&warm, turn);
+            let off = off.expect("a pristine fabric always allocates");
+            let cells: Vec<(u32, u32)> =
+                footprint.iter().map(|&(r, c)| off.apply(&wide, r, c)).collect();
+            warm.record_execution(&cells, 6);
+        }
+        let mut turn = 0;
+        b.iter(|| {
+            turn += 1;
+            decide(&warm, turn).0
+        })
     });
     group.bench_function("offset_epoch_greedy_gap", |b| {
         // Three L-shaped executions on a cold 3×4 fabric: greedy stacks two

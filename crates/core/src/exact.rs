@@ -13,35 +13,42 @@
 //! health-aware scan) against, per fabric size, fault density and layout.
 //!
 //! The pivots and their stress deltas depend only on the footprint, the
-//! legal pivots and the fabric's geometry and bandwidth. While all of
-//! those repeat — the steady state of a sweep cell — a re-solve copies
-//! only the live stress counters into the kept [`OffsetProblem`].
+//! legal pivots and the fabric's geometry and bandwidth. A session's
+//! configurations take turns, so the oracle keeps the problems of its
+//! last few keys, most recent first: a re-solve for a kept key copies only
+//! the live stress counters in, and any other key refills the least recent
+//! problem's buffers.
 
 use std::collections::VecDeque;
 
-use cgra::Offset;
+use cgra::{Fabric, Offset};
 use solve::OffsetProblem;
 use tracing::{span, Level};
 
 use crate::policy::{AllocRequest, AllocationPolicy, LegalPivots, PolicyCounts};
+
+/// How many problems [`ExactPolicy`] keeps: enough for the configurations
+/// a session's loop takes turns among.
+const KEPT: usize = 8;
 
 /// The exact-mapping oracle: per allocation epoch, a deterministic
 /// branch-and-bound solve of the wear-optimal placement — minimize the
 /// maximum post-epoch per-FU stress count over all assignments of the
 /// epoch's executions to legal pivots (fault mask and capability demands
 /// via the request's [`LegalPivots`] table, column
-/// bandwidth via the tracker's stress rule). The oracle keeps one
-/// [`OffsetProblem`]: a re-solve reloads its stress counters when the
-/// footprint, legal pivots and fabric geometry and bandwidth match the
-/// last re-solve's, and refills it otherwise.
+/// bandwidth via the tracker's stress rule). The oracle keeps the
+/// [`OffsetProblem`]s of its last eight re-solve keys — footprint, legal
+/// pivots, fabric geometry and bandwidth — most recent first: a re-solve
+/// reloads a kept problem's stress counters, or refills the least recent
+/// one for a key it does not keep.
 ///
 /// With `every == 1` the oracle re-solves on every allocation (a greedy
 /// optimal step against the live counters); larger epochs plan that many
 /// upcoming executions of the requesting footprint *jointly*, which can
-/// deliberately unbalance early to win later (DESIGN.md §15). Planned
-/// pivots are re-validated against the live request when played back; a
-/// request with a different footprint, or a pivot invalidated by a fresh
-/// fault (or changed demands), drops the rest of the plan and re-solves.
+/// deliberately unbalance early to win later (DESIGN.md §15). A plan is
+/// played back only to requests with the key it was solved for; any other
+/// footprint, fabric or legal-pivot table (a fresh fault, changed
+/// demands) drops the rest of the plan and re-solves.
 ///
 /// # Examples
 ///
@@ -67,16 +74,37 @@ use crate::policy::{AllocRequest, AllocationPolicy, LegalPivots, PolicyCounts};
 #[derive(Clone, Debug)]
 pub struct ExactPolicy {
     every: u32,
+    /// The rest of the latest re-solve's epoch, solved for `kept[0]`.
     plan: VecDeque<Offset>,
-    /// The footprint, legal pivots and fabric `(rows, cols,
-    /// col_bandwidth)` the latest re-solve built `problem` (and `plan`)
-    /// for; `geometry` is `None` before the first.
+    /// The problems of the latest re-solves, most recent first, one per
+    /// key, at most [`KEPT`].
+    kept: Vec<Kept>,
+    counts: PolicyCounts,
+}
+
+/// A kept problem and the key it was built for.
+#[derive(Clone, Debug, Default)]
+struct Kept {
+    /// The fabric's `(rows, cols, col_bandwidth)`.
+    geometry: (u32, u32, u32),
     footprint: Vec<(u32, u32)>,
     legal: LegalPivots,
-    geometry: Option<(u32, u32, u32)>,
-    /// The problem of the latest re-solve, reloaded or refilled by the next.
     problem: OffsetProblem,
-    counts: PolicyCounts,
+}
+
+/// What a problem's pivots and deltas depend on of the fabric, beyond the
+/// legal-pivot table: its `(rows, cols, col_bandwidth)`.
+fn geometry(fabric: &Fabric) -> (u32, u32, u32) {
+    (fabric.rows, fabric.cols, fabric.col_bandwidth)
+}
+
+impl Kept {
+    /// Whether the problem holds `req`'s pivots and deltas.
+    fn serves(&self, req: &AllocRequest<'_>) -> bool {
+        self.geometry == geometry(req.fabric)
+            && self.footprint == req.footprint
+            && self.legal == *req.legal
+    }
 }
 
 impl ExactPolicy {
@@ -86,10 +114,7 @@ impl ExactPolicy {
         ExactPolicy {
             every: every.max(1),
             plan: VecDeque::new(),
-            footprint: Vec::new(),
-            legal: LegalPivots::default(),
-            geometry: None,
-            problem: OffsetProblem::default(),
+            kept: Vec::new(),
             counts: PolicyCounts::default(),
         }
     }
@@ -102,36 +127,45 @@ impl ExactPolicy {
 
 impl AllocationPolicy for ExactPolicy {
     fn next_offset(&mut self, req: &AllocRequest<'_>) -> Option<Offset> {
-        if let Some(&planned) = self.plan.front() {
-            if self.footprint == req.footprint && req.placement_ok(planned) {
-                self.plan.pop_front();
+        if !self.plan.is_empty() {
+            // Under the key it was solved for, every planned pivot is
+            // legal and on the fabric.
+            if self.kept[0].serves(req) {
                 self.counts.replayed += 1;
-                return Some(planned);
+                return self.plan.pop_front();
             }
-            // Another footprint, or a planned pivot became illegal (fresh
-            // fault, different demands): the remaining plan was optimized
-            // for a world that no longer exists — drop it and re-solve.
+            // Another footprint, fabric or legal table (fresh fault,
+            // different demands): the remaining plan was optimized for a
+            // world that no longer exists — drop it and re-solve.
             self.plan.clear();
         }
-        let geometry = Some((req.fabric.rows, req.fabric.cols, req.fabric.col_bandwidth));
-        if self.geometry == geometry && self.footprint == req.footprint && self.legal == *req.legal
-        {
-            self.problem.reload(req.tracker.stress_counts());
-        } else {
-            self.geometry = geometry;
-            self.footprint.clear();
-            self.footprint.extend_from_slice(req.footprint);
-            self.legal.clone_from(req.legal);
-            self.problem.refill(
-                req.fabric,
-                req.footprint,
-                req.tracker.stress_counts(),
-                self.every as usize,
-                |o| req.placement_ok(o),
-            );
+        match self.kept.iter().position(|kept| kept.serves(req)) {
+            Some(hit) => {
+                self.kept[..=hit].rotate_right(1);
+                self.kept[0].problem.reload(req.tracker.stress_counts());
+            }
+            None => {
+                if self.kept.len() < KEPT {
+                    self.kept.push(Kept::default());
+                }
+                self.kept.rotate_right(1);
+                let kept = &mut self.kept[0];
+                kept.geometry = geometry(req.fabric);
+                kept.footprint.clear();
+                kept.footprint.extend_from_slice(req.footprint);
+                kept.legal.clone_from(req.legal);
+                kept.problem.refill(
+                    req.fabric,
+                    req.footprint,
+                    req.tracker.stress_counts(),
+                    self.every as usize,
+                    |o| req.placement_ok(o),
+                );
+            }
         }
+        let problem = &self.kept[0].problem;
         let _solve_span = span!(Level::DEBUG, "solve.bnb").entered();
-        let Some(solution) = solve::solve(&self.problem) else {
+        let Some(solution) = solve::solve(problem) else {
             self.counts.solve_infeasible += 1;
             return None;
         };
@@ -141,7 +175,7 @@ impl AllocationPolicy for ExactPolicy {
         counts.solve.generated += stats.generated;
         counts.solve.pruned_bound += stats.pruned_bound;
         counts.solve.pruned_nogood += stats.pruned_nogood;
-        self.plan.extend(solution.choices.iter().map(|&c| self.problem.offset(c)));
+        self.plan.extend(solution.choices.iter().map(|&c| problem.offset(c)));
         Some(self.plan.pop_front().expect("an epoch plans at least one slot"))
     }
 
@@ -293,13 +327,15 @@ mod tests {
                 for _ in 0..requests {
                     let req =
                         AllocRequest { fabric, config_switch: false, footprint, tracker, legal };
-                    rebuilt.geometry = None;
+                    // Keep only the problem a pending plan plays back from.
+                    rebuilt.kept.truncate(usize::from(!rebuilt.plan.is_empty()));
                     let want = rebuilt.next_offset(&req);
                     if every == 1 {
                         assert_eq!(ExactPolicy::new(1).next_offset(&req), want, "step {step}");
                     }
                     let got = reused.next_offset(&req).expect("every request has a legal pivot");
                     assert_eq!(Some(got), want, "exact@every-{every}, step {step}");
+                    assert!(got.row < fabric.rows && got.col < fabric.cols, "step {step}: {got:?}");
                     let cells: Vec<(u32, u32)> =
                         footprint.iter().map(|&(r, c)| got.apply(fabric, r, c)).collect();
                     tracker.record_execution(&cells, 2);
@@ -307,6 +343,64 @@ mod tests {
             }
             assert_eq!(reused.counts(), rebuilt.counts(), "exact@every-{every}");
         }
+    }
+
+    #[test]
+    fn a_plan_plays_back_only_under_the_key_it_was_solved_for() {
+        // Rows 0–1 of a 4×8 fabric are hot, so an `exact@every-4` plan for
+        // one cell lands on rows 2–3.
+        let wide = Fabric::new(4, 8);
+        let narrow = Fabric::new(2, 8);
+        let mut hot = UtilizationTracker::new(&wide);
+        for col in 0..8 {
+            hot.record_execution(&[(0, col), (1, col)], 1);
+        }
+        let footprint = [(0u32, 0u32)];
+        let mut p = ExactPolicy::new(4);
+        let first = p.next_offset(&req(&wide, &hot, &footprint)).unwrap();
+        assert!(first.row >= 2 && !p.plan.is_empty(), "{first:?} opens a plan on rows 2–3");
+        // The same footprint, every pivot legal, but a 2×8 fabric: the plan
+        // does not apply there.
+        let cold = UtilizationTracker::new(&narrow);
+        let on_narrow = req(&narrow, &cold, &footprint);
+        let next = p.next_offset(&on_narrow).unwrap();
+        assert!(next.row < narrow.rows, "{next:?} lies off the 2×8 fabric");
+        assert_eq!(Some(next), ExactPolicy::new(4).next_offset(&on_narrow));
+        // Nor does it under another legal table, even one allowing every
+        // planned pivot.
+        let mut mask = FaultMask::healthy(&narrow);
+        mask.mark_dead(0, 0);
+        let legal = LegalPivots::new(&narrow, &footprint, &[], Some(&mask));
+        assert!(p.plan.iter().all(|&o| legal.allows(o)), "{:?}", p.plan);
+        let replayed = p.counts().replayed;
+        let masked = AllocRequest { legal: &legal, ..on_narrow };
+        assert_eq!(p.next_offset(&masked), ExactPolicy::new(4).next_offset(&masked));
+        assert_eq!(p.counts().replayed, replayed, "the plan was dropped, not replayed");
+    }
+
+    #[test]
+    fn kept_problems_are_bounded_and_evicted_least_recent_first() {
+        // Ten two-cell footprints in turn, then the last two again: the
+        // oracle keeps the eight most recent, and a revisited key reloads.
+        let fabric = Fabric::new(4, 8);
+        let mut tracker = UtilizationTracker::new(&fabric);
+        let footprints: Vec<[(u32, u32); 2]> =
+            (0..10).map(|i| [(0, 0), (1 + i / 8, i % 8)]).collect();
+        let mut p = ExactPolicy::new(1);
+        for footprint in footprints.iter().chain(&footprints[8..]) {
+            let req = req(&fabric, &tracker, footprint);
+            let got = p.next_offset(&req).unwrap();
+            assert_eq!(Some(got), ExactPolicy::new(1).next_offset(&req));
+            assert!(p.kept.len() <= KEPT);
+            assert_eq!(p.kept[0].footprint, *footprint, "the latest key comes first");
+            let cells: Vec<(u32, u32)> =
+                footprint.iter().map(|&(r, c)| got.apply(&fabric, r, c)).collect();
+            tracker.record_execution(&cells, 1);
+        }
+        let kept: Vec<usize> = (p.kept.iter())
+            .map(|k| footprints.iter().position(|f| k.footprint == f).unwrap())
+            .collect();
+        assert_eq!(kept, [9, 8, 7, 6, 5, 4, 3, 2], "the two least recent were evicted");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The branch-and-bound core (DESIGN.md §15).
 //!
 //! Best-first search over partial epoch plans with two admissible lower
-//! bounds (current worst FU; ceil-average of the committed plus
-//! minimum-remaining stress mass), a nogood table pruning re-derived states
-//! in the CDCL spirit, and symmetry breaking over the epoch's identical
+//! bounds (current worst FU; ceil-average of the committed plus remaining
+//! stress mass), a nogood table pruning re-derived states in the CDCL
+//! spirit, and symmetry breaking over the epoch's identical
 //! executions. All tie-breaks are resolved deterministically (leximin
 //! refinement in the greedy seed, then ascending choice index, FIFO among
 //! equal bounds), so solutions are bit-reproducible.
@@ -12,8 +12,9 @@
 //! one-slot epoch, which it answers outright. It never sorts a load
 //! vector: FUs two pivots leave alike cancel out of a sorted-descending
 //! comparison, so pivots are ranked by their hottest touched FU in
-//! O(footprint), and only pivots tied on it are compared further, over
-//! the loads their footprints move.
+//! O(footprint), and only pivots tied on it are compared further: by a
+//! fixed-size histogram of the load levels their footprints move just
+//! below that FU, and only past it by a walk down the remaining levels.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
@@ -78,27 +79,46 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     let r = initial.len();
     let k = p.choices();
     let mut stats = SolveStats::default();
+    let max0 = initial.iter().copied().max().unwrap_or(0);
     if n == 0 {
-        let objective = initial.iter().copied().max().unwrap_or(0);
-        return Some(Solution { objective, choices: Vec::new(), stats });
+        return Some(Solution { objective: max0, choices: Vec::new(), stats });
     }
-
-    // Every slot plans the same footprint over the same pivots, so the
-    // minimum stress mass a slot must add is one number; no pivot at all
-    // is the only way to be infeasible.
-    let min_mass = (0..k).map(|c| p.deltas(c).iter().map(|&(_, d)| d).sum::<u64>()).min()?;
+    // Every slot plans the same footprint over the same pivots, so no
+    // pivot at all is the only way to be infeasible.
+    if k == 0 {
+        return None;
+    }
 
     // Admissible lower bound of a partial plan: loads only grow, and the
     // final maximum is at least the ceil-average of the committed plus
-    // minimum-remaining mass spread over all FUs (a legal pivot implies a
-    // non-empty fabric, so `r >= 1`).
+    // remaining mass — every slot adds the same `mass`, whichever pivot it
+    // takes — spread over all FUs (a legal pivot implies a non-empty
+    // fabric, so `r >= 1`).
     let lb_of = |depth: usize, loads: &[u64], sum: u64| -> u64 {
         let cur = loads.iter().copied().max().unwrap_or(0);
-        let rem = (n - depth) as u64 * min_mass;
+        let rem = (n - depth) as u64 * p.mass();
         cur.max((sum + rem).div_ceil(r as u64))
     };
     let sum0: u64 = initial.iter().sum();
-    let root_lb = lb_of(0, initial, sum0);
+    let root_lb = max0.max((sum0 + n as u64 * p.mass()).div_ceil(r as u64));
+
+    if n == 1 {
+        // Every child of the root is a leaf, and a leaf replaces the greedy
+        // incumbent only when its maximum is strictly lower — which the
+        // leximin argmin's (the lowest of all) never allows. So the answer
+        // is the argmin, its objective the larger of the initial maximum
+        // and its hottest touched FU, and the counters are those of the
+        // root expansion the search would have run: all `k` leaves scanned
+        // when the root bound is below the incumbent, nothing otherwise,
+        // nothing pruned.
+        let (best, hot) = leximin_argmin(p, initial);
+        let objective = max0.max(hot);
+        if root_lb < objective {
+            stats.expanded = 1;
+            stats.generated = k as u64;
+        }
+        return Some(Solution { objective, choices: vec![best], stats });
+    }
 
     // Greedy incumbent: per slot, the leximin argmin against the loads the
     // earlier slots left. Pure minimax would leave every pivot that avoids
@@ -109,27 +129,13 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
     let mut inc_loads = initial.to_vec();
     let mut best_choices = Vec::with_capacity(n);
     for _ in 0..n {
-        let best = leximin_argmin(p, &inc_loads);
+        let (best, _) = leximin_argmin(p, &inc_loads);
         for &(res, d) in p.deltas(best) {
             inc_loads[res as usize] += d;
         }
         best_choices.push(best);
     }
     let mut ub = inc_loads.iter().copied().max().unwrap_or(0);
-
-    if n == 1 {
-        // Every child of the root is a leaf, and a leaf replaces the
-        // incumbent only when its maximum is strictly lower — which the
-        // leximin argmin's (the lowest of all) never allows. So the answer
-        // is the argmin, and the counters are those of the root expansion
-        // the search would have run: all `k` leaves scanned when the root
-        // bound is below the incumbent, nothing otherwise, nothing pruned.
-        if root_lb < ub {
-            stats.expanded = 1;
-            stats.generated = k as u64;
-        }
-        return Some(Solution { objective: ub, choices: best_choices, stats });
-    }
 
     // Best-first expansion: pop the open node with the smallest lower
     // bound (FIFO among equals via a monotone sequence number), branch on
@@ -206,7 +212,7 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
 /// The pivot whose post-placement load vector `loads + deltas(c)`, sorted
 /// descending, is lexicographically smallest (leximin: smallest maximum
 /// first, then smallest second-highest, …), the smallest choice index among
-/// equals. The problem must have a pivot.
+/// equals, with its hottest new load. The problem must have a pivot.
 ///
 /// Nothing is sorted. Two sorted-descending vectors of equal length compare
 /// by the largest value whose multiplicity differs — the vector holding
@@ -221,41 +227,98 @@ pub fn solve(p: &OffsetProblem) -> Option<Solution> {
 /// candidate's touched FUs all end at or below its hottest new load `m`
 /// and none of them sat at `m` or above before: the `(m, count)` key —
 /// `count` touched FUs reaching `m` — settles `net` at the top value, and
-/// the smaller key is the strictly smaller vector, in O(footprint). Only
-/// candidates tied on the key walk further down ([`cmp_below`]).
-fn leximin_argmin(p: &OffsetProblem, loads: &[u64]) -> usize {
+/// the smaller key is the strictly smaller vector, in O(footprint): two
+/// branch-free passes, the maximum and then the count equal to it.
+///
+/// Candidates tied on the key compare by their [`Window`]s, the first
+/// differing level from the top deciding; the best candidate's window is
+/// built once per best. Only when the whole window ties, and a touched FU
+/// sat below it, does the comparison walk further down ([`cmp_below`]).
+fn leximin_argmin(p: &OffsetProblem, loads: &[u64]) -> (usize, u64) {
     let key = |c: usize| {
-        p.deltas(c).iter().fold((0u64, 0u32), |(hot, count), &(res, d)| {
-            let load = loads[res as usize] + d;
-            match load.cmp(&hot) {
-                Ordering::Greater => (load, 1),
-                Ordering::Equal => (hot, count + 1),
-                Ordering::Less => (hot, count),
-            }
-        })
+        let deltas = p.deltas(c);
+        let hot = deltas.iter().map(|&(res, d)| loads[res as usize] + d).max().unwrap_or(0);
+        let count: u32 =
+            deltas.iter().map(|&(res, d)| u32::from(loads[res as usize] + d == hot)).sum();
+        (hot, count)
     };
     let mut best = 0;
     let mut best_key = key(0);
+    // `best`'s window at `best_key.0`, once a tie has needed it.
+    let mut best_window: Option<Window> = None;
     for c in 1..p.choices() {
         let c_key = key(c);
-        let better = match c_key.cmp(&best_key) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => cmp_below(p, loads, c, best, c_key.0) == Ordering::Less,
-        };
-        if better {
-            best = c;
-            best_key = c_key;
+        match c_key.cmp(&best_key) {
+            Ordering::Greater => continue,
+            Ordering::Less => best_window = None,
+            Ordering::Equal => {
+                let hot = c_key.0;
+                let b = *best_window.get_or_insert_with(|| Window::of(p, loads, best, hot));
+                let w = Window::of(p, loads, c, hot);
+                let order = w.levels.cmp(&b.levels).then_with(|| {
+                    if w.deep || b.deep {
+                        cmp_below(p, loads, c, best, (hot + 1).saturating_sub(WINDOW as u64))
+                    } else {
+                        Ordering::Equal
+                    }
+                });
+                debug_assert_eq!(order, cmp_below(p, loads, c, best, hot), "pivots {c} and {best}");
+                if order != Ordering::Less {
+                    continue;
+                }
+                best_window = Some(w);
+            }
         }
+        best = c;
+        best_key = c_key;
     }
-    best
+    (best, best_key.0)
+}
+
+/// How many load levels, from a tied hottest load down, two candidates
+/// compare by [`Window`] before [`leximin_argmin`] falls back to
+/// [`cmp_below`]. Keys tie where spreads are narrow; a wider window barely
+/// changes how often the walk runs in the gap sweep (DESIGN.md §15).
+const WINDOW: usize = 16;
+
+/// A candidate's signed level histogram below a hot load `hot`.
+#[derive(Clone, Copy)]
+struct Window {
+    /// Slot `i` counts the touched FUs whose new load is `hot − i` minus
+    /// those whose old load was, for the `WINDOW` levels at and below
+    /// `hot`. Slot-wise, two candidates' windows differ by `net` (see
+    /// [`leximin_argmin`]).
+    levels: [i32; WINDOW],
+    /// Whether a touched FU's old load lies below the window.
+    deep: bool,
+}
+
+impl Window {
+    /// Candidate `c`'s window below `hot`, which must be at least its
+    /// hottest new load.
+    fn of(p: &OffsetProblem, loads: &[u64], c: usize, hot: u64) -> Window {
+        let mut window = Window { levels: [0; WINDOW], deep: false };
+        for &(res, d) in p.deltas(c) {
+            let old = loads[res as usize];
+            let (new_at, old_at) = (hot - old - d, hot - old);
+            if new_at < WINDOW as u64 {
+                window.levels[new_at as usize] += 1;
+            }
+            if old_at < WINDOW as u64 {
+                window.levels[old_at as usize] -= 1;
+            } else {
+                window.deep = true;
+            }
+        }
+        window
+    }
 }
 
 /// Compares candidates `c` and `b`, known to agree on every value at or
 /// above `top`, in leximin order: one pass over both footprints per
 /// distinct old or new load below `top`, from the highest down, until
-/// `net` (see [`leximin_argmin`]) is nonzero. Narrow load spreads — where
-/// keys tie — have few distinct loads, so this ends in a few passes.
+/// `net` (see [`leximin_argmin`]) is nonzero. [`leximin_argmin`] calls it
+/// only past a tied [`Window`] that a touched FU sat below.
 fn cmp_below(p: &OffsetProblem, loads: &[u64], c: usize, b: usize, mut top: u64) -> Ordering {
     loop {
         // The highest old or new load below `top`, and `net` there.
@@ -284,7 +347,125 @@ fn cmp_below(p: &OffsetProblem, loads: &[u64], c: usize, b: usize, mut top: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgra::{Fabric, Offset};
+    use cgra::{Fabric, FaultMask, Offset};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRunner;
+
+    /// The argmin before the tie window: the `(hot, count)` key, pivots
+    /// tied on it compared by [`cmp_below`] from the top.
+    fn walking_argmin(p: &OffsetProblem, loads: &[u64]) -> usize {
+        let key = |c: usize| {
+            p.deltas(c).iter().fold((0u64, 0u32), |(hot, count), &(res, d)| {
+                let load = loads[res as usize] + d;
+                match load.cmp(&hot) {
+                    Ordering::Greater => (load, 1),
+                    Ordering::Equal => (hot, count + 1),
+                    Ordering::Less => (hot, count),
+                }
+            })
+        };
+        let mut best = 0;
+        let mut best_key = key(0);
+        for c in 1..p.choices() {
+            let c_key = key(c);
+            let better = match c_key.cmp(&best_key) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => cmp_below(p, loads, c, best, c_key.0) == Ordering::Less,
+            };
+            if better {
+                best = c;
+                best_key = c_key;
+            }
+        }
+        best
+    }
+
+    /// Pivot pairs tied on their key and on their [`Window`]s that are
+    /// nevertheless unequal: the ones only the walk below the window tells
+    /// apart.
+    fn told_apart_below_the_window(p: &OffsetProblem, loads: &[u64]) -> usize {
+        let hot = |c: usize| p.deltas(c).iter().map(|&(res, d)| loads[res as usize] + d).max();
+        let window = |c: usize, hot: u64| Window::of(p, loads, c, hot).levels;
+        let mut pairs = 0;
+        for c in 0..p.choices() {
+            for b in 0..c {
+                let (Some(h), true) = (hot(c), hot(c) == hot(b)) else { continue };
+                let (wc, wb) = (window(c, h), window(b, h));
+                if wc == wb && cmp_below(p, loads, c, b, h) != Ordering::Equal {
+                    pairs += 1;
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn window_ties_fall_back_to_the_walk_below() {
+        // Footprint `[(0,0), (0,1)]` on a 1×4 ring with loads [50, 1, 50, 0]:
+        // every pivot reaches 51 once, and pivots 0 and 2 also move the same
+        // levels inside the window (50 → 51), so only the cold FU they
+        // touch, far below, tells them apart: pivot 0 leaves [51, 50, 2, 0],
+        // pivot 2 the smaller [51, 50, 1, 1].
+        let loads = [50, 1, 50, 0];
+        let p = OffsetProblem::new(&Fabric::new(1, 4), &[(0, 0), (0, 1)], &loads, 1, |_| true);
+        assert_eq!(told_apart_below_the_window(&p, &loads), 4);
+        assert_eq!(leximin_argmin(&p, &loads), (2, 51));
+        assert_eq!(walking_argmin(&p, &loads), 2);
+    }
+
+    #[test]
+    fn leximin_argmin_matches_the_walking_argmin() {
+        let fabric = ((1u32..=4), (4u32..=8), (0u32..=2)).prop_map(|(r, c, bw)| {
+            let mut fabric = Fabric::new(r, c);
+            fabric.col_bandwidth = bw;
+            fabric
+        });
+        let strategy = (
+            fabric,
+            proptest::collection::vec((0u32..4, 0u32..8), 0..=6),
+            proptest::collection::vec((0u32..4, 0u32..8), 1..=12),
+            proptest::collection::vec(0u64..1000, 32),
+            0u8..3,
+        );
+        let mut told_apart_below = [0; 3];
+
+        let result = TestRunner::new(ProptestConfig::with_cases(768)).run(
+            &strategy,
+            |(fabric, dead, footprint, loads, spread)| {
+                let mut mask = FaultMask::healthy(&fabric);
+                for (r, c) in dead {
+                    mask.mark_dead(r % fabric.rows, c % fabric.cols);
+                }
+                // Narrow spreads (0–3) tie most pivots on their key;
+                // stepped ones (three clusters two windows apart, a little
+                // noise in each) tie pivots whose windows also tie; wide
+                // ones rarely tie.
+                let w = WINDOW as u64;
+                let loads: Vec<u64> = loads[..fabric.fu_count() as usize]
+                    .iter()
+                    .map(|&l| match spread {
+                        0 => l % 4,
+                        1 => l % 3 * 2 * w + l / 3 % 3,
+                        _ => l,
+                    })
+                    .collect();
+                let p = OffsetProblem::new(&fabric, &footprint, &loads, 1, |o| {
+                    mask.placement_ok(&fabric, &footprint, o)
+                });
+                if p.choices() == 0 {
+                    return Err(TestCaseError::reject("no legal pivot"));
+                }
+                let want = walking_argmin(&p, &loads);
+                let hot = p.deltas(want).iter().map(|&(res, d)| loads[res as usize] + d).max();
+                prop_assert_eq!(leximin_argmin(&p, &loads), (want, hot.unwrap_or(0)));
+                told_apart_below[spread as usize] += told_apart_below_the_window(&p, &loads);
+                Ok(())
+            },
+        );
+        result.unwrap();
+        assert!(told_apart_below[1] > 0, "stepped spreads reach below the window");
+    }
 
     #[test]
     fn empty_problem_reports_the_initial_maximum() {

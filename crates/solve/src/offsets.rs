@@ -15,8 +15,8 @@ use cgra::{Fabric, Offset};
 /// assignments of the next `slots` executions to legal offsets.
 ///
 /// A problem can be [`refill`](OffsetProblem::refill)ed in place, so a
-/// caller that re-solves on every allocation (the exact oracle) keeps one
-/// and reuses its buffers instead of building a new one per solve; when
+/// caller that re-solves on every allocation (the exact oracle) keeps a few
+/// and reuses their buffers instead of building a new one per solve; when
 /// only the live stress has changed since, [`reload`](OffsetProblem::reload)
 /// swaps in the new counters and keeps the pivots and deltas.
 ///
@@ -43,6 +43,8 @@ pub struct OffsetProblem {
     /// The footprint reduced into the fabric, repeated cells merged, with
     /// each cell's stress weight; its length is every choice's delta count.
     cells: Vec<(u32, u32, u64)>,
+    /// The summed stress weights of `cells`: the stress every pivot adds.
+    mass: u64,
     /// Refill scratch: the per-column occupancy behind the stress weights.
     occupancy: Vec<u64>,
 }
@@ -100,6 +102,7 @@ impl OffsetProblem {
         self.offsets.clear();
         self.deltas.clear();
         self.cells.clear();
+        self.mass = 0;
         if rows == 0 || cols == 0 {
             return; // no pivot at all
         }
@@ -133,6 +136,7 @@ impl OffsetProblem {
             }
             same
         });
+        self.mass = self.cells.iter().map(|&(.., stress)| stress).sum();
 
         for row in 0..rows {
             for col in 0..cols {
@@ -186,6 +190,14 @@ impl OffsetProblem {
         &self.initial
     }
 
+    /// The stress mass one execution adds, whichever pivot it takes: the
+    /// sum of every choice's deltas. A pivot shifts every cell alike, so
+    /// the column occupancy behind each cell's weight, and with it the
+    /// sum, is the same at every pivot.
+    pub fn mass(&self) -> u64 {
+        self.mass
+    }
+
     /// The stress pivot `choice` adds, as `(fu, delta)` pairs: one pair per
     /// FU, every delta at least 1, in the same footprint-cell order for
     /// every choice.
@@ -229,6 +241,26 @@ mod tests {
         let wrap = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, 1, |_| true);
         let last = wrap.choices() - 1; // pivot (1, 3): cells (1,3) and (1,0)
         assert_eq!(wrap.deltas(last), &[(7, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn every_choice_adds_the_mass() {
+        // Repeated cells, a footprint wider than the fabric (wrapping onto
+        // columns it already occupies) and every bandwidth.
+        let footprint = [(0, 0), (1, 0), (0, 1), (0, 1), (2, 5), (1, 4), (3, 0)];
+        for bw in 0..=3 {
+            let mut fabric = Fabric::new(3, 4);
+            fabric.col_bandwidth = bw;
+            let p = OffsetProblem::new(&fabric, &footprint, &[0; 12], 1, |o| o.col != 2);
+            assert_eq!(p.choices(), 9);
+            if bw == 0 {
+                assert_eq!(p.mass(), footprint.len() as u64, "one stress per occurrence");
+            }
+            for c in 0..p.choices() {
+                let sum: u64 = p.deltas(c).iter().map(|&(_, d)| d).sum();
+                assert_eq!(sum, p.mass(), "bandwidth {bw}, pivot {:?}", p.offset(c));
+            }
+        }
     }
 
     #[test]
