@@ -1,7 +1,8 @@
 //! Flight-recorder overhead (DESIGN.md §16): the same crc32 system run
-//! with tracing disabled (the shipping default — every instrumentation
-//! site collapses to one relaxed atomic load) and with a metrics
-//! collector attached, plus the disabled `event!` check in isolation.
+//! outside any collection (the shipping default — every span site
+//! collapses to one relaxed atomic load, and a session call takes no
+//! tally) and inside `obs::collect`, plus `obs::publish` outside any
+//! collection in isolation.
 //! The untraced/collected pair pins the acceptance bound: the disabled
 //! recorder must stay within noise (<2%) of the uninstrumented trajectory
 //! the committed baseline records.
@@ -9,7 +10,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cgra::Fabric;
-use tracing::{event, Level};
 use transrec::{System, SystemConfig};
 use uaware::PolicySpec;
 
@@ -33,12 +33,12 @@ fn bench_obs_overhead(c: &mut Criterion) {
             cycles
         })
     });
-    // The disabled fast path in isolation: one relaxed atomic load and a
-    // branch — the cost every `event!` site pays when nobody listens.
-    group.bench_function("disabled_event", |b| {
+    // The disabled path in isolation: 1,000 publish calls outside any
+    // collection, each a thread-local check whose closure never runs.
+    group.bench_function("disabled_record", |b| {
         b.iter(|| {
             for _ in 0..1_000 {
-                event!(Level::TRACE, "bench.noop", "add" = 1);
+                obs::publish(|reg| reg.counter_add("bench.noop", 1));
             }
         })
     });

@@ -13,8 +13,8 @@ use crate::translate::{
 
 /// The hardware DBT's trace builder: feed it retired instructions, get
 /// cache-ready configurations out. It counts its translations in
-/// [`TranslateCounts`] and fires no tracing events; its owner publishes
-/// them (DESIGN.md §16).
+/// [`TranslateCounts`] and publishes nothing; its owner publishes them
+/// (DESIGN.md §16).
 ///
 /// # Examples
 ///

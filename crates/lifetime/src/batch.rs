@@ -154,7 +154,6 @@ impl WearBatch {
     /// Panics on a geometry mismatch, a negative mission length, or an
     /// out-of-range lane.
     pub fn advance(&mut self, lane: usize, duty: &UtilizationGrid, years: f64) -> Vec<FuFailed> {
-        tracing::event!(tracing::Level::TRACE, "wear.lane.advances", "add" = 1);
         let failures = self.scan_failures(lane, duty, years);
         self.advance_ages(lane, duty, years);
         failures
@@ -183,9 +182,6 @@ impl WearBatch {
         let Some(&first) = members.first() else {
             return Vec::new();
         };
-        // One event per class advance, independent of the member count, so
-        // a weight-scaled fold stays shard-split invariant (DESIGN.md §16).
-        tracing::event!(tracing::Level::TRACE, "wear.class.advances", "add" = 1);
         debug_assert!(
             members.iter().all(|&m| {
                 self.lane_ages(m) == self.lane_ages(first)

@@ -117,7 +117,6 @@ impl DeviceLifetime {
     /// Panics if the device is already retired, on a geometry mismatch, or
     /// on a negative mission length.
     pub fn advance_mission(&mut self, duty: &UtilizationGrid, years: f64) -> Vec<FuFailed> {
-        tracing::event!(tracing::Level::TRACE, "wear.missions", "add" = 1);
         assert!(!self.is_dead(), "cannot advance a retired device");
         assert!(years >= 0.0, "negative mission length {years}");
         assert_eq!(

@@ -1,20 +1,23 @@
-//! # obs — observability subscribers for the workspace's tracing layer
+//! # obs — the workspace's flight recorder (DESIGN.md §16)
 //!
-//! Two [`tracing::Subscriber`] implementations with opposite determinism
-//! contracts (DESIGN.md §16):
+//! Two recorders with opposite determinism contracts:
 //!
-//! * [`MetricsCollector`] feeds a [`Registry`] of named counters,
-//!   high-watermark gauges and log-bucketed histograms. Everything in a
+//! * Metrics: [`collect`] opens a [`Registry`] of named counters,
+//!   high-watermark gauges and log-bucketed histograms on this thread for
+//!   the duration of a closure, and [`publish`] writes into the innermost
+//!   open one (and does nothing outside a collection). Everything in a
 //!   registry is integer state with an associative + commutative
 //!   [`merge`](Registry::merge), so sharded campaigns fold per-work-item
 //!   registries exactly like `FleetAccum` folds survival counts — the
 //!   folded result (and its JSON, `results/metrics.json`) is
 //!   byte-identical no matter the worker count, shard split or stop/resume
 //!   point.
-//! * [`Profiler`] records wall-clock self/total times per span subtree
-//!   (`results/profile.json`). Wall-clock time is inherently
-//!   nondeterministic, so the profile is excluded from the CI determinism
-//!   diff.
+//! * [`Profiler`], a [`tracing::Subscriber`], records wall-clock
+//!   self/total times per span subtree (`results/profile.json`).
+//!   Wall-clock time is inherently nondeterministic, so the profile is
+//!   excluded from the CI determinism diff. Collection does not touch the
+//!   tracing dispatch, so a profiler sees every span whether or not
+//!   metrics are collected.
 //!
 //! [`LogHistogram`] is the workspace's one log-bucketed histogram (exact
 //! below 8, then 8 sub-buckets per power of two): registry histograms and
@@ -22,14 +25,14 @@
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use tracing::{Dispatch, Event, Level, Metadata, SpanId, Subscriber};
+use tracing::{Dispatch, Metadata, SpanId, Subscriber};
 
 /// The logarithmic bucket index of a `u64` observation: exact below 8,
 /// then 8 sub-buckets per power of two (≤ 12.5% relative error) — the
@@ -141,15 +144,13 @@ impl LogHistogram {
 
 /// A deterministic registry of named metrics (DESIGN.md §16).
 ///
-/// Three instruments, selected by the event field key at the callsite:
+/// Three instruments, one method each:
 ///
-/// * `"add"` — a **counter** (merge: sum, scaled by the fold weight);
-/// * `"set"` — a **gauge**, kept as a high-watermark (merge: max) so the
-///   fold stays order-independent;
-/// * `"record"` — a **histogram** sample ([`LogHistogram`]); followed by
-///   `"count" = n`, a **bulk record** of `n` equal samples at once.
-///
-/// An event of any other shape is not a metric, and a collector ignores it.
+/// * [`counter_add`](Registry::counter_add) — a **counter** (merge: sum);
+/// * [`gauge_set`](Registry::gauge_set) — a **gauge**, kept as a
+///   high-watermark (merge: max) so the fold stays order-independent;
+/// * [`histogram_record_n`](Registry::histogram_record_n) — `n` equal
+///   **histogram** samples ([`LogHistogram`]) at once.
 ///
 /// All maps are `BTreeMap`s and all state is integer, so two registries
 /// built from the same observations in any fold order serialize to
@@ -190,7 +191,7 @@ impl Registry {
 
     /// Adds `v` to counter `name`. Like [`Registry::gauge_set`] and
     /// [`Registry::histogram_record`], it looks the name up by `&str` and
-    /// allocates the key only on its first event.
+    /// allocates the key only on its first use.
     pub fn counter_add(&mut self, name: &str, v: u64) {
         match self.counters.get_mut(name) {
             Some(c) => *c += v,
@@ -306,102 +307,70 @@ impl Registry {
     }
 }
 
-/// A [`Subscriber`] that folds events into a [`Registry`] (DESIGN.md §16).
-///
-/// Spans never enter the registry — only [`Profiler`] times them — so a
-/// collector observes exactly the event stream, which is what keeps its
-/// registry deterministic. A collector made by [`collect`] hands its
-/// phase-level (`INFO` and above) spans on to the subscriber it shadows,
-/// so a profiler around a collected work item still sees the item's
-/// phases. Install one per work item with [`tracing::with_default`] (or
-/// use [`collect`]) and fold the finished registries in a deterministic
-/// order.
-#[derive(Clone, Default)]
-pub struct MetricsCollector {
-    registry: Rc<RefCell<Registry>>,
-    /// Where phase-level spans go.
-    spans: Option<Dispatch>,
+thread_local! {
+    /// The registries of this thread's open [`collect`] calls, innermost
+    /// last.
+    static OPEN: RefCell<Vec<Registry>> = const { RefCell::new(Vec::new()) };
+    /// The [`publish`] calls that ran on this thread.
+    static PUBLISHED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The span id a collector hands out for a span it does not forward.
-const UNFORWARDED: SpanId = SpanId(u64::MAX);
+/// Closes the innermost collection when [`collect`] returns or unwinds.
+struct Close;
 
-impl MetricsCollector {
-    /// A collector over a fresh registry.
-    pub fn new() -> MetricsCollector {
-        MetricsCollector::default()
-    }
-
-    /// A dispatch handle for [`tracing::with_default`].
-    pub fn dispatch(&self) -> Dispatch {
-        Dispatch::new(self.clone())
-    }
-
-    /// Takes the collected registry, leaving an empty one behind.
-    pub fn finish(&self) -> Registry {
-        std::mem::take(&mut self.registry.borrow_mut())
+impl Drop for Close {
+    fn drop(&mut self) {
+        OPEN.with(|open| open.borrow_mut().pop());
     }
 }
 
-impl Subscriber for MetricsCollector {
-    fn new_span(&self, metadata: &Metadata<'_>) -> SpanId {
-        match &self.spans {
-            Some(outer)
-                if metadata.level >= Level::INFO && outer.subscriber().enabled(metadata) =>
-            {
-                outer.subscriber().new_span(metadata)
-            }
-            _ => UNFORWARDED,
-        }
-    }
-
-    fn enter(&self, id: SpanId) {
-        if let Some(outer) = self.spans.as_ref().filter(|_| id != UNFORWARDED) {
-            outer.subscriber().enter(id);
-        }
-    }
-
-    fn exit(&self, id: SpanId) {
-        if let Some(outer) = self.spans.as_ref().filter(|_| id != UNFORWARDED) {
-            outer.subscriber().exit(id);
-        }
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        let mut reg = self.registry.borrow_mut();
-        let name = event.metadata.name;
-        match *event.fields {
-            [("add", v)] => reg.counter_add(name, v),
-            [("set", v)] => reg.gauge_set(name, v),
-            [("record", v)] => reg.histogram_record(name, v),
-            [("record", v), ("count", n)] => reg.histogram_record_n(name, v, n),
-            _ => {}
-        }
-    }
-}
-
-/// Runs `f` with a fresh [`MetricsCollector`] installed as this thread's
-/// subscriber, returning `f`'s result and the collected registry. The
-/// collector shadows the thread's current subscriber for events only: its
-/// phase-level spans still reach it.
+/// Runs `f` with a fresh [`Registry`] open on this thread, returning `f`'s
+/// result and what was [`publish`]ed into it. A nested collection shadows
+/// the outer one until it returns, and a panic in `f` closes it too.
 ///
 /// # Examples
 ///
 /// ```
-/// use tracing::{event, Level};
-///
 /// let (sum, reg) = obs::collect(|| {
-///     event!(Level::TRACE, "loop.iterations", "add" = 3);
+///     obs::publish(|reg| reg.counter_add("loop.iterations", 3));
 ///     1 + 2
 /// });
 /// assert_eq!(sum, 3);
 /// assert_eq!(reg.counter("loop.iterations"), 3);
+/// assert!(!obs::collecting());
 /// ```
 pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Registry) {
-    let collector =
-        MetricsCollector { registry: Rc::default(), spans: tracing::with_current(Dispatch::clone) };
-    let out = tracing::with_default(collector.dispatch(), f);
-    (out, collector.finish())
+    OPEN.with(|open| open.borrow_mut().push(Registry::new()));
+    let _close = Close;
+    let out = f();
+    let registry = OPEN.with(|open| std::mem::take(open.borrow_mut().last_mut().expect("open")));
+    (out, registry)
+}
+
+/// `true` inside a [`collect`] on this thread: whether a [`publish`] would
+/// run. A publisher that must do work to know what to publish (take a
+/// tally, say) checks this first.
+pub fn collecting() -> bool {
+    OPEN.with(|open| !open.borrow().is_empty())
+}
+
+/// Runs `f` on the innermost registry [`collect`] opened on this thread;
+/// outside a collection `f` does not run. `f` must not publish or collect
+/// itself.
+pub fn publish(f: impl FnOnce(&mut Registry)) {
+    OPEN.with(|open| {
+        if let Some(registry) = open.borrow_mut().last_mut() {
+            PUBLISHED.with(|n| n.set(n.get() + 1));
+            f(registry);
+        }
+    });
+}
+
+/// How many [`publish`] calls ran on this thread so far, so a test can
+/// check that work publishes once per session call, replay, served day or
+/// trajectory, however long it runs.
+pub fn published() -> u64 {
+    PUBLISHED.with(Cell::get)
 }
 
 /// One aggregated span in a [`ProfileReport`]: all entries of the same
@@ -489,8 +458,7 @@ impl ProfState {
 
 /// A [`Subscriber`] that aggregates wall-clock self/total time per span
 /// subtree. Install it on the coordinating thread around campaign or
-/// experiment phases; worker threads carry [`MetricsCollector`]s instead
-/// (DESIGN.md §16).
+/// experiment phases; pool threads carry no profiler (DESIGN.md §16).
 ///
 /// # Examples
 ///
@@ -547,8 +515,6 @@ impl Subscriber for Profiler {
             state.nodes[p].child_time += elapsed;
         }
     }
-
-    fn event(&self, _event: &Event<'_>) {}
 }
 
 /// The process-global registry the experiment binaries snapshot into
@@ -588,7 +554,7 @@ pub mod global {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracing::{event, span, Level};
+    use tracing::{span, Level};
 
     #[test]
     fn bucketing_matches_the_latency_scheme() {
@@ -668,21 +634,26 @@ mod tests {
     }
 
     #[test]
-    fn collector_routes_fields_to_instruments() {
-        let ((), reg) = collect(|| {
-            event!(Level::TRACE, "dbt.cache.hit", "add" = 1);
-            event!(Level::TRACE, "dbt.cache.hit", "add" = 1);
-            event!(Level::TRACE, "queue.depth", "set" = 9);
-            event!(Level::TRACE, "step.cycles", "record" = 250);
-            event!(Level::TRACE, "step.cycles", "record" = 9, "count" = 3);
-            event!(Level::TRACE, "solve", "expanded" = 40, "nogoods" = 2);
+    fn publish_writes_to_the_innermost_collection() {
+        let before = published();
+        publish(|_| unreachable!("no collection is open"));
+        assert_eq!(published(), before, "a publish outside a collection does not run");
+        let (((), inner), outer) = collect(|| {
+            assert!(collecting());
+            publish(|reg| reg.counter_add("dbt.cache.hit", 1));
+            let inner = collect(|| {
+                publish(|reg| reg.gauge_set("queue.depth", 9));
+                publish(|reg| reg.histogram_record("step.cycles", 250));
+            });
+            publish(|reg| reg.counter_add("dbt.cache.hit", 1));
+            inner
         });
-        assert_eq!(reg.counter("dbt.cache.hit"), 2);
-        assert_eq!(reg.gauge("queue.depth"), 9);
-        let cycles = reg.histogram("step.cycles").unwrap();
-        assert_eq!(cycles.total(), 4, "a bulk record counts every sample");
-        assert_eq!(cycles.percentile(0.75), 9);
-        assert_eq!(reg.counters().count(), 1, "an event of another shape is no metric");
+        assert_eq!(published(), before + 4, "every publish inside a collection runs");
+        assert_eq!(outer.counter("dbt.cache.hit"), 2);
+        assert_eq!(outer.gauge("queue.depth"), 0, "the inner collection shadows the outer");
+        assert_eq!(inner.gauge("queue.depth"), 9);
+        assert_eq!(inner.histogram("step.cycles").unwrap().total(), 1);
+        assert!(!collecting());
     }
 
     #[test]
@@ -691,39 +662,76 @@ mod tests {
         let ((), repeated) = collect(|| {
             for (v, n) in samples {
                 for _ in 0..n {
-                    event!(Level::TRACE, "step.cycles", "record" = v);
+                    publish(|reg| reg.histogram_record("step.cycles", v));
                 }
             }
         });
         let ((), bulk) = collect(|| {
             for (v, n) in samples {
-                event!(Level::TRACE, "step.cycles", "record" = v, "count" = n);
+                publish(|reg| reg.histogram_record_n("step.cycles", v, n));
             }
         });
         assert_eq!(bulk, repeated);
-        let ((), nothing) =
-            collect(|| event!(Level::TRACE, "step.cycles", "record" = 1, "count" = 0));
+        let ((), nothing) = collect(|| publish(|reg| reg.histogram_record_n("step.cycles", 1, 0)));
         assert!(nothing.is_empty(), "zero samples leave no histogram");
     }
 
     #[test]
-    fn collected_work_keeps_its_phase_spans_in_the_profile() {
-        let profiler = Profiler::new();
-        let ((), reg) = tracing::with_default(profiler.dispatch(), || {
-            let _outer = span!(Level::INFO, "outer").entered();
+    fn a_panic_inside_collect_closes_the_collection() {
+        let unwound = std::panic::catch_unwind(|| {
             collect(|| {
-                let _phase = span!(Level::INFO, "phase").entered();
-                let _detail = span!(Level::DEBUG, "detail").entered();
-                event!(Level::TRACE, "work.done", "add" = 1);
+                publish(|reg| reg.counter_add("work.done", 1));
+                panic!("the work item failed");
             })
         });
-        assert_eq!(reg.counter("work.done"), 1);
-        let report = profiler.report();
-        let outer = &report.roots[0];
-        assert_eq!(outer.children.len(), 1);
-        let phase = &outer.children[0];
-        assert_eq!((phase.name.as_str(), phase.calls), ("phase", 1));
-        assert!(phase.children.is_empty(), "debug spans stay with the collector");
+        assert!(unwound.is_err());
+        assert!(!collecting(), "the unwound collection is closed");
+        let ((), reg) = collect(|| publish(|reg| reg.counter_add("work.after", 1)));
+        assert_eq!(reg.counter("work.done"), 0, "nothing leaks into the next collection");
+        assert_eq!(reg.counter("work.after"), 1);
+    }
+
+    /// `report` without its wall-clock times: names, nesting and calls.
+    fn untimed(report: &ProfileReport) -> ProfileReport {
+        fn strip(tree: &ProfileTree) -> ProfileTree {
+            ProfileTree {
+                total_ns: 0,
+                self_ns: 0,
+                children: tree.children.iter().map(strip).collect(),
+                ..tree.clone()
+            }
+        }
+        ProfileReport { roots: report.roots.iter().map(strip).collect() }
+    }
+
+    #[test]
+    fn collection_leaves_the_span_tree_alone() {
+        let work = || {
+            let _outer = span!(Level::INFO, "outer").entered();
+            for _ in 0..2 {
+                let _phase = span!(Level::INFO, "phase").entered();
+                let _detail = span!(Level::DEBUG, "detail").entered();
+                publish(|reg| reg.counter_add("work.done", 1));
+            }
+        };
+        let profile = |collected: bool| {
+            let profiler = Profiler::new();
+            tracing::with_default(profiler.dispatch(), || {
+                if collected {
+                    let ((), reg) = collect(work);
+                    assert_eq!(reg.counter("work.done"), 2);
+                } else {
+                    work();
+                }
+            });
+            profiler.report()
+        };
+        let (bare, collected) = (profile(false), profile(true));
+        assert_eq!(collected.roots.len(), 1);
+        assert_eq!(untimed(&collected), untimed(&bare));
+        let phase = &collected.roots[0].children[0];
+        assert_eq!((phase.name.as_str(), phase.calls), ("phase", 2));
+        assert_eq!(phase.children[0].name, "detail", "debug spans reach the profiler");
     }
 
     #[test]

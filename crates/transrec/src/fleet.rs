@@ -416,6 +416,7 @@ fn simulate_trajectory(
         let (_, duty) = cached.as_ref().expect("mission cached above");
         life.advance_mission(duty, plan.mission_years);
     }
+    publish_missions(life.missions());
     Ok(ClassTrajectory {
         death_years: life.death_years(),
         first_failure_years: life.first_failure_years(),
@@ -423,6 +424,14 @@ fn simulate_trajectory(
         failures: life.failures().to_vec(),
         simulated_missions: simulated,
     })
+}
+
+/// Publishes the missions one fleet or serving trajectory lived, once per
+/// trajectory however long it ran (DESIGN.md §16).
+pub(crate) fn publish_missions(missions: u64) {
+    if missions > 0 {
+        obs::publish(|reg| reg.counter_add("wear.missions", missions));
+    }
 }
 
 /// One policy's streaming aggregate over the completed shards: a

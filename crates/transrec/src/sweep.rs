@@ -251,8 +251,7 @@ pub fn run_sweep(plan: &SweepPlan, jobs: usize) -> Result<Vec<SuiteRun>, SystemE
 }
 
 /// [`run_sweep`] with the flight recorder on: every GPP-reference block
-/// and every task runs under a per-work-item
-/// [`MetricsCollector`](obs::MetricsCollector), and the finished
+/// and every task runs under its own [`obs::collect`], and the finished
 /// registries fold in deterministic block/task order into one
 /// [`Registry`] (returned alongside the runs, and also folded into
 /// [`obs::global`]). Because the fold is a commutative monoid over

@@ -16,7 +16,7 @@
 //! convenience wrapper. Every decision is published to the attached
 //! [`Observer`]s as [`SimEvent`]s and counted exactly once, in the
 //! session's typed tally; each session call publishes what the tally gained
-//! to the tracing layer as it returns (DESIGN.md §16).
+//! to the metrics registry as it returns (DESIGN.md §16).
 
 use std::fmt;
 use std::sync::Arc;
@@ -174,59 +174,58 @@ pub(crate) struct AllocCounts {
     policy: uaware::PolicyCounts,
 }
 
-/// Fires what each session counter gained from `before` to `now` as one
-/// `"add"` event, and nothing for a counter that gained nothing, except
-/// that a solver call fires all five of its counters: the one place the
-/// session's counters are named (DESIGN.md §16). `alloc.<kind>.*` takes
-/// the head of `policy`, the policy's canonical name.
+/// Publishes what each session counter gained from `before` to `now` in
+/// one [`obs::publish`], and nothing for a counter that gained nothing,
+/// except that a solver call adds to all five of its counters: the one
+/// place the session's counters are named (DESIGN.md §16). `alloc.<kind>.*`
+/// takes the head of `policy`, the policy's canonical name.
 pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
-    if !tracing::dispatch_active() {
-        return;
-    }
-    let kind = policy.split([':', '@']).next().unwrap_or(policy);
-    let (decisions, replayed) =
-        (format!("alloc.{kind}.decisions"), format!("alloc.{kind}.replayed"));
-    let counters = |t: &Tally| {
-        let (s, dbt, alloc) = (&t.stats, &t.translate, &t.alloc);
-        [
-            ("system.gpp_retired", s.gpp_retired),
-            ("system.offloads", t.offloads_started),
-            ("tracker.executions", s.offloads),
-            ("system.offloads_skipped", s.offloads_skipped),
-            ("system.offloads_starved", s.offloads_starved),
-            ("system.config_loads", t.config_loads),
-            ("system.rotations", t.rotations),
-            ("dbt.cache.hit", t.cache_hits),
-            ("dbt.cache.miss", s.cache_lookups - t.cache_hits),
-            ("dbt.cache.insert", t.cache_inserted),
-            ("dbt.cache.evict", t.cache_evicted),
-            ("dbt.translate.calls", dbt.calls),
-            ("dbt.translate.rejected", dbt.rejected),
-            ("dbt.translate.placed_instrs", dbt.placed_instrs),
-            (decisions.as_str(), alloc.decisions),
-            (replayed.as_str(), alloc.policy.replayed),
-            ("cgra.bandwidth.oversub", alloc.oversubscribed),
-            ("solve.infeasible", alloc.policy.solve_infeasible),
-        ]
-    };
-    for ((name, now), (_, before)) in counters(now).into_iter().zip(counters(before)) {
-        if now != before {
-            tracing::event!(tracing::Level::TRACE, name, "add" = now - before);
+    obs::publish(|reg| {
+        let kind = policy.split([':', '@']).next().unwrap_or(policy);
+        let (decisions, replayed) =
+            (format!("alloc.{kind}.decisions"), format!("alloc.{kind}.replayed"));
+        let counters = |t: &Tally| {
+            let (s, dbt, alloc) = (&t.stats, &t.translate, &t.alloc);
+            [
+                ("system.gpp_retired", s.gpp_retired),
+                ("system.offloads", t.offloads_started),
+                ("tracker.executions", s.offloads),
+                ("system.offloads_skipped", s.offloads_skipped),
+                ("system.offloads_starved", s.offloads_starved),
+                ("system.config_loads", t.config_loads),
+                ("system.rotations", t.rotations),
+                ("dbt.cache.hit", t.cache_hits),
+                ("dbt.cache.miss", s.cache_lookups - t.cache_hits),
+                ("dbt.cache.insert", t.cache_inserted),
+                ("dbt.cache.evict", t.cache_evicted),
+                ("dbt.translate.calls", dbt.calls),
+                ("dbt.translate.rejected", dbt.rejected),
+                ("dbt.translate.placed_instrs", dbt.placed_instrs),
+                (decisions.as_str(), alloc.decisions),
+                (replayed.as_str(), alloc.policy.replayed),
+                ("cgra.bandwidth.oversub", alloc.oversubscribed),
+                ("solve.infeasible", alloc.policy.solve_infeasible),
+            ]
+        };
+        for ((name, now), (_, before)) in counters(now).into_iter().zip(counters(before)) {
+            if now != before {
+                reg.counter_add(name, now - before);
+            }
         }
-    }
-    let (now, before) = (&now.alloc.policy, &before.alloc.policy);
-    if now.solve_calls != before.solve_calls {
-        let (n, b) = (now.solve, before.solve);
-        for (name, gain) in [
-            ("solve.calls", now.solve_calls - before.solve_calls),
-            ("solve.expanded", n.expanded - b.expanded),
-            ("solve.generated", n.generated - b.generated),
-            ("solve.bound_cutoffs", n.pruned_bound - b.pruned_bound),
-            ("solve.nogoods", n.pruned_nogood - b.pruned_nogood),
-        ] {
-            tracing::event!(tracing::Level::TRACE, name, "add" = gain);
+        let (now, before) = (&now.alloc.policy, &before.alloc.policy);
+        if now.solve_calls != before.solve_calls {
+            let (n, b) = (now.solve, before.solve);
+            for (name, gain) in [
+                ("solve.calls", now.solve_calls - before.solve_calls),
+                ("solve.expanded", n.expanded - b.expanded),
+                ("solve.generated", n.generated - b.generated),
+                ("solve.bound_cutoffs", n.pruned_bound - b.pruned_bound),
+                ("solve.nogoods", n.pruned_nogood - b.pruned_nogood),
+            ] {
+                reg.counter_add(name, gain);
+            }
         }
-    }
+    });
 }
 
 /// A [`SystemConfig`] and policy spec that cannot make a runnable system.
@@ -1026,12 +1025,12 @@ impl Session<'_> {
 
     /// Runs `drive` and publishes what the system counted in it. Counts
     /// change only inside a session call, so the tally at its start is the
-    /// one the last call left; with nobody listening, nothing is taken.
+    /// one the last call left; outside a collection, nothing is taken.
     fn published<T>(
         &mut self,
         drive: impl FnOnce(&mut Self) -> Result<T, SystemError>,
     ) -> Result<T, SystemError> {
-        let before = tracing::dispatch_active().then(|| self.system.tally());
+        let before = obs::collecting().then(|| self.system.tally());
         let out = drive(self);
         if let Some(before) = before {
             publish(&self.system.policy_name(), &self.system.tally(), &before);

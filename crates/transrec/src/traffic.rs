@@ -60,14 +60,13 @@ use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tracing::{event, Level};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
 use crate::campaign::{
     self, Campaign, CampaignOptions, ClassKey, ClassMap, Kind, Population, Status,
 };
 use crate::dse::gpp_reference;
-use crate::fleet::DEFAULT_SHARD_DEVICES;
+use crate::fleet::{publish_missions, DEFAULT_SHARD_DEVICES};
 use crate::sweep::SuiteSpec;
 use crate::system::{SystemConfig, SystemError};
 use crate::tape::{TapeRun, TapeStore};
@@ -843,23 +842,24 @@ fn run_service_day(
 /// queue a served request joined, and the latency tally as one bulk record
 /// of each non-empty bucket's floor.
 fn publish_day(day: &DayOutcome, arrived: u64, peak_depth: u32, latency_tally: &[u64]) {
-    for (name, n) in [
-        ("traffic.requests.arrived", arrived),
-        ("traffic.requests.shed", day.shed),
-        ("traffic.requests.served_gpp", day.served_gpp),
-        ("traffic.requests.served_cgra", day.served_cgra),
-    ] {
-        if n > 0 {
-            event!(Level::TRACE, name, "add" = n);
+    obs::publish(|reg| {
+        for (name, n) in [
+            ("traffic.requests.arrived", arrived),
+            ("traffic.requests.shed", day.shed),
+            ("traffic.requests.served_gpp", day.served_gpp),
+            ("traffic.requests.served_cgra", day.served_cgra),
+        ] {
+            if n > 0 {
+                reg.counter_add(name, n);
+            }
         }
-    }
-    if peak_depth > 0 {
-        event!(Level::TRACE, "traffic.queue.depth", "set" = peak_depth);
-    }
-    for (bucket, &n) in latency_tally.iter().enumerate().filter(|&(_, &n)| n > 0) {
-        let floor = log_bucket_floor(bucket as u32);
-        event!(Level::TRACE, "traffic.latency.cycles", "record" = floor, "count" = n);
-    }
+        if peak_depth > 0 {
+            reg.gauge_set("traffic.queue.depth", peak_depth as u64);
+        }
+        for (bucket, &n) in latency_tally.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            reg.histogram_record_n("traffic.latency.cycles", log_bucket_floor(bucket as u32), n);
+        }
+    });
 }
 
 /// One device generation inside a serving trajectory, in service years
@@ -947,6 +947,7 @@ fn serve_policy(
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, true);
     let mut pre_age = 0.0f64;
     let mut generation_start = 0u64;
+    let mut missions = 0u64;
     let mut out = ServeTrajectory::default();
     for day in 0..plan.horizon_days {
         let pattern_day = day % plan.pattern_days;
@@ -982,6 +983,7 @@ fn serve_policy(
                 first_failure_years: life.first_failure_years().map(|t| (t - pre_age).max(0.0)),
             });
             out.replacements += 1;
+            missions += life.missions();
             (life, pre_age) = replacement_device(plan);
             generation_start = day + 1;
             continue;
@@ -992,6 +994,7 @@ fn serve_policy(
         death_years: None,
         first_failure_years: life.first_failure_years().map(|t| (t - pre_age).max(0.0)),
     });
+    publish_missions(missions + life.missions());
     out.simulated_services = table.simulated_services;
     Ok(out)
 }

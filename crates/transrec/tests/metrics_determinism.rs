@@ -249,7 +249,7 @@ fn serve_campaign_metrics_survive_jobs_shards_and_resume() {
 #[test]
 fn collection_off_leaves_no_trace() {
     // The default (collection off) must leave the campaign registry empty
-    // — the disabled path is a single relaxed atomic load, and nothing
+    // — a publish outside a collection does not run, and nothing
     // downstream should see phantom metrics.
     let path = scratch("fleet-dark");
     let status = run_fleet_campaign(

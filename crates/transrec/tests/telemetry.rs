@@ -6,8 +6,8 @@
 //!   registry's `system.*` counters;
 //! * a session publishes the same counters however it is driven, and a
 //!   session that dies publishes what it counted;
-//! * collection fires per session call, per tape replay and per served
-//!   day, never per decision or per request;
+//! * collection fires per session call, per tape replay, per served day
+//!   and per fleet trajectory, never per decision, request or mission;
 //! * sessions are step-equivalent to `run()` and resumable;
 //! * epoch snapshots end on the run's exact final state.
 
@@ -16,7 +16,8 @@ use std::rc::Rc;
 
 use cgra::{Fabric, FaultMask};
 use mibench::Workload;
-use tracing::{Dispatch, Event, Metadata, SpanId, Subscriber};
+use tracing::{Dispatch, Metadata, SpanId, Subscriber};
+use transrec::fleet::{run_fleet, FleetPlan};
 use transrec::tape::TapeStore;
 use transrec::telemetry::{EventCtx, ProbeReport, ProbeSpec};
 use transrec::{
@@ -178,34 +179,28 @@ fn a_session_that_dies_publishes_what_it_counted() {
     assert_eq!(reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss"), stats.cache_lookups);
 }
 
-/// A subscriber that counts the events it sees and names the spans
-/// opened under it.
+/// A subscriber that names the spans opened under it.
 #[derive(Default)]
-struct EventCount {
-    events: Cell<u64>,
-    spans: RefCell<Vec<String>>,
-}
+struct SpanNames(RefCell<Vec<String>>);
 
-impl Subscriber for EventCount {
+impl Subscriber for SpanNames {
     fn new_span(&self, metadata: &Metadata<'_>) -> SpanId {
-        self.spans.borrow_mut().push(metadata.name.to_string());
+        self.0.borrow_mut().push(metadata.name.to_string());
         SpanId(0)
     }
 
     fn enter(&self, _: SpanId) {}
 
     fn exit(&self, _: SpanId) {}
-
-    fn event(&self, _: &Event<'_>) {
-        self.events.set(self.events.get() + 1);
-    }
 }
 
-/// What `f` returns, the events it fires and the spans it opens.
+/// What `f` returns inside a collection, the publish calls it makes and
+/// the spans it opens.
 fn fired<T>(f: impl FnOnce() -> T) -> (T, u64, Vec<String>) {
-    let count = Rc::new(EventCount::default());
-    let out = tracing::with_default(Dispatch::from_rc(count.clone()), f);
-    (out, count.events.get(), count.spans.take())
+    let names = Rc::new(SpanNames::default());
+    let before = obs::published();
+    let (out, _) = tracing::with_default(Dispatch::from_rc(names.clone()), || obs::collect(f));
+    (out, obs::published() - before, names.0.take())
 }
 
 /// A hot loop of `iterations` passes.
@@ -233,46 +228,64 @@ fn collection_fires_per_session_call_and_replay_not_per_decision() {
     for spec in policy_matrix().into_iter().chain([PolicySpec::Exact { every: 1 }]) {
         let sessions = [100, 10_000].map(|iterations| {
             let program = loop_program(iterations);
-            let (offloads, events, _) = fired(|| {
+            let (offloads, publishes, _) = fired(|| {
                 let mut sys = System::with_spec(SystemConfig::new(Fabric::be()), spec).unwrap();
                 sys.run(&program).unwrap();
                 sys.stats().offloads
             });
             assert!(offloads >= iterations as u64 / 2, "{spec} offloads the loop");
-            events
+            publishes
         });
-        assert!(sessions[0] > 0);
-        assert_eq!(sessions[0], sessions[1], "{spec}: a session's events");
+        assert_eq!(sessions, [1, 1], "{spec}: a session run publishes once");
         let replays = [100, 10_000].map(|iterations| {
             let program = loop_program(iterations);
             let workloads = [Workload::from_program("loop", program, 10_000_000, Vec::new())];
             let mut store = TapeStore::new(&workloads);
             store.run(&config, &PolicySpec::Baseline, 0).unwrap();
-            let (run, events, spans) = fired(|| store.run(&config, &spec, 0).unwrap());
+            let (run, publishes, spans) = fired(|| store.run(&config, &spec, 0).unwrap());
             assert!(run.verified);
             let phases: Vec<_> = spans.iter().filter(|s| s.starts_with("tape.")).collect();
             assert_eq!(phases, ["tape.replay"], "{spec} replays the baseline's tape");
-            events
+            publishes
         });
-        assert!(replays[0] > 0);
-        assert_eq!(replays[0], replays[1], "{spec}: a replay's events");
+        assert_eq!(replays, [1, 1], "{spec}: a replay publishes once");
     }
 }
 
 #[test]
 fn a_served_day_fires_per_day_not_per_request() {
-    // Both rates leave the queue empty, so every latency falls in one
-    // bucket: the day fires one bulk record either way.
     let plan = ServePlan::new(0xDAC2020, Fabric::be()).suite(SuiteSpec::subset("crc", vec![1]));
     let days = [10, 100].map(|per_hour| {
         let traffic = TrafficSpec::Steady { per_hour };
-        let ((day, _), events, _) = fired(|| {
+        let ((day, _), publishes, _) = fired(|| {
             probe_service_day(&plan, &PolicySpec::rotation(), &traffic, 0, 0, &[]).unwrap()
         });
         assert!(day.requests > per_hour * 20, "{} requests at {per_hour}/h", day.requests);
-        events
+        publishes
     });
     assert_eq!(days[0], days[1], "a day at 10x the request rate");
+}
+
+#[test]
+fn a_fleet_trajectory_fires_per_trajectory_not_per_mission() {
+    // Both horizons end before the first FU failure, so the trajectory
+    // runs its suite once under one fault mask either way.
+    let runs = [1.0, 3.0].map(|horizon_years| {
+        let plan = FleetPlan::new(0xDAC2020, Fabric::be())
+            .policy(PolicySpec::rotation())
+            .devices(1)
+            .lanes(1)
+            .suite(SuiteSpec::subset("crc", vec![1]))
+            .mission_years(0.5)
+            .horizon_years(horizon_years);
+        let before = obs::published();
+        let (report, reg) = obs::collect(|| run_fleet(&plan, 1).unwrap());
+        let first_failure = report.policies[0].devices.iter().find_map(|d| d.first_failure_years);
+        assert_eq!(first_failure, None, "no FU fails within {horizon_years} years");
+        (reg.counter("wear.missions"), obs::published() - before)
+    });
+    assert_eq!([runs[0].0, runs[1].0], [2, 6], "the trajectories live 2 and 6 missions");
+    assert_eq!(runs[0].1, runs[1].1, "a trajectory's publishes at three times the missions");
 }
 
 fn toy_program() -> rv32::Program {
