@@ -167,7 +167,7 @@ fn bench_policies_faulted(c: &mut Criterion) {
     bench_one("rotation_snake_faulted", &mut RotationPolicy::new(PatternSpec::Snake));
     bench_one("random_faulted", &mut RandomPolicy::seeded(3));
     bench_one("health_aware_faulted", &mut HealthAwarePolicy::default());
-    bench_one("exact_faulted", &mut ExactPolicy::new(1));
+    bench_one("exact_faulted", &mut ExactPolicy::default());
     group.finish();
 }
 

@@ -1,10 +1,9 @@
-//! Cost of the exact-mapping oracle (DESIGN.md §15): a single-slot
-//! re-solve per decision (what `exact` pays on every allocation), the
-//! oracle's repeated decision for one footprint on a balanced 4×8 fabric
-//! (the gap sweep's steady state), its decisions for six footprints taking
-//! turns there (the sweep's refill pattern), a joint multi-slot epoch
-//! solve, and the branch-and-bound search on a cold epoch the greedy
-//! incumbent cannot close.
+//! Cost of the exact-mapping oracle (DESIGN.md §15): a problem built and
+//! solved from scratch per decision, the oracle's decision with its kept
+//! problem (what `exact` pays on every allocation), its repeated decision
+//! for one footprint on a balanced 4×8 fabric (the gap sweep's steady
+//! state), and its decisions for six footprints taking turns there (the
+//! sweep's refill pattern).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,30 +23,15 @@ fn bench_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_solve");
     group.bench_function("offset_single_slot", |b| {
         b.iter(|| {
-            let problem = OffsetProblem::new(
-                &fabric,
-                black_box(&footprint),
-                tracker.stress_counts(),
-                1,
-                |_| true,
-            );
-            solve::solve(&problem)
-        })
-    });
-    group.bench_function("offset_epoch_of_4", |b| {
-        b.iter(|| {
-            let problem = OffsetProblem::new(
-                &fabric,
-                black_box(&footprint),
-                tracker.stress_counts(),
-                4,
-                |_| true,
-            );
+            let problem =
+                OffsetProblem::new(&fabric, black_box(&footprint), tracker.stress_counts(), |_| {
+                    true
+                });
             solve::solve(&problem)
         })
     });
     group.bench_function("policy_decision_exact", |b| {
-        let mut policy = ExactPolicy::new(1);
+        let mut policy = ExactPolicy::default();
         let legal = LegalPivots::new(&fabric, &footprint, &[], None);
         b.iter(|| {
             let req = AllocRequest {
@@ -68,7 +52,7 @@ fn bench_solve(c: &mut Criterion) {
         let wide = Fabric::new(4, 8);
         let mut warm = UtilizationTracker::new(&wide);
         let legal = LegalPivots::new(&wide, &footprint, &[], None);
-        let mut policy = ExactPolicy::new(1);
+        let mut policy = ExactPolicy::default();
         let mut decide = |tracker: &UtilizationTracker| {
             let req = AllocRequest {
                 fabric: &wide,
@@ -102,7 +86,7 @@ fn bench_solve(c: &mut Criterion) {
                 (cells, legal)
             })
             .collect();
-        let mut policy = ExactPolicy::new(1);
+        let mut policy = ExactPolicy::default();
         let mut decide = |tracker: &UtilizationTracker, turn: usize| {
             let (footprint, legal) = &footprints[turn % footprints.len()];
             let req = AllocRequest {
@@ -126,14 +110,6 @@ fn bench_solve(c: &mut Criterion) {
             turn += 1;
             decide(&warm, turn).0
         })
-    });
-    group.bench_function("offset_epoch_greedy_gap", |b| {
-        // Three L-shaped executions on a cold 3×4 fabric: greedy stacks two
-        // (stress 2), the search proves three disjoint placements (1).
-        let gap_fabric = Fabric::new(3, 4);
-        let problem =
-            OffsetProblem::new(&gap_fabric, &[(0, 0), (0, 1), (1, 1)], &[0; 12], 3, |_| true);
-        b.iter(|| solve::solve(black_box(&problem)))
     });
     group.finish();
 }

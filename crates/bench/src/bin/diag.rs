@@ -1,6 +1,6 @@
 //! Diagnostic: per-benchmark cycle breakdown on the BE fabric, plus the
 //! flight recorder's metrics registry for the diagnosed run (DBT hit
-//! rate, starvation counts, exact-solver node counts — DESIGN.md §16).
+//! rate, starvation counts, exact-solver calls — DESIGN.md §16).
 //!
 //! Pass `--policy <spec>` to diagnose a different allocation policy
 //! (default: baseline), e.g. `diag -- --policy rotation:snake@per-load`,

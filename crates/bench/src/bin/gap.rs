@@ -1,6 +1,6 @@
 //! The optimality-gap table: every heuristic policy measured against the
-//! per-decision (myopic) `exact` oracle, which solves each placement
-//! decision by branch and bound (DESIGN.md §15).
+//! per-decision (myopic) `exact` oracle, which gives each placement the
+//! leximin argmin over its legal pivots (DESIGN.md §15).
 //!
 //! Sweeps the default gap layouts (or the repeatable `--fabric <spec>`
 //! overrides) × injected fault densities under the baseline, the context

@@ -425,7 +425,7 @@ fn seeded_fault_mask(fabric: &Fabric, density: f64, seed: u64, cell: u64) -> (Fa
 
 /// The optimality-gap experiment behind `results/gap.json` (DESIGN.md
 /// §15): every heuristic (baseline + the context policies) and the exact
-/// branch-and-bound oracle run the suite on each layout × fault-density
+/// oracle run the suite on each layout × fault-density
 /// cell, with the seeded dead FUs injected through
 /// [`transrec::SystemConfig::faults`] and exhaustion degrading to the GPP
 /// (`fault_fallback`) instead of killing the run. Each row reports the

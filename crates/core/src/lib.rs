@@ -14,10 +14,10 @@
 //! * [`policy`] — allocation policies: [`BaselinePolicy`],
 //!   [`RotationPolicy`] (the contribution), [`RandomPolicy`] and the
 //!   future-work [`HealthAwarePolicy`].
-//! * [`exact`] — the exact-mapping oracle [`ExactPolicy`]: a per-epoch
-//!   branch-and-bound solve (the vendored [`solve`] crate) of the
-//!   wear-optimal placement, bounding every heuristic's optimality gap
-//!   (DESIGN.md §15).
+//! * [`exact`] — the exact-mapping oracle [`ExactPolicy`]: per
+//!   allocation, the leximin argmin (the [`solve`] crate) of the
+//!   wear-optimal placement, the yardstick of every heuristic's
+//!   optimality gap (DESIGN.md §15).
 //! * [`spec`] — policies as data: [`PolicySpec`]/[`PatternSpec`] are the
 //!   serializable, parseable sweep points experiment harnesses iterate
 //!   (`"rotation:snake@per-load".parse()`, [`PolicySpec::all_specs`]).

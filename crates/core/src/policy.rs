@@ -16,7 +16,6 @@ use cgra::{Fabric, FaultMask, Offset};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use solve::SolveStats;
 
 use crate::spec::{ParseSpecError, PatternSpec};
 use crate::stats::UtilizationTracker;
@@ -251,14 +250,10 @@ impl AllocRequest<'_> {
 /// any.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PolicyCounts {
-    /// Decisions played back from a planned epoch.
-    pub replayed: u64,
-    /// Solver calls that returned a plan.
+    /// Solver calls that returned a pivot.
     pub solve_calls: u64,
     /// Solver calls that found no legal pivot.
     pub solve_infeasible: u64,
-    /// The search counters of the calls that returned a plan, summed.
-    pub solve: SolveStats,
 }
 
 /// A pivot-selection policy.

@@ -19,7 +19,6 @@
 //! | `random:42` | uniform-random pivots from seed 42 |
 //! | `health-aware` | the oracle scan (paper future work) |
 //! | `exact` | leximin argmin against live wear, per allocation |
-//! | `exact@every-8` | the optimum of each 8-execution epoch, planned jointly |
 
 use std::fmt;
 use std::str::FromStr;
@@ -138,14 +137,14 @@ pub enum PolicySpec {
     },
     /// The oracle scan steering allocation with run-time aging information.
     HealthAware,
-    /// The exact-mapping oracle (DESIGN.md §15): per allocation epoch, a
-    /// branch-and-bound solve of the wear-optimal placement — the upper
-    /// bound every heuristic's optimality gap is measured against
+    /// The exact-mapping oracle (DESIGN.md §15): per allocation, the
+    /// leximin argmin of the live wear over the legal pivots — the
+    /// yardstick every heuristic's optimality gap is measured against
     /// (`results/gap.json`).
     Exact {
-        /// Epoch length: how many upcoming executions each solve plans
-        /// jointly (`1` = re-solve on every allocation; must be ≥ 1, the
-        /// grammar rejects `every-0`).
+        /// Executions decided per solve. The oracle decides one execution
+        /// at a time, so `1` is the only value that builds; the string
+        /// grammar (`exact`) yields nothing else.
         every: u32,
     },
 }
@@ -160,6 +159,11 @@ impl PolicySpec {
     }
 
     /// Instantiates a fresh policy for this spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Exact { every }` with `every != 1` (an unconstructable
+    /// spec via the string grammar; reachable only by literal).
     pub fn build(&self) -> Box<dyn AllocationPolicy> {
         match *self {
             PolicySpec::Baseline => Box::new(BaselinePolicy),
@@ -168,7 +172,10 @@ impl PolicySpec {
             }
             PolicySpec::Random { seed } => Box::new(RandomPolicy::seeded(seed)),
             PolicySpec::HealthAware => Box::new(HealthAwarePolicy::default()),
-            PolicySpec::Exact { every } => Box::new(ExactPolicy::new(every)),
+            PolicySpec::Exact { every } => {
+                assert_eq!(every, 1, "the exact oracle decides one execution at a time");
+                Box::new(ExactPolicy::default())
+            }
         }
     }
 
@@ -253,14 +260,9 @@ impl FromStr for PolicySpec {
                 Ok(PolicySpec::Random { seed })
             }
             ("exact", None) => Ok(PolicySpec::Exact { every: 1 }),
-            ("exact", Some(('@', gran))) => {
-                match gran.strip_prefix("every-").and_then(|n| n.parse::<u32>().ok()) {
-                    Some(every) if every >= 1 => Ok(PolicySpec::Exact { every }),
-                    _ => Err(ParseSpecError::new(format!(
-                        "invalid exact epoch `{gran}` in `{s}` (expected every-<n>, n ≥ 1)"
-                    ))),
-                }
-            }
+            ("exact", Some(('@', _))) => Err(ParseSpecError::new(format!(
+                "invalid exact oracle `{s}`: it decides one execution at a time (expected `exact`)"
+            ))),
             ("rotation", rest) => {
                 let (pattern, granularity) = match rest {
                     None => (None, None),
@@ -279,7 +281,7 @@ impl FromStr for PolicySpec {
             }
             _ => Err(ParseSpecError::new(format!(
                 "unknown policy spec `{s}` (expected baseline, rotation[:pattern][@granularity], \
-                 random[:seed], health-aware or exact[@every-<n>])"
+                 random[:seed], health-aware or exact)"
             ))),
         }
     }
@@ -333,7 +335,6 @@ mod tests {
                 },
             ),
             ("exact", PolicySpec::Exact { every: 1 }),
-            ("exact@every-4", PolicySpec::Exact { every: 4 }),
         ];
         for (s, spec) in cases {
             assert_eq!(s.parse::<PolicySpec>().unwrap(), spec, "{s}");
@@ -381,6 +382,8 @@ mod tests {
             "exact@every-0",
             "exact@every-",
             "exact@per-load",
+            "exact@every-1",
+            "exact@every-4",
         ] {
             assert!(s.parse::<PolicySpec>().is_err(), "`{s}` should not parse");
         }
@@ -411,17 +414,31 @@ mod tests {
 
     #[test]
     fn exact_round_trips_and_builds() {
-        for spec in [PolicySpec::Exact { every: 1 }, PolicySpec::Exact { every: 6 }] {
-            assert_eq!(spec.to_string().parse::<PolicySpec>().unwrap(), spec);
-            assert_eq!(spec.build().name(), spec.to_string());
-            assert!(spec.needs_movement() && spec.build().needs_movement());
-            let json = serde_json::to_string(&spec).unwrap();
-            assert_eq!(serde_json::from_str::<PolicySpec>(&json).unwrap(), spec, "{json}");
-        }
+        let spec = PolicySpec::Exact { every: 1 };
+        assert_eq!(spec.to_string(), "exact");
+        assert_eq!("exact".parse::<PolicySpec>().unwrap(), spec);
+        assert_eq!(spec.build().name(), "exact");
+        assert!(spec.needs_movement() && spec.build().needs_movement());
+        let json = serde_json::to_string(&spec).unwrap();
+        assert_eq!(serde_json::from_str::<PolicySpec>(&json).unwrap(), spec, "{json}");
         let excluded = PolicySpec::all_specs(&Fabric::be());
         assert!(
             !excluded.iter().any(|s| matches!(s, PolicySpec::Exact { .. })),
             "the oracle is the yardstick, not a standard sweep point"
         );
+    }
+
+    #[test]
+    fn exact_epochs_are_rejected_with_the_reason() {
+        for s in ["exact@every-1", "exact@every-4"] {
+            let err = s.parse::<PolicySpec>().unwrap_err().to_string();
+            assert!(err.contains("one execution at a time"), "`{s}`: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one execution at a time")]
+    fn exact_with_a_longer_epoch_does_not_build() {
+        let _ = PolicySpec::Exact { every: 4 }.build();
     }
 }

@@ -97,25 +97,6 @@ fn uniform_pristine_streams_match_the_pre_heterogeneity_capture() {
     assert_pinned(&AllocRequest { legal: &with_both, ..bare }, "with healthy mask and demands");
 }
 
-/// The exact oracle's decision stream on the same warmed fixture, captured
-/// when the branch-and-bound core landed (DESIGN.md §15): a jointly-planned
-/// 12-slot epoch spreading the footprint leximin-optimally over the BE
-/// fabric's cold cells.
-const PINNED_EXACT_EPOCH: [(u32, u32); 12] = [
-    (0, 7),
-    (0, 9),
-    (0, 11),
-    (0, 13),
-    (1, 15),
-    (0, 5),
-    (0, 8),
-    (0, 10),
-    (0, 12),
-    (0, 14),
-    (0, 0),
-    (0, 2),
-];
-
 #[test]
 fn exact_streams_match_the_branch_and_bound_capture() {
     let fabric = Fabric::be();
@@ -133,14 +114,9 @@ fn exact_streams_match_the_branch_and_bound_capture() {
         // Re-solving against a static tracker is a fixed point: the greedy
         // oracle keeps electing the same leximin-optimal pivot.
         assert_eq!(
-            stream(&mut ExactPolicy::new(1), req, 4),
+            stream(&mut ExactPolicy::default(), req, 4),
             vec![(0, 7); 4],
             "exact stream changed ({label})"
-        );
-        assert_eq!(
-            stream(&mut ExactPolicy::new(12), req, 12),
-            PINNED_EXACT_EPOCH.to_vec(),
-            "exact@every-12 stream changed ({label})"
         );
     };
     assert_exact(&bare, "bare request");
@@ -402,7 +378,7 @@ fn rotation_closed_loop_streams_match_the_trait_pattern_capture() {
 type Turn = (Vec<(u32, u32)>, LegalPivots);
 
 /// A closed-loop pin: FNV-1a, first eight picks, and the policy's counts.
-type ExactPin = (u64, [(u32, u32); 8], [u64; 7]);
+type ExactPin = (u64, [(u32, u32); 8], [u64; 2]);
 
 /// The exact oracle's closed-loop fabrics: `2x8`, `4x8`, `4x8+bw-2`,
 /// `4x8:het-checker` with a mul demand on every footprint's first cell,
@@ -451,98 +427,60 @@ fn exact_loops() -> Vec<(Loop, Vec<Turn>)> {
 }
 
 /// Exact-oracle decision streams in a closed loop, captured while the
-/// oracle kept a single `OffsetProblem`: `exact` and `exact@every-4`, one
-/// policy per `exact_loops` fabric, 120 decisions each. The footprints
-/// take turns in LCG-drawn runs of one to four decisions, in an irregular
-/// order, so a kept-problem cache smaller than ten entries must evict.
-/// Rows run policy-major, then fabric.
+/// oracle kept a single `OffsetProblem`: `exact`, one policy per
+/// `exact_loops` fabric, 120 decisions each. The footprints take turns in
+/// LCG-drawn runs of one to four decisions, in an irregular order, so a
+/// kept-problem cache smaller than ten entries must evict.
 ///
 /// Each entry is the stream's FNV-1a (`fnv`), its first eight picks, and
-/// the policy's counts: replayed, solve calls, infeasible solves, then the
-/// summed expanded, generated, bound-pruned and nogood-pruned search nodes.
-const PINNED_EXACT_LOOPS: [ExactPin; 10] = [
+/// the policy's counts: solve calls, then infeasible solves.
+const PINNED_EXACT_LOOPS: [ExactPin; 5] = [
     (
         0x3218_1b4e_f167_32a1,
         [(0, 7), (1, 5), (0, 7), (0, 1), (0, 3), (0, 0), (0, 3), (1, 1)],
-        [0, 122, 0, 16, 256, 0, 0],
+        [122, 0],
     ),
     (
         0xde75_1912_84b0_7ad7,
         [(0, 4), (1, 0), (1, 5), (1, 6), (2, 1), (3, 1), (0, 0), (1, 3)],
-        [0, 122, 0, 9, 288, 0, 0],
+        [122, 0],
     ),
     (
         0x41cf_1267_f9cf_1bb5,
         [(2, 5), (0, 2), (0, 4), (0, 5), (1, 1), (3, 0), (0, 2), (2, 5)],
-        [0, 122, 0, 9, 288, 0, 0],
+        [122, 0],
     ),
     (
         0x0780_6ca4_7f75_2135,
         [(0, 5), (1, 0), (1, 2), (2, 5), (0, 1), (1, 0), (0, 1), (0, 3)],
-        [0, 122, 0, 13, 208, 0, 0],
+        [122, 0],
     ),
     (
         0x9a5e_a984_239c_cbb5,
         [(0, 6), (1, 5), (2, 0), (0, 5), (0, 1), (0, 1), (0, 3), (1, 2)],
-        [0, 122, 0, 11, 213, 0, 0],
-    ),
-    (
-        0xcd61_3660_52de_0f76,
-        [(0, 7), (1, 5), (0, 7), (0, 1), (0, 3), (0, 0), (0, 3), (1, 1)],
-        [77, 45, 0, 255, 1742, 1327, 0],
-    ),
-    (
-        0x254f_1911_663b_f154,
-        [(0, 4), (1, 0), (1, 5), (1, 6), (2, 1), (3, 1), (0, 0), (1, 3)],
-        [77, 45, 0, 271, 3627, 3038, 0],
-    ),
-    (
-        0x04b2_273e_3683_8c45,
-        [(2, 5), (0, 2), (0, 4), (0, 5), (1, 1), (3, 0), (0, 2), (2, 5)],
-        [77, 45, 0, 128, 1644, 1385, 0],
-    ),
-    (
-        0x0780_6ca4_7f75_2135,
-        [(0, 5), (1, 0), (1, 2), (2, 5), (0, 1), (1, 0), (0, 1), (0, 3)],
-        [77, 45, 0, 197, 1437, 1159, 0],
-    ),
-    (
-        0x9a5e_a984_239c_cbb5,
-        [(0, 6), (1, 5), (2, 0), (0, 5), (0, 1), (0, 1), (0, 3), (1, 2)],
-        [77, 45, 0, 79, 712, 609, 0],
+        [122, 0],
     ),
 ];
 
 #[test]
 fn exact_closed_loop_streams_match_the_single_problem_capture() {
     let mut got = Vec::new();
-    for spec in [PolicySpec::Exact { every: 1 }, PolicySpec::Exact { every: 4 }] {
-        for (mut l, footprints) in exact_loops() {
-            let mut policy = spec.build();
-            let mut x = 0x2f6b_1d3du32;
-            while l.stream.len() < 120 {
-                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                let (cells, legal) = &footprints[(x >> 8) as usize % footprints.len()];
-                l.footprint.clone_from(cells);
-                l.legal.clone_from(legal);
-                for _ in 0..1 + (x >> 20) % 4 {
-                    l.decide(policy.as_mut(), false);
-                }
+    for (mut l, footprints) in exact_loops() {
+        let mut policy = PolicySpec::Exact { every: 1 }.build();
+        let mut x = 0x2f6b_1d3du32;
+        while l.stream.len() < 120 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let (cells, legal) = &footprints[(x >> 8) as usize % footprints.len()];
+            l.footprint.clone_from(cells);
+            l.legal.clone_from(legal);
+            for _ in 0..1 + (x >> 20) % 4 {
+                l.decide(policy.as_mut(), false);
             }
-            let head: Vec<_> = l.stream[..8].iter().map(|d| d.unwrap()).collect();
-            let c = policy.counts();
-            let s = c.solve;
-            let counts = [
-                c.replayed,
-                c.solve_calls,
-                c.solve_infeasible,
-                s.expanded,
-                s.generated,
-                s.pruned_bound,
-                s.pruned_nogood,
-            ];
-            got.push((format!("{spec} on {}", l.label), fnv(&l.stream), head, counts));
         }
+        let head: Vec<_> = l.stream[..8].iter().map(|d| d.unwrap()).collect();
+        let c = policy.counts();
+        let counts = [c.solve_calls, c.solve_infeasible];
+        got.push((format!("exact on {}", l.label), fnv(&l.stream), head, counts));
     }
     let pinned: Vec<_> = got
         .iter()

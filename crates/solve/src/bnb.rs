@@ -1,212 +1,29 @@
-//! The branch-and-bound core (DESIGN.md §15).
+//! The exact oracle's decision (DESIGN.md §15): the leximin
+//! argmin over the legal pivots.
 //!
-//! Best-first search over partial epoch plans with two admissible lower
-//! bounds (current worst FU; ceil-average of the committed plus remaining
-//! stress mass), a nogood table pruning re-derived states in the CDCL
-//! spirit, and symmetry breaking over the epoch's identical
-//! executions. All tie-breaks are resolved deterministically (leximin
-//! refinement in the greedy seed, then ascending choice index, FIFO among
-//! equal bounds), so solutions are bit-reproducible.
-//!
-//! One leximin argmin serves both the greedy seed (once per slot) and the
-//! one-slot epoch, which it answers outright. It never sorts a load
-//! vector: FUs two pivots leave alike cancel out of a sorted-descending
-//! comparison, so pivots are ranked by their hottest touched FU in
-//! O(footprint), and only pivots tied on it are compared further: by a
-//! fixed-size histogram of the load levels their footprints move just
-//! below that FU, and only past it by a walk down the remaining levels.
+//! It never sorts a load vector: FUs two pivots leave alike cancel out of
+//! a sorted-descending comparison, so pivots are ranked by their hottest
+//! touched FU in O(footprint), and only pivots tied on it are compared
+//! further: by a fixed-size histogram of the load levels their footprints
+//! move just below that FU, and only past it by a walk down the remaining
+//! levels. Ties go to the smallest choice index, so the answer is
+//! bit-reproducible.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Ordering;
 
 use crate::OffsetProblem;
 
-/// Search counters of one [`solve`] call (for benches, diagnostics and the
-/// caller's `solve.*` metrics; never part of the objective).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Nodes popped from the frontier and branched on.
-    pub expanded: u64,
-    /// Children generated across all expansions.
-    pub generated: u64,
-    /// Children discarded because their lower bound matched or exceeded
-    /// the incumbent.
-    pub pruned_bound: u64,
-    /// Children discarded because an identical state (depth, symmetry
-    /// floor, load vector) was already recorded in the nogood table.
-    pub pruned_nogood: u64,
-}
-
-/// An optimal epoch plan returned by [`solve`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Solution {
-    /// The minimized maximum post-epoch per-FU stress.
-    pub objective: u64,
-    /// The chosen pivot (an [`OffsetProblem::offset`] index) per slot, in
-    /// slot order. The improving search explores non-decreasing
-    /// sequences, but the greedy incumbent may survive unsorted.
-    pub choices: Vec<usize>,
-    /// Search counters.
-    pub stats: SolveStats,
-}
-
-/// One frontier node: a plan for the first `depth` slots.
-struct Node {
-    depth: usize,
-    /// Smallest choice index the next slot may take (symmetry breaking).
-    floor: usize,
-    loads: Vec<u64>,
-    sum: u64,
-    choices: Vec<usize>,
-}
-
-/// Solves one pivot epoch to proven optimality.
+/// The pivot the next execution should take: the choice index whose
+/// post-placement load vector, sorted descending, is lexicographically
+/// smallest (leximin: smallest maximum first, then smallest second-highest,
+/// …), the smallest index among equals, with its hottest new load.
 ///
-/// Returns `None` when the epoch has slots but no legal pivot (the problem
-/// is infeasible). Otherwise the returned [`Solution`] is optimal: the
-/// best-first frontier is exhausted down to nodes whose admissible lower
-/// bound matches the incumbent. Among optimal solutions, the greedy seed's
-/// leximin tie-refinement is preferred when it already achieves the
-/// optimum (common in balanced instances); an improving search replaces it
-/// with the first strictly better leaf found. A one-slot epoch needs no
-/// search: its answer is the leximin argmin itself, returned directly.
-/// Deterministic by construction — ascending choice order, FIFO
-/// tie-breaks on equal bounds, integer arithmetic only — so equal problems
-/// yield byte-identical solutions.
-pub fn solve(p: &OffsetProblem) -> Option<Solution> {
-    let n = p.slots();
-    let initial = p.initial_loads();
-    let r = initial.len();
-    let k = p.choices();
-    let mut stats = SolveStats::default();
-    let max0 = initial.iter().copied().max().unwrap_or(0);
-    if n == 0 {
-        return Some(Solution { objective: max0, choices: Vec::new(), stats });
-    }
-    // Every slot plans the same footprint over the same pivots, so no
-    // pivot at all is the only way to be infeasible.
-    if k == 0 {
-        return None;
-    }
-
-    // Admissible lower bound of a partial plan: loads only grow, and the
-    // final maximum is at least the ceil-average of the committed plus
-    // remaining mass — every slot adds the same `mass`, whichever pivot it
-    // takes — spread over all FUs (a legal pivot implies a non-empty
-    // fabric, so `r >= 1`).
-    let lb_of = |depth: usize, loads: &[u64], sum: u64| -> u64 {
-        let cur = loads.iter().copied().max().unwrap_or(0);
-        let rem = (n - depth) as u64 * p.mass();
-        cur.max((sum + rem).div_ceil(r as u64))
-    };
-    let sum0: u64 = initial.iter().sum();
-    let root_lb = max0.max((sum0 + n as u64 * p.mass()).div_ceil(r as u64));
-
-    if n == 1 {
-        // Every child of the root is a leaf, and a leaf replaces the greedy
-        // incumbent only when its maximum is strictly lower — which the
-        // leximin argmin's (the lowest of all) never allows. So the answer
-        // is the argmin, its objective the larger of the initial maximum
-        // and its hottest touched FU, and the counters are those of the
-        // root expansion the search would have run: all `k` leaves scanned
-        // when the root bound is below the incumbent, nothing otherwise,
-        // nothing pruned.
-        let (best, hot) = leximin_argmin(p, initial);
-        let objective = max0.max(hot);
-        if root_lb < objective {
-            stats.expanded = 1;
-            stats.generated = k as u64;
-        }
-        return Some(Solution { objective, choices: vec![best], stats });
-    }
-
-    // Greedy incumbent: per slot, the leximin argmin against the loads the
-    // earlier slots left. Pure minimax would leave every pivot that avoids
-    // the current maximum tied, letting the incumbent pile stress onto
-    // low-index FUs; the leximin refinement keeps the returned optimum
-    // balanced without changing the minimax objective (DESIGN.md §15). It
-    // gives the search an upper bound to prune against.
-    let mut inc_loads = initial.to_vec();
-    let mut best_choices = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (best, _) = leximin_argmin(p, &inc_loads);
-        for &(res, d) in p.deltas(best) {
-            inc_loads[res as usize] += d;
-        }
-        best_choices.push(best);
-    }
-    let mut ub = inc_loads.iter().copied().max().unwrap_or(0);
-
-    // Best-first expansion: pop the open node with the smallest lower
-    // bound (FIFO among equals via a monotone sequence number), branch on
-    // its next slot. Once the smallest open bound reaches the incumbent,
-    // the incumbent is proven optimal.
-    let mut nodes: Vec<Option<Node>> = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut seen: HashSet<(usize, usize, Vec<u64>)> = HashSet::new();
-    let mut seq: u64 = 0;
-    let root = Node { depth: 0, floor: 0, loads: initial.to_vec(), sum: sum0, choices: Vec::new() };
-    nodes.push(Some(root));
-    heap.push(Reverse((root_lb, seq, 0)));
-
-    while let Some(Reverse((lb, _, idx))) = heap.pop() {
-        if lb >= ub {
-            break; // every open node is at least as bad as the incumbent
-        }
-        let mut node = nodes[idx].take().expect("frontier nodes are popped once");
-        stats.expanded += 1;
-        let depth = node.depth + 1;
-        // Loads only grow, so a leaf's objective is the larger of the
-        // parent's maximum and the FUs the leaf touches: score each leaf
-        // on the parent's own vector, then take its deltas back out.
-        let node_max = if depth == n { node.loads.iter().copied().max().unwrap_or(0) } else { 0 };
-        // The slots are identical executions, so only non-decreasing
-        // choice sequences are explored: a child's floor is its choice.
-        for c in node.floor..k {
-            stats.generated += 1;
-            let deltas = p.deltas(c);
-            if depth == n {
-                for &(res, d) in deltas {
-                    node.loads[res as usize] += d;
-                }
-                let obj =
-                    deltas.iter().fold(node_max, |m, &(res, _)| m.max(node.loads[res as usize]));
-                for &(res, d) in deltas {
-                    node.loads[res as usize] -= d;
-                }
-                if obj < ub {
-                    ub = obj;
-                    best_choices = node.choices.clone();
-                    best_choices.push(c);
-                }
-                continue;
-            }
-            let mut loads = node.loads.clone();
-            let mut sum = node.sum;
-            for &(res, d) in deltas {
-                loads[res as usize] += d;
-                sum += d;
-            }
-            let child_lb = lb_of(depth, &loads, sum);
-            if child_lb >= ub {
-                stats.pruned_bound += 1;
-                continue;
-            }
-            // Nogood table: an identical state was already enqueued via
-            // another path — re-deriving it cannot improve anything.
-            if !seen.insert((depth, c, loads.clone())) {
-                stats.pruned_nogood += 1;
-                continue;
-            }
-            let mut choices = node.choices.clone();
-            choices.push(c);
-            seq += 1;
-            nodes.push(Some(Node { depth, floor: c, loads, sum, choices }));
-            heap.push(Reverse((child_lb, seq, nodes.len() - 1)));
-        }
-    }
-
-    Some(Solution { objective: ub, choices: best_choices, stats })
+/// The leximin argmin has the lowest maximum of all pivots, so the
+/// larger of the initial maximum and the returned load is the optimal
+/// worst-FU stress after this one execution. Returns `None` when the
+/// problem has no legal pivot (it is infeasible).
+pub fn solve(p: &OffsetProblem) -> Option<(usize, u64)> {
+    (p.choices() > 0).then(|| leximin_argmin(p, p.initial_loads()))
 }
 
 /// The pivot whose post-placement load vector `loads + deltas(c)`, sorted
@@ -408,7 +225,7 @@ mod tests {
         // touch, far below, tells them apart: pivot 0 leaves [51, 50, 2, 0],
         // pivot 2 the smaller [51, 50, 1, 1].
         let loads = [50, 1, 50, 0];
-        let p = OffsetProblem::new(&Fabric::new(1, 4), &[(0, 0), (0, 1)], &loads, 1, |_| true);
+        let p = OffsetProblem::new(&Fabric::new(1, 4), &[(0, 0), (0, 1)], &loads, |_| true);
         assert_eq!(told_apart_below_the_window(&p, &loads), 4);
         assert_eq!(leximin_argmin(&p, &loads), (2, 51));
         assert_eq!(walking_argmin(&p, &loads), 2);
@@ -450,7 +267,7 @@ mod tests {
                         _ => l,
                     })
                     .collect();
-                let p = OffsetProblem::new(&fabric, &footprint, &loads, 1, |o| {
+                let p = OffsetProblem::new(&fabric, &footprint, &loads, |o| {
                     mask.placement_ok(&fabric, &footprint, o)
                 });
                 if p.choices() == 0 {
@@ -468,23 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_problem_reports_the_initial_maximum() {
-        let loads = [3, 7, 5, 0, 0, 0, 0, 0];
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, 0, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 7);
-        assert!(s.choices.is_empty());
-    }
-
-    #[test]
     fn single_slot_picks_the_smallest_argmin() {
-        // Every pivot but the hot (0,0) ties on objective and leximin
-        // vector; the smallest index, (0,1), wins.
+        // Every pivot but the hot (0,0) ties on hottest new load and
+        // leximin vector; the smallest index, (0,1), wins.
         let loads = [5, 0, 0, 0, 0, 0, 0, 0];
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, 1, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 5);
-        assert_eq!(p.offset(s.choices[0]), Offset::new(0, 1));
+        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, |_| true);
+        let (choice, hot) = solve(&p).unwrap();
+        assert_eq!((p.offset(choice), hot), (Offset::new(0, 1), 1));
     }
 
     #[test]
@@ -494,50 +301,34 @@ mod tests {
         // [4, 3, 1, 0] in row 0 instead of [4, 4, 0, 0] — the leximin
         // refinement must prefer it (and (0,3) ties it, losing on index).
         let loads = [4, 3, 0, 0, 4, 4, 4, 4];
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, 1, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 4);
-        assert_eq!(p.offset(s.choices[0]), Offset::new(0, 2));
+        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, |_| true);
+        let (choice, hot) = solve(&p).unwrap();
+        assert_eq!((p.offset(choice), hot), (Offset::new(0, 2), 1));
     }
 
     #[test]
     fn respects_initial_loads() {
-        // Row 0 starts hot; both executions must go to row 1.
+        // Row 0 starts hot; the execution must go to row 1.
         let loads = [10, 10, 10, 10, 0, 0, 0, 0];
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, 2, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 10);
-        assert!(s.choices.iter().all(|&c| p.offset(c).row == 1), "{:?}", s.choices);
+        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &loads, |_| true);
+        let (choice, _) = solve(&p).unwrap();
+        assert_eq!(p.offset(choice), Offset::new(1, 0));
     }
 
     #[test]
     fn infeasible_slot_returns_none() {
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &[0; 8], 1, |_| false);
+        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0)], &[0; 8], |_| false);
         assert!(solve(&p).is_none());
     }
 
     #[test]
     fn solutions_are_bit_reproducible() {
-        // Three L-shaped executions on a cold 3×4 fabric: the greedy
-        // incumbent stacks two of them (2), so the search must run.
+        // An L-shaped footprint on a warm 3×4 fabric, solved twice.
         let fabric = Fabric::new(3, 4);
-        let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1), (1, 1)], &[0; 12], 3, |_| true);
+        let loads = [3, 1, 0, 2, 1, 1, 0, 3, 0, 2, 1, 0];
+        let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1), (1, 1)], &loads, |_| true);
         let a = solve(&p).unwrap();
-        let b = solve(&p).unwrap();
-        assert_eq!(a, b, "same problem, same solution, same search counters");
-        assert_eq!(a.objective, 1, "three disjoint L-shapes tile nine of twelve FUs");
-        assert_eq!(a.stats.expanded, 15);
-    }
-
-    #[test]
-    fn nogood_table_prunes_rederived_states() {
-        // A two-row column footprint covers the same two FUs from pivot
-        // (0, c) and (1, c), so distinct non-decreasing plans re-derive
-        // one state; the nogood table must catch the duplicate.
-        let loads = [2, 3, 1, 3, 1, 0, 2, 1];
-        let p = OffsetProblem::new(&Fabric::new(2, 4), &[(0, 0), (1, 0)], &loads, 3, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 4);
-        assert_eq!(s.stats.pruned_nogood, 1, "the duplicate state must hit the nogood table");
+        assert_eq!(a, solve(&p).unwrap(), "same problem, same pivot");
+        assert_eq!(a.0, walking_argmin(&p, &loads));
     }
 }

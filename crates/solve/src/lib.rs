@@ -1,35 +1,31 @@
-//! # solve — deterministic branch-and-bound for pivot epochs
+//! # solve — the exact oracle's decision
 //!
-//! The paper's allocation policies are heuristics; this crate provides the
-//! *oracle* they are measured against (DESIGN.md §15): a registry-free,
-//! bit-reproducible branch-and-bound solver for one **pivot epoch** — assign
-//! each of the next `slots` executions of one configuration footprint a
-//! legal pivot offset, minimizing the maximum post-epoch per-FU stress
-//! ([`OffsetProblem`]). The slots are identical executions, so the search
-//! explores non-decreasing pivot sequences only. A one-slot epoch — what
-//! the `exact` oracle solves on every allocation — needs no search: its
-//! optimum is the leximin argmin over the legal pivots, which [`solve`]
-//! computes directly, comparing pivots only on the FUs they touch, and
-//! reports with the counters the search's root expansion would have.
+//! The paper's allocation policies are heuristics; this crate computes the
+//! decision of the *oracle* they are measured against (DESIGN.md §15): for
+//! the next execution of one configuration footprint, the legal pivot
+//! whose post-placement per-FU stress vector, sorted descending, is
+//! lexicographically smallest — the leximin argmin, whose maximum is the
+//! lowest any pivot reaches ([`OffsetProblem`], [`solve`]). Pivots are
+//! compared only on the FUs they touch, with no sort and no search.
 //!
 //! Everything is integer arithmetic with fixed iteration order, so two runs
-//! on the same problem return byte-identical solutions — the property the
-//! CI determinism tree-diff relies on.
+//! on the same problem return the same pivot — the property the CI
+//! determinism tree-diff relies on.
 //!
 //! # Examples
 //!
 //! ```
-//! use cgra::Fabric;
+//! use cgra::{Fabric, Offset};
 //! use solve::{solve, OffsetProblem};
 //!
-//! // Three executions of an L-shaped footprint on a cold 3×4 fabric: the
-//! // greedy incumbent stacks two of them (stress 2), the search finds
-//! // three disjoint placements (stress 1).
-//! let fabric = Fabric::new(3, 4);
-//! let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1), (1, 1)], &[0; 12], 3, |_| true);
-//! let s = solve(&p).unwrap();
-//! assert_eq!(s.objective, 1);
-//! assert!(s.stats.expanded > 0);
+//! // An L-shaped footprint on a 3×4 fabric whose corner FU is hot: the
+//! // argmin lands it on three cold FUs, the first such pivot in row-major
+//! // order.
+//! let mut loads = [0; 12];
+//! loads[0] = 5;
+//! let p = OffsetProblem::new(&Fabric::new(3, 4), &[(0, 0), (0, 1), (1, 1)], &loads, |_| true);
+//! let (choice, hot) = solve(&p).unwrap();
+//! assert_eq!((p.offset(choice), hot), (Offset::new(0, 1), 1));
 //! ```
 
 #![warn(missing_docs)]
@@ -37,5 +33,5 @@
 mod bnb;
 mod offsets;
 
-pub use bnb::{solve, Solution, SolveStats};
+pub use bnb::solve;
 pub use offsets::OffsetProblem;

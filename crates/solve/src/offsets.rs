@@ -1,18 +1,18 @@
-//! The pivot-epoch problem the branch-and-bound core solves (DESIGN.md §15).
+//! The pivot problem the exact oracle decides (DESIGN.md §15).
 //!
-//! Slots are the next `slots` configuration executions of one footprint;
-//! choices are the *legal* pivot offsets (legality — fault mask plus
-//! capability demands — is injected as a predicate so the caller reuses the
-//! shared `placement_ok`); resources are the fabric's FUs, loaded with
-//! their live stress counters. A choice's deltas replicate
-//! `UtilizationTracker::record_execution`'s bandwidth-aware stress rule
-//! exactly, so the solved objective *is* the post-epoch worst-FU stress.
+//! The choices are the *legal* pivot offsets of one configuration
+//! footprint (legality — fault mask plus capability demands — is injected
+//! as a predicate so the caller reuses the shared `placement_ok`);
+//! resources are the fabric's FUs, loaded with their live stress counters.
+//! A choice's deltas replicate `UtilizationTracker::record_execution`'s
+//! bandwidth-aware stress rule exactly, so the loads after a choice *are*
+//! the tracker's after that execution.
 
 use cgra::{Fabric, Offset};
 
-/// The wear-optimal pivot-selection problem for one footprint on one
-/// fabric: minimize the maximum post-epoch per-FU stress count over all
-/// assignments of the next `slots` executions to legal offsets.
+/// The wear-optimal pivot-selection problem for the next execution of one
+/// footprint on one fabric: its legal pivots, each one's per-FU stress
+/// deltas, and the live stress they add to.
 ///
 /// A problem can be [`refill`](OffsetProblem::refill)ed in place, so a
 /// caller that re-solves on every allocation (the exact oracle) keeps a few
@@ -28,13 +28,12 @@ use cgra::{Fabric, Offset};
 ///
 /// let fabric = Fabric::be();
 /// let initial = vec![0u64; fabric.fu_count() as usize];
-/// let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, 1, |_| true);
-/// let s = solve(&p).unwrap();
-/// assert_eq!(s.objective, 1); // one execution, one stress on a cold FU
+/// let p = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, |_| true);
+/// let (_, hot) = solve(&p).unwrap();
+/// assert_eq!(hot, 1); // one execution, one stress on a cold FU
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OffsetProblem {
-    slots: usize,
     initial: Vec<u64>,
     offsets: Vec<Offset>,
     /// Every choice's deltas, back to back, one pair per distinct cell of
@@ -43,8 +42,6 @@ pub struct OffsetProblem {
     /// The footprint reduced into the fabric, repeated cells merged, with
     /// each cell's stress weight; its length is every choice's delta count.
     cells: Vec<(u32, u32, u64)>,
-    /// The summed stress weights of `cells`: the stress every pivot adds.
-    mass: u64,
     /// Refill scratch: the per-column occupancy behind the stress weights.
     occupancy: Vec<u64>,
 }
@@ -60,11 +57,10 @@ impl OffsetProblem {
         fabric: &Fabric,
         footprint: &[(u32, u32)],
         initial_loads: &[u64],
-        slots: usize,
         legal: impl FnMut(Offset) -> bool,
     ) -> OffsetProblem {
         let mut problem = OffsetProblem::default();
-        problem.refill(fabric, footprint, initial_loads, slots, legal);
+        problem.refill(fabric, footprint, initial_loads, legal);
         problem
     }
 
@@ -76,8 +72,7 @@ impl OffsetProblem {
     /// (DESIGN.md §14).
     ///
     /// `initial_loads` are the live row-major stress counters
-    /// (`UtilizationTracker::stress_counts`); `slots` is the epoch length
-    /// being planned.
+    /// (`UtilizationTracker::stress_counts`).
     ///
     /// # Panics
     ///
@@ -87,7 +82,6 @@ impl OffsetProblem {
         fabric: &Fabric,
         footprint: &[(u32, u32)],
         initial_loads: &[u64],
-        slots: usize,
         mut legal: impl FnMut(Offset) -> bool,
     ) {
         assert_eq!(
@@ -96,13 +90,11 @@ impl OffsetProblem {
             "initial loads must be row-major per-FU counters"
         );
         let (rows, cols) = (fabric.rows, fabric.cols);
-        self.slots = slots;
         self.initial.clear();
         self.initial.extend_from_slice(initial_loads);
         self.offsets.clear();
         self.deltas.clear();
         self.cells.clear();
-        self.mass = 0;
         if rows == 0 || cols == 0 {
             return; // no pivot at all
         }
@@ -136,7 +128,6 @@ impl OffsetProblem {
             }
             same
         });
-        self.mass = self.cells.iter().map(|&(.., stress)| stress).sum();
 
         for row in 0..rows {
             for col in 0..cols {
@@ -158,7 +149,7 @@ impl OffsetProblem {
 
     /// Replaces only the live stress counters, keeping the pivots and their
     /// deltas: what a [`refill`](Self::refill) with the same fabric
-    /// geometry and bandwidth, footprint, legality and slots would rebuild,
+    /// geometry and bandwidth, footprint and legality would rebuild,
     /// for the cost of one copy.
     ///
     /// # Panics
@@ -173,29 +164,15 @@ impl OffsetProblem {
         self.offsets[choice]
     }
 
-    /// Number of executions planned jointly (the epoch length).
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Number of legal pivots; every slot may take any of them. With none,
-    /// solving a non-empty epoch reports infeasibility (the policy's
-    /// `None`).
+    /// Number of legal pivots. With none, [`solve`](crate::solve) reports
+    /// infeasibility (the policy's `None`).
     pub fn choices(&self) -> usize {
         self.offsets.len()
     }
 
-    /// The live row-major per-FU stress counters the epoch starts from.
+    /// The live row-major per-FU stress counters the execution adds to.
     pub fn initial_loads(&self) -> &[u64] {
         &self.initial
-    }
-
-    /// The stress mass one execution adds, whichever pivot it takes: the
-    /// sum of every choice's deltas. A pivot shifts every cell alike, so
-    /// the column occupancy behind each cell's weight, and with it the
-    /// sum, is the same at every pivot.
-    pub fn mass(&self) -> u64 {
-        self.mass
     }
 
     /// The stress pivot `choice` adds, as `(fu, delta)` pairs: one pair per
@@ -216,14 +193,14 @@ mod tests {
     fn enumerates_legal_offsets_row_major() {
         let fabric = Fabric::new(2, 4);
         let initial = vec![0u64; 8];
-        let p = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |_| true);
+        let p = OffsetProblem::new(&fabric, &[(0, 0)], &initial, |_| true);
         assert_eq!(p.choices(), 8);
         assert_eq!(p.offset(0), Offset::new(0, 0));
         assert_eq!(p.offset(7), Offset::new(1, 3));
-        let filtered = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |o| o.row == 1);
+        let filtered = OffsetProblem::new(&fabric, &[(0, 0)], &initial, |o| o.row == 1);
         assert_eq!(filtered.choices(), 4);
         assert_eq!(filtered.offset(0), Offset::new(1, 0));
-        let none = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |_| false);
+        let none = OffsetProblem::new(&fabric, &[(0, 0)], &initial, |_| false);
         assert_eq!(none.choices(), 0);
         assert!(solve(&none).is_none());
     }
@@ -235,30 +212,32 @@ mod tests {
         let mut fabric = Fabric::new(2, 4);
         fabric.col_bandwidth = 1;
         let initial = vec![0u64; 8];
-        let p = OffsetProblem::new(&fabric, &[(0, 0), (1, 0)], &initial, 1, |_| true);
+        let p = OffsetProblem::new(&fabric, &[(0, 0), (1, 0)], &initial, |_| true);
         assert_eq!(p.deltas(0), &[(0, 2), (4, 2)]);
         // The last pivot wraps the footprint's second cell into column 0.
-        let wrap = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, 1, |_| true);
+        let wrap = OffsetProblem::new(&fabric, &[(0, 0), (0, 1)], &initial, |_| true);
         let last = wrap.choices() - 1; // pivot (1, 3): cells (1,3) and (1,0)
         assert_eq!(wrap.deltas(last), &[(7, 1), (4, 1)]);
     }
 
     #[test]
     fn every_choice_adds_the_mass() {
-        // Repeated cells, a footprint wider than the fabric (wrapping onto
-        // columns it already occupies) and every bandwidth.
+        // A pivot shifts every cell alike, so the column occupancy behind
+        // each cell's weight, and with it the summed deltas, is the same at
+        // every pivot. Repeated cells, a footprint wider than the fabric
+        // (wrapping onto columns it already occupies) and every bandwidth.
         let footprint = [(0, 0), (1, 0), (0, 1), (0, 1), (2, 5), (1, 4), (3, 0)];
         for bw in 0..=3 {
             let mut fabric = Fabric::new(3, 4);
             fabric.col_bandwidth = bw;
-            let p = OffsetProblem::new(&fabric, &footprint, &[0; 12], 1, |o| o.col != 2);
+            let p = OffsetProblem::new(&fabric, &footprint, &[0; 12], |o| o.col != 2);
             assert_eq!(p.choices(), 9);
+            let mass = |c: usize| p.deltas(c).iter().map(|&(_, d)| d).sum::<u64>();
             if bw == 0 {
-                assert_eq!(p.mass(), footprint.len() as u64, "one stress per occurrence");
+                assert_eq!(mass(0), footprint.len() as u64, "one stress per occurrence");
             }
             for c in 0..p.choices() {
-                let sum: u64 = p.deltas(c).iter().map(|&(_, d)| d).sum();
-                assert_eq!(sum, p.mass(), "bandwidth {bw}, pivot {:?}", p.offset(c));
+                assert_eq!(mass(c), mass(0), "bandwidth {bw}, pivot {:?}", p.offset(c));
             }
         }
     }
@@ -269,10 +248,10 @@ mod tests {
         fabric.col_bandwidth = 1;
         let footprint = [(0, 0), (1, 0), (0, 1)];
         let legal = |o: Offset| o != Offset::new(0, 2);
-        let mut p = OffsetProblem::new(&fabric, &footprint, &[0; 8], 1, legal);
+        let mut p = OffsetProblem::new(&fabric, &footprint, &[0; 8], legal);
         let hot = [4, 0, 1, 3, 0, 2, 2, 0];
         p.reload(&hot);
-        let fresh = OffsetProblem::new(&fabric, &footprint, &hot, 1, legal);
+        let fresh = OffsetProblem::new(&fabric, &footprint, &hot, legal);
         assert_eq!(p.initial_loads(), fresh.initial_loads());
         assert_eq!(p.choices(), fresh.choices());
         for c in 0..p.choices() {
@@ -286,20 +265,9 @@ mod tests {
         let fabric = Fabric::new(2, 4);
         let mut initial = vec![0u64; 8];
         initial[0] = 10; // (0,0) is hot
-        let p = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 10, "the hot FU still dominates");
-        assert_ne!(p.offset(s.choices[0]), Offset::ORIGIN, "but the pivot moved off it");
-    }
-
-    #[test]
-    fn joint_epoch_plan_spreads_stress() {
-        // Eight single-cell executions on a 2x4 fabric: the optimum covers
-        // every FU exactly once.
-        let fabric = Fabric::new(2, 4);
-        let initial = vec![0u64; 8];
-        let p = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 8, |_| true);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 1);
+        let p = OffsetProblem::new(&fabric, &[(0, 0)], &initial, |_| true);
+        let (choice, hot) = solve(&p).unwrap();
+        assert_eq!(hot, 1, "a cold FU takes the execution");
+        assert_ne!(p.offset(choice), Offset::ORIGIN, "so the pivot moved off the hot one");
     }
 }

@@ -24,11 +24,10 @@ use std::path::{Path, PathBuf};
 use mibench::Workload;
 use obs::Registry;
 use serde::{Deserialize, Serialize, Value};
-use threadpool::ThreadPool;
 use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec};
 
-use crate::sweep::{par_map_observed, SuiteSpec};
+use crate::sweep::{par_map_observed, worker_pool, SuiteSpec};
 use crate::system::{check_movement, SystemConfig, SystemError};
 use crate::tape::{TapeRun, TapeStore, WorkloadRun};
 
@@ -476,7 +475,7 @@ pub(crate) fn run<C: Campaign>(
     assert!(population.shard_devices > 0, "shard_devices must be positive");
     check_movement(population.policies, population.config.movement_hardware)?;
     let kind = &C::KIND;
-    let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
+    let pool = worker_pool(jobs);
     let fingerprint = fingerprint(campaign);
     let class_map = &population.classes;
     let (cells, classes) = (population.cells, class_map.count());

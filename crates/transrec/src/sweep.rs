@@ -271,6 +271,12 @@ pub fn run_sweep_observed(
     Ok(out)
 }
 
+/// The pool a `jobs` count asks for: `jobs` workers, or with `0`
+/// [`threadpool::default_workers`].
+pub(crate) fn worker_pool(jobs: usize) -> ThreadPool {
+    ThreadPool::new(if jobs == 0 { threadpool::default_workers() } else { jobs })
+}
+
 /// Applies `work` to every item on `pool`, each under its own
 /// [`obs::collect`] when `collect_metrics` is set, and returns the results
 /// in item order with the registries folded in that order (DESIGN.md §16).
@@ -314,7 +320,7 @@ fn run_sweep_inner(
     if plan.is_empty() {
         return Ok((Vec::new(), Registry::new()));
     }
-    let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
+    let pool = worker_pool(jobs);
     // The suite's workloads, built once and shared immutably by every cell.
     let workloads = plan.suite.workloads(plan.base_seed);
 

@@ -175,15 +175,14 @@ pub(crate) struct AllocCounts {
 }
 
 /// Publishes what each session counter gained from `before` to `now` in
-/// one [`obs::publish`], and nothing for a counter that gained nothing,
-/// except that a solver call adds to all five of its counters: the one
-/// place the session's counters are named (DESIGN.md §16). `alloc.<kind>.*`
-/// takes the head of `policy`, the policy's canonical name.
+/// one [`obs::publish`], and nothing for a counter that gained nothing:
+/// the one place the session's counters are named (DESIGN.md §16).
+/// `alloc.<kind>.decisions` takes the head of `policy`, the policy's
+/// canonical name.
 pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
     obs::publish(|reg| {
         let kind = policy.split([':', '@']).next().unwrap_or(policy);
-        let (decisions, replayed) =
-            (format!("alloc.{kind}.decisions"), format!("alloc.{kind}.replayed"));
+        let decisions = format!("alloc.{kind}.decisions");
         let counters = |t: &Tally| {
             let (s, dbt, alloc) = (&t.stats, &t.translate, &t.alloc);
             [
@@ -202,27 +201,14 @@ pub(crate) fn publish(policy: &str, now: &Tally, before: &Tally) {
                 ("dbt.translate.rejected", dbt.rejected),
                 ("dbt.translate.placed_instrs", dbt.placed_instrs),
                 (decisions.as_str(), alloc.decisions),
-                (replayed.as_str(), alloc.policy.replayed),
                 ("cgra.bandwidth.oversub", alloc.oversubscribed),
+                ("solve.calls", alloc.policy.solve_calls),
                 ("solve.infeasible", alloc.policy.solve_infeasible),
             ]
         };
         for ((name, now), (_, before)) in counters(now).into_iter().zip(counters(before)) {
             if now != before {
                 reg.counter_add(name, now - before);
-            }
-        }
-        let (now, before) = (&now.alloc.policy, &before.alloc.policy);
-        if now.solve_calls != before.solve_calls {
-            let (n, b) = (now.solve, before.solve);
-            for (name, gain) in [
-                ("solve.calls", now.solve_calls - before.solve_calls),
-                ("solve.expanded", n.expanded - b.expanded),
-                ("solve.generated", n.generated - b.generated),
-                ("solve.bound_cutoffs", n.pruned_bound - b.pruned_bound),
-                ("solve.nogoods", n.pruned_nogood - b.pruned_nogood),
-            ] {
-                reg.counter_add(name, gain);
             }
         }
     });

@@ -337,13 +337,6 @@ impl UtilTrace {
         self.samples.iter().map(|s| (s.cycle, s.worst())).collect()
     }
 
-    /// First sampled cycle from which the worst-FU utilization stays
-    /// within `tolerance` (relative) of its final value — see
-    /// [`settle_cycle`]. 0 for an empty trace.
-    pub fn settle_cycle(&self, tolerance: f64) -> u64 {
-        settle_cycle(&self.worst_series(), tolerance)
-    }
-
     /// Composes traces of *sequential* runs on the same fabric geometry
     /// into one suite-level trace, exactly as if the runs had shared a
     /// tracker: each trace's samples are offset by the cycles and counts

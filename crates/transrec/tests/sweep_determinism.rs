@@ -73,14 +73,8 @@ fn gap_plan() -> SweepPlan {
     mask.mark_dead(1, 5);
     faulted.faults = Some(mask);
     faulted.fault_fallback = true;
-    let policies = [
-        "baseline",
-        "rotation",
-        "rotation:snake@per-load",
-        "random",
-        "health-aware",
-        "exact@every-1",
-    ];
+    let policies =
+        ["baseline", "rotation", "rotation:snake@per-load", "random", "health-aware", "exact"];
     SweepPlan::new(0xDAC2020)
         .config(het)
         .config(faulted)

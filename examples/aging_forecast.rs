@@ -23,7 +23,7 @@
 use cgra::Fabric;
 use lifetime::DeviceLifetime;
 use nbti::CalibratedAging;
-use transrec::telemetry::ProbeSpec;
+use transrec::telemetry::{settle_cycle, ProbeSpec};
 use transrec::{gpp_reference, run_suite_with_options, EnergyParams, SuiteOptions, SystemConfig};
 use uaware::{evaluate_aging, PolicySpec};
 
@@ -76,7 +76,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         // worst-FU stress settles to within 5% of its final value.
         let trace = run.util_trace().expect("util-trace probe attached");
         let total = trace.total_cycles();
-        let settle = trace.settle_cycle(0.05);
+        let settle = settle_cycle(&trace.worst_series(), 0.05);
         let settle_pct = if total == 0 { 0.0 } else { 100.0 * settle as f64 / total as f64 };
 
         println!(
