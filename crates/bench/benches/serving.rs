@@ -3,8 +3,11 @@
 //! generate lane 0's diurnal arrival stream for day 0, and run the queue
 //! with utilization-aware backpressure over it. `probe_day_unobserved` is
 //! the campaign's path (no observers, so no day tracker);
-//! `probe_day_queue_depth` attaches a queue-depth probe, which also
-//! builds the day tracker observers read. `lane_task_2_traffic_5_policies`
+//! `probe_day_baseline_unobserved` is the same day under the baseline
+//! policy, whose hot fabric makes backpressure fold the day's per-FU
+//! counts and defer requests to the GPP; `probe_day_queue_depth` attaches
+//! a queue-depth probe, which also builds the day tracker observers read.
+//! `lane_task_2_traffic_5_policies`
 //! is one campaign phase-1 task through the public `run_serving`: one
 //! device on one lane, so one task serves the diurnal and heavy profiles
 //! under the experiments' five-policy series from one tape store.
@@ -29,6 +32,13 @@ fn bench_serving_day(c: &mut Criterion) {
         b.iter(|| {
             let (day, _) = probe_service_day(&plan, &policy, &traffic, 0, 0, &[]).unwrap();
             black_box(day.served_cgra)
+        })
+    });
+    group.bench_function("probe_day_baseline_unobserved", |b| {
+        b.iter(|| {
+            let (day, _) =
+                probe_service_day(&plan, &PolicySpec::Baseline, &traffic, 0, 0, &[]).unwrap();
+            black_box(day.served_gpp)
         })
     });
     group.bench_function("probe_day_queue_depth", |b| {

@@ -294,6 +294,9 @@ mod tests {
         assert!(parse_policy_flags(&args(&["--policy", "exact@every-0"])).is_err());
         assert!(parse_fabric_flags(&args(&["--fabric", "2x2"])).is_err(), "unbuildable fabric");
         assert!(parse_traffic_flags(&args(&["--traffic", "nonsense?"])).is_err());
+        for twice in ["diurnal@swing-10+swing-90", "steady@rph-10+rph-20"] {
+            assert!(parse_traffic_flags(&args(&["--traffic", twice])).is_err(), "{twice}");
+        }
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! simulates one serving trajectory per (traffic × policy × lane) — one
 //! task per lane, its equivalence class, measures the lane's GPP reference
 //! once, generates each traffic profile's arrival streams in turn and
-//! serves every policy from them, measuring each request shape's fabric
-//! cost through one offload tape per workload in the task's store
-//! ([`crate::tape`], DESIGN.md §17) — phase 2 streams device shards
-//! through a weighted merge of class outcomes, and a checkpointed campaign
-//! resumes byte-identically after any kill — `results/serving.json` is
-//! identical for every `--jobs` value, shard split, and stop/resume point.
+//! serves every policy from them, measuring each (policy, fault mask,
+//! workload) fabric cost once per lane, through one offload tape per
+//! workload in the task's store ([`crate::tape`], DESIGN.md §17), into a
+//! cost table per policy that every profile shares — phase 2 streams
+//! device shards through a weighted merge of class outcomes, and a
+//! checkpointed campaign resumes byte-identically after any kill —
+//! `results/serving.json` is identical for every `--jobs` value, shard
+//! split, and stop/resume point.
 //!
 //! # Examples
 //!
@@ -210,26 +212,33 @@ impl FromStr for TrafficSpec {
             Some((kind, tail)) => (kind, Some(tail)),
             None => (s, None),
         };
-        let mut per_hour = DEFAULT_PER_HOUR;
-        let mut swing_pct = None;
-        let mut alpha_milli = None;
+        let (mut rph, mut swing, mut alpha) = (None, None, None);
         for part in tail.into_iter().flat_map(|t| t.split('+')) {
             let (key, value) = part
                 .split_once('-')
                 .ok_or_else(|| format!("malformed traffic parameter {part:?} (want key-value)"))?;
             let parsed: u64 =
                 value.parse().map_err(|_| format!("malformed traffic value {value:?}"))?;
-            let narrow = || {
-                u32::try_from(parsed)
-                    .map_err(|_| format!("traffic value {value:?} out of range for {key}"))
-            };
-            match key {
-                "rph" => per_hour = parsed,
-                "swing" => swing_pct = Some(narrow()?),
-                "alpha" => alpha_milli = Some(narrow()?),
+            let slot = match key {
+                "rph" => &mut rph,
+                "swing" => &mut swing,
+                "alpha" => &mut alpha,
                 _ => return Err(format!("unknown traffic parameter {key:?}")),
+            };
+            if slot.replace(parsed).is_some() {
+                return Err(format!("traffic parameter {key:?} given twice in {s:?}"));
             }
         }
+        let per_hour = rph.unwrap_or(DEFAULT_PER_HOUR);
+        let narrow = |value: Option<u64>, key: &str| {
+            value
+                .map(|v| {
+                    u32::try_from(v)
+                        .map_err(|_| format!("traffic value {v} out of range for {key}"))
+                })
+                .transpose()
+        };
+        let (swing_pct, alpha_milli) = (narrow(swing, "swing")?, narrow(alpha, "alpha")?);
         let spec = match kind {
             "steady" if swing_pct.is_none() && alpha_milli.is_none() => {
                 TrafficSpec::Steady { per_hour }
@@ -590,72 +599,86 @@ impl ServePlan {
     }
 }
 
-/// Measured service costs of one workload on the fabric under one fault
-/// mask: the request's cycle count and the per-FU stress it exerts.
+/// Measured fabric service costs of a suite's workloads under one fault
+/// mask, in workload-major rows the day fold reads (DESIGN.md §13).
 #[derive(Clone, Debug)]
-struct CgraCost {
-    /// End-to-end service cycles (GPP phases + offloads).
-    cycles: u64,
-    /// Busy cycles one service adds to each FU: its execution-weighted
-    /// utilization times `cycles`, precomputed so the day fold adds one
-    /// float per FU.
+struct ServiceCosts {
+    /// Per workload: end-to-end service cycles (GPP phases + offloads),
+    /// or `None` when no placement avoids the mask's dead FUs (a request
+    /// for it kills the device).
+    cycles: Vec<Option<u64>>,
+    /// Workload-major rows of the busy cycles one service adds to each
+    /// FU: its execution-weighted utilization times its cycles,
+    /// precomputed so the day fold adds one float per FU.
     busy: Vec<f64>,
-    /// The raw tracker of one service: its per-FU execution counts feed
-    /// the backpressure rule, and observers see it merged into the day
-    /// tracker.
-    tracker: UtilizationTracker,
+    /// Per workload: the raw tracker of one service (empty for a dead
+    /// workload). Its per-FU execution counts feed the backpressure rule,
+    /// and observers see it merged into the day tracker.
+    trackers: Vec<UtilizationTracker>,
 }
 
-impl CgraCost {
-    /// The cost of a service that ran `cycles` and recorded `tracker`.
-    fn new(cycles: u64, tracker: UtilizationTracker) -> CgraCost {
-        let util = tracker.duty_cycles(cycles);
-        let busy = util.values().iter().map(|u| u * cycles as f64).collect();
-        CgraCost { cycles, busy, tracker }
+impl ServiceCosts {
+    /// The costs of `services`, one per workload in suite order: the
+    /// cycles a service ran and the tracker it recorded, or `None` for a
+    /// workload with no placement on `fabric`.
+    fn new(
+        fabric: &Fabric,
+        services: impl IntoIterator<Item = Option<(u64, UtilizationTracker)>>,
+    ) -> ServiceCosts {
+        let mut costs = ServiceCosts { cycles: Vec::new(), busy: Vec::new(), trackers: Vec::new() };
+        for service in services {
+            costs.cycles.push(service.as_ref().map(|&(cycles, _)| cycles));
+            // A dead workload is never served; its row stays zero.
+            let (cycles, tracker) = service.unwrap_or_else(|| (0, UtilizationTracker::new(fabric)));
+            let duty = tracker.duty_cycles(cycles);
+            costs.busy.extend(duty.values().iter().map(|u| u * cycles as f64));
+            costs.trackers.push(tracker);
+        }
+        costs
     }
 }
 
-/// Lazy fabric service-cost cache of one trajectory simulation: per fault
-/// mask, each workload's [`CgraCost`], or `None` when no placement avoids
-/// the mask's dead FUs (a request for it kills the device). The fault
-/// mask is monotone within a generation and replacement generations
-/// repeat the same mask sequence (same duty history from a uniform wear
-/// offset), so the dead-FU count keys each distinct mask exactly
+/// Lazy fabric service-cost cache of one policy on one lane: per fault
+/// mask, the suite's [`ServiceCosts`]. It is keyed by the mask itself, not
+/// by its dead-FU count, because two traffic profiles can reach different
+/// masks with the same count; every traffic profile the lane serves shares
+/// it, so each (policy, mask, workload) cost is measured once per lane
 /// (DESIGN.md §13).
 struct ServiceTable<'a> {
     spec: &'a PolicySpec,
-    masks: BTreeMap<u32, Vec<Option<CgraCost>>>,
+    masks: Vec<(FaultMask, ServiceCosts)>,
+    /// Fabric service measurements run so far, recorded or replayed.
     simulated_services: u64,
 }
 
 impl<'a> ServiceTable<'a> {
     fn new(spec: &'a PolicySpec) -> Self {
-        ServiceTable { spec, masks: BTreeMap::new(), simulated_services: 0 }
+        ServiceTable { spec, masks: Vec::new(), simulated_services: 0 }
     }
 
     /// The fabric costs of the store's workloads on `config` with `mask`,
-    /// measuring every workload on first use: each request shape run to
-    /// exit on a fresh system, or replayed from the task's offload tape
-    /// (DESIGN.md §13, §17).
+    /// measuring every workload when the mask is first seen: each request
+    /// shape run to exit on a fresh system, or replayed from the task's
+    /// offload tape (DESIGN.md §13, §17).
     fn costs(
         &mut self,
         store: &mut TapeStore<'_>,
         config: &SystemConfig,
         mask: &FaultMask,
-    ) -> Result<&[Option<CgraCost>], SystemError> {
-        let key = mask.dead_count();
-        if !self.masks.contains_key(&key) {
-            let config = SystemConfig { faults: Some(mask.clone()), ..config.clone() };
-            let cost = |run: TapeRun| CgraCost::new(run.stats.total_cycles(), run.tracker);
-            let cgra = (0..store.workloads().len())
-                .map(|workload| {
-                    Ok(campaign::device_run(store, &config, self.spec, workload)?.map(cost))
-                })
-                .collect::<Result<Vec<_>, SystemError>>()?;
-            self.simulated_services += cgra.len() as u64;
-            self.masks.insert(key, cgra);
+    ) -> Result<&ServiceCosts, SystemError> {
+        if let Some(index) = self.masks.iter().position(|(seen, _)| seen == mask) {
+            return Ok(&self.masks[index].1);
         }
-        Ok(self.masks.get(&key).expect("inserted above"))
+        let config = SystemConfig { faults: Some(mask.clone()), ..config.clone() };
+        let services = (0..store.workloads().len())
+            .map(|workload| {
+                let run = campaign::device_run(store, &config, self.spec, workload)?;
+                Ok(run.map(|run: TapeRun| (run.stats.total_cycles(), run.tracker)))
+            })
+            .collect::<Result<Vec<_>, SystemError>>()?;
+        self.simulated_services += services.len() as u64;
+        self.masks.push((mask.clone(), ServiceCosts::new(&config.fabric, services)));
+        Ok(&self.masks[self.masks.len() - 1].1)
     }
 }
 
@@ -676,13 +699,68 @@ struct DayOutcome {
     fatal_fraction: f64,
 }
 
-/// A request in flight: admitted, waiting for (or in) service.
+/// A request in flight: admitted, waiting for (or in) service. Its wait
+/// and service cycles follow from its arrival, so they are recomputed only
+/// when an observer sees it served.
 struct Pending {
     finish: u64,
-    request: u64,
-    wait: u64,
-    service: u64,
+    request: usize,
     deferred: bool,
+}
+
+/// The day's per-FU execution counts, folded lazily (DESIGN.md §13): a
+/// request served on the fabric only counts toward its workload, and those
+/// counts are multiplied into the per-FU totals when backpressure asks for
+/// the busiest FU. The sums are integers, so a fold is exact whenever it
+/// runs, and the busiest count stands until a request is served again.
+struct DayCounts {
+    /// Requests served on the fabric per workload since the last fold.
+    unfolded: Vec<u64>,
+    /// Whether `unfolded` holds any request.
+    dirty: bool,
+    /// Per-FU execution counts of the folded requests.
+    counts: Vec<u64>,
+    /// Configuration executions of the folded requests.
+    executions: u64,
+    /// The largest entry of `counts`.
+    busiest: u64,
+}
+
+impl DayCounts {
+    fn new(workloads: usize, fus: usize) -> DayCounts {
+        DayCounts {
+            unfolded: vec![0; workloads],
+            dirty: false,
+            counts: vec![0; fus],
+            executions: 0,
+            busiest: 0,
+        }
+    }
+
+    /// Counts one request for `workload` served on the fabric.
+    fn serve(&mut self, workload: usize) {
+        self.unfolded[workload] += 1;
+        self.dirty = true;
+    }
+
+    /// `true` when the busiest FU holds at least `hot_share_pct` percent of
+    /// the day's executions (integer math, exact). Folds the requests
+    /// served since the last call first; `trackers` are the per-workload
+    /// trackers of one service each.
+    fn hot(&mut self, trackers: &[UtilizationTracker], hot_share_pct: u32) -> bool {
+        if self.dirty {
+            for (n, tracker) in self.unfolded.iter_mut().zip(trackers).filter(|(n, _)| **n > 0) {
+                for (count, &add) in self.counts.iter_mut().zip(tracker.exec_counts()) {
+                    *count += *n * add;
+                }
+                self.executions += *n * tracker.executions();
+                *n = 0;
+            }
+            self.busiest = self.counts.iter().copied().max().unwrap_or(0);
+            self.dirty = false;
+        }
+        self.executions > 0 && self.busiest * 100 >= self.executions * hot_share_pct as u64
+    }
 }
 
 /// Delivers the event `event` builds to every observer with the day
@@ -710,26 +788,27 @@ fn emit(
 /// idle time exert none. Service tails past midnight are charged to the
 /// day that admitted them; the queue drains at the day boundary.
 ///
-/// Each request pays only for what it needs: backpressure reads per-FU
-/// execution counts, and scans them for the busiest FU only when the
-/// queue is deep enough for the answer to matter; latencies are tallied
-/// densely and folded into the histogram at midnight, when the day's
-/// `traffic.*` metrics are published once; the day tracker exists only
-/// while observers are attached.
+/// Each request pays only for what it needs: a request served on the
+/// fabric adds its workload's busy-cycle row, in arrival order, and counts
+/// toward its workload; backpressure folds those counts into per-FU
+/// execution counts ([`DayCounts`]) only when the queue is deep enough for
+/// the busiest FU to matter; latencies are tallied densely and folded into
+/// the histogram at midnight, when the day's `traffic.*` metrics are
+/// published once; the day tracker exists only while observers are
+/// attached.
 fn run_service_day(
     arrivals: &[Arrival],
-    cgra: &[Option<CgraCost>],
+    cgra: &ServiceCosts,
     gpp: &[u64],
     bp: &BackpressureSpec,
     day_cycles: u64,
     fabric: &Fabric,
     observers: &mut [Box<dyn Observer>],
 ) -> DayOutcome {
-    let fu_count = fabric.fu_count() as usize;
+    let fus = fabric.fu_count() as usize;
     let mut day_tracker = (!observers.is_empty()).then(|| UtilizationTracker::new(fabric));
-    let mut day_counts = vec![0u64; fu_count];
-    let mut day_executions = 0u64;
-    let mut busy = vec![0.0f64; fu_count];
+    let mut counts = DayCounts::new(cgra.cycles.len(), fus);
+    let mut busy = vec![0.0f64; fus];
     let mut latency_tally = [0u64; LOG_BUCKETS];
     let mut in_flight: VecDeque<Pending> = VecDeque::new();
     let mut free_at = 0u64;
@@ -739,19 +818,28 @@ fn run_service_day(
     let mut peak_depth = 0u32;
     let mut died = false;
     let mut fatal_fraction = 1.0;
+    // A request is in flight only if its workload has a placement, so only
+    // a deferred one is charged the GPP cost.
+    let served = |done: &Pending| {
+        let arrival = arrivals[done.request];
+        let workload = arrival.workload as usize;
+        let service = cgra.cycles[workload].filter(|_| !done.deferred).unwrap_or(gpp[workload]);
+        SimEvent::RequestServed {
+            request: done.request as u64,
+            wait_cycles: done.finish - service - arrival.cycle,
+            service_cycles: service,
+            deferred: done.deferred,
+        }
+    };
     for (i, arrival) in arrivals.iter().enumerate() {
         while in_flight.front().is_some_and(|p| p.finish <= arrival.cycle) {
             let done = in_flight.pop_front().expect("front exists");
-            emit(observers, day_tracker.as_ref(), done.finish, || SimEvent::RequestServed {
-                request: done.request,
-                wait_cycles: done.wait,
-                service_cycles: done.service,
-                deferred: done.deferred,
-            });
+            emit(observers, day_tracker.as_ref(), done.finish, || served(&done));
         }
         let depth = in_flight.len() as u32;
         let shed_event = || SimEvent::RequestShed { request: i as u64, queue_depth: depth };
-        let Some(cost) = &cgra[arrival.workload as usize] else {
+        let workload = arrival.workload as usize;
+        let Some(cycles) = cgra.cycles[workload] else {
             // The request needs a workload with no placement left: the
             // device is dead; the rest of the day's requests go unserved.
             died = true;
@@ -765,36 +853,27 @@ fn run_service_day(
             emit(observers, day_tracker.as_ref(), arrival.cycle, shed_event);
             continue;
         }
-        // A hot fabric (the busiest FU holds at least `hot_share_pct`% of
-        // the day's executions; integer math, exact) defers to the GPP,
-        // but only once the queue is backed up and the estimate warm.
+        // A hot fabric defers to the GPP, but only once the queue is backed
+        // up and the estimate warm.
         let deferred = depth >= bp.defer_depth
             && served_cgra + served_gpp >= bp.warmup_requests
-            && day_executions > 0
-            && day_counts
-                .iter()
-                .max()
-                .is_some_and(|&worst| worst * 100 >= day_executions * bp.hot_share_pct as u64);
-        let service = if deferred { gpp[arrival.workload as usize] } else { cost.cycles };
+            && counts.hot(&cgra.trackers, bp.hot_share_pct);
+        let service = if deferred { gpp[workload] } else { cycles };
         let start = free_at.max(arrival.cycle);
-        let wait = start - arrival.cycle;
         let finish = start + service;
         free_at = finish;
-        latency_tally[log_bucket(wait + service) as usize] += 1;
+        latency_tally[log_bucket(finish - arrival.cycle) as usize] += 1;
         peak_depth = peak_depth.max(depth + 1);
         if deferred {
             served_gpp += 1;
         } else {
             served_cgra += 1;
-            for (b, &add) in busy.iter_mut().zip(&cost.busy) {
+            for (b, &add) in busy.iter_mut().zip(&cgra.busy[workload * fus..][..fus]) {
                 *b += add;
             }
-            for (n, &add) in day_counts.iter_mut().zip(cost.tracker.exec_counts()) {
-                *n += add;
-            }
-            day_executions += cost.tracker.executions();
+            counts.serve(workload);
             if let Some(tracker) = &mut day_tracker {
-                tracker.merge(&cost.tracker);
+                tracker.merge(&cgra.trackers[workload]);
             }
         }
         emit(observers, day_tracker.as_ref(), arrival.cycle, || SimEvent::RequestArrived {
@@ -802,17 +881,12 @@ fn run_service_day(
             workload: arrival.workload,
             queue_depth: depth + 1,
         });
-        in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
+        in_flight.push_back(Pending { finish, request: i, deferred });
     }
     let mut end_cycle = day_cycles;
     while let Some(done) = in_flight.pop_front() {
         end_cycle = end_cycle.max(done.finish);
-        emit(observers, day_tracker.as_ref(), done.finish, || SimEvent::RequestServed {
-            request: done.request,
-            wait_cycles: done.wait,
-            service_cycles: done.service,
-            deferred: done.deferred,
-        });
+        emit(observers, day_tracker.as_ref(), done.finish, || served(&done));
     }
     if let Some(tracker) = &day_tracker {
         let ctx = EventCtx { cycle: end_cycle, tracker };
@@ -894,7 +968,9 @@ pub(crate) struct ServeTrajectory {
     /// Distinct device-days actually simulated (the rest replayed the
     /// day cache).
     simulated_days: u64,
-    /// Fabric service measurements actually run, recorded or replayed.
+    /// Fabric service measurements this trajectory added to its lane's
+    /// cost table, recorded or replayed: 0 when an earlier traffic profile
+    /// of the lane already reached every mask it reaches.
     simulated_services: u64,
 }
 
@@ -934,15 +1010,18 @@ fn replacement_device(plan: &ServePlan) -> (DeviceLifetime, f64) {
 /// wear, inject failures, replace the device when it dies (DESIGN.md
 /// §13). Day outcomes are cached per `(dead FU count, pattern day)`, so
 /// the cost is bounded by distinct mask states — not by the horizon.
+/// `table` is the policy's cost table on this lane, shared with the
+/// lane's other traffic profiles; the trajectory counts the measurements
+/// it added.
 fn serve_policy(
     plan: &ServePlan,
-    spec: &PolicySpec,
+    table: &mut ServiceTable<'_>,
     store: &mut TapeStore<'_>,
     pattern: &[Vec<Arrival>],
     gpp: &[u64],
 ) -> Result<ServeTrajectory, SystemError> {
     let day_cycles = plan.day_cycles();
-    let mut table = ServiceTable::new(spec);
+    let measured_before = table.simulated_services;
     let mut day_cache: BTreeMap<(u32, u64), DayOutcome> = BTreeMap::new();
     let mut life = DeviceLifetime::new(&plan.config.fabric, plan.aging, true);
     let mut pre_age = 0.0f64;
@@ -995,7 +1074,7 @@ fn serve_policy(
         first_failure_years: life.first_failure_years().map(|t| (t - pre_age).max(0.0)),
     });
     publish_missions(missions + life.missions());
-    out.simulated_services = table.simulated_services;
+    out.simulated_services = table.simulated_services - measured_before;
     Ok(out)
 }
 
@@ -1044,9 +1123,12 @@ pub struct ServeCell {
     pub replacement_cost_cents: u64,
     /// Distinct device-days actually simulated across the cell's lanes.
     pub simulated_days: u64,
-    /// Fabric service measurements actually run across the cell's lanes,
-    /// each recorded as a full session or replayed from an offload tape
-    /// (DESIGN.md §17).
+    /// Fabric service measurements this cell's trajectories ran across
+    /// the cell's lanes, each recorded as a full session or replayed from
+    /// an offload tape (DESIGN.md §17). A lane measures each (policy,
+    /// mask, workload) cost once for all its traffic profiles, so a cell
+    /// counts only the masks no earlier profile of its lane reached
+    /// (DESIGN.md §13).
     pub simulated_services: u64,
 }
 
@@ -1107,10 +1189,11 @@ impl Campaign for ServePlan {
     };
 
     /// One lane's serving deployment in every (traffic × policy) cell, in
-    /// plan order. The lane's GPP-only service cycles are measured once
-    /// and its tapes recorded once, in the task's store; each traffic
-    /// profile's pattern-day arrival streams are generated in turn, served
-    /// under every policy, and dropped (DESIGN.md §13).
+    /// plan order. The lane's GPP-only service cycles are measured once,
+    /// its tapes recorded once, in the task's store, and each (policy,
+    /// mask, workload) fabric cost once, in the policy's cost table; each
+    /// traffic profile's pattern-day arrival streams are generated in turn,
+    /// served under every policy, and dropped (DESIGN.md §13).
     fn simulate(
         &self,
         &(lane, _): &ClassKey,
@@ -1121,14 +1204,16 @@ impl Campaign for ServePlan {
         // GPP-only service cycles, the deferral path: they depend on neither
         // the traffic, the policy nor the fault mask.
         let gpp = gpp_reference(&self.config, store.workloads());
+        let mut tables: Vec<ServiceTable<'_>> =
+            self.policies.iter().map(ServiceTable::new).collect();
         let mut trajectories = Vec::with_capacity(self.traffic.len() * self.policies.len());
         for traffic in &self.traffic {
             let pattern: Vec<Vec<Arrival>> = (0..self.pattern_days.min(self.horizon_days))
                 .map(|day| day_traffic(traffic, stream_seed, day, self.clock_hz, requests))
                 .collect();
-            trajectories.extend(self.policies.iter().map(|spec| {
+            trajectories.extend(tables.iter_mut().map(|table| {
                 let gpp = gpp.as_ref().map_err(Clone::clone)?;
-                serve_policy(self, spec, store, &pattern, gpp)
+                serve_policy(self, table, store, &pattern, gpp)
             }));
         }
         trajectories
@@ -1360,6 +1445,8 @@ pub fn probe_service_day(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// `true` when the day tracker's busiest FU holds at least
     /// `hot_share_pct` percent of all executions — the reference fold's
@@ -1373,14 +1460,26 @@ mod tests {
         worst * 100 >= executions * hot_share_pct as u64
     }
 
+    /// A request in flight on the reference path, with its wait and
+    /// service cycles stored at admission.
+    struct RefPending {
+        finish: u64,
+        request: u64,
+        wait: u64,
+        service: u64,
+        deferred: bool,
+    }
+
     /// The day fold as it was before per-FU counts: every served request
     /// merges its tracker into a day tracker and folds its utilization
     /// times its cycles into `busy`, every admission scans the tracker
-    /// with [`fabric_is_hot`], and latencies are recorded one by one. The
-    /// differential oracle for [`run_service_day`].
+    /// with [`fabric_is_hot`], in-flight requests carry their wait and
+    /// service, and latencies are recorded one by one. It reads only the
+    /// costs' cycles and trackers. The differential oracle for
+    /// [`run_service_day`].
     fn reference_service_day(
         arrivals: &[Arrival],
-        cgra: &[Option<CgraCost>],
+        cgra: &ServiceCosts,
         gpp: &[u64],
         bp: &BackpressureSpec,
         day_cycles: u64,
@@ -1390,14 +1489,14 @@ mod tests {
         let fu_count = (fabric.rows * fabric.cols) as usize;
         let mut day_tracker = UtilizationTracker::new(fabric);
         let mut busy = vec![0.0f64; fu_count];
-        let mut in_flight: VecDeque<Pending> = VecDeque::new();
+        let mut in_flight: VecDeque<RefPending> = VecDeque::new();
         let mut free_at = 0u64;
         let (mut served_cgra, mut served_gpp, mut shed) = (0u64, 0u64, 0u64);
         let mut latency = LogHistogram::new();
         let mut died = false;
         let mut fatal_fraction = 1.0;
         let watched = !observers.is_empty();
-        let served = |done: &Pending| SimEvent::RequestServed {
+        let served = |done: &RefPending| SimEvent::RequestServed {
             request: done.request,
             wait_cycles: done.wait,
             service_cycles: done.service,
@@ -1411,7 +1510,8 @@ mod tests {
                 }
             }
             let depth = in_flight.len() as u32;
-            let Some(cost) = &cgra[arrival.workload as usize] else {
+            let workload = arrival.workload as usize;
+            let Some(cycles) = cgra.cycles[workload] else {
                 died = true;
                 fatal_fraction = arrival.cycle as f64 / day_cycles as f64;
                 shed += (arrivals.len() - i) as u64;
@@ -1432,7 +1532,7 @@ mod tests {
             let hot = served_cgra + served_gpp >= bp.warmup_requests
                 && fabric_is_hot(&day_tracker, bp.hot_share_pct);
             let deferred = hot && depth >= bp.defer_depth;
-            let service = if deferred { gpp[arrival.workload as usize] } else { cost.cycles };
+            let service = if deferred { gpp[workload] } else { cycles };
             let start = free_at.max(arrival.cycle);
             let wait = start - arrival.cycle;
             let finish = start + service;
@@ -1442,11 +1542,12 @@ mod tests {
                 served_gpp += 1;
             } else {
                 served_cgra += 1;
-                let util = cost.tracker.duty_cycles(cost.cycles);
+                let tracker = &cgra.trackers[workload];
+                let util = tracker.duty_cycles(cycles);
                 for (b, &u) in busy.iter_mut().zip(util.values()) {
-                    *b += u * cost.cycles as f64;
+                    *b += u * cycles as f64;
                 }
-                day_tracker.merge(&cost.tracker);
+                day_tracker.merge(tracker);
             }
             if watched {
                 let event = SimEvent::RequestArrived {
@@ -1456,7 +1557,7 @@ mod tests {
                 };
                 emit(observers, Some(&day_tracker), arrival.cycle, || event);
             }
-            in_flight.push_back(Pending { finish, request: i as u64, wait, service, deferred });
+            in_flight.push_back(RefPending { finish, request: i as u64, wait, service, deferred });
         }
         let mut end_cycle = day_cycles;
         while let Some(done) = in_flight.pop_front() {
@@ -1483,10 +1584,29 @@ mod tests {
         }
     }
 
+    /// One observed moment of a day: the event (`None` for the finish
+    /// hook), its cycle, and the day tracker's execution count.
+    type Logged = (Option<SimEvent>, u64, u64);
+
+    /// A test-only observer that logs every event it sees, in order, into
+    /// a log the test keeps a handle to.
+    struct EventLog(Rc<RefCell<Vec<Logged>>>);
+
+    impl Observer for EventLog {
+        fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent) {
+            self.0.borrow_mut().push((Some(*event), ctx.cycle, ctx.tracker.executions()));
+        }
+
+        fn on_finish(&mut self, ctx: &EventCtx<'_>) {
+            self.0.borrow_mut().push((None, ctx.cycle, ctx.tracker.executions()));
+        }
+    }
+
     /// One workload's random service on the BE fabric: `None` (dead), or
-    /// a cost whose executions touch a sparse (1–3) or dense (18–32) set
-    /// of FUs, shifted a column per execution so counts differ per FU.
-    fn any_cost() -> impl Strategy<Value = Option<CgraCost>> {
+    /// its cycles and a tracker whose executions touch a sparse (1–3) or
+    /// dense (18–32) set of FUs, shifted a column per execution so counts
+    /// differ per FU.
+    fn any_service() -> impl Strategy<Value = Option<(u64, UtilizationTracker)>> {
         let cells = proptest::collection::vec((0u32..2, 0u32..16), 1..64);
         (0u32..3, 1u64..20_000, cells, 1u32..6, 0usize..3, 18usize..33).prop_map(
             |(kind, cycles, mut cells, executions, sparse, dense)| {
@@ -1507,7 +1627,7 @@ mod tests {
                         cells.iter().map(|&(r, c)| (r, (c + shift) % 16)).collect();
                     tracker.record_execution(&shifted, 16);
                 }
-                Some(CgraCost::new(cycles, tracker))
+                Some((cycles, tracker))
             },
         )
     }
@@ -1529,34 +1649,42 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The per-FU-count fold reproduces the tracker-merging fold on
-        /// every field, bit for bit, with and without observers attached.
+        /// The lazily folded day reproduces the tracker-merging fold on
+        /// every field, bit for bit, with and without observers attached,
+        /// and observers see the same events, in the same order, at the
+        /// same cycles and day-tracker execution counts.
         #[test]
         fn day_fold_matches_the_tracker_merging_reference(
-            costs in proptest::collection::vec(any_cost(), 1..5),
+            services in proptest::collection::vec(any_service(), 1..5),
             raw in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..300),
             day_cycles in 20_000u64..2_000_000,
             bp in any_backpressure(),
             watched in any::<bool>(),
         ) {
             let fabric = Fabric::be();
-            let gpp: Vec<u64> = (0..costs.len() as u64).map(|w| 500 + 3_000 * w).collect();
+            let workloads = services.len() as u64;
+            let costs = ServiceCosts::new(&fabric, services);
+            let gpp: Vec<u64> = (0..workloads).map(|w| 500 + 3_000 * w).collect();
             let mut arrivals: Vec<Arrival> = raw
                 .iter()
                 .map(|&(t, w)| Arrival {
                     cycle: t % day_cycles,
-                    workload: (w % costs.len() as u64) as u32,
+                    workload: (w % workloads) as u32,
                 })
                 .collect();
             arrivals.sort_by_key(|a| a.cycle);
-            let probes = || -> Vec<Box<dyn Observer>> {
+            let (new_log, ref_log) = (Rc::default(), Rc::default());
+            let probes = |log: &Rc<RefCell<Vec<Logged>>>| -> Vec<Box<dyn Observer>> {
                 if watched {
-                    vec!["queue-depth@every-5000".parse::<ProbeSpec>().unwrap().build()]
+                    vec![
+                        "queue-depth@every-5000".parse::<ProbeSpec>().unwrap().build(),
+                        Box::new(EventLog(Rc::clone(log))),
+                    ]
                 } else {
                     Vec::new()
                 }
             };
-            let (mut new_obs, mut ref_obs) = (probes(), probes());
+            let (mut new_obs, mut ref_obs) = (probes(&new_log), probes(&ref_log));
             let new =
                 run_service_day(&arrivals, &costs, &gpp, &bp, day_cycles, &fabric, &mut new_obs);
             let old = reference_service_day(
@@ -1576,6 +1704,8 @@ mod tests {
                 obs.iter().filter_map(|o| o.report()).collect::<Vec<_>>()
             };
             prop_assert_eq!(reports(&new_obs), reports(&ref_obs));
+            prop_assert_eq!(&*new_log.borrow(), &*ref_log.borrow());
+            prop_assert_eq!(new_log.borrow().is_empty(), !watched);
         }
     }
 
@@ -1611,8 +1741,15 @@ mod tests {
             "diurnal@tide-3",
             "diurnal@rph-6000+swing-4294967376",
             "heavy@alpha-4294968796",
+            "diurnal@swing-10+swing-90",
+            "steady@rph-10+rph-20",
         ] {
             assert!(bad.parse::<TrafficSpec>().is_err(), "{bad:?} must not parse");
+        }
+        for (twice, key) in [("diurnal@swing-10+swing-90", "swing"), ("heavy@rph-10+rph-20", "rph")]
+        {
+            let err = twice.parse::<TrafficSpec>().unwrap_err();
+            assert!(err.contains(&format!("{key:?} given twice")), "{twice:?}: {err}");
         }
     }
 
@@ -1747,7 +1884,7 @@ mod tests {
         let fabric = Fabric::be();
         let mut tracker = UtilizationTracker::new(&fabric);
         tracker.record_execution(&[(0, 0)], 1);
-        let costs = [Some(CgraCost::new(100, tracker)), None];
+        let costs = ServiceCosts::new(&fabric, [Some((100, tracker)), None]);
         let arrivals: Vec<Arrival> =
             (0..10u64).map(|i| Arrival { cycle: 1_000 * i, workload: u32::from(i == 4) }).collect();
         let bp = BackpressureSpec::default();
@@ -1781,6 +1918,29 @@ mod tests {
             }
             other => panic!("expected a queue-depth report, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_cost_table_is_keyed_by_the_mask_not_its_dead_count() {
+        let plan = mini_plan();
+        let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, 0));
+        let mut store = TapeStore::new(&workloads);
+        let policy = PolicySpec::rotation();
+        let mut table = ServiceTable::new(&policy);
+        let fabric = &plan.config.fabric;
+        let (mut left, mut right) = (FaultMask::healthy(fabric), FaultMask::healthy(fabric));
+        assert!(left.mark_dead(0, 0) && right.mark_dead(1, 15));
+        assert_eq!(left.dead_count(), right.dead_count());
+        let per_mask = workloads.len() as u64;
+        table.costs(&mut store, &plan.config, &left).unwrap();
+        assert_eq!(table.simulated_services, per_mask);
+        table.costs(&mut store, &plan.config, &right).unwrap();
+        assert_eq!(table.simulated_services, 2 * per_mask, "an equal dead count is another mask");
+        for mask in [&right, &left] {
+            table.costs(&mut store, &plan.config, mask).unwrap();
+        }
+        assert_eq!(table.simulated_services, 2 * per_mask, "a mask seen before is measured once");
+        assert_eq!(table.masks.len(), 2);
     }
 
     #[test]

@@ -199,15 +199,21 @@ fn pinned_plan() -> ServePlan {
 }
 
 /// FNV-1a of the pinned plan's report JSON, captured before the service
-/// day fold and the phase-1 grouping were rewritten.
-const PINNED_REPORT_FNV: u64 = 0x4ab5_ecce_f28e_a34a;
+/// day fold and the phase-1 grouping were rewritten, except that the heavy
+/// profile's cells count `simulated_services` 0 (the capture had 4): each
+/// lane measures its (policy, mask, workload) costs once, under the
+/// diurnal profile, and the heavy profile reaches no new mask.
+const PINNED_REPORT_FNV: u64 = 0x04a6_55cc_075d_6eda;
 /// FNV-1a of the pinned plan's metrics registry JSON: the same capture,
 /// except that `traffic.requests.arrived` counts every arrival of a day on
-/// which the device dies (207,069, where the capture had 115,679), and that
+/// which the device dies (207,069, where the capture had 115,679), that
 /// the `system.offloads_completed` and `system.cache_inserted` twins of
 /// `tracker.executions` and `dbt.cache.insert` are gone (the earlier
-/// registry had them at 4,080 and 40).
-const PINNED_METRICS_FNV: u64 = 0xd049_1aba_e45b_5b75;
+/// registry had them at 4,080 and 40), and that the counters the cost
+/// measurements fire (`alloc.*.decisions`, `dbt.*`, `system.*`,
+/// `tracker.executions`) are halved, since the heavy profile measures
+/// nothing again. Every `traffic.*` entry is unchanged.
+const PINNED_METRICS_FNV: u64 = 0x8d6b_f0f4_a532_53e0;
 
 /// The serving report and its metrics registry are pinned byte for byte:
 /// any refactor of arrival generation, the day fold or the campaign's
@@ -255,10 +261,24 @@ fn cells_and_metrics(plan: &ServePlan, name: &str) -> (Vec<ServeCell>, obs::Regi
     (report.cells, metrics)
 }
 
-/// A lane's phase-1 task serves every traffic profile from one tape store
-/// and one GPP reference: a three-profile plan must report exactly the
-/// cells of its three one-profile plans, in order, and count exactly the
-/// merge of their metrics.
+/// The metrics a serving model produces, whatever work measured its
+/// costs: every `traffic.*` instrument and `wear.missions`, rendered.
+fn model_metrics(metrics: &obs::Registry) -> Vec<String> {
+    let model = |name: &str| name.starts_with("traffic.") || name == "wear.missions";
+    let counters = metrics.counters().filter(|(n, _)| model(n)).map(|(n, v)| format!("{n} {v}"));
+    let gauges = metrics.gauges().filter(|(n, _)| model(n)).map(|(n, v)| format!("{n} {v}"));
+    let histograms = metrics
+        .histograms()
+        .filter(|(n, _)| model(n))
+        .map(|(n, h)| format!("{n} {}", serde_json::to_string(h).unwrap()));
+    counters.chain(gauges).chain(histograms).collect()
+}
+
+/// A lane's phase-1 task serves every traffic profile from one tape store,
+/// one GPP reference and one cost table per policy: a three-profile plan
+/// must report exactly the cells of its three one-profile plans, in order,
+/// and count exactly the merge of their `traffic.*` and `wear.missions`
+/// metrics, while measuring each (policy, mask, workload) cost once.
 #[test]
 fn one_lane_task_serves_every_traffic_profile() {
     let profiles = [
@@ -283,11 +303,26 @@ fn one_lane_task_serves_every_traffic_profile() {
         expected_metrics.merge(&metrics);
     }
     assert_eq!(cells.len(), profiles.len() * 3);
-    let json = |cells: &[ServeCell]| {
-        cells.iter().map(|c| serde_json::to_string(c).unwrap()).collect::<Vec<_>>()
+    // Every model field; `simulated_services` counts work, checked below.
+    let model = |cells: &[ServeCell]| {
+        cells
+            .iter()
+            .map(|c| serde_json::to_string(&ServeCell { simulated_services: 0, ..c.clone() }))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap()
     };
-    assert_eq!(json(&cells), json(&expected_cells));
-    assert_eq!(metrics, expected_metrics);
+    assert_eq!(model(&cells), model(&expected_cells));
+    assert_eq!(model_metrics(&metrics), model_metrics(&expected_metrics));
+    assert!(model_metrics(&metrics).iter().any(|m| m.starts_with("wear.missions")));
+    // The one `crc` workload measured once per (policy, mask): each of the
+    // three policies reaches the pristine mask and one with a dead FU, and
+    // every profile reaches those two, so the lane measures 3 × 2 × 1
+    // costs where three one-profile plans measure 18.
+    let services = |cells: &[ServeCell]| cells.iter().map(|c| c.simulated_services).sum::<u64>();
+    assert_eq!(services(&cells), 6);
+    assert_eq!(services(&expected_cells), 18);
+    let first_profile = &cells[..3];
+    assert!(first_profile.iter().all(|c| c.simulated_services == 2));
 }
 
 /// Each lane's task serves its own lane's workloads. Bitcount's service
